@@ -1,12 +1,21 @@
 //! Criterion bench: floorplan model speed (the paper's claim that the
 //! toolchain "works at the speed of high-level models" while estimating
 //! low-level details). One full five-step prediction per iteration.
+//!
+//! The `analytic_evaluate_400t` group times what `customize` pays per
+//! candidate on a 20×20 grid, stage by stage: route build per table
+//! form, the all-pairs accumulation pass per form, `predict`, and
+//! `Toolchain::evaluate` whole — next to the dense-table evaluation it
+//! replaced (`evaluate_with` over `default_routes`), which is also what
+//! the repo benchmark's traced pass keeps replaying under
+//! `topology.routing.build_s`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use shg_core::Scenario;
+use shg_core::{PerformanceMode, Scenario, SparseHammingConfig, Toolchain};
 use shg_floorplan::{predict, ModelOptions};
-use shg_topology::generators;
+use shg_topology::routing::{self, RouteForm};
+use shg_topology::{generators, Grid};
 
 fn bench_model(c: &mut Criterion) {
     let scenario = Scenario::knc_a();
@@ -31,5 +40,48 @@ fn bench_model(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_model);
+fn bench_analytic_evaluate(c: &mut Criterion) {
+    // The `customize_20x20` benchmark workload's inputs, on the
+    // configuration its trace ends at.
+    let mut params = Scenario::knc_a().params;
+    params.grid = Grid::new(20, 20);
+    let toolchain = Toolchain {
+        model_options: ModelOptions {
+            cell_scale: 6.0,
+            ..ModelOptions::default()
+        },
+        mode: PerformanceMode::Analytic,
+        ..Toolchain::default()
+    };
+    let topology = SparseHammingConfig::new(20, 20, [2, 5, 19], [4, 18])
+        .expect("valid skips")
+        .build();
+    let mut group = c.benchmark_group("analytic_evaluate_400t");
+    group.sample_size(10);
+    for form in [RouteForm::Dense, RouteForm::NextHop] {
+        group.bench_function(BenchmarkId::new("route_build", form), |b| {
+            b.iter(|| routing::default_routes_with(&topology, form).expect("routes"));
+        });
+        let routes = routing::default_routes_with(&topology, form).expect("routes");
+        group.bench_function(BenchmarkId::new("channel_loads", form), |b| {
+            b.iter(|| routes.channel_loads(&topology));
+        });
+    }
+    group.bench_function("predict", |b| {
+        b.iter(|| predict(&params, &topology, &toolchain.model_options));
+    });
+    group.bench_function("evaluate", |b| {
+        b.iter(|| toolchain.evaluate(&params, &topology).expect("evaluates"));
+    });
+    group.bench_function("evaluate_dense_reference", |b| {
+        b.iter(|| {
+            let routes = routing::default_routes(&topology).expect("routes");
+            let prediction = predict(&params, &topology, &toolchain.model_options);
+            toolchain.evaluate_with(&params, &topology, &routes, &prediction)
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_model, bench_analytic_evaluate);
 criterion_main!(benches);

@@ -34,9 +34,10 @@
 //! allocation made Phase C cheap. Measured runtime on one core
 //! (request-queue allocator; the sweeps scale with cores via rayon):
 //! `--scenario a --fast` ≈ 50 s, `--scenario all --fast` ≈ 6.5 min,
-//! dominated by the floorplan model rather than the simulator; full
-//! fidelity `--scenario a` ≈ 14 min (simulated saturation search at
-//! the 5% grid).
+//! both dominated by the pattern sweep's simulator phases (the repo
+//! benchmark's ledger: 99.7 % of `--scenario a --fast`; the floorplan
+//! model is milliseconds); full fidelity `--scenario a` ≈ 14 min
+//! (simulated saturation search at the 5% grid).
 
 use shg_bench::sweep::{pattern_saturation_table, scenario_sweep};
 use shg_bench::{arg_value, evaluate_all, has_flag, named_topologies};

@@ -10,10 +10,10 @@ use serde::{Deserialize, Serialize};
 
 use shg_floorplan::{predict, ArchParams, ModelOptions, Prediction};
 use shg_sim::{
-    saturation_throughput, zero_load_latency, Experiment, SaturationSearch, SimConfig, SweepCase,
-    SweepResult, SweepSpec, TrafficPattern,
+    measure_performance, zero_load_latency_from_loads, Experiment, Performance, SaturationSearch,
+    SimConfig, SweepCase, SweepResult, SweepSpec, TrafficPattern,
 };
-use shg_topology::routing::{self, BuildRoutesError, Routes};
+use shg_topology::routing::{self, BuildRoutesError, RouteForm, Routes};
 use shg_topology::{Topology, TopologyKind};
 use shg_units::{Cycles, Mm2, Watts};
 
@@ -126,6 +126,16 @@ impl Toolchain {
 
     /// Runs the full prediction pipeline on one topology.
     ///
+    /// Routes are built in the compact form the sweep engine uses, never
+    /// as an all-pairs path table. In [`PerformanceMode::Analytic`] the
+    /// performance half is then one accumulation pass over that table
+    /// ([`Routes::channel_loads`]): O(N·(R+C)) 1D list walks for the
+    /// row-column families (mesh, sparse Hamming, flattened butterfly,
+    /// Ruche) — a row walk is shared by the `R` destinations of a column,
+    /// a column walk by the `C` sources of a row — and one fused
+    /// pair-by-pair pass over the `N²` paths of every other family; the
+    /// five-step floorplan model is the rest of a candidate's cost.
+    ///
     /// # Errors
     ///
     /// Returns [`EvaluateError::Routing`] if no deadlock-free hop-minimal
@@ -135,7 +145,7 @@ impl Toolchain {
         params: &ArchParams,
         topology: &Topology,
     ) -> Result<Evaluation, EvaluateError> {
-        let routes = routing::default_routes(topology)?;
+        let routes = routing::default_routes_with(topology, RouteForm::NextHop)?;
         let prediction = predict(params, topology, &self.model_options);
         Ok(self.evaluate_with(params, topology, &routes, &prediction))
     }
@@ -152,9 +162,8 @@ impl Toolchain {
         prediction: &Prediction,
     ) -> Evaluation {
         let latencies = &prediction.estimates.link_latencies;
-        let zll = zero_load_latency(topology, routes, latencies, &self.sim);
-        let sat = match self.mode {
-            PerformanceMode::Simulate => saturation_throughput(
+        let performance = match self.mode {
+            PerformanceMode::Simulate => measure_performance(
                 topology,
                 routes,
                 latencies,
@@ -162,7 +171,16 @@ impl Toolchain {
                 self.pattern,
                 self.search,
             ),
-            PerformanceMode::Analytic => analytic_saturation(topology, routes),
+            // Both numbers are sums over the channel loads: one pass.
+            PerformanceMode::Analytic => {
+                let loads = routes.channel_loads(topology);
+                Performance {
+                    zero_load_latency: zero_load_latency_from_loads(
+                        topology, &loads, latencies, &self.sim,
+                    ),
+                    saturation_throughput: channel_load_bound(topology, &loads),
+                }
+            }
         };
         Evaluation {
             name: topology.kind().to_string(),
@@ -172,8 +190,8 @@ impl Toolchain {
             total_area: prediction.estimates.total_area,
             noc_power: prediction.estimates.noc_power,
             total_power: prediction.estimates.total_power,
-            zero_load_latency: zll,
-            saturation_throughput: sat,
+            zero_load_latency: performance.zero_load_latency,
+            saturation_throughput: performance.saturation_throughput,
             mean_link_latency: prediction.estimates.mean_link_latency(),
             max_link_latency: prediction.estimates.max_link_latency().value(),
             collisions: prediction.estimates.collisions,
@@ -236,7 +254,7 @@ impl Toolchain {
         topology: &'a Topology,
         rate_points: usize,
     ) -> Result<Experiment<'a>, EvaluateError> {
-        let routes = routing::default_routes(topology)?;
+        let routes = routing::default_routes_with(topology, RouteForm::NextHop)?;
         let prediction = predict(params, topology, &self.model_options);
         let spec = SweepSpec::new(self.sim.clone())
             .linear_rates(rate_points.max(1), 1.0)
@@ -285,19 +303,17 @@ impl Toolchain {
 /// channel saturates first. Ejection bandwidth caps the result at 1.
 #[must_use]
 pub fn analytic_saturation(topology: &Topology, routes: &Routes) -> f64 {
+    channel_load_bound(topology, &routes.channel_loads(topology))
+}
+
+/// [`analytic_saturation`] from precomputed [`Routes::channel_loads`].
+fn channel_load_bound(topology: &Topology, loads: &[u32]) -> f64 {
     let n = topology.num_tiles();
-    if n < 2 {
+    let max_load = loads.iter().copied().max().unwrap_or(0);
+    if n < 2 || max_load == 0 {
         return 1.0;
     }
-    let max_load = routes
-        .channel_loads(topology)
-        .into_iter()
-        .max()
-        .unwrap_or(0);
-    if max_load == 0 {
-        return 1.0;
-    }
-    ((n as f64 - 1.0) / max_load as f64).min(1.0)
+    ((n as f64 - 1.0) / f64::from(max_load)).min(1.0)
 }
 
 /// Annotated topology: the intermediate artifact of Fig. 3 (topology plus

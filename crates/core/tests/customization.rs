@@ -5,7 +5,7 @@ use shg_core::{
     analytic_saturation, customize, DesignGoals, PerformanceMode, Scenario, SparseHammingConfig,
     Toolchain,
 };
-use shg_floorplan::ModelOptions;
+use shg_floorplan::{predict, ModelOptions};
 use shg_sim::SimConfig;
 use shg_topology::routing;
 
@@ -135,4 +135,96 @@ fn toolchain_modes_agree_on_ordering() {
         s_shg.saturation_throughput,
         s_mesh.saturation_throughput
     );
+}
+
+#[test]
+fn evaluate_equals_the_dense_reference_field_for_field() {
+    // `evaluate` routes on the compact table and accumulates line by
+    // line; `evaluate_with` over the dense table walks every
+    // materialized path. Every field must agree exactly, in both modes.
+    let simulated = Toolchain {
+        mode: PerformanceMode::Simulate,
+        ..fast_toolchain()
+    };
+    for scenario in Scenario::all_knc() {
+        let topology = scenario.shg.build();
+        let dense = routing::default_routes(&topology).expect("dense routes");
+        let toolchains = [fast_toolchain(), simulated.clone()];
+        // One simulated scenario covers the mode; the rest stay analytic.
+        let modes = if scenario.name == "a" { 2 } else { 1 };
+        for toolchain in &toolchains[..modes] {
+            let prediction = predict(&scenario.params, &topology, &toolchain.model_options);
+            assert_eq!(
+                toolchain
+                    .evaluate(&scenario.params, &topology)
+                    .expect("evaluates"),
+                toolchain.evaluate_with(&scenario.params, &topology, &dense, &prediction),
+                "scenario {} in {:?} mode",
+                scenario.name,
+                toolchain.mode
+            );
+        }
+    }
+}
+
+/// The scenario-a customization trace, pinned: `SR`/`SC` of every accepted
+/// step with the `Debug` rendering of its [`shg_core::Evaluation`] (which
+/// prints every `f64` in its shortest round-trip form, so a one-ulp
+/// drift in any analytic number shows).
+const SCENARIO_A_TRACE: &[(&[u16], &[u16], &str)] = &[
+    (
+        &[],
+        &[],
+        "Evaluation { name: \"2D Mesh\", kind: Mesh, router_radix: 4, area_overhead: 0.10682912913452225, total_area: Mm2(752.3756337338181), noc_power: Watts(25.7202027948218), total_power: Watts(240.7602027948218), zero_load_latency: 11.666666666666666, saturation_throughput: 0.4921875, mean_link_latency: 1.0, max_link_latency: 1, collisions: 0 }",
+    ),
+    (
+        &[3],
+        &[],
+        "Evaluation { name: \"Sparse Hamming Graph\", kind: SparseHamming, router_radix: 6, area_overhead: 0.2304989420235884, total_area: Mm2(873.2931462981817), noc_power: Watts(26.82861332666181), total_power: Watts(241.8686133266618), zero_load_latency: 9.952380952380953, saturation_throughput: 0.4921875, mean_link_latency: 1.263157894736842, max_link_latency: 2, collisions: 0 }",
+    ),
+    (
+        &[3],
+        &[4],
+        "Evaluation { name: \"Sparse Hamming Graph\", kind: SparseHamming, router_radix: 7, area_overhead: 0.3994138084086543, total_area: Mm2(1118.9068436945452), noc_power: Watts(29.34772817175272), total_power: Watts(244.3877281717527), zero_load_latency: 9.253968253968255, saturation_throughput: 1.0, mean_link_latency: 1.7826086956521738, max_link_latency: 3, collisions: 0 }",
+    ),
+    (
+        &[3, 4],
+        &[4],
+        "Evaluation { name: \"Sparse Hamming Graph\", kind: SparseHamming, router_radix: 8, area_overhead: 0.3994138084086543, total_area: Mm2(1118.9068436945452), noc_power: Watts(30.67026346542545), total_power: Watts(245.71026346542544), zero_load_latency: 8.746031746031745, saturation_throughput: 1.0, mean_link_latency: 1.962962962962963, max_link_latency: 3, collisions: 15 }",
+    ),
+    (
+        &[3, 4],
+        &[2, 4],
+        "Evaluation { name: \"Sparse Hamming Graph\", kind: SparseHamming, router_radix: 10, area_overhead: 0.3994138084086543, total_area: Mm2(1118.9068436945452), noc_power: Watts(32.08096777867635), total_power: Watts(247.12096777867635), zero_load_latency: 8.301587301587302, saturation_throughput: 1.0, mean_link_latency: 1.9696969696969697, max_link_latency: 3, collisions: 15 }",
+    ),
+    (
+        &[3, 4],
+        &[2, 4, 6],
+        "Evaluation { name: \"Sparse Hamming Graph\", kind: SparseHamming, router_radix: 10, area_overhead: 0.3994138084086543, total_area: Mm2(1118.9068436945452), noc_power: Watts(33.70579685375998), total_power: Watts(248.74579685375997), zero_load_latency: 8.182539682539682, saturation_throughput: 1.0, mean_link_latency: 2.1285714285714286, max_link_latency: 5, collisions: 105 }",
+    ),
+];
+
+#[test]
+fn scenario_a_customization_trace_is_pinned() {
+    let scenario = Scenario::knc_a();
+    let goals = DesignGoals {
+        area_budget: scenario.area_budget,
+    };
+    let trace = customize(&fast_toolchain(), &scenario.params, goals).expect("customization");
+    let got: Vec<(Vec<u16>, Vec<u16>, String)> = trace
+        .steps
+        .iter()
+        .map(|step| {
+            (
+                step.config.sr().iter().copied().collect(),
+                step.config.sc().iter().copied().collect(),
+                format!("{:?}", step.evaluation),
+            )
+        })
+        .collect();
+    let pinned: Vec<(Vec<u16>, Vec<u16>, String)> = SCENARIO_A_TRACE
+        .iter()
+        .map(|&(sr, sc, eval)| (sr.to_vec(), sc.to_vec(), eval.to_owned()))
+        .collect();
+    assert_eq!(got, pinned, "got {got:#?}");
 }

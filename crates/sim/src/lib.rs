@@ -61,7 +61,7 @@ pub use network::{Network, PhaseProfile, ScanPolicy};
 pub use router::AllocPolicy;
 pub use runner::{
     load_sweep, measure_performance, measured_zero_load_latency, saturation_throughput,
-    zero_load_latency, Performance, SaturationSearch,
+    zero_load_latency, zero_load_latency_from_loads, Performance, SaturationSearch,
 };
 pub use stats::{percentile, FaultStats, SimOutcome};
 pub use sweep::{

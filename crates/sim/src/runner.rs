@@ -6,7 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use shg_topology::{routing::Routes, Topology};
+use shg_topology::{routing::Routes, ChannelId, Topology};
 use shg_units::Cycles;
 
 use crate::config::SimConfig;
@@ -46,6 +46,11 @@ pub struct Performance {
 /// let zll = zero_load_latency(&mesh, &routes, &lats, &SimConfig::default());
 /// assert!(zll > 0.0);
 /// ```
+///
+/// The delay sum is linear in [`Routes::channel_loads`], so this is
+/// [`zero_load_latency_from_loads`] over one accumulation pass of the
+/// table — O(n · (rows + cols)) list walks on row-column next-hop tables,
+/// one pair-by-pair pass on every other kernel and form.
 #[must_use]
 pub fn zero_load_latency(
     topology: &Topology,
@@ -53,27 +58,42 @@ pub fn zero_load_latency(
     link_latencies: &[Cycles],
     config: &SimConfig,
 ) -> f64 {
-    let mut total = 0.0f64;
-    let mut pairs = 0u64;
-    for src in topology.grid().tiles() {
-        for dst in topology.grid().tiles() {
-            if src == dst {
-                continue;
-            }
-            let mut path_delay = 0u64;
-            routes.for_each_hop(src, dst, |hop| {
-                path_delay += link_latencies[hop.channel.link().index()].value()
-                    + u64::from(config.router_overhead);
-            });
-            total += path_delay as f64 + (config.packet_len - 1) as f64;
-            pairs += 1;
-        }
-    }
+    zero_load_latency_from_loads(
+        topology,
+        &routes.channel_loads(topology),
+        link_latencies,
+        config,
+    )
+}
+
+/// [`zero_load_latency`] of any routing whose per-channel path counts
+/// are `channel_loads` ([`Routes::channel_loads`]): each path crossing a
+/// channel pays that hop's delay once, so a caller that needs the loads
+/// anyway (the analytic saturation bound) walks its table only once.
+#[must_use]
+pub fn zero_load_latency_from_loads(
+    topology: &Topology,
+    channel_loads: &[u32],
+    link_latencies: &[Cycles],
+    config: &SimConfig,
+) -> f64 {
+    let n = topology.num_tiles() as u64;
+    let pairs = n * n.saturating_sub(1);
     if pairs == 0 {
-        0.0
-    } else {
-        total / pairs as f64
+        return 0.0;
     }
+    let hop_delay: u64 = channel_loads
+        .iter()
+        .enumerate()
+        .map(|(channel, &load)| {
+            let link = ChannelId::new(channel as u32).link();
+            u64::from(load)
+                * (link_latencies[link.index()].value() + u64::from(config.router_overhead))
+        })
+        .sum();
+    // Every pair's packet also pays its serialization delay.
+    let total = hop_delay + pairs * u64::from(config.packet_len - 1);
+    total as f64 / pairs as f64
 }
 
 /// Measures zero-load latency by simulating at a very low injection rate.
@@ -125,6 +145,28 @@ pub fn saturation_throughput(
     search: SaturationSearch,
 ) -> f64 {
     let zll = zero_load_latency(topology, routes, link_latencies, config);
+    saturation_search(
+        topology,
+        routes,
+        link_latencies,
+        config,
+        pattern,
+        search,
+        zll,
+    )
+}
+
+/// The binary search behind [`saturation_throughput`], given the
+/// zero-load latency `zll` its latency criterion scales.
+fn saturation_search(
+    topology: &Topology,
+    routes: &Routes,
+    link_latencies: &[Cycles],
+    config: &SimConfig,
+    pattern: TrafficPattern,
+    search: SaturationSearch,
+    zll: f64,
+) -> f64 {
     let stable_at = |rate: f64| -> bool {
         let mut network = Network::new(topology, routes, link_latencies, config.clone());
         let outcome = network.run(rate, pattern);
@@ -148,7 +190,8 @@ pub fn saturation_throughput(
 }
 
 /// Convenience: full performance measurement (analytic zero-load latency
-/// plus saturation search).
+/// plus saturation search, which reuses that latency instead of
+/// recomputing it).
 #[must_use]
 pub fn measure_performance(
     topology: &Topology,
@@ -158,15 +201,17 @@ pub fn measure_performance(
     pattern: TrafficPattern,
     search: SaturationSearch,
 ) -> Performance {
+    let zll = zero_load_latency(topology, routes, link_latencies, config);
     Performance {
-        zero_load_latency: zero_load_latency(topology, routes, link_latencies, config),
-        saturation_throughput: saturation_throughput(
+        zero_load_latency: zll,
+        saturation_throughput: saturation_search(
             topology,
             routes,
             link_latencies,
             config,
             pattern,
             search,
+            zll,
         ),
     }
 }

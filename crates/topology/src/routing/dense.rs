@@ -2,7 +2,9 @@
 //!
 //! These builders are the semantic ground truth — the compact forms in
 //! [`super::next_hop`] must reconstruct bit-identical paths, which the
-//! equivalence suite enforces. Dense tables cost O(n² · hops) memory
+//! equivalence suite enforces (row-column paths are materialized from the
+//! very line banks the compact form queries, so there the two cannot
+//! differ in their 1D moves). Dense tables cost O(n² · hops) memory
 //! (multi-GB at 10k tiles), so they are kept as the cross-checkable
 //! reference, not the default.
 
@@ -10,7 +12,7 @@ use crate::generators;
 use crate::grid::{TileCoord, TileId};
 use crate::topology::{Topology, TopologyKind};
 
-use super::line::{min_1d_paths, CLASSES_PER_PHASE, MAX_REVERSALS};
+use super::line::{row_column_banks, CLASSES_PER_PHASE, MAX_REVERSALS};
 use super::next_hop::hop_escalation_table;
 use super::{BuildRoutesError, Hop, Routes, RoutingAlgorithm, Table};
 
@@ -20,74 +22,43 @@ use super::{BuildRoutesError, Hop, Routes, RoutingAlgorithm, Table};
 
 pub(super) fn build_row_column(topology: &Topology) -> Result<Routes, BuildRoutesError> {
     let grid = topology.grid();
-    let (rows, cols) = (grid.rows(), grid.cols());
-    let not_applicable = |reason: String| BuildRoutesError::NotApplicable {
-        algorithm: RoutingAlgorithm::RowColumn,
-        reason,
-    };
-    // 1D adjacency per row (positions = columns) and per column.
-    let mut row_adj: Vec<Vec<Vec<u16>>> = vec![vec![Vec::new(); cols as usize]; rows as usize];
-    let mut col_adj: Vec<Vec<Vec<u16>>> = vec![vec![Vec::new(); rows as usize]; cols as usize];
-    for link in topology.links() {
-        let (ca, cb) = (grid.coord(link.a), grid.coord(link.b));
-        if ca.same_row(cb) {
-            row_adj[ca.row as usize][ca.col as usize].push(cb.col);
-            row_adj[ca.row as usize][cb.col as usize].push(ca.col);
-        } else if ca.same_col(cb) {
-            col_adj[ca.col as usize][ca.row as usize].push(cb.row);
-            col_adj[ca.col as usize][cb.row as usize].push(ca.row);
-        } else {
-            return Err(not_applicable(format!(
-                "link {ca} ↔ {cb} is not row/column aligned"
-            )));
-        }
-    }
+    let (row_banks, col_banks) = row_column_banks(topology)?;
     let n = topology.num_tiles();
     let mut paths = vec![Vec::new(); n * n];
     for src_coord in grid.coords() {
         let src = grid.id(src_coord);
-        // Row phase paths from the source column within the source row.
-        let row_paths = min_1d_paths(&row_adj[src_coord.row as usize], src_coord.col);
-        for dst_col in 0..cols {
-            let Some(row_moves) = &row_paths[dst_col as usize] else {
-                return Err(not_applicable(format!(
-                    "row {} disconnected between columns {} and {dst_col}",
-                    src_coord.row, src_coord.col
-                )));
-            };
-            // Column phase within the destination column.
-            let col_paths = min_1d_paths(&col_adj[dst_col as usize], src_coord.row);
-            for dst_row in 0..rows {
+        for dst_col in 0..grid.cols() {
+            // Row phase within the source row, shared by the whole
+            // destination column.
+            let mut row_hops = Vec::new();
+            let mut turn = src;
+            for mv in row_banks
+                .line(src_coord.row as usize)
+                .list(src_coord.col, dst_col)
+                .expect("row connected")
+            {
+                let next = grid.id(TileCoord::new(src_coord.row, mv.to_pos));
+                let class = mv.reversals.min(MAX_REVERSALS);
+                row_hops.push(make_hop(topology, turn, next, class));
+                turn = next;
+            }
+            for dst_row in 0..grid.rows() {
                 let dst = grid.id(TileCoord::new(dst_row, dst_col));
                 if dst == src {
                     continue;
                 }
-                let Some(col_moves) = &col_paths[dst_row as usize] else {
-                    return Err(not_applicable(format!(
-                        "column {dst_col} disconnected between rows {} and {dst_row}",
-                        src_coord.row
-                    )));
-                };
-                let mut hops = Vec::with_capacity(row_moves.len() + col_moves.len());
-                let mut at = src;
-                for mv in row_moves {
-                    let next = grid.id(TileCoord::new(src_coord.row, mv.to_pos));
-                    hops.push(make_hop(
-                        topology,
-                        at,
-                        next,
-                        mv.reversals.min(MAX_REVERSALS),
-                    ));
-                    at = next;
-                }
+                // Column phase within the destination column.
+                let col_moves = col_banks
+                    .line(dst_col as usize)
+                    .list(src_coord.row, dst_row)
+                    .expect("column connected");
+                let mut hops = Vec::with_capacity(row_hops.len() + col_moves.len());
+                hops.extend_from_slice(&row_hops);
+                let mut at = turn;
                 for mv in col_moves {
                     let next = grid.id(TileCoord::new(mv.to_pos, dst_col));
-                    hops.push(make_hop(
-                        topology,
-                        at,
-                        next,
-                        CLASSES_PER_PHASE + mv.reversals.min(MAX_REVERSALS),
-                    ));
+                    let class = CLASSES_PER_PHASE + mv.reversals.min(MAX_REVERSALS);
+                    hops.push(make_hop(topology, at, next, class));
                     at = next;
                 }
                 paths[src.index() * n + dst.index()] = hops;

@@ -4,6 +4,8 @@
 
 use crate::topology::Topology;
 
+use super::{BuildRoutesError, RoutingAlgorithm};
+
 /// Maximum direction reversals a 1D phase may take; each reversal
 /// escalates the VC class, which keeps the per-phase channel dependency
 /// graph acyclic.
@@ -21,7 +23,7 @@ pub(super) struct Move1D {
 /// Hop-minimal 1D paths with at most [`MAX_REVERSALS`] direction changes,
 /// computed by Dijkstra over `(position, direction)` states with
 /// lexicographic `(hops, reversals)` cost.
-pub(super) fn min_1d_paths(adjacency: &[Vec<u16>], from: u16) -> Vec<Option<Vec<Move1D>>> {
+fn min_1d_paths(adjacency: &[Vec<u16>], from: u16) -> Vec<Option<Vec<Move1D>>> {
     let n = adjacency.len();
     // State: (pos, dir) with dir: 0 = none yet, 1 = increasing, 2 = decreasing.
     let state = |pos: u16, dir: u8| pos as usize * 3 + dir as usize;
@@ -136,6 +138,11 @@ impl LineBank {
         }
     }
 
+    /// Number of positions along the line.
+    pub(super) fn positions(&self) -> usize {
+        self.positions
+    }
+
     /// The move list from `from` to `to`, or `None` when the line cannot
     /// connect them (within the reversal bound).
     pub(super) fn list(&self, from: u16, to: u16) -> Option<&[Move1D]> {
@@ -159,6 +166,91 @@ impl LineBank {
             + self.lens.len() * std::mem::size_of::<u16>()
             + self.moves.len() * std::mem::size_of::<Move1D>()
     }
+}
+
+/// The banks of one family of parallel lines (every row, or every
+/// column), storing one [`LineBank`] per *distinct* adjacency: a bank is
+/// a function of its line's adjacency alone, and regular topologies
+/// repeat it (every row of a sparse Hamming graph has the same one), so
+/// building and storing it per line would redo identical Dijkstra
+/// sweeps.
+#[derive(Debug, Clone, PartialEq)]
+pub(super) struct LineBanks {
+    banks: Vec<LineBank>,
+    /// Index into `banks` of each line.
+    bank_of: Vec<u32>,
+}
+
+impl LineBanks {
+    /// Builds the banks of `lines` (one adjacency per line).
+    pub(super) fn build(lines: &[Vec<Vec<u16>>]) -> Self {
+        let mut distinct: Vec<&Vec<Vec<u16>>> = Vec::new();
+        let bank_of = lines
+            .iter()
+            .map(|adjacency| {
+                let bank = distinct
+                    .iter()
+                    .position(|&seen| seen == adjacency)
+                    .unwrap_or_else(|| {
+                        distinct.push(adjacency);
+                        distinct.len() - 1
+                    });
+                bank as u32
+            })
+            .collect();
+        Self {
+            banks: distinct.iter().map(|adj| LineBank::build(adj)).collect(),
+            bank_of,
+        }
+    }
+
+    /// The bank of line `line`.
+    pub(super) fn line(&self, line: usize) -> &LineBank {
+        &self.banks[self.bank_of[line] as usize]
+    }
+
+    /// The first line that cannot connect some pair of its positions.
+    fn first_disconnected(&self) -> Option<usize> {
+        self.bank_of
+            .iter()
+            .position(|&bank| !self.banks[bank as usize].fully_connected())
+    }
+
+    /// Approximate resident heap bytes.
+    pub(super) fn bytes(&self) -> usize {
+        self.banks.iter().map(LineBank::bytes).sum::<usize>()
+            + self.bank_of.len() * std::mem::size_of::<u32>()
+    }
+}
+
+/// The row and column banks [`RoutingAlgorithm::RowColumn`] routes from —
+/// the one 1D-path construction behind both its dense and its next-hop
+/// table.
+///
+/// # Errors
+///
+/// Returns [`BuildRoutesError::NotApplicable`] when a link is not
+/// row/column aligned or a row or column is not connected within itself.
+pub(super) fn row_column_banks(
+    topology: &Topology,
+) -> Result<(LineBanks, LineBanks), BuildRoutesError> {
+    let not_applicable = |reason: String| BuildRoutesError::NotApplicable {
+        algorithm: RoutingAlgorithm::RowColumn,
+        reason,
+    };
+    let (row_adj, col_adj) = row_col_adjacency(topology).map_err(not_applicable)?;
+    let (rows, cols) = (LineBanks::build(&row_adj), LineBanks::build(&col_adj));
+    if let Some(r) = rows.first_disconnected() {
+        return Err(not_applicable(format!(
+            "row {r} is disconnected between some columns"
+        )));
+    }
+    if let Some(c) = cols.first_disconnected() {
+        return Err(not_applicable(format!(
+            "column {c} is disconnected between some rows"
+        )));
+    }
+    Ok((rows, cols))
 }
 
 /// One line's adjacency: per position, the positions it links to.

@@ -31,7 +31,10 @@
 //! bit-identical to dense (enforced by the equivalence suite); the
 //! **hierarchical** form is the next-hop analog for stitched multi-die
 //! networks. Consumers that only step flits use [`Routes::port_and_class`];
-//! metrics stream over reconstructed paths via [`Routes::for_each_hop`].
+//! per-path metrics stream over reconstructed paths via
+//! [`Routes::for_each_hop`], and all-pairs sums (channel loads, mean hops,
+//! zero-load delay) go through [`Routes::for_each_channel_use`], which
+//! walks line banks instead of pairs where the kernel is line-separable.
 //!
 //! Every built [`Routes`] can be checked with [`Routes::is_deadlock_free`],
 //! which constructs the channel/VC-class dependency graph and verifies
@@ -322,18 +325,19 @@ impl Routes {
     }
 
     /// Hop count from `src` to `dst`. O(1) on the dense and hierarchical
-    /// forms; a table walk on the next-hop form.
+    /// forms and on the next-hop form's row-column kernel; a table walk
+    /// on the other next-hop kernels.
     #[must_use]
     pub fn hop_count(&self, src: TileId, dst: TileId) -> usize {
         match &self.table {
             Table::Dense { paths } => paths[src.index() * self.n + dst.index()].len(),
             Table::Hier(t) if src != dst => t.hop_count(src.index(), dst.index()),
             Table::Hier(_) => 0,
-            Table::NextHop(_) => {
+            Table::NextHop(t) => t.hop_count(src.index(), dst.index()).unwrap_or_else(|| {
                 let mut hops = 0;
                 self.for_each_hop(src, dst, |_| hops += 1);
                 hops
-            }
+            }),
         }
     }
 
@@ -356,13 +360,8 @@ impl Routes {
         if self.n < 2 {
             return 0.0;
         }
-        let total: usize = match &self.table {
-            Table::Dense { paths } => paths.iter().map(Vec::len).sum(),
-            _ => self
-                .pairs()
-                .map(|(src, dst)| self.hop_count(src, dst))
-                .sum(),
-        };
+        let mut total = 0u64;
+        self.for_each_channel_use(|_, uses| total += u64::from(uses));
         total as f64 / (self.n * (self.n - 1)) as f64
     }
 
@@ -403,26 +402,47 @@ impl Routes {
         })
     }
 
-    /// Number of routed paths crossing each directed channel. Under
-    /// uniform random traffic this is proportional to the expected channel
-    /// load; the maximum entry bounds the saturation throughput.
-    #[must_use]
-    pub fn channel_loads(&self, topology: &Topology) -> Vec<u32> {
-        let mut loads = vec![0u32; topology.num_channels()];
+    /// Visits every `(channel, multiplicity)` the all-pairs traffic uses:
+    /// summed per channel, the multiplicities are the number of routed
+    /// paths (one per ordered pair of distinct tiles) crossing it. A
+    /// channel may be visited many times, in no particular order — this
+    /// is the accumulation primitive behind [`Routes::channel_loads`],
+    /// [`Routes::average_hops`] and the analytic performance estimates,
+    /// which are all sums over it.
+    ///
+    /// Cost: on the next-hop form's row-column kernel (mesh, sparse
+    /// Hamming, flattened butterfly, Ruche) paths separate into one row
+    /// walk plus one column walk, each shared by a whole column of
+    /// destinations or row of sources, so the pass visits
+    /// O(n · (rows + cols) · hops) moves; every other kernel and form
+    /// makes one pair-by-pair pass over its O(n² · hops) hops.
+    pub fn for_each_channel_use(&self, mut f: impl FnMut(ChannelId, u32)) {
         match &self.table {
             Table::Dense { paths } => {
-                for path in paths {
-                    for hop in path {
-                        loads[hop.channel.index()] += 1;
-                    }
+                for hop in paths.iter().flatten() {
+                    f(hop.channel, 1);
                 }
             }
+            // The guard does the line-wise pass where the kernel allows one.
+            Table::NextHop(t) if t.for_each_line_use(&mut f) => {}
             _ => {
                 for (src, dst) in self.pairs() {
-                    self.for_each_hop(src, dst, |hop| loads[hop.channel.index()] += 1);
+                    self.for_each_hop(src, dst, |hop| f(hop.channel, 1));
                 }
             }
         }
+    }
+
+    /// Number of routed paths crossing each directed channel. Under
+    /// uniform random traffic this is proportional to the expected channel
+    /// load; the maximum entry bounds the saturation throughput.
+    ///
+    /// One [`Routes::for_each_channel_use`] pass: O(n · (rows + cols))
+    /// list walks on row-column next-hop tables, O(n²) paths otherwise.
+    #[must_use]
+    pub fn channel_loads(&self, topology: &Topology) -> Vec<u32> {
+        let mut loads = vec![0u32; topology.num_channels()];
+        self.for_each_channel_use(|channel, uses| loads[channel.index()] += uses);
         loads
     }
 

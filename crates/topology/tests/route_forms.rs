@@ -6,7 +6,10 @@
 //! would derive from the dense hops. The hierarchical multi-die form is
 //! checked against the structural invariants it promises instead:
 //! valid paths, deadlock freedom, bounded VC classes, and O(1) hop
-//! counts that agree with the walked paths.
+//! counts that agree with the walked paths. On every form, the all-pairs
+//! accumulation primitive (`Routes::for_each_channel_use`, line-wise on
+//! the row-column kernel) must sum to what a pair-by-pair walk of the
+//! reference paths gives.
 
 use proptest::prelude::*;
 
@@ -53,11 +56,72 @@ fn assert_forms_identical(topology: &Topology, dense: &Routes, compact: &Routes)
     }
 }
 
+/// `routes`' accumulation primitive sums to what walking `reference`
+/// pair by pair gives, for three linear functionals of the all-pairs
+/// traffic: per-channel path counts, the total hop count, and a path
+/// cost under pseudo-random per-link weights drawn from `seed` (the
+/// shape of the zero-load latency sum).
+fn assert_accumulation_matches_pair_walk(
+    topology: &Topology,
+    reference: &Routes,
+    routes: &Routes,
+    seed: u64,
+) {
+    let mut state = seed;
+    let weights: Vec<u64> = (0..topology.num_links())
+        .map(|_| {
+            // splitmix64 step; weights in 1..=16 like floorplan latencies.
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            1 + ((z ^ (z >> 31)) & 15)
+        })
+        .collect();
+    let mut loads = vec![0u32; topology.num_channels()];
+    let (mut hops, mut cost) = (0u64, 0u64);
+    for src in topology.grid().tiles() {
+        for dst in topology.grid().tiles() {
+            reference.for_each_hop(src, dst, |hop| {
+                loads[hop.channel.index()] += 1;
+                hops += 1;
+                cost += weights[hop.channel.link().index()];
+            });
+        }
+    }
+    let mut got_loads = vec![0u32; topology.num_channels()];
+    let (mut got_hops, mut got_cost) = (0u64, 0u64);
+    routes.for_each_channel_use(|channel, uses| {
+        got_loads[channel.index()] += uses;
+        got_hops += u64::from(uses);
+        got_cost += u64::from(uses) * weights[channel.link().index()];
+    });
+    assert_eq!(got_loads, loads, "{topology}: channel loads differ");
+    assert_eq!(got_hops, hops, "{topology}: total hop count differs");
+    assert_eq!(got_cost, cost, "{topology}: weighted path cost differs");
+    assert_eq!(routes.channel_loads(topology), loads);
+    let n = topology.num_tiles();
+    assert_eq!(
+        routes.average_hops().to_bits(),
+        (hops as f64 / (n * (n - 1)) as f64).to_bits(),
+        "{topology}: average hops differ"
+    );
+    let longest = topology
+        .grid()
+        .tiles()
+        .flat_map(|src| topology.grid().tiles().map(move |dst| (src, dst)))
+        .map(|(src, dst)| reference.path_vec(src, dst).len())
+        .max();
+    assert_eq!(Some(routes.max_hops()), longest);
+}
+
 fn check_generator(topology: &Topology, algorithm: RoutingAlgorithm) {
     let dense = build_routes(topology, algorithm).expect("dense builds");
     let compact =
         build_routes_with(topology, algorithm, RouteForm::NextHop).expect("compact builds");
     assert_forms_identical(topology, &dense, &compact);
+    assert_accumulation_matches_pair_walk(topology, &dense, &compact, 0x5eed);
+    assert_accumulation_matches_pair_walk(topology, &dense, &dense, 0x5eed);
 }
 
 #[test]
@@ -135,6 +199,9 @@ fn assert_hier_invariants(topology: &Topology, routes: &Routes, class_bound: u8)
             assert!(hops as u32 >= dist[dst.index()], "{src} → {dst} beats BFS");
         }
     }
+    // No dense hierarchical form exists: the reference is the table's
+    // own pair-by-pair walk.
+    assert_accumulation_matches_pair_walk(topology, routes, routes, 0x5eed);
 }
 
 /// A two-die database with `base` dies stitched every `every` rows.
@@ -260,6 +327,32 @@ fn next_hop_default_falls_back_when_hierarchy_does_not_apply() {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random sparse Hamming graphs: the dense and next-hop tables hold
+    /// identical paths (both are materialized from the same line banks,
+    /// shared between lines of equal adjacency), and the line-wise
+    /// accumulation pass equals the dense pair-by-pair walk.
+    #[test]
+    fn line_wise_accumulation_matches_the_dense_pair_walk_on_random_shgs(
+        (rows, cols) in (2u16..=12, 2u16..=12),
+        (sr_mask, sc_mask) in (0u16..4096, 0u16..4096),
+        seed in 0u64..u64::MAX,
+    ) {
+        let skips = |mask: u16, extent: u16| -> std::collections::BTreeSet<u16> {
+            (2..extent).filter(|d| mask & (1 << d) != 0).collect()
+        };
+        let topology = generators::row_column_skip(
+            Grid::new(rows, cols),
+            &skips(sr_mask, cols),
+            &skips(sc_mask, rows),
+        )
+        .expect("skips are in range");
+        let dense = routing::default_routes(&topology).expect("dense builds");
+        let compact = default_routes_with(&topology, RouteForm::NextHop).expect("compact builds");
+        prop_assert_eq!(compact.algorithm(), RoutingAlgorithm::RowColumn);
+        assert_forms_identical(&topology, &dense, &compact);
+        assert_accumulation_matches_pair_walk(&topology, &dense, &compact, seed);
+    }
 
     /// Random two-die stitched databases: the hierarchical table always
     /// builds, stays within the simulator's VC budget, and satisfies
