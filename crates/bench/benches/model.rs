@@ -4,16 +4,19 @@
 //!
 //! The `analytic_evaluate_400t` group times what `customize` pays per
 //! candidate on a 20×20 grid, stage by stage: route build per table
-//! form, the all-pairs accumulation pass per form, `predict`, and
+//! form, the all-pairs accumulation pass per form, `predict` and its
+//! step 5 alone (`detailed_route`, the A* over unit cells), and
 //! `Toolchain::evaluate` whole — next to the dense-table evaluation it
 //! replaced (`evaluate_with` over `default_routes`), which is also what
 //! the repo benchmark's traced pass keeps replaying under
-//! `topology.routing.build_s`.
+//! `topology.routing.build_s`. `customize_20x20` is the whole loop on
+//! the same inputs: 202 candidates, each step's neighbourhood fanned out
+//! over `available_parallelism()` threads.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use shg_core::{PerformanceMode, Scenario, SparseHammingConfig, Toolchain};
-use shg_floorplan::{predict, ModelOptions};
+use shg_core::{customize, DesignGoals, PerformanceMode, Scenario, SparseHammingConfig, Toolchain};
+use shg_floorplan::{predict, DetailedRoutes, ModelOptions};
 use shg_topology::routing::{self, RouteForm};
 use shg_topology::{generators, Grid};
 
@@ -70,6 +73,11 @@ fn bench_analytic_evaluate(c: &mut Criterion) {
     group.bench_function("predict", |b| {
         b.iter(|| predict(&params, &topology, &toolchain.model_options));
     });
+    group.bench_function("detailed_route", |b| {
+        let options = &toolchain.model_options;
+        let steps = predict(&params, &topology, options);
+        b.iter(|| DetailedRoutes::route(&topology, &steps.unit_grid, &steps.global, options));
+    });
     group.bench_function("evaluate", |b| {
         b.iter(|| toolchain.evaluate(&params, &topology).expect("evaluates"));
     });
@@ -79,6 +87,14 @@ fn bench_analytic_evaluate(c: &mut Criterion) {
             let prediction = predict(&params, &topology, &toolchain.model_options);
             toolchain.evaluate_with(&params, &topology, &routes, &prediction)
         });
+    });
+    group.finish();
+
+    let mut group = c.benchmark_group("customize_20x20");
+    group.sample_size(10);
+    group.bench_function("loop", |b| {
+        let goals = DesignGoals { area_budget: 0.4 };
+        b.iter(|| customize(&toolchain, &params, goals).expect("customization runs"));
     });
     group.finish();
 }

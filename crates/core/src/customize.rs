@@ -6,6 +6,8 @@
 //! `SR`/`SC` to eliminate the identified insufficiency — until the area
 //! budget (40% in the paper) is exhausted.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
+
 use serde::{Deserialize, Serialize};
 
 use shg_floorplan::ArchParams;
@@ -66,6 +68,66 @@ fn score(eval: &Evaluation, goals: &DesignGoals) -> (bool, f64, f64) {
     )
 }
 
+/// Maps `candidates` through `evaluate` on `workers` threads; results
+/// come back in candidate order.
+///
+/// Workers drain a shared index, so which thread evaluates which
+/// candidate varies from run to run — but `evaluate` is a pure function
+/// of the candidate ([`Toolchain::evaluate`] is) and every result is
+/// filed under its candidate's index, so the returned vector and, on
+/// failure, *which* error (the earliest failing candidate's) depend on
+/// neither `workers` nor scheduling.
+///
+/// # Panics
+///
+/// Resumes a worker's panic with its own payload: the floorplan model's
+/// "no route between cells" message is the only diagnostic of an
+/// inconsistent floorplan and must reach the caller intact.
+fn evaluate_candidates<C: Sync, T: Send, E: Send>(
+    candidates: &[C],
+    workers: usize,
+    evaluate: impl Fn(&C) -> Result<T, E> + Sync,
+) -> Result<Vec<T>, E> {
+    let workers = workers.min(candidates.len());
+    if workers <= 1 {
+        return candidates.iter().map(evaluate).collect();
+    }
+    let next = AtomicUsize::new(0);
+    let mut slots: Vec<Option<Result<T, E>>> = candidates.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // Relaxed: the counter only hands out indices; the
+                        // join below publishes the results.
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(candidate) = candidates.get(i) else {
+                            return done;
+                        };
+                        done.push((i, evaluate(candidate)));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            match handle.join() {
+                Ok(done) => {
+                    for (i, result) in done {
+                        slots[i] = Some(result);
+                    }
+                }
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+    });
+    slots
+        .into_iter()
+        .map(|slot| slot.expect("workers stop only past the last index"))
+        .collect()
+}
+
 /// Runs the customization strategy.
 ///
 /// Greedy hill climbing over the `2^(R+C−4)` design space: each iteration
@@ -73,6 +135,11 @@ fn score(eval: &Evaluation, goals: &DesignGoals) -> (bool, f64, f64) {
 /// (step 4 of the paper's strategy) with the (typically fast/analytic)
 /// toolchain, and accepts the best one that stays within the area budget
 /// and improves the goal score.
+///
+/// A step's candidates are independent, so they are evaluated
+/// concurrently on [`std::thread::available_parallelism`] threads and
+/// then ranked sequentially in candidate order; the trace is the same on
+/// any number of cores.
 ///
 /// # Errors
 ///
@@ -90,10 +157,14 @@ pub fn customize(
         config: current.clone(),
         evaluation: current_eval.clone(),
     }];
+    let workers = std::thread::available_parallelism().map_or(1, usize::from);
     loop {
+        let candidates = current.grow_moves();
+        let evaluations = evaluate_candidates(&candidates, workers, |candidate| {
+            toolchain.evaluate(params, &candidate.build())
+        })?;
         let mut best: Option<(SparseHammingConfig, Evaluation)> = None;
-        for candidate in current.grow_moves() {
-            let eval = toolchain.evaluate(params, &candidate.build())?;
+        for (candidate, eval) in candidates.into_iter().zip(evaluations) {
             if eval.area_overhead > goals.area_budget {
                 continue;
             }
@@ -138,6 +209,69 @@ mod tests {
             mode: PerformanceMode::Analytic,
             ..Toolchain::default()
         }
+    }
+
+    #[test]
+    fn candidate_evaluations_do_not_depend_on_the_worker_count() {
+        let scenario = Scenario::knc_a();
+        let toolchain = fast_toolchain();
+        let candidates = scenario.shg.grow_moves();
+        let evaluations = |workers: usize| {
+            evaluate_candidates(&candidates, workers, |candidate| {
+                toolchain.evaluate(&scenario.params, &candidate.build())
+            })
+            .expect("every candidate evaluates")
+        };
+        let serial = evaluations(1);
+        assert_eq!(serial.len(), candidates.len());
+        assert_eq!(evaluations(2), serial);
+        assert_eq!(evaluations(5), serial);
+        // More workers than candidates; no candidates at all.
+        assert_eq!(evaluations(candidates.len() + 7), serial);
+        for workers in [0, 1, 4] {
+            let none = evaluate_candidates(&[] as &[u32], workers, |&c| Ok::<u32, ()>(c));
+            assert_eq!(none, Ok(Vec::new()));
+        }
+    }
+
+    #[test]
+    fn earliest_failing_candidate_wins_even_when_it_fails_last() {
+        let candidates: Vec<usize> = (0..9).collect();
+        let fails = |&c: &usize| if c == 3 || c == 6 { Err(c) } else { Ok(c) };
+        assert_eq!(evaluate_candidates(&candidates, 1, fails), Err(3));
+        for workers in [2, 5] {
+            // Candidate 3 may not finish before candidate 6 has started:
+            // the worker holding 3 waits while another drains up to 6.
+            let both_failing = std::sync::Barrier::new(2);
+            let got = evaluate_candidates(&candidates, workers, |c| {
+                if *c == 3 || *c == 6 {
+                    both_failing.wait();
+                }
+                fails(c)
+            });
+            assert_eq!(got, Err(3), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn worker_panic_resurfaces_with_its_own_message() {
+        let candidates: Vec<usize> = (0..9).collect();
+        let unwound = std::panic::catch_unwind(|| {
+            evaluate_candidates(&candidates, 2, |&c| {
+                assert!(
+                    c != 4,
+                    "no route between cells {:?} and {:?}",
+                    (1, 2),
+                    (3, c)
+                );
+                Ok::<usize, ()>(c)
+            })
+        })
+        .expect_err("the worker's panic crosses the join");
+        let message = unwound
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert_eq!(message, "no route between cells (1, 2) and (3, 4)");
     }
 
     #[test]

@@ -176,10 +176,7 @@ impl GlobalRouting {
         let grid = topology.grid();
         let mut loads = ChannelLoads::new(grid.rows(), grid.cols());
         let mut plans: Vec<Vec<Segment>> = vec![Vec::new(); topology.num_links()];
-        // Longest links first: they have the fewest routing choices.
-        let mut order: Vec<LinkId> = (0..topology.num_links() as u32).map(LinkId::new).collect();
-        order.sort_by_key(|&id| std::cmp::Reverse(topology.link_length(id)));
-        for id in order {
+        for id in longest_first(topology) {
             let candidates = candidate_plans(topology, id, placement);
             let best = candidates
                 .into_iter()
@@ -207,6 +204,14 @@ impl GlobalRouting {
             })
             .sum()
     }
+}
+
+/// The order steps 2 and 5 route links in: longest first (they have the
+/// fewest routing choices), ties by link id.
+pub(crate) fn longest_first(topology: &Topology) -> Vec<LinkId> {
+    let mut order: Vec<LinkId> = (0..topology.num_links() as u32).map(LinkId::new).collect();
+    order.sort_by_cached_key(|&id| std::cmp::Reverse(topology.link_length(id)));
+    order
 }
 
 /// Enumerates the candidate channel assignments for one link.

@@ -207,6 +207,23 @@ impl UnitGrid {
         in_tile_strip(&self.tile_x0, self.tile_w, x) && in_tile_strip(&self.tile_y0, self.tile_h, y)
     }
 
+    /// [`UnitGrid::is_blocked`] in table form, for the step-5 search loop:
+    /// per cell column and per cell row, whether it lies in a tile strip.
+    /// A cell is blocked iff both its column's and its row's flag hold.
+    pub(crate) fn tile_strip_flags(&self) -> (Vec<bool>, Vec<bool>) {
+        let flags = |len: usize, starts: &[usize], size: usize| -> Vec<bool> {
+            let mut in_tile = vec![false; len];
+            for &start in starts {
+                in_tile[start..start + size].fill(true);
+            }
+            in_tile
+        };
+        (
+            flags(self.cells_x, &self.tile_x0, self.tile_w),
+            flags(self.cells_y, &self.tile_y0, self.tile_h),
+        )
+    }
+
     /// Cell index for `(x, y)` into flat occupancy arrays.
     #[must_use]
     pub fn index(&self, x: usize, y: usize) -> usize {
@@ -358,14 +375,18 @@ mod tests {
         UnitGrid::build(&params, &options, &placement, &spacings)
     }
 
-    /// A mesh grid: no channel loads, so all gaps are zero-width.
-    fn build_mesh(grid: Grid) -> UnitGrid {
-        let (params, options) = setup(grid);
-        let mesh = generators::mesh(grid);
-        let placement = TilePlacement::compute(&params, &mesh);
-        let routing = GlobalRouting::route(&mesh, PortPlacement::Optimized);
+    /// The grid of `topology`, its gaps sized by its own channel loads.
+    fn build_routed(topology: &shg_topology::Topology) -> UnitGrid {
+        let (params, options) = setup(topology.grid());
+        let placement = TilePlacement::compute(&params, topology);
+        let routing = GlobalRouting::route(topology, PortPlacement::Optimized);
         let spacings = Spacings::compute(&params, &routing.loads);
         UnitGrid::build(&params, &options, &placement, &spacings)
+    }
+
+    /// A mesh grid: no channel loads, so all gaps are zero-width.
+    fn build_mesh(grid: Grid) -> UnitGrid {
+        build_routed(&generators::mesh(grid))
     }
 
     #[test]
@@ -404,6 +425,36 @@ mod tests {
         assert!(!ug.is_blocked(rect.x0 - 1, rect.y0));
         // Origin is the chip-corner gap.
         assert!(!ug.is_blocked(0, 0));
+    }
+
+    #[test]
+    fn strip_flags_agree_with_is_blocked_on_every_cell() {
+        let grid = Grid::new(4, 4);
+        // Row skips only: horizontal channels open up, every vertical gap
+        // stays zero-width — next to all-zero and all-nonzero gaps.
+        let row_skips =
+            generators::row_column_skip(grid, &[2].into_iter().collect(), &Default::default())
+                .expect("valid skips");
+        for ug in [
+            build_mesh(grid),
+            build_routed(&row_skips),
+            build_with_channels(grid),
+        ] {
+            let (col_in_tile, row_in_tile) = ug.tile_strip_flags();
+            assert_eq!(
+                (col_in_tile.len(), row_in_tile.len()),
+                (ug.cells_x, ug.cells_y)
+            );
+            for (y, &in_tile_row) in row_in_tile.iter().enumerate() {
+                for (x, &in_tile_col) in col_in_tile.iter().enumerate() {
+                    assert_eq!(
+                        in_tile_col && in_tile_row,
+                        ug.is_blocked(x, y),
+                        "cell ({x}, {y})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
