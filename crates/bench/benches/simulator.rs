@@ -1,9 +1,15 @@
 //! Criterion bench: cycle-accurate simulator speed — one short
 //! measurement run (warm-up + measure + drain) per iteration, plus the
 //! analytic zero-load latency used inside the customization loop.
+//!
+//! The `saturated` group is the regime a load sweep spends its time
+//! in (the repo benchmark's ledger: most `fig6` cells run past the
+//! knee to the drain limit): `shg_bench::sweep::saturated_cells`, one
+//! full cell per iteration.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
+use shg_bench::sweep::saturated_cells;
 use shg_sim::{zero_load_latency, Network, SimConfig, TrafficPattern};
 use shg_topology::{generators, routing, Grid};
 use shg_units::Cycles;
@@ -33,5 +39,18 @@ fn bench_simulator(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_simulator);
+fn bench_saturated(c: &mut Criterion) {
+    let mut group = c.benchmark_group("saturated");
+    // A 2,560-tile cell takes seconds; a few samples resolve the
+    // tens-of-percent effects this group exists to show.
+    group.sample_size(3);
+    for cell in saturated_cells() {
+        group.bench_function(cell.name, |b| {
+            b.iter(|| cell.network().run(cell.rate, TrafficPattern::UniformRandom));
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_simulator, bench_saturated);
 criterion_main!(benches);

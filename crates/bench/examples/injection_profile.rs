@@ -8,9 +8,16 @@
 //! exhaustive port × VC allocator scan was the single largest cost —
 //! the regime `AllocPolicy::RequestQueue` attacks.
 //!
+//! The closing table is the other end of the load axis: the three
+//! saturated reference cells of the `simulator` bench
+//! ([`shg_bench::sweep::saturated_cells`]), where a load sweep pushed
+//! past the knee spends most of its time — total seconds per phase, so
+//! a kernel change has a one-command before/after.
+//!
 //! Run with:
 //! `cargo run --release -p shg-bench --example injection_profile`
 
+use shg_bench::sweep::saturated_cells;
 use shg_sim::{AllocPolicy, InjectionPolicy, Network, SimConfig, TrafficPattern};
 use shg_topology::{generators, routing, Grid};
 use shg_units::Cycles;
@@ -59,5 +66,25 @@ fn main() {
             );
         }
         println!();
+    }
+    println!(
+        "{:<22} {:>6} {:>8} {:>8} {:>8} {:>9} {:>7}",
+        "Saturated cell", "Rate", "A[s]", "B[s]", "C[s]", "Wall[s]", "Cycles"
+    );
+    for cell in saturated_cells() {
+        let mut network = cell.network();
+        let start = std::time::Instant::now();
+        let (outcome, profile) = network.run_profiled(cell.rate, TrafficPattern::UniformRandom);
+        let wall = start.elapsed().as_secs_f64();
+        println!(
+            "{:<22} {:>6} {:>8.3} {:>8.3} {:>8.3} {:>9.3} {:>7}",
+            cell.name,
+            cell.rate,
+            profile.injection.as_secs_f64(),
+            profile.delivery.as_secs_f64(),
+            profile.allocation.as_secs_f64(),
+            wall,
+            outcome.cycles,
+        );
     }
 }

@@ -31,13 +31,15 @@
 //!
 //! Default pattern-sweep resolution: 10% (`--fast`) / 5% (full) of
 //! injection capacity — tightened from 20%/10% once request-driven
-//! allocation made Phase C cheap. Measured runtime on one core
-//! (request-queue allocator; the sweeps scale with cores via rayon):
-//! `--scenario a --fast` ≈ 50 s, `--scenario all --fast` ≈ 6.5 min,
-//! both dominated by the pattern sweep's simulator phases (the repo
-//! benchmark's ledger: 99.7 % of `--scenario a --fast`; the floorplan
-//! model is milliseconds); full fidelity `--scenario a` ≈ 14 min
-//! (simulated saturation search at the 5% grid).
+//! allocation made Phase C cheap. Measured runtime (a shared 2-core
+//! host; the sweeps scale with cores via rayon): `--scenario a --fast`
+//! 30–34 s wall / ≈ 60 s CPU on both cores (64 s pinned to one), peak
+//! RSS ≈ 11 MB; `--scenario all --fast` ≈ 4 min wall / 7.6 min CPU,
+//! 19 MB — all of it the pattern sweep's simulator phases (the repo
+//! benchmark's ledger: 99.5 % of `--scenario a --fast`, most cells
+//! running past the knee to the drain limit; the floorplan model is
+//! milliseconds). Full fidelity `--scenario a` was last measured at
+//! ≈ 14 min on one core, before the kernel's saturated-cell rework.
 
 use shg_bench::sweep::{pattern_saturation_table, scenario_sweep};
 use shg_bench::{arg_value, evaluate_all, has_flag, named_topologies};

@@ -355,6 +355,97 @@ pub fn request_setup(params: &[(String, String)]) -> Result<RequestSetup, String
     })
 }
 
+/// The two-die 2 × (32×40)-tile part the repo benchmark's
+/// `bigtopo_2560` workload sweeps, in `--db` wire form.
+pub const BIGTOPO_2560_DB: &str = "die/compute/32x40/shg:sr=4:sc=2,5;die/hbm/32x40/mesh;\
+region/hbm/r0..32/c0..40/memory/sc=2;boundary/every=4/latency=5";
+
+/// One simulator cell past its saturation point, prepared exactly the
+/// way `fig6 --fast` / `sweep_worker --fast` prepare theirs (fast-test
+/// windows, floorplan-predicted latencies, default route form). Most
+/// cells of a load sweep pushed past the knee look like these: they
+/// run to the drain limit with every source queue backed up.
+#[derive(Debug)]
+pub struct SaturatedCell {
+    /// Stable label (bench id, profile row).
+    pub name: &'static str,
+    /// The cell's topology.
+    pub topology: Topology,
+    /// Its routes and link latencies.
+    pub prepared: PreparedCase,
+    /// The simulator configuration.
+    pub config: shg_sim::SimConfig,
+    /// Uniform-random injection rate, flits per node per cycle.
+    pub rate: f64,
+}
+
+impl SaturatedCell {
+    /// A fresh network for the cell; run it with
+    /// `TrafficPattern::UniformRandom` at [`SaturatedCell::rate`].
+    #[must_use]
+    pub fn network(&self) -> shg_sim::Network<'_> {
+        shg_sim::Network::new(
+            &self.topology,
+            &self.prepared.routes,
+            &self.prepared.link_latencies,
+            self.config.clone(),
+        )
+    }
+}
+
+/// The saturated regime's three reference cells, shared by the
+/// `simulator` bench's `saturated` group and the `injection_profile`
+/// example: the scenario-a 8×8 mesh at 0.6, the scenario-a sparse
+/// Hamming graph at 1.0, and [`BIGTOPO_2560_DB`] at 1.0.
+///
+/// # Panics
+///
+/// Panics if a cell's set-up fails — the inputs are constants.
+#[must_use]
+pub fn saturated_cells() -> Vec<SaturatedCell> {
+    let cell = |name, db: Option<&str>, pick: fn(&RequestSetup) -> Topology, rate| {
+        let mut params = vec![("fast".to_owned(), "1".to_owned())];
+        params.extend(db.map(|db| ("db".to_owned(), db.to_owned())));
+        let setup = request_setup(&params).expect("constant request params");
+        let topology = pick(&setup);
+        let prepared = TopologyCache::new()
+            .prepare(
+                &setup.scenario.params,
+                &setup.model_options,
+                &topology,
+                setup.route_form,
+            )
+            .expect("reference topologies route");
+        SaturatedCell {
+            name,
+            topology,
+            prepared,
+            config: setup.scenario.sim,
+            rate,
+        }
+    };
+    vec![
+        cell(
+            "mesh_8x8_uniform_0.6",
+            None,
+            |setup| shg_topology::generators::mesh(setup.scenario.params.grid),
+            0.6,
+        ),
+        cell(
+            "shg_a_uniform_1.0",
+            None,
+            |setup| setup.scenario.shg.build(),
+            1.0,
+        ),
+        cell(
+            "db_2560_uniform_1.0",
+            Some(BIGTOPO_2560_DB),
+            |setup| setup.db_topology.clone().expect("db request").1,
+            1.0,
+        ),
+    ]
+}
+
 /// The `--routes dense|next-hop` flag (default: the compact next-hop
 /// form — bit-identical to dense, a fraction of the memory). An unknown
 /// name is a usage error via [`cli_error`].

@@ -114,6 +114,60 @@ impl SimConfig {
         let hi = ((class as u32 + 1) * v) / c;
         lo as u8..hi as u8
     }
+
+    /// Asserts that the run's last possible cycle fits the `u32`
+    /// creation stamp flits and source-queue descriptors carry.
+    pub(crate) fn assert_cycles_fit_u32(&self) {
+        let last = self
+            .warmup
+            .checked_add(self.measure)
+            .and_then(|end| end.checked_add(self.drain_limit));
+        assert!(
+            last.is_some_and(|last| last <= u64::from(u32::MAX)),
+            "warmup + measure + drain_limit must fit 32 bits, got {} + {} + {}",
+            self.warmup,
+            self.measure,
+            self.drain_limit
+        );
+    }
+}
+
+/// [`SimConfig::vc_range`] of every VC class, tabulated once per
+/// network so VC allocation reads a grant's range instead of dividing
+/// for it. Indexed by class; shared by both engines.
+#[derive(Debug)]
+pub(crate) struct VcClassTable {
+    /// First VC of the class's range.
+    pub(crate) start: Vec<u8>,
+    /// Number of VCs in the range (at least one).
+    pub(crate) len: Vec<u8>,
+    /// Bitmask of the range's VCs.
+    pub(crate) mask: Vec<u64>,
+}
+
+impl VcClassTable {
+    /// Tabulates the `num_classes` (at least one) ranges of `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are more classes than VCs, or more than 64 VCs
+    /// (the allocators' per-port VC bitmasks are one `u64`).
+    pub(crate) fn new(config: &SimConfig, num_classes: u8) -> Self {
+        assert!(
+            config.num_vcs <= 64,
+            "the allocator's VC bitmasks support at most 64 VCs per port, got {}",
+            config.num_vcs
+        );
+        let classes = num_classes.max(1);
+        let ranges = (0..classes).map(|class| config.vc_range(class, classes));
+        let (mut start, mut len, mut mask) = (Vec::new(), Vec::new(), Vec::new());
+        for range in ranges {
+            start.push(range.start);
+            len.push(range.len() as u8);
+            mask.push((u64::MAX >> (64 - range.len())) << range.start);
+        }
+        Self { start, len, mask }
+    }
 }
 
 #[cfg(test)]
@@ -144,6 +198,40 @@ mod tests {
         let sizes: Vec<usize> = (0..6).map(|c| config.vc_range(c, 6).len()).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 8);
         assert!(sizes.iter().all(|&s| s >= 1));
+    }
+
+    #[test]
+    fn class_table_tabulates_vc_range() {
+        for num_vcs in [1u8, 3, 8, 64] {
+            let config = SimConfig {
+                num_vcs,
+                ..SimConfig::default()
+            };
+            for classes in 1..=num_vcs.min(9) {
+                let table = VcClassTable::new(&config, classes);
+                for class in 0..classes {
+                    let range = config.vc_range(class, classes);
+                    let c = class as usize;
+                    assert_eq!(table.start[c], range.start);
+                    assert_eq!(table.len[c] as usize, range.len());
+                    let expected = range.fold(0u64, |m, v| m | 1 << v);
+                    assert_eq!(
+                        table.mask[c], expected,
+                        "{num_vcs} VCs, class {class}/{classes}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must fit 32 bits")]
+    fn clock_beyond_u32_is_rejected() {
+        let config = SimConfig {
+            drain_limit: u64::from(u32::MAX),
+            ..SimConfig::default()
+        };
+        config.assert_cycles_fit_u32();
     }
 
     #[test]

@@ -95,7 +95,6 @@ struct LaneRun {
     now: u64,
     measure_end: u64,
     hard_stop: u64,
-    next_packet: u64,
     /// Fault epochs already applied to this lane (lanes have
     /// independent clocks, so each replays the shared [`FaultSchedule`]
     /// at its own pace; a refilled lane restarts from zero).
@@ -124,7 +123,6 @@ impl LaneRun {
             now: 0,
             measure_end,
             hard_stop,
-            next_packet: 0,
             epoch: 0,
             pattern: spec.pattern,
             injector,
@@ -195,7 +193,6 @@ impl<'a> Engine<'a> {
             pattern,
             injector,
             recorder,
-            next_packet,
             ..
         } = run;
         let pattern = *pattern;
@@ -210,10 +207,9 @@ impl<'a> Engine<'a> {
                     }
                 }
                 recorder.record_injection(now);
-                let id = *next_packet;
-                *next_packet += 1;
                 let inj = layout.injection_port(t);
-                for flit in Flit::packet(id, src, dst, packet_len, now) {
+                // `now` stays below the hard stop, which fits `u32`.
+                for flit in Flit::packet(src, dst, packet_len, now as u32) {
                     enqueue(state, layout, t, inj, 0, lane, flit);
                 }
                 active_routers.insert(t);

@@ -27,7 +27,7 @@ use shg_topology::{
 };
 use shg_units::Cycles;
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, VcClassTable};
 use crate::flit::Flit;
 
 /// Sentinel for "no channel": the injection in-slot has no upstream
@@ -74,7 +74,8 @@ pub(crate) struct CoreLayout<'a> {
 
 impl<'a> CoreLayout<'a> {
     /// Builds the layout. Panics under exactly the conditions
-    /// `Network::new` panics (latency count, VC-class budget, VC cap).
+    /// `Network::new` panics (latency count, VC-class budget, VC cap,
+    /// clock range).
     pub(crate) fn new(
         topology: &'a Topology,
         routes: &'a Routes,
@@ -92,11 +93,13 @@ impl<'a> CoreLayout<'a> {
             routes.num_vc_classes(),
             config.num_vcs
         );
+        config.assert_cycles_fit_u32();
         let vcs = config.num_vcs as usize;
-        assert!(
-            vcs <= 64,
-            "the allocator's VC bitmasks support at most 64 VCs per port, got {vcs}"
-        );
+        let VcClassTable {
+            start: class_start,
+            len: class_len,
+            mask: class_mask,
+        } = VcClassTable::new(&config, routes.num_vc_classes());
         let n = topology.num_tiles();
         let n_channels = topology.num_channels();
         let mut in_base = Vec::with_capacity(n + 1);
@@ -131,21 +134,6 @@ impl<'a> CoreLayout<'a> {
                     + u64::from(config.router_overhead)
             })
             .collect();
-        let classes = routes.num_vc_classes().max(1);
-        let mut class_start = Vec::with_capacity(classes as usize);
-        let mut class_len = Vec::with_capacity(classes as usize);
-        let mut class_mask = Vec::with_capacity(classes as usize);
-        for class in 0..classes {
-            let range = config.vc_range(class, classes);
-            let len = range.len();
-            class_start.push(range.start);
-            class_len.push(len as u8);
-            class_mask.push(if len >= 64 {
-                u64::MAX
-            } else {
-                ((1u64 << len) - 1) << range.start
-            });
-        }
         Self {
             topology,
             routes,

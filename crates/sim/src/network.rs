@@ -49,7 +49,7 @@ use shg_topology::{
 };
 use shg_units::Cycles;
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, VcClassTable};
 use crate::fault::{FaultEpoch, FaultSchedule, InFlightPolicy};
 use crate::flit::Flit;
 use crate::injection::Injector;
@@ -88,46 +88,39 @@ pub enum ScanPolicy {
     FullScan,
 }
 
-/// An index set over `0..len` with O(1) insertion, deduplication via a
-/// membership bitmap, and deterministic (ascending) iteration order.
-/// Shared with the batched struct-of-arrays core (`crate::core`), which
-/// keeps one union set per structure across all of its lanes.
+/// An index set over `0..len`: a bitmap, so insertion is one OR,
+/// duplicates cost nothing and members come out in ascending order
+/// without a sort. Shared with the batched struct-of-arrays core
+/// (`crate::core`), which keeps one union set per structure across all
+/// of its lanes.
 #[derive(Debug)]
 pub(crate) struct ActiveSet {
-    members: Vec<usize>,
-    is_member: Vec<bool>,
+    /// Bit `i & 63` of word `i >> 6` is set while `i` is a member.
+    words: Vec<u64>,
     /// Last cycle's sweep buffer, recycled so the per-cycle sweep is
-    /// allocation-free in steady state (two buffers ping-pong).
+    /// allocation-free in steady state.
     scratch: Vec<usize>,
 }
 
 impl ActiveSet {
     pub(crate) fn new(len: usize) -> Self {
         Self {
-            members: Vec::new(),
-            is_member: vec![false; len],
+            words: vec![0; len.div_ceil(64)],
             scratch: Vec::new(),
         }
     }
 
     #[inline]
     pub(crate) fn insert(&mut self, index: usize) {
-        if !self.is_member[index] {
-            self.is_member[index] = true;
-            self.members.push(index);
-        }
+        self.words[index >> 6] |= 1 << (index & 63);
     }
 
-    /// Moves the members out, in ascending order, and installs the
-    /// recycled buffer from the previous sweep as the new (empty)
-    /// member list. Call [`ActiveSet::keep`] for every index to
-    /// retain, then return the buffer via [`ActiveSet::finish_sweep`].
+    /// Moves the members out, in ascending order, leaving the set
+    /// empty. Call [`ActiveSet::keep`] for every index to retain, then
+    /// return the buffer via [`ActiveSet::finish_sweep`].
     pub(crate) fn start_sweep(&mut self) -> Vec<usize> {
-        let mut sweep = std::mem::replace(&mut self.members, std::mem::take(&mut self.scratch));
-        sweep.sort_unstable();
-        for &i in &sweep {
-            self.is_member[i] = false;
-        }
+        let mut sweep = std::mem::take(&mut self.scratch);
+        self.clear_with(|i| sweep.push(i));
         sweep
     }
 
@@ -141,13 +134,15 @@ impl ActiveSet {
         self.scratch = sweep;
     }
 
-    /// Empties the set in O(members), visiting each former member.
+    /// Empties the set, visiting each former member in ascending order.
     pub(crate) fn clear_with(&mut self, mut visit: impl FnMut(usize)) {
-        for &i in &self.members {
-            self.is_member[i] = false;
-            visit(i);
+        for (w, word) in self.words.iter_mut().enumerate() {
+            let mut bits = std::mem::take(word);
+            while bits != 0 {
+                visit((w << 6) | bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
         }
-        self.members.clear();
     }
 }
 
@@ -173,6 +168,9 @@ pub struct Network<'a> {
     topology: &'a Topology,
     routes: &'a Routes,
     config: SimConfig,
+    /// VC range of each routing class (degraded fault-epoch tables
+    /// inherit the base table's class count, so one table serves all).
+    vc_classes: VcClassTable,
     /// Effective latency per channel: floorplan link latency plus router
     /// pipeline overhead.
     latency: Vec<u64>,
@@ -209,8 +207,10 @@ impl<'a> Network<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `link_latencies` does not match the topology's link count
-    /// or the routing table needs more VC classes than configured VCs.
+    /// Panics if `link_latencies` does not match the topology's link
+    /// count, the routing table needs more VC classes than configured
+    /// VCs, or `warmup + measure + drain_limit` exceeds `u32::MAX`
+    /// (flits stamp their creation cycle in 32 bits).
     #[must_use]
     pub fn new(
         topology: &'a Topology,
@@ -229,6 +229,8 @@ impl<'a> Network<'a> {
             routes.num_vc_classes(),
             config.num_vcs
         );
+        config.assert_cycles_fit_u32();
+        let vc_classes = VcClassTable::new(&config, routes.num_vc_classes());
         let n = topology.num_tiles();
         let mut routers = Vec::with_capacity(n);
         for t in 0..n {
@@ -242,7 +244,7 @@ impl<'a> Network<'a> {
                 let reverse = ChannelId::new(out.id.index() as u32 ^ 1);
                 in_channels.push(reverse);
             }
-            routers.push(Router::new(in_channels, out_channels, &config));
+            routers.push(Router::new(tile, in_channels, out_channels, &config));
         }
         let mut ch_dst = vec![(0usize, 0u8); topology.num_channels()];
         let mut ch_src = vec![(0usize, 0u8); topology.num_channels()];
@@ -265,6 +267,7 @@ impl<'a> Network<'a> {
             topology,
             routes,
             config,
+            vc_classes,
             latency,
             routers,
             ch_dst,
@@ -405,7 +408,6 @@ impl<'a> Network<'a> {
         let mut routes: &Routes = self.routes;
         let mut component: Option<&[u32]> = None;
         let mut dead_channels: Option<&[bool]> = None;
-        let mut next_packet = 0u64;
         let mut now = 0u64;
         let mut traversal = TraversalOutput::default();
         loop {
@@ -416,6 +418,10 @@ impl<'a> Network<'a> {
                 while epoch_idx < sched.epochs.len() && now >= sched.epochs[epoch_idx].at {
                     let epoch = &sched.epochs[epoch_idx];
                     self.apply_fault_epoch(epoch, sched.policy, now, &mut recorder);
+                    // The table changes under every waiting head.
+                    for router in &mut self.routers {
+                        router.forget_routes();
+                    }
                     routes = &epoch.routes;
                     component = Some(&epoch.component);
                     if sched.policy == InFlightPolicy::Drain {
@@ -446,12 +452,8 @@ impl<'a> Network<'a> {
                         }
                     }
                     recorder.record_injection(now);
-                    let id = next_packet;
-                    next_packet += 1;
-                    let inj = self.routers[t].injection_port();
-                    for flit in Flit::packet(id, src, dst, config.packet_len, now) {
-                        self.routers[t].enqueue(inj, 0, flit);
-                    }
+                    // `now` stays below the hard stop, which fits `u32`.
+                    self.routers[t].inject(dst, now as u32, config.packet_len);
                     self.active_routers.insert(t);
                     self.touched_routers.insert(t);
                 }
@@ -642,12 +644,11 @@ impl<'a> Network<'a> {
         out: &mut TraversalOutput,
     ) {
         let topology = self.topology;
-        let num_vc_classes = routes.num_vc_classes();
         let router = &mut self.routers[r];
         // Split borrow: the routing closure reads topology/routes only.
         let route =
             |router: &Router, flit: &Flit| Self::route_head(topology, routes, router, r, flit);
-        router.vc_allocate_with(&self.config, num_vc_classes, alloc, route, out);
+        router.vc_allocate_with(&self.config, &self.vc_classes, alloc, route, out);
     }
 
     /// Applies one fault epoch's state change at cycle `now`.
@@ -676,14 +677,13 @@ impl<'a> Network<'a> {
                 let routers = &mut self.routers;
                 let config = &self.config;
                 self.touched_routers.clear_with(|r| {
-                    for port in &routers[r].buffers {
-                        for buffer in port {
-                            for flit in buffer {
-                                if flit.is_tail {
-                                    recorder.record_drop(flit.created);
-                                }
-                            }
+                    for flit in routers[r].buffers.iter().flatten().flatten() {
+                        if flit.is_tail {
+                            recorder.record_drop(flit.created);
                         }
+                    }
+                    for created in routers[r].queued_packets() {
+                        recorder.record_drop(created);
                     }
                     routers[r].reset(config);
                 });
@@ -705,6 +705,9 @@ impl<'a> Network<'a> {
                     let r = r as usize;
                     let router = &mut self.routers[r];
                     let net_ports = router.in_channels.len();
+                    for created in router.queued_packets() {
+                        recorder.record_drop(created);
+                    }
                     for p in 0..router.buffers.len() {
                         for v in 0..router.buffers[p].len() {
                             for flit in &router.buffers[p][v] {
@@ -918,6 +921,101 @@ mod tests {
                         .run_with_policy(rate, pattern, ScanPolicy::FullScan);
                     assert_eq!(active, full, "{topology} {pattern} rate {rate}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn active_set_sweeps_ascending_whatever_the_insertion_order() {
+        for len in [1usize, 64, 65, 2_560] {
+            let mut set = ActiveSet::new(len);
+            assert!(set.start_sweep().is_empty(), "len {len}");
+            // Every third index plus both ends, inserted descending
+            // and twice over.
+            let mut expected: Vec<usize> = (0..len).step_by(3).chain([len - 1]).collect();
+            expected.dedup();
+            for _ in 0..2 {
+                for &i in expected.iter().rev() {
+                    set.insert(i);
+                }
+            }
+            let sweep = set.start_sweep();
+            assert_eq!(sweep, expected, "len {len}");
+            // Members kept during a sweep — behind, at and ahead of the
+            // sweep position — are exactly the next sweep.
+            for &i in &sweep {
+                if i % 2 == 0 {
+                    set.keep(i);
+                }
+            }
+            set.insert(len - 1);
+            set.finish_sweep(sweep);
+            let mut kept: Vec<usize> = expected.iter().copied().filter(|i| i % 2 == 0).collect();
+            if kept.last() != Some(&(len - 1)) {
+                kept.push(len - 1);
+            }
+            let mut visited = Vec::new();
+            set.clear_with(|i| visited.push(i));
+            assert_eq!(visited, kept, "len {len}");
+            assert!(set.start_sweep().is_empty(), "clear_with empties the set");
+        }
+    }
+
+    /// Queues `packets` on tile `t`'s source (one lands in the
+    /// injection buffer, the rest in the FIFO), as Phase A would.
+    fn queue_at_source(
+        net: &mut Network<'_>,
+        recorder: &mut OutcomeRecorder,
+        t: usize,
+        packets: u32,
+    ) {
+        let packet_len = net.config.packet_len;
+        for k in 0..packets {
+            recorder.record_injection(u64::from(k));
+            net.routers[t].inject(TileId::new(15), k, packet_len);
+        }
+        net.active_routers.insert(t);
+        net.touched_routers.insert(t);
+        assert_eq!(net.routers[t].queued_packets().count() as u32, packets - 1);
+    }
+
+    #[test]
+    fn fault_epochs_count_each_source_queue_packet_once() {
+        let mesh = generators::mesh(Grid::new(4, 4));
+        let routes = routing::default_routes(&mesh).expect("routes");
+        let lats = unit_latencies(&mesh);
+        for plan in ["10:router:5", "drain,10:router:5"] {
+            let config = SimConfig {
+                warmup: 0,
+                faults: crate::FaultPlan::parse(plan).expect("plan parses"),
+                ..SimConfig::fast_test()
+            };
+            let schedule = FaultSchedule::build(&config.faults, &mesh, routes.num_vc_classes())
+                .expect("non-empty plan");
+            let mut recorder = OutcomeRecorder::new(&config);
+            let mut net = Network::new(&mesh, &routes, &lats, config);
+            // Six packets wait at the dying router, three at a survivor.
+            queue_at_source(&mut net, &mut recorder, 5, 6);
+            queue_at_source(&mut net, &mut recorder, 2, 3);
+            net.apply_fault_epoch(&schedule.epochs[0], schedule.policy, 10, &mut recorder);
+            let dropped = recorder.finalize(10, 16.0).faults.dropped_packets;
+            match schedule.policy {
+                // The whole fabric's transient state goes.
+                InFlightPolicy::Drop => {
+                    assert_eq!(dropped, 9, "{plan}");
+                    assert!(recorder.drained());
+                    assert!(!net.routers[2].has_occupied_buffers());
+                }
+                // Only the dead router's packets go; the survivor keeps
+                // its queue.
+                InFlightPolicy::Drain => {
+                    assert_eq!(dropped, 6, "{plan}");
+                    assert_eq!(net.routers[2].queued_packets().count(), 2);
+                }
+            }
+            assert!(!net.routers[5].has_occupied_buffers());
+            for router in &net.routers {
+                router.assert_consistent(&net.config);
             }
         }
     }

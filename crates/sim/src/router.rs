@@ -23,8 +23,9 @@
 //! request state, updated incrementally on enqueue, dequeue and VC
 //! grant/release:
 //!
-//! * a bitmask of input VCs whose buffer front awaits VC allocation
-//!   ([`Router::va_mask`]),
+//! * per-input-port bitmasks of VCs whose buffer front awaits VC
+//!   allocation ([`Router::va_mask`], summarized by
+//!   [`Router::va_ports`]),
 //! * per-input-port bitmasks of active VCs with buffered flits — the
 //!   switch-allocation requests ([`Router::sa_mask`], summarized by
 //!   [`Router::sa_ports`]) — gathered into per-output-port request
@@ -40,14 +41,33 @@
 //! consulted in the same rotation order, so the arbitration outcome —
 //! and therefore every statistic — is identical; the equivalence suite
 //! (`crates/sim/tests/alloc_equivalence.rs`) enforces it.
+//!
+//! # Source queue
+//!
+//! A tile's injection port is an unbounded queue in the model, but the
+//! router never looks past the packet at its front. So the injection
+//! buffer holds the flits of *one* packet, and every packet behind it
+//! waits as an 8-byte `(dst, created)` descriptor in
+//! [`Router::source`]; the buffer is refilled from the FIFO at the very
+//! point the tail flit leaves it. A saturated tile queues thousands of
+//! packets, and this keeps them out of the flit buffers.
+//!
+//! # Route once per head
+//!
+//! A head flit's `(output port, VC class)` depends only on the flit
+//! and the routing table, so [`InVc`] remembers it the first time the
+//! head is routed; a head blocked on a busy output is retried from the
+//! cached pair without touching the flit or the table. The cache dies
+//! with the VC grant, and [`Router::forget_routes`] drops it when a
+//! fault epoch swaps the table.
 
 use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 use shg_topology::routing::NO_ROUTE;
-use shg_topology::ChannelId;
+use shg_topology::{ChannelId, TileId};
 
-use crate::config::SimConfig;
+use crate::config::{SimConfig, VcClassTable};
 use crate::flit::Flit;
 
 /// How the router allocation stages (VC allocation, switch allocation)
@@ -86,10 +106,15 @@ impl std::fmt::Display for AllocPolicy {
 pub(crate) struct InVc {
     /// `true` while a packet holds this VC's output reservation.
     pub(crate) active: bool,
-    /// Reserved output port.
+    /// `true` while `out_port` and `class` cache the route of the head
+    /// flit at the buffer front, which still awaits an output VC.
+    routed: bool,
+    /// Reserved (or, while `routed`, requested) output port.
     pub(crate) out_port: u8,
     /// Reserved output VC.
     pub(crate) out_vc: u8,
+    /// VC class the routed head demands (meaningful while `routed`).
+    class: u8,
 }
 
 /// What one router hands back to the network after switch traversal.
@@ -106,12 +131,18 @@ pub(crate) struct TraversalOutput {
     pub(crate) credits: Vec<(ChannelId, u8)>,
     /// Creation cycles of packets whose tail was discarded by a fault
     /// sink (empty on every fault-free cycle).
-    pub(crate) dropped: Vec<u64>,
+    pub(crate) dropped: Vec<u32>,
 }
 
 /// One router: buffers, reservations, credits and arbitration state.
 #[derive(Debug)]
 pub(crate) struct Router {
+    /// The tile this router serves — the source of every packet it
+    /// injects.
+    tile: TileId,
+    /// Packets queued behind the one in the injection buffer, oldest
+    /// first: `(dst, created)`.
+    source: VecDeque<(u32, u32)>,
     /// Incoming channels, defining network input ports `0..k`; port `k`
     /// is the injection port.
     pub(crate) in_channels: Vec<ChannelId>,
@@ -132,18 +163,17 @@ pub(crate) struct Router {
     sa_in_rr: Vec<u8>,
     /// Round-robin pointer per output port for switch allocation.
     sa_out_rr: Vec<u8>,
-    /// Number of buffer slots currently occupied across all ports/VCs.
-    /// Maintained incrementally so the active-set scheduler can test
-    /// occupancy in O(1).
+    /// Flits held across all ports/VCs, counting every flit of the
+    /// packets in `source`. Maintained incrementally so the active-set
+    /// scheduler can test occupancy in O(1).
     occupied: u32,
-    /// Virtual channels per port, cached for slot-index arithmetic.
-    vcs: u8,
-    /// One bit per `(in_port, vc)` slot (index `port·vcs + vc`), set
-    /// while the slot's buffer front awaits VC allocation.
+    /// `va_mask[in_port]`: VCs whose buffer front awaits VC allocation.
+    /// One `u64` per port (the class table rejects more than 64 VCs).
     va_mask: Vec<u64>,
+    /// One bit per input port, set while `va_mask[port] != 0`.
+    va_ports: Vec<u64>,
     /// `sa_mask[in_port]`: active VCs with buffered flits — the input
-    /// side's switch-allocation requests. One `u64` per port (the
-    /// constructor rejects more than 64 VCs).
+    /// side's switch-allocation requests.
     sa_mask: Vec<u64>,
     /// One bit per input port, set while `sa_mask[port] != 0`.
     sa_ports: Vec<u64>,
@@ -165,18 +195,17 @@ pub(crate) struct Router {
 
 impl Router {
     pub(crate) fn new(
+        tile: TileId,
         in_channels: Vec<ChannelId>,
         out_channels: Vec<ChannelId>,
         config: &SimConfig,
     ) -> Self {
         let vcs = config.num_vcs as usize;
-        assert!(
-            vcs <= 64,
-            "the allocator's VC bitmasks support at most 64 VCs per port, got {vcs}"
-        );
         let in_ports = in_channels.len() + 1;
         let out_ports = out_channels.len() + 1;
         Self {
+            tile,
+            source: VecDeque::new(),
             in_channels,
             out_channels,
             buffers: vec![vec![VecDeque::new(); vcs]; in_ports],
@@ -187,8 +216,8 @@ impl Router {
             sa_in_rr: vec![0; in_ports],
             sa_out_rr: vec![0; out_ports],
             occupied: 0,
-            vcs: config.num_vcs,
-            va_mask: vec![0; (in_ports * vcs).div_ceil(64)],
+            va_mask: vec![0; in_ports],
+            va_ports: vec![0; in_ports.div_ceil(64)],
             sa_mask: vec![0; in_ports],
             sa_ports: vec![0; in_ports.div_ceil(64)],
             out_vc_used: vec![0; out_ports],
@@ -208,7 +237,8 @@ impl Router {
 
     /// `true` while any buffer holds a flit — the active-set criterion:
     /// a router with empty buffers cannot allocate or traverse, and any
-    /// event that fills a buffer re-activates it.
+    /// event that fills a buffer re-activates it. (The source FIFO is
+    /// non-empty only while the injection buffer is.)
     pub(crate) fn has_occupied_buffers(&self) -> bool {
         self.occupied > 0
     }
@@ -229,14 +259,16 @@ impl Router {
 
     #[inline]
     fn va_set(&mut self, port: usize, vc: usize) {
-        let slot = port * self.vcs as usize + vc;
-        self.va_mask[slot >> 6] |= 1 << (slot & 63);
+        self.va_mask[port] |= 1 << vc;
+        self.va_ports[port >> 6] |= 1 << (port & 63);
     }
 
     #[inline]
     fn va_clear(&mut self, port: usize, vc: usize) {
-        let slot = port * self.vcs as usize + vc;
-        self.va_mask[slot >> 6] &= !(1 << (slot & 63));
+        self.va_mask[port] &= !(1 << vc);
+        if self.va_mask[port] == 0 {
+            self.va_ports[port >> 6] &= !(1 << (port & 63));
+        }
     }
 
     #[inline]
@@ -269,6 +301,53 @@ impl Router {
         }
     }
 
+    /// Queues one packet created at cycle `created` for `dst` at this
+    /// tile's source: straight into the injection buffer if that is
+    /// empty, otherwise as a descriptor behind it.
+    pub(crate) fn inject(&mut self, dst: TileId, created: u32, packet_len: u16) {
+        self.occupied += u32::from(packet_len);
+        let inj = self.injection_port();
+        if self.buffers[inj][0].is_empty() {
+            // The tail that emptied the buffer released the VC, so the
+            // new front is a head awaiting VC allocation.
+            self.buffers[inj][0].extend(Flit::packet(self.tile, dst, packet_len, created));
+            self.va_set(inj, 0);
+        } else {
+            self.source.push_back((dst.index() as u32, created));
+        }
+    }
+
+    /// Moves the oldest queued packet, if any, into the injection
+    /// buffer — called at the exact point its predecessor's tail leaves
+    /// the buffer, so the buffer's front is what the unbounded flit
+    /// queue's front would be. The caller raises the VA request.
+    #[inline]
+    fn refill_injection_buffer(&mut self, packet_len: u16) {
+        if let Some((dst, created)) = self.source.pop_front() {
+            let inj = self.injection_port();
+            self.buffers[inj][0].extend(Flit::packet(
+                self.tile,
+                TileId::new(dst),
+                packet_len,
+                created,
+            ));
+        }
+    }
+
+    /// Creation cycles of the packets waiting in the source FIFO (the
+    /// one in the injection buffer is not among them).
+    pub(crate) fn queued_packets(&self) -> impl Iterator<Item = u32> + '_ {
+        self.source.iter().map(|&(_, created)| created)
+    }
+
+    /// Drops every cached head route, so each waiting head is routed
+    /// afresh — for a fault epoch that swaps the routing table.
+    pub(crate) fn forget_routes(&mut self) {
+        for state in self.in_state.iter_mut().flatten() {
+            state.routed = false;
+        }
+    }
+
     /// VC allocation: head flits at buffer fronts acquire output VCs.
     ///
     /// `route` maps a head flit to its `(out_port, vc_class)` at this
@@ -283,40 +362,37 @@ impl Router {
     pub(crate) fn vc_allocate_with(
         &mut self,
         config: &SimConfig,
-        num_vc_classes: u8,
+        classes: &VcClassTable,
         policy: AllocPolicy,
         route: impl Fn(&Router, &Flit) -> (u8, u8),
         out: &mut TraversalOutput,
     ) {
-        let vcs = config.num_vcs as usize;
         match policy {
             AllocPolicy::FullScan => {
+                let vcs = config.num_vcs as usize;
                 let in_ports = self.buffers.len();
                 for p in 0..in_ports {
                     for v in 0..vcs {
-                        self.consider_va(p, v, config, num_vc_classes, policy, &route, out);
+                        self.consider_va(p, v, config, classes, policy, &route, out);
                     }
                 }
             }
             AllocPolicy::RequestQueue => {
-                // Word-by-word ascending slot order = the scan's
-                // ascending (port, vc) order. `consider_va` only ever
-                // clears the bit it was called for, so the snapshot of
-                // each word stays exact.
-                for w in 0..self.va_mask.len() {
-                    let mut word = self.va_mask[w];
-                    while word != 0 {
-                        let slot = (w << 6) | word.trailing_zeros() as usize;
-                        word &= word - 1;
-                        self.consider_va(
-                            slot / vcs,
-                            slot % vcs,
-                            config,
-                            num_vc_classes,
-                            policy,
-                            &route,
-                            out,
-                        );
+                // Requesting ports ascending, each port's VCs ascending
+                // = the scan's ascending (port, vc) order. `consider_va`
+                // only ever touches the request bit it was called for,
+                // so both snapshots stay exact.
+                for w in 0..self.va_ports.len() {
+                    let mut ports = self.va_ports[w];
+                    while ports != 0 {
+                        let p = (w << 6) | ports.trailing_zeros() as usize;
+                        ports &= ports - 1;
+                        let mut word = self.va_mask[p];
+                        while word != 0 {
+                            let v = word.trailing_zeros() as usize;
+                            word &= word - 1;
+                            self.consider_va(p, v, config, classes, policy, &route, out);
+                        }
                     }
                 }
             }
@@ -332,15 +408,22 @@ impl Router {
         p: usize,
         v: usize,
         config: &SimConfig,
-        num_vc_classes: u8,
+        classes: &VcClassTable,
         policy: AllocPolicy,
         route: &impl Fn(&Router, &Flit) -> (u8, u8),
         out: &mut TraversalOutput,
     ) {
-        if self.in_state[p][v].active {
+        let state = self.in_state[p][v];
+        if state.active {
             return;
         }
-        let Some(front) = self.buffers[p][v].front().copied() else {
+        if state.routed {
+            // A head that found its output busy on an earlier cycle:
+            // retry from the cached route, flit and table untouched.
+            self.grant_output_vc(p, v, state.out_port, state.class, classes, policy);
+            return;
+        }
+        let Some(front) = self.buffers[p][v].front() else {
             return;
         };
         if !front.is_head {
@@ -348,7 +431,7 @@ impl Router {
             // happen transiently after a tail release; skip.
             return;
         }
-        let (out_port, class) = route(&*self, &front);
+        let (out_port, class) = route(&*self, front);
         if out_port == NO_ROUTE {
             // No surviving route to the destination (drain fault
             // policy): sink the packet here. Discard its buffered
@@ -369,6 +452,9 @@ impl Router {
                 }
             }
             if saw_tail {
+                if p == self.injection_port() {
+                    self.refill_injection_buffer(config.packet_len);
+                }
                 if !self.buffers[p][v].is_empty() {
                     // The next packet's head is at the front now.
                     self.va_set(p, v);
@@ -382,35 +468,62 @@ impl Router {
             self.in_state[p][v] = InVc {
                 active: true,
                 out_port,
-                out_vc: 0,
+                ..InVc::default()
             };
             self.va_clear(p, v);
             self.sa_set(p, v);
             return;
         }
-        // Grant a free output VC in the class's range, rotating.
+        self.in_state[p][v] = InVc {
+            routed: true,
+            out_port,
+            class,
+            ..InVc::default()
+        };
+        self.grant_output_vc(p, v, out_port, class, classes, policy);
+    }
+
+    /// Tries to grant the routed head at the front of `(p, v)` a free
+    /// output VC of `class` on `out_port`, rotating over the class's
+    /// range; on failure the head stays a VA request.
+    #[inline]
+    fn grant_output_vc(
+        &mut self,
+        p: usize,
+        v: usize,
+        out_port: u8,
+        class: u8,
+        classes: &VcClassTable,
+        policy: AllocPolicy,
+    ) {
         let o = out_port as usize;
-        let range = config.vc_range(class, num_vc_classes.max(1));
-        let len = range.len() as u8;
-        let start = self.va_rr[o] % len.max(1);
+        let class = class as usize;
+        let (first, len) = (classes.start[class], classes.len[class]);
+        let rr = self.va_rr[o];
+        let start = if len.is_power_of_two() {
+            rr & (len - 1)
+        } else {
+            rr % len
+        };
         let granted = match policy {
             AllocPolicy::FullScan => (0..len)
-                .map(|i| range.start + (start + i) % len)
+                .map(|i| first + (start + i) % len)
                 .find(|&ov| self.out_owner[o][ov as usize].is_none()),
             AllocPolicy::RequestQueue => {
                 // Same rotation over the occupied-output-VC bitmask:
                 // the free VC with the smallest rotated distance.
-                let range_mask = if range.len() >= 64 {
-                    u64::MAX
-                } else {
-                    ((1u64 << range.len()) - 1) << range.start
-                };
-                let mut free = range_mask & !self.out_vc_used[o];
+                let mut free = classes.mask[class] & !self.out_vc_used[o];
                 let mut best: Option<(u8, u8)> = None;
                 while free != 0 {
                     let ov = free.trailing_zeros() as u8;
                     free &= free - 1;
-                    let dist = (ov - range.start + len - start) % len;
+                    // (ov − first − start) mod len, both below len.
+                    let offset = ov - first;
+                    let dist = if offset >= start {
+                        offset - start
+                    } else {
+                        offset + len - start
+                    };
                     if best.is_none_or(|(d, _)| dist < d) {
                         best = Some((dist, ov));
                     }
@@ -421,11 +534,12 @@ impl Router {
         if let Some(ov) = granted {
             self.out_owner[o][ov as usize] = Some((p as u8, v as u8));
             self.out_vc_used[o] |= 1 << ov;
-            self.va_rr[o] = self.va_rr[o].wrapping_add(1);
+            self.va_rr[o] = rr.wrapping_add(1);
             self.in_state[p][v] = InVc {
                 active: true,
                 out_port,
                 out_vc: ov,
+                ..InVc::default()
             };
             self.va_clear(p, v);
             self.sa_set(p, v);
@@ -542,7 +656,15 @@ impl Router {
             // hit. Input ports are distinct, so the minimum is unique.
             let &(p, v) = requests
                 .iter()
-                .min_by_key(|&&(p, _)| (p as usize + in_ports - start) % in_ports)
+                .min_by_key(|&&(p, _)| {
+                    // (p − start) mod in_ports, both below in_ports.
+                    let p = p as usize;
+                    if p >= start {
+                        p - start
+                    } else {
+                        p + in_ports - start
+                    }
+                })
                 .expect("touched output has a request");
             requests.clear();
             self.out_requests[o] = requests;
@@ -568,11 +690,20 @@ impl Router {
         let state = self.in_state[p][v];
         let mut flit = self.buffers[p][v].pop_front().expect("nonempty");
         self.occupied -= 1;
-        self.sa_in_rr[p] = (v as u8).wrapping_add(1) % config.num_vcs;
-        self.sa_out_rr[o] = (p as u8).wrapping_add(1) % in_ports as u8;
-        // Return a credit upstream (injection port has none).
+        // Both pointers advance to the winner's successor, wrapping.
+        self.sa_in_rr[p] = if v + 1 == config.num_vcs as usize {
+            0
+        } else {
+            v as u8 + 1
+        };
+        self.sa_out_rr[o] = if p + 1 == in_ports { 0 } else { p as u8 + 1 };
         if p < self.in_channels.len() {
+            // Return a credit upstream.
             out.credits.push((self.in_channels[p], flit.vc));
+        } else if flit.is_tail {
+            // The injection port has no upstream; its next packet, if
+            // one waits, takes the departed one's place right here.
+            self.refill_injection_buffer(config.packet_len);
         }
         let now_empty = self.buffers[p][v].is_empty();
         if o == self.ejection_port() {
@@ -633,8 +764,10 @@ impl Router {
         self.va_rr.fill(0);
         self.sa_in_rr.fill(0);
         self.sa_out_rr.fill(0);
+        self.source.clear();
         self.occupied = 0;
         self.va_mask.fill(0);
+        self.va_ports.fill(0);
         self.sa_mask.fill(0);
         self.sa_ports.fill(0);
         self.out_vc_used.fill(0);
@@ -654,18 +787,32 @@ impl Router {
     /// the first violation.
     pub(crate) fn assert_consistent(&self, config: &SimConfig) {
         let vcs = config.num_vcs as usize;
-        let mut total = 0usize;
+        let packet_len = config.packet_len as usize;
+        let inj = self.injection_port();
+        // The source FIFO's packets count toward occupancy, flit by flit.
+        let mut total = self.source.len() * packet_len;
         for (p, port) in self.buffers.iter().enumerate() {
             for (v, buffer) in port.iter().enumerate() {
                 total += buffer.len();
-                // The injection port is the unbounded source queue; only
-                // network inputs are credit-limited to the buffer depth.
+                // Network inputs are credit-limited to the buffer depth;
+                // the injection buffer holds at most one packet, and is
+                // only ever empty when nothing waits behind it.
+                let limit = if p == inj {
+                    packet_len
+                } else {
+                    config.buffer_depth as usize
+                };
                 assert!(
-                    p == self.injection_port() || buffer.len() <= config.buffer_depth as usize,
-                    "buffer [{p}][{v}] over depth: {}",
+                    buffer.len() <= limit,
+                    "buffer [{p}][{v}] over its limit of {limit}: {}",
                     buffer.len()
                 );
                 let state = self.in_state[p][v];
+                assert!(
+                    !state.routed
+                        || (!state.active && buffer.front().is_some_and(|flit| flit.is_head)),
+                    "cached route at [{p}][{v}] without a waiting head: {state:?}"
+                );
                 let sa_bit = self.sa_mask[p] & (1 << v) != 0;
                 assert_eq!(
                     sa_bit,
@@ -674,8 +821,7 @@ impl Router {
                     state.active,
                     buffer.len()
                 );
-                let slot = p * vcs + v;
-                let va_bit = self.va_mask[slot >> 6] & (1 << (slot & 63)) != 0;
+                let va_bit = self.va_mask[p] & (1 << v) != 0;
                 if va_bit {
                     assert!(
                         !state.active && !buffer.is_empty(),
@@ -697,6 +843,8 @@ impl Router {
             }
             let port_bit = self.sa_ports[p >> 6] & (1 << (p & 63)) != 0;
             assert_eq!(port_bit, self.sa_mask[p] != 0, "sa_ports bit {p} stale");
+            let port_bit = self.va_ports[p >> 6] & (1 << (p & 63)) != 0;
+            assert_eq!(port_bit, self.va_mask[p] != 0, "va_ports bit {p} stale");
             for (v, slot) in port.iter().enumerate().take(vcs) {
                 if self.sinking[p] & (1 << v) != 0 {
                     assert!(
@@ -706,6 +854,11 @@ impl Router {
                 }
             }
         }
+        assert!(
+            self.source.is_empty() || !self.buffers[inj][0].is_empty(),
+            "{} packets wait behind an empty injection buffer",
+            self.source.len()
+        );
         assert_eq!(total as u32, self.occupied, "occupancy counter drifted");
         for (o, owners) in self.out_owner.iter().enumerate() {
             for (ov, owner) in owners.iter().enumerate() {
@@ -725,5 +878,169 @@ impl Router {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::Cell;
+
+    use super::*;
+
+    /// A router at tile 0 with two network ports (channels 0/1 in,
+    /// 2/3 out) besides injection/ejection.
+    fn router(config: &SimConfig) -> Router {
+        let channels = |ids: [u32; 2]| ids.map(ChannelId::new).to_vec();
+        Router::new(TileId::new(0), channels([0, 1]), channels([2, 3]), config)
+    }
+
+    fn config(packet_len: u16) -> SimConfig {
+        SimConfig {
+            packet_len,
+            ..SimConfig::fast_test()
+        }
+    }
+
+    /// One allocation + traversal visit with every head routed to
+    /// `port`, returning each forward's credit at once.
+    fn step(router: &mut Router, config: &SimConfig, port: u8) -> Vec<Flit> {
+        let classes = VcClassTable::new(config, 1);
+        let mut out = TraversalOutput::default();
+        let policy = AllocPolicy::RequestQueue;
+        router.vc_allocate_with(config, &classes, policy, |_, _| (port, 0), &mut out);
+        router.switch_allocate_and_traverse(config, policy, &mut out);
+        for (_, flit) in &out.forwards {
+            router.credits[port as usize][flit.vc as usize] += 1;
+        }
+        router.assert_consistent(config);
+        out.forwards.into_iter().map(|(_, flit)| flit).collect()
+    }
+
+    #[test]
+    fn injection_buffer_refills_as_the_tail_leaves() {
+        for packet_len in [1u16, 4] {
+            let config = config(packet_len);
+            let mut router = router(&config);
+            let inj = router.injection_port();
+            for k in 0..3u32 {
+                router.inject(TileId::new(10 + k), 100 + k, packet_len);
+                router.assert_consistent(&config);
+            }
+            assert_eq!(router.buffers[inj][0].len(), packet_len as usize);
+            assert_eq!(router.queued_packets().collect::<Vec<_>>(), [101, 102]);
+            assert_eq!(router.occupied, 3 * u32::from(packet_len));
+            // One flit leaves per visit; the buffer is back to a whole
+            // packet the moment a tail has left, never in between.
+            let mut sent = Vec::new();
+            for visit in 1..=3 * packet_len {
+                sent.extend(step(&mut router, &config, 0));
+                assert_eq!(sent.len(), visit as usize, "len {packet_len} visit {visit}");
+                let packets_left = 3 - visit / packet_len;
+                let expected = match visit % packet_len {
+                    0 if packets_left == 0 => 0,
+                    0 => packet_len,
+                    gone => packet_len - gone,
+                };
+                assert_eq!(router.buffers[inj][0].len(), expected as usize);
+                assert_eq!(
+                    router.queued_packets().count(),
+                    packets_left.saturating_sub(1) as usize
+                );
+            }
+            assert!(!router.has_occupied_buffers());
+            // Flits left in injection order, stamped per packet.
+            let stamps: Vec<(usize, u32)> =
+                sent.iter().map(|f| (f.dst.index(), f.created)).collect();
+            let expected: Vec<(usize, u32)> = (0..3u32)
+                .flat_map(|k| std::iter::repeat_n((10 + k as usize, 100 + k), packet_len as usize))
+                .collect();
+            assert_eq!(stamps, expected);
+            let tails = sent.iter().filter(|f| f.is_tail).count();
+            assert_eq!((tails, sent.iter().filter(|f| f.is_head).count()), (3, 3));
+        }
+    }
+
+    #[test]
+    fn reset_with_a_queued_source_matches_fresh_construction() {
+        let config = config(4);
+        let mut used = router(&config);
+        for k in 0..5u32 {
+            used.inject(TileId::new(3), k, 4);
+        }
+        for _ in 0..6 {
+            let _ = step(&mut used, &config, 1);
+        }
+        assert!(used.queued_packets().count() > 0, "FIFO must be non-empty");
+        used.reset(&config);
+        used.assert_consistent(&config);
+        assert_eq!(format!("{used:?}"), format!("{:?}", router(&config)));
+    }
+
+    #[test]
+    fn blocked_head_routes_once_until_the_table_changes() {
+        // One VC: a packet from network port 0 owns output 0's only VC,
+        // so the injected head behind it is blocked.
+        let config = SimConfig {
+            num_vcs: 1,
+            ..config(2)
+        };
+        let classes = VcClassTable::new(&config, 1);
+        let mut router = router(&config);
+        let inj = router.injection_port();
+        let policy = AllocPolicy::RequestQueue;
+        let mut out = TraversalOutput::default();
+        let mut blocker = Flit::packet(TileId::new(7), TileId::new(9), 2, 0);
+        router.enqueue(0, 0, blocker.next().expect("head"));
+        router.vc_allocate_with(&config, &classes, policy, |_, _| (0, 0), &mut out);
+        assert_eq!(router.out_owner[0][0], Some((0, 0)));
+
+        let queries = Cell::new(0);
+        let table = Cell::new(0u8);
+        let route = |_: &Router, flit: &Flit| {
+            assert_eq!(flit.dst.index(), 5, "only the injected head is routed");
+            queries.set(queries.get() + 1);
+            (table.get(), 0)
+        };
+        router.inject(TileId::new(5), 1, 2);
+        for _ in 0..4 {
+            router.vc_allocate_with(&config, &classes, policy, route, &mut out);
+            router.assert_consistent(&config);
+            assert!(!router.in_state[inj][0].active);
+        }
+        assert_eq!(queries.get(), 1, "a blocked head is retried from the cache");
+        // A fault epoch swaps the table: the head must take the new
+        // table's port, not the cached one.
+        table.set(1);
+        router.forget_routes();
+        router.vc_allocate_with(&config, &classes, policy, route, &mut out);
+        router.assert_consistent(&config);
+        assert_eq!(queries.get(), 2);
+        let state = router.in_state[inj][0];
+        assert!(state.active && state.out_port == 1, "{state:?}");
+        assert_eq!(router.out_owner[1][0], Some((inj as u8, 0)));
+    }
+
+    #[test]
+    fn unroutable_source_packets_sink_one_by_one_through_the_fifo() {
+        let config = config(4);
+        let classes = VcClassTable::new(&config, 1);
+        let mut router = router(&config);
+        for k in 0..3u32 {
+            router.inject(TileId::new(9), 50 + k, 4);
+        }
+        let mut out = TraversalOutput::default();
+        for remaining in (0..3u32).rev() {
+            router.vc_allocate_with(
+                &config,
+                &classes,
+                AllocPolicy::RequestQueue,
+                |_, _| (NO_ROUTE, 0),
+                &mut out,
+            );
+            router.assert_consistent(&config);
+            assert_eq!(router.occupied, remaining * 4);
+        }
+        assert_eq!(out.dropped, [50, 51, 52]);
+        assert!(out.credits.is_empty(), "the injection port has no upstream");
     }
 }

@@ -92,11 +92,20 @@ impl Serialize for SimOutcome {
 /// Returns 0.0 for an empty sample.
 #[must_use]
 pub fn percentile(samples: &[f64], p: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
+    percentile_of_sorted(&sorted_copy(samples), p)
+}
+
+fn sorted_copy(samples: &[f64]) -> Vec<f64> {
     let mut sorted = samples.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
+    sorted
+}
+
+/// [`percentile`] of an already sorted sample.
+fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
     let rank = ((sorted.len() as f64 - 1.0) * p.clamp(0.0, 1.0)).round() as usize;
     sorted[rank]
 }
@@ -151,9 +160,9 @@ impl OutcomeRecorder {
     #[inline]
     pub(crate) fn record_ejection(&mut self, flit: &Flit, now: u64) {
         if flit.is_tail {
-            let measured = flit.created >= self.measure_start && flit.created < self.measure_end;
-            if measured {
-                self.latencies.push((now - flit.created) as f64);
+            let created = u64::from(flit.created);
+            if created >= self.measure_start && created < self.measure_end {
+                self.latencies.push((now - created) as f64);
                 self.outstanding_measured -= 1;
             }
         }
@@ -167,7 +176,8 @@ impl OutcomeRecorder {
     /// created outside the window were never outstanding and only
     /// window packets are counted.
     #[inline]
-    pub(crate) fn record_drop(&mut self, created: u64) {
+    pub(crate) fn record_drop(&mut self, created: u32) {
+        let created = u64::from(created);
         if created >= self.measure_start && created < self.measure_end {
             self.outstanding_measured -= 1;
             self.dropped_packets += 1;
@@ -204,12 +214,15 @@ impl OutcomeRecorder {
             self.latencies.iter().sum::<f64>() / self.latencies.len() as f64
         };
         let max_latency = self.latencies.iter().copied().fold(0.0f64, f64::max);
+        // One sorted copy serves both ranks (a saturated cell holds
+        // ~10⁵ samples).
+        let sorted = sorted_copy(&self.latencies);
         SimOutcome {
             offered_rate: self.injected_in_window as f64 / (self.measure as f64 * nodes),
             accepted_rate: self.ejected_in_window as f64 / (self.measure as f64 * nodes),
             avg_packet_latency: avg_latency,
-            p50_packet_latency: percentile(&self.latencies, 0.5),
-            p99_packet_latency: percentile(&self.latencies, 0.99),
+            p50_packet_latency: percentile_of_sorted(&sorted, 0.5),
+            p99_packet_latency: percentile_of_sorted(&sorted, 0.99),
             max_packet_latency: max_latency,
             measured_packets: self.latencies.len() as u64,
             stable,

@@ -1,0 +1,219 @@
+//! Golden `SimOutcome`s: every statistic of a fixed cell list, pinned
+//! bit for bit in `golden_outcomes.txt`.
+//!
+//! The equivalence suites compare the production path against in-tree
+//! references (`AllocPolicy::FullScan`, `ScanPolicy::FullScan`, the
+//! injection scans, the batched core) that share the router's
+//! enqueue / VC-allocation / traversal helpers with it, so a drift
+//! common to both sides is invisible to them. This file is the
+//! independent witness: the committed outcomes were generated once and
+//! any kernel change must reproduce them exactly. The cell list spans
+//! topology families (mesh, torus, ring, flattened butterfly, SlimNoC,
+//! the scenario-a sparse Hamming graph, a two-die database part) ×
+//! traffic patterns × load levels from idle to fully saturated ×
+//! packet lengths, with 1- and 3-cycle links, dense and next-hop route
+//! tables, both in-flight fault policies and reset-reused networks.
+//!
+//! Regenerate (only when an outcome change is intended and understood):
+//!
+//! ```text
+//! cargo test -p shg-sim --test golden_outcomes -- --ignored
+//! ```
+
+use std::fmt::Write as _;
+
+use shg_sim::{FaultPlan, Network, SimConfig, SimOutcome, TrafficPattern};
+use shg_topology::db::TopologyDb;
+use shg_topology::routing::{default_routes_with, RouteForm};
+use shg_topology::{generators, Grid, Topology};
+use shg_units::Cycles;
+
+const GOLDEN: &str = include_str!("golden_outcomes.txt");
+
+const PATTERNS: [(&str, TrafficPattern); 3] = [
+    ("uniform", TrafficPattern::UniformRandom),
+    ("transpose", TrafficPattern::Transpose),
+    ("hotspot30", TrafficPattern::Hotspot(30)),
+];
+const PACKET_LENS: [u16; 3] = [1, 2, 4];
+
+/// Windows short enough for a debug-profile test run, long enough
+/// that a saturated cell reaches the hard stop with every buffer,
+/// pipe and arbiter dirty.
+fn base_config() -> SimConfig {
+    SimConfig {
+        warmup: 200,
+        measure: 600,
+        drain_limit: 800,
+        ..SimConfig::fast_test()
+    }
+}
+
+/// `(name, topology, knee rate, forms)`: the knee is a rate near the
+/// uniform-random saturation point; custom multi-die parts only route
+/// within the VC budget in the next-hop (hierarchical) form.
+fn topologies() -> Vec<(&'static str, Topology, f64, &'static [RouteForm])> {
+    const BOTH: &[RouteForm] = &[RouteForm::Dense, RouteForm::NextHop];
+    const NEXT_HOP: &[RouteForm] = &[RouteForm::NextHop];
+    let small = Grid::new(4, 4);
+    let sr = [4].into_iter().collect();
+    let sc = [2, 5].into_iter().collect();
+    let two_die =
+        TopologyDb::parse("die left 6x5 mesh; die right 6x5 shg:sc=2; boundary every=2 latency=3")
+            .expect("db parses")
+            .instantiate()
+            .expect("db instantiates");
+    vec![
+        ("mesh4x4", generators::mesh(small), 0.35, BOTH),
+        ("torus4x4", generators::torus(small), 0.5, BOTH),
+        ("ring4x4", generators::ring(small), 0.15, BOTH),
+        ("fb4x4", generators::flattened_butterfly(small), 0.8, BOTH),
+        (
+            "slimnoc10x5",
+            generators::slim_noc(Grid::new(10, 5)).expect("50 tiles"),
+            0.4,
+            BOTH,
+        ),
+        (
+            "shg8x8",
+            generators::row_column_skip(Grid::new(8, 8), &sr, &sc).expect("scenario a"),
+            0.3,
+            BOTH,
+        ),
+        ("twodie2x6x5", two_die, 0.15, NEXT_HOP),
+    ]
+}
+
+fn latencies(topology: &Topology, cycles: u64) -> Vec<Cycles> {
+    vec![Cycles::new(cycles); topology.num_links()]
+}
+
+fn line(label: &str, o: &SimOutcome) -> String {
+    format!(
+        "{label} offered={:016x} accepted={:016x} avg={:016x} p50={:016x} p99={:016x} \
+         max={:016x} measured={} stable={} cycles={} dropped={} unroutable={}\n",
+        o.offered_rate.to_bits(),
+        o.accepted_rate.to_bits(),
+        o.avg_packet_latency.to_bits(),
+        o.p50_packet_latency.to_bits(),
+        o.p99_packet_latency.to_bits(),
+        o.max_packet_latency.to_bits(),
+        o.measured_packets,
+        o.stable,
+        o.cycles,
+        o.faults.dropped_packets,
+        o.faults.unroutable_packets,
+    )
+}
+
+/// Runs the whole cell list and renders it in the golden file's form.
+fn render() -> String {
+    let mut text = String::new();
+    for (t, (name, topology, knee, forms)) in topologies().into_iter().enumerate() {
+        let routes: Vec<_> = forms
+            .iter()
+            .map(|&form| default_routes_with(&topology, form).expect("routes build"))
+            .collect();
+        // The grid: pattern × load level, with packet length, link
+        // latency and route form rotating so every combination of the
+        // three appears somewhere in the file.
+        for (p, (pattern_name, pattern)) in PATTERNS.into_iter().enumerate() {
+            for (r, (level, rate)) in [("low", 0.05), ("knee", knee), ("full", 1.0)]
+                .into_iter()
+                .enumerate()
+            {
+                let packet_len = PACKET_LENS[(t + p + r) % 3];
+                let link_cycles = if (t + p) % 2 == 0 { 1 } else { 3 };
+                let routes = &routes[(t + r) % routes.len()];
+                let config = SimConfig {
+                    packet_len,
+                    seed: 1000 + (t * 9 + p * 3 + r) as u64,
+                    ..base_config()
+                };
+                let outcome = Network::new(
+                    &topology,
+                    routes,
+                    &latencies(&topology, link_cycles),
+                    config,
+                )
+                .run(rate, pattern);
+                let label = format!(
+                    "{name}/{pattern_name}/{level}/len{packet_len}/lat{link_cycles}/{:?}",
+                    routes.form()
+                );
+                text.push_str(&line(&label, &outcome));
+            }
+        }
+        // A second cell on a reset-reused network, straight after a
+        // full-rate one that leaves every structure dirty.
+        let routes = routes.last().expect("at least one form");
+        let lats = latencies(&topology, 1);
+        let mut network = Network::new(&topology, routes, &lats, base_config());
+        let _ = network.run(1.0, TrafficPattern::UniformRandom);
+        network.reset(77);
+        let second = network.run(knee, TrafficPattern::Transpose);
+        text.push_str(&line(
+            &format!("{name}/after-reset/transpose/knee"),
+            &second,
+        ));
+        // A link kill and a router kill in mid-measurement, under both
+        // in-flight policies.
+        if name == "shg8x8" {
+            for (policy, plan) in [
+                ("drop", "350:link:0-1,500:router:27"),
+                ("drain", "drain,350:link:0-1,500:router:27"),
+            ] {
+                let config = SimConfig {
+                    packet_len: 4,
+                    faults: FaultPlan::parse(plan).expect("plan parses"),
+                    ..base_config()
+                };
+                let outcome = Network::new(&topology, routes, &latencies(&topology, 3), config)
+                    .run(knee, TrafficPattern::UniformRandom);
+                assert!(
+                    outcome.faults.dropped_packets > 0,
+                    "{policy}: the kills must cost packets"
+                );
+                text.push_str(&line(
+                    &format!("{name}/faults-{policy}/uniform/knee"),
+                    &outcome,
+                ));
+            }
+        }
+    }
+    text
+}
+
+#[test]
+fn outcomes_match_the_committed_golden_file() {
+    let actual = render();
+    if actual == GOLDEN {
+        return;
+    }
+    let mut report = String::new();
+    let (mut actual_lines, mut golden_lines) = (actual.lines(), GOLDEN.lines());
+    loop {
+        match (actual_lines.next(), golden_lines.next()) {
+            (None, None) => break,
+            (a, g) if a == g => {}
+            (a, g) => {
+                let _ = writeln!(
+                    report,
+                    "golden: {}\nactual: {}",
+                    g.unwrap_or("<missing>"),
+                    a.unwrap_or("<missing>")
+                );
+            }
+        }
+    }
+    panic!("simulation outcomes drifted from golden_outcomes.txt:\n{report}");
+}
+
+/// Writer for the golden file — ignored so a plain `cargo test` can
+/// never overwrite the pin.
+#[test]
+#[ignore = "regenerates tests/golden_outcomes.txt"]
+fn regenerate_golden_outcomes() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_outcomes.txt");
+    std::fs::write(path, render()).expect("golden file is writable");
+}
