@@ -12,11 +12,17 @@
 //! `topology.routing.build_s`. `customize_20x20` is the whole loop on
 //! the same inputs: 202 candidates, each step's neighbourhood fanned out
 //! over `available_parallelism()` threads.
+//!
+//! `hier_routes_2560` is the one route build of the `bigtopo_2560`
+//! workload: the hierarchical table of the 2 × 32×40 two-die part (112
+//! lines, a handful of distinct line banks).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
+use shg_bench::sweep::BIGTOPO_2560_DB;
 use shg_core::{customize, DesignGoals, PerformanceMode, Scenario, SparseHammingConfig, Toolchain};
 use shg_floorplan::{predict, DetailedRoutes, ModelOptions};
+use shg_topology::db::TopologyDb;
 use shg_topology::routing::{self, RouteForm};
 use shg_topology::{generators, Grid};
 
@@ -99,5 +105,23 @@ fn bench_analytic_evaluate(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_model, bench_analytic_evaluate);
+fn bench_hier_routes(c: &mut Criterion) {
+    let topology = TopologyDb::parse(BIGTOPO_2560_DB)
+        .expect("db parses")
+        .instantiate()
+        .expect("db instantiates");
+    let mut group = c.benchmark_group("hier_routes_2560");
+    group.sample_size(10);
+    group.bench_function("route_build", |b| {
+        b.iter(|| routing::default_routes_with(&topology, RouteForm::NextHop).expect("routes"));
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_model,
+    bench_analytic_evaluate,
+    bench_hier_routes
+);
 criterion_main!(benches);

@@ -6,11 +6,20 @@
 //! in (the repo benchmark's ledger: most `fig6` cells run past the
 //! knee to the drain limit): `shg_bench::sweep::saturated_cells`, one
 //! full cell per iteration.
+//!
+//! `saturation_search/mempool` is what `table3_mempool` spends its time
+//! in: the eight-probe bisection on the MemPool stand-in at the
+//! publication-size default windows, one whole search per iteration
+//! (probes that cannot pass stop when their measurement window closes).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
 use shg_bench::sweep::saturated_cells;
-use shg_sim::{zero_load_latency, Network, SimConfig, TrafficPattern};
+use shg_core::MempoolReference;
+use shg_floorplan::{predict, ModelOptions};
+use shg_sim::{
+    saturation_throughput, zero_load_latency, Network, SaturationSearch, SimConfig, TrafficPattern,
+};
 use shg_topology::{generators, routing, Grid};
 use shg_units::Cycles;
 
@@ -52,5 +61,34 @@ fn bench_saturated(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_simulator, bench_saturated);
+fn bench_saturation_search(c: &mut Criterion) {
+    let reference = MempoolReference::new();
+    let topology = reference.topology();
+    let routes =
+        routing::default_routes_with(&topology, routing::RouteForm::NextHop).expect("routes");
+    let prediction = predict(&reference.params, &topology, &ModelOptions::default());
+    let latencies = &prediction.estimates.link_latencies;
+    let mut group = c.benchmark_group("saturation_search");
+    group.sample_size(3);
+    group.bench_function("mempool", |b| {
+        b.iter(|| {
+            saturation_throughput(
+                &topology,
+                &routes,
+                latencies,
+                &reference.sim,
+                TrafficPattern::UniformRandom,
+                SaturationSearch::default(),
+            )
+        });
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_simulator,
+    bench_saturated,
+    bench_saturation_search
+);
 criterion_main!(benches);

@@ -54,7 +54,7 @@ use crate::fault::{FaultEpoch, FaultSchedule, InFlightPolicy};
 use crate::flit::Flit;
 use crate::injection::Injector;
 use crate::router::{AllocPolicy, Router, TraversalOutput};
-use crate::stats::{OutcomeRecorder, SimOutcome};
+use crate::stats::{OutcomeRecorder, SimOutcome, Verdict};
 use crate::traffic::TrafficPattern;
 
 /// Wall-clock decomposition of one run into its simulation phases —
@@ -333,7 +333,7 @@ impl<'a> Network<'a> {
         pattern: TrafficPattern,
         policy: ScanPolicy,
     ) -> SimOutcome {
-        self.run_inner(rate, pattern, policy, false, None)
+        self.run_inner(rate, pattern, policy, false, None, None)
     }
 
     /// Like [`Network::run_with_policy`], additionally asserting every
@@ -354,7 +354,7 @@ impl<'a> Network<'a> {
         pattern: TrafficPattern,
         policy: ScanPolicy,
     ) -> SimOutcome {
-        self.run_inner(rate, pattern, policy, true, None)
+        self.run_inner(rate, pattern, policy, true, None, None)
     }
 
     /// Like [`Network::run`], additionally timing each simulation phase
@@ -375,8 +375,70 @@ impl<'a> Network<'a> {
             ScanPolicy::ActiveSet,
             false,
             Some(&mut profile),
+            None,
         );
         (outcome, profile)
+    }
+
+    /// Whether the network sustains `rate` — the question a saturation
+    /// search asks of each probe. Exactly
+    ///
+    /// ```text
+    /// let outcome = network.run(rate, pattern);
+    /// outcome.keeps_up(slack) && outcome.avg_packet_latency <= latency_limit
+    /// ```
+    ///
+    /// but the simulation stops the cycle the answer is decided instead
+    /// of completing the outcome: once the measurement window has
+    /// closed, a run whose accepted throughput misses the slack, or
+    /// whose mean latency can no longer come in under the limit, is
+    /// not drained (an overloaded network would otherwise run, and
+    /// grow its source queues, up to the drain limit).
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use shg_sim::{Network, SimConfig, TrafficPattern};
+    /// use shg_topology::{generators, routing, Grid};
+    /// use shg_units::Cycles;
+    ///
+    /// let ring = generators::ring(Grid::new(4, 4));
+    /// let routes = routing::default_routes(&ring).expect("ring routes");
+    /// let latencies = vec![Cycles::one(); ring.num_links()];
+    /// let probe = |rate| {
+    ///     Network::new(&ring, &routes, &latencies, SimConfig::fast_test()).sustains(
+    ///         rate,
+    ///         TrafficPattern::UniformRandom,
+    ///         0.05,
+    ///         40.0,
+    ///     )
+    /// };
+    /// assert!(probe(0.05));
+    /// assert!(!probe(0.8));
+    /// ```
+    #[must_use]
+    pub fn sustains(
+        &mut self,
+        rate: f64,
+        pattern: TrafficPattern,
+        slack: f64,
+        latency_limit: f64,
+    ) -> bool {
+        let verdict = Verdict {
+            slack,
+            latency_limit,
+        };
+        // A run stopped early reports the state at its stop cycle, which
+        // fails the predicate like every continuation of it would.
+        let outcome = self.run_inner(
+            rate,
+            pattern,
+            ScanPolicy::ActiveSet,
+            false,
+            None,
+            Some(verdict),
+        );
+        verdict.holds(&outcome)
     }
 
     fn run_inner(
@@ -386,6 +448,7 @@ impl<'a> Network<'a> {
         policy: ScanPolicy,
         validate: bool,
         mut profile: Option<&mut PhaseProfile>,
+        verdict: Option<Verdict>,
     ) -> SimOutcome {
         let config = self.config.clone();
         let packet_prob = rate / f64::from(config.packet_len);
@@ -393,6 +456,7 @@ impl<'a> Network<'a> {
         let measure_end = recorder.measure_end();
         let hard_stop = measure_end + config.drain_limit;
         let grid = self.topology.grid();
+        let nodes = self.topology.num_tiles() as f64;
         let mut injector = Injector::new(
             config.injection,
             config.seed,
@@ -522,8 +586,15 @@ impl<'a> Network<'a> {
             if now >= hard_stop {
                 break;
             }
+            // Verdict mode: stop once the answer cannot change any more.
+            if let Some(verdict) = &verdict {
+                if now >= measure_end && recorder.rules_out(verdict, now, nodes, schedule.is_none())
+                {
+                    break;
+                }
+            }
         }
-        recorder.finalize(now, self.topology.num_tiles() as f64)
+        recorder.finalize(now, nodes)
     }
 
     /// Delivers due flits and credits on (active) channels.
@@ -739,6 +810,9 @@ impl<'a> Network<'a> {
         }
     }
 }
+
+#[cfg(test)]
+mod verdict_tests;
 
 #[cfg(test)]
 mod tests {

@@ -157,7 +157,10 @@ pub fn saturation_throughput(
 }
 
 /// The binary search behind [`saturation_throughput`], given the
-/// zero-load latency `zll` its latency criterion scales.
+/// zero-load latency `zll` its latency criterion scales. Each probe is a
+/// fresh network asked only whether it [sustains](Network::sustains) the
+/// rate, so an overloaded probe ends with its measurement window
+/// instead of draining.
 fn saturation_search(
     topology: &Topology,
     routes: &Routes,
@@ -167,18 +170,26 @@ fn saturation_search(
     search: SaturationSearch,
     zll: f64,
 ) -> f64 {
-    let stable_at = |rate: f64| -> bool {
-        let mut network = Network::new(topology, routes, link_latencies, config.clone());
-        let outcome = network.run(rate, pattern);
-        outcome.keeps_up(search.slack) && outcome.avg_packet_latency <= zll * search.latency_factor
-    };
+    bisect_rate(search.resolution, |rate| {
+        Network::new(topology, routes, link_latencies, config.clone()).sustains(
+            rate,
+            pattern,
+            search.slack,
+            zll * search.latency_factor,
+        )
+    })
+}
+
+/// The highest rate in `[0, 1]` that `stable_at` accepts, to within
+/// `resolution`, assuming it accepts a prefix of the interval.
+fn bisect_rate(resolution: f64, mut stable_at: impl FnMut(f64) -> bool) -> f64 {
     let mut lo = 0.0f64;
     let mut hi = 1.0f64;
     // The capacity itself might be sustainable (e.g. neighbor traffic).
     if stable_at(hi) {
         return hi;
     }
-    while hi - lo > search.resolution {
+    while hi - lo > resolution {
         let mid = (lo + hi) / 2.0;
         if stable_at(mid) {
             lo = mid;
@@ -314,6 +325,68 @@ mod tests {
         let fb = sat(&generators::flattened_butterfly(grid));
         assert!(fb > mesh && mesh > ring, "fb {fb} mesh {mesh} ring {ring}");
         assert!(ring > 0.0, "even a ring moves some traffic");
+    }
+
+    /// The search as it ran before probes could stop early: every probe
+    /// a complete run, judged on its outcome.
+    fn saturation_over_full_runs(
+        topology: &Topology,
+        routes: &Routes,
+        link_latencies: &[Cycles],
+        config: &SimConfig,
+        pattern: TrafficPattern,
+        search: SaturationSearch,
+    ) -> f64 {
+        let zll = zero_load_latency(topology, routes, link_latencies, config);
+        bisect_rate(search.resolution, |rate| {
+            let outcome =
+                Network::new(topology, routes, link_latencies, config.clone()).run(rate, pattern);
+            outcome.keeps_up(search.slack)
+                && outcome.avg_packet_latency <= zll * search.latency_factor
+        })
+    }
+
+    #[test]
+    fn early_stopping_probes_leave_the_search_result_bit_identical() {
+        let grid = Grid::new(4, 4);
+        let searches = [
+            SaturationSearch::default(),
+            // A limit that queueing latency, not throughput, decides.
+            SaturationSearch {
+                latency_factor: 1.5,
+                resolution: 0.02,
+                ..SaturationSearch::default()
+            },
+        ];
+        for topology in [
+            generators::mesh(grid),
+            generators::ring(grid),
+            generators::flattened_butterfly(grid),
+        ] {
+            let routes = routing::default_routes(&topology).expect("routes");
+            let lats = unit_latencies(&topology);
+            for (pattern, packet_len) in [
+                (TrafficPattern::UniformRandom, 4),
+                (TrafficPattern::Hotspot(30), 1),
+            ] {
+                let config = SimConfig {
+                    packet_len,
+                    ..SimConfig::fast_test()
+                };
+                for search in searches {
+                    let fast =
+                        saturation_throughput(&topology, &routes, &lats, &config, pattern, search);
+                    let full = saturation_over_full_runs(
+                        &topology, &routes, &lats, &config, pattern, search,
+                    );
+                    assert_eq!(
+                        fast.to_bits(),
+                        full.to_bits(),
+                        "{topology} {pattern} len {packet_len} {search:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

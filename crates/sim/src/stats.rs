@@ -110,6 +110,39 @@ fn percentile_of_sorted(sorted: &[f64], p: f64) -> f64 {
     sorted[rank]
 }
 
+/// The question a saturation-search probe asks of one run: did the
+/// network keep up within `slack`, at a mean packet latency of at most
+/// `latency_limit` cycles?
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Verdict {
+    pub(crate) slack: f64,
+    pub(crate) latency_limit: f64,
+}
+
+impl Verdict {
+    /// The probe's answer on a finished run.
+    pub(crate) fn holds(&self, outcome: &SimOutcome) -> bool {
+        outcome.keeps_up(self.slack) && outcome.avg_packet_latency <= self.latency_limit
+    }
+}
+
+/// The throughput half of [`SimOutcome::keeps_up`].
+fn tracks_offered(offered_rate: f64, accepted_rate: f64, slack: f64) -> bool {
+    accepted_rate >= offered_rate * (1.0 - slack)
+}
+
+/// Mean of `packets` latencies summing to `latency_sum` cycles (0.0 for
+/// none). Both are far below 2⁵³ (a run's packets × its hard stop), so
+/// the conversions are exact and the quotient equals the `f64` sum of
+/// the individual latencies divided by their count, bit for bit.
+fn mean_latency(latency_sum: u64, packets: u64) -> f64 {
+    if packets == 0 {
+        0.0
+    } else {
+        latency_sum as f64 / packets as f64
+    }
+}
+
 /// The per-run statistics accumulator shared by every execution engine
 /// (`Network::run_inner` and the batched struct-of-arrays core): window
 /// accounting, outstanding-packet tracking and the final
@@ -123,7 +156,11 @@ pub(crate) struct OutcomeRecorder {
     measure: u64,
     packet_len: u16,
     outstanding_measured: u64,
+    /// Σ creation cycle over the outstanding measured packets.
+    outstanding_created: u64,
     latencies: Vec<f64>,
+    /// Σ `latencies`, as the integer it is.
+    latency_sum: u64,
     ejected_in_window: u64,
     injected_in_window: u64,
     dropped_packets: u64,
@@ -138,7 +175,9 @@ impl OutcomeRecorder {
             measure: config.measure,
             packet_len: config.packet_len,
             outstanding_measured: 0,
+            outstanding_created: 0,
             latencies: Vec::new(),
+            latency_sum: 0,
             ejected_in_window: 0,
             injected_in_window: 0,
             dropped_packets: 0,
@@ -151,6 +190,7 @@ impl OutcomeRecorder {
     pub(crate) fn record_injection(&mut self, now: u64) {
         if now >= self.measure_start && now < self.measure_end {
             self.outstanding_measured += 1;
+            self.outstanding_created += now;
             self.injected_in_window += u64::from(self.packet_len);
         }
     }
@@ -163,7 +203,9 @@ impl OutcomeRecorder {
             let created = u64::from(flit.created);
             if created >= self.measure_start && created < self.measure_end {
                 self.latencies.push((now - created) as f64);
+                self.latency_sum += now - created;
                 self.outstanding_measured -= 1;
+                self.outstanding_created -= created;
             }
         }
         if now >= self.measure_start && now < self.measure_end {
@@ -180,6 +222,7 @@ impl OutcomeRecorder {
         let created = u64::from(created);
         if created >= self.measure_start && created < self.measure_end {
             self.outstanding_measured -= 1;
+            self.outstanding_created -= created;
             self.dropped_packets += 1;
         }
     }
@@ -205,21 +248,66 @@ impl OutcomeRecorder {
         self.measure_end
     }
 
+    /// `flits` counted inside the measurement window, as a rate per node
+    /// per cycle.
+    fn window_rate(&self, flits: u64, nodes: f64) -> f64 {
+        flits as f64 / (self.measure as f64 * nodes)
+    }
+
+    /// `true` once no continuation of the run can make `verdict` hold
+    /// on the finalized outcome. Call from [`Self::measure_end`] on,
+    /// when both window counters and the set of measured packets are
+    /// final. Two exact clauses:
+    ///
+    /// 1. accepted throughput already misses offered × (1 − slack) —
+    ///    the very comparison [`SimOutcome::keeps_up`] will make, on the
+    ///    very rates [`Self::finalize`] will report;
+    /// 2. the final mean latency cannot come in under the limit. Should
+    ///    the run drain (it fails `keeps_up` otherwise), every packet
+    ///    outstanding at cycle `now` will have taken at least
+    ///    `now − created` cycles, so the mean computed as if all of them
+    ///    ejected right now is a floor of the final one: the numerator
+    ///    only grows, the packet count is fixed, and `u64 → f64`
+    ///    conversion and `f64` division are monotone. Only when
+    ///    `fault_free`: a dropped packet leaves the count instead of
+    ///    adding its latency.
+    pub(crate) fn rules_out(
+        &self,
+        verdict: &Verdict,
+        now: u64,
+        nodes: f64,
+        fault_free: bool,
+    ) -> bool {
+        debug_assert!(now >= self.measure_end);
+        let offered = self.window_rate(self.injected_in_window, nodes);
+        let accepted = self.window_rate(self.ejected_in_window, nodes);
+        if !tracks_offered(offered, accepted, verdict.slack) {
+            return true;
+        }
+        fault_free && self.latency_floor(now) > verdict.latency_limit
+    }
+
+    /// The mean latency as if every outstanding measured packet ejected
+    /// at cycle `now` (clause 2 of [`Self::rules_out`]).
+    fn latency_floor(&self, now: u64) -> f64 {
+        let outstanding = self.outstanding_measured * now - self.outstanding_created;
+        mean_latency(
+            self.latency_sum + outstanding,
+            self.latencies.len() as u64 + self.outstanding_measured,
+        )
+    }
+
     /// Folds the accumulated statistics into the final outcome.
     pub(crate) fn finalize(&self, now: u64, nodes: f64) -> SimOutcome {
         let stable = self.outstanding_measured == 0;
-        let avg_latency = if self.latencies.is_empty() {
-            0.0
-        } else {
-            self.latencies.iter().sum::<f64>() / self.latencies.len() as f64
-        };
+        let avg_latency = mean_latency(self.latency_sum, self.latencies.len() as u64);
         let max_latency = self.latencies.iter().copied().fold(0.0f64, f64::max);
         // One sorted copy serves both ranks (a saturated cell holds
         // ~10⁵ samples).
         let sorted = sorted_copy(&self.latencies);
         SimOutcome {
-            offered_rate: self.injected_in_window as f64 / (self.measure as f64 * nodes),
-            accepted_rate: self.ejected_in_window as f64 / (self.measure as f64 * nodes),
+            offered_rate: self.window_rate(self.injected_in_window, nodes),
+            accepted_rate: self.window_rate(self.ejected_in_window, nodes),
             avg_packet_latency: avg_latency,
             p50_packet_latency: percentile_of_sorted(&sorted, 0.5),
             p99_packet_latency: percentile_of_sorted(&sorted, 0.99),
@@ -261,13 +349,14 @@ impl SimOutcome {
     /// ```
     #[must_use]
     pub fn keeps_up(&self, slack: f64) -> bool {
-        self.stable && self.accepted_rate >= self.offered_rate * (1.0 - slack)
+        self.stable && tracks_offered(self.offered_rate, self.accepted_rate, slack)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use shg_topology::TileId;
 
     fn outcome(stable: bool, offered: f64, accepted: f64) -> SimOutcome {
         SimOutcome {
@@ -309,6 +398,149 @@ mod tests {
     fn keeps_up_requires_throughput() {
         assert!(!outcome(true, 0.2, 0.1).keeps_up(0.05));
         assert!(outcome(true, 0.2, 0.195).keeps_up(0.05));
+    }
+
+    /// `(created, ejected)` cycles of a deterministic pseudo-random
+    /// packet schedule straddling a 10..50 measurement window.
+    fn schedule() -> (SimConfig, Vec<(u64, u64)>) {
+        let config = SimConfig {
+            warmup: 10,
+            measure: 40,
+            drain_limit: 200,
+            packet_len: 2,
+            ..SimConfig::fast_test()
+        };
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        let packets = (0..300)
+            .map(|_| {
+                let created = next(60);
+                (created, created + 1 + next(90))
+            })
+            .collect();
+        (config, packets)
+    }
+
+    fn tail(created: u64) -> Flit {
+        Flit::packet(TileId::new(0), TileId::new(1), 1, created as u32)
+            .next()
+            .expect("one flit")
+    }
+
+    /// Cycle `now` of the schedule: its injections, then its ejections
+    /// (a drop instead for the packets `dropped` picks).
+    fn replay_cycle(
+        recorder: &mut OutcomeRecorder,
+        packets: &[(u64, u64)],
+        now: u64,
+        dropped: impl Fn(usize) -> bool,
+    ) {
+        for (i, &(created, ejected)) in packets.iter().enumerate() {
+            if created == now {
+                recorder.record_injection(now);
+            }
+            if ejected == now && dropped(i) {
+                recorder.record_drop(created as u32);
+            } else if ejected == now {
+                recorder.record_ejection(&tail(created), now);
+            }
+        }
+    }
+
+    #[test]
+    fn latency_floor_matches_a_brute_force_sum() {
+        let (config, packets) = schedule();
+        let window = config.warmup..config.warmup + config.measure;
+        let measured: Vec<(u64, u64)> = packets
+            .iter()
+            .copied()
+            .filter(|(created, _)| window.contains(created))
+            .collect();
+        let final_sum: u64 = measured.iter().map(|(c, e)| e - c).sum();
+        let final_mean = final_sum as f64 / measured.len() as f64;
+        // Every third measured packet is dropped by a "fault" instead of
+        // ejecting in the second pass: the sums must follow.
+        for with_drops in [false, true] {
+            let dropped = |i: usize| with_drops && i.is_multiple_of(3);
+            let mut recorder = OutcomeRecorder::new(&config);
+            let mut last_floor = 0.0f64;
+            for now in 0..160u64 {
+                replay_cycle(&mut recorder, &packets, now, dropped);
+                let after = now + 1;
+                if after < window.end {
+                    continue;
+                }
+                // Brute force over the packets still counted: delivered
+                // ones at their latency, outstanding ones as if ejected
+                // right now.
+                let counted: Vec<u64> = packets
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, (c, e))| window.contains(c) && !(dropped(i) && *e <= now))
+                    .map(|(_, &(c, e))| if e <= now { e - c } else { after - c })
+                    .collect();
+                let brute = counted.iter().sum::<u64>() as f64 / counted.len() as f64;
+                let floor = recorder.latency_floor(after);
+                assert_eq!(floor.to_bits(), brute.to_bits(), "cycle {after}");
+                if !with_drops {
+                    assert!(floor >= last_floor && floor <= final_mean, "cycle {after}");
+                    last_floor = floor;
+                }
+            }
+            assert!(recorder.drained());
+            let outcome = recorder.finalize(160, 4.0);
+            assert_eq!(
+                outcome.avg_packet_latency.to_bits(),
+                recorder.latency_floor(160).to_bits()
+            );
+            if with_drops {
+                // Drops leave the mean's denominator: the fault-free
+                // floor is no bound any more.
+                assert!(outcome.faults.dropped_packets > 0);
+            } else {
+                assert_eq!(outcome.avg_packet_latency.to_bits(), final_mean.to_bits());
+                assert_eq!(outcome.measured_packets, measured.len() as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn rules_out_follows_its_two_clauses() {
+        let (config, packets) = schedule();
+        let end = config.warmup + config.measure;
+        let mut recorder = OutcomeRecorder::new(&config);
+        for now in 0..end {
+            replay_cycle(&mut recorder, &packets, now, |_| false);
+        }
+        let partial = recorder.finalize(end, 4.0);
+        let floor = recorder.latency_floor(end);
+        assert!(!recorder.drained() && floor > 0.0);
+        let verdict = |slack: f64, latency_limit: f64| Verdict {
+            slack,
+            latency_limit,
+        };
+        // Clause 1 is `keeps_up`'s throughput comparison on the window's
+        // final rates, with or without faults.
+        let loss = 1.0 - partial.accepted_rate / partial.offered_rate;
+        assert!(loss > 0.0 && loss < 1.0, "{partial:?}");
+        for fault_free in [true, false] {
+            assert!(recorder.rules_out(&verdict(loss / 2.0, f64::INFINITY), end, 4.0, fault_free));
+            assert!(!recorder.rules_out(
+                &verdict((loss + 1.0) / 2.0, f64::INFINITY),
+                end,
+                4.0,
+                fault_free
+            ));
+        }
+        // Clause 2 compares the floor with the limit, fault-free only.
+        assert!(recorder.rules_out(&verdict(1.0, floor - 0.01), end, 4.0, true));
+        assert!(!recorder.rules_out(&verdict(1.0, floor), end, 4.0, true));
+        assert!(!recorder.rules_out(&verdict(1.0, floor - 0.01), end, 4.0, false));
     }
 
     #[test]

@@ -15,8 +15,8 @@
 //!
 //! Pairs whose source row already connects their columns skip phase 1
 //! and use their own row. Every phase is a hop-minimal bounded-reversal
-//! 1D walk from a [`LineBank`]; VC classes are banked per phase
-//! (`A₁ | B | A₃` consecutive class ranges), so classes escalate
+//! 1D walk from its line's bank in a [`LineBanks`]; VC classes are
+//! banked per phase (`A₁ | B | A₃` consecutive class ranges), so classes escalate
 //! strictly across phases and by reversal count within one. Phases use
 //! disjoint channel sets per line and classes never decrease along any
 //! path, which keeps the channel × class dependency graph acyclic — the
@@ -29,7 +29,7 @@
 
 use crate::topology::Topology;
 
-use super::line::{row_col_adjacency, LineBank};
+use super::line::{row_col_adjacency, LineBanks};
 use super::next_hop::Csr;
 use super::{BuildRoutesError, Hop, Routes, RoutingAlgorithm, Table};
 use crate::grid::TileId;
@@ -40,8 +40,10 @@ use crate::topology::ChannelId;
 pub(super) struct HierTable {
     csr: Csr,
     cols: u16,
-    row_banks: Vec<LineBank>,
-    col_banks: Vec<LineBank>,
+    /// One bank per *distinct* row (column) adjacency: a multi-die part
+    /// repeats a handful of lines across its rows and columns.
+    row_banks: LineBanks,
+    col_banks: LineBanks,
     /// Nearest through row of each row (ties break toward lower rows).
     through: Vec<u16>,
     /// First VC class of the through-row phase (phase 1 starts at 0).
@@ -75,12 +77,14 @@ impl HierTable {
         let cols = self.cols as usize;
         let (sr, sc) = (src / cols, src % cols);
         let (dr, dc) = (dst / cols, dst % cols);
-        match self.row_banks[sr].list(sc as u16, dc as u16) {
+        match self.row_banks.line(sr).list(sc as u16, dc as u16) {
             Some(row) => row.len() + self.col_list_len(dc, sr, dr),
             None => {
                 let g = self.through[sr];
                 self.col_list_len(sc, sr, g as usize)
-                    + self.row_banks[g as usize]
+                    + self
+                        .row_banks
+                        .line(g as usize)
                         .list(sc as u16, dc as u16)
                         .expect("through row connects every column pair")
                         .len()
@@ -90,7 +94,8 @@ impl HierTable {
     }
 
     fn col_list_len(&self, col: usize, from_row: usize, to_row: usize) -> usize {
-        self.col_banks[col]
+        self.col_banks
+            .line(col)
             .list(from_row as u16, to_row as u16)
             .expect("columns are fully connected")
             .len()
@@ -101,13 +106,15 @@ impl HierTable {
         let cols = self.cols as usize;
         let (sr, sc) = (src / cols, src % cols);
         let (dr, dc) = (dst / cols, dst % cols);
-        if let Some(row) = self.row_banks[sr].list(sc as u16, dc as u16) {
+        if let Some(row) = self.row_banks.line(sr).list(sc as u16, dc as u16) {
             // Two phases: own row, then destination column.
             if hop < row.len() {
                 let mv = row[hop];
                 return (sr * cols + mv.to_pos as usize, self.p2_base + mv.reversals);
             }
-            let col = self.col_banks[dc]
+            let col = self
+                .col_banks
+                .line(dc)
                 .list(sr as u16, dr as u16)
                 .expect("columns are fully connected");
             let mv = col[hop - row.len()];
@@ -115,14 +122,18 @@ impl HierTable {
         }
         // Three phases via the nearest through row.
         let g = self.through[sr] as usize;
-        let up = self.col_banks[sc]
+        let up = self
+            .col_banks
+            .line(sc)
             .list(sr as u16, g as u16)
             .expect("columns are fully connected");
         if hop < up.len() {
             let mv = up[hop];
             return (mv.to_pos as usize * cols + sc, mv.reversals);
         }
-        let row = self.row_banks[g]
+        let row = self
+            .row_banks
+            .line(g)
             .list(sc as u16, dc as u16)
             .expect("through row connects every column pair");
         let k = hop - up.len();
@@ -130,7 +141,9 @@ impl HierTable {
             let mv = row[k];
             return (g * cols + mv.to_pos as usize, self.p2_base + mv.reversals);
         }
-        let down = self.col_banks[dc]
+        let down = self
+            .col_banks
+            .line(dc)
             .list(g as u16, dr as u16)
             .expect("columns are fully connected");
         let mv = down[k - row.len()];
@@ -139,14 +152,7 @@ impl HierTable {
 
     /// Approximate resident heap bytes.
     pub(super) fn bytes(&self) -> usize {
-        self.csr.bytes()
-            + self
-                .row_banks
-                .iter()
-                .chain(self.col_banks.iter())
-                .map(LineBank::bytes)
-                .sum::<usize>()
-            + self.through.len() * 2
+        self.csr.bytes() + self.row_banks.bytes() + self.col_banks.bytes() + self.through.len() * 2
     }
 }
 
@@ -160,15 +166,14 @@ pub(super) fn build_hierarchical(topology: &Topology) -> Result<Routes, BuildRou
     };
     let grid = topology.grid();
     let (row_adj, col_adj) = row_col_adjacency(topology).map_err(&not_applicable)?;
-    let row_banks: Vec<LineBank> = row_adj.iter().map(|adj| LineBank::build(adj)).collect();
-    let col_banks: Vec<LineBank> = col_adj.iter().map(|adj| LineBank::build(adj)).collect();
-    if let Some(c) = col_banks.iter().position(|b| !b.fully_connected()) {
+    let (row_banks, col_banks) = (LineBanks::build(&row_adj), LineBanks::build(&col_adj));
+    if let Some(c) = col_banks.first_disconnected() {
         return Err(not_applicable(format!(
             "column {c} is disconnected between some rows"
         )));
     }
     let through_rows: Vec<u16> = (0..grid.rows())
-        .filter(|&r| row_banks[r as usize].fully_connected())
+        .filter(|&r| row_banks.line(r as usize).fully_connected())
         .collect();
     if through_rows.is_empty() {
         return Err(not_applicable(
@@ -185,7 +190,7 @@ pub(super) fn build_hierarchical(topology: &Topology) -> Result<Routes, BuildRou
                         .into_iter()
                         .chain((d > 0 && r + d < grid.rows()).then_some(r + d))
                 })
-                .find(|&t| row_banks[t as usize].fully_connected())
+                .find(|&t| row_banks.line(t as usize).fully_connected())
                 .expect("at least one through row exists")
         })
         .collect();
@@ -194,11 +199,12 @@ pub(super) fn build_hierarchical(topology: &Topology) -> Result<Routes, BuildRou
     // use whole-bank worst cases.
     let mut p1_classes = 0u8;
     for r in 0..grid.rows() {
-        if row_banks[r as usize].fully_connected() {
+        if row_banks.line(r as usize).fully_connected() {
             continue;
         }
         for c in 0..grid.cols() {
-            let max_rev = col_banks[c as usize]
+            let max_rev = col_banks
+                .line(c as usize)
                 .list(r, through[r as usize])
                 .expect("columns are fully connected")
                 .iter()
@@ -208,8 +214,8 @@ pub(super) fn build_hierarchical(topology: &Topology) -> Result<Routes, BuildRou
             p1_classes = p1_classes.max(max_rev + 1);
         }
     }
-    let p2_classes = 1 + row_banks.iter().map(|b| b.max_reversals).max().unwrap_or(0);
-    let p3_classes = 1 + col_banks.iter().map(|b| b.max_reversals).max().unwrap_or(0);
+    let p2_classes = 1 + row_banks.max_reversals();
+    let p3_classes = 1 + col_banks.max_reversals();
     let num_vc_classes = p1_classes + p2_classes + p3_classes;
     Ok(Routes {
         n: topology.num_tiles(),
@@ -225,4 +231,40 @@ pub(super) fn build_hierarchical(topology: &Topology) -> Result<Routes, BuildRou
             p3_base: p1_classes + p2_classes,
         }),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::line::LineBank;
+    use super::*;
+    use crate::db::TopologyDb;
+
+    #[test]
+    fn shared_banks_equal_each_lines_own_build() {
+        // Two dies, a region rule that rewires half of one die's rows and
+        // seams on every other row: several distinct row and column
+        // adjacencies, most of them repeated.
+        let db = TopologyDb::parse(
+            "die/l/6x4/shg:sr=2:sc=2;die/r/6x5/mesh;\
+             region/r/r0..3/c0..5/memory/sc=2;boundary/every=2/latency=3",
+        )
+        .expect("parses");
+        let topology = db.instantiate().expect("instantiates");
+        let routes = build_hierarchical(&topology).expect("hierarchical routes");
+        let Table::Hier(table) = &routes.table else {
+            panic!("hierarchical builder returned another table form");
+        };
+        let (row_adj, col_adj) = row_col_adjacency(&topology).expect("axis-aligned links");
+        for (banks, lines) in [(&table.row_banks, &row_adj), (&table.col_banks, &col_adj)] {
+            for (line, adjacency) in lines.iter().enumerate() {
+                assert_eq!(banks.line(line), &LineBank::build(adjacency), "line {line}");
+            }
+        }
+        let mut distinct_rows = row_adj.clone();
+        distinct_rows.dedup();
+        assert!(
+            distinct_rows.len() > 1,
+            "the part must not collapse to one row adjacency"
+        );
+    }
 }

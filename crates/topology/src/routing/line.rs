@@ -209,8 +209,17 @@ impl LineBanks {
         &self.banks[self.bank_of[line] as usize]
     }
 
+    /// Maximum reversal count over every line's stored moves.
+    pub(super) fn max_reversals(&self) -> u8 {
+        self.banks
+            .iter()
+            .map(|bank| bank.max_reversals)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// The first line that cannot connect some pair of its positions.
-    fn first_disconnected(&self) -> Option<usize> {
+    pub(super) fn first_disconnected(&self) -> Option<usize> {
         self.bank_of
             .iter()
             .position(|&bank| !self.banks[bank as usize].fully_connected())

@@ -314,6 +314,26 @@ fn hierarchical_scales_to_the_readme_two_die_database() {
 }
 
 #[test]
+fn hierarchical_benchmark_part_shares_its_line_banks() {
+    // The 2 × 32×40 part of the `bigtopo_2560` workload: 32 rows and 80
+    // columns but only a handful of distinct line adjacencies. One bank
+    // per line was 9.5 MB; one per distinct adjacency is under 1 MB.
+    let db = TopologyDb::parse(
+        "die/compute/32x40/shg:sr=4:sc=2,5;die/hbm/32x40/mesh;\
+         region/hbm/r0..32/c0..40/memory/sc=2;boundary/every=4/latency=5",
+    )
+    .expect("parses");
+    let topology = db.instantiate().expect("instantiates");
+    let routes = default_routes_with(&topology, RouteForm::NextHop).expect("routes");
+    assert_eq!(routes.form(), RouteForm::Hierarchical);
+    assert!(
+        routes.table_bytes() < 1 << 20,
+        "table is {} bytes",
+        routes.table_bytes()
+    );
+}
+
+#[test]
 fn next_hop_default_falls_back_when_hierarchy_does_not_apply() {
     // SlimNoC links are not row/column aligned, so the next-hop default
     // stays on compact hop escalation rather than the hierarchical form.

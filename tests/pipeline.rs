@@ -137,33 +137,49 @@ fn scenario_c_evaluates_slimnoc_end_to_end() {
 
 #[test]
 fn mempool_validation_reproduces_table3_shape() {
+    // `table3_mempool`'s own options; area, power and zero-load latency
+    // do not depend on the performance mode, so the analytic one spares
+    // the saturation search (whose 30.469 % / 19.82 point row CI pins by
+    // comparing the binary's stdout with its golden file).
     let reference = MempoolReference::new();
     let toolchain = Toolchain {
         sim: reference.sim.clone(),
         mode: PerformanceMode::Analytic,
-        model_options: ModelOptions {
-            cell_scale: 2.0,
-            ..ModelOptions::default()
-        },
         ..Toolchain::default()
     };
     let eval = toolchain
         .evaluate(&reference.params, &reference.topology())
         .expect("mempool evaluates");
-    // Area and power within ±35% of the published values (paper: 15%, 7%).
-    let area_err =
-        (eval.total_area.value() - reference.correct_area_mm2).abs() / reference.correct_area_mm2;
-    assert!(area_err < 0.35, "area error {area_err}");
-    let power_err =
-        (eval.total_power.value() - reference.correct_power_w).abs() / reference.correct_power_w;
-    assert!(power_err < 0.35, "power error {power_err}");
-    // Latency must be over-estimated (the paper's key observation).
-    assert!(
-        eval.zero_load_latency > reference.correct_latency_cycles,
-        "latency {} should exceed published {}",
-        eval.zero_load_latency,
-        reference.correct_latency_cycles
-    );
+    // |predicted − published| ÷ published, percent, to 0.1 point (the
+    // paper's own toolchain: 15 / 7 / 100). The latency over-estimate is
+    // the paper's key observation (Section IV-C).
+    for (metric, predicted, published, pinned) in [
+        (
+            "area",
+            eval.total_area.value(),
+            reference.correct_area_mm2,
+            4.83,
+        ),
+        (
+            "power",
+            eval.total_power.value(),
+            reference.correct_power_w,
+            9.03,
+        ),
+        (
+            "latency",
+            eval.zero_load_latency,
+            reference.correct_latency_cycles,
+            113.34,
+        ),
+    ] {
+        let error = (predicted - published).abs() / published * 100.0;
+        assert!(
+            (error - pinned).abs() <= 0.1,
+            "{metric}: predicted {predicted} vs published {published} is {error:.2} % off, pinned {pinned}"
+        );
+    }
+    assert!(eval.zero_load_latency > reference.correct_latency_cycles);
 }
 
 #[test]
