@@ -122,7 +122,6 @@ fn bench_injection(c: &mut Criterion) {
     for (name, injection) in [
         ("event_driven", InjectionPolicy::EventDriven),
         ("per_cycle_scan", InjectionPolicy::PerCycleScan),
-        ("shared_scan", InjectionPolicy::SharedScan),
     ] {
         group.bench_with_input(BenchmarkId::new(name, rate), &injection, |b, &injection| {
             b.iter(|| drive_injection_phase(injection, 42, grid, packet_prob, cycles).1);

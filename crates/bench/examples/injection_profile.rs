@@ -34,13 +34,12 @@ fn main() {
         alloc,
         ..SimConfig::default()
     };
-    // The default pairing, the two exhaustive references, and the
-    // legacy shared stream — enough to read off each policy's phase.
+    // The default pairing and the two exhaustive references — enough
+    // to read off each policy's phase.
     let policies = [
         (InjectionPolicy::EventDriven, AllocPolicy::RequestQueue),
         (InjectionPolicy::EventDriven, AllocPolicy::FullScan),
         (InjectionPolicy::PerCycleScan, AllocPolicy::RequestQueue),
-        (InjectionPolicy::SharedScan, AllocPolicy::RequestQueue),
     ];
     println!(
         "{:<16} {:<15} {:>7} {:>9} {:>9} {:>9} {:>10} {:>8}",

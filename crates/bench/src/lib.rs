@@ -42,6 +42,7 @@ pub fn drive_injection_phase(
                     .destination(grid, TileId::new(t as u32), rng)
                     .is_some(),
             );
+            true
         });
     }
     (start.elapsed(), arrivals)

@@ -364,7 +364,7 @@ region/hbm/r0..32/c0..40/memory/sc=2;boundary/every=4/latency=5";
 /// way `fig6 --fast` / `sweep_worker --fast` prepare theirs (fast-test
 /// windows, floorplan-predicted latencies, default route form). Most
 /// cells of a load sweep pushed past the knee look like these: they
-/// run to the drain limit with every source queue backed up.
+/// run to the drain limit with every source backlogged.
 #[derive(Debug)]
 pub struct SaturatedCell {
     /// Stable label (bench id, profile row).

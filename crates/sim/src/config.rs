@@ -116,7 +116,7 @@ impl SimConfig {
     }
 
     /// Asserts that the run's last possible cycle fits the `u32`
-    /// creation stamp flits and source-queue descriptors carry.
+    /// creation stamp flits carry.
     pub(crate) fn assert_cycles_fit_u32(&self) {
         let last = self
             .warmup

@@ -203,7 +203,7 @@ impl<'a> Engine<'a> {
                     let (a, b) = (component[t], component[dst.index()]);
                     if a == NO_COMPONENT || a != b {
                         recorder.record_unroutable(now);
-                        return;
+                        return true;
                     }
                 }
                 recorder.record_injection(now);
@@ -215,6 +215,7 @@ impl<'a> Engine<'a> {
                 active_routers.insert(t);
                 touched_routers[lane].insert(t);
             }
+            true
         });
     }
 

@@ -15,7 +15,8 @@ pub struct Flit {
     pub src: TileId,
     /// Destination tile.
     pub dst: TileId,
-    /// Cycle the packet was created (including source-queue time).
+    /// Cycle the packet was created (its latency includes the time it
+    /// waited at its source).
     pub created: u32,
     /// `true` for the first flit of a packet.
     pub is_head: bool,

@@ -1,15 +1,16 @@
 //! Injection scheduling: per-tile RNG streams, the geometric-gap
-//! sampler and the event-driven injection calendar.
+//! sampler, the event-driven injection calendar and parked sources.
 //!
 //! # Per-tile streams
 //!
 //! Every tile owns a private [`SmallRng`] seeded by
 //! [`tile_stream_seed`]`(config.seed, tile)`. Decoupling the sources'
 //! traffic processes (the BookSim methodology) is what makes injection
-//! *schedule-independent*: how often, or in which order, the simulator
-//! looks at a tile can no longer perturb any other tile's arrivals, so
-//! an event-driven scheduler can skip idle tiles without changing a
-//! single statistic.
+//! *schedule-independent*: how often, when, or in which order the
+//! simulator looks at a tile can no longer perturb any other tile's
+//! arrivals, so an event-driven scheduler can skip idle tiles — and a
+//! backlogged tile can be drawn late — without changing a single
+//! statistic.
 //!
 //! # The gap process
 //!
@@ -21,21 +22,59 @@
 //! whole speedup: at the low rates that dominate load-curve sweeps,
 //! Phase A's cost drops from O(N) RNG draws per cycle to O(arrivals).
 //! The sampled distribution is exactly the Bernoulli failure-run law
-//! (`P[gap = k] = (1−p)^k · p`); the statistical equivalence suite and
-//! the gap-lemma property tests pin it against per-cycle draws.
+//! (`P[gap = k] = (1−p)^k · p`); the gap-lemma property tests pin it
+//! against per-cycle draws.
+//!
+//! A tile's stream is consumed in a fixed order: the first gap, then
+//! per packet its destination draw followed by the gap to the next
+//! arrival.
 //!
 //! # The bit-identity invariant
 //!
-//! [`InjectionPolicy::EventDriven`] parks each tile in a min-heap keyed
-//! by its next firing cycle; [`InjectionPolicy::PerCycleScan`] visits
-//! every tile every cycle and counts the same gap down by one. Both
-//! consume the same per-tile streams through the same sampler, in the
-//! same order, so their fire schedules — and therefore every simulator
-//! statistic — are bit-identical (the injection analogue of
+//! [`InjectionPolicy::EventDriven`] keeps each scheduled tile in a
+//! min-heap keyed by its next firing cycle;
+//! [`InjectionPolicy::PerCycleScan`] visits every tile every cycle and
+//! counts the same gap down by one. Both consume the same per-tile
+//! streams through the same sampler, in the same order, so their fire
+//! schedules — and therefore every simulator statistic — are
+//! bit-identical (the injection analogue of
 //! [`ScanPolicy::FullScan`](crate::ScanPolicy::FullScan) vs. the active
-//! set, enforced by the same kind of tests). The pre-per-tile-stream
-//! behaviour survives as [`InjectionPolicy::SharedScan`], compared
-//! statistically.
+//! set, enforced by the same kind of tests).
+//!
+//! # Parked sources
+//!
+//! A tile's injection port is an unbounded queue in the model, but the
+//! router only ever holds the packet at its front (see the router's
+//! "Source queue" notes). When a tile fires while that packet is still
+//! leaving, the caller of [`Injector::fire_at`] **parks** it instead of
+//! drawing the new packet: the tile leaves the calendar (or the
+//! countdown), and its pending packet stays a creation cycle plus a
+//! stream positioned at that packet's destination draw — O(1) state,
+//! however long the backlog grows. When the injection buffer frees,
+//! the injector draws the pending packets in stream order until one
+//! has somewhere to go; once the next arrival lies in the future the
+//! tile returns to the calendar. A packet drawn late keeps the fault
+//! state of its creation cycle: whether it was routable is judged
+//! against the components in force then.
+//!
+//! This is exact. Each tile still consumes its own stream in the same
+//! order (destination, then gap), and a FIFO of eagerly drawn packets
+//! would have held them in exactly that order; the buffer is refilled
+//! at the same point of the cycle the FIFO's front would have moved up;
+//! and a parked tile always has a busy injection buffer, so no router
+//! enters or leaves the active set at a different cycle. Work and
+//! memory now follow the packets that actually leave a source: an
+//! overloaded tile no longer pays a calendar pop and push and a queued
+//! descriptor for every packet it will never send. What a statistic
+//! needs of the packets still parked when the measurement window
+//! closes is counted by walking a copy of the stream, and a fault that
+//! discards a backlog walks the stream itself.
+//!
+//! An earlier `SharedScan` policy drew every tile's arrivals from one
+//! stream shared by all tiles. A parked packet of such a stream cannot
+//! be drawn later without perturbing every other tile, so it would have
+//! kept an eager packet queue alive beside the lazy sources; it was
+//! removed together with that queue.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -48,10 +87,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// [`EventDriven`](Self::EventDriven) and
 /// [`PerCycleScan`](Self::PerCycleScan) consume the same per-tile
-/// streams and produce bit-identical outcomes; the legacy
-/// [`SharedScan`](Self::SharedScan) reproduces the pre-per-tile-stream
-/// behaviour (one global stream, one Bernoulli draw per tile per
-/// cycle) and is only statistically equivalent.
+/// streams and produce bit-identical outcomes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum InjectionPolicy {
     /// Each tile samples its geometric inter-arrival gap once and waits
@@ -64,10 +100,6 @@ pub enum InjectionPolicy {
     /// must match bit-for-bit (the injection analogue of
     /// [`ScanPolicy::FullScan`](crate::ScanPolicy::FullScan)).
     PerCycleScan,
-    /// One Bernoulli draw per tile per cycle from a single stream
-    /// shared by all tiles — the pre-PR-2 behaviour, kept as the
-    /// baseline for statistical regression tests.
-    SharedScan,
 }
 
 impl std::fmt::Display for InjectionPolicy {
@@ -75,7 +107,6 @@ impl std::fmt::Display for InjectionPolicy {
         match self {
             Self::EventDriven => write!(f, "event-driven"),
             Self::PerCycleScan => write!(f, "per-cycle-scan"),
-            Self::SharedScan => write!(f, "shared-scan"),
         }
     }
 }
@@ -101,7 +132,7 @@ pub fn tile_stream_seed(root: u64, tile: u32) -> u64 {
     )
 }
 
-/// Sentinel countdown for tiles that never fire (`p <= 0`).
+/// Sentinel cycle and countdown for tiles that never fire again.
 const NEVER: u64 = u64::MAX;
 
 /// Samples the geometric gap to a tile's next injection attempt: the
@@ -170,46 +201,79 @@ impl GapSampler {
         // "very large".
         Some(((-u).ln_1p() / self.ln_q) as u64)
     }
+
+    /// The cycle of the next arrival whose gap starts counting at cycle
+    /// `from`: `from + gap`, or [`NEVER`] for a tile that never fires
+    /// (or fires past any representable cycle).
+    #[inline]
+    fn arrival_from<R: Rng>(self, rng: &mut R, from: u64) -> u64 {
+        self.sample(rng)
+            .and_then(|gap| from.checked_add(gap))
+            .unwrap_or(NEVER)
+    }
 }
 
-/// The per-run injection engine: owns the RNG stream(s) and decides,
-/// cycle by cycle, which tiles attempt an injection.
+/// The per-run injection engine: owns the per-tile RNG streams and
+/// decides, cycle by cycle, which tiles attempt an injection.
 ///
 /// Public so the Criterion benches can measure Phase A in isolation;
 /// simulation code reaches it through [`SimConfig`](crate::SimConfig)'s
 /// `injection` field.
 #[derive(Debug)]
 pub struct Injector {
-    inner: Inner,
+    streams: Vec<SmallRng>,
+    sampler: GapSampler,
+    /// Each tile's next arrival cycle: when a scheduled tile fires, or
+    /// the creation cycle of a parked tile's pending packet ([`NEVER`]
+    /// once no arrival is left). A tile is parked exactly while this
+    /// lies before the first cycle whose Phase A has not run yet.
+    next: Vec<u64>,
+    schedule: Schedule,
 }
 
+/// How an [`Injector`] finds the tiles due in a cycle.
 #[derive(Debug)]
-enum Inner {
+enum Schedule {
     /// See [`InjectionPolicy::EventDriven`].
-    Event {
-        streams: Vec<SmallRng>,
-        sampler: GapSampler,
-        /// Min-heap of `(next_injection_cycle, tile)`; popping in
-        /// ascending `(cycle, tile)` order reproduces the scan's
-        /// ascending-tile visit order within each cycle.
-        calendar: BinaryHeap<Reverse<(u64, usize)>>,
+    Calendar {
+        /// Min-heap of `(next_injection_cycle, tile)` over the scheduled
+        /// tiles; popping in ascending `(cycle, tile)` order reproduces
+        /// the scan's ascending-tile visit order within each cycle.
+        heap: BinaryHeap<Reverse<(u64, usize)>>,
         /// No event is scheduled past this cycle: the run is over by
         /// then, so the dropped tiles cannot affect any statistic.
         horizon: u64,
     },
-    /// See [`InjectionPolicy::PerCycleScan`].
-    Scan {
-        streams: Vec<SmallRng>,
-        sampler: GapSampler,
-        /// Cycles until each tile fires ([`NEVER`] = not scheduled).
-        countdown: Vec<u64>,
-    },
-    /// See [`InjectionPolicy::SharedScan`].
-    Shared {
-        rng: SmallRng,
-        packet_prob: f64,
-        tiles: usize,
-    },
+    /// See [`InjectionPolicy::PerCycleScan`]: cycles until each tile
+    /// fires ([`NEVER`] = not scheduled, e.g. parked).
+    Countdown(Vec<u64>),
+}
+
+/// The countdown value that makes the scan fire at cycle `next`, when
+/// its first decrement is Phase A of cycle `from` (`next >= from`).
+fn countdown_until(next: u64, from: u64) -> u64 {
+    if next == NEVER {
+        NEVER
+    } else {
+        next - from
+    }
+}
+
+impl Schedule {
+    /// Schedules tile `t` to fire at `next`, given that Phase A has run
+    /// for every cycle before `from` and for none from it on.
+    fn insert(&mut self, t: usize, next: u64, from: u64) {
+        match self {
+            Self::Calendar { heap, horizon } => {
+                // Gaps landing past the horizon are dropped — the run
+                // cannot reach them.
+                if next <= *horizon {
+                    heap.push(Reverse((next, t)));
+                }
+            }
+            Self::Countdown(left) => left[t] = countdown_until(next, from),
+        }
+    }
 }
 
 impl Injector {
@@ -224,112 +288,156 @@ impl Injector {
         packet_prob: f64,
         horizon: u64,
     ) -> Self {
-        let tile_streams = || -> Vec<SmallRng> {
-            (0..tiles)
-                .map(|t| SmallRng::seed_from_u64(tile_stream_seed(seed, t as u32)))
-                .collect()
-        };
         let sampler = GapSampler::new(packet_prob);
-        let inner = match policy {
-            InjectionPolicy::EventDriven => {
-                let mut streams = tile_streams();
-                let mut calendar = BinaryHeap::with_capacity(tiles);
-                for (t, rng) in streams.iter_mut().enumerate() {
-                    if let Some(gap) = sampler.sample(rng) {
-                        if gap <= horizon {
-                            calendar.push(Reverse((gap, t)));
-                        }
-                    }
-                }
-                Inner::Event {
-                    streams,
-                    sampler,
-                    calendar,
-                    horizon,
-                }
-            }
-            InjectionPolicy::PerCycleScan => {
-                let mut streams = tile_streams();
-                let countdown = streams
-                    .iter_mut()
-                    .map(|rng| sampler.sample(rng).unwrap_or(NEVER))
-                    .collect();
-                Inner::Scan {
-                    streams,
-                    sampler,
-                    countdown,
-                }
-            }
-            InjectionPolicy::SharedScan => Inner::Shared {
-                rng: SmallRng::seed_from_u64(seed),
-                packet_prob,
-                tiles,
+        let mut streams: Vec<SmallRng> = (0..tiles)
+            .map(|t| SmallRng::seed_from_u64(tile_stream_seed(seed, t as u32)))
+            .collect();
+        let next: Vec<u64> = streams
+            .iter_mut()
+            .map(|rng| sampler.arrival_from(rng, 0))
+            .collect();
+        let mut schedule = match policy {
+            InjectionPolicy::EventDriven => Schedule::Calendar {
+                heap: BinaryHeap::with_capacity(tiles),
+                horizon,
             },
+            InjectionPolicy::PerCycleScan => Schedule::Countdown(vec![NEVER; tiles]),
         };
-        Self { inner }
+        for (t, &first) in next.iter().enumerate() {
+            schedule.insert(t, first, 0);
+        }
+        Self {
+            streams,
+            sampler,
+            next,
+            schedule,
+        }
     }
 
     /// Calls `fire(tile, stream)` for every tile that attempts an
-    /// injection at cycle `now`, in ascending tile order; the callback
-    /// draws the packet's destination from the same stream.
+    /// injection at cycle `now`, in ascending tile order. The callback
+    /// either draws the packet's destination from the stream and
+    /// returns `true`, or returns `false` without touching the stream
+    /// to **park** the tile: the packet stays pending at `now`, and the
+    /// tile fires no more until the simulator has drawn it (see the
+    /// module's "Parked sources").
     ///
     /// Must be called once per cycle with consecutive `now` values —
     /// the countdown scan and the calendar both advance one cycle per
     /// call.
-    pub fn fire_at(&mut self, now: u64, mut fire: impl FnMut(usize, &mut SmallRng)) {
-        match &mut self.inner {
-            Inner::Event {
-                streams,
-                sampler,
-                calendar,
-                horizon,
-            } => {
-                while let Some(&Reverse((cycle, t))) = calendar.peek() {
+    pub fn fire_at(&mut self, now: u64, mut fire: impl FnMut(usize, &mut SmallRng) -> bool) {
+        let Self {
+            streams,
+            sampler,
+            next,
+            schedule,
+        } = self;
+        match schedule {
+            Schedule::Calendar { heap, horizon } => {
+                while let Some(&Reverse((cycle, t))) = heap.peek() {
                     if cycle > now {
                         break;
                     }
-                    calendar.pop();
+                    heap.pop();
                     let rng = &mut streams[t];
-                    fire(t, rng);
-                    // The next gap starts counting from `now + 1`.
-                    // Gaps landing past the horizon are dropped — the
-                    // run cannot reach them.
-                    if let Some(gap) = sampler.sample(rng) {
-                        if let Some(next) = (now + 1).checked_add(gap) {
-                            if next <= *horizon {
-                                calendar.push(Reverse((next, t)));
-                            }
+                    if fire(t, rng) {
+                        // The next gap starts counting from `now + 1`.
+                        next[t] = sampler.arrival_from(rng, now + 1);
+                        if next[t] <= *horizon {
+                            heap.push(Reverse((next[t], t)));
                         }
                     }
                 }
             }
-            Inner::Scan {
-                streams,
-                sampler,
-                countdown,
-            } => {
+            Schedule::Countdown(countdown) => {
                 for (t, left) in countdown.iter_mut().enumerate() {
                     if *left == 0 {
                         let rng = &mut streams[t];
-                        fire(t, rng);
-                        *left = sampler.sample(rng).unwrap_or(NEVER);
+                        *left = if fire(t, rng) {
+                            next[t] = sampler.arrival_from(rng, now + 1);
+                            countdown_until(next[t], now + 1)
+                        } else {
+                            NEVER
+                        };
                     } else if *left != NEVER {
                         *left -= 1;
                     }
                 }
             }
-            Inner::Shared {
-                rng,
-                packet_prob,
-                tiles,
-            } => {
-                for t in 0..*tiles {
-                    if rng.gen::<f64>() < *packet_prob {
-                        fire(t, rng);
-                    }
-                }
+        }
+    }
+
+    /// Draws parked tile `tile`'s pending packets created before cycle
+    /// `from` — the first cycle whose Phase A has not run — in stream
+    /// order: `take(created, stream)` draws one packet's destination
+    /// and returns whether it found somewhere to go. Stops after the
+    /// first packet taken while the tile stays parked (its next arrival
+    /// is also due), or once the next arrival lies at or after `from`,
+    /// where the tile is scheduled again. A no-op for a tile that is
+    /// not parked.
+    pub(crate) fn draw_parked(
+        &mut self,
+        tile: usize,
+        from: u64,
+        mut take: impl FnMut(u64, &mut SmallRng) -> bool,
+    ) {
+        while self.next[tile] < from {
+            let created = self.next[tile];
+            let rng = &mut self.streams[tile];
+            let took = take(created, rng);
+            let next = self.sampler.arrival_from(rng, created + 1);
+            self.next[tile] = next;
+            if next >= from {
+                self.schedule.insert(tile, next, from);
+                return;
+            }
+            if took {
+                return;
             }
         }
+    }
+
+    /// Draws every pending packet of parked tile `tile` created before
+    /// cycle `from`, handing each to `discard(created, stream)`, and
+    /// schedules the tile at its first arrival from `from` on — for a
+    /// fault that discards the tile's backlog at the top of cycle
+    /// `from`. A no-op for a tile that is not parked.
+    pub(crate) fn flush_parked(
+        &mut self,
+        tile: usize,
+        from: u64,
+        mut discard: impl FnMut(u64, &mut SmallRng),
+    ) {
+        self.draw_parked(tile, from, |created, rng| {
+            discard(created, rng);
+            false
+        });
+    }
+
+    /// Walks parked tile `tile`'s pending packets created before cycle
+    /// `until` on a copy of its stream, handing each to
+    /// `visit(created, stream)` at the stream position
+    /// [`Injector::draw_parked`] will draw it from — the tile's own
+    /// stream and schedule are left untouched.
+    pub(crate) fn walk_parked(
+        &self,
+        tile: usize,
+        until: u64,
+        mut visit: impl FnMut(u64, &mut SmallRng),
+    ) {
+        let mut rng = self.streams[tile].clone();
+        let mut created = self.next[tile];
+        while created < until {
+            visit(created, &mut rng);
+            created = self.sampler.arrival_from(&mut rng, created + 1);
+        }
+    }
+
+    /// `true` if `tile` is parked with a packet created before `from`,
+    /// the first cycle whose Phase A has not run.
+    #[must_use]
+    pub(crate) fn is_parked(&self, tile: usize, from: u64) -> bool {
+        self.next[tile] < from
     }
 }
 
@@ -422,8 +530,14 @@ mod tests {
                 let mut a = Vec::new();
                 let mut b = Vec::new();
                 // Destination draws perturb the stream; mirror them.
-                scan.fire_at(now, |t, rng| a.push((t, rng.next_u64())));
-                event.fire_at(now, |t, rng| b.push((t, rng.next_u64())));
+                scan.fire_at(now, |t, rng| {
+                    a.push((t, rng.next_u64()));
+                    true
+                });
+                event.fire_at(now, |t, rng| {
+                    b.push((t, rng.next_u64()));
+                    true
+                });
                 assert_eq!(a, b, "p {p} cycle {now}: fire schedules diverge");
             }
         }
@@ -435,18 +549,17 @@ mod tests {
         let mut event = Injector::new(InjectionPolicy::EventDriven, 1, tiles, 1.0, 10);
         for now in 0..10 {
             let mut fired = Vec::new();
-            event.fire_at(now, |t, _| fired.push(t));
+            event.fire_at(now, |t, _| {
+                fired.push(t);
+                true
+            });
             assert_eq!(fired, vec![0, 1, 2, 3], "cycle {now}");
         }
     }
 
     #[test]
     fn zero_rate_never_fires_under_any_policy() {
-        for policy in [
-            InjectionPolicy::EventDriven,
-            InjectionPolicy::PerCycleScan,
-            InjectionPolicy::SharedScan,
-        ] {
+        for policy in [InjectionPolicy::EventDriven, InjectionPolicy::PerCycleScan] {
             let mut injector = Injector::new(policy, 5, 8, 0.0, 100);
             for now in 0..100 {
                 injector.fire_at(now, |t, _| panic!("{policy}: tile {t} fired at rate 0"));
@@ -471,5 +584,173 @@ mod tests {
             (mean - expected).abs() / expected < 0.05,
             "mean {mean} vs expected {expected}"
         );
+    }
+
+    /// Every arrival `(tile, created cycle, destination draw)` of an
+    /// injector that never parks, in stream order per tile.
+    fn eager_arrivals(
+        policy: InjectionPolicy,
+        p: f64,
+        tiles: usize,
+        cycles: u64,
+    ) -> Vec<(usize, u64, u64)> {
+        let mut injector = Injector::new(policy, 7, tiles, p, cycles);
+        let mut arrivals = Vec::new();
+        for now in 0..cycles {
+            injector.fire_at(now, |t, rng| {
+                arrivals.push((t, now, rng.next_u64()));
+                true
+            });
+        }
+        arrivals.sort_by_key(|&(t, created, _)| (t, created));
+        arrivals
+    }
+
+    /// Cycles a packet holds the injection buffer: mostly a few, now and
+    /// then a long stall that backs a tile up even at low rates.
+    fn hold(lcg: &mut u64) -> u64 {
+        *lcg = lcg
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        let r = *lcg >> 33;
+        if r.is_multiple_of(8) {
+            100 + r % 200
+        } else {
+            1 + r % 6
+        }
+    }
+
+    /// A toy source on top of the injector, as the network drives it:
+    /// each tile's injection buffer holds one packet for [`hold`]
+    /// cycles, a quarter of the draws have no destination, a fault
+    /// discards every backlog at the top of `cycles / 3`, and the
+    /// measurement window closes after cycle `cycles / 2`. Returns every
+    /// arrival drawn by any path, and the `(tile, cycle)` fires taken
+    /// and parked.
+    #[allow(clippy::type_complexity)]
+    fn parking_run(
+        policy: InjectionPolicy,
+        p: f64,
+        tiles: usize,
+        cycles: u64,
+        reference: &[(usize, u64, u64)],
+    ) -> (Vec<(usize, u64, u64)>, Vec<(usize, u64)>, Vec<(usize, u64)>) {
+        let (flush_at, window_end) = (cycles / 3, cycles / 2);
+        let mut injector = Injector::new(policy, 7, tiles, p, cycles);
+        // `Some(cycle)`: the buffer is busy and frees in Phase C of `cycle`.
+        let mut frees_at: Vec<Option<u64>> = vec![None; tiles];
+        let mut lcg = 0x2545_f491_4f6c_dd1d_u64;
+        let (mut drawn, mut taken, mut parked) = (Vec::new(), Vec::new(), Vec::new());
+        for now in 0..cycles {
+            if now == flush_at {
+                for (t, frees) in frees_at.iter_mut().enumerate() {
+                    *frees = None;
+                    injector.flush_parked(t, now, |created, rng| {
+                        drawn.push((t, created, rng.next_u64()));
+                    });
+                    assert!(!injector.is_parked(t, now));
+                }
+            }
+            // Phase A.
+            injector.fire_at(now, |t, rng| {
+                if frees_at[t].is_some() {
+                    parked.push((t, now));
+                    return false;
+                }
+                taken.push((t, now));
+                let draw = rng.next_u64();
+                drawn.push((t, now, draw));
+                if !draw.is_multiple_of(4) {
+                    frees_at[t] = Some(now + hold(&mut lcg) - 1);
+                }
+                true
+            });
+            // Phase C: buffers free, parked packets move up.
+            for (t, frees) in frees_at.iter_mut().enumerate() {
+                if *frees != Some(now) {
+                    continue;
+                }
+                *frees = None;
+                injector.draw_parked(t, now + 1, |created, rng| {
+                    let draw = rng.next_u64();
+                    drawn.push((t, created, draw));
+                    if draw.is_multiple_of(4) {
+                        return false;
+                    }
+                    *frees = Some(now + hold(&mut lcg));
+                    true
+                });
+            }
+            for (t, frees) in frees_at.iter().enumerate() {
+                assert!(
+                    !injector.is_parked(t, now + 1) || frees.is_some(),
+                    "tile {t} parked behind a free buffer at cycle {now}"
+                );
+            }
+            if now + 1 == window_end {
+                // The catch-up walk sees exactly the packets the real
+                // draws will produce, and moves nothing.
+                let before = format!("{injector:?}");
+                for t in 0..tiles {
+                    let start = injector.next[t];
+                    let mut walked = Vec::new();
+                    injector.walk_parked(t, window_end, |created, rng| {
+                        walked.push((t, created, rng.next_u64()));
+                    });
+                    let expected: Vec<_> = reference
+                        .iter()
+                        .copied()
+                        .filter(|&(u, c, _)| u == t && c >= start && c < window_end)
+                        .collect();
+                    assert_eq!(walked, expected, "{policy} p {p} tile {t}");
+                }
+                assert_eq!(
+                    format!("{injector:?}"),
+                    before,
+                    "the walk moved the injector"
+                );
+            }
+        }
+        // Packets still parked at the end would be drawn past the run.
+        for t in 0..tiles {
+            injector.flush_parked(t, cycles, |created, rng| {
+                drawn.push((t, created, rng.next_u64()));
+            });
+        }
+        (drawn, taken, parked)
+    }
+
+    #[test]
+    fn parked_tiles_draw_late_but_in_stream_order() {
+        let (tiles, cycles) = (16usize, 2_400u64);
+        for policy in [InjectionPolicy::EventDriven, InjectionPolicy::PerCycleScan] {
+            for p in [0.004, 0.3, 1.0] {
+                let reference = eager_arrivals(policy, p, tiles, cycles);
+                let (mut drawn, taken, parked) = parking_run(policy, p, tiles, cycles, &reference);
+                assert!(!parked.is_empty(), "{policy} p {p}: no tile ever parked");
+                drawn.sort_by_key(|&(t, created, _)| (t, created));
+                assert_eq!(drawn, reference, "{policy} p {p}: arrivals differ");
+                // A tile fires (takes or parks) only at its own arrival
+                // cycles, and fires again once its backlog is drawn.
+                let arrivals: Vec<(usize, u64)> =
+                    reference.iter().map(|&(t, c, _)| (t, c)).collect();
+                for fire in taken.iter().chain(&parked) {
+                    assert!(
+                        arrivals.binary_search(fire).is_ok(),
+                        "{policy} p {p}: fire {fire:?} is off the arrival schedule"
+                    );
+                }
+                assert!(
+                    taken.len() + parked.len() < arrivals.len(),
+                    "{policy} p {p}"
+                );
+                assert!(
+                    parked
+                        .iter()
+                        .any(|&(t, cycle)| taken.iter().any(|&(u, c)| u == t && c > cycle)),
+                    "{policy} p {p}: no parked tile was ever scheduled again"
+                );
+            }
+        }
     }
 }

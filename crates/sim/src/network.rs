@@ -4,8 +4,9 @@
 //!
 //! Each cycle:
 //!
-//! 1. **Injection** — Bernoulli packet generation into injection queues
-//!    (per-tile RNG streams; see [`crate::injection`]),
+//! 1. **Injection** — Bernoulli packet generation into injection
+//!    buffers (per-tile RNG streams; a tile whose buffer is still busy
+//!    is parked and drawn when it frees — see [`crate::injection`]),
 //! 2. **Arrivals** — flits and credits reaching routers this cycle,
 //! 3. **Allocation + traversal** — per-router VC allocation, separable
 //!    switch allocation and switch traversal (the router module).
@@ -43,9 +44,10 @@
 
 use std::collections::VecDeque;
 
+use rand::rngs::SmallRng;
 use shg_topology::{
     routing::{RouteForm, Routes, NO_COMPONENT},
-    ChannelId, TileId, Topology,
+    ChannelId, Grid, TileId, Topology,
 };
 use shg_units::Cycles;
 
@@ -142,6 +144,115 @@ impl ActiveSet {
                 visit((w << 6) | bits.trailing_zeros() as usize);
                 bits &= bits - 1;
             }
+        }
+    }
+}
+
+/// What turns a tile's arrival into a packet: the run's traffic
+/// pattern, packet length and fault schedule, and the window its
+/// packets count in.
+/// Arrivals reach it from the [`Injector`] either as they fire or, for
+/// a parked tile, when its injection buffer frees — possibly cycles,
+/// and fault epochs, after their creation.
+struct Arrivals<'s> {
+    pattern: TrafficPattern,
+    grid: Grid,
+    packet_len: u16,
+    schedule: Option<&'s FaultSchedule>,
+    measure_end: u64,
+}
+
+impl Arrivals<'_> {
+    /// The surviving-component map in force at cycle `cycle` (`None`
+    /// before the first fault epoch).
+    fn component_at(&self, cycle: u64) -> Option<&[u32]> {
+        let epochs = &self.schedule?.epochs;
+        let applied = epochs.partition_point(|epoch| epoch.at <= cycle);
+        applied
+            .checked_sub(1)
+            .map(|e| epochs[e].component.as_slice())
+    }
+
+    /// `true` while a packet drawn in cycle `now` still has to be
+    /// counted: from the end of the window on, [`Arrivals::catch_up`]
+    /// has counted every window packet, drawn or not.
+    fn counting(&self, now: u64) -> bool {
+        now < self.measure_end
+    }
+
+    /// Draws the destination of tile `t`'s packet created at cycle
+    /// `created` from its stream and, if `count`, accounts for it.
+    /// `None` if the pattern gives it no destination, or if no surviving
+    /// route joined source and destination when it was created — a
+    /// packet created before a fault epoch keeps the verdict of its
+    /// creation and is sunk at VC allocation if the epoch cut it off.
+    fn draw(
+        &self,
+        t: usize,
+        created: u64,
+        stream: &mut SmallRng,
+        recorder: &mut OutcomeRecorder,
+        count: bool,
+    ) -> Option<TileId> {
+        let dst = self
+            .pattern
+            .destination(self.grid, TileId::new(t as u32), stream)?;
+        if let Some(component) = self.component_at(created) {
+            let (a, b) = (component[t], component[dst.index()]);
+            if a == NO_COMPONENT || a != b {
+                if count {
+                    recorder.record_unroutable(created);
+                }
+                return None;
+            }
+        }
+        if count {
+            recorder.record_injection(created);
+        }
+        Some(dst)
+    }
+
+    /// Refills tile `t`'s injection buffer, freed during cycle `now`,
+    /// from its parked backlog (a no-op for a tile that is not parked).
+    fn refill(
+        &self,
+        injector: &mut Injector,
+        router: &mut Router,
+        t: usize,
+        now: u64,
+        recorder: &mut OutcomeRecorder,
+    ) {
+        let count = self.counting(now);
+        injector.draw_parked(t, now + 1, |created, stream| {
+            self.draw(t, created, stream, recorder, count)
+                // `created` stays below the hard stop, which fits `u32`.
+                .map(|dst| router.fill_injection_buffer(dst, created as u32, self.packet_len))
+                .is_some()
+        });
+    }
+
+    /// Discards tile `t`'s parked backlog at the top of cycle `now`,
+    /// where a fault epoch took its injection buffer: each pending
+    /// packet is drawn, counted while the window is open, and dropped;
+    /// the tile resumes at its first arrival from `now` on.
+    fn flush(&self, injector: &mut Injector, t: usize, now: u64, recorder: &mut OutcomeRecorder) {
+        let count = self.counting(now);
+        injector.flush_parked(t, now, |created, stream| {
+            if self.draw(t, created, stream, recorder, count).is_some() {
+                recorder.record_drop(created as u32);
+            }
+        });
+    }
+
+    /// Counts the window packets still parked as the window closes (at
+    /// the end of its last cycle, before anything reads the counts), on
+    /// copies of the tiles' streams: the packets are drawn for real
+    /// only when their buffers free, no longer counted then.
+    fn catch_up(&self, injector: &Injector, tiles: usize, recorder: &mut OutcomeRecorder) {
+        for t in 0..tiles {
+            injector.walk_parked(t, self.measure_end, |created, stream| {
+                let _ = self.draw(t, created, stream, recorder, true);
+            });
         }
     }
 }
@@ -392,8 +503,8 @@ impl<'a> Network<'a> {
     /// of completing the outcome: once the measurement window has
     /// closed, a run whose accepted throughput misses the slack, or
     /// whose mean latency can no longer come in under the limit, is
-    /// not drained (an overloaded network would otherwise run, and
-    /// grow its source queues, up to the drain limit).
+    /// not drained (an overloaded network would otherwise run, with
+    /// every source backlogged, up to the drain limit).
     ///
     /// # Examples
     ///
@@ -455,22 +566,23 @@ impl<'a> Network<'a> {
         let mut recorder = crate::stats::OutcomeRecorder::new(&config);
         let measure_end = recorder.measure_end();
         let hard_stop = measure_end + config.drain_limit;
-        let grid = self.topology.grid();
-        let nodes = self.topology.num_tiles() as f64;
-        let mut injector = Injector::new(
-            config.injection,
-            config.seed,
-            self.topology.num_tiles(),
-            packet_prob,
-            hard_stop,
-        );
+        let tiles = self.topology.num_tiles();
+        let nodes = tiles as f64;
+        let mut injector =
+            Injector::new(config.injection, config.seed, tiles, packet_prob, hard_stop);
         // Compiled fault plan: `None` (the overwhelmingly common case)
         // keeps this loop on the exact fault-free path.
         let schedule =
             FaultSchedule::build(&config.faults, self.topology, self.routes.num_vc_classes());
+        let arrivals = Arrivals {
+            pattern,
+            grid: self.topology.grid(),
+            packet_len: config.packet_len,
+            schedule: schedule.as_ref(),
+            measure_end,
+        };
         let mut epoch_idx = 0usize;
         let mut routes: &Routes = self.routes;
-        let mut component: Option<&[u32]> = None;
         let mut dead_channels: Option<&[bool]> = None;
         let mut now = 0u64;
         let mut traversal = TraversalOutput::default();
@@ -481,13 +593,18 @@ impl<'a> Network<'a> {
             if let Some(sched) = schedule.as_ref() {
                 while epoch_idx < sched.epochs.len() && now >= sched.epochs[epoch_idx].at {
                     let epoch = &sched.epochs[epoch_idx];
-                    self.apply_fault_epoch(epoch, sched.policy, now, &mut recorder);
+                    self.apply_fault_epoch(
+                        epoch,
+                        sched.policy,
+                        now,
+                        &mut recorder,
+                        (&mut injector, &arrivals),
+                    );
                     // The table changes under every waiting head.
                     for router in &mut self.routers {
                         router.forget_routes();
                     }
                     routes = &epoch.routes;
-                    component = Some(&epoch.component);
                     if sched.policy == InFlightPolicy::Drain {
                         // Under `Drop` no traffic can ever reach a dead
                         // channel (all transient state died with the
@@ -502,25 +619,23 @@ impl<'a> Network<'a> {
             // sustain back-pressure). The injector owns the RNG streams;
             // per-tile streams make the arrivals schedule-independent, so
             // the event-driven calendar and the per-cycle scan agree
-            // bit-for-bit. Fault gating comes *after* the destination
-            // draw, so the RNG streams advance identically with and
+            // bit-for-bit. A tile whose injection buffer is still busy
+            // parks before its destination draw; fault gating comes
+            // after it, so the RNG streams advance identically with and
             // without faults.
+            let count = arrivals.counting(now);
             injector.fire_at(now, |t, stream| {
-                let src = TileId::new(t as u32);
-                if let Some(dst) = pattern.destination(grid, src, stream) {
-                    if let Some(component) = component {
-                        let (a, b) = (component[t], component[dst.index()]);
-                        if a == NO_COMPONENT || a != b {
-                            recorder.record_unroutable(now);
-                            return;
-                        }
-                    }
-                    recorder.record_injection(now);
+                let router = &mut self.routers[t];
+                if router.injection_busy() {
+                    return false;
+                }
+                if let Some(dst) = arrivals.draw(t, now, stream, &mut recorder, count) {
                     // `now` stays below the hard stop, which fits `u32`.
-                    self.routers[t].inject(dst, now as u32, config.packet_len);
+                    router.fill_injection_buffer(dst, now as u32, config.packet_len);
                     self.active_routers.insert(t);
                     self.touched_routers.insert(t);
                 }
+                true
             });
             if let Some(p) = profile.as_deref_mut() {
                 let t = stamp.expect("profiling stamps");
@@ -564,6 +679,10 @@ impl<'a> Network<'a> {
                 for created in traversal.dropped.drain(..) {
                     recorder.record_drop(created);
                 }
+                if std::mem::take(&mut traversal.injection_freed) {
+                    let router = &mut self.routers[r];
+                    arrivals.refill(&mut injector, router, r, now, &mut recorder);
+                }
                 if policy == ScanPolicy::ActiveSet && self.routers[r].has_occupied_buffers() {
                     self.active_routers.keep(r);
                 }
@@ -575,11 +694,18 @@ impl<'a> Network<'a> {
                 p.allocation += stamp.expect("profiling stamps").elapsed();
             }
             if validate {
-                for router in &self.routers {
+                for (t, router) in self.routers.iter().enumerate() {
                     router.assert_consistent(&self.config);
+                    assert!(
+                        !injector.is_parked(t, now + 1) || router.injection_busy(),
+                        "tile {t} parked behind an empty injection buffer at cycle {now}"
+                    );
                 }
             }
             now += 1;
+            if now == measure_end {
+                arrivals.catch_up(&injector, tiles, &mut recorder);
+            }
             if now >= measure_end && recorder.drained() {
                 break;
             }
@@ -726,22 +852,23 @@ impl<'a> Network<'a> {
     ///
     /// Under [`InFlightPolicy::Drop`] the entire transient state of the
     /// fabric is discarded — every touched router and channel is wiped
-    /// back to constructed state, counting each lost measured packet
-    /// (by its tail flit) as dropped — while the injector, packet
-    /// counter and clock carry on.
+    /// back to constructed state and every parked source's backlog is
+    /// flushed, counting each lost measured packet as dropped — while
+    /// the injector, packet counter and clock carry on.
     ///
     /// Under [`InFlightPolicy::Drain`] only the routers that die *at
-    /// this epoch* are wiped; each flit buffered on a network input
-    /// port returns its credit upstream so senders drain. Everything
-    /// else keeps flowing: dead-channel arrivals and unroutable
-    /// packets are sunk cycle-by-cycle in [`Network::deliver`] and VC
-    /// allocation.
+    /// this epoch* are wiped, with their sources' backlogs; each flit
+    /// buffered on a network input port returns its credit upstream so
+    /// senders drain. Everything else keeps flowing: dead-channel
+    /// arrivals and unroutable packets are sunk cycle-by-cycle in
+    /// [`Network::deliver`] and VC allocation.
     fn apply_fault_epoch(
         &mut self,
         epoch: &FaultEpoch,
         policy: InFlightPolicy,
         now: u64,
         recorder: &mut OutcomeRecorder,
+        (injector, arrivals): (&mut Injector, &Arrivals<'_>),
     ) {
         match policy {
             InFlightPolicy::Drop => {
@@ -753,11 +880,11 @@ impl<'a> Network<'a> {
                             recorder.record_drop(flit.created);
                         }
                     }
-                    for created in routers[r].queued_packets() {
-                        recorder.record_drop(created);
-                    }
                     routers[r].reset(config);
                 });
+                for t in 0..routers.len() {
+                    arrivals.flush(injector, t, now, recorder);
+                }
                 let (data, credit) = (&mut self.data_pipe, &mut self.credit_pipe);
                 self.touched_channels.clear_with(|c| {
                     for (_, flit) in &data[c] {
@@ -776,9 +903,7 @@ impl<'a> Network<'a> {
                     let r = r as usize;
                     let router = &mut self.routers[r];
                     let net_ports = router.in_channels.len();
-                    for created in router.queued_packets() {
-                        recorder.record_drop(created);
-                    }
+                    arrivals.flush(injector, r, now, recorder);
                     for p in 0..router.buffers.len() {
                         for v in 0..router.buffers[p].len() {
                             for flit in &router.buffers[p][v] {
@@ -1035,61 +1160,92 @@ mod tests {
         }
     }
 
-    /// Queues `packets` on tile `t`'s source (one lands in the
-    /// injection buffer, the rest in the FIFO), as Phase A would.
-    fn queue_at_source(
-        net: &mut Network<'_>,
-        recorder: &mut OutcomeRecorder,
-        t: usize,
-        packets: u32,
-    ) {
-        let packet_len = net.config.packet_len;
-        for k in 0..packets {
-            recorder.record_injection(u64::from(k));
-            net.routers[t].inject(TileId::new(15), k, packet_len);
-        }
-        net.active_routers.insert(t);
-        net.touched_routers.insert(t);
-        assert_eq!(net.routers[t].queued_packets().count() as u32, packets - 1);
-    }
-
     #[test]
     fn fault_epochs_count_each_source_queue_packet_once() {
+        // Every tile creates a packet every cycle, and no buffer ever
+        // frees: by cycle 10 each holds one packet and has nine parked.
         let mesh = generators::mesh(Grid::new(4, 4));
         let routes = routing::default_routes(&mesh).expect("routes");
         let lats = unit_latencies(&mesh);
         for plan in ["10:router:5", "drain,10:router:5"] {
-            let config = SimConfig {
-                warmup: 0,
-                faults: crate::FaultPlan::parse(plan).expect("plan parses"),
-                ..SimConfig::fast_test()
-            };
-            let schedule = FaultSchedule::build(&config.faults, &mesh, routes.num_vc_classes())
-                .expect("non-empty plan");
-            let mut recorder = OutcomeRecorder::new(&config);
-            let mut net = Network::new(&mesh, &routes, &lats, config);
-            // Six packets wait at the dying router, three at a survivor.
-            queue_at_source(&mut net, &mut recorder, 5, 6);
-            queue_at_source(&mut net, &mut recorder, 2, 3);
-            net.apply_fault_epoch(&schedule.epochs[0], schedule.policy, 10, &mut recorder);
-            let dropped = recorder.finalize(10, 16.0).faults.dropped_packets;
-            match schedule.policy {
-                // The whole fabric's transient state goes.
-                InFlightPolicy::Drop => {
-                    assert_eq!(dropped, 9, "{plan}");
-                    assert!(recorder.drained());
-                    assert!(!net.routers[2].has_occupied_buffers());
+            // The window closes right before the epoch, or after it.
+            for measure in [10, 20] {
+                let config = SimConfig {
+                    warmup: 0,
+                    measure,
+                    packet_len: 1,
+                    faults: crate::FaultPlan::parse(plan).expect("plan parses"),
+                    ..SimConfig::fast_test()
+                };
+                let schedule = FaultSchedule::build(&config.faults, &mesh, routes.num_vc_classes())
+                    .expect("non-empty plan");
+                let mut recorder = OutcomeRecorder::new(&config);
+                let arrivals = Arrivals {
+                    pattern: TrafficPattern::UniformRandom,
+                    grid: mesh.grid(),
+                    packet_len: 1,
+                    schedule: Some(&schedule),
+                    measure_end: measure,
+                };
+                let mut injector = Injector::new(config.injection, 3, 16, 1.0, 100);
+                let mut net = Network::new(&mesh, &routes, &lats, config);
+                for now in 0..10 {
+                    injector.fire_at(now, |t, stream| {
+                        if net.routers[t].injection_busy() {
+                            return false;
+                        }
+                        let dst = arrivals.draw(t, now, stream, &mut recorder, true);
+                        let dst = dst.expect("uniform traffic before any fault");
+                        net.routers[t].fill_injection_buffer(dst, now as u32, 1);
+                        net.touched_routers.insert(t);
+                        true
+                    });
                 }
-                // Only the dead router's packets go; the survivor keeps
-                // its queue.
-                InFlightPolicy::Drain => {
-                    assert_eq!(dropped, 6, "{plan}");
-                    assert_eq!(net.routers[2].queued_packets().count(), 2);
+                assert!((0..16).all(|t| injector.is_parked(t, 10)));
+                if measure == 10 {
+                    arrivals.catch_up(&injector, 16, &mut recorder);
                 }
-            }
-            assert!(!net.routers[5].has_occupied_buffers());
-            for router in &net.routers {
-                router.assert_consistent(&net.config);
+                net.apply_fault_epoch(
+                    &schedule.epochs[0],
+                    schedule.policy,
+                    10,
+                    &mut recorder,
+                    (&mut injector, &arrivals),
+                );
+                let outcome = recorder.finalize(10, 16.0);
+                let injected = (outcome.offered_rate * measure as f64 * 16.0).round() as u64;
+                let dropped = outcome.faults.dropped_packets;
+                let label = format!("{plan} measure {measure}");
+                match schedule.policy {
+                    // The whole fabric's transient state goes, backlogs
+                    // included, and every source resumes at cycle 10.
+                    InFlightPolicy::Drop => {
+                        assert_eq!((injected, dropped), (160, 160), "{label}");
+                        assert!(recorder.drained(), "{label}");
+                        assert!(net.routers.iter().all(|r| !r.has_occupied_buffers()));
+                        let mut fired = Vec::new();
+                        injector.fire_at(10, |t, _| {
+                            fired.push(t);
+                            false
+                        });
+                        assert_eq!(fired, (0..16).collect::<Vec<_>>(), "{label}");
+                    }
+                    // Only the dead router's packets go; the survivors
+                    // keep their buffers and backlogs, counted by the
+                    // catch-up if the window has closed.
+                    InFlightPolicy::Drain => {
+                        let expected = if measure == 10 { 160 } else { 16 + 9 };
+                        assert_eq!((injected, dropped), (expected, 10), "{label}");
+                        assert!(!injector.is_parked(5, 10), "{label}");
+                        assert!((0..16)
+                            .filter(|&t| t != 5)
+                            .all(|t| injector.is_parked(t, 10) && net.routers[t].injection_busy()));
+                    }
+                }
+                assert!(!net.routers[5].has_occupied_buffers());
+                for router in &net.routers {
+                    router.assert_consistent(&net.config);
+                }
             }
         }
     }

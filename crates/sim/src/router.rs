@@ -46,11 +46,16 @@
 //!
 //! A tile's injection port is an unbounded queue in the model, but the
 //! router never looks past the packet at its front. So the injection
-//! buffer holds the flits of *one* packet, and every packet behind it
-//! waits as an 8-byte `(dst, created)` descriptor in
-//! [`Router::source`]; the buffer is refilled from the FIFO at the very
-//! point the tail flit leaves it. A saturated tile queues thousands of
-//! packets, and this keeps them out of the flit buffers.
+//! buffer holds the flits of *one* packet and the router keeps no
+//! packet behind it: the packets a backlogged tile has created but not
+//! yet sent exist only as the tile's parked arrival stream (see the
+//! injection module's "Parked sources"), a creation cycle and an RNG
+//! position — O(1) however long the backlog. When the tail flit leaves
+//! the buffer (or an unroutable packet is sunk from it), the router
+//! reports it in [`TraversalOutput::injection_freed`] and the network
+//! draws the next packet into [`Router::fill_injection_buffer`] before
+//! the next cycle, so the buffer's front is what the unbounded queue's
+//! front would be.
 //!
 //! # Route once per head
 //!
@@ -132,6 +137,9 @@ pub(crate) struct TraversalOutput {
     /// Creation cycles of packets whose tail was discarded by a fault
     /// sink (empty on every fault-free cycle).
     pub(crate) dropped: Vec<u32>,
+    /// Set when the injection buffer's packet left it this visit — its
+    /// tail was forwarded or it was sunk — so the network refills it.
+    pub(crate) injection_freed: bool,
 }
 
 /// One router: buffers, reservations, credits and arbitration state.
@@ -140,9 +148,6 @@ pub(crate) struct Router {
     /// The tile this router serves — the source of every packet it
     /// injects.
     tile: TileId,
-    /// Packets queued behind the one in the injection buffer, oldest
-    /// first: `(dst, created)`.
-    source: VecDeque<(u32, u32)>,
     /// Incoming channels, defining network input ports `0..k`; port `k`
     /// is the injection port.
     pub(crate) in_channels: Vec<ChannelId>,
@@ -163,9 +168,8 @@ pub(crate) struct Router {
     sa_in_rr: Vec<u8>,
     /// Round-robin pointer per output port for switch allocation.
     sa_out_rr: Vec<u8>,
-    /// Flits held across all ports/VCs, counting every flit of the
-    /// packets in `source`. Maintained incrementally so the active-set
-    /// scheduler can test occupancy in O(1).
+    /// Flits held across all ports/VCs. Maintained incrementally so the
+    /// active-set scheduler can test occupancy in O(1).
     occupied: u32,
     /// `va_mask[in_port]`: VCs whose buffer front awaits VC allocation.
     /// One `u64` per port (the class table rejects more than 64 VCs).
@@ -205,7 +209,6 @@ impl Router {
         let out_ports = out_channels.len() + 1;
         Self {
             tile,
-            source: VecDeque::new(),
             in_channels,
             out_channels,
             buffers: vec![vec![VecDeque::new(); vcs]; in_ports],
@@ -237,8 +240,8 @@ impl Router {
 
     /// `true` while any buffer holds a flit — the active-set criterion:
     /// a router with empty buffers cannot allocate or traverse, and any
-    /// event that fills a buffer re-activates it. (The source FIFO is
-    /// non-empty only while the injection buffer is.)
+    /// event that fills a buffer re-activates it. (A tile's source is
+    /// parked only while its injection buffer is busy.)
     pub(crate) fn has_occupied_buffers(&self) -> bool {
         self.occupied > 0
     }
@@ -301,43 +304,23 @@ impl Router {
         }
     }
 
-    /// Queues one packet created at cycle `created` for `dst` at this
-    /// tile's source: straight into the injection buffer if that is
-    /// empty, otherwise as a descriptor behind it.
-    pub(crate) fn inject(&mut self, dst: TileId, created: u32, packet_len: u16) {
+    /// `true` while the injection buffer holds a packet: a packet this
+    /// tile creates now must wait behind it.
+    #[inline]
+    pub(crate) fn injection_busy(&self) -> bool {
+        !self.buffers[self.injection_port()][0].is_empty()
+    }
+
+    /// Puts one packet created at cycle `created` for `dst` into the
+    /// empty injection buffer.
+    pub(crate) fn fill_injection_buffer(&mut self, dst: TileId, created: u32, packet_len: u16) {
+        debug_assert!(!self.injection_busy(), "injection buffer holds a packet");
         self.occupied += u32::from(packet_len);
         let inj = self.injection_port();
-        if self.buffers[inj][0].is_empty() {
-            // The tail that emptied the buffer released the VC, so the
-            // new front is a head awaiting VC allocation.
-            self.buffers[inj][0].extend(Flit::packet(self.tile, dst, packet_len, created));
-            self.va_set(inj, 0);
-        } else {
-            self.source.push_back((dst.index() as u32, created));
-        }
-    }
-
-    /// Moves the oldest queued packet, if any, into the injection
-    /// buffer — called at the exact point its predecessor's tail leaves
-    /// the buffer, so the buffer's front is what the unbounded flit
-    /// queue's front would be. The caller raises the VA request.
-    #[inline]
-    fn refill_injection_buffer(&mut self, packet_len: u16) {
-        if let Some((dst, created)) = self.source.pop_front() {
-            let inj = self.injection_port();
-            self.buffers[inj][0].extend(Flit::packet(
-                self.tile,
-                TileId::new(dst),
-                packet_len,
-                created,
-            ));
-        }
-    }
-
-    /// Creation cycles of the packets waiting in the source FIFO (the
-    /// one in the injection buffer is not among them).
-    pub(crate) fn queued_packets(&self) -> impl Iterator<Item = u32> + '_ {
-        self.source.iter().map(|&(_, created)| created)
+        // The tail that emptied the buffer released the VC, so the new
+        // front is a head awaiting VC allocation.
+        self.buffers[inj][0].extend(Flit::packet(self.tile, dst, packet_len, created));
+        self.va_set(inj, 0);
     }
 
     /// Drops every cached head route, so each waiting head is routed
@@ -358,7 +341,8 @@ impl Router {
     /// A routed port of [`NO_ROUTE`] (possible only under degraded
     /// routes) sinks the packet instead: its buffered flits are
     /// discarded with upstream credits reported into `out.credits` and
-    /// the drop into `out.dropped`.
+    /// the drop into `out.dropped` (and `out.injection_freed` for the
+    /// injection buffer's packet).
     pub(crate) fn vc_allocate_with(
         &mut self,
         config: &SimConfig,
@@ -373,7 +357,7 @@ impl Router {
                 let in_ports = self.buffers.len();
                 for p in 0..in_ports {
                     for v in 0..vcs {
-                        self.consider_va(p, v, config, classes, policy, &route, out);
+                        self.consider_va(p, v, classes, policy, &route, out);
                     }
                 }
             }
@@ -391,7 +375,7 @@ impl Router {
                         while word != 0 {
                             let v = word.trailing_zeros() as usize;
                             word &= word - 1;
-                            self.consider_va(p, v, config, classes, policy, &route, out);
+                            self.consider_va(p, v, classes, policy, &route, out);
                         }
                     }
                 }
@@ -402,12 +386,10 @@ impl Router {
     /// One (port, vc) step of VC allocation, shared by both policies:
     /// checks whether the slot's front is a head flit awaiting an
     /// output VC and tries to grant one.
-    #[allow(clippy::too_many_arguments)]
     fn consider_va(
         &mut self,
         p: usize,
         v: usize,
-        config: &SimConfig,
         classes: &VcClassTable,
         policy: AllocPolicy,
         route: &impl Fn(&Router, &Flit) -> (u8, u8),
@@ -452,9 +434,7 @@ impl Router {
                 }
             }
             if saw_tail {
-                if p == self.injection_port() {
-                    self.refill_injection_buffer(config.packet_len);
-                }
+                out.injection_freed |= p == self.injection_port();
                 if !self.buffers[p][v].is_empty() {
                     // The next packet's head is at the front now.
                     self.va_set(p, v);
@@ -702,8 +682,9 @@ impl Router {
             out.credits.push((self.in_channels[p], flit.vc));
         } else if flit.is_tail {
             // The injection port has no upstream; its next packet, if
-            // one waits, takes the departed one's place right here.
-            self.refill_injection_buffer(config.packet_len);
+            // one waits, takes the departed one's place before the next
+            // cycle.
+            out.injection_freed = true;
         }
         let now_empty = self.buffers[p][v].is_empty();
         if o == self.ejection_port() {
@@ -764,7 +745,6 @@ impl Router {
         self.va_rr.fill(0);
         self.sa_in_rr.fill(0);
         self.sa_out_rr.fill(0);
-        self.source.clear();
         self.occupied = 0;
         self.va_mask.fill(0);
         self.va_ports.fill(0);
@@ -789,14 +769,12 @@ impl Router {
         let vcs = config.num_vcs as usize;
         let packet_len = config.packet_len as usize;
         let inj = self.injection_port();
-        // The source FIFO's packets count toward occupancy, flit by flit.
-        let mut total = self.source.len() * packet_len;
+        let mut total = 0;
         for (p, port) in self.buffers.iter().enumerate() {
             for (v, buffer) in port.iter().enumerate() {
                 total += buffer.len();
                 // Network inputs are credit-limited to the buffer depth;
-                // the injection buffer holds at most one packet, and is
-                // only ever empty when nothing waits behind it.
+                // the injection buffer holds at most one packet.
                 let limit = if p == inj {
                     packet_len
                 } else {
@@ -854,11 +832,6 @@ impl Router {
                 }
             }
         }
-        assert!(
-            self.source.is_empty() || !self.buffers[inj][0].is_empty(),
-            "{} packets wait behind an empty injection buffer",
-            self.source.len()
-        );
         assert_eq!(total as u32, self.occupied, "occupancy counter drifted");
         for (o, owners) in self.out_owner.iter().enumerate() {
             for (ov, owner) in owners.iter().enumerate() {
@@ -902,8 +875,14 @@ mod tests {
     }
 
     /// One allocation + traversal visit with every head routed to
-    /// `port`, returning each forward's credit at once.
-    fn step(router: &mut Router, config: &SimConfig, port: u8) -> Vec<Flit> {
+    /// `port`, returning each forward's credit at once. Refills a freed
+    /// injection buffer from `source` the way the network does.
+    fn step(
+        router: &mut Router,
+        config: &SimConfig,
+        port: u8,
+        source: &mut VecDeque<(u32, u32)>,
+    ) -> (Vec<Flit>, bool) {
         let classes = VcClassTable::new(config, 1);
         let mut out = TraversalOutput::default();
         let policy = AllocPolicy::RequestQueue;
@@ -912,8 +891,15 @@ mod tests {
         for (_, flit) in &out.forwards {
             router.credits[port as usize][flit.vc as usize] += 1;
         }
+        if out.injection_freed {
+            assert!(!router.injection_busy());
+            if let Some((dst, created)) = source.pop_front() {
+                router.fill_injection_buffer(TileId::new(dst), created, config.packet_len);
+            }
+        }
         router.assert_consistent(config);
-        out.forwards.into_iter().map(|(_, flit)| flit).collect()
+        let forwards = out.forwards.into_iter().map(|(_, flit)| flit).collect();
+        (forwards, out.injection_freed)
     }
 
     #[test]
@@ -922,19 +908,25 @@ mod tests {
             let config = config(packet_len);
             let mut router = router(&config);
             let inj = router.injection_port();
-            for k in 0..3u32 {
-                router.inject(TileId::new(10 + k), 100 + k, packet_len);
-                router.assert_consistent(&config);
-            }
+            let mut source: VecDeque<(u32, u32)> = (0..3u32).map(|k| (10 + k, 100 + k)).collect();
+            let (dst, created) = source.pop_front().expect("three packets");
+            router.fill_injection_buffer(TileId::new(dst), created, packet_len);
+            router.assert_consistent(&config);
+            assert!(router.injection_busy());
             assert_eq!(router.buffers[inj][0].len(), packet_len as usize);
-            assert_eq!(router.queued_packets().collect::<Vec<_>>(), [101, 102]);
-            assert_eq!(router.occupied, 3 * u32::from(packet_len));
+            assert_eq!(router.occupied, u32::from(packet_len));
             // One flit leaves per visit; the buffer is back to a whole
             // packet the moment a tail has left, never in between.
             let mut sent = Vec::new();
             for visit in 1..=3 * packet_len {
-                sent.extend(step(&mut router, &config, 0));
+                let (forwards, freed) = step(&mut router, &config, 0, &mut source);
+                sent.extend(forwards);
                 assert_eq!(sent.len(), visit as usize, "len {packet_len} visit {visit}");
+                assert_eq!(
+                    freed,
+                    visit % packet_len == 0,
+                    "len {packet_len} visit {visit}"
+                );
                 let packets_left = 3 - visit / packet_len;
                 let expected = match visit % packet_len {
                     0 if packets_left == 0 => 0,
@@ -942,10 +934,7 @@ mod tests {
                     gone => packet_len - gone,
                 };
                 assert_eq!(router.buffers[inj][0].len(), expected as usize);
-                assert_eq!(
-                    router.queued_packets().count(),
-                    packets_left.saturating_sub(1) as usize
-                );
+                assert_eq!(router.occupied, u32::from(expected));
             }
             assert!(!router.has_occupied_buffers());
             // Flits left in injection order, stamped per packet.
@@ -964,18 +953,16 @@ mod tests {
     fn reset_with_a_queued_source_matches_fresh_construction() {
         let config = config(4);
         let mut used = router(&config);
-        for k in 0..5u32 {
-            used.inject(TileId::new(3), k, 4);
-        }
+        let mut source: VecDeque<(u32, u32)> = (0..5u32).map(|k| (3, k)).collect();
+        used.fill_injection_buffer(TileId::new(3), 9, 4);
         for _ in 0..6 {
-            let _ = step(&mut used, &config, 1);
+            let _ = step(&mut used, &config, 1, &mut source);
         }
-        assert!(used.queued_packets().count() > 0, "FIFO must be non-empty");
+        assert!(used.injection_busy(), "a packet must be mid-way out");
         used.reset(&config);
         used.assert_consistent(&config);
         assert_eq!(format!("{used:?}"), format!("{:?}", router(&config)));
     }
-
     #[test]
     fn blocked_head_routes_once_until_the_table_changes() {
         // One VC: a packet from network port 0 owns output 0's only VC,
@@ -1001,7 +988,7 @@ mod tests {
             queries.set(queries.get() + 1);
             (table.get(), 0)
         };
-        router.inject(TileId::new(5), 1, 2);
+        router.fill_injection_buffer(TileId::new(5), 1, 2);
         for _ in 0..4 {
             router.vc_allocate_with(&config, &classes, policy, route, &mut out);
             router.assert_consistent(&config);
@@ -1021,15 +1008,13 @@ mod tests {
     }
 
     #[test]
-    fn unroutable_source_packets_sink_one_by_one_through_the_fifo() {
+    fn unroutable_source_packets_sink_one_by_one() {
         let config = config(4);
         let classes = VcClassTable::new(&config, 1);
         let mut router = router(&config);
-        for k in 0..3u32 {
-            router.inject(TileId::new(9), 50 + k, 4);
-        }
         let mut out = TraversalOutput::default();
-        for remaining in (0..3u32).rev() {
+        for created in 50..53u32 {
+            router.fill_injection_buffer(TileId::new(9), created, 4);
             router.vc_allocate_with(
                 &config,
                 &classes,
@@ -1038,7 +1023,8 @@ mod tests {
                 &mut out,
             );
             router.assert_consistent(&config);
-            assert_eq!(router.occupied, remaining * 4);
+            assert!(std::mem::take(&mut out.injection_freed), "packet {created}");
+            assert!(!router.has_occupied_buffers());
         }
         assert_eq!(out.dropped, [50, 51, 52]);
         assert!(out.credits.is_empty(), "the injection port has no upstream");

@@ -523,18 +523,46 @@ impl<'a> Experiment<'a> {
     }
 
     /// The auto backend: same grouping as batched, backend chosen per
-    /// group (see [`Experiment::run_group_auto`]).
+    /// group (see [`Experiment::run_group_auto`]). A group too short to
+    /// share a network runs one task per cell, so its cells run side by
+    /// side (see [`Experiment::auto_tasks`]); the points are scattered
+    /// back into cell order.
     fn run_cells_auto(&self, cells: &[CellId], digests: Option<&[u64]>) -> Vec<SweepPoint> {
         let target = cells
             .len()
             .div_ceil(rayon::current_num_threads().max(1) * 2)
             .max(MIN_REUSE_GROUP)
             .max(self.lanes);
-        let grouped: Vec<Vec<SweepPoint>> = Self::split_same_case_groups(cells, target)
+        let tasks = Self::auto_tasks(cells, target);
+        let done: Vec<Vec<SweepPoint>> = tasks
             .par_iter()
-            .map(|group| self.run_group_auto(group, digests))
+            .map(|&(_, group)| self.run_group_auto(group, digests))
             .collect();
-        grouped.into_iter().flatten().collect()
+        let mut placed: Vec<(usize, Vec<SweepPoint>)> =
+            tasks.iter().map(|&(first, _)| first).zip(done).collect();
+        placed.sort_unstable_by_key(|&(first, _)| first);
+        placed.into_iter().flat_map(|(_, points)| points).collect()
+    }
+
+    /// The auto backend's pool tasks over `cells`, as `(index of the
+    /// task's first cell, its cells)`: every same-case group of at least
+    /// [`MIN_REUSE_GROUP`] cells in cell order, then each cell of the
+    /// shorter groups on its own. Long groups come first so none starts
+    /// later than it would in plain group order; the short groups' cells
+    /// fill the pool behind them.
+    fn auto_tasks(cells: &[CellId], target: usize) -> Vec<(usize, &[CellId])> {
+        let (mut tasks, mut singles) = (Vec::new(), Vec::new());
+        let mut first = 0;
+        for group in Self::split_same_case_groups(cells, target) {
+            if group.len() < MIN_REUSE_GROUP {
+                singles.extend((first..).zip(group.chunks(1)));
+            } else {
+                tasks.push((first, group));
+            }
+            first += group.len();
+        }
+        tasks.extend(singles);
+        tasks
     }
 
     /// Runs one same-case cell group on a single reused `Network`. The
@@ -621,7 +649,8 @@ impl<'a> Experiment<'a> {
     }
 
     /// Runs one same-case cell group under the auto backend. Groups too
-    /// small to amortize anything run per-cell. Otherwise the first
+    /// small to amortize anything run per-cell (as one-cell tasks, from
+    /// [`Experiment::run_cells_auto`]). Otherwise the first
     /// cache-missing cell runs per-cell with its construction and
     /// simulation separately timed, and the rest of the group goes to
     /// the batched core when construction is the dominant cost
@@ -962,6 +991,76 @@ mod tests {
                 ("hotspot-20%".to_owned(), 0.1),
             ]
         );
+    }
+
+    #[test]
+    fn auto_runs_short_groups_cell_by_cell_like_per_cell() {
+        let mesh = generators::mesh(Grid::new(4, 4));
+        for rates in [vec![0.02, 0.1], vec![0.02, 0.1, 0.3]] {
+            let spec = SweepSpec::new(SimConfig::fast_test()).rates(rates.clone());
+            let experiment = |backend| {
+                Experiment::new(spec.clone())
+                    .with_unit_latency_case("mesh", &mesh)
+                    .expect("mesh routes")
+                    .with_backend(backend)
+            };
+            let reference = experiment(ExecBackend::PerCell).run_parallel();
+            for threads in [1, 4] {
+                let auto = experiment(ExecBackend::Auto);
+                assert_eq!(auto.run_with_threads(threads), reference, "{rates:?}");
+                assert_eq!(
+                    auto.exec_stats(),
+                    ExecStats {
+                        per_cell_cells: rates.len() as u64,
+                        ..ExecStats::default()
+                    },
+                    "{rates:?} on {threads} threads"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn auto_schedules_long_groups_first_and_keeps_cell_order() {
+        let grid = Grid::new(4, 4);
+        let (mesh, ring, torus) = (
+            generators::mesh(grid),
+            generators::ring(grid),
+            generators::torus(grid),
+        );
+        let spec = SweepSpec::new(SimConfig::fast_test())
+            .rates([0.02, 0.05, 0.1])
+            .patterns([TrafficPattern::UniformRandom, TrafficPattern::Transpose]);
+        let experiment = |backend| {
+            Experiment::new(spec.clone())
+                .with_unit_latency_case("mesh", &mesh)
+                .and_then(|e| e.with_unit_latency_case("ring", &ring))
+                .and_then(|e| e.with_unit_latency_case("torus", &torus))
+                .expect("routes")
+                .with_backend(backend)
+        };
+        let all: Vec<CellId> = experiment(ExecBackend::PerCell).plan().cells().collect();
+        let of_case = |case: u32| all.iter().copied().filter(move |c| c.case == case);
+        // Six mesh cells, two ring, one torus, then four mesh again.
+        let cells: Vec<CellId> = of_case(0)
+            .chain(of_case(1).take(2))
+            .chain(of_case(2).take(1))
+            .chain(of_case(0).take(4))
+            .collect();
+        let tasks: Vec<(usize, usize)> = Experiment::auto_tasks(&cells, 8)
+            .into_iter()
+            .map(|(first, group)| (first, group.len()))
+            .collect();
+        assert_eq!(tasks, [(0, 6), (9, 4), (6, 1), (7, 1), (8, 1)]);
+        let reference = experiment(ExecBackend::PerCell).run_cells(&cells);
+        for threads in [1, 3] {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("pool builds");
+            let auto = experiment(ExecBackend::Auto);
+            assert_eq!(pool.install(|| auto.run_cells(&cells)), reference);
+        }
     }
 
     #[test]

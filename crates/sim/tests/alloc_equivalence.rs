@@ -59,11 +59,7 @@ fn request_queue_matches_full_scan_across_patterns_rates_and_injection() {
     let lats = unit_latencies(&mesh);
     for pattern in ALL_PATTERNS {
         for rate in [0.01, 0.1, 0.4] {
-            for injection in [
-                InjectionPolicy::EventDriven,
-                InjectionPolicy::PerCycleScan,
-                InjectionPolicy::SharedScan,
-            ] {
+            for injection in [InjectionPolicy::EventDriven, InjectionPolicy::PerCycleScan] {
                 let sparse = run(
                     &mesh,
                     &lats,
@@ -219,7 +215,7 @@ proptest! {
         topology_idx in 0usize..4,
         pattern_idx in 0usize..ALL_PATTERNS.len(),
         rate in 0.005f64..0.5,
-        injection_idx in 0usize..3,
+        injection_idx in 0usize..2,
         buffer_depth in 2u16..10,
     ) {
         let grid = Grid::new(4, 4);
@@ -229,11 +225,7 @@ proptest! {
             2 => generators::ring(grid),
             _ => generators::flattened_butterfly(grid),
         };
-        let injection = [
-            InjectionPolicy::EventDriven,
-            InjectionPolicy::PerCycleScan,
-            InjectionPolicy::SharedScan,
-        ][injection_idx];
+        let injection = [InjectionPolicy::EventDriven, InjectionPolicy::PerCycleScan][injection_idx];
         let pattern = ALL_PATTERNS[pattern_idx];
         let routes = routing::default_routes(&topology).expect("routes");
         let lats = unit_latencies(&topology);

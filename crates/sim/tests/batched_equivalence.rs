@@ -20,11 +20,8 @@ use shg_topology::{generators, routing, Grid, Topology};
 use shg_units::Cycles;
 
 const LANES: [usize; 4] = [1, 2, 4, 8];
-const INJECTIONS: [InjectionPolicy; 3] = [
-    InjectionPolicy::EventDriven,
-    InjectionPolicy::PerCycleScan,
-    InjectionPolicy::SharedScan,
-];
+const INJECTIONS: [InjectionPolicy; 2] =
+    [InjectionPolicy::EventDriven, InjectionPolicy::PerCycleScan];
 const ALLOCS: [AllocPolicy; 2] = [AllocPolicy::RequestQueue, AllocPolicy::FullScan];
 
 fn experiment<'a>(

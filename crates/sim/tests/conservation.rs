@@ -10,11 +10,8 @@ fn unit_latencies(t: &shg_topology::Topology) -> Vec<Cycles> {
     vec![Cycles::one(); t.num_links()]
 }
 
-const ALL_INJECTION: [InjectionPolicy; 3] = [
-    InjectionPolicy::EventDriven,
-    InjectionPolicy::PerCycleScan,
-    InjectionPolicy::SharedScan,
-];
+const ALL_INJECTION: [InjectionPolicy; 2] =
+    [InjectionPolicy::EventDriven, InjectionPolicy::PerCycleScan];
 
 const ALL_ALLOC: [AllocPolicy; 2] = [AllocPolicy::RequestQueue, AllocPolicy::FullScan];
 
@@ -33,8 +30,7 @@ fn offered_equals_accepted_at_low_load_for_all_patterns() {
         TrafficPattern::Hotspot(20),
     ] {
         // Conservation may not depend on how arrivals are scheduled
-        // (event calendar, per-cycle reference, legacy shared stream)
-        // or on how the allocator finds its requests (request queue,
+        // (event calendar, per-cycle reference) or on how the allocator finds its requests (request queue,
         // exhaustive scan): every combination has to drain completely.
         for injection in ALL_INJECTION {
             for alloc in ALL_ALLOC {

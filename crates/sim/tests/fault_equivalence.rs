@@ -16,11 +16,8 @@ use shg_topology::db::TopologyDb;
 use shg_topology::{generators, routing, Grid, Topology};
 use shg_units::Cycles;
 
-const INJECTIONS: [InjectionPolicy; 3] = [
-    InjectionPolicy::EventDriven,
-    InjectionPolicy::PerCycleScan,
-    InjectionPolicy::SharedScan,
-];
+const INJECTIONS: [InjectionPolicy; 2] =
+    [InjectionPolicy::EventDriven, InjectionPolicy::PerCycleScan];
 const ALLOCS: [AllocPolicy; 2] = [AllocPolicy::RequestQueue, AllocPolicy::FullScan];
 
 /// A drain-policy plan that exercises every fault path on a 4x4 grid:

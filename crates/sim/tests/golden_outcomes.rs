@@ -12,7 +12,11 @@
 //! the scenario-a sparse Hamming graph, a two-die database part) ×
 //! traffic patterns × load levels from idle to fully saturated ×
 //! packet lengths, with 1- and 3-cycle links, dense and next-hop route
-//! tables, both in-flight fault policies and reset-reused networks.
+//! tables, both in-flight fault policies and reset-reused networks —
+//! plus saturated cells whose sources stay backlogged across fault
+//! epochs, the window's end, the per-cycle injection scan and resets,
+//! so the lazily drawn sources are pinned where they differ most from
+//! an eager packet queue.
 //!
 //! Regenerate (only when an outcome change is intended and understood):
 //!
@@ -22,7 +26,7 @@
 
 use std::fmt::Write as _;
 
-use shg_sim::{FaultPlan, Network, SimConfig, SimOutcome, TrafficPattern};
+use shg_sim::{FaultPlan, InjectionPolicy, Network, SimConfig, SimOutcome, TrafficPattern};
 use shg_topology::db::TopologyDb;
 use shg_topology::routing::{default_routes_with, RouteForm};
 use shg_topology::{generators, Grid, Topology};
@@ -181,7 +185,128 @@ fn render() -> String {
             }
         }
     }
+    render_backlogged(&mut text);
     text
+}
+
+/// Fully saturated cells, so every source is backlogged — packets
+/// created but still waiting for the injection buffer — across each
+/// event that touches a backlog: fault epochs of both policies inside
+/// and after the measurement window (with a drain kill that cuts a tile
+/// off while survivors still hold packets for it), the per-cycle
+/// injection scan, a reset-reused network and a hotspot source whose
+/// draws often name itself.
+fn render_backlogged(text: &mut String) {
+    let mesh = generators::mesh(Grid::new(4, 4));
+    let sr = [4].into_iter().collect();
+    let sc = [2, 5].into_iter().collect();
+    let shg = generators::row_column_skip(Grid::new(8, 8), &sr, &sc).expect("scenario a");
+    let cells: [(&str, &Topology, TrafficPattern, u16, &str, InjectionPolicy); 10] = [
+        (
+            "mesh4x4/drop-in-window",
+            &mesh,
+            TrafficPattern::UniformRandom,
+            2,
+            "500:router:5",
+            InjectionPolicy::EventDriven,
+        ),
+        (
+            "mesh4x4/drop-after-window",
+            &mesh,
+            TrafficPattern::UniformRandom,
+            1,
+            "1000:link:0-1",
+            InjectionPolicy::EventDriven,
+        ),
+        (
+            "mesh4x4/drain-cut-in-window",
+            &mesh,
+            TrafficPattern::UniformRandom,
+            2,
+            "drain,500:router:1,500:router:4",
+            InjectionPolicy::EventDriven,
+        ),
+        (
+            "mesh4x4/drain-cut-after-window",
+            &mesh,
+            TrafficPattern::Hotspot(30),
+            4,
+            "drain,900:router:1,900:router:4",
+            InjectionPolicy::EventDriven,
+        ),
+        (
+            "mesh4x4/scan",
+            &mesh,
+            TrafficPattern::Hotspot(30),
+            2,
+            "",
+            InjectionPolicy::PerCycleScan,
+        ),
+        (
+            "mesh4x4/scan-drop",
+            &mesh,
+            TrafficPattern::UniformRandom,
+            1,
+            "400:router:6,1000:router:9",
+            InjectionPolicy::PerCycleScan,
+        ),
+        (
+            "mesh4x4/scan-drain-cut",
+            &mesh,
+            TrafficPattern::UniformRandom,
+            4,
+            "drain,500:router:1,500:router:4",
+            InjectionPolicy::PerCycleScan,
+        ),
+        (
+            "mesh4x4/hotspot-self",
+            &mesh,
+            TrafficPattern::Hotspot(50),
+            1,
+            "",
+            InjectionPolicy::EventDriven,
+        ),
+        (
+            "shg8x8/drop-three-epochs",
+            &shg,
+            TrafficPattern::UniformRandom,
+            4,
+            "300:link:0-1,500:router:27,1000:router:9",
+            InjectionPolicy::EventDriven,
+        ),
+        (
+            "shg8x8/drain-three-epochs",
+            &shg,
+            TrafficPattern::Hotspot(50),
+            2,
+            "drain,300:link:0-1,500:router:27,1000:router:9",
+            InjectionPolicy::EventDriven,
+        ),
+    ];
+    for (i, (label, topology, pattern, packet_len, plan, injection)) in
+        cells.into_iter().enumerate()
+    {
+        let routes = default_routes_with(topology, RouteForm::NextHop).expect("routes build");
+        let config = SimConfig {
+            packet_len,
+            seed: 5000 + i as u64,
+            injection,
+            faults: FaultPlan::parse(plan).expect("plan parses"),
+            ..base_config()
+        };
+        let outcome =
+            Network::new(topology, &routes, &latencies(topology, 1), config).run(1.0, pattern);
+        text.push_str(&line(&format!("backlog/{label}/full"), &outcome));
+    }
+    // Two saturated cells back to back on one network: the second
+    // starts from a reset taken mid-backlog.
+    let routes = default_routes_with(&mesh, RouteForm::NextHop).expect("routes build");
+    let lats = latencies(&mesh, 3);
+    let mut network = Network::new(&mesh, &routes, &lats, base_config());
+    let _ = network.run(1.0, TrafficPattern::Hotspot(30));
+    network.reset(78);
+    let second = network.run(1.0, TrafficPattern::UniformRandom);
+    text.push_str(&line("backlog/mesh4x4/after-reset/uniform/full", &second));
 }
 
 #[test]

@@ -1,17 +1,8 @@
-//! The injection-policy equivalence suite.
-//!
-//! Two different proof obligations:
-//!
-//! * **Bit-identity** — the event-driven calendar and the per-cycle
-//!   scan consume the same per-tile streams, so every statistic must
-//!   match exactly, under both scan policies, across patterns, rates
-//!   and topologies (the injection analogue of the active-set/full-scan
-//!   invariant).
-//! * **Statistical equivalence** — the switch from the legacy shared
-//!   stream to per-tile streams changes the sampled arrivals, so the
-//!   old behaviour ([`InjectionPolicy::SharedScan`]) is compared on
-//!   aggregate statistics: offered/accepted rates and mean latency must
-//!   agree within tolerance for every traffic pattern.
+//! The injection-policy equivalence suite: the event-driven calendar
+//! and the per-cycle scan consume the same per-tile streams, so every
+//! statistic must match exactly, under both scan policies, across
+//! patterns, rates and topologies (the injection analogue of the
+//! active-set/full-scan invariant).
 
 use shg_sim::sweep::ALL_PATTERNS;
 use shg_sim::{InjectionPolicy, Network, ScanPolicy, SimConfig, TrafficPattern};
@@ -155,51 +146,4 @@ fn event_driven_is_deterministic_per_seed() {
         a.measured_packets, c.measured_packets,
         "different seeds should sample different arrival processes"
     );
-}
-
-/// Statistical regression against the legacy shared stream: per-tile
-/// streams change the exact arrivals but not the traffic process, so
-/// rates and latencies must agree within sampling noise for all seven
-/// patterns. Averaged over seeds to keep tolerances tight.
-#[test]
-fn event_driven_statistically_matches_legacy_shared_stream() {
-    let mesh = generators::mesh(Grid::new(4, 4));
-    let routes = routing::default_routes(&mesh).expect("routes");
-    let lats = unit_latencies(&mesh);
-    let seeds = [42u64, 7, 1234];
-    let rate = 0.08;
-    for pattern in ALL_PATTERNS {
-        let mean = |injection: InjectionPolicy| {
-            let mut offered = 0.0;
-            let mut accepted = 0.0;
-            let mut latency = 0.0;
-            for &seed in &seeds {
-                let config = SimConfig {
-                    seed,
-                    ..config_with(injection)
-                };
-                let out = Network::new(&mesh, &routes, &lats, config).run(rate, pattern);
-                assert!(out.stable, "{pattern} {injection}: {out:?}");
-                offered += out.offered_rate;
-                accepted += out.accepted_rate;
-                latency += out.avg_packet_latency;
-            }
-            let n = seeds.len() as f64;
-            (offered / n, accepted / n, latency / n)
-        };
-        let (eo, ea, el) = mean(InjectionPolicy::EventDriven);
-        let (so, sa, sl) = mean(InjectionPolicy::SharedScan);
-        assert!(
-            (eo - so).abs() < 0.01,
-            "{pattern}: offered rates diverge (event {eo} vs shared {so})"
-        );
-        assert!(
-            (ea - sa).abs() < 0.01,
-            "{pattern}: accepted rates diverge (event {ea} vs shared {sa})"
-        );
-        assert!(
-            (el - sl).abs() / sl < 0.15,
-            "{pattern}: mean latency diverges (event {el} vs shared {sl})"
-        );
-    }
 }

@@ -54,8 +54,14 @@ proptest! {
         for now in 0..cycles {
             let mut a = Vec::new();
             let mut b = Vec::new();
-            scan.fire_at(now, |t, rng| a.push((t, rng.next_u64())));
-            event.fire_at(now, |t, rng| b.push((t, rng.next_u64())));
+            scan.fire_at(now, |t, rng| {
+                a.push((t, rng.next_u64()));
+                true
+            });
+            event.fire_at(now, |t, rng| {
+                b.push((t, rng.next_u64()));
+                true
+            });
             prop_assert_eq!(a, b, "cycle {} of {} (p {}): schedules diverge", now, cycles, p);
         }
     }
@@ -73,7 +79,10 @@ proptest! {
             for now in 0..50 {
                 silent.fire_at(now, |t, _| panic!("tile {t} fired at rate 0"));
                 let mut fired = Vec::new();
-                saturated.fire_at(now, |t, _| fired.push(t));
+                saturated.fire_at(now, |t, _| {
+                    fired.push(t);
+                    true
+                });
                 prop_assert_eq!(&fired, &(0..tiles).collect::<Vec<_>>(), "cycle {}", now);
             }
         }

@@ -18,11 +18,8 @@ use shg_topology::{generators, routing, Grid, Topology};
 use shg_units::Cycles;
 
 const SCANS: [ScanPolicy; 2] = [ScanPolicy::ActiveSet, ScanPolicy::FullScan];
-const INJECTIONS: [InjectionPolicy; 3] = [
-    InjectionPolicy::EventDriven,
-    InjectionPolicy::PerCycleScan,
-    InjectionPolicy::SharedScan,
-];
+const INJECTIONS: [InjectionPolicy; 2] =
+    [InjectionPolicy::EventDriven, InjectionPolicy::PerCycleScan];
 const ALLOCS: [AllocPolicy; 2] = [AllocPolicy::RequestQueue, AllocPolicy::FullScan];
 
 fn unit_latencies(t: &Topology) -> Vec<Cycles> {
@@ -182,7 +179,6 @@ fn reuse_backend_serializes_identically_to_per_cell() {
     for (injection, alloc) in [
         (InjectionPolicy::EventDriven, AllocPolicy::RequestQueue),
         (InjectionPolicy::PerCycleScan, AllocPolicy::FullScan),
-        (InjectionPolicy::SharedScan, AllocPolicy::RequestQueue),
     ] {
         let spec = || {
             SweepSpec::new(SimConfig {

@@ -310,11 +310,8 @@ fn reuse_backend_and_cache_compose() {
     assert_eq!((stats.cached, stats.simulated), (4, 0));
 }
 
-const INJECTIONS: [InjectionPolicy; 3] = [
-    InjectionPolicy::EventDriven,
-    InjectionPolicy::PerCycleScan,
-    InjectionPolicy::SharedScan,
-];
+const INJECTIONS: [InjectionPolicy; 2] =
+    [InjectionPolicy::EventDriven, InjectionPolicy::PerCycleScan];
 const ALLOCS: [AllocPolicy; 2] = [AllocPolicy::RequestQueue, AllocPolicy::FullScan];
 const BACKENDS: [ExecBackend; 2] = [ExecBackend::PerCell, ExecBackend::Reuse];
 

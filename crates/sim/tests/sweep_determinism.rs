@@ -200,11 +200,8 @@ fn distinct_seeds_change_results_but_stay_deterministic() {
 }
 
 const SHARD_COUNTS: [u32; 5] = [1, 2, 3, 5, 8];
-const INJECTIONS: [InjectionPolicy; 3] = [
-    InjectionPolicy::EventDriven,
-    InjectionPolicy::PerCycleScan,
-    InjectionPolicy::SharedScan,
-];
+const INJECTIONS: [InjectionPolicy; 2] =
+    [InjectionPolicy::EventDriven, InjectionPolicy::PerCycleScan];
 const ALLOCS: [AllocPolicy; 2] = [AllocPolicy::RequestQueue, AllocPolicy::FullScan];
 
 proptest! {
