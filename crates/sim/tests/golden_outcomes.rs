@@ -186,7 +186,144 @@ fn render() -> String {
         }
     }
     render_backlogged(&mut text);
+    render_widened(&mut text);
     text
+}
+
+/// The cells only the policy-equivalence suites used to cover: the
+/// four patterns the grid above leaves out on a high-radix and a
+/// wrap-around topology, 8-flit packets on high-radix routers, the
+/// degenerate injection rates (no packet at all, a packet every cycle)
+/// and VC counts whose class ranges are not powers of two.
+fn render_widened(text: &mut String) {
+    let tables = topologies();
+    let find = |wanted: &str| {
+        let (_, topology, knee, _) = tables
+            .iter()
+            .find(|(name, ..)| *name == wanted)
+            .expect("named topology");
+        (topology, *knee)
+    };
+    let mut seed = 7000u64;
+    let mut cell =
+        |label: String, topology: &Topology, form, link_cycles, config, rate, pattern| {
+            let routes = default_routes_with(topology, form).expect("routes build");
+            let config = SimConfig { seed, ..config };
+            seed += 1;
+            let outcome =
+                Network::new(topology, &routes, &latencies(topology, link_cycles), config)
+                    .run(rate, pattern);
+            text.push_str(&line(
+                &format!("{label}/lat{link_cycles}/{form:?}"),
+                &outcome,
+            ));
+            outcome
+        };
+    let patterns = [
+        ("bitcomplement", TrafficPattern::BitComplement),
+        ("reverse", TrafficPattern::Reverse),
+        ("tornado", TrafficPattern::Tornado),
+        ("neighbor", TrafficPattern::Neighbor),
+    ];
+    for (t, name) in ["shg8x8", "torus4x4"].into_iter().enumerate() {
+        let (topology, knee) = find(name);
+        for (p, (pattern_name, pattern)) in patterns.into_iter().enumerate() {
+            for (r, (level, rate)) in [("low", 0.05), ("knee", knee), ("full", 1.0)]
+                .into_iter()
+                .enumerate()
+            {
+                let packet_len = PACKET_LENS[(t + p + r) % 3];
+                let form = [RouteForm::NextHop, RouteForm::Dense][(p + r) % 2];
+                let config = SimConfig {
+                    packet_len,
+                    ..base_config()
+                };
+                let label = format!("{name}/{pattern_name}/{level}/len{packet_len}");
+                cell(
+                    label,
+                    topology,
+                    form,
+                    1 + 2 * ((t + p) % 2) as u64,
+                    config,
+                    rate,
+                    pattern,
+                );
+            }
+        }
+    }
+    for (name, link_cycles) in [("fb4x4", 3), ("slimnoc10x5", 1)] {
+        let (topology, knee) = find(name);
+        for (level, rate) in [("knee", knee), ("full", 1.0)] {
+            let config = SimConfig {
+                packet_len: 8,
+                ..base_config()
+            };
+            let label = format!("{name}/uniform/{level}/len8");
+            cell(
+                label,
+                topology,
+                RouteForm::NextHop,
+                link_cycles,
+                config,
+                rate,
+                TrafficPattern::UniformRandom,
+            );
+        }
+    }
+    let (mesh, _) = find("mesh4x4");
+    let idle = cell(
+        "mesh4x4/uniform/zero/len2".to_owned(),
+        mesh,
+        RouteForm::NextHop,
+        1,
+        base_config(),
+        0.0,
+        TrafficPattern::UniformRandom,
+    );
+    assert!(
+        idle.stable && idle.measured_packets == 0,
+        "rate 0 injects nothing"
+    );
+    // Packet probability 1: one flit per cycle, then two per cycle.
+    for (packet_len, rate) in [(1u16, 1.0), (2, 2.0)] {
+        let config = SimConfig {
+            packet_len,
+            ..base_config()
+        };
+        let label = format!("mesh4x4/uniform/prob1-rate{rate}/len{packet_len}");
+        cell(
+            label,
+            mesh,
+            RouteForm::Dense,
+            1,
+            config,
+            rate,
+            TrafficPattern::UniformRandom,
+        );
+    }
+    // Class ranges of three VCs take the round-robin `%` branch: the
+    // hypercube's one class over 3 VCs, the ring's second of 2 over 5.
+    let hypercube = generators::hypercube(Grid::new(4, 4)).expect("16 tiles");
+    let (ring, ring_knee) = find("ring4x4");
+    for (name, topology, knee, num_vcs) in [
+        ("hypercube4x4", &hypercube, 0.4, 3u8),
+        ("ring4x4", ring, ring_knee, 5),
+    ] {
+        let config = SimConfig {
+            num_vcs,
+            ..base_config()
+        };
+        let label = format!("{name}/vcs{num_vcs}/uniform/knee/len2");
+        cell(
+            label,
+            topology,
+            RouteForm::NextHop,
+            1,
+            config,
+            knee,
+            TrafficPattern::UniformRandom,
+        );
+    }
 }
 
 /// Fully saturated cells, so every source is backlogged — packets
