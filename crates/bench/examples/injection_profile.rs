@@ -1,12 +1,8 @@
-//! Phase-level cost decomposition of low-rate simulation: how much of
-//! a cycle goes to injection (Phase A), delivery (Phase B) and
-//! allocation/traversal (Phase C) under each injection and allocation
-//! policy, measured directly with [`Network::run_profiled`].
-//!
-//! This is the profile the allocator work is anchored on: at every
-//! useful rate (≥ ~0.002) Phases B/C dominate, and within them the
-//! exhaustive port × VC allocator scan was the single largest cost —
-//! the regime `AllocPolicy::RequestQueue` attacks.
+//! Phase-level cost decomposition of simulation: how much of a cycle
+//! goes to injection (Phase A), delivery (Phase B) and
+//! allocation/traversal (Phase C), measured directly with
+//! [`Network::run_profiled`] — first across low rates on a 16×16 mesh,
+//! where Phases B/C dominate at every useful rate (≥ ~0.002).
 //!
 //! The closing table is the other end of the load axis: the three
 //! saturated reference cells of the `simulator` bench
@@ -18,7 +14,7 @@
 //! `cargo run --release -p shg-bench --example injection_profile`
 
 use shg_bench::sweep::saturated_cells;
-use shg_sim::{AllocPolicy, InjectionPolicy, Network, SimConfig, TrafficPattern};
+use shg_sim::{Network, SimConfig, TrafficPattern};
 use shg_topology::{generators, routing, Grid};
 use shg_units::Cycles;
 
@@ -26,46 +22,33 @@ fn main() {
     let mesh = generators::mesh(Grid::new(16, 16));
     let routes = routing::default_routes(&mesh).expect("mesh routes");
     let latencies = vec![Cycles::one(); mesh.num_links()];
-    let config = |injection: InjectionPolicy, alloc: AllocPolicy| SimConfig {
+    let config = SimConfig {
         warmup: 500,
         measure: 2_000,
         drain_limit: 6_000,
-        injection,
-        alloc,
         ..SimConfig::default()
     };
-    // The default pairing and the two exhaustive references — enough
-    // to read off each policy's phase.
-    let policies = [
-        (InjectionPolicy::EventDriven, AllocPolicy::RequestQueue),
-        (InjectionPolicy::EventDriven, AllocPolicy::FullScan),
-        (InjectionPolicy::PerCycleScan, AllocPolicy::RequestQueue),
-    ];
     println!(
-        "{:<16} {:<15} {:>7} {:>9} {:>9} {:>9} {:>10} {:>8}",
-        "Injection", "Allocation", "Rate", "A[us/cy]", "B[us/cy]", "C[us/cy]", "Wall[ms]", "Cycles"
+        "{:>7} {:>9} {:>9} {:>9} {:>10} {:>8}",
+        "Rate", "A[us/cy]", "B[us/cy]", "C[us/cy]", "Wall[ms]", "Cycles"
     );
     for rate in [0.0f64, 0.002, 0.005, 0.02] {
-        for (injection, alloc) in policies {
-            let mut network = Network::new(&mesh, &routes, &latencies, config(injection, alloc));
-            let start = std::time::Instant::now();
-            let (outcome, profile) = network.run_profiled(rate, TrafficPattern::UniformRandom);
-            let wall = start.elapsed().as_secs_f64();
-            let per_cycle = |d: std::time::Duration| d.as_secs_f64() * 1e6 / outcome.cycles as f64;
-            println!(
-                "{:<16} {:<15} {:>7} {:>9.3} {:>9.3} {:>9.3} {:>10.2} {:>8}",
-                injection.to_string(),
-                alloc.to_string(),
-                rate,
-                per_cycle(profile.injection),
-                per_cycle(profile.delivery),
-                per_cycle(profile.allocation),
-                wall * 1e3,
-                outcome.cycles,
-            );
-        }
-        println!();
+        let mut network = Network::new(&mesh, &routes, &latencies, config.clone());
+        let start = std::time::Instant::now();
+        let (outcome, profile) = network.run_profiled(rate, TrafficPattern::UniformRandom);
+        let wall = start.elapsed().as_secs_f64();
+        let per_cycle = |d: std::time::Duration| d.as_secs_f64() * 1e6 / outcome.cycles as f64;
+        println!(
+            "{:>7} {:>9.3} {:>9.3} {:>9.3} {:>10.2} {:>8}",
+            rate,
+            per_cycle(profile.injection),
+            per_cycle(profile.delivery),
+            per_cycle(profile.allocation),
+            wall * 1e3,
+            outcome.cycles,
+        );
     }
+    println!();
     println!(
         "{:<22} {:>6} {:>8} {:>8} {:>8} {:>9} {:>7}",
         "Saturated cell", "Rate", "A[s]", "B[s]", "C[s]", "Wall[s]", "Cycles"

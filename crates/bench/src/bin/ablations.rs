@@ -1,32 +1,14 @@
-//! A1/A2/A3 — ablations of the model's and simulator's design choices:
+//! A1/A2 — ablations of the floorplan model's design choices:
 //!
 //! * **A1 — port placement** (design principle ❷, OPP): optimized
 //!   one-port-per-face placement vs. all ports crowding the north face.
 //! * **A2 — detailed routing** (model step 5): collision-aware A* vs.
 //!   congestion-blind shortest paths.
-//! * **A3 — simulator scheduling**: the active-set core vs. the
-//!   exhaustive full scan — identical outcomes, measured speedup at low
-//!   load (the regime the sweep engine lives in).
-//! * **A4 — injection scheduling**: the event-driven injection calendar
-//!   vs. its exhaustive per-cycle scan reference on the same per-tile
-//!   RNG streams — identical outcomes, measured Phase A speedup.
-//! * **A5 — allocator scheduling**: request-driven VC/switch allocation
-//!   vs. the exhaustive port × VC scan — identical outcomes, measured
-//!   allocation-phase speedup on a low-radix mesh and the high-radix
-//!   flattened butterfly.
 //!
-//! Run with: `cargo run --release -p shg-bench --bin ablations --
-//! [--alloc request-queue|full-scan]` (the flag selects the allocator
-//! used by the *other* ablations; A5 always compares both).
+//! Run with: `cargo run --release -p shg-bench --bin ablations`
 
-use std::time::Instant;
-
-use shg_bench::{drive_injection_phase, profile_allocation_phase};
 use shg_core::Scenario;
 use shg_floorplan::{predict, DetailedRouting, ModelOptions, PortPlacement};
-use shg_sim::{InjectionPolicy, Network, ScanPolicy, SimConfig, TrafficPattern};
-use shg_topology::{generators, routing, Grid};
-use shg_units::Cycles;
 
 fn main() {
     let scenario = Scenario::knc_a();
@@ -92,94 +74,4 @@ fn main() {
          detours for fewer over-capacity cells — the paper's step-5 goal\n\
          (\"reduce the number of collisions and the link lengths\").\n"
     );
-
-    println!("--- A3: simulator scheduling (active set vs full scan) ---");
-    let mesh = generators::mesh(Grid::new(16, 16));
-    let routes = routing::default_routes(&mesh).expect("mesh routes");
-    let lats = vec![Cycles::one(); mesh.num_links()];
-    let config = SimConfig {
-        warmup: 1_000,
-        measure: 4_000,
-        drain_limit: 10_000,
-        alloc: shg_bench::alloc_policy_from_args(),
-        ..SimConfig::default()
-    };
-    let rate = 0.01; // Zero-load regime: most routers idle most cycles.
-    let time = |policy: ScanPolicy| {
-        let mut network = Network::new(&mesh, &routes, &lats, config.clone());
-        let start = Instant::now();
-        let outcome = network.run_with_policy(rate, TrafficPattern::UniformRandom, policy);
-        (start.elapsed(), outcome)
-    };
-    let (full_time, full_outcome) = time(ScanPolicy::FullScan);
-    let (active_time, active_outcome) = time(ScanPolicy::ActiveSet);
-    assert_eq!(
-        active_outcome, full_outcome,
-        "scheduling must not change results"
-    );
-    println!(
-        "16x16 mesh, rate {rate}: full scan {:.1} ms, active set {:.1} ms \
-         → {:.2}x speedup (identical outcomes, {} packets)\n",
-        full_time.as_secs_f64() * 1e3,
-        active_time.as_secs_f64() * 1e3,
-        full_time.as_secs_f64() / active_time.as_secs_f64(),
-        active_outcome.measured_packets,
-    );
-
-    println!("--- A4: injection scheduling (event-driven vs per-cycle scan) ---");
-    // Outcomes must be bit-identical on real runs…
-    let run_with = |injection: InjectionPolicy| {
-        let config = SimConfig {
-            injection,
-            ..config.clone()
-        };
-        Network::new(&mesh, &routes, &lats, config).run(rate, TrafficPattern::UniformRandom)
-    };
-    assert_eq!(
-        run_with(InjectionPolicy::EventDriven),
-        run_with(InjectionPolicy::PerCycleScan),
-        "injection scheduling must not change results"
-    );
-    // …while Phase A in isolation shows the calendar's win (whole runs
-    // at low load are dominated by Phases B/C, identical either way).
-    let cycles = 5_000u64;
-    let packet_prob = rate / f64::from(config.packet_len);
-    let phase_a = |injection: InjectionPolicy| {
-        drive_injection_phase(injection, config.seed, mesh.grid(), packet_prob, cycles)
-    };
-    let (event_time, event_arrivals) = phase_a(InjectionPolicy::EventDriven);
-    let (scan_time, scan_arrivals) = phase_a(InjectionPolicy::PerCycleScan);
-    assert_eq!(event_arrivals, scan_arrivals, "same streams, same arrivals");
-    println!(
-        "{} tiles, rate {rate}, {cycles} cycles of Phase A: per-cycle scan \
-         {:.2} ms, event-driven {:.2} ms → {:.1}x (identical arrival schedules)\n",
-        mesh.num_tiles(),
-        scan_time.as_secs_f64() * 1e3,
-        event_time.as_secs_f64() * 1e3,
-        scan_time.as_secs_f64() / event_time.as_secs_f64(),
-    );
-
-    println!("--- A5: allocator scheduling (request queue vs port × VC scan) ---");
-    // The allocation-phase cost is what the request queue attacks; the
-    // win grows with router radix (the flattened butterfly's routers
-    // have ~8x the mesh's ports, so the scan has ~8x the slots). The
-    // measurement protocol (alternating profiled runs, outcomes
-    // asserted identical) is shared with the Criterion headline and
-    // the CI perf-smoke gate.
-    for (name, topology) in [
-        ("16x16 mesh", generators::mesh(Grid::new(16, 16))),
-        (
-            "16x16 flattened butterfly",
-            generators::flattened_butterfly(Grid::new(16, 16)),
-        ),
-    ] {
-        let sample = profile_allocation_phase(&topology, &config, rate, 1)[0];
-        println!(
-            "{name}, rate {rate}: allocation phase — full scan {:.1} ms, \
-             request queue {:.1} ms → {:.1}x (identical outcomes)",
-            sample.scan * 1e3,
-            sample.sparse * 1e3,
-            sample.ratio(),
-        );
-    }
 }

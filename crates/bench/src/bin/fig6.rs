@@ -5,7 +5,7 @@
 //!
 //! Run with:
 //! `cargo run --release -p shg-bench --bin fig6 -- [--scenario a|b|c|d|all]
-//!  [--fast] [--customize] [--alloc request-queue|full-scan]
+//!  [--fast] [--customize]
 //!  [--shard i/N] [--resume journal.jsonl] [--cache <dir>]
 //!  [--backend per-cell|reuse|batched|auto] [--lanes K] [--progress]`
 //!
@@ -50,14 +50,13 @@ use shg_sim::SimConfig;
 fn main() {
     let which = arg_value("--scenario").unwrap_or_else(|| "all".to_owned());
     let fast = has_flag("--fast");
-    let alloc = shg_bench::alloc_policy_from_args();
     let scenarios: Vec<Scenario> = if which == "all" {
         Scenario::all_knc()
     } else {
         vec![Scenario::by_name(&which)
             .unwrap_or_else(|| panic!("unknown scenario '{which}' (use a|b|c|d|all)"))]
     };
-    let mut toolchain = if fast {
+    let toolchain = if fast {
         Toolchain {
             model_options: ModelOptions {
                 cell_scale: 4.0,
@@ -75,7 +74,6 @@ fn main() {
             ..Toolchain::default()
         }
     };
-    toolchain.sim.alloc = alloc;
     for mut scenario in scenarios {
         println!(
             "=== Fig. 6{} — {} (SHG: {}) ===",
@@ -148,7 +146,6 @@ fn main() {
         if fast {
             scenario.sim = SimConfig::fast_test();
         }
-        scenario.sim.alloc = alloc;
         scenario.sim.faults = shg_bench::fault_plan_from_args();
         let topologies = named_topologies(&scenario);
         let result = scenario_sweep(

@@ -5,7 +5,7 @@
 //! `cargo run --release -p shg-bench --bin load_curve -- [--scenario a]
 //!  [--topology <spec>] [--case <name>]
 //!  [--pattern all|uniform|transpose|...]
-//!  [--alloc request-queue|full-scan] [--faults <plan>] [--json]
+//!  [--faults <plan>] [--json]
 //!  [--shard i/N] [--resume journal.jsonl] [--cache <dir>]
 //!  [--backend per-cell|reuse|batched|auto] [--lanes K] [--progress]`
 //!
@@ -74,7 +74,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         warmup: 3_000,
         measure: 6_000,
         drain_limit: 20_000,
-        alloc: shg_bench::alloc_policy_from_args(),
         faults,
         ..SimConfig::default()
     };

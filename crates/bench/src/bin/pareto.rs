@@ -10,7 +10,7 @@
 //! shared sweep engine.
 //!
 //! Run with: `cargo run --release -p shg-bench --bin pareto --
-//! [--rows 6] [--cols 6] [--alloc request-queue|full-scan]
+//! [--rows 6] [--cols 6]
 //! [--shard i/N] [--resume journal.jsonl] [--cache <dir>]
 //!  [--backend per-cell|reuse|batched|auto] [--lanes K] [--progress]`
 //!
@@ -148,13 +148,10 @@ fn main() {
         .iter()
         .map(|(config, _)| (config.to_string(), config.build()))
         .collect();
-    let spec = SweepSpec::new(SimConfig {
-        alloc: shg_bench::alloc_policy_from_args(),
-        ..SimConfig::fast_test()
-    })
-    .linear_rates(10, 1.0)
-    .all_patterns()
-    .default_hotspot_low_rates();
+    let spec = SweepSpec::new(SimConfig::fast_test())
+        .linear_rates(10, 1.0)
+        .all_patterns()
+        .default_hotspot_low_rates();
     let mut cache = TopologyCache::new();
     let mut experiment = annotated_experiment(
         &scenario.params,

@@ -2,9 +2,11 @@
 //! quick mode, writes them as machine-readable JSON and (optionally)
 //! gates against a committed baseline.
 //!
-//! The gated headlines are **speedup ratios** (sparse scheduler vs. its
-//! exhaustive reference, measured back-to-back on the same machine), so
-//! they are comparable across CI runner generations; absolute medians
+//! The gated headlines are **speedup ratios** (an optimized path vs.
+//! the slower way it replaces — reset vs. rebuild, warm vs. cold cache,
+//! batched vs. per-cell, next-hop vs. dense routes — measured
+//! back-to-back on the same machine), so they are comparable across CI
+//! runner generations; absolute medians
 //! are recorded under `info_ms` for trend-watching but never gated —
 //! runner hardware varies too much for wall-clock gates.
 //!
@@ -36,17 +38,10 @@
 
 use std::fmt::Write as _;
 
-use shg_bench::{
-    arg_value, drive_injection_phase, median, profile_allocation_phase, profile_setup_phase,
-    AllocationSample, SetupSample,
-};
-use shg_sim::{
-    CellCache, ExecBackend, Experiment, InjectionPolicy, Network, ScanPolicy, SimConfig, SweepSpec,
-    TrafficPattern,
-};
+use shg_bench::{arg_value, median, profile_setup_phase, SetupSample};
+use shg_sim::{CellCache, ExecBackend, Experiment, SimConfig, SweepSpec, TrafficPattern};
 use shg_topology::routing::RouteForm;
-use shg_topology::{generators, routing, Grid, Topology};
-use shg_units::Cycles;
+use shg_topology::{generators, routing, Grid};
 
 /// Allowed relative shortfall of a headline ratio vs. the baseline.
 const REGRESSION_TOLERANCE: f64 = 0.25;
@@ -64,81 +59,6 @@ fn bench_config() -> SimConfig {
         drain_limit: 6_000,
         ..SimConfig::default()
     }
-}
-
-/// Median full-run speedup of the active-set scheduler over the full
-/// scan (the PR 1 headline) at zero load.
-fn scan_policy_headline(samples: usize, info: &mut Vec<Entry>) -> f64 {
-    let topology = generators::mesh(Grid::new(16, 16));
-    let routes = routing::default_routes(&topology).expect("routes");
-    let latencies = vec![Cycles::one(); topology.num_links()];
-    let rate = 0.005;
-    let run = |policy: ScanPolicy| {
-        let mut network = Network::new(&topology, &routes, &latencies, bench_config());
-        let start = std::time::Instant::now();
-        let outcome = network.run_with_policy(rate, TrafficPattern::UniformRandom, policy);
-        (start.elapsed().as_secs_f64(), outcome)
-    };
-    let _ = run(ScanPolicy::ActiveSet); // warm up
-    let mut ratios = Vec::new();
-    let mut active_wall = Vec::new();
-    for _ in 0..samples {
-        let (active, a) = run(ScanPolicy::ActiveSet);
-        let (full, b) = run(ScanPolicy::FullScan);
-        assert_eq!(a, b, "scan policies must agree");
-        ratios.push(full / active);
-        active_wall.push(active * 1e3);
-    }
-    info.push(Entry {
-        name: "full_run_mesh16_rate0.005_active_set",
-        median: median(active_wall),
-    });
-    median(ratios)
-}
-
-/// Median Phase A speedup of the event calendar over the per-cycle
-/// countdown scan (the PR 2 headline).
-fn injection_headline(samples: usize, info: &mut Vec<Entry>) -> f64 {
-    let grid = Grid::new(16, 16);
-    let packet_prob = 0.01 / f64::from(bench_config().packet_len);
-    let cycles = 3_000;
-    let phase_a = |policy: InjectionPolicy| {
-        let (elapsed, arrivals) = drive_injection_phase(policy, 42, grid, packet_prob, cycles);
-        (elapsed.as_secs_f64(), arrivals)
-    };
-    let _ = phase_a(InjectionPolicy::EventDriven); // warm up
-    let mut ratios = Vec::new();
-    let mut event_wall = Vec::new();
-    for _ in 0..samples {
-        let (event, a) = phase_a(InjectionPolicy::EventDriven);
-        let (scan, b) = phase_a(InjectionPolicy::PerCycleScan);
-        assert_eq!(a, b, "same streams, same arrivals");
-        ratios.push(scan / event);
-        event_wall.push(event * 1e3);
-    }
-    info.push(Entry {
-        name: "injection_phase_256t_rate0.01_event_driven",
-        median: median(event_wall),
-    });
-    median(ratios)
-}
-
-/// Median allocation-phase speedup of the request queue over the
-/// port × VC scan (this PR's headline), per topology — the same
-/// measurement protocol as the Criterion headline and the A5 ablation
-/// ([`profile_allocation_phase`]).
-fn allocation_headline(
-    topology: &Topology,
-    samples: usize,
-    info_name: &'static str,
-    info: &mut Vec<Entry>,
-) -> f64 {
-    let measured = profile_allocation_phase(topology, &bench_config(), 0.01, samples);
-    info.push(Entry {
-        name: info_name,
-        median: median(measured.iter().map(|s| s.sparse * 1e3).collect()),
-    });
-    median(measured.iter().map(AllocationSample::ratio).collect())
 }
 
 /// Median per-cell setup speedup of `Network::reset` over fresh
@@ -378,32 +298,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let mut info = Vec::new();
     let headlines = vec![
-        Entry {
-            name: "scan_policy_speedup_mesh16_rate0.005",
-            median: scan_policy_headline(samples, &mut info),
-        },
-        Entry {
-            name: "injection_phase_speedup_256t_rate0.01",
-            median: injection_headline(samples, &mut info),
-        },
-        Entry {
-            name: "allocation_phase_speedup_mesh16_rate0.01",
-            median: allocation_headline(
-                &generators::mesh(Grid::new(16, 16)),
-                samples,
-                "allocation_phase_mesh16_rate0.01_request_queue",
-                &mut info,
-            ),
-        },
-        Entry {
-            name: "allocation_phase_speedup_fb16_rate0.01",
-            median: allocation_headline(
-                &generators::flattened_butterfly(Grid::new(16, 16)),
-                samples,
-                "allocation_phase_fb16_rate0.01_request_queue",
-                &mut info,
-            ),
-        },
         Entry {
             name: "network_reset_vs_rebuild",
             median: reset_headline(samples, &mut info),

@@ -6,7 +6,7 @@
 //!  [--fractions 0,0.02,0.05,0.1] [--kill links|routers]
 //!  [--policy drop|drain] [--seed N] [--kill-cycle C]
 //!  [--rate-points N] [--full] [--shg <spec>] [--json]
-//!  [--alloc request-queue|full-scan] [--backend per-cell|reuse|batched|auto]
+//!  [--backend per-cell|reuse|batched|auto]
 //!  [--lanes K] [--cache <dir>] [--progress]`
 //!
 //! Compares mesh, flattened butterfly and an SHG (default
@@ -177,7 +177,7 @@ fn main() {
         text.parse()
             .unwrap_or_else(|e| cli_error(format!("--seed {text}: {e}")))
     });
-    let mut config = if has_flag("--full") {
+    let config = if has_flag("--full") {
         SimConfig {
             warmup: 3_000,
             measure: 6_000,
@@ -187,7 +187,6 @@ fn main() {
     } else {
         SimConfig::fast_test()
     };
-    config.alloc = shg_bench::alloc_policy_from_args();
     let kill_cycle = arg_value("--kill-cycle").map_or(config.warmup + config.measure / 4, |text| {
         text.parse()
             .unwrap_or_else(|e| cli_error(format!("--kill-cycle {text}: {e}")))

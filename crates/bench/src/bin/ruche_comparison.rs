@@ -8,7 +8,7 @@
 //! across all seven traffic patterns on the shared sweep engine.
 //!
 //! Run with: `cargo run --release -p shg-bench --bin ruche_comparison --
-//! [--scenario a] [--alloc request-queue|full-scan]
+//! [--scenario a]
 //! [--shard i/N] [--resume journal.jsonl] [--cache <dir>]
 //!  [--backend per-cell|reuse|batched|auto] [--lanes K] [--progress]`
 //!
@@ -111,13 +111,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ),
         (best_shg.config.to_string(), best_shg.config.build()),
     ];
-    let spec = SweepSpec::new(SimConfig {
-        alloc: shg_bench::alloc_policy_from_args(),
-        ..SimConfig::fast_test()
-    })
-    .linear_rates(16, 1.0)
-    .all_patterns()
-    .default_hotspot_low_rates();
+    let spec = SweepSpec::new(SimConfig::fast_test())
+        .linear_rates(16, 1.0)
+        .all_patterns()
+        .default_hotspot_low_rates();
     let mut cache = TopologyCache::new();
     let mut experiment = annotated_experiment(
         &scenario.params,

@@ -11,7 +11,7 @@
 //! `cargo run --release -p shg-bench --bin shg_coord --
 //!  (--spawn-workers N [--worker-bin path] | --listen host:port --workers N)
 //!  [--scenario a|b|c|d] [--fast] [--rate-points N] [--add-rates r,..]
-//!  [--alloc request-queue|full-scan] [--db <wire spec>]
+//!  [--db <wire spec>]
 //!  [--faults <plan>] [--cache <dir>]
 //!  [--backend per-cell|reuse|batched|auto] [--lanes K]
 //!  [--chunk-size N] [--durable] [--progress] [--kill-worker I:AFTER]`
@@ -28,7 +28,7 @@
 //! same flags, no matter how chunks interleaved, stole or died.
 //! `journal=` (optional) streams a solo-shard journal alongside,
 //! byte-identical to a `sweep_worker --out` solo run. The plan keys
-//! (`scenario`, `fast`, `rate-points`, `add-rates`, `alloc`, `db` — a
+//! (`scenario`, `fast`, `rate-points`, `add-rates`, `db` — a
 //! topology database in its one-token wire form, sweeping one
 //! expanded-grid topology instead of the scenario set — and `faults`,
 //! a deterministic fault-injection plan) default
@@ -66,7 +66,7 @@ const USAGE: &str = "\
 Usage: shg_coord (--spawn-workers N [--worker-bin path]
                   | --listen host:port --workers N)
                  [--scenario a|b|c|d] [--fast] [--rate-points N]
-                 [--add-rates r1,r2,..] [--alloc request-queue|full-scan]
+                 [--add-rates r1,r2,..]
                  [--routes dense|next-hop]
                  [--cache <dir>] [--backend name] [--lanes K]
                  [--chunk-size N] [--durable] [--progress]
@@ -74,7 +74,7 @@ Usage: shg_coord (--spawn-workers N [--worker-bin path]
 
   Reads requests from stdin, one per line, as key=value tokens:
     out=result.json [journal=j.jsonl] [scenario=..] [fast=1]
-    [rate-points=N] [add-rates=r1,r2] [alloc=..] [routes=..]
+    [rate-points=N] [add-rates=r1,r2] [routes=..]
     [db=<wire spec>] [faults=<plan>]
   and answers each with the full sweep JSON at out= — byte-identical
   to `sweep_worker --single-shot` of the same flags. db= sweeps one
@@ -90,7 +90,7 @@ Usage: shg_coord (--spawn-workers N [--worker-bin path]
                    binary)
   --listen         accept --workers N TCP worker connections instead
                    (workers dial in with `sweep_worker --connect`)
-  --scenario/--fast/--rate-points/--add-rates/--alloc/--routes
+  --scenario/--fast/--rate-points/--add-rates/--routes
                    per-request plan defaults (overridable per line;
                    routes picks the routing-table form, default
                    next-hop — bit-identical to dense)
@@ -123,11 +123,12 @@ fn parse_request(line: &str, base: &[(String, String)]) -> Result<Request, Strin
         match key {
             "out" => out = Some(value.to_owned()),
             "journal" => journal = Some(value.to_owned()),
-            "scenario" | "fast" | "rate-points" | "add-rates" | "alloc" | "routes" | "db"
-            | "faults" => match params.iter_mut().find(|(k, _)| k == key) {
-                Some(pair) => pair.1 = value.to_owned(),
-                None => params.push((key.to_owned(), value.to_owned())),
-            },
+            "scenario" | "fast" | "rate-points" | "add-rates" | "routes" | "db" | "faults" => {
+                match params.iter_mut().find(|(k, _)| k == key) {
+                    Some(pair) => pair.1 = value.to_owned(),
+                    None => params.push((key.to_owned(), value.to_owned())),
+                }
+            }
             other => return Err(format!("unknown request key '{other}'")),
         }
     }

@@ -8,7 +8,7 @@
 //! seven traffic patterns on the shared sweep engine.
 //!
 //! Run with: `cargo run --release -p shg-bench --bin sparsity_sweep --
-//! [--scenario a] [--alloc request-queue|full-scan]
+//! [--scenario a]
 //! [--shard i/N] [--resume journal.jsonl] [--cache <dir>]
 //!  [--backend per-cell|reuse|batched|auto] [--lanes K] [--progress]`
 //!
@@ -71,10 +71,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let best = trace.best();
     let topology = best.config.build();
     let sweep_toolchain = Toolchain {
-        sim: SimConfig {
-            alloc: shg_bench::alloc_policy_from_args(),
-            ..SimConfig::fast_test()
-        },
+        sim: SimConfig::fast_test(),
         ..toolchain
     };
     let mut experiment = sweep_toolchain.pattern_experiment(&scenario.params, &topology, 16)?;

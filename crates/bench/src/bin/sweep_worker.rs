@@ -7,7 +7,6 @@
 //! Run with:
 //! `cargo run --release -p shg-bench --bin sweep_worker --
 //!  [--scenario a|b|c|d] [--fast] [--rate-points N] [--add-rates r,..]
-//!  [--alloc request-queue|full-scan]
 //!  [--backend per-cell|reuse|batched|auto] [--lanes K] [--cache <dir>]
 //!  --shard i/N (--out journal.jsonl | --resume journal.jsonl)
 //!  [--durable] [--progress]`
@@ -65,7 +64,7 @@ use shg_topology::Topology;
 
 const USAGE: &str = "\
 Usage: sweep_worker [--scenario a|b|c|d] [--fast] [--rate-points N]
-                    [--add-rates r1,r2,..] [--alloc request-queue|full-scan]
+                    [--add-rates r1,r2,..]
                     [--routes dense|next-hop]
                     [--db <topology-db wire spec>]
                     [--faults <plan>] [--backend per-cell|reuse|batched|auto]
@@ -85,7 +84,6 @@ Usage: sweep_worker [--scenario a|b|c|d] [--fast] [--rate-points N]
   --add-rates    extra rates APPENDED to the shared grid — widens the
                  sweep without shifting existing cells' coordinates,
                  so a warm --cache re-simulates only these new cells
-  --alloc        allocation policy (default: request-queue)
   --faults       deterministic fault-injection plan: an optional
                  drop|drain in-flight policy token followed by
                  comma-separated CYCLE:link:A-B / CYCLE:router:R kills

@@ -12,102 +12,11 @@ pub mod sweep;
 use rayon::prelude::*;
 
 use shg_core::{Evaluation, Scenario, Toolchain};
-use shg_sim::{AllocPolicy, InjectionPolicy, Injector, Network, SimConfig, TrafficPattern};
+use shg_sim::{Network, SimConfig, TrafficPattern};
 use shg_topology::db::TopologyDb;
 use shg_topology::generators::GeneratorSpec;
-use shg_topology::{routing, Grid, TileId, Topology};
+use shg_topology::{routing, Topology};
 use shg_units::Cycles;
-
-/// Drives `cycles` cycles of Phase A (injection) in isolation under
-/// uniform-random traffic: the workload the injection benchmarks, the
-/// A4 ablation and the headline speedup ratio all share, so they are
-/// guaranteed to measure the same thing. Returns the wall time and the
-/// number of sampled arrivals (identical across the bit-identical
-/// policies).
-#[must_use]
-pub fn drive_injection_phase(
-    injection: InjectionPolicy,
-    seed: u64,
-    grid: Grid,
-    packet_prob: f64,
-    cycles: u64,
-) -> (std::time::Duration, u64) {
-    let mut injector = Injector::new(injection, seed, grid.num_tiles(), packet_prob, cycles);
-    let start = std::time::Instant::now();
-    let mut arrivals = 0u64;
-    for now in 0..cycles {
-        injector.fire_at(now, |t, rng| {
-            arrivals += u64::from(
-                TrafficPattern::UniformRandom
-                    .destination(grid, TileId::new(t as u32), rng)
-                    .is_some(),
-            );
-            true
-        });
-    }
-    (start.elapsed(), arrivals)
-}
-
-/// One alternating measurement of the allocation phase under both
-/// allocation policies (see [`profile_allocation_phase`]).
-#[derive(Debug, Clone, Copy)]
-pub struct AllocationSample {
-    /// Phase C wall seconds under `AllocPolicy::RequestQueue`.
-    pub sparse: f64,
-    /// Phase C wall seconds under `AllocPolicy::FullScan`.
-    pub scan: f64,
-}
-
-impl AllocationSample {
-    /// The full-scan / request-queue speedup ratio of this sample.
-    #[must_use]
-    pub fn ratio(&self) -> f64 {
-        self.scan / self.sparse
-    }
-}
-
-/// Runs `samples` alternating profiled simulations (default routes,
-/// unit link latencies) under `AllocPolicy::RequestQueue` and
-/// `AllocPolicy::FullScan`, asserting bit-identical outcomes, and
-/// returns each round's isolated Phase C wall times. The one
-/// measurement protocol shared by the `allocation` Criterion headline,
-/// the A5 ablation and the CI perf-smoke gate — so the published
-/// number and the gated number cannot drift apart.
-///
-/// # Panics
-///
-/// Panics if the topology has no default routes or the two policies
-/// disagree on any outcome.
-#[must_use]
-pub fn profile_allocation_phase(
-    topology: &Topology,
-    config: &SimConfig,
-    rate: f64,
-    samples: usize,
-) -> Vec<AllocationSample> {
-    let routes = routing::default_routes(topology).expect("routes");
-    let latencies = vec![Cycles::one(); topology.num_links()];
-    let profiled = |alloc: AllocPolicy| {
-        let config = SimConfig {
-            alloc,
-            ..config.clone()
-        };
-        let mut network = Network::new(topology, &routes, &latencies, config);
-        network.run_profiled(rate, TrafficPattern::UniformRandom)
-    };
-    let _ = profiled(AllocPolicy::RequestQueue); // warm up
-    (0..samples)
-        .map(|_| {
-            let (sparse_outcome, sparse) = profiled(AllocPolicy::RequestQueue);
-            let (scan_outcome, scan) = profiled(AllocPolicy::FullScan);
-            assert_eq!(sparse_outcome, scan_outcome, "alloc policies must agree");
-            AllocationSample {
-                sparse: sparse.allocation.as_secs_f64(),
-                scan: scan.allocation.as_secs_f64(),
-            }
-        })
-        .collect()
-}
 
 /// One alternating measurement of per-cell setup cost: fresh
 /// [`Network`] construction vs. [`Network::reset`] of a dirtied reused
@@ -302,17 +211,6 @@ pub fn has_flag(flag: &str) -> bool {
     std::env::args().any(|a| a == flag)
 }
 
-/// Parses an allocation-policy name (the `--alloc` values the harness
-/// binaries accept).
-#[must_use]
-pub fn alloc_policy_by_name(name: &str) -> Option<AllocPolicy> {
-    match name {
-        "request-queue" | "rq" => Some(AllocPolicy::RequestQueue),
-        "full-scan" | "scan" => Some(AllocPolicy::FullScan),
-        _ => None,
-    }
-}
-
 /// The fault-injection plan selected by `--faults <plan>` (default:
 /// the empty plan — no faults, bit-identical to a fault-free build).
 /// The wire form is [`shg_sim::FaultPlan::parse`]'s: an optional
@@ -332,24 +230,6 @@ pub fn fault_plan_from_args() -> shg_sim::FaultPlan {
     arg_value("--faults").map_or_else(shg_sim::FaultPlan::default, |spec| {
         shg_sim::FaultPlan::parse(&spec)
             .unwrap_or_else(|e| cli_error(format!("--faults '{spec}': {e}")))
-    })
-}
-
-/// The allocation policy selected by `--alloc request-queue|full-scan`
-/// (default: the request-driven allocator). Every harness binary that
-/// simulates accepts the flag, so the exhaustive reference stays one
-/// CLI switch away for cross-checking a whole experiment.
-///
-/// An unknown policy name is a usage error: reported via [`cli_error`]
-/// (exit code 2), never a panic.
-#[must_use]
-pub fn alloc_policy_from_args() -> AllocPolicy {
-    arg_value("--alloc").map_or(AllocPolicy::RequestQueue, |name| {
-        alloc_policy_by_name(&name).unwrap_or_else(|| {
-            cli_error(format!(
-                "unknown --alloc '{name}' (use request-queue|full-scan)"
-            ))
-        })
     })
 }
 

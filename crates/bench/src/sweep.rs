@@ -192,7 +192,7 @@ pub fn scenario_sweep_spec(scenario: &Scenario, rate_points: usize) -> SweepSpec
 /// The plan-shaping parameters of one sweep request, as opaque
 /// key-value strings — the coordinator/worker wire format of "which
 /// sweep is this". The supported keys are `scenario`, `fast`,
-/// `rate-points`, `add-rates`, `alloc`, `routes` (the routing-table
+/// `rate-points`, `add-rates`, `routes` (the routing-table
 /// form, `dense` or `next-hop`), `db` (a topology database in
 /// its one-token wire form, see [`shg_topology::db::TopologyDb::wire`])
 /// and `faults` (a fault plan in [`shg_sim::FaultPlan::parse`] wire
@@ -210,7 +210,6 @@ pub fn request_params_from_args() -> Vec<(String, String)> {
         "scenario",
         "rate-points",
         "add-rates",
-        "alloc",
         "routes",
         "db",
         "faults",
@@ -231,7 +230,7 @@ pub fn request_params_from_args() -> Vec<(String, String)> {
 #[derive(Debug, Clone)]
 pub struct RequestSetup {
     /// The scenario, with its simulator config already adjusted for
-    /// `fast` and `alloc`.
+    /// `fast` and `faults`.
     pub scenario: Scenario,
     /// Floorplan model options (coarser cells under `fast`).
     pub model_options: ModelOptions,
@@ -257,14 +256,13 @@ pub struct RequestSetup {
 /// # Errors
 ///
 /// Returns a usage-style message on an unknown key, an unknown
-/// scenario or allocation policy, malformed numbers, or a `db` value
+/// scenario or route form, malformed numbers, or a `db` value
 /// that fails to parse or instantiate.
 pub fn request_setup(params: &[(String, String)]) -> Result<RequestSetup, String> {
     let mut which = "a".to_owned();
     let mut fast = false;
     let mut rate_points_raw: Option<String> = None;
     let mut add_rates: Option<String> = None;
-    let mut alloc: Option<String> = None;
     let mut routes_raw: Option<String> = None;
     let mut db_raw: Option<String> = None;
     let mut faults_raw: Option<String> = None;
@@ -274,7 +272,6 @@ pub fn request_setup(params: &[(String, String)]) -> Result<RequestSetup, String
             "fast" => fast = value == "1",
             "rate-points" => rate_points_raw = Some(value.clone()),
             "add-rates" => add_rates = Some(value.clone()),
-            "alloc" => alloc = Some(value.clone()),
             "routes" => routes_raw = Some(value.clone()),
             "db" => db_raw = Some(value.clone()),
             "faults" => faults_raw = Some(value.clone()),
@@ -307,12 +304,6 @@ pub fn request_setup(params: &[(String, String)]) -> Result<RequestSetup, String
             Some(("db".to_owned(), topology))
         }
         None => None,
-    };
-    scenario.sim.alloc = match alloc {
-        Some(name) => crate::alloc_policy_by_name(&name).ok_or_else(|| {
-            format!("unknown alloc policy '{name}' (use request-queue|full-scan)")
-        })?,
-        None => scenario.sim.alloc,
     };
     // Installed after the `fast` override replaced the whole config;
     // range checks against the concrete topologies happen when the

@@ -106,12 +106,6 @@ fn non_positive_add_rates_is_a_usage_error() {
 }
 
 #[test]
-fn unknown_alloc_policy_is_a_usage_error() {
-    let output = sweep_worker(&["--fast", "--alloc", "greedy", "--single-shot", "/dev/null"]);
-    assert_usage_error(&output, "alloc");
-}
-
-#[test]
 fn unknown_backend_is_a_usage_error() {
     let output = sweep_worker(&[
         "--fast",

@@ -196,3 +196,13 @@ fn request_setup_rejects_bad_databases() {
     let err = request_setup(&params(Some("widget/d/8x8/mesh"))).expect_err("unknown statement");
     assert!(err.contains("unknown statement"), "{err}");
 }
+
+/// The simulator has one allocator, so `alloc` names no plan parameter:
+/// a request carrying it is refused like any other unknown key.
+#[test]
+fn request_setup_rejects_the_alloc_param() {
+    let mut request = params(None);
+    request.push(("alloc".to_owned(), "full-scan".to_owned()));
+    let err = request_setup(&request).expect_err("alloc is not a request param");
+    assert_eq!(err, "unknown request param 'alloc'");
+}

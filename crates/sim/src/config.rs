@@ -3,8 +3,6 @@
 use serde::{Deserialize, Serialize};
 
 use crate::fault::FaultPlan;
-use crate::injection::InjectionPolicy;
-use crate::router::AllocPolicy;
 
 /// Microarchitectural and run-control parameters of the simulator.
 ///
@@ -43,14 +41,6 @@ pub struct SimConfig {
     /// derives from it ([`crate::tile_stream_seed`]), so one seed still
     /// pins the whole run.
     pub seed: u64,
-    /// How packet arrivals are generated each cycle (see
-    /// [`InjectionPolicy`]); the event-driven default and the per-cycle
-    /// scan produce bit-identical outcomes.
-    pub injection: InjectionPolicy,
-    /// How the router allocation stages find work each cycle (see
-    /// [`AllocPolicy`]); the request-driven default and the exhaustive
-    /// port × VC scan produce bit-identical outcomes.
-    pub alloc: AllocPolicy,
     /// Deterministic mid-run fault injection (see [`FaultPlan`]). The
     /// default empty plan simulates bit-identically to a fault-free
     /// build; a non-empty plan kills links/routers at its scheduled
@@ -69,8 +59,6 @@ impl Default for SimConfig {
             measure: 10_000,
             drain_limit: 30_000,
             seed: 0x5eed_1234,
-            injection: InjectionPolicy::EventDriven,
-            alloc: AllocPolicy::RequestQueue,
             faults: FaultPlan::default(),
         }
     }
@@ -89,8 +77,6 @@ impl SimConfig {
             measure: 1_500,
             drain_limit: 6_000,
             seed: 42,
-            injection: InjectionPolicy::EventDriven,
-            alloc: AllocPolicy::RequestQueue,
             faults: FaultPlan::default(),
         }
     }

@@ -112,7 +112,6 @@ impl LaneRun {
         let measure_end = recorder.measure_end();
         let hard_stop = measure_end + config.drain_limit;
         let injector = Injector::new(
-            config.injection,
             spec.seed,
             layout.topology.num_tiles(),
             packet_prob,

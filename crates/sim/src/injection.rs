@@ -29,17 +29,16 @@
 //! per packet its destination draw followed by the gap to the next
 //! arrival.
 //!
-//! # The bit-identity invariant
+//! # The event calendar
 //!
-//! [`InjectionPolicy::EventDriven`] keeps each scheduled tile in a
-//! min-heap keyed by its next firing cycle;
-//! [`InjectionPolicy::PerCycleScan`] visits every tile every cycle and
-//! counts the same gap down by one. Both consume the same per-tile
-//! streams through the same sampler, in the same order, so their fire
-//! schedules — and therefore every simulator statistic — are
-//! bit-identical (the injection analogue of
-//! [`ScanPolicy::FullScan`](crate::ScanPolicy::FullScan) vs. the active
-//! set, enforced by the same kind of tests).
+//! The [`Injector`] keeps each scheduled tile in a min-heap keyed by
+//! its next firing cycle, so Phase A visits only the tiles that fire,
+//! in ascending tile order within a cycle. Its fire schedule is the one
+//! a per-cycle scan counting every tile's gap down by one would
+//! produce: both consume the same per-tile streams through the same
+//! sampler in the same order. The gap-lemma property tests
+//! (`tests/injection_gap_lemma.rs`) pin the calendar against such a
+//! countdown.
 //!
 //! # Parked sources
 //!
@@ -47,10 +46,10 @@
 //! router only ever holds the packet at its front (see the router's
 //! "Source queue" notes). When a tile fires while that packet is still
 //! leaving, the caller of [`Injector::fire_at`] **parks** it instead of
-//! drawing the new packet: the tile leaves the calendar (or the
-//! countdown), and its pending packet stays a creation cycle plus a
-//! stream positioned at that packet's destination draw — O(1) state,
-//! however long the backlog grows. When the injection buffer frees,
+//! drawing the new packet: the tile leaves the calendar, and its
+//! pending packet stays a creation cycle plus a stream positioned at
+//! that packet's destination draw — O(1) state, however long the
+//! backlog grows. When the injection buffer frees,
 //! the injector draws the pending packets in stream order until one
 //! has somewhere to go; once the next arrival lies in the future the
 //! tile returns to the calendar. A packet drawn late keeps the fault
@@ -81,35 +80,6 @@ use std::collections::BinaryHeap;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-
-/// How the simulator generates packet arrivals each cycle.
-///
-/// [`EventDriven`](Self::EventDriven) and
-/// [`PerCycleScan`](Self::PerCycleScan) consume the same per-tile
-/// streams and produce bit-identical outcomes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum InjectionPolicy {
-    /// Each tile samples its geometric inter-arrival gap once and waits
-    /// in a calendar keyed by its next injection cycle; Phase A visits
-    /// only the tiles that actually fire (the default).
-    #[default]
-    EventDriven,
-    /// Every tile is visited every cycle and counts its sampled gap
-    /// down by one — the exhaustive reference the event-driven path
-    /// must match bit-for-bit (the injection analogue of
-    /// [`ScanPolicy::FullScan`](crate::ScanPolicy::FullScan)).
-    PerCycleScan,
-}
-
-impl std::fmt::Display for InjectionPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::EventDriven => write!(f, "event-driven"),
-            Self::PerCycleScan => write!(f, "per-cycle-scan"),
-        }
-    }
-}
 
 /// The SplitMix64 finalizer: the avalanche both seed derivations in
 /// this crate ([`tile_stream_seed`] and the sweep engine's per-point
@@ -132,7 +102,7 @@ pub fn tile_stream_seed(root: u64, tile: u32) -> u64 {
     )
 }
 
-/// Sentinel cycle and countdown for tiles that never fire again.
+/// Sentinel cycle for tiles that never fire again.
 const NEVER: u64 = u64::MAX;
 
 /// Samples the geometric gap to a tile's next injection attempt: the
@@ -216,9 +186,8 @@ impl GapSampler {
 /// The per-run injection engine: owns the per-tile RNG streams and
 /// decides, cycle by cycle, which tiles attempt an injection.
 ///
-/// Public so the Criterion benches can measure Phase A in isolation;
-/// simulation code reaches it through [`SimConfig`](crate::SimConfig)'s
-/// `injection` field.
+/// Public so the gap-lemma property tests can drive Phase A in
+/// isolation; a simulation builds one per run.
 #[derive(Debug)]
 pub struct Injector {
     streams: Vec<SmallRng>,
@@ -228,66 +197,21 @@ pub struct Injector {
     /// once no arrival is left). A tile is parked exactly while this
     /// lies before the first cycle whose Phase A has not run yet.
     next: Vec<u64>,
-    schedule: Schedule,
-}
-
-/// How an [`Injector`] finds the tiles due in a cycle.
-#[derive(Debug)]
-enum Schedule {
-    /// See [`InjectionPolicy::EventDriven`].
-    Calendar {
-        /// Min-heap of `(next_injection_cycle, tile)` over the scheduled
-        /// tiles; popping in ascending `(cycle, tile)` order reproduces
-        /// the scan's ascending-tile visit order within each cycle.
-        heap: BinaryHeap<Reverse<(u64, usize)>>,
-        /// No event is scheduled past this cycle: the run is over by
-        /// then, so the dropped tiles cannot affect any statistic.
-        horizon: u64,
-    },
-    /// See [`InjectionPolicy::PerCycleScan`]: cycles until each tile
-    /// fires ([`NEVER`] = not scheduled, e.g. parked).
-    Countdown(Vec<u64>),
-}
-
-/// The countdown value that makes the scan fire at cycle `next`, when
-/// its first decrement is Phase A of cycle `from` (`next >= from`).
-fn countdown_until(next: u64, from: u64) -> u64 {
-    if next == NEVER {
-        NEVER
-    } else {
-        next - from
-    }
-}
-
-impl Schedule {
-    /// Schedules tile `t` to fire at `next`, given that Phase A has run
-    /// for every cycle before `from` and for none from it on.
-    fn insert(&mut self, t: usize, next: u64, from: u64) {
-        match self {
-            Self::Calendar { heap, horizon } => {
-                // Gaps landing past the horizon are dropped — the run
-                // cannot reach them.
-                if next <= *horizon {
-                    heap.push(Reverse((next, t)));
-                }
-            }
-            Self::Countdown(left) => left[t] = countdown_until(next, from),
-        }
-    }
+    /// Min-heap of `(next_injection_cycle, tile)` over the scheduled
+    /// tiles; popping in ascending `(cycle, tile)` order visits the
+    /// tiles due in a cycle in ascending tile order.
+    calendar: BinaryHeap<Reverse<(u64, usize)>>,
+    /// No event is scheduled past this cycle: the run is over by then,
+    /// so the dropped tiles cannot affect any statistic.
+    horizon: u64,
 }
 
 impl Injector {
     /// Builds the engine for one run. `horizon` is the last cycle the
-    /// run can reach (`measure_end + drain_limit`); the event calendar
-    /// never schedules past it.
+    /// run can reach (`measure_end + drain_limit`); the calendar never
+    /// schedules past it.
     #[must_use]
-    pub fn new(
-        policy: InjectionPolicy,
-        seed: u64,
-        tiles: usize,
-        packet_prob: f64,
-        horizon: u64,
-    ) -> Self {
+    pub fn new(seed: u64, tiles: usize, packet_prob: f64, horizon: u64) -> Self {
         let sampler = GapSampler::new(packet_prob);
         let mut streams: Vec<SmallRng> = (0..tiles)
             .map(|t| SmallRng::seed_from_u64(tile_stream_seed(seed, t as u32)))
@@ -296,21 +220,24 @@ impl Injector {
             .iter_mut()
             .map(|rng| sampler.arrival_from(rng, 0))
             .collect();
-        let mut schedule = match policy {
-            InjectionPolicy::EventDriven => Schedule::Calendar {
-                heap: BinaryHeap::with_capacity(tiles),
-                horizon,
-            },
-            InjectionPolicy::PerCycleScan => Schedule::Countdown(vec![NEVER; tiles]),
-        };
-        for (t, &first) in next.iter().enumerate() {
-            schedule.insert(t, first, 0);
-        }
-        Self {
+        let mut injector = Self {
             streams,
             sampler,
             next,
-            schedule,
+            calendar: BinaryHeap::with_capacity(tiles),
+            horizon,
+        };
+        for t in 0..tiles {
+            injector.schedule(t);
+        }
+        injector
+    }
+
+    /// Puts tile `t` on the calendar at its next arrival — unless that
+    /// lies past the horizon, where the run cannot reach it.
+    fn schedule(&mut self, t: usize) {
+        if self.next[t] <= self.horizon {
+            self.calendar.push(Reverse((self.next[t], t)));
         }
     }
 
@@ -322,47 +249,19 @@ impl Injector {
     /// tile fires no more until the simulator has drawn it (see the
     /// module's "Parked sources").
     ///
-    /// Must be called once per cycle with consecutive `now` values —
-    /// the countdown scan and the calendar both advance one cycle per
-    /// call.
+    /// Must be called once per cycle with consecutive `now` values: a
+    /// tile due in a skipped cycle would fire late.
     pub fn fire_at(&mut self, now: u64, mut fire: impl FnMut(usize, &mut SmallRng) -> bool) {
-        let Self {
-            streams,
-            sampler,
-            next,
-            schedule,
-        } = self;
-        match schedule {
-            Schedule::Calendar { heap, horizon } => {
-                while let Some(&Reverse((cycle, t))) = heap.peek() {
-                    if cycle > now {
-                        break;
-                    }
-                    heap.pop();
-                    let rng = &mut streams[t];
-                    if fire(t, rng) {
-                        // The next gap starts counting from `now + 1`.
-                        next[t] = sampler.arrival_from(rng, now + 1);
-                        if next[t] <= *horizon {
-                            heap.push(Reverse((next[t], t)));
-                        }
-                    }
-                }
+        while let Some(&Reverse((cycle, t))) = self.calendar.peek() {
+            if cycle > now {
+                break;
             }
-            Schedule::Countdown(countdown) => {
-                for (t, left) in countdown.iter_mut().enumerate() {
-                    if *left == 0 {
-                        let rng = &mut streams[t];
-                        *left = if fire(t, rng) {
-                            next[t] = sampler.arrival_from(rng, now + 1);
-                            countdown_until(next[t], now + 1)
-                        } else {
-                            NEVER
-                        };
-                    } else if *left != NEVER {
-                        *left -= 1;
-                    }
-                }
+            self.calendar.pop();
+            let rng = &mut self.streams[t];
+            if fire(t, rng) {
+                // The next gap starts counting from `now + 1`.
+                self.next[t] = self.sampler.arrival_from(rng, now + 1);
+                self.schedule(t);
             }
         }
     }
@@ -388,7 +287,7 @@ impl Injector {
             let next = self.sampler.arrival_from(rng, created + 1);
             self.next[tile] = next;
             if next >= from {
-                self.schedule.insert(tile, next, from);
+                self.schedule(tile);
                 return;
             }
             if took {
@@ -521,32 +420,9 @@ mod tests {
     }
 
     #[test]
-    fn event_and_scan_fire_schedules_agree() {
-        for p in [0.0, 0.004, 0.07, 0.5, 1.0] {
-            let (tiles, cycles) = (9usize, 400u64);
-            let mut scan = Injector::new(InjectionPolicy::PerCycleScan, 99, tiles, p, cycles);
-            let mut event = Injector::new(InjectionPolicy::EventDriven, 99, tiles, p, cycles);
-            for now in 0..cycles {
-                let mut a = Vec::new();
-                let mut b = Vec::new();
-                // Destination draws perturb the stream; mirror them.
-                scan.fire_at(now, |t, rng| {
-                    a.push((t, rng.next_u64()));
-                    true
-                });
-                event.fire_at(now, |t, rng| {
-                    b.push((t, rng.next_u64()));
-                    true
-                });
-                assert_eq!(a, b, "p {p} cycle {now}: fire schedules diverge");
-            }
-        }
-    }
-
-    #[test]
     fn event_driven_fires_every_cycle_at_unit_probability() {
         let tiles = 4usize;
-        let mut event = Injector::new(InjectionPolicy::EventDriven, 1, tiles, 1.0, 10);
+        let mut event = Injector::new(1, tiles, 1.0, 10);
         for now in 0..10 {
             let mut fired = Vec::new();
             event.fire_at(now, |t, _| {
@@ -559,11 +435,9 @@ mod tests {
 
     #[test]
     fn zero_rate_never_fires_under_any_policy() {
-        for policy in [InjectionPolicy::EventDriven, InjectionPolicy::PerCycleScan] {
-            let mut injector = Injector::new(policy, 5, 8, 0.0, 100);
-            for now in 0..100 {
-                injector.fire_at(now, |t, _| panic!("{policy}: tile {t} fired at rate 0"));
-            }
+        let mut injector = Injector::new(5, 8, 0.0, 100);
+        for now in 0..100 {
+            injector.fire_at(now, |t, _| panic!("tile {t} fired at rate 0"));
         }
     }
 
@@ -588,13 +462,8 @@ mod tests {
 
     /// Every arrival `(tile, created cycle, destination draw)` of an
     /// injector that never parks, in stream order per tile.
-    fn eager_arrivals(
-        policy: InjectionPolicy,
-        p: f64,
-        tiles: usize,
-        cycles: u64,
-    ) -> Vec<(usize, u64, u64)> {
-        let mut injector = Injector::new(policy, 7, tiles, p, cycles);
+    fn eager_arrivals(p: f64, tiles: usize, cycles: u64) -> Vec<(usize, u64, u64)> {
+        let mut injector = Injector::new(7, tiles, p, cycles);
         let mut arrivals = Vec::new();
         for now in 0..cycles {
             injector.fire_at(now, |t, rng| {
@@ -629,14 +498,13 @@ mod tests {
     /// and parked.
     #[allow(clippy::type_complexity)]
     fn parking_run(
-        policy: InjectionPolicy,
         p: f64,
         tiles: usize,
         cycles: u64,
         reference: &[(usize, u64, u64)],
     ) -> (Vec<(usize, u64, u64)>, Vec<(usize, u64)>, Vec<(usize, u64)>) {
         let (flush_at, window_end) = (cycles / 3, cycles / 2);
-        let mut injector = Injector::new(policy, 7, tiles, p, cycles);
+        let mut injector = Injector::new(7, tiles, p, cycles);
         // `Some(cycle)`: the buffer is busy and frees in Phase C of `cycle`.
         let mut frees_at: Vec<Option<u64>> = vec![None; tiles];
         let mut lcg = 0x2545_f491_4f6c_dd1d_u64;
@@ -702,7 +570,7 @@ mod tests {
                         .copied()
                         .filter(|&(u, c, _)| u == t && c >= start && c < window_end)
                         .collect();
-                    assert_eq!(walked, expected, "{policy} p {p} tile {t}");
+                    assert_eq!(walked, expected, "p {p} tile {t}");
                 }
                 assert_eq!(
                     format!("{injector:?}"),
@@ -723,34 +591,28 @@ mod tests {
     #[test]
     fn parked_tiles_draw_late_but_in_stream_order() {
         let (tiles, cycles) = (16usize, 2_400u64);
-        for policy in [InjectionPolicy::EventDriven, InjectionPolicy::PerCycleScan] {
-            for p in [0.004, 0.3, 1.0] {
-                let reference = eager_arrivals(policy, p, tiles, cycles);
-                let (mut drawn, taken, parked) = parking_run(policy, p, tiles, cycles, &reference);
-                assert!(!parked.is_empty(), "{policy} p {p}: no tile ever parked");
-                drawn.sort_by_key(|&(t, created, _)| (t, created));
-                assert_eq!(drawn, reference, "{policy} p {p}: arrivals differ");
-                // A tile fires (takes or parks) only at its own arrival
-                // cycles, and fires again once its backlog is drawn.
-                let arrivals: Vec<(usize, u64)> =
-                    reference.iter().map(|&(t, c, _)| (t, c)).collect();
-                for fire in taken.iter().chain(&parked) {
-                    assert!(
-                        arrivals.binary_search(fire).is_ok(),
-                        "{policy} p {p}: fire {fire:?} is off the arrival schedule"
-                    );
-                }
+        for p in [0.004, 0.3, 1.0] {
+            let reference = eager_arrivals(p, tiles, cycles);
+            let (mut drawn, taken, parked) = parking_run(p, tiles, cycles, &reference);
+            assert!(!parked.is_empty(), "p {p}: no tile ever parked");
+            drawn.sort_by_key(|&(t, created, _)| (t, created));
+            assert_eq!(drawn, reference, "p {p}: arrivals differ");
+            // A tile fires (takes or parks) only at its own arrival
+            // cycles, and fires again once its backlog is drawn.
+            let arrivals: Vec<(usize, u64)> = reference.iter().map(|&(t, c, _)| (t, c)).collect();
+            for fire in taken.iter().chain(&parked) {
                 assert!(
-                    taken.len() + parked.len() < arrivals.len(),
-                    "{policy} p {p}"
-                );
-                assert!(
-                    parked
-                        .iter()
-                        .any(|&(t, cycle)| taken.iter().any(|&(u, c)| u == t && c > cycle)),
-                    "{policy} p {p}: no parked tile was ever scheduled again"
+                    arrivals.binary_search(fire).is_ok(),
+                    "p {p}: fire {fire:?} is off the arrival schedule"
                 );
             }
+            assert!(taken.len() + parked.len() < arrivals.len(), "p {p}");
+            assert!(
+                parked
+                    .iter()
+                    .any(|&(t, cycle)| taken.iter().any(|&(u, c)| u == t && c > cycle)),
+                "p {p}: no parked tile was ever scheduled again"
+            );
         }
     }
 }

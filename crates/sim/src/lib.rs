@@ -9,15 +9,21 @@
 //! * credit-based flow control,
 //! * multi-cycle pipelined links whose latencies come from the floorplan
 //!   model,
-//! * separable round-robin VC and switch allocation, request-driven by
-//!   default (only live requests are visited; the exhaustive port × VC
-//!   scan survives as [`AllocPolicy::FullScan`]),
+//! * separable round-robin VC and switch allocation, request-driven
+//!   (only live requests are visited),
 //! * deterministic table routing with VC classes (from
 //!   [`shg_topology::routing`]),
 //! * synthetic traffic patterns with per-tile RNG streams and
 //!   event-driven (calendar) Bernoulli injection,
 //! * warm-up / measurement / drain methodology with zero-load-latency and
 //!   saturation-throughput extraction, as in BookSim.
+//!
+//! Each cycle phase has one implementation: the injection calendar,
+//! the active-set sweep over routers and channels, and the
+//! request-driven allocator. Their oracle is the pinned outcomes in
+//! `tests/golden_outcomes.txt` (with the `fig6`, `table3_mempool` and
+//! two-die journal goldens of the bench crate), plus the per-cycle
+//! invariants [`Network::run_validated`] asserts.
 //!
 //! # Examples
 //!
@@ -56,9 +62,8 @@ mod traffic;
 pub use config::SimConfig;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, InFlightPolicy};
 pub use flit::Flit;
-pub use injection::{geometric_gap, tile_stream_seed, InjectionPolicy, Injector};
-pub use network::{Network, PhaseProfile, ScanPolicy};
-pub use router::AllocPolicy;
+pub use injection::{geometric_gap, tile_stream_seed, Injector};
+pub use network::{Network, PhaseProfile};
 pub use runner::{
     load_sweep, measure_performance, measured_zero_load_latency, saturation_throughput,
     zero_load_latency, zero_load_latency_from_loads, Performance, SaturationSearch,

@@ -5,42 +5,27 @@
 //! Each cycle:
 //!
 //! 1. **Injection** — Bernoulli packet generation into injection
-//!    buffers (per-tile RNG streams; a tile whose buffer is still busy
-//!    is parked and drawn when it frees — see [`crate::injection`]),
+//!    buffers from the event calendar, which visits only the tiles that
+//!    fire (per-tile RNG streams; a tile whose buffer is still busy is
+//!    parked and drawn when it frees — see [`crate::injection`]),
 //! 2. **Arrivals** — flits and credits reaching routers this cycle,
-//! 3. **Allocation + traversal** — per-router VC allocation, separable
-//!    switch allocation and switch traversal (the router module).
+//! 3. **Allocation + traversal** — per-router request-driven VC
+//!    allocation, separable switch allocation and switch traversal (the
+//!    router module).
 //!
 //! Links that are too long for one clock cycle are pipelined (paper
 //! Section II-A): a link of latency `L` holds up to `L` flits in flight.
 //!
 //! # Active-set scheduling
 //!
-//! The dominant cost of low-load and drain phases used to be scanning
-//! *every* router and channel each cycle. The network now keeps an
-//! **active set**: only routers with occupied buffers and channels with
-//! in-flight flits or credits are visited. Activation events (injection,
-//! flit delivery, pipeline pushes) re-insert members; members that go
-//! idle drop out after their visit. Active members are visited in
-//! ascending index order, which makes the schedule — and therefore every
-//! statistic — bit-identical to the exhaustive scan; the full scan is
-//! retained as [`ScanPolicy::FullScan`] for regression tests and
-//! benchmarks.
-//!
-//! Phase A has the same two-policy structure: the default event-driven
-//! injection calendar visits only the tiles that fire this cycle, and
-//! [`InjectionPolicy::PerCycleScan`](crate::InjectionPolicy) retains
-//! the exhaustive per-tile countdown scan as its bit-identical
-//! reference (`config.injection` selects the policy).
-//!
-//! Phase C completes the pattern: within each visited router, the
-//! default request-driven allocator
-//! ([`AllocPolicy::RequestQueue`](crate::AllocPolicy)) walks only the
-//! live VC/switch requests (incrementally maintained bitmasks) instead
-//! of scanning every port × VC slot, with
-//! [`AllocPolicy::FullScan`](crate::AllocPolicy) as its bit-identical
-//! exhaustive reference (`config.alloc` selects the policy; the router
-//! module documents the request structures).
+//! Phases B and C visit only the **active set**: routers with occupied
+//! buffers and channels with in-flight flits or credits. Activation
+//! events (injection, flit delivery, pipeline pushes) re-insert members;
+//! members that go idle drop out after their visit. Active members are
+//! visited in ascending index order — the order a scan of every router
+//! and channel would take, skipping only members with nothing to do.
+//! The pinned outcomes in `tests/golden_outcomes.txt` and the per-cycle
+//! invariants of [`Network::run_validated`] hold the schedule there.
 
 use std::collections::VecDeque;
 
@@ -55,7 +40,7 @@ use crate::config::{SimConfig, VcClassTable};
 use crate::fault::{FaultEpoch, FaultSchedule, InFlightPolicy};
 use crate::flit::Flit;
 use crate::injection::Injector;
-use crate::router::{AllocPolicy, Router, TraversalOutput};
+use crate::router::{Router, TraversalOutput};
 use crate::stats::{OutcomeRecorder, SimOutcome, Verdict};
 use crate::traffic::TrafficPattern;
 
@@ -68,26 +53,14 @@ use crate::traffic::TrafficPattern;
 /// wall time.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseProfile {
-    /// Phase A: packet generation (injection policy).
+    /// Phase A: packet generation (the injection calendar).
     pub injection: std::time::Duration,
     /// Phase B: flit and credit delivery on active channels.
     pub delivery: std::time::Duration,
     /// Phase C: per-router VC allocation, switch allocation and
-    /// traversal (allocation policy) — including the drain of each
-    /// router's traversal output into the link pipelines.
+    /// traversal — including the drain of each router's traversal
+    /// output into the link pipelines.
     pub allocation: std::time::Duration,
-}
-
-/// How the simulator schedules per-cycle work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ScanPolicy {
-    /// Visit only routers/channels with pending work (the default).
-    #[default]
-    ActiveSet,
-    /// Visit every router and channel every cycle — the pre-active-set
-    /// behaviour, kept as a reference for equivalence tests and the
-    /// `active_set` Criterion bench.
-    FullScan,
 }
 
 /// An index set over `0..len`: a bitmap, so insertion is one OR,
@@ -400,10 +373,9 @@ impl<'a> Network<'a> {
     ///
     /// A `reset(seed)` followed by [`Network::run`] is bit-identical to
     /// a fresh [`Network::new`] with `config.seed = seed` followed by
-    /// the same run — for every scan, injection and allocation policy —
-    /// which is what lets a sweep backend reuse one `Network` across
-    /// the cells of a topology (see `ExecBackend::Reuse` in the sweep
-    /// engine). The equivalence suite pins this under
+    /// the same run, which is what lets a sweep backend reuse one
+    /// `Network` across the cells of a topology (see
+    /// `ExecBackend::Reuse` in the sweep engine). The reset suite pins this under
     /// [`Network::run_validated`], where any stale request or
     /// active-set state trips an invariant assertion.
     pub fn reset(&mut self, seed: u64) {
@@ -429,49 +401,29 @@ impl<'a> Network<'a> {
     /// active routers and channels.
     #[must_use]
     pub fn run(&mut self, rate: f64, pattern: TrafficPattern) -> SimOutcome {
-        self.run_with_policy(rate, pattern, ScanPolicy::ActiveSet)
+        self.run_inner(rate, pattern, false, None, None)
     }
 
-    /// Like [`Network::run`] with an explicit [`ScanPolicy`]. Both
-    /// policies produce bit-identical outcomes; `FullScan` exists so
-    /// benchmarks and equivalence tests can measure the difference.
-    /// (The injection and allocation policies are orthogonal and come
-    /// from `config.injection` / `config.alloc`.)
-    #[must_use]
-    pub fn run_with_policy(
-        &mut self,
-        rate: f64,
-        pattern: TrafficPattern,
-        policy: ScanPolicy,
-    ) -> SimOutcome {
-        self.run_inner(rate, pattern, policy, false, None, None)
-    }
-
-    /// Like [`Network::run_with_policy`], additionally asserting every
-    /// router's cross-structure invariants after each cycle: the
-    /// occupancy counter matches the buffer contents, credits never
-    /// exceed `buffer_depth`, `out_owner` reservations agree with the
-    /// input-VC states, and the request-queue bitmasks mirror the
-    /// buffers exactly. A testing aid for the allocator equivalence
-    /// suite — orders of magnitude slower than a plain run.
+    /// Like [`Network::run`], additionally asserting every router's
+    /// cross-structure invariants after each cycle: the occupancy
+    /// counter matches the buffer contents, credits never exceed
+    /// `buffer_depth`, `out_owner` reservations agree with the input-VC
+    /// states, the request-queue bitmasks mirror the buffers exactly,
+    /// and no tile is parked behind an empty injection buffer. The
+    /// outcome is [`Network::run`]'s; a testing aid, orders of magnitude
+    /// slower than a plain run.
     ///
     /// # Panics
     ///
     /// Panics with a description of the first violated invariant.
     #[must_use]
-    pub fn run_validated(
-        &mut self,
-        rate: f64,
-        pattern: TrafficPattern,
-        policy: ScanPolicy,
-    ) -> SimOutcome {
-        self.run_inner(rate, pattern, policy, true, None, None)
+    pub fn run_validated(&mut self, rate: f64, pattern: TrafficPattern) -> SimOutcome {
+        self.run_inner(rate, pattern, true, None, None)
     }
 
     /// Like [`Network::run`], additionally timing each simulation phase
     /// (injection, delivery, allocation) — the measurement behind the
-    /// phase-cost decompositions in `injection_profile` and the
-    /// `allocation_phase` benchmarks. The outcome is unaffected; the
+    /// phase-cost decomposition in `injection_profile`. The outcome is unaffected; the
     /// per-cycle timestamping adds a few percent of overhead.
     #[must_use]
     pub fn run_profiled(
@@ -480,14 +432,7 @@ impl<'a> Network<'a> {
         pattern: TrafficPattern,
     ) -> (SimOutcome, PhaseProfile) {
         let mut profile = PhaseProfile::default();
-        let outcome = self.run_inner(
-            rate,
-            pattern,
-            ScanPolicy::ActiveSet,
-            false,
-            Some(&mut profile),
-            None,
-        );
+        let outcome = self.run_inner(rate, pattern, false, Some(&mut profile), None);
         (outcome, profile)
     }
 
@@ -541,14 +486,7 @@ impl<'a> Network<'a> {
         };
         // A run stopped early reports the state at its stop cycle, which
         // fails the predicate like every continuation of it would.
-        let outcome = self.run_inner(
-            rate,
-            pattern,
-            ScanPolicy::ActiveSet,
-            false,
-            None,
-            Some(verdict),
-        );
+        let outcome = self.run_inner(rate, pattern, false, None, Some(verdict));
         verdict.holds(&outcome)
     }
 
@@ -556,7 +494,6 @@ impl<'a> Network<'a> {
         &mut self,
         rate: f64,
         pattern: TrafficPattern,
-        policy: ScanPolicy,
         validate: bool,
         mut profile: Option<&mut PhaseProfile>,
         verdict: Option<Verdict>,
@@ -568,8 +505,7 @@ impl<'a> Network<'a> {
         let hard_stop = measure_end + config.drain_limit;
         let tiles = self.topology.num_tiles();
         let nodes = tiles as f64;
-        let mut injector =
-            Injector::new(config.injection, config.seed, tiles, packet_prob, hard_stop);
+        let mut injector = Injector::new(config.seed, tiles, packet_prob, hard_stop);
         // Compiled fault plan: `None` (the overwhelmingly common case)
         // keeps this loop on the exact fault-free path.
         let schedule =
@@ -618,8 +554,8 @@ impl<'a> Network<'a> {
             // Phase A: packet generation (keeps injecting during drain to
             // sustain back-pressure). The injector owns the RNG streams;
             // per-tile streams make the arrivals schedule-independent, so
-            // the event-driven calendar and the per-cycle scan agree
-            // bit-for-bit. A tile whose injection buffer is still busy
+            // the calendar visits only the tiles that fire. A tile whose
+            // injection buffer is still busy
             // parks before its destination draw; fault gating comes
             // after it, so the RNG streams advance identically with and
             // without faults.
@@ -643,24 +579,18 @@ impl<'a> Network<'a> {
                 stamp = Some(std::time::Instant::now());
             }
             // Phase B: deliver arrivals.
-            self.deliver(now, policy, dead_channels, &mut recorder);
+            self.deliver(now, dead_channels, &mut recorder);
             if let Some(p) = profile.as_deref_mut() {
                 let t = stamp.expect("profiling stamps");
                 p.delivery += t.elapsed();
                 stamp = Some(std::time::Instant::now());
             }
             // Phase C: per-router allocation and traversal, in ascending
-            // router order under both policies. The allocation policy
-            // (request-driven vs. exhaustive port × VC scan) comes from
-            // the configuration and is bit-identical either way.
-            let alloc = self.config.alloc;
-            let sweep = match policy {
-                ScanPolicy::ActiveSet => self.active_routers.start_sweep(),
-                ScanPolicy::FullScan => (0..self.routers.len()).collect(),
-            };
+            // router order.
+            let sweep = self.active_routers.start_sweep();
             for &r in &sweep {
-                self.vc_allocate(r, routes, alloc, &mut traversal);
-                self.routers[r].switch_allocate_and_traverse(&self.config, alloc, &mut traversal);
+                self.vc_allocate(r, routes, &mut traversal);
+                self.routers[r].switch_allocate_and_traverse(&self.config, &mut traversal);
                 for (channel, vc) in traversal.credits.drain(..) {
                     let lat = self.latency[channel.index()];
                     self.credit_pipe[channel.index()].push_back((now + lat, vc));
@@ -683,13 +613,11 @@ impl<'a> Network<'a> {
                     let router = &mut self.routers[r];
                     arrivals.refill(&mut injector, router, r, now, &mut recorder);
                 }
-                if policy == ScanPolicy::ActiveSet && self.routers[r].has_occupied_buffers() {
+                if self.routers[r].has_occupied_buffers() {
                     self.active_routers.keep(r);
                 }
             }
-            if policy == ScanPolicy::ActiveSet {
-                self.active_routers.finish_sweep(sweep);
-            }
+            self.active_routers.finish_sweep(sweep);
             if let Some(p) = profile.as_deref_mut() {
                 p.allocation += stamp.expect("profiling stamps").elapsed();
             }
@@ -723,7 +651,7 @@ impl<'a> Network<'a> {
         recorder.finalize(now, nodes)
     }
 
-    /// Delivers due flits and credits on (active) channels.
+    /// Delivers due flits and credits on active channels.
     ///
     /// `dead_channels` is `Some` only under an applied drain-policy
     /// fault epoch: flits due on a dead channel — and flits arriving at
@@ -733,14 +661,10 @@ impl<'a> Network<'a> {
     fn deliver(
         &mut self,
         now: u64,
-        policy: ScanPolicy,
         dead_channels: Option<&[bool]>,
         recorder: &mut OutcomeRecorder,
     ) {
-        let sweep = match policy {
-            ScanPolicy::ActiveSet => self.active_channels.start_sweep(),
-            ScanPolicy::FullScan => (0..self.data_pipe.len()).collect(),
-        };
+        let sweep = self.active_channels.start_sweep();
         for &c in &sweep {
             while let Some(&(ready, _)) = self.data_pipe[c].front() {
                 if ready > now {
@@ -782,15 +706,11 @@ impl<'a> Network<'a> {
                 // No router activation: a credit alone creates no work;
                 // any flit waiting on it keeps its router active.
             }
-            if policy == ScanPolicy::ActiveSet
-                && (!self.data_pipe[c].is_empty() || !self.credit_pipe[c].is_empty())
-            {
+            if !self.data_pipe[c].is_empty() || !self.credit_pipe[c].is_empty() {
                 self.active_channels.keep(c);
             }
         }
-        if policy == ScanPolicy::ActiveSet {
-            self.active_channels.finish_sweep(sweep);
-        }
+        self.active_channels.finish_sweep(sweep);
     }
 
     /// The output port and VC class the head flit needs at router `tile`.
@@ -833,19 +753,13 @@ impl<'a> Network<'a> {
     /// VC allocation for router `r` (routing closure plumbed in here).
     /// `routes` is the *current* table — the base one until a fault
     /// epoch swaps in a degraded table over the surviving subgraph.
-    fn vc_allocate(
-        &mut self,
-        r: usize,
-        routes: &Routes,
-        alloc: AllocPolicy,
-        out: &mut TraversalOutput,
-    ) {
+    fn vc_allocate(&mut self, r: usize, routes: &Routes, out: &mut TraversalOutput) {
         let topology = self.topology;
         let router = &mut self.routers[r];
         // Split borrow: the routing closure reads topology/routes only.
         let route =
             |router: &Router, flit: &Flit| Self::route_head(topology, routes, router, r, flit);
-        router.vc_allocate_with(&self.config, &self.vc_classes, alloc, route, out);
+        router.vc_allocate_with(&self.vc_classes, route, out);
     }
 
     /// Applies one fault epoch's state change at cycle `now`.
@@ -1093,38 +1007,6 @@ mod tests {
     }
 
     #[test]
-    fn active_set_matches_full_scan_bit_for_bit() {
-        // The central invariant of the active-set refactor: skipping idle
-        // routers/channels must not change a single statistic.
-        let grid = Grid::new(4, 4);
-        let topologies = vec![
-            generators::mesh(grid),
-            generators::torus(grid),
-            generators::ring(grid),
-            generators::flattened_butterfly(grid),
-        ];
-        let patterns = [
-            TrafficPattern::UniformRandom,
-            TrafficPattern::Transpose,
-            TrafficPattern::Tornado,
-            TrafficPattern::Hotspot(30),
-        ];
-        for topology in &topologies {
-            let routes = routing::default_routes(topology).expect("routes");
-            let lats = unit_latencies(topology);
-            for pattern in patterns {
-                for rate in [0.01, 0.1, 0.4] {
-                    let active = Network::new(topology, &routes, &lats, SimConfig::fast_test())
-                        .run_with_policy(rate, pattern, ScanPolicy::ActiveSet);
-                    let full = Network::new(topology, &routes, &lats, SimConfig::fast_test())
-                        .run_with_policy(rate, pattern, ScanPolicy::FullScan);
-                    assert_eq!(active, full, "{topology} {pattern} rate {rate}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn active_set_sweeps_ascending_whatever_the_insertion_order() {
         for len in [1usize, 64, 65, 2_560] {
             let mut set = ActiveSet::new(len);
@@ -1187,7 +1069,7 @@ mod tests {
                     schedule: Some(&schedule),
                     measure_end: measure,
                 };
-                let mut injector = Injector::new(config.injection, 3, 16, 1.0, 100);
+                let mut injector = Injector::new(3, 16, 1.0, 100);
                 let mut net = Network::new(&mesh, &routes, &lats, config);
                 for now in 0..10 {
                     injector.fire_at(now, |t, stream| {
@@ -1248,23 +1130,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn active_set_matches_full_scan_with_multicycle_links() {
-        let mesh = generators::mesh(Grid::new(4, 4));
-        let routes = routing::default_routes(&mesh).expect("routes");
-        let lats = vec![Cycles::new(3); mesh.num_links()];
-        let active = Network::new(&mesh, &routes, &lats, SimConfig::fast_test()).run_with_policy(
-            0.15,
-            TrafficPattern::UniformRandom,
-            ScanPolicy::ActiveSet,
-        );
-        let full = Network::new(&mesh, &routes, &lats, SimConfig::fast_test()).run_with_policy(
-            0.15,
-            TrafficPattern::UniformRandom,
-            ScanPolicy::FullScan,
-        );
-        assert_eq!(active, full);
     }
 }

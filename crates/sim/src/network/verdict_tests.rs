@@ -78,14 +78,7 @@ fn check_grid(topology: &Topology, base: &SimConfig, faults: &str, every_length:
                     let cell =
                         format!("{topology} {pattern} len {packet_len} rate {rate} × {factor}");
                     reused.reset(config.seed);
-                    let stopped = reused.run_inner(
-                        rate,
-                        pattern,
-                        ScanPolicy::ActiveSet,
-                        false,
-                        None,
-                        Some(verdict),
-                    );
+                    let stopped = reused.run_inner(rate, pattern, false, None, Some(verdict));
                     assert_eq!(verdict.holds(&stopped), verdict.holds(&full), "{cell}");
                     assert!(stopped.cycles <= full.cycles, "{cell}");
                     if stopped.cycles == full.cycles {

@@ -15,13 +15,12 @@
 //!
 //! # Request-driven allocation
 //!
-//! The allocation stages used to *scan*: every cycle, every input
-//! port × VC was inspected for a head flit awaiting a VC and for a
-//! buffered flit wanting the switch, and every output port × VC for a
-//! free output VC — `O(ports × VCs)` per router visit even when a
-//! single flit was resident. The router now keeps explicit sparse
-//! request state, updated incrementally on enqueue, dequeue and VC
-//! grant/release:
+//! The allocation stages never scan every input port × VC for a head
+//! flit awaiting a VC or a buffered flit wanting the switch, nor every
+//! output port × VC for a free output VC — that would cost
+//! `O(ports × VCs)` per router visit even with a single flit resident.
+//! The router keeps explicit sparse request state instead, updated
+//! incrementally on enqueue, dequeue and VC grant/release:
 //!
 //! * per-input-port bitmasks of VCs whose buffer front awaits VC
 //!   allocation ([`Router::va_mask`], summarized by
@@ -33,14 +32,14 @@
 //! * per-output-port bitmasks of occupied output VCs
 //!   ([`Router::out_vc_used`]).
 //!
-//! [`AllocPolicy::RequestQueue`] walks only these live requests;
-//! [`AllocPolicy::FullScan`] retains the exhaustive scan as the
-//! bit-identical reference (the allocation analogue of
-//! `ScanPolicy::FullScan` and `InjectionPolicy::PerCycleScan`). Both
-//! paths share the same mutation helpers, and round-robin pointers are
-//! consulted in the same rotation order, so the arbitration outcome —
-//! and therefore every statistic — is identical; the equivalence suite
-//! (`crates/sim/tests/alloc_equivalence.rs`) enforces it.
+//! Both stages walk only these live requests, in the order an
+//! exhaustive scan would probe them: ascending `(port, VC)` for VC
+//! allocation, round-robin rotation from each arbiter's pointer for
+//! switch allocation and output-VC grants. Round-robin pointers move
+//! only on grants. [`Router::assert_consistent`] checks every cycle of
+//! a validated run that the request state mirrors the buffers exactly
+//! (`crates/sim/tests/alloc_equivalence.rs`); the pinned outcomes in
+//! `crates/sim/tests/golden_outcomes.txt` hold the arbitration order.
 //!
 //! # Source queue
 //!
@@ -68,43 +67,11 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
 use shg_topology::routing::NO_ROUTE;
 use shg_topology::{ChannelId, TileId};
 
 use crate::config::{SimConfig, VcClassTable};
 use crate::flit::Flit;
-
-/// How the router allocation stages (VC allocation, switch allocation)
-/// find work each cycle.
-///
-/// [`RequestQueue`](Self::RequestQueue) and
-/// [`FullScan`](Self::FullScan) produce bit-identical outcomes; the
-/// request-driven default visits only live requests while the scan
-/// inspects every port × VC slot and exists as the exhaustive
-/// reference for equivalence tests and benchmarks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum AllocPolicy {
-    /// Walk only the incrementally maintained request state: input VCs
-    /// with a head flit awaiting VC allocation, per-output-port switch
-    /// request lists, occupied-output-VC sets (the default).
-    #[default]
-    RequestQueue,
-    /// Inspect every input port × VC and output port × VC every cycle —
-    /// the pre-request-queue behaviour, kept as the bit-identical
-    /// reference (the allocation analogue of
-    /// [`ScanPolicy::FullScan`](crate::ScanPolicy::FullScan)).
-    FullScan,
-}
-
-impl std::fmt::Display for AllocPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::RequestQueue => write!(f, "request-queue"),
-            Self::FullScan => write!(f, "full-scan"),
-        }
-    }
-}
 
 /// State of one input virtual channel.
 #[derive(Debug, Clone, Copy, Default)]
@@ -345,53 +312,36 @@ impl Router {
     /// injection buffer's packet).
     pub(crate) fn vc_allocate_with(
         &mut self,
-        config: &SimConfig,
         classes: &VcClassTable,
-        policy: AllocPolicy,
         route: impl Fn(&Router, &Flit) -> (u8, u8),
         out: &mut TraversalOutput,
     ) {
-        match policy {
-            AllocPolicy::FullScan => {
-                let vcs = config.num_vcs as usize;
-                let in_ports = self.buffers.len();
-                for p in 0..in_ports {
-                    for v in 0..vcs {
-                        self.consider_va(p, v, classes, policy, &route, out);
-                    }
-                }
-            }
-            AllocPolicy::RequestQueue => {
-                // Requesting ports ascending, each port's VCs ascending
-                // = the scan's ascending (port, vc) order. `consider_va`
-                // only ever touches the request bit it was called for,
-                // so both snapshots stay exact.
-                for w in 0..self.va_ports.len() {
-                    let mut ports = self.va_ports[w];
-                    while ports != 0 {
-                        let p = (w << 6) | ports.trailing_zeros() as usize;
-                        ports &= ports - 1;
-                        let mut word = self.va_mask[p];
-                        while word != 0 {
-                            let v = word.trailing_zeros() as usize;
-                            word &= word - 1;
-                            self.consider_va(p, v, classes, policy, &route, out);
-                        }
-                    }
+        // Requesting ports ascending, each port's VCs ascending.
+        // `consider_va` only ever touches the request bit it was called
+        // for, so both snapshots stay exact.
+        for w in 0..self.va_ports.len() {
+            let mut ports = self.va_ports[w];
+            while ports != 0 {
+                let p = (w << 6) | ports.trailing_zeros() as usize;
+                ports &= ports - 1;
+                let mut word = self.va_mask[p];
+                while word != 0 {
+                    let v = word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    self.consider_va(p, v, classes, &route, out);
                 }
             }
         }
     }
 
-    /// One (port, vc) step of VC allocation, shared by both policies:
-    /// checks whether the slot's front is a head flit awaiting an
-    /// output VC and tries to grant one.
+    /// One (port, vc) step of VC allocation: checks whether the slot's
+    /// front is a head flit awaiting an output VC and tries to grant
+    /// one.
     fn consider_va(
         &mut self,
         p: usize,
         v: usize,
         classes: &VcClassTable,
-        policy: AllocPolicy,
         route: &impl Fn(&Router, &Flit) -> (u8, u8),
         out: &mut TraversalOutput,
     ) {
@@ -402,7 +352,7 @@ impl Router {
         if state.routed {
             // A head that found its output busy on an earlier cycle:
             // retry from the cached route, flit and table untouched.
-            self.grant_output_vc(p, v, state.out_port, state.class, classes, policy);
+            self.grant_output_vc(p, v, state.out_port, state.class, classes);
             return;
         }
         let Some(front) = self.buffers[p][v].front() else {
@@ -460,12 +410,13 @@ impl Router {
             class,
             ..InVc::default()
         };
-        self.grant_output_vc(p, v, out_port, class, classes, policy);
+        self.grant_output_vc(p, v, out_port, class, classes);
     }
 
     /// Tries to grant the routed head at the front of `(p, v)` a free
-    /// output VC of `class` on `out_port`, rotating over the class's
-    /// range; on failure the head stays a VA request.
+    /// output VC of `class` on `out_port`: the first free one in the
+    /// class's range, rotating from the port's round-robin pointer. On
+    /// failure the head stays a VA request.
     #[inline]
     fn grant_output_vc(
         &mut self,
@@ -474,7 +425,6 @@ impl Router {
         out_port: u8,
         class: u8,
         classes: &VcClassTable,
-        policy: AllocPolicy,
     ) {
         let o = out_port as usize;
         let class = class as usize;
@@ -485,33 +435,25 @@ impl Router {
         } else {
             rr % len
         };
-        let granted = match policy {
-            AllocPolicy::FullScan => (0..len)
-                .map(|i| first + (start + i) % len)
-                .find(|&ov| self.out_owner[o][ov as usize].is_none()),
-            AllocPolicy::RequestQueue => {
-                // Same rotation over the occupied-output-VC bitmask:
-                // the free VC with the smallest rotated distance.
-                let mut free = classes.mask[class] & !self.out_vc_used[o];
-                let mut best: Option<(u8, u8)> = None;
-                while free != 0 {
-                    let ov = free.trailing_zeros() as u8;
-                    free &= free - 1;
-                    // (ov − first − start) mod len, both below len.
-                    let offset = ov - first;
-                    let dist = if offset >= start {
-                        offset - start
-                    } else {
-                        offset + len - start
-                    };
-                    if best.is_none_or(|(d, _)| dist < d) {
-                        best = Some((dist, ov));
-                    }
-                }
-                best.map(|(_, ov)| ov)
+        // The free VC with the smallest rotated distance, read off the
+        // occupied-output-VC bitmask.
+        let mut free = classes.mask[class] & !self.out_vc_used[o];
+        let mut best: Option<(u8, u8)> = None;
+        while free != 0 {
+            let ov = free.trailing_zeros() as u8;
+            free &= free - 1;
+            // (ov − first − start) mod len, both below len.
+            let offset = ov - first;
+            let dist = if offset >= start {
+                offset - start
+            } else {
+                offset + len - start
+            };
+            if best.is_none_or(|(d, _)| dist < d) {
+                best = Some((dist, ov));
             }
-        };
-        if let Some(ov) = granted {
+        }
+        if let Some((_, ov)) = best {
             self.out_owner[o][ov as usize] = Some((p as u8, v as u8));
             self.out_vc_used[o] |= 1 << ov;
             self.va_rr[o] = rr.wrapping_add(1);
@@ -526,73 +468,17 @@ impl Router {
         }
     }
 
-    /// Switch allocation (separable, input-first) and traversal. Writes
-    /// ejections, forwards and upstream credits into `out`.
+    /// Switch allocation (separable, input-first) and traversal:
+    /// input arbitration rotates over each requesting port's live-VC
+    /// bitmask, winners are gathered into per-output request lists, and
+    /// each output picks the requester closest to its round-robin
+    /// pointer. Writes ejections, forwards and upstream credits into
+    /// `out`.
     pub(crate) fn switch_allocate_and_traverse(
         &mut self,
         config: &SimConfig,
-        policy: AllocPolicy,
         out: &mut TraversalOutput,
     ) {
-        match policy {
-            AllocPolicy::FullScan => self.sa_full_scan(config, out),
-            AllocPolicy::RequestQueue => self.sa_request_queue(config, out),
-        }
-    }
-
-    /// The exhaustive reference: scans every input port × VC for a
-    /// switch candidate, then every output port × input port.
-    fn sa_full_scan(&mut self, config: &SimConfig, out: &mut TraversalOutput) {
-        let vcs = config.num_vcs as usize;
-        let in_ports = self.buffers.len();
-        let out_ports = self.out_channels.len() + 1;
-        // Input arbitration: one candidate VC per input port.
-        let mut input_winner: Vec<Option<u8>> = vec![None; in_ports];
-        for (p, winner) in input_winner.iter_mut().enumerate() {
-            let start = self.sa_in_rr[p] as usize;
-            for i in 0..vcs {
-                let v = (start + i) % vcs;
-                let state = self.in_state[p][v];
-                if !state.active || self.buffers[p][v].is_empty() {
-                    continue;
-                }
-                let is_ejection = state.out_port as usize == self.ejection_port();
-                if !is_ejection && self.credits[state.out_port as usize][state.out_vc as usize] == 0
-                {
-                    continue;
-                }
-                *winner = Some(v as u8);
-                break;
-            }
-        }
-        // Output arbitration: one input per output port.
-        let mut output_winner: Vec<Option<u8>> = vec![None; out_ports];
-        for (o, winner) in output_winner.iter_mut().enumerate() {
-            let start = self.sa_out_rr[o] as usize;
-            for i in 0..in_ports {
-                let p = (start + i) % in_ports;
-                if let Some(v) = input_winner[p] {
-                    if self.in_state[p][v as usize].out_port as usize == o {
-                        *winner = Some(p as u8);
-                        break;
-                    }
-                }
-            }
-        }
-        // Traversal.
-        for (o, winner) in output_winner.iter().copied().enumerate() {
-            let Some(p) = winner else { continue };
-            let p = p as usize;
-            let v = input_winner[p].expect("winner has a VC") as usize;
-            self.traverse_winner(o, p, v, config, out);
-        }
-    }
-
-    /// The request-driven path: input arbitration rotates over each
-    /// requesting port's live-VC bitmask, winners are gathered into
-    /// per-output request lists, and each output picks the requester
-    /// closest to its round-robin pointer.
-    fn sa_request_queue(&mut self, config: &SimConfig, out: &mut TraversalOutput) {
         let in_ports = self.buffers.len();
         debug_assert!(self.touched_outputs.is_empty(), "scratch leaked");
         // Input arbitration over requesting ports only.
@@ -603,8 +489,9 @@ impl Router {
                 word &= word - 1;
                 let start = u32::from(self.sa_in_rr[p]);
                 // Rotating the request mask right by `start` orders its
-                // bits exactly like the scan's `(start + i) % vcs`
-                // probe sequence (bits below `start` wrap to the top).
+                // bits like the round-robin probe sequence
+                // `(start + i) % vcs` (bits below `start` wrap to the
+                // top).
                 let mut rot = self.sa_mask[p].rotate_right(start);
                 while rot != 0 {
                     let v = ((rot.trailing_zeros() + start) & 63) as usize;
@@ -623,8 +510,8 @@ impl Router {
                 }
             }
         }
-        // Output arbitration + traversal, in the scan's ascending
-        // output-port order.
+        // Output arbitration + traversal, in ascending output-port
+        // order.
         self.touched_outputs.sort_unstable();
         let touched = std::mem::take(&mut self.touched_outputs);
         for &o in &touched {
@@ -632,8 +519,9 @@ impl Router {
             let start = usize::from(self.sa_out_rr[o]);
             let mut requests = std::mem::take(&mut self.out_requests[o]);
             // The requester with the smallest rotated distance is the
-            // first the scan's `(start + i) % in_ports` probe would
-            // hit. Input ports are distinct, so the minimum is unique.
+            // first the round-robin probe `(start + i) % in_ports`
+            // would hit. Input ports are distinct, so the minimum is
+            // unique.
             let &(p, v) = requests
                 .iter()
                 .min_by_key(|&&(p, _)| {
@@ -657,7 +545,7 @@ impl Router {
 
     /// Moves the switch winner `(p, v) → o` through the crossbar:
     /// credits, VC bookkeeping, request-state updates and the
-    /// ejection/forward report. Shared verbatim by both policies.
+    /// ejection/forward report.
     fn traverse_winner(
         &mut self,
         o: usize,
@@ -761,7 +649,7 @@ impl Router {
     }
 
     /// Asserts every cross-structure invariant of the router's state —
-    /// the consistency contract `AllocPolicy::RequestQueue` relies on.
+    /// the consistency contract the request-driven allocator relies on.
     /// Called per cycle by [`Network::run_validated`]
     /// (`crate::Network::run_validated`); panics with a description on
     /// the first violation.
@@ -885,9 +773,8 @@ mod tests {
     ) -> (Vec<Flit>, bool) {
         let classes = VcClassTable::new(config, 1);
         let mut out = TraversalOutput::default();
-        let policy = AllocPolicy::RequestQueue;
-        router.vc_allocate_with(config, &classes, policy, |_, _| (port, 0), &mut out);
-        router.switch_allocate_and_traverse(config, policy, &mut out);
+        router.vc_allocate_with(&classes, |_, _| (port, 0), &mut out);
+        router.switch_allocate_and_traverse(config, &mut out);
         for (_, flit) in &out.forwards {
             router.credits[port as usize][flit.vc as usize] += 1;
         }
@@ -974,11 +861,10 @@ mod tests {
         let classes = VcClassTable::new(&config, 1);
         let mut router = router(&config);
         let inj = router.injection_port();
-        let policy = AllocPolicy::RequestQueue;
         let mut out = TraversalOutput::default();
         let mut blocker = Flit::packet(TileId::new(7), TileId::new(9), 2, 0);
         router.enqueue(0, 0, blocker.next().expect("head"));
-        router.vc_allocate_with(&config, &classes, policy, |_, _| (0, 0), &mut out);
+        router.vc_allocate_with(&classes, |_, _| (0, 0), &mut out);
         assert_eq!(router.out_owner[0][0], Some((0, 0)));
 
         let queries = Cell::new(0);
@@ -990,7 +876,7 @@ mod tests {
         };
         router.fill_injection_buffer(TileId::new(5), 1, 2);
         for _ in 0..4 {
-            router.vc_allocate_with(&config, &classes, policy, route, &mut out);
+            router.vc_allocate_with(&classes, route, &mut out);
             router.assert_consistent(&config);
             assert!(!router.in_state[inj][0].active);
         }
@@ -999,7 +885,7 @@ mod tests {
         // table's port, not the cached one.
         table.set(1);
         router.forget_routes();
-        router.vc_allocate_with(&config, &classes, policy, route, &mut out);
+        router.vc_allocate_with(&classes, route, &mut out);
         router.assert_consistent(&config);
         assert_eq!(queries.get(), 2);
         let state = router.in_state[inj][0];
@@ -1015,13 +901,7 @@ mod tests {
         let mut out = TraversalOutput::default();
         for created in 50..53u32 {
             router.fill_injection_buffer(TileId::new(9), created, 4);
-            router.vc_allocate_with(
-                &config,
-                &classes,
-                AllocPolicy::RequestQueue,
-                |_, _| (NO_ROUTE, 0),
-                &mut out,
-            );
+            router.vc_allocate_with(&classes, |_, _| (NO_ROUTE, 0), &mut out);
             router.assert_consistent(&config);
             assert!(std::mem::take(&mut out.injection_freed), "packet {created}");
             assert!(!router.has_occupied_buffers());

@@ -17,8 +17,8 @@
 //! * the cell's traffic pattern and injection rate,
 //! * the per-point [`SimConfig`] — which carries the **derived** seed
 //!   (a function of the root seed and the cell's grid coordinates) and
-//!   every simulator knob that affects outcomes, including the
-//!   injection and allocation policies.
+//!   every simulator knob that affects outcomes, including the fault
+//!   plan.
 //!
 //! Appending a rate, a pattern or a case leaves the surviving cells'
 //! coordinates — and therefore their derived seeds and fingerprints —
@@ -57,7 +57,7 @@ const FORMAT: &str = "shg-cell-cache";
 /// Bump to invalidate every existing entry on a format or keying
 /// change (the version is folded into the fingerprint, so old entries
 /// simply stop being addressed).
-const VERSION: u64 = 2;
+const VERSION: u64 = 3;
 
 /// Digest of everything about a [`SweepCase`] that a cell's outcome
 /// can depend on: name, grid shape, links, per-link latencies and the

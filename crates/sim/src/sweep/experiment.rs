@@ -27,8 +27,8 @@ use crate::traffic::TrafficPattern;
 ///
 /// Every backend produces bit-identical points for every cell — the
 /// reuse backend is built on [`Network::reset`], whose equivalence to
-/// fresh construction is pinned under `Network::run_validated` across
-/// all scan/injection/allocation policy combinations, and the batched
+/// fresh construction is pinned under `Network::run_validated`, and
+/// the batched
 /// backend's struct-of-arrays core is pinned lane-by-lane against the
 /// per-cell reference in `tests/batched_equivalence.rs` — so the
 /// choice is purely a performance lever.

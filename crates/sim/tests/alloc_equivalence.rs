@@ -1,12 +1,7 @@
-//! Allocator equivalence and invariant suite: the request-driven
-//! allocation path (`AllocPolicy::RequestQueue`) must be bit-identical
-//! to the exhaustive port × VC scan (`AllocPolicy::FullScan`) — same
-//! round-robin arbitration decisions, same statistics — across traffic
-//! patterns, rates, injection policies, scan policies, packet lengths
-//! and link latencies.
-//!
-//! Every run here goes through [`Network::run_validated`], which
-//! asserts the router's cross-structure invariants after each cycle:
+//! Allocator invariant suite: runs under [`Network::run_validated`],
+//! which asserts the router's cross-structure invariants after each
+//! cycle, must keep them all and produce exactly the outcome of a plain
+//! [`Network::run`]:
 //!
 //! * the occupancy counter matches the buffer contents,
 //! * credits never exceed `buffer_depth`,
@@ -15,11 +10,13 @@
 //! * the request bitmasks (`va_mask`, `sa_mask`, `sa_ports`) contain
 //!   exactly the live requests — no stale and, crucially, no *lost*
 //!   requests.
+//!
+//! The arbitration order itself is pinned by `golden_outcomes.txt`.
 
 use proptest::prelude::*;
 
 use shg_sim::sweep::ALL_PATTERNS;
-use shg_sim::{AllocPolicy, InjectionPolicy, Network, ScanPolicy, SimConfig, TrafficPattern};
+use shg_sim::{Network, SimConfig, SimOutcome, TrafficPattern};
 use shg_topology::{generators, routing, Grid, Topology};
 use shg_units::Cycles;
 
@@ -27,99 +24,30 @@ fn unit_latencies(t: &Topology) -> Vec<Cycles> {
     vec![Cycles::one(); t.num_links()]
 }
 
-fn config_with(alloc: AllocPolicy, injection: InjectionPolicy) -> SimConfig {
-    SimConfig {
-        alloc,
-        injection,
-        ..SimConfig::fast_test()
-    }
-}
-
-/// Runs one validated simulation under the given allocation policy.
-fn run(
+/// Runs one cell validated and plain, asserting both agree; returns
+/// the outcome.
+fn validated(
     topology: &Topology,
     lats: &[Cycles],
-    alloc: AllocPolicy,
-    injection: InjectionPolicy,
-    scan: ScanPolicy,
+    config: &SimConfig,
     rate: f64,
     pattern: TrafficPattern,
-) -> shg_sim::SimOutcome {
+) -> SimOutcome {
     let routes = routing::default_routes(topology).expect("routes");
-    let mut net = Network::new(topology, &routes, lats, config_with(alloc, injection));
-    net.run_validated(rate, pattern, scan)
+    let network = || Network::new(topology, &routes, lats, config.clone());
+    let checked = network().run_validated(rate, pattern);
+    assert_eq!(
+        checked,
+        network().run(rate, pattern),
+        "{topology} {pattern} rate {rate}: validation changed the outcome"
+    );
+    checked
 }
 
-/// The headline contract: across every pattern, a spread of rates and
-/// every injection policy, the request queue and the full scan agree on
-/// every statistic.
+/// High-radix routers are where the request bitmasks have the most
+/// room to go stale; pin the flattened butterfly and SlimNoC explicitly.
 #[test]
-fn request_queue_matches_full_scan_across_patterns_rates_and_injection() {
-    let mesh = generators::mesh(Grid::new(4, 4));
-    let lats = unit_latencies(&mesh);
-    for pattern in ALL_PATTERNS {
-        for rate in [0.01, 0.1, 0.4] {
-            for injection in [InjectionPolicy::EventDriven, InjectionPolicy::PerCycleScan] {
-                let sparse = run(
-                    &mesh,
-                    &lats,
-                    AllocPolicy::RequestQueue,
-                    injection,
-                    ScanPolicy::ActiveSet,
-                    rate,
-                    pattern,
-                );
-                let scan = run(
-                    &mesh,
-                    &lats,
-                    AllocPolicy::FullScan,
-                    injection,
-                    ScanPolicy::ActiveSet,
-                    rate,
-                    pattern,
-                );
-                assert_eq!(sparse, scan, "{pattern} rate {rate} {injection}");
-            }
-        }
-    }
-}
-
-/// The allocation policy composes with the scan policy: all four
-/// combinations agree (the active set and the full router scan were
-/// already equivalent; the request queue must not break that).
-#[test]
-fn alloc_and_scan_policies_compose() {
-    let torus = generators::torus(Grid::new(4, 4));
-    let lats = unit_latencies(&torus);
-    let outcomes: Vec<_> = [
-        (AllocPolicy::RequestQueue, ScanPolicy::ActiveSet),
-        (AllocPolicy::RequestQueue, ScanPolicy::FullScan),
-        (AllocPolicy::FullScan, ScanPolicy::ActiveSet),
-        (AllocPolicy::FullScan, ScanPolicy::FullScan),
-    ]
-    .into_iter()
-    .map(|(alloc, scan)| {
-        run(
-            &torus,
-            &lats,
-            alloc,
-            InjectionPolicy::EventDriven,
-            scan,
-            0.15,
-            TrafficPattern::UniformRandom,
-        )
-    })
-    .collect();
-    for outcome in &outcomes[1..] {
-        assert_eq!(outcome, &outcomes[0]);
-    }
-}
-
-/// High-radix routers are where the scan hurts most and where the
-/// rotated-bitmask arbitration has the most room to diverge; pin the
-/// flattened butterfly and SlimNoC explicitly.
-#[test]
-fn request_queue_matches_full_scan_on_high_radix_topologies() {
+fn validated_runs_match_plain_runs_on_high_radix_topologies() {
     let topologies = vec![
         generators::flattened_butterfly(Grid::new(4, 4)),
         generators::slim_noc(Grid::new(10, 5)).expect("50 tiles"),
@@ -127,25 +55,14 @@ fn request_queue_matches_full_scan_on_high_radix_topologies() {
     for topology in &topologies {
         let lats = unit_latencies(topology);
         for rate in [0.05, 0.3] {
-            let sparse = run(
+            let config = SimConfig::fast_test();
+            let _ = validated(
                 topology,
                 &lats,
-                AllocPolicy::RequestQueue,
-                InjectionPolicy::EventDriven,
-                ScanPolicy::ActiveSet,
+                &config,
                 rate,
                 TrafficPattern::UniformRandom,
             );
-            let scan = run(
-                topology,
-                &lats,
-                AllocPolicy::FullScan,
-                InjectionPolicy::EventDriven,
-                ScanPolicy::ActiveSet,
-                rate,
-                TrafficPattern::UniformRandom,
-            );
-            assert_eq!(sparse, scan, "{topology} rate {rate}");
         }
     }
 }
@@ -154,68 +71,48 @@ fn request_queue_matches_full_scan_on_high_radix_topologies() {
 /// single-flit and long packets exercise the head==tail and
 /// body-follows-head bookkeeping.
 #[test]
-fn request_queue_matches_full_scan_with_long_links_and_packet_lengths() {
+fn validated_runs_match_plain_runs_with_long_links_and_packet_lengths() {
     let mesh = generators::mesh(Grid::new(4, 4));
-    let routes = routing::default_routes(&mesh).expect("routes");
     let lats = vec![Cycles::new(3); mesh.num_links()];
     for packet_len in [1u16, 2, 8] {
-        let outcome = |alloc: AllocPolicy| {
-            let config = SimConfig {
-                packet_len,
-                alloc,
-                ..SimConfig::fast_test()
-            };
-            Network::new(&mesh, &routes, &lats, config).run_validated(
-                0.1,
-                TrafficPattern::UniformRandom,
-                ScanPolicy::ActiveSet,
-            )
+        let config = SimConfig {
+            packet_len,
+            ..SimConfig::fast_test()
         };
-        assert_eq!(
-            outcome(AllocPolicy::RequestQueue),
-            outcome(AllocPolicy::FullScan),
-            "packet_len {packet_len}"
-        );
+        let _ = validated(&mesh, &lats, &config, 0.1, TrafficPattern::UniformRandom);
     }
 }
 
 /// Saturation keeps every request structure full (zero-credit stalls,
 /// VA starvation, back-pressure) — the regime where a stale or lost
-/// request bit would surface. `run_validated` checks the invariants
-/// each cycle along the way.
+/// request bit would surface.
 #[test]
 fn invariants_hold_under_saturation() {
     let ring = generators::ring(Grid::new(4, 4));
     let lats = unit_latencies(&ring);
-    for alloc in [AllocPolicy::RequestQueue, AllocPolicy::FullScan] {
-        let out = run(
-            &ring,
-            &lats,
-            alloc,
-            InjectionPolicy::EventDriven,
-            ScanPolicy::ActiveSet,
-            0.8,
-            TrafficPattern::UniformRandom,
-        );
-        // The run is overloaded by design; the point is that the
-        // validated invariants held through congestion.
-        assert!(out.cycles > 0, "{alloc}: ran to completion");
-    }
+    let out = validated(
+        &ring,
+        &lats,
+        &SimConfig::fast_test(),
+        0.8,
+        TrafficPattern::UniformRandom,
+    );
+    // The run is overloaded by design; the point is that the
+    // validated invariants held through congestion.
+    assert!(out.cycles > 0, "ran to completion");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Randomized sweep of the equivalence: topology, pattern, rate,
-    /// injection policy and buffer depth are all drawn; the two
-    /// allocation policies must agree bit-for-bit and keep every
-    /// invariant (validated per cycle on both runs).
+    /// Randomized sweep: topology, pattern, rate and buffer depth are
+    /// all drawn; every invariant must hold each cycle, and validation
+    /// must not move the outcome.
     #[test]
-    fn request_queue_and_full_scan_agree_on_random_configurations(
+    fn validated_and_plain_runs_agree_on_random_configurations(
         topology_idx in 0usize..4,
         pattern_idx in 0usize..ALL_PATTERNS.len(),
         rate in 0.005f64..0.5,
-        injection_idx in 0usize..2,
         buffer_depth in 2u16..10,
     ) {
         let grid = Grid::new(4, 4);
@@ -225,31 +122,21 @@ proptest! {
             2 => generators::ring(grid),
             _ => generators::flattened_butterfly(grid),
         };
-        let injection = [InjectionPolicy::EventDriven, InjectionPolicy::PerCycleScan][injection_idx];
         let pattern = ALL_PATTERNS[pattern_idx];
         let routes = routing::default_routes(&topology).expect("routes");
         let lats = unit_latencies(&topology);
-        let outcome = |alloc: AllocPolicy| {
-            let config = SimConfig {
-                buffer_depth,
-                alloc,
-                injection,
-                ..SimConfig::fast_test()
-            };
-            Network::new(&topology, &routes, &lats, config).run_validated(
-                rate,
-                pattern,
-                ScanPolicy::ActiveSet,
-            )
+        let config = SimConfig {
+            buffer_depth,
+            ..SimConfig::fast_test()
         };
+        let network = || Network::new(&topology, &routes, &lats, config.clone());
         prop_assert_eq!(
-            outcome(AllocPolicy::RequestQueue),
-            outcome(AllocPolicy::FullScan),
-            "{} {} rate {} {} depth {}",
+            network().run_validated(rate, pattern),
+            network().run(rate, pattern),
+            "{} {} rate {} depth {}",
             topology,
             pattern,
             rate,
-            injection,
             buffer_depth
         );
     }

@@ -1,8 +1,8 @@
 //! Equivalence suite for the lane-parallel batched core
 //! (`ExecBackend::Batched`): every lane of every batch shape must be
 //! bit-identical to the per-cell reference — a fresh `Network` per
-//! cell — across the full traffic pattern × injection × allocation
-//! matrix, with mixed-rate lanes, saturated lanes exiting early, lane
+//! cell — across every traffic pattern and both in-flight fault
+//! policies, with mixed-rate lanes, saturated lanes exiting early, lane
 //! refill from the group's remaining cells, and arbitrary cell
 //! orderings (proptest).
 //!
@@ -13,16 +13,13 @@
 
 use proptest::prelude::*;
 use shg_sim::{
-    AllocPolicy, CellCache, CellId, ExecBackend, Experiment, InjectionPolicy, Network, ScanPolicy,
-    SimConfig, SweepSpec, TrafficPattern,
+    CellCache, CellId, ExecBackend, Experiment, FaultPlan, Network, SimConfig, SweepSpec,
+    TrafficPattern,
 };
 use shg_topology::{generators, routing, Grid, Topology};
 use shg_units::Cycles;
 
 const LANES: [usize; 4] = [1, 2, 4, 8];
-const INJECTIONS: [InjectionPolicy; 2] =
-    [InjectionPolicy::EventDriven, InjectionPolicy::PerCycleScan];
-const ALLOCS: [AllocPolicy; 2] = [AllocPolicy::RequestQueue, AllocPolicy::FullScan];
 
 fn experiment<'a>(
     spec: SweepSpec,
@@ -41,45 +38,46 @@ fn experiment<'a>(
     experiment
 }
 
-/// The headline matrix: for every injection × allocation policy pair
-/// and every batch width K ∈ {1, 2, 4, 8}, a batched sweep over all
-/// seven traffic patterns serializes byte-identically to the per-cell
-/// reference.
+/// The headline matrix: fault-free and under a link-and-router kill of
+/// each in-flight policy, at every batch width K ∈ {1, 2, 4, 8}, a
+/// batched sweep over all seven traffic patterns serializes
+/// byte-identically to the per-cell reference.
 #[test]
 fn batched_matches_per_cell_across_policy_matrix() {
     let mesh = generators::mesh(Grid::new(4, 4));
     let cases = [("mesh", &mesh)];
-    for injection in INJECTIONS {
-        for alloc in ALLOCS {
-            let spec = || {
-                SweepSpec::new(SimConfig {
-                    injection,
-                    alloc,
-                    ..SimConfig::fast_test()
-                })
-                .rates([0.05, 0.3])
-                .all_patterns()
-                .hotspot_low_rates(2, 0.01)
-            };
-            let reference = experiment(spec(), &cases, ExecBackend::PerCell, 1)
+    for plan in [
+        "",
+        "700:link:0-1,900:router:5",
+        "drain,700:link:0-1,900:router:5",
+    ] {
+        let spec = || {
+            SweepSpec::new(SimConfig {
+                faults: FaultPlan::parse(plan).expect("plan parses"),
+                ..SimConfig::fast_test()
+            })
+            .rates([0.05, 0.3])
+            .all_patterns()
+            .hotspot_low_rates(2, 0.01)
+        };
+        let reference = experiment(spec(), &cases, ExecBackend::PerCell, 1)
+            .run_parallel()
+            .to_json();
+        for lanes in LANES {
+            let batched = experiment(spec(), &cases, ExecBackend::Batched, lanes)
                 .run_parallel()
                 .to_json();
-            for lanes in LANES {
-                let batched = experiment(spec(), &cases, ExecBackend::Batched, lanes)
-                    .run_parallel()
-                    .to_json();
-                assert_eq!(
-                    reference, batched,
-                    "{injection}/{alloc}: K={lanes} batch changed the sweep bytes"
-                );
-            }
+            assert_eq!(
+                reference, batched,
+                "'{plan}': K={lanes} batch changed the sweep bytes"
+            );
         }
     }
 }
 
 /// Every batched point must reproduce `Network::run_validated` — the
 /// reference engine with its cross-structure invariants asserted every
-/// cycle — under both scan policies, on a high-radix topology too.
+/// cycle — on a high-radix topology too.
 #[test]
 fn batched_lanes_match_validated_reference() {
     let grid = Grid::new(4, 4);
@@ -94,23 +92,17 @@ fn batched_lanes_match_validated_reference() {
         let routes = routing::default_routes(topology).expect("routes");
         let latencies = vec![Cycles::one(); topology.num_links()];
         for point in &result.points {
-            for scan in [ScanPolicy::ActiveSet, ScanPolicy::FullScan] {
-                let config = SimConfig {
-                    seed: point.seed,
-                    ..base.clone()
-                };
-                let reference = Network::new(topology, &routes, &latencies, config).run_validated(
-                    point.rate,
-                    point.pattern,
-                    scan,
-                );
-                assert_eq!(
-                    reference, point.outcome,
-                    "{name}/{scan:?}: batched lane diverged from the validated \
-                     reference at rate {} {:?}",
-                    point.rate, point.pattern
-                );
-            }
+            let config = SimConfig {
+                seed: point.seed,
+                ..base.clone()
+            };
+            let reference = Network::new(topology, &routes, &latencies, config)
+                .run_validated(point.rate, point.pattern);
+            assert_eq!(
+                reference, point.outcome,
+                "{name}: batched lane diverged from the validated reference at rate {} {:?}",
+                point.rate, point.pattern
+            );
         }
     }
 }

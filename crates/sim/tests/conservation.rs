@@ -1,19 +1,13 @@
 //! Simulator conservation and robustness tests: flits are neither lost
-//! nor duplicated, across traffic patterns, topologies and injection
-//! policies.
+//! nor duplicated, across traffic patterns and topologies.
 
-use shg_sim::{AllocPolicy, InjectionPolicy, Network, SimConfig, TrafficPattern};
+use shg_sim::{Network, SimConfig, TrafficPattern};
 use shg_topology::{generators, routing, Grid};
 use shg_units::Cycles;
 
 fn unit_latencies(t: &shg_topology::Topology) -> Vec<Cycles> {
     vec![Cycles::one(); t.num_links()]
 }
-
-const ALL_INJECTION: [InjectionPolicy; 2] =
-    [InjectionPolicy::EventDriven, InjectionPolicy::PerCycleScan];
-
-const ALL_ALLOC: [AllocPolicy; 2] = [AllocPolicy::RequestQueue, AllocPolicy::FullScan];
 
 #[test]
 fn offered_equals_accepted_at_low_load_for_all_patterns() {
@@ -29,29 +23,16 @@ fn offered_equals_accepted_at_low_load_for_all_patterns() {
         TrafficPattern::Neighbor,
         TrafficPattern::Hotspot(20),
     ] {
-        // Conservation may not depend on how arrivals are scheduled
-        // (event calendar, per-cycle reference) or on how the allocator finds its requests (request queue,
-        // exhaustive scan): every combination has to drain completely.
-        for injection in ALL_INJECTION {
-            for alloc in ALL_ALLOC {
-                let config = SimConfig {
-                    injection,
-                    alloc,
-                    ..SimConfig::fast_test()
-                };
-                let mut net = Network::new(&mesh, &routes, &lats, config);
-                let out = net.run(0.03, pattern);
-                assert!(out.stable, "{pattern} {injection} {alloc}: {out:?}");
-                // All measured packets drained: offered ≈ accepted.
-                // Patterns with silent tiles (transpose diagonal) offer
-                // less, which is fine — the rates must still match each
-                // other.
-                assert!(
-                    (out.accepted_rate - out.offered_rate).abs() < 0.02,
-                    "{pattern} {injection} {alloc}: {out:?}"
-                );
-            }
-        }
+        let mut net = Network::new(&mesh, &routes, &lats, SimConfig::fast_test());
+        let out = net.run(0.03, pattern);
+        assert!(out.stable, "{pattern}: {out:?}");
+        // All measured packets drained: offered ≈ accepted. Patterns
+        // with silent tiles (transpose diagonal) offer less, which is
+        // fine — the rates must still match each other.
+        assert!(
+            (out.accepted_rate - out.offered_rate).abs() < 0.02,
+            "{pattern}: {out:?}"
+        );
     }
 }
 
@@ -102,24 +83,15 @@ fn single_flit_and_long_packets_both_work() {
     let routes = routing::default_routes(&mesh).expect("routes");
     let lats = unit_latencies(&mesh);
     for packet_len in [1u16, 2, 8] {
-        for injection in ALL_INJECTION {
-            for alloc in ALL_ALLOC {
-                let config = SimConfig {
-                    packet_len,
-                    injection,
-                    alloc,
-                    ..SimConfig::fast_test()
-                };
-                let out = Network::new(&mesh, &routes, &lats, config)
-                    .run(0.05, TrafficPattern::UniformRandom);
-                assert!(
-                    out.stable,
-                    "packet_len {packet_len} {injection} {alloc}: {out:?}"
-                );
-                // Longer packets add serialization latency.
-                assert!(out.avg_packet_latency >= (packet_len - 1) as f64);
-            }
-        }
+        let config = SimConfig {
+            packet_len,
+            ..SimConfig::fast_test()
+        };
+        let out =
+            Network::new(&mesh, &routes, &lats, config).run(0.05, TrafficPattern::UniformRandom);
+        assert!(out.stable, "packet_len {packet_len}: {out:?}");
+        // Longer packets add serialization latency.
+        assert!(out.avg_packet_latency >= (packet_len - 1) as f64);
     }
 }
 

@@ -1,7 +1,7 @@
 //! Equivalence and conservation suite for fault injection
 //! (`SimConfig::faults`): a faulted sweep must be byte-identical
-//! across execution backends, thread counts, injection and allocation
-//! policies — faults are one more sweep axis, not a second simulator —
+//! across execution backends and thread counts — faults are one more
+//! sweep axis, not a second simulator —
 //! while the empty plan stays bit-identical to a build that never
 //! heard of faults. The conservation law under faults: every packet
 //! injected in the measurement window is delivered, dropped by a fault,
@@ -9,16 +9,11 @@
 
 use proptest::prelude::*;
 use shg_sim::{
-    AllocPolicy, ExecBackend, Experiment, FaultPlan, InjectionPolicy, Network, ScanPolicy,
-    SimConfig, SimOutcome, SweepSpec, TrafficPattern,
+    ExecBackend, Experiment, FaultPlan, Network, SimConfig, SimOutcome, SweepSpec, TrafficPattern,
 };
 use shg_topology::db::TopologyDb;
 use shg_topology::{generators, routing, Grid, Topology};
 use shg_units::Cycles;
-
-const INJECTIONS: [InjectionPolicy; 2] =
-    [InjectionPolicy::EventDriven, InjectionPolicy::PerCycleScan];
-const ALLOCS: [AllocPolicy; 2] = [AllocPolicy::RequestQueue, AllocPolicy::FullScan];
 
 /// A drain-policy plan that exercises every fault path on a 4x4 grid:
 /// tile 0 loses both its links (unroutable injections + in-flight
@@ -29,10 +24,8 @@ const DRAIN_PLAN: &str = "drain,600:link:0-1,600:link:0-4,900:router:5";
 /// state discard at each epoch).
 const DROP_PLAN: &str = "600:link:0-1,600:link:0-4,900:router:5";
 
-fn faulted_config(plan: &str, injection: InjectionPolicy, alloc: AllocPolicy) -> SimConfig {
+fn faulted_config(plan: &str) -> SimConfig {
     SimConfig {
-        injection,
-        alloc,
         faults: FaultPlan::parse(plan).expect("plan parses"),
         ..SimConfig::fast_test()
     }
@@ -55,9 +48,9 @@ fn experiment<'a>(
     experiment
 }
 
-/// The headline matrix: for every injection × allocation pair and both
-/// in-flight policies, a faulted sweep serializes byte-identically
-/// across {per-cell, reuse, batched} backends and 1-vs-N threads.
+/// The headline matrix: under both in-flight policies, a faulted sweep
+/// serializes byte-identically across {per-cell, reuse, batched}
+/// backends and 1-vs-N threads.
 #[test]
 fn faulted_sweeps_match_across_backends_and_threads() {
     let grid = Grid::new(4, 4);
@@ -65,34 +58,30 @@ fn faulted_sweeps_match_across_backends_and_threads() {
     let fb = generators::flattened_butterfly(grid);
     let cases = [("mesh", &mesh), ("fb", &fb)];
     for plan in [DROP_PLAN, DRAIN_PLAN] {
-        for injection in INJECTIONS {
-            for alloc in ALLOCS {
-                let spec = || {
-                    SweepSpec::new(faulted_config(plan, injection, alloc))
-                        .rates([0.05, 0.25])
-                        .patterns([TrafficPattern::UniformRandom, TrafficPattern::Transpose])
-                };
-                let reference = experiment(spec(), &cases, ExecBackend::PerCell, 1);
-                let reference_json = reference.run_parallel().to_json();
-                assert_eq!(
-                    reference_json,
-                    reference.run_with_threads(1).to_json(),
-                    "{plan}/{injection}/{alloc}: thread count changed the sweep bytes"
-                );
-                for (backend, lanes) in [
-                    (ExecBackend::Reuse, 1),
-                    (ExecBackend::Batched, 1),
-                    (ExecBackend::Batched, 4),
-                ] {
-                    let other = experiment(spec(), &cases, backend, lanes)
-                        .run_parallel()
-                        .to_json();
-                    assert_eq!(
-                        reference_json, other,
-                        "{plan}/{injection}/{alloc}: {backend} K={lanes} changed the sweep bytes"
-                    );
-                }
-            }
+        let spec = || {
+            SweepSpec::new(faulted_config(plan))
+                .rates([0.05, 0.25])
+                .patterns([TrafficPattern::UniformRandom, TrafficPattern::Transpose])
+        };
+        let reference = experiment(spec(), &cases, ExecBackend::PerCell, 1);
+        let reference_json = reference.run_parallel().to_json();
+        assert_eq!(
+            reference_json,
+            reference.run_with_threads(1).to_json(),
+            "{plan}: thread count changed the sweep bytes"
+        );
+        for (backend, lanes) in [
+            (ExecBackend::Reuse, 1),
+            (ExecBackend::Batched, 1),
+            (ExecBackend::Batched, 4),
+        ] {
+            let other = experiment(spec(), &cases, backend, lanes)
+                .run_parallel()
+                .to_json();
+            assert_eq!(
+                reference_json, other,
+                "{plan}: {backend} K={lanes} changed the sweep bytes"
+            );
         }
     }
 }
@@ -100,16 +89,12 @@ fn faulted_sweeps_match_across_backends_and_threads() {
 /// Every faulted batched point must reproduce `Network::run_validated`
 /// — the reference engine with its cross-structure invariants (buffer
 /// accounting, credit conservation, the sinking-VC invariant) asserted
-/// every cycle — under both scan policies.
+/// every cycle.
 #[test]
 fn faulted_points_match_validated_reference() {
     let mesh = generators::mesh(Grid::new(4, 4));
     for plan in [DROP_PLAN, DRAIN_PLAN] {
-        let config = faulted_config(
-            plan,
-            InjectionPolicy::EventDriven,
-            AllocPolicy::RequestQueue,
-        );
+        let config = faulted_config(plan);
         let spec = SweepSpec::new(config.clone())
             .rates([0.05, 0.3])
             .patterns([TrafficPattern::UniformRandom, TrafficPattern::Hotspot(20)]);
@@ -117,23 +102,17 @@ fn faulted_points_match_validated_reference() {
         let routes = routing::default_routes(&mesh).expect("routes");
         let latencies = vec![Cycles::one(); mesh.num_links()];
         for point in &result.points {
-            for scan in [ScanPolicy::ActiveSet, ScanPolicy::FullScan] {
-                let config = SimConfig {
-                    seed: point.seed,
-                    ..config.clone()
-                };
-                let reference = Network::new(&mesh, &routes, &latencies, config).run_validated(
-                    point.rate,
-                    point.pattern,
-                    scan,
-                );
-                assert_eq!(
-                    reference, point.outcome,
-                    "{plan}/{scan:?}: batched lane diverged from the validated \
-                     reference at rate {} {:?}",
-                    point.rate, point.pattern
-                );
-            }
+            let config = SimConfig {
+                seed: point.seed,
+                ..config.clone()
+            };
+            let reference = Network::new(&mesh, &routes, &latencies, config)
+                .run_validated(point.rate, point.pattern);
+            assert_eq!(
+                reference, point.outcome,
+                "{plan}: batched lane diverged from the validated reference at rate {} {:?}",
+                point.rate, point.pattern
+            );
         }
         // The kills isolate tile 0 mid-run: the plan must actually have
         // touched traffic for this test to bite.
@@ -191,13 +170,9 @@ fn faulted_plans_fingerprint_and_serialize_distinctly() {
     let mesh = generators::mesh(Grid::new(4, 4));
     let cases = [("mesh", &mesh)];
     let spec = |plan: &str| {
-        SweepSpec::new(faulted_config(
-            plan,
-            InjectionPolicy::EventDriven,
-            AllocPolicy::RequestQueue,
-        ))
-        .rates([0.25])
-        .patterns([TrafficPattern::UniformRandom])
+        SweepSpec::new(faulted_config(plan))
+            .rates([0.25])
+            .patterns([TrafficPattern::UniformRandom])
     };
     let clean = experiment(spec(""), &cases, ExecBackend::PerCell, 1);
     let faulted = experiment(spec(DRAIN_PLAN), &cases, ExecBackend::PerCell, 1);
@@ -230,11 +205,7 @@ fn faulted_runs_conserve_packets() {
     let routes = routing::default_routes(&mesh).expect("routes");
     let latencies = vec![Cycles::one(); mesh.num_links()];
     for plan in [DROP_PLAN, DRAIN_PLAN] {
-        let config = faulted_config(
-            plan,
-            InjectionPolicy::EventDriven,
-            AllocPolicy::RequestQueue,
-        );
+        let config = faulted_config(plan);
         let outcome = Network::new(&mesh, &routes, &latencies, config.clone())
             .run(0.1, TrafficPattern::UniformRandom);
         let injected = injected_packets(&outcome, &config, mesh.num_tiles() as f64);

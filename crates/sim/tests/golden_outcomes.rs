@@ -1,22 +1,19 @@
 //! Golden `SimOutcome`s: every statistic of a fixed cell list, pinned
 //! bit for bit in `golden_outcomes.txt`.
 //!
-//! The equivalence suites compare the production path against in-tree
-//! references (`AllocPolicy::FullScan`, `ScanPolicy::FullScan`, the
-//! injection scans, the batched core) that share the router's
-//! enqueue / VC-allocation / traversal helpers with it, so a drift
-//! common to both sides is invisible to them. This file is the
-//! independent witness: the committed outcomes were generated once and
+//! The simulator has one implementation of each cycle phase, so this
+//! file is its oracle: the committed outcomes were generated once and
 //! any kernel change must reproduce them exactly. The cell list spans
-//! topology families (mesh, torus, ring, flattened butterfly, SlimNoC,
-//! the scenario-a sparse Hamming graph, a two-die database part) ×
-//! traffic patterns × load levels from idle to fully saturated ×
-//! packet lengths, with 1- and 3-cycle links, dense and next-hop route
-//! tables, both in-flight fault policies and reset-reused networks —
-//! plus saturated cells whose sources stay backlogged across fault
-//! epochs, the window's end, the per-cycle injection scan and resets,
-//! so the lazily drawn sources are pinned where they differ most from
-//! an eager packet queue.
+//! topology families (mesh, torus, ring, hypercube, flattened
+//! butterfly, SlimNoC, the scenario-a sparse Hamming graph, a two-die
+//! database part) × all seven traffic patterns × load levels from idle
+//! to packet probability 1 × packet lengths from 1 to 8 flits, with 1-
+//! and 3-cycle links, dense and next-hop route tables, VC counts whose
+//! class ranges are not powers of two, both in-flight fault policies
+//! and reset-reused networks — plus saturated cells whose sources stay
+//! backlogged across fault epochs, the window's end and resets, so the
+//! lazily drawn sources are pinned where they differ most from an eager
+//! packet queue.
 //!
 //! Regenerate (only when an outcome change is intended and understood):
 //!
@@ -26,7 +23,7 @@
 
 use std::fmt::Write as _;
 
-use shg_sim::{FaultPlan, InjectionPolicy, Network, SimConfig, SimOutcome, TrafficPattern};
+use shg_sim::{FaultPlan, Network, SimConfig, SimOutcome, TrafficPattern};
 use shg_topology::db::TopologyDb;
 use shg_topology::routing::{default_routes_with, RouteForm};
 use shg_topology::{generators, Grid, Topology};
@@ -190,9 +187,8 @@ fn render() -> String {
     text
 }
 
-/// The cells only the policy-equivalence suites used to cover: the
-/// four patterns the grid above leaves out on a high-radix and a
-/// wrap-around topology, 8-flit packets on high-radix routers, the
+/// Cells the grid above leaves out: the four patterns it does not
+/// sweep, on a high-radix and a wrap-around topology, 8-flit packets on high-radix routers, the
 /// degenerate injection rates (no packet at all, a packet every cycle)
 /// and VC counts whose class ranges are not powers of two.
 fn render_widened(text: &mut String) {
@@ -330,22 +326,22 @@ fn render_widened(text: &mut String) {
 /// created but still waiting for the injection buffer — across each
 /// event that touches a backlog: fault epochs of both policies inside
 /// and after the measurement window (with a drain kill that cuts a tile
-/// off while survivors still hold packets for it), the per-cycle
-/// injection scan, a reset-reused network and a hotspot source whose
-/// draws often name itself.
+/// off while survivors still hold packets for it), a reset-reused
+/// network and a hotspot source whose draws often name itself. (The
+/// `scan*` cells were pinned under a per-cycle injection scan the
+/// calendar reproduces exactly.)
 fn render_backlogged(text: &mut String) {
     let mesh = generators::mesh(Grid::new(4, 4));
     let sr = [4].into_iter().collect();
     let sc = [2, 5].into_iter().collect();
     let shg = generators::row_column_skip(Grid::new(8, 8), &sr, &sc).expect("scenario a");
-    let cells: [(&str, &Topology, TrafficPattern, u16, &str, InjectionPolicy); 10] = [
+    let cells: [(&str, &Topology, TrafficPattern, u16, &str); 10] = [
         (
             "mesh4x4/drop-in-window",
             &mesh,
             TrafficPattern::UniformRandom,
             2,
             "500:router:5",
-            InjectionPolicy::EventDriven,
         ),
         (
             "mesh4x4/drop-after-window",
@@ -353,7 +349,6 @@ fn render_backlogged(text: &mut String) {
             TrafficPattern::UniformRandom,
             1,
             "1000:link:0-1",
-            InjectionPolicy::EventDriven,
         ),
         (
             "mesh4x4/drain-cut-in-window",
@@ -361,7 +356,6 @@ fn render_backlogged(text: &mut String) {
             TrafficPattern::UniformRandom,
             2,
             "drain,500:router:1,500:router:4",
-            InjectionPolicy::EventDriven,
         ),
         (
             "mesh4x4/drain-cut-after-window",
@@ -369,23 +363,14 @@ fn render_backlogged(text: &mut String) {
             TrafficPattern::Hotspot(30),
             4,
             "drain,900:router:1,900:router:4",
-            InjectionPolicy::EventDriven,
         ),
-        (
-            "mesh4x4/scan",
-            &mesh,
-            TrafficPattern::Hotspot(30),
-            2,
-            "",
-            InjectionPolicy::PerCycleScan,
-        ),
+        ("mesh4x4/scan", &mesh, TrafficPattern::Hotspot(30), 2, ""),
         (
             "mesh4x4/scan-drop",
             &mesh,
             TrafficPattern::UniformRandom,
             1,
             "400:router:6,1000:router:9",
-            InjectionPolicy::PerCycleScan,
         ),
         (
             "mesh4x4/scan-drain-cut",
@@ -393,7 +378,6 @@ fn render_backlogged(text: &mut String) {
             TrafficPattern::UniformRandom,
             4,
             "drain,500:router:1,500:router:4",
-            InjectionPolicy::PerCycleScan,
         ),
         (
             "mesh4x4/hotspot-self",
@@ -401,7 +385,6 @@ fn render_backlogged(text: &mut String) {
             TrafficPattern::Hotspot(50),
             1,
             "",
-            InjectionPolicy::EventDriven,
         ),
         (
             "shg8x8/drop-three-epochs",
@@ -409,7 +392,6 @@ fn render_backlogged(text: &mut String) {
             TrafficPattern::UniformRandom,
             4,
             "300:link:0-1,500:router:27,1000:router:9",
-            InjectionPolicy::EventDriven,
         ),
         (
             "shg8x8/drain-three-epochs",
@@ -417,17 +399,13 @@ fn render_backlogged(text: &mut String) {
             TrafficPattern::Hotspot(50),
             2,
             "drain,300:link:0-1,500:router:27,1000:router:9",
-            InjectionPolicy::EventDriven,
         ),
     ];
-    for (i, (label, topology, pattern, packet_len, plan, injection)) in
-        cells.into_iter().enumerate()
-    {
+    for (i, (label, topology, pattern, packet_len, plan)) in cells.into_iter().enumerate() {
         let routes = default_routes_with(topology, RouteForm::NextHop).expect("routes build");
         let config = SimConfig {
             packet_len,
             seed: 5000 + i as u64,
-            injection,
             faults: FaultPlan::parse(plan).expect("plan parses"),
             ..base_config()
         };

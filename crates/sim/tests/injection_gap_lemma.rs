@@ -1,12 +1,11 @@
 //! The two lemmas event-driven injection rests on, as property tests:
 //!
-//! 1. **Bit-identity** — the event calendar and the per-cycle countdown
+//! 1. **Bit-identity** — the event calendar and a per-cycle countdown
 //!    scan, consuming the same per-tile streams through the same
 //!    geometric sampler, produce identical fire schedules and leave the
 //!    streams in identical states, for any tile count, probability
 //!    (including the `rate == 0` and `packet_prob >= 1` edges) and
-//!    horizon. This is what makes `InjectionPolicy::PerCycleScan` a
-//!    valid exhaustive reference for `InjectionPolicy::EventDriven`.
+//!    horizon: skipping the tiles that do not fire changes nothing.
 //! 2. **Distributional equivalence** — the gap sampler's one-draw
 //!    inversion reproduces the Bernoulli failure-run law
 //!    `P[gap = k] = (1−p)^k · p` that per-cycle draws realize, so
@@ -18,7 +17,7 @@ use proptest::prelude::*;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, RngCore, SeedableRng};
-use shg_sim::{geometric_gap, tile_stream_seed, InjectionPolicy, Injector};
+use shg_sim::{geometric_gap, tile_stream_seed, Injector};
 
 /// The reference process: count failed per-cycle Bernoulli draws until
 /// the first success. Caps at `limit` to bound the test for tiny `p`.
@@ -31,6 +30,42 @@ fn bernoulli_gap(rng: &mut SmallRng, p: f64, limit: u64) -> Option<u64> {
         gap += 1;
         if gap > limit {
             return None;
+        }
+    }
+}
+
+/// The per-cycle reference for the calendar: every tile counts its
+/// sampled gap down by one each cycle and fires at zero, drawing the
+/// next gap from its stream after the caller's destination draw.
+struct Countdown {
+    streams: Vec<SmallRng>,
+    /// Cycles until each tile fires; `None` for one that never does.
+    left: Vec<Option<u64>>,
+    p: f64,
+}
+
+impl Countdown {
+    fn new(seed: u64, tiles: usize, p: f64) -> Self {
+        let mut streams: Vec<SmallRng> = (0..tiles as u32)
+            .map(|t| SmallRng::seed_from_u64(tile_stream_seed(seed, t)))
+            .collect();
+        let left = streams
+            .iter_mut()
+            .map(|rng| geometric_gap(rng, p))
+            .collect();
+        Self { streams, left, p }
+    }
+
+    fn fire(&mut self, mut fire: impl FnMut(usize, &mut SmallRng)) {
+        for (t, left) in self.left.iter_mut().enumerate() {
+            match left {
+                Some(0) => {
+                    fire(t, &mut self.streams[t]);
+                    *left = geometric_gap(&mut self.streams[t], self.p);
+                }
+                Some(cycles) => *cycles -= 1,
+                None => {}
+            }
         }
     }
 }
@@ -49,15 +84,12 @@ proptest! {
         p in 0.0f64..1.1,
         cycles in 1u64..300,
     ) {
-        let mut scan = Injector::new(InjectionPolicy::PerCycleScan, seed, tiles, p, cycles);
-        let mut event = Injector::new(InjectionPolicy::EventDriven, seed, tiles, p, cycles);
+        let mut scan = Countdown::new(seed, tiles, p);
+        let mut event = Injector::new(seed, tiles, p, cycles);
         for now in 0..cycles {
             let mut a = Vec::new();
             let mut b = Vec::new();
-            scan.fire_at(now, |t, rng| {
-                a.push((t, rng.next_u64()));
-                true
-            });
+            scan.fire(|t, rng| a.push((t, rng.next_u64())));
             event.fire_at(now, |t, rng| {
                 b.push((t, rng.next_u64()));
                 true
@@ -67,24 +99,27 @@ proptest! {
     }
 
     /// Lemma 1 edge: `rate == 0` fires nothing, `packet_prob >= 1`
-    /// fires every tile every cycle — under both policies.
+    /// fires every tile every cycle — on the calendar and the countdown.
     #[test]
     fn degenerate_probabilities_fire_never_or_always(
         seed in 0u64..1_000_000,
         tiles in 1usize..16,
     ) {
-        for policy in [InjectionPolicy::EventDriven, InjectionPolicy::PerCycleScan] {
-            let mut silent = Injector::new(policy, seed, tiles, 0.0, 50);
-            let mut saturated = Injector::new(policy, seed, tiles, 1.0, 50);
-            for now in 0..50 {
-                silent.fire_at(now, |t, _| panic!("tile {t} fired at rate 0"));
-                let mut fired = Vec::new();
-                saturated.fire_at(now, |t, _| {
-                    fired.push(t);
-                    true
-                });
-                prop_assert_eq!(&fired, &(0..tiles).collect::<Vec<_>>(), "cycle {}", now);
-            }
+        let mut silent = Injector::new(seed, tiles, 0.0, 50);
+        let mut saturated = Injector::new(seed, tiles, 1.0, 50);
+        let mut silent_scan = Countdown::new(seed, tiles, 0.0);
+        let mut saturated_scan = Countdown::new(seed, tiles, 1.0);
+        for now in 0..50 {
+            silent.fire_at(now, |t, _| panic!("tile {t} fired at rate 0"));
+            silent_scan.fire(|t, _| panic!("tile {t} fired at rate 0 in the countdown"));
+            let (mut fired, mut fired_scan) = (Vec::new(), Vec::new());
+            saturated.fire_at(now, |t, _| {
+                fired.push(t);
+                true
+            });
+            saturated_scan.fire(|t, _| fired_scan.push(t));
+            prop_assert_eq!(&fired, &(0..tiles).collect::<Vec<_>>(), "cycle {}", now);
+            prop_assert_eq!(&fired_scan, &fired, "cycle {}", now);
         }
     }
 

@@ -1,26 +1,18 @@
 //! Equivalence suite for `Network::reset` and the `ExecBackend::Reuse`
 //! execution backend: a reset-reused network must be bit-identical to
-//! fresh construction for every cell, across all scan × injection ×
-//! allocation policy combinations — including after *unstable* cells
-//! that leave maximal residual state (occupied buffers, in-flight
-//! flits and credits, rotated arbiters) for the reset to clean.
+//! fresh construction for every cell, with and without fault epochs of
+//! either in-flight policy — including after *unstable* cells that
+//! leave maximal residual state (occupied buffers, in-flight flits and
+//! credits, rotated arbiters, sinking VCs) for the reset to clean.
 //!
 //! The validated runs go through `Network::run_validated`, which
 //! asserts the router's cross-structure invariants every cycle — stale
 //! request or active-set state surviving a reset trips an assertion
 //! long before it could skew a statistic.
 
-use shg_sim::{
-    AllocPolicy, ExecBackend, Experiment, InjectionPolicy, Network, ScanPolicy, SimConfig,
-    SweepSpec, TrafficPattern,
-};
+use shg_sim::{ExecBackend, Experiment, FaultPlan, Network, SimConfig, SweepSpec, TrafficPattern};
 use shg_topology::{generators, routing, Grid, Topology};
 use shg_units::Cycles;
-
-const SCANS: [ScanPolicy; 2] = [ScanPolicy::ActiveSet, ScanPolicy::FullScan];
-const INJECTIONS: [InjectionPolicy; 2] =
-    [InjectionPolicy::EventDriven, InjectionPolicy::PerCycleScan];
-const ALLOCS: [AllocPolicy; 2] = [AllocPolicy::RequestQueue, AllocPolicy::FullScan];
 
 fn unit_latencies(t: &Topology) -> Vec<Cycles> {
     vec![Cycles::one(); t.num_links()]
@@ -46,7 +38,6 @@ fn assert_reuse_matches_fresh(
     topology: &Topology,
     latencies: &[Cycles],
     base: &SimConfig,
-    scan: ScanPolicy,
     label: &str,
 ) {
     let routes = routing::default_routes(topology).expect("routes");
@@ -56,8 +47,8 @@ fn assert_reuse_matches_fresh(
             seed,
             ..base.clone()
         };
-        let fresh = Network::new(topology, &routes, latencies, config.clone())
-            .run_validated(rate, pattern, scan);
+        let fresh =
+            Network::new(topology, &routes, latencies, config.clone()).run_validated(rate, pattern);
         let net = match reused {
             Some(ref mut net) => {
                 net.reset(seed);
@@ -65,30 +56,31 @@ fn assert_reuse_matches_fresh(
             }
             None => reused.insert(Network::new(topology, &routes, latencies, config)),
         };
-        let reuse = net.run_validated(rate, pattern, scan);
+        let reuse = net.run_validated(rate, pattern);
         assert_eq!(
             fresh, reuse,
-            "{label}/{scan:?}: reused network diverged at rate {rate} {pattern:?} seed {seed}"
+            "{label}: reused network diverged at rate {rate} {pattern:?} seed {seed}"
         );
     }
 }
 
+/// Fault-free, then a link and a router kill under each in-flight
+/// policy: `Drop` wipes the fabric at each epoch, `Drain` leaves sinking
+/// VCs and degraded-table state that a reset must clear as well.
 #[test]
 fn reset_matches_fresh_construction_across_all_policy_combos() {
     let mesh = generators::mesh(Grid::new(4, 4));
     let latencies = unit_latencies(&mesh);
-    for scan in SCANS {
-        for injection in INJECTIONS {
-            for alloc in ALLOCS {
-                let base = SimConfig {
-                    injection,
-                    alloc,
-                    ..SimConfig::fast_test()
-                };
-                let label = format!("mesh/{injection}/{alloc}");
-                assert_reuse_matches_fresh(&mesh, &latencies, &base, scan, &label);
-            }
-        }
+    for plan in [
+        "",
+        "700:link:0-1,900:router:5",
+        "drain,700:link:0-1,900:router:5",
+    ] {
+        let base = SimConfig {
+            faults: FaultPlan::parse(plan).expect("plan parses"),
+            ..SimConfig::fast_test()
+        };
+        assert_reuse_matches_fresh(&mesh, &latencies, &base, &format!("mesh/'{plan}'"));
     }
 }
 
@@ -98,13 +90,7 @@ fn reset_matches_fresh_on_high_radix_topology() {
     // (31 ports × 8 VCs of masks and credits per router).
     let fb = generators::flattened_butterfly(Grid::new(4, 4));
     let latencies = unit_latencies(&fb);
-    for alloc in ALLOCS {
-        let base = SimConfig {
-            alloc,
-            ..SimConfig::fast_test()
-        };
-        assert_reuse_matches_fresh(&fb, &latencies, &base, ScanPolicy::ActiveSet, "fb");
-    }
+    assert_reuse_matches_fresh(&fb, &latencies, &SimConfig::fast_test(), "fb");
 }
 
 #[test]
@@ -118,9 +104,7 @@ fn reset_matches_fresh_with_multicycle_links_and_long_packets() {
         packet_len: 8,
         ..SimConfig::fast_test()
     };
-    for scan in SCANS {
-        assert_reuse_matches_fresh(&mesh, &latencies, &base, scan, "mesh/multicycle/len8");
-    }
+    assert_reuse_matches_fresh(&mesh, &latencies, &base, "mesh/multicycle/len8");
 }
 
 #[test]
@@ -136,18 +120,15 @@ fn reset_after_unstable_run_leaves_no_trace() {
         ..SimConfig::fast_test()
     };
     let mut net = Network::new(&ring, &routes, &latencies, config(1));
-    let saturated = net.run_validated(0.9, TrafficPattern::UniformRandom, ScanPolicy::ActiveSet);
+    let saturated = net.run_validated(0.9, TrafficPattern::UniformRandom);
     assert!(
         !saturated.stable,
         "ring at 0.9 must saturate: {saturated:?}"
     );
     net.reset(2);
-    let after = net.run_validated(0.05, TrafficPattern::UniformRandom, ScanPolicy::ActiveSet);
-    let fresh = Network::new(&ring, &routes, &latencies, config(2)).run_validated(
-        0.05,
-        TrafficPattern::UniformRandom,
-        ScanPolicy::ActiveSet,
-    );
+    let after = net.run_validated(0.05, TrafficPattern::UniformRandom);
+    let fresh = Network::new(&ring, &routes, &latencies, config(2))
+        .run_validated(0.05, TrafficPattern::UniformRandom);
     assert_eq!(after, fresh);
 }
 
@@ -169,45 +150,35 @@ fn repeated_resets_with_the_same_seed_reproduce() {
 }
 
 /// Experiment-level consequence: the reuse backend serializes the same
-/// bytes as the per-cell reference, for every injection/allocation
-/// policy and regardless of thread count.
+/// bytes as the per-cell reference, regardless of thread count.
 #[test]
 fn reuse_backend_serializes_identically_to_per_cell() {
     let grid = Grid::new(4, 4);
     let mesh = generators::mesh(grid);
     let fb = generators::flattened_butterfly(grid);
-    for (injection, alloc) in [
-        (InjectionPolicy::EventDriven, AllocPolicy::RequestQueue),
-        (InjectionPolicy::PerCycleScan, AllocPolicy::FullScan),
-    ] {
-        let spec = || {
-            SweepSpec::new(SimConfig {
-                injection,
-                alloc,
-                ..SimConfig::fast_test()
-            })
+    let spec = || {
+        SweepSpec::new(SimConfig::fast_test())
             .rates([0.02, 0.1, 0.6])
             .patterns([TrafficPattern::UniformRandom, TrafficPattern::Hotspot(20)])
-        };
-        let experiment = |backend: ExecBackend| {
-            Experiment::new(spec())
-                .with_backend(backend)
-                .with_unit_latency_case("mesh", &mesh)
-                .expect("mesh routes")
-                .with_unit_latency_case("fb", &fb)
-                .expect("fb routes")
-        };
-        let reference = experiment(ExecBackend::PerCell).run_parallel();
-        let reuse = experiment(ExecBackend::Reuse);
-        assert_eq!(
-            reference.to_json(),
-            reuse.run_parallel().to_json(),
-            "{injection}/{alloc}: reuse backend changed the sweep bytes"
-        );
-        assert_eq!(
-            reference.to_json(),
-            reuse.run_with_threads(1).to_json(),
-            "{injection}/{alloc}: reuse backend is thread-count-dependent"
-        );
-    }
+    };
+    let experiment = |backend: ExecBackend| {
+        Experiment::new(spec())
+            .with_backend(backend)
+            .with_unit_latency_case("mesh", &mesh)
+            .expect("mesh routes")
+            .with_unit_latency_case("fb", &fb)
+            .expect("fb routes")
+    };
+    let reference = experiment(ExecBackend::PerCell).run_parallel();
+    let reuse = experiment(ExecBackend::Reuse);
+    assert_eq!(
+        reference.to_json(),
+        reuse.run_parallel().to_json(),
+        "reuse backend changed the sweep bytes"
+    );
+    assert_eq!(
+        reference.to_json(),
+        reuse.run_with_threads(1).to_json(),
+        "reuse backend is thread-count-dependent"
+    );
 }

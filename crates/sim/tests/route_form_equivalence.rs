@@ -3,13 +3,11 @@
 //! The compact next-hop routing table must be invisible to the
 //! simulator: every sweep over a case annotated with next-hop routes
 //! serializes **byte-identically** to the same sweep over dense routes,
-//! across topologies, injection policies, allocation policies and every
+//! across topologies, fault epochs of both in-flight policies and every
 //! execution backend. This is what lets `--routes next-hop` default on
 //! without perturbing a single published number.
 
-use shg_sim::{
-    AllocPolicy, ExecBackend, Experiment, InjectionPolicy, SimConfig, SweepSpec, TrafficPattern,
-};
+use shg_sim::{ExecBackend, Experiment, FaultPlan, SimConfig, SweepSpec, TrafficPattern};
 use shg_topology::routing::{default_routes, default_routes_with, RouteForm};
 use shg_topology::{generators, Grid, Topology};
 use shg_units::Cycles;
@@ -79,26 +77,27 @@ fn next_hop_sweeps_serialize_identically_to_dense() {
     }
 }
 
+/// A link and a router kill under each in-flight policy: heads routed
+/// on the base table before the epoch, degraded tables after it.
 #[test]
 fn next_hop_is_byte_identical_across_policies() {
     let mesh = generators::mesh(Grid::new(4, 4));
-    for injection in [InjectionPolicy::EventDriven, InjectionPolicy::PerCycleScan] {
-        for alloc in [AllocPolicy::RequestQueue, AllocPolicy::FullScan] {
-            let mut config = SimConfig::fast_test();
-            config.injection = injection;
-            config.alloc = alloc;
-            let dense = sweep_json(
-                &mesh,
-                RouteForm::Dense,
-                config.clone(),
-                ExecBackend::PerCell,
-            );
-            let compact = sweep_json(&mesh, RouteForm::NextHop, config, ExecBackend::PerCell);
-            assert_eq!(
-                compact, dense,
-                "{injection:?}/{alloc:?} diverged across route forms"
-            );
-        }
+    for plan in [
+        "700:link:0-1,900:router:5",
+        "drain,700:link:0-1,900:router:5",
+    ] {
+        let config = SimConfig {
+            faults: FaultPlan::parse(plan).expect("plan parses"),
+            ..SimConfig::fast_test()
+        };
+        let dense = sweep_json(
+            &mesh,
+            RouteForm::Dense,
+            config.clone(),
+            ExecBackend::PerCell,
+        );
+        let compact = sweep_json(&mesh, RouteForm::NextHop, config, ExecBackend::PerCell);
+        assert_eq!(compact, dense, "'{plan}' diverged across route forms");
     }
 }
 

@@ -8,8 +8,7 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 use shg_sim::sweep::run_journaled;
 use shg_sim::{
-    AllocPolicy, CellCache, ExecBackend, Experiment, InjectionPolicy, ShardSpec, SimConfig,
-    SweepSpec, TrafficPattern,
+    CellCache, ExecBackend, Experiment, ShardSpec, SimConfig, SweepSpec, TrafficPattern,
 };
 use shg_topology::{generators, Grid, Topology};
 
@@ -310,34 +309,25 @@ fn reuse_backend_and_cache_compose() {
     assert_eq!((stats.cached, stats.simulated), (4, 0));
 }
 
-const INJECTIONS: [InjectionPolicy; 2] =
-    [InjectionPolicy::EventDriven, InjectionPolicy::PerCycleScan];
-const ALLOCS: [AllocPolicy; 2] = [AllocPolicy::RequestQueue, AllocPolicy::FullScan];
 const BACKENDS: [ExecBackend; 2] = [ExecBackend::PerCell, ExecBackend::Reuse];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// For any policy pair, backend and seed: a cold cached run and a
-    /// warm re-run both serialize to exactly the cache-less bytes, and
-    /// the warm run simulates nothing.
+    /// For any backend and seed: a cold cached run and a warm re-run
+    /// both serialize to exactly the cache-less bytes, and the warm run
+    /// simulates nothing.
     #[test]
     fn cold_and_warm_cached_runs_match_the_uncached_bytes(
-        injection_idx in 0..INJECTIONS.len(),
-        alloc_idx in 0..ALLOCS.len(),
         backend_idx in 0..BACKENDS.len(),
         seed in 0u64..1_000,
     ) {
         let mesh = generators::mesh(Grid::new(4, 4));
         let config = SimConfig {
-            injection: INJECTIONS[injection_idx],
-            alloc: ALLOCS[alloc_idx],
             seed,
             ..SimConfig::fast_test()
         };
-        let scratch = ScratchDir::new(&format!(
-            "prop_{injection_idx}_{alloc_idx}_{backend_idx}_{seed}"
-        ));
+        let scratch = ScratchDir::new(&format!("prop_{backend_idx}_{seed}"));
         let reference = experiment(base_spec(config.clone()), &mesh)
             .run_parallel()
             .to_json();

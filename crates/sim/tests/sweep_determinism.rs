@@ -7,19 +7,18 @@
 //!
 //! The sharding consequence is pinned here too: any N-way shard split
 //! of a sweep, merged, serializes to the single-shot bytes — across
-//! shard counts and every injection/allocation policy (proptest).
+//! shard counts and root seeds (proptest).
 
 use proptest::prelude::*;
 use rayon::ThreadPool;
 use shg_sim::sweep::ALL_PATTERNS;
 use shg_sim::{
-    AllocPolicy, ExecBackend, Experiment, InjectionPolicy, ShardSpec, SimConfig, SweepResult,
-    SweepSpec, TrafficPattern,
+    ExecBackend, Experiment, ShardSpec, SimConfig, SweepResult, SweepSpec, TrafficPattern,
 };
 use shg_topology::{generators, Grid};
 
 /// One pool per thread count, built once — `run_with_threads` would
-/// rebuild the pool on every invocation inside the policy loop.
+/// rebuild the pool on every invocation.
 fn pool(threads: usize) -> ThreadPool {
     rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
@@ -34,42 +33,27 @@ fn one_thread_and_many_threads_produce_identical_json() {
     let torus = generators::torus(grid);
     let single_pool = pool(1);
     let pools: Vec<ThreadPool> = [2, 4, 8].into_iter().map(pool).collect();
-    // Pairs cover both injection policies and both allocation policies
-    // without paying for the full cross product.
-    for (injection, alloc) in [
-        (InjectionPolicy::EventDriven, AllocPolicy::RequestQueue),
-        (InjectionPolicy::EventDriven, AllocPolicy::FullScan),
-        (InjectionPolicy::PerCycleScan, AllocPolicy::RequestQueue),
-    ] {
-        let spec = SweepSpec::new(SimConfig {
-            injection,
-            alloc,
-            ..SimConfig::fast_test()
-        })
+    let spec = SweepSpec::new(SimConfig::fast_test())
         .rates([0.02, 0.1, 0.3])
         .all_patterns();
-        let experiment = Experiment::new(spec)
-            .with_unit_latency_case("mesh", &mesh)
-            .expect("mesh routes")
-            .with_unit_latency_case("torus", &torus)
-            .expect("torus routes");
-        let single = experiment.run_in_pool(&single_pool);
-        for parallel_pool in &pools {
-            let parallel = experiment.run_in_pool(parallel_pool);
-            assert_eq!(
-                single, parallel,
-                "{injection}/{alloc}: outcomes differ between 1 and N threads"
-            );
-            assert_eq!(
-                single.to_json(),
-                parallel.to_json(),
-                "{injection}/{alloc}: JSON bytes differ between 1 and N threads"
-            );
-        }
-        // Re-running the whole experiment reproduces the bytes too.
-        assert_eq!(single.to_json(), experiment.run_parallel().to_json());
-        assert_eq!(single.points.len(), 2 * ALL_PATTERNS.len() * 3);
+    let experiment = Experiment::new(spec)
+        .with_unit_latency_case("mesh", &mesh)
+        .expect("mesh routes")
+        .with_unit_latency_case("torus", &torus)
+        .expect("torus routes");
+    let single = experiment.run_in_pool(&single_pool);
+    for parallel_pool in &pools {
+        let parallel = experiment.run_in_pool(parallel_pool);
+        assert_eq!(single, parallel, "outcomes differ between 1 and N threads");
+        assert_eq!(
+            single.to_json(),
+            parallel.to_json(),
+            "JSON bytes differ between 1 and N threads"
+        );
     }
+    // Re-running the whole experiment reproduces the bytes too.
+    assert_eq!(single.to_json(), experiment.run_parallel().to_json());
+    assert_eq!(single.points.len(), 2 * ALL_PATTERNS.len() * 3);
 }
 
 /// The batched core under the same contract: a batched sweep run with
@@ -117,60 +101,6 @@ fn batched_sweeps_serialize_identically_at_one_and_many_threads() {
     }
 }
 
-/// The whole-sweep consequence of the injection bit-identity: since
-/// event-driven and per-cycle scan agree on every outcome and the
-/// derived seeds don't depend on the policy, the *serialized sweeps*
-/// are byte-identical too (the config is not part of the result).
-#[test]
-fn event_driven_and_per_cycle_scan_sweeps_serialize_identically() {
-    let mesh = generators::mesh(Grid::new(4, 4));
-    let run = |injection: InjectionPolicy| {
-        let spec = SweepSpec::new(SimConfig {
-            injection,
-            ..SimConfig::fast_test()
-        })
-        .rates([0.05, 0.25])
-        .all_patterns()
-        .hotspot_low_rates(2, 0.01);
-        Experiment::new(spec)
-            .with_unit_latency_case("mesh", &mesh)
-            .expect("mesh routes")
-            .run_parallel()
-    };
-    assert_eq!(
-        run(InjectionPolicy::EventDriven).to_json(),
-        run(InjectionPolicy::PerCycleScan).to_json(),
-        "injection policies leaked into sweep results"
-    );
-}
-
-/// The whole-sweep consequence of the allocator bit-identity: since the
-/// request queue and the exhaustive scan agree on every outcome and the
-/// derived seeds don't depend on the policy, the serialized sweeps are
-/// byte-identical too (the allocator twin of the injection test above).
-#[test]
-fn request_queue_and_full_scan_sweeps_serialize_identically() {
-    let fb = generators::flattened_butterfly(Grid::new(4, 4));
-    let run = |alloc: AllocPolicy| {
-        let spec = SweepSpec::new(SimConfig {
-            alloc,
-            ..SimConfig::fast_test()
-        })
-        .rates([0.05, 0.25])
-        .all_patterns()
-        .hotspot_low_rates(2, 0.01);
-        Experiment::new(spec)
-            .with_unit_latency_case("fb", &fb)
-            .expect("fb routes")
-            .run_parallel()
-    };
-    assert_eq!(
-        run(AllocPolicy::RequestQueue).to_json(),
-        run(AllocPolicy::FullScan).to_json(),
-        "allocation policies leaked into sweep results"
-    );
-}
-
 #[test]
 fn distinct_seeds_change_results_but_stay_deterministic() {
     let grid = Grid::new(4, 4);
@@ -200,29 +130,21 @@ fn distinct_seeds_change_results_but_stay_deterministic() {
 }
 
 const SHARD_COUNTS: [u32; 5] = [1, 2, 3, 5, 8];
-const INJECTIONS: [InjectionPolicy; 2] =
-    [InjectionPolicy::EventDriven, InjectionPolicy::PerCycleScan];
-const ALLOCS: [AllocPolicy; 2] = [AllocPolicy::RequestQueue, AllocPolicy::FullScan];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Shard-union byte-identity: for any shard count and any
-    /// injection/allocation policy pair, merging the N shard runs
-    /// serializes to exactly the bytes of the single-shot
-    /// `run_parallel` JSON.
+    /// Shard-union byte-identity: for any shard count and root seed,
+    /// merging the N shard runs serializes to exactly the bytes of the
+    /// single-shot `run_parallel` JSON.
     #[test]
     fn sharded_runs_merge_to_the_single_shot_bytes(
         count_idx in 0..SHARD_COUNTS.len(),
-        injection_idx in 0..INJECTIONS.len(),
-        alloc_idx in 0..ALLOCS.len(),
         seed in 0u64..1_000,
     ) {
         let count = SHARD_COUNTS[count_idx];
         let mesh = generators::mesh(Grid::new(4, 4));
         let spec = SweepSpec::new(SimConfig {
-            injection: INJECTIONS[injection_idx],
-            alloc: ALLOCS[alloc_idx],
             seed,
             ..SimConfig::fast_test()
         })
