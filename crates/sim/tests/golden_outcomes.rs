@@ -8,7 +8,8 @@
 //! butterfly, SlimNoC, the scenario-a sparse Hamming graph, a two-die
 //! database part) × all seven traffic patterns × load levels from idle
 //! to packet probability 1 × packet lengths from 1 to 8 flits, with 1-
-//! and 3-cycle links, dense and next-hop route tables, VC counts whose
+//! and 3-cycle links, links of mixed latencies within one cell and
+//! zero-latency channels, dense and next-hop route tables, VC counts whose
 //! class ranges are not powers of two, both in-flight fault policies
 //! and reset-reused networks — plus saturated cells whose sources stay
 //! backlogged across fault epochs, the window's end and resets, so the
@@ -184,7 +185,101 @@ fn render() -> String {
     }
     render_backlogged(&mut text);
     render_widened(&mut text);
+    render_mixed_latencies(&mut text);
     text
+}
+
+/// Link `i` takes `1 + (5·i mod 6)` cycles, so neighbouring channels
+/// differ and in-flight traffic is due on every offset of the link
+/// pipelines at once.
+fn mixed_latencies(topology: &Topology) -> Vec<Cycles> {
+    (0..topology.num_links() as u64)
+        .map(|i| Cycles::new(1 + i * 5 % 6))
+        .collect()
+}
+
+/// Cells whose channels do not share one latency: low, knee and full
+/// load on an 8×8 mesh (a one-cycle router overhead, so channels take
+/// 2–7 cycles) and the scenario-a sparse Hamming graph (no overhead,
+/// 1–6 cycles); both in-flight fault policies on those latencies; and
+/// zero-latency channels, delivered the cycle after they are sent, with
+/// and without a drain-policy kill whose sunk flits return their credits
+/// within the cycle they arrive.
+fn render_mixed_latencies(text: &mut String) {
+    let mesh = generators::mesh(Grid::new(8, 8));
+    let sr = [4].into_iter().collect();
+    let sc = [2, 5].into_iter().collect();
+    let shg = generators::row_column_skip(Grid::new(8, 8), &sr, &sc).expect("scenario a");
+    let mut seed = 8000u64;
+    let mut cell = |label: &str, topology: &Topology, lats: &[Cycles], config, rate| {
+        let routes = default_routes_with(topology, RouteForm::NextHop).expect("routes build");
+        let config = SimConfig { seed, ..config };
+        seed += 1;
+        let outcome =
+            Network::new(topology, &routes, lats, config).run(rate, TrafficPattern::UniformRandom);
+        text.push_str(&line(label, &outcome));
+        outcome
+    };
+    for (t, (name, topology, knee, router_overhead)) in
+        [("mesh8x8", &mesh, 0.3, 1u32), ("shg8x8", &shg, 0.3, 0)]
+            .into_iter()
+            .enumerate()
+    {
+        let lats = mixed_latencies(topology);
+        for (r, (level, rate)) in [("low", 0.05), ("knee", knee), ("full", 1.0)]
+            .into_iter()
+            .enumerate()
+        {
+            let packet_len = PACKET_LENS[(t + r) % 3];
+            let config = SimConfig {
+                packet_len,
+                router_overhead,
+                ..base_config()
+            };
+            let label =
+                format!("{name}/mixed-lat/overhead{router_overhead}/{level}/len{packet_len}");
+            cell(&label, topology, &lats, config, rate);
+        }
+        let (policy, plan) = if t == 0 {
+            ("drop", "350:link:0-1,500:router:27")
+        } else {
+            ("drain", "drain,350:link:0-1,500:router:27")
+        };
+        let config = SimConfig {
+            packet_len: 4,
+            router_overhead,
+            faults: FaultPlan::parse(plan).expect("plan parses"),
+            ..base_config()
+        };
+        let outcome = cell(
+            &format!("{name}/mixed-lat/faults-{policy}/knee"),
+            topology,
+            &lats,
+            config,
+            knee,
+        );
+        assert!(
+            outcome.faults.dropped_packets > 0,
+            "{policy}: the kills must cost packets"
+        );
+    }
+    let small = generators::mesh(Grid::new(4, 4));
+    let zero = latencies(&small, 0);
+    for (label, plan, rate) in [
+        ("mesh4x4/zero-lat/knee", "", 0.35),
+        (
+            "mesh4x4/zero-lat/faults-drain/full",
+            "drain,500:router:5",
+            1.0,
+        ),
+    ] {
+        let config = SimConfig {
+            router_overhead: 0,
+            faults: FaultPlan::parse(plan).expect("plan parses"),
+            ..base_config()
+        };
+        cell(label, &small, &zero, config, rate);
+    }
 }
 
 /// Cells the grid above leaves out: the four patterns it does not
