@@ -33,9 +33,9 @@
 //! injection capacity — tightened from 20%/10% once request-driven
 //! allocation made Phase C cheap. Measured runtime (a shared 2-core
 //! host; the sweeps scale with cores via rayon): `--scenario a --fast`
-//! 30–34 s wall / ≈ 60 s CPU on both cores (64 s pinned to one), peak
-//! RSS ≈ 11 MB; `--scenario all --fast` ≈ 4 min wall / 7.6 min CPU,
-//! 19 MB — all of it the pattern sweep's simulator phases (the repo
+//! ≈ 20 s wall / ≈ 39 s CPU on both cores (33 s pinned to one), peak
+//! RSS ≈ 14 MB; `--scenario all --fast` ≈ 1.9 min wall / 3.8 min CPU,
+//! 14 MB — all of it the pattern sweep's simulator phases (the repo
 //! benchmark's ledger: 99.5 % of `--scenario a --fast`, most cells
 //! running past the knee to the drain limit; the floorplan model is
 //! milliseconds). Full fidelity `--scenario a` was last measured at

@@ -5,10 +5,11 @@
 //! Each cycle:
 //!
 //! 1. **Injection** — Bernoulli packet generation into injection
-//!    buffers from the event calendar, which visits only the tiles that
+//!    buffers from the injection calendar, which visits only the tiles that
 //!    fire (per-tile RNG streams; a tile whose buffer is still busy is
 //!    parked and drawn when it frees — see [`crate::injection`]),
-//! 2. **Arrivals** — flits and credits reaching routers this cycle,
+//! 2. **Arrivals** — the flits and credits due this cycle, taken from
+//!    the delivery calendar,
 //! 3. **Allocation + traversal** — per-router request-driven VC
 //!    allocation, separable switch allocation and switch traversal (the
 //!    router module).
@@ -18,16 +19,29 @@
 //!
 //! # Active-set scheduling
 //!
-//! Phases B and C visit only the **active set**: routers with occupied
-//! buffers and channels with in-flight flits or credits. Activation
-//! events (injection, flit delivery, pipeline pushes) re-insert members;
-//! members that go idle drop out after their visit. Active members are
-//! visited in ascending index order — the order a scan of every router
-//! and channel would take, skipping only members with nothing to do.
+//! Phase C visits only the **active set**: routers with occupied
+//! buffers. Injection and flit delivery re-insert members; members that
+//! go idle drop out after their visit. Active routers are visited in
+//! ascending index order — the order a scan of every router would
+//! take, skipping only routers with nothing to do.
+//!
+//! # Delivery calendar
+//!
+//! Each channel is a FIFO of constant latency, so a flit or credit sent
+//! at cycle `t` on a channel of latency `L` is due at exactly `t + L`.
+//! There are no per-channel pipes: one calendar of `W` buckets, `W` the
+//! smallest power of two above the largest channel latency, files every
+//! entry under its due cycle mod `W`, and Phase B drains bucket
+//! `now mod W` — flits first, then credits — touching only what is due.
+//! Phase C files a send at `now + max(L, 1)`, so a zero-latency channel
+//! delivers on the next cycle. The bucket's order is not a channel
+//! order, and need not be: a channel carries at most one flit per cycle
+//! into its own `(router, input port)`, credits are counts, and the
+//! active and touched router sets are bitmaps, so deliveries within a
+//! cycle commute.
+//!
 //! The pinned outcomes in `tests/golden_outcomes.txt` and the per-cycle
 //! invariants of [`Network::run_validated`] hold the schedule there.
-
-use std::collections::VecDeque;
 
 use rand::rngs::SmallRng;
 use shg_topology::{
@@ -55,11 +69,12 @@ use crate::traffic::TrafficPattern;
 pub struct PhaseProfile {
     /// Phase A: packet generation (the injection calendar).
     pub injection: std::time::Duration,
-    /// Phase B: flit and credit delivery on active channels.
+    /// Phase B: delivery of the flits and credits the calendar holds
+    /// due this cycle.
     pub delivery: std::time::Duration,
     /// Phase C: per-router VC allocation, switch allocation and
-    /// traversal — including the drain of each router's traversal
-    /// output into the link pipelines.
+    /// traversal — including the filing of each router's forwards and
+    /// credits into the delivery calendar.
     pub allocation: std::time::Duration,
 }
 
@@ -118,6 +133,44 @@ impl ActiveSet {
                 bits &= bits - 1;
             }
         }
+    }
+}
+
+/// Every link pipeline of the network as one timing wheel: bucket `b`
+/// holds the flits and credits due at the next cycle `t` with
+/// `t mod W = b` (see the module's "Delivery calendar").
+#[derive(Debug)]
+struct Calendar {
+    /// `data[b]`: `(channel, flit)` due in bucket `b`.
+    data: Vec<Vec<(u32, Flit)>>,
+    /// `credits[b]`: `(channel, vc)` due in bucket `b`, flowing
+    /// source-ward.
+    credits: Vec<Vec<(u32, u8)>>,
+    /// `W − 1`.
+    mask: u64,
+}
+
+impl Calendar {
+    /// A calendar with room for a delay of up to `max_latency` cycles.
+    fn new(max_latency: u64) -> Self {
+        let buckets = (max_latency + 1).next_power_of_two() as usize;
+        Self {
+            data: vec![Vec::new(); buckets],
+            credits: vec![Vec::new(); buckets],
+            mask: buckets as u64 - 1,
+        }
+    }
+
+    /// The bucket of entries due at cycle `due`.
+    #[inline]
+    fn slot(&self, due: u64) -> usize {
+        (due & self.mask) as usize
+    }
+
+    /// Empties every bucket, keeping its capacity.
+    fn clear(&mut self) {
+        self.data.iter_mut().for_each(Vec::clear);
+        self.credits.iter_mut().for_each(Vec::clear);
     }
 }
 
@@ -256,21 +309,17 @@ pub struct Network<'a> {
     /// inherit the base table's class count, so one table serves all).
     vc_classes: VcClassTable,
     /// Effective latency per channel: floorplan link latency plus router
-    /// pipeline overhead.
+    /// pipeline overhead, capped at the run's length.
     latency: Vec<u64>,
     routers: Vec<Router>,
     /// Destination `(router, in_port)` of each channel.
     ch_dst: Vec<(usize, u8)>,
     /// Source `(router, out_port)` of each channel.
     ch_src: Vec<(usize, u8)>,
-    /// In-flight flits per channel: `(arrival_cycle, flit)`.
-    data_pipe: Vec<VecDeque<(u64, Flit)>>,
-    /// In-flight credits per channel (flowing source-ward): `(cycle, vc)`.
-    credit_pipe: Vec<VecDeque<(u64, u8)>>,
+    /// The flits and credits in flight on every channel, by due cycle.
+    calendar: Calendar,
     /// Routers with occupied buffers.
     active_routers: ActiveSet,
-    /// Channels with in-flight flits or credits.
-    active_channels: ActiveSet,
     /// Routers that have held a flit since construction (or the last
     /// [`Network::reset`]) — a monotone superset of `active_routers`.
     /// All per-router mutable state (buffers, credits, round-robin
@@ -278,9 +327,6 @@ pub struct Network<'a> {
     /// set, so a reset cleans exactly these and leaves untouched
     /// routers alone.
     touched_routers: ActiveSet,
-    /// Channels that have carried a flit or credit since construction
-    /// (or the last reset) — the monotone twin for the link pipelines.
-    touched_channels: ActiveSet,
 }
 
 impl<'a> Network<'a> {
@@ -340,13 +386,18 @@ impl<'a> Network<'a> {
                 ch_src[c.index()] = (r, p as u8);
             }
         }
-        let latency = (0..topology.num_channels())
+        // Nothing is delivered after a run's last cycle, so a latency
+        // beyond it acts exactly like the run's length — to which it is
+        // clamped, bounding the calendar.
+        let horizon = config.warmup + config.measure + config.drain_limit;
+        let latency: Vec<u64> = (0..topology.num_channels())
             .map(|c| {
-                link_latencies[ChannelId::new(c as u32).link().index()].value()
-                    + u64::from(config.router_overhead)
+                let link = link_latencies[ChannelId::new(c as u32).link().index()].value();
+                link.saturating_add(u64::from(config.router_overhead))
+                    .min(horizon)
             })
             .collect();
-        let channels = topology.num_channels();
+        let calendar = Calendar::new(latency.iter().copied().max().unwrap_or(0));
         Self {
             topology,
             routes,
@@ -356,20 +407,17 @@ impl<'a> Network<'a> {
             routers,
             ch_dst,
             ch_src,
-            data_pipe: vec![VecDeque::new(); channels],
-            credit_pipe: vec![VecDeque::new(); channels],
+            calendar,
             active_routers: ActiveSet::new(n),
-            active_channels: ActiveSet::new(channels),
             touched_routers: ActiveSet::new(n),
-            touched_channels: ActiveSet::new(channels),
         }
     }
 
     /// Returns the instance to its just-constructed state under a new
-    /// RNG seed, **without re-allocating** routers, buffers or link
-    /// pipelines: only the routers and channels actually touched since
-    /// construction (or the previous reset) are cleaned, so the cost is
-    /// O(touched) rather than O(network).
+    /// RNG seed, **without re-allocating** routers, buffers or calendar
+    /// buckets: only the routers actually touched since construction (or
+    /// the previous reset) are cleaned, so the cost is O(touched + `W`)
+    /// rather than O(network).
     ///
     /// A `reset(seed)` followed by [`Network::run`] is bit-identical to
     /// a fresh [`Network::new`] with `config.seed = seed` followed by
@@ -384,21 +432,16 @@ impl<'a> Network<'a> {
         let config = &self.config;
         self.touched_routers
             .clear_with(|r| routers[r].reset(config));
-        let (data, credit) = (&mut self.data_pipe, &mut self.credit_pipe);
-        self.touched_channels.clear_with(|c| {
-            data[c].clear();
-            credit[c].clear();
-        });
-        // The active sets are subsets of the touched sets; their
-        // members' state is already clean, only the membership flags
-        // remain to drop.
+        self.calendar.clear();
+        // The active set is a subset of the touched set; its members'
+        // state is already clean, only the membership flags remain to
+        // drop.
         self.active_routers.clear_with(|_| ());
-        self.active_channels.clear_with(|_| ());
     }
 
     /// Runs warm-up, measurement and drain phases at the given injection
     /// rate (flits per node per cycle) under `pattern`, visiting only
-    /// active routers and channels.
+    /// active routers and the calendar bucket due each cycle.
     #[must_use]
     pub fn run(&mut self, rate: f64, pattern: TrafficPattern) -> SimOutcome {
         self.run_inner(rate, pattern, false, None, None)
@@ -409,9 +452,13 @@ impl<'a> Network<'a> {
     /// counter matches the buffer contents, credits never exceed
     /// `buffer_depth`, `out_owner` reservations agree with the input-VC
     /// states, the request-queue bitmasks mirror the buffers exactly,
-    /// and no tile is parked behind an empty injection buffer. The
-    /// outcome is [`Network::run`]'s; a testing aid, orders of magnitude
-    /// slower than a plain run.
+    /// and no tile is parked behind an empty injection buffer. A
+    /// fault-free run also checks flow control on every channel: no more
+    /// flits in flight than its latency (at least one), and for each VC,
+    /// upstream credits + flits in flight + flits buffered downstream +
+    /// credits in flight = `buffer_depth`. The outcome is
+    /// [`Network::run`]'s; a testing aid, orders of magnitude slower
+    /// than a plain run.
     ///
     /// # Panics
     ///
@@ -554,8 +601,8 @@ impl<'a> Network<'a> {
             // Phase A: packet generation (keeps injecting during drain to
             // sustain back-pressure). The injector owns the RNG streams;
             // per-tile streams make the arrivals schedule-independent, so
-            // the calendar visits only the tiles that fire. A tile whose
-            // injection buffer is still busy
+            // the injection calendar visits only the tiles that fire. A
+            // tile whose injection buffer is still busy
             // parks before its destination draw; fault gating comes
             // after it, so the RNG streams advance identically with and
             // without faults.
@@ -578,7 +625,7 @@ impl<'a> Network<'a> {
                 p.injection += t.elapsed();
                 stamp = Some(std::time::Instant::now());
             }
-            // Phase B: deliver arrivals.
+            // Phase B: deliver the calendar's bucket for this cycle.
             self.deliver(now, dead_channels, &mut recorder);
             if let Some(p) = profile.as_deref_mut() {
                 let t = stamp.expect("profiling stamps");
@@ -587,37 +634,13 @@ impl<'a> Network<'a> {
             }
             // Phase C: per-router allocation and traversal, in ascending
             // router order.
-            let sweep = self.active_routers.start_sweep();
-            for &r in &sweep {
-                self.vc_allocate(r, routes, &mut traversal);
-                self.routers[r].switch_allocate_and_traverse(&self.config, &mut traversal);
-                for (channel, vc) in traversal.credits.drain(..) {
-                    let lat = self.latency[channel.index()];
-                    self.credit_pipe[channel.index()].push_back((now + lat, vc));
-                    self.active_channels.insert(channel.index());
-                    self.touched_channels.insert(channel.index());
-                }
-                for (channel, flit) in traversal.forwards.drain(..) {
-                    let lat = self.latency[channel.index()];
-                    self.data_pipe[channel.index()].push_back((now + lat, flit));
-                    self.active_channels.insert(channel.index());
-                    self.touched_channels.insert(channel.index());
-                }
-                for flit in traversal.ejected.drain(..) {
-                    recorder.record_ejection(&flit, now);
-                }
-                for created in traversal.dropped.drain(..) {
-                    recorder.record_drop(created);
-                }
-                if std::mem::take(&mut traversal.injection_freed) {
-                    let router = &mut self.routers[r];
-                    arrivals.refill(&mut injector, router, r, now, &mut recorder);
-                }
-                if self.routers[r].has_occupied_buffers() {
-                    self.active_routers.keep(r);
-                }
-            }
-            self.active_routers.finish_sweep(sweep);
+            self.allocate(
+                now,
+                routes,
+                &mut traversal,
+                &mut recorder,
+                (&mut injector, &arrivals),
+            );
             if let Some(p) = profile.as_deref_mut() {
                 p.allocation += stamp.expect("profiling stamps").elapsed();
             }
@@ -628,6 +651,9 @@ impl<'a> Network<'a> {
                         !injector.is_parked(t, now + 1) || router.injection_busy(),
                         "tile {t} parked behind an empty injection buffer at cycle {now}"
                     );
+                }
+                if schedule.is_none() {
+                    self.assert_flow_control(now);
                 }
             }
             now += 1;
@@ -651,66 +677,138 @@ impl<'a> Network<'a> {
         recorder.finalize(now, nodes)
     }
 
-    /// Delivers due flits and credits on active channels.
+    /// Phase B: delivers the flits, then the credits, that the calendar
+    /// holds due at cycle `now`.
     ///
     /// `dead_channels` is `Some` only under an applied drain-policy
     /// fault epoch: flits due on a dead channel — and flits arriving at
     /// an input VC mid-sink — are discarded with their credit returned
-    /// upstream, so senders drain instead of wedging. Credits deliver
-    /// on dead channels unchanged.
+    /// upstream, so senders drain instead of wedging. Such a credit is
+    /// due a full latency later — on a zero-latency channel, in this
+    /// cycle's credit pass. Credits deliver on dead channels unchanged.
     fn deliver(
         &mut self,
         now: u64,
         dead_channels: Option<&[bool]>,
         recorder: &mut OutcomeRecorder,
     ) {
-        let sweep = self.active_channels.start_sweep();
-        for &c in &sweep {
-            while let Some(&(ready, _)) = self.data_pipe[c].front() {
-                if ready > now {
-                    break;
-                }
-                let (_, flit) = self.data_pipe[c].pop_front().expect("checked front");
-                let (r, p) = self.ch_dst[c];
-                if let Some(dead) = dead_channels {
-                    let discard = dead[c] || self.routers[r].is_sinking(p as usize, flit.vc);
-                    if discard {
-                        if flit.is_tail {
-                            if !dead[c] {
-                                self.routers[r].clear_sink(p as usize, flit.vc);
-                            }
-                            recorder.record_drop(flit.created);
+        let slot = self.calendar.slot(now);
+        let mut due = std::mem::take(&mut self.calendar.data[slot]);
+        for (c, flit) in due.drain(..) {
+            let c = c as usize;
+            let (r, p) = self.ch_dst[c];
+            if let Some(dead) = dead_channels {
+                let discard = dead[c] || self.routers[r].is_sinking(p as usize, flit.vc);
+                if discard {
+                    if flit.is_tail {
+                        if !dead[c] {
+                            self.routers[r].clear_sink(p as usize, flit.vc);
                         }
-                        let lat = self.latency[c];
-                        self.credit_pipe[c].push_back((now + lat, flit.vc));
-                        continue;
+                        recorder.record_drop(flit.created);
                     }
+                    let back = self.calendar.slot(now + self.latency[c]);
+                    self.calendar.credits[back].push((c as u32, flit.vc));
+                    continue;
                 }
-                let router = &mut self.routers[r];
-                debug_assert!(
-                    router.buffers[p as usize][flit.vc as usize].len()
-                        < self.config.buffer_depth as usize,
-                    "buffer overflow: credits out of sync"
-                );
-                router.enqueue(p as usize, flit.vc as usize, flit);
-                self.active_routers.insert(r);
-                self.touched_routers.insert(r);
             }
-            while let Some(&(ready, _)) = self.credit_pipe[c].front() {
-                if ready > now {
-                    break;
-                }
-                let (_, vc) = self.credit_pipe[c].pop_front().expect("checked front");
-                let (r, p) = self.ch_src[c];
-                self.routers[r].credits[p as usize][vc as usize] += 1;
-                // No router activation: a credit alone creates no work;
-                // any flit waiting on it keeps its router active.
+            let router = &mut self.routers[r];
+            debug_assert!(
+                router.buffers[p as usize][flit.vc as usize].len()
+                    < self.config.buffer_depth as usize,
+                "buffer overflow: credits out of sync"
+            );
+            router.enqueue(p as usize, flit.vc as usize, flit);
+            self.active_routers.insert(r);
+            self.touched_routers.insert(r);
+        }
+        self.calendar.data[slot] = due;
+        for (c, vc) in self.calendar.credits[slot].drain(..) {
+            let (r, p) = self.ch_src[c as usize];
+            self.routers[r].credits[p as usize][vc as usize] += 1;
+            // No router activation: a credit alone creates no work;
+            // any flit waiting on it keeps its router active.
+        }
+    }
+
+    /// Phase C: VC allocation, switch allocation and traversal on every
+    /// active router in ascending order, filing each router's forwards
+    /// and credits into the calendar, recording its ejections and drops,
+    /// and refilling an injection buffer its packet left.
+    fn allocate(
+        &mut self,
+        now: u64,
+        routes: &Routes,
+        traversal: &mut TraversalOutput,
+        recorder: &mut OutcomeRecorder,
+        (injector, arrivals): (&mut Injector, &Arrivals<'_>),
+    ) {
+        let sweep = self.active_routers.start_sweep();
+        for &r in &sweep {
+            self.vc_allocate(r, routes, traversal);
+            self.routers[r].switch_allocate_and_traverse(&self.config, traversal);
+            for (channel, vc) in traversal.credits.drain(..) {
+                let c = channel.index();
+                let slot = self.calendar.slot(now + self.latency[c].max(1));
+                self.calendar.credits[slot].push((c as u32, vc));
             }
-            if !self.data_pipe[c].is_empty() || !self.credit_pipe[c].is_empty() {
-                self.active_channels.keep(c);
+            for (channel, flit) in traversal.forwards.drain(..) {
+                let c = channel.index();
+                let slot = self.calendar.slot(now + self.latency[c].max(1));
+                self.calendar.data[slot].push((c as u32, flit));
+            }
+            for flit in traversal.ejected.drain(..) {
+                recorder.record_ejection(&flit, now);
+            }
+            for created in traversal.dropped.drain(..) {
+                recorder.record_drop(created);
+            }
+            if std::mem::take(&mut traversal.injection_freed) {
+                arrivals.refill(injector, &mut self.routers[r], r, now, recorder);
+            }
+            if self.routers[r].has_occupied_buffers() {
+                self.active_routers.keep(r);
             }
         }
-        self.active_channels.finish_sweep(sweep);
+        self.active_routers.finish_sweep(sweep);
+    }
+
+    /// Asserts credit flow control on every channel at the end of cycle
+    /// `now` of a fault-free run: at most `max(latency, 1)` flits in
+    /// flight, and per VC, upstream credits + flits in flight + flits
+    /// buffered downstream + credits in flight = `buffer_depth`.
+    fn assert_flow_control(&self, now: u64) {
+        let vcs = usize::from(self.config.num_vcs);
+        let channels = self.latency.len();
+        let mut in_flight = vec![0usize; channels * vcs];
+        let mut flits = vec![0u64; channels];
+        for &(c, flit) in self.calendar.data.iter().flatten() {
+            in_flight[c as usize * vcs + usize::from(flit.vc)] += 1;
+            flits[c as usize] += 1;
+        }
+        for &(c, vc) in self.calendar.credits.iter().flatten() {
+            in_flight[c as usize * vcs + usize::from(vc)] += 1;
+        }
+        for c in 0..channels {
+            let lat = self.latency[c];
+            assert!(
+                flits[c] <= lat.max(1),
+                "channel {c} holds {} flits in flight on a {lat}-cycle link at cycle {now}",
+                flits[c]
+            );
+            let (src, out) = self.ch_src[c];
+            let (dst, input) = self.ch_dst[c];
+            for v in 0..vcs {
+                let credits = usize::from(self.routers[src].credits[out as usize][v]);
+                let buffered = self.routers[dst].buffers[input as usize][v].len();
+                assert_eq!(
+                    credits + in_flight[c * vcs + v] + buffered,
+                    usize::from(self.config.buffer_depth),
+                    "channel {c} VC {v} at cycle {now}: {credits} credits upstream, \
+                     {buffered} flits buffered downstream, {} flits and credits in flight",
+                    in_flight[c * vcs + v]
+                );
+            }
+        }
     }
 
     /// The output port and VC class the head flit needs at router `tile`.
@@ -765,10 +863,11 @@ impl<'a> Network<'a> {
     /// Applies one fault epoch's state change at cycle `now`.
     ///
     /// Under [`InFlightPolicy::Drop`] the entire transient state of the
-    /// fabric is discarded — every touched router and channel is wiped
-    /// back to constructed state and every parked source's backlog is
-    /// flushed, counting each lost measured packet as dropped — while
-    /// the injector, packet counter and clock carry on.
+    /// fabric is discarded — every touched router is wiped back to
+    /// constructed state, the calendar is emptied and every parked
+    /// source's backlog is flushed, counting each lost measured packet
+    /// as dropped — while the injector, packet counter and clock carry
+    /// on.
     ///
     /// Under [`InFlightPolicy::Drain`] only the routers that die *at
     /// this epoch* are wiped, with their sources' backlogs; each flit
@@ -799,18 +898,13 @@ impl<'a> Network<'a> {
                 for t in 0..routers.len() {
                     arrivals.flush(injector, t, now, recorder);
                 }
-                let (data, credit) = (&mut self.data_pipe, &mut self.credit_pipe);
-                self.touched_channels.clear_with(|c| {
-                    for (_, flit) in &data[c] {
-                        if flit.is_tail {
-                            recorder.record_drop(flit.created);
-                        }
+                for (_, flit) in self.calendar.data.iter().flatten() {
+                    if flit.is_tail {
+                        recorder.record_drop(flit.created);
                     }
-                    data[c].clear();
-                    credit[c].clear();
-                });
+                }
+                self.calendar.clear();
                 self.active_routers.clear_with(|_| ());
-                self.active_channels.clear_with(|_| ());
             }
             InFlightPolicy::Drain => {
                 for &r in &epoch.newly_dead_routers {
@@ -825,11 +919,11 @@ impl<'a> Network<'a> {
                                     recorder.record_drop(flit.created);
                                 }
                                 if p < net_ports {
+                                    // Filed before this cycle's Phase B,
+                                    // so a zero-latency credit is due now.
                                     let c = router.in_channels[p].index();
-                                    let lat = self.latency[c];
-                                    self.credit_pipe[c].push_back((now + lat, flit.vc));
-                                    self.active_channels.insert(c);
-                                    self.touched_channels.insert(c);
+                                    let slot = self.calendar.slot(now + self.latency[c]);
+                                    self.calendar.credits[slot].push((c as u32, flit.vc));
                                 }
                             }
                         }
@@ -1040,6 +1134,112 @@ mod tests {
             assert_eq!(visited, kept, "len {len}");
             assert!(set.start_sweep().is_empty(), "clear_with empties the set");
         }
+    }
+
+    /// The latency of one packet sent alone from `src` to `dst` at cycle
+    /// `created`, stepped through phases B and C with nothing else in
+    /// the network.
+    fn lone_packet_latency(
+        topology: &Topology,
+        routes: &Routes,
+        lats: &[Cycles],
+        (src, dst): (usize, usize),
+        created: u64,
+    ) -> f64 {
+        let config = SimConfig {
+            warmup: 0,
+            measure: 64,
+            ..SimConfig::fast_test()
+        };
+        let mut net = Network::new(topology, routes, lats, config.clone());
+        let mut recorder = OutcomeRecorder::new(&config);
+        let arrivals = Arrivals {
+            pattern: TrafficPattern::UniformRandom,
+            grid: topology.grid(),
+            packet_len: config.packet_len,
+            schedule: None,
+            measure_end: recorder.measure_end(),
+        };
+        let mut injector = Injector::new(config.seed, topology.num_tiles(), 0.0, 1_000);
+        net.routers[src].fill_injection_buffer(
+            TileId::new(dst as u32),
+            created as u32,
+            config.packet_len,
+        );
+        recorder.record_injection(created);
+        net.active_routers.insert(src);
+        net.touched_routers.insert(src);
+        let mut traversal = TraversalOutput::default();
+        let mut now = created;
+        while !recorder.drained() {
+            assert!(now < created + 1_000, "the packet never arrived");
+            net.deliver(now, None, &mut recorder);
+            net.allocate(
+                now,
+                routes,
+                &mut traversal,
+                &mut recorder,
+                (&mut injector, &arrivals),
+            );
+            now += 1;
+        }
+        let outcome = recorder.finalize(now, topology.num_tiles() as f64);
+        assert_eq!(outcome.measured_packets, 1);
+        outcome.avg_packet_latency
+    }
+
+    #[test]
+    fn each_hop_is_due_exactly_one_link_latency_after_its_send() {
+        // A 1×10 line, crossed end to end over all nine links. Links of
+        // 1..=9 cycles plus the one-cycle router overhead make channels
+        // of 2..=10 cycles, so the calendar has 16 buckets and a path
+        // of ≈ 80 cycles wraps it several times, from every start phase.
+        let line = generators::mesh(Grid::new(1, 10));
+        let routes = routing::default_routes(&line).expect("routes");
+        let mixed: Vec<Cycles> = (0..9).map(|i| Cycles::new(1 + i * 4 % 9)).collect();
+        let mut sorted: Vec<u64> = mixed.iter().map(|l| l.value()).collect();
+        sorted.sort_unstable();
+        assert_eq!(
+            sorted,
+            (1..=9).collect::<Vec<_>>(),
+            "a permutation of 1..=9"
+        );
+        let extra: u64 = mixed.iter().map(|l| l.value() - 1).sum();
+        let ones = unit_latencies(&line);
+        assert_eq!(
+            Network::new(&line, &routes, &mixed, SimConfig::fast_test())
+                .calendar
+                .data
+                .len(),
+            16
+        );
+        for ends in [(0, 9), (9, 0)] {
+            for created in 0..16 {
+                let base = lone_packet_latency(&line, &routes, &ones, ends, created);
+                let slow = lone_packet_latency(&line, &routes, &mixed, ends, created);
+                assert_eq!(
+                    slow,
+                    base + extra as f64,
+                    "{ends:?} sent at cycle {created}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_link_longer_than_the_run_delivers_nothing_from_a_bounded_calendar() {
+        let mesh = generators::mesh(Grid::new(4, 4));
+        let routes = routing::default_routes(&mesh).expect("routes");
+        let lats = vec![Cycles::new(u64::from(u32::MAX)); mesh.num_links()];
+        let config = SimConfig::fast_test();
+        let mut net = Network::new(&mesh, &routes, &lats, config.clone());
+        let horizon = config.warmup + config.measure + config.drain_limit;
+        assert_eq!(
+            net.calendar.data.len() as u64,
+            (horizon + 1).next_power_of_two()
+        );
+        let out = net.run(0.05, TrafficPattern::UniformRandom);
+        assert!(!out.stable && out.accepted_rate == 0.0, "{out:?}");
     }
 
     #[test]

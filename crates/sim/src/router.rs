@@ -2,7 +2,7 @@
 //! credits and the two allocation stages.
 //!
 //! Split out of the network module so the network layer only owns
-//! *global* state (channel pipelines, the active sets, the cycle loop)
+//! *global* state (the delivery calendar, the active sets, the cycle loop)
 //! while everything a single router decides per cycle lives here:
 //!
 //! 1. **VC allocation** — head flits at buffer fronts acquire an output
@@ -11,7 +11,8 @@
 //!    round-robin arbitration with one flit per input and output port,
 //! 3. **Switch traversal** — winning flits leave through their output
 //!    port; the router reports ejections, link forwards and upstream
-//!    credits back to the network layer, which owns the pipelines.
+//!    credits back to the network layer, which owns the link pipelines
+//!    (one delivery calendar).
 //!
 //! # Request-driven allocation
 //!
@@ -91,8 +92,9 @@ pub(crate) struct InVc {
 
 /// What one router hands back to the network after switch traversal.
 ///
-/// The network layer owns the link pipelines, so the router reports
-/// forwards and credits instead of pushing them itself.
+/// The network layer owns the link pipelines (its delivery calendar),
+/// so the router reports forwards and credits instead of filing them
+/// itself.
 #[derive(Debug, Default)]
 pub(crate) struct TraversalOutput {
     /// Flits that reached their destination this cycle.
