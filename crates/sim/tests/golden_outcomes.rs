@@ -14,7 +14,9 @@
 //! and reset-reused networks — plus saturated cells whose sources stay
 //! backlogged across fault epochs, the window's end and resets, so the
 //! lazily drawn sources are pinned where they differ most from an eager
-//! packet queue.
+//! packet queue — and cells whose allocation requests are mostly
+//! blocked (one- and two-flit buffers, one VC per routing class, router
+//! kills under saturation), where parked requests decide the schedule.
 //!
 //! Regenerate (only when an outcome change is intended and understood):
 //!
@@ -186,7 +188,132 @@ fn render() -> String {
     render_backlogged(&mut text);
     render_widened(&mut text);
     render_mixed_latencies(&mut text);
+    render_blocked(&mut text);
     text
+}
+
+/// Cells where blocked allocation requests decide the schedule:
+/// saturated networks with one- and two-flit buffers, so most switch
+/// requests find their output VC out of credits; one VC per routing
+/// class, so heads wait at VC allocation nearly every cycle; the two-die
+/// hierarchical part at full load; and drain-policy router kills in
+/// saturation, while heads wait on outputs toward the dead router.
+fn render_blocked(text: &mut String) {
+    let tables = topologies();
+    let find = |wanted: &str| {
+        let (_, topology, knee, _) = tables
+            .iter()
+            .find(|(name, ..)| *name == wanted)
+            .expect("named topology");
+        (topology, *knee)
+    };
+    let mut seed = 9000u64;
+    let mut cell = |label: String, topology: &Topology, config: SimConfig, rate, pattern| {
+        let routes = default_routes_with(topology, RouteForm::NextHop).expect("routes build");
+        let config = SimConfig {
+            seed,
+            num_vcs: if config.num_vcs == 0 {
+                routes.num_vc_classes().max(1)
+            } else {
+                config.num_vcs
+            },
+            ..config
+        };
+        seed += 1;
+        let outcome = Network::new(topology, &routes, &latencies(topology, 1), config.clone())
+            .run(rate, pattern);
+        text.push_str(&line(
+            &format!(
+                "blocked/{label}/vcs{}/depth{}/len{}",
+                config.num_vcs, config.buffer_depth, config.packet_len
+            ),
+            &outcome,
+        ));
+        outcome
+    };
+    // Shallow buffers at full load.
+    for name in ["mesh4x4", "torus4x4", "shg8x8"] {
+        let (topology, _) = find(name);
+        for buffer_depth in [1u16, 2] {
+            let config = SimConfig {
+                buffer_depth,
+                packet_len: 4,
+                ..base_config()
+            };
+            cell(
+                format!("{name}/uniform/full"),
+                topology,
+                config,
+                1.0,
+                TrafficPattern::UniformRandom,
+            );
+        }
+    }
+    // One VC per routing class (`num_vcs: 0` asks for the class count),
+    // at the knee and at full load.
+    for name in ["mesh4x4", "torus4x4", "ring4x4", "shg8x8", "twodie2x6x5"] {
+        let (topology, knee) = find(name);
+        for (level, rate, pattern_name, pattern) in [
+            ("knee", knee, "uniform", TrafficPattern::UniformRandom),
+            ("full", 1.0, "transpose", TrafficPattern::Transpose),
+        ] {
+            let config = SimConfig {
+                num_vcs: 0,
+                ..base_config()
+            };
+            cell(
+                format!("{name}/{pattern_name}/{level}"),
+                topology,
+                config,
+                rate,
+                pattern,
+            );
+        }
+    }
+    // The two-die hierarchical part at full load, with its default VCs
+    // and with two-flit buffers.
+    let (two_die, _) = find("twodie2x6x5");
+    for buffer_depth in [8u16, 2] {
+        let config = SimConfig {
+            buffer_depth,
+            packet_len: 4,
+            ..base_config()
+        };
+        cell(
+            "twodie2x6x5/uniform/full".to_owned(),
+            two_die,
+            config,
+            1.0,
+            TrafficPattern::UniformRandom,
+        );
+    }
+    // Drain-policy router kills in saturation: the dead routers'
+    // neighbours hold heads routed toward them, waiting on output VCs.
+    for (name, plan, num_vcs, buffer_depth) in [
+        ("mesh4x4", "drain,500:router:5", 0u8, 2u16),
+        ("shg8x8", "drain,500:router:27,900:router:36", 0, 8),
+        ("shg8x8", "drain,500:router:27", 8, 1),
+        ("twodie2x6x5", "drain,400:router:14,700:router:40", 0, 2),
+    ] {
+        let (topology, _) = find(name);
+        let config = SimConfig {
+            num_vcs,
+            buffer_depth,
+            faults: FaultPlan::parse(plan).expect("plan parses"),
+            ..base_config()
+        };
+        let outcome = cell(
+            format!("{name}/drain-kill/uniform/full"),
+            topology,
+            config,
+            1.0,
+            TrafficPattern::UniformRandom,
+        );
+        assert!(
+            outcome.faults.dropped_packets > 0,
+            "{name} {plan}: the kills must cost packets"
+        );
+    }
 }
 
 /// Link `i` takes `1 + (5·i mod 6)` cycles, so neighbouring channels
