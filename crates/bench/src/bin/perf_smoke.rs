@@ -4,7 +4,7 @@
 //!
 //! The gated headlines are **speedup ratios** (an optimized path vs.
 //! the slower way it replaces — reset vs. rebuild, warm vs. cold cache,
-//! batched vs. per-cell, next-hop vs. dense routes — measured
+//! next-hop vs. dense routes — measured
 //! back-to-back on the same machine), so they are comparable across CI
 //! runner generations; absolute medians
 //! are recorded under `info_ms` for trend-watching but never gated —
@@ -28,10 +28,8 @@
 //! catches any real regression (a cache that re-simulates even one
 //! cell of the grid falls to ~single-digit ratios) without flaking on
 //! disk-speed differences. `network_reset_vs_rebuild` is likewise
-//! committed at the low end of its measured 5–7× spread, and
-//! `batched_vs_percell` (measured ~2.4×) is committed at 2.0× — the
-//! design floor for the lane-parallel core on its setup-dominated
-//! target workload. `nexthop_route_build` (measured ~300×) is committed
+//! committed at the low end of its measured 5–7× spread.
+//! `nexthop_route_build` (measured ~300×) is committed
 //! at 10× — an order of magnitude on both build time and table bytes
 //! is the design floor for the compact form; losing it would mean the
 //! next-hop kernels fell back to materializing paths.
@@ -39,7 +37,7 @@
 use std::fmt::Write as _;
 
 use shg_bench::{arg_value, median, profile_setup_phase, SetupSample};
-use shg_sim::{CellCache, ExecBackend, Experiment, SimConfig, SweepSpec, TrafficPattern};
+use shg_sim::{CellCache, Experiment, SimConfig, SweepSpec, TrafficPattern};
 use shg_topology::routing::RouteForm;
 use shg_topology::{generators, routing, Grid};
 
@@ -127,76 +125,6 @@ fn warm_cache_headline(samples: usize, info: &mut Vec<Entry>) -> f64 {
     info.push(Entry {
         name: "warm_cache_sweep_mesh16_6cells_warm",
         median: median(warm_wall),
-    });
-    median(ratios)
-}
-
-/// Median single-core sweep throughput of the lane-parallel batched
-/// core over the per-cell reference in the setup-dominated regime the
-/// `Auto` probe routes to it: short cells — construction far outweighs
-/// simulation — on the high-radix 16×16 flattened butterfly, where the
-/// per-cell backend pays a fresh ~2 ms `Network::new` for every one of
-/// the 32 grid cells while the batched core builds its
-/// struct-of-arrays state once per group and recycles lanes through
-/// the rest with cheap targeted resets (`reset_lane` clears only what
-/// the finished cell touched). Both backends run the same grid on one
-/// thread, the JSON is asserted byte-identical, and the headline is
-/// the wall ratio. One thread makes this cells-per-core throughput,
-/// the quantity a sharded sweep fleet scales by. (Long cells invert
-/// the picture — simulation dominates and the shared-sweep overhead
-/// of lockstep lanes costs more than setup saves — which is exactly
-/// why `Auto` probes before choosing.)
-fn batched_headline(samples: usize, info: &mut Vec<Entry>) -> f64 {
-    let fb = generators::flattened_butterfly(Grid::new(16, 16));
-    let config = SimConfig {
-        warmup: 10,
-        measure: 30,
-        drain_limit: 120,
-        ..bench_config()
-    };
-    let spec = || {
-        SweepSpec::new(config.clone())
-            .rates([0.002, 0.003, 0.004, 0.005, 0.006, 0.008, 0.01, 0.012])
-            .patterns([
-                TrafficPattern::UniformRandom,
-                TrafficPattern::Transpose,
-                TrafficPattern::Tornado,
-                TrafficPattern::Reverse,
-            ])
-    };
-    let experiment = |backend: ExecBackend| {
-        Experiment::new(spec())
-            .with_backend(backend)
-            .with_unit_latency_case("fb", &fb)
-            .expect("fb routes")
-    };
-    let per_cell = experiment(ExecBackend::PerCell);
-    let batched = experiment(ExecBackend::Batched); // default 8 lanes
-    let pool = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("thread pool builds");
-    let _ = batched.run_in_pool(&pool); // warm up
-    let mut ratios = Vec::new();
-    let mut batched_wall = Vec::new();
-    for _ in 0..samples {
-        let start = std::time::Instant::now();
-        let reference = per_cell.run_in_pool(&pool);
-        let per_cell_wall = start.elapsed().as_secs_f64();
-        let start = std::time::Instant::now();
-        let result = batched.run_in_pool(&pool);
-        let wall = start.elapsed().as_secs_f64();
-        assert_eq!(
-            reference.to_json(),
-            result.to_json(),
-            "batched backend changed the sweep bytes"
-        );
-        ratios.push(per_cell_wall / wall);
-        batched_wall.push(wall * 1e3);
-    }
-    info.push(Entry {
-        name: "batched_sweep_fb16_32cells_lanes8",
-        median: median(batched_wall),
     });
     median(ratios)
 }
@@ -305,10 +233,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Entry {
             name: "warm_cache_sweep_speedup",
             median: warm_cache_headline(samples, &mut info),
-        },
-        Entry {
-            name: "batched_vs_percell",
-            median: batched_headline(samples, &mut info),
         },
         Entry {
             name: "nexthop_route_build",

@@ -19,9 +19,15 @@
 //!
 //! # Active-set scheduling
 //!
-//! Phase C visits only the **active set**: routers with occupied
-//! buffers. Injection and flit delivery re-insert members; members that
-//! go idle drop out after their visit. Active routers are visited in
+//! Phase C visits only the **active set**: routers with a live VC- or
+//! switch-allocation request (see the router module's "Request-driven
+//! allocation"). A router whose buffered flits all wait — heads parked
+//! until a VC on their output frees, VCs out of credits — does nothing
+//! in its visit, so skipping it is exact. A router enters the set when
+//! an event arms a request: a flit arrival or an injection that fills
+//! an empty buffer, a credit that lifts an owned VC off zero in Phase B,
+//! a fault epoch's re-arming of parked heads; members without a request
+//! left drop out after their visit. Active routers are visited in
 //! ascending index order — the order a scan of every router would
 //! take, skipping only routers with nothing to do.
 //!
@@ -112,6 +118,11 @@ impl ActiveSet {
         let mut sweep = std::mem::take(&mut self.scratch);
         self.clear_with(|i| sweep.push(i));
         sweep
+    }
+
+    #[inline]
+    pub(crate) fn contains(&self, index: usize) -> bool {
+        self.words[index >> 6] & (1 << (index & 63)) != 0
     }
 
     #[inline]
@@ -318,7 +329,7 @@ pub struct Network<'a> {
     ch_src: Vec<(usize, u8)>,
     /// The flits and credits in flight on every channel, by due cycle.
     calendar: Calendar,
-    /// Routers with occupied buffers.
+    /// Routers with a live allocation request.
     active_routers: ActiveSet,
     /// Routers that have held a flit since construction (or the last
     /// [`Network::reset`]) — a monotone superset of `active_routers`.
@@ -451,7 +462,11 @@ impl<'a> Network<'a> {
     /// cross-structure invariants after each cycle: the occupancy
     /// counter matches the buffer contents, credits never exceed
     /// `buffer_depth`, `out_owner` reservations agree with the input-VC
-    /// states, the request-queue bitmasks mirror the buffers exactly,
+    /// states, the request bitmasks mirror the buffers and credits
+    /// exactly (a switch request is set exactly when its VC is active,
+    /// holds flits and ejects or has a credit), every parked head sits on
+    /// its output port's wait list alone while that port has no free VC
+    /// of its class, every router with a request is in the active set,
     /// and no tile is parked behind an empty injection buffer. A
     /// fault-free run also checks flow control on every channel: no more
     /// flits in flight than its latency (at least one), and for each VC,
@@ -583,9 +598,13 @@ impl<'a> Network<'a> {
                         &mut recorder,
                         (&mut injector, &arrivals),
                     );
-                    // The table changes under every waiting head.
-                    for router in &mut self.routers {
+                    // The table changes under every waiting head, parked
+                    // ones included.
+                    for (r, router) in self.routers.iter_mut().enumerate() {
                         router.forget_routes();
+                        if router.has_requests() {
+                            self.active_routers.insert(r);
+                        }
                     }
                     routes = &epoch.routes;
                     if sched.policy == InFlightPolicy::Drain {
@@ -646,10 +665,14 @@ impl<'a> Network<'a> {
             }
             if validate {
                 for (t, router) in self.routers.iter().enumerate() {
-                    router.assert_consistent(&self.config);
+                    router.assert_consistent(&self.config, &self.vc_classes);
                     assert!(
                         !injector.is_parked(t, now + 1) || router.injection_busy(),
                         "tile {t} parked behind an empty injection buffer at cycle {now}"
+                    );
+                    assert!(
+                        !router.has_requests() || self.active_routers.contains(t),
+                        "router {t} has a request but left the active set at cycle {now}"
                     );
                 }
                 if schedule.is_none() {
@@ -713,20 +736,23 @@ impl<'a> Network<'a> {
             }
             let router = &mut self.routers[r];
             debug_assert!(
-                router.buffers[p as usize][flit.vc as usize].len()
+                router.buffer(p as usize, flit.vc as usize).len()
                     < self.config.buffer_depth as usize,
                 "buffer overflow: credits out of sync"
             );
-            router.enqueue(p as usize, flit.vc as usize, flit);
-            self.active_routers.insert(r);
+            if router.enqueue(p as usize, flit.vc as usize, flit) {
+                self.active_routers.insert(r);
+            }
             self.touched_routers.insert(r);
         }
         self.calendar.data[slot] = due;
         for (c, vc) in self.calendar.credits[slot].drain(..) {
             let (r, p) = self.ch_src[c as usize];
-            self.routers[r].credits[p as usize][vc as usize] += 1;
-            // No router activation: a credit alone creates no work;
-            // any flit waiting on it keeps its router active.
+            // A credit re-activates its router only if it lifts an owned
+            // VC with waiting flits off zero.
+            if self.routers[r].return_credit(p as usize, vc as usize) {
+                self.active_routers.insert(r);
+            }
         }
     }
 
@@ -765,7 +791,7 @@ impl<'a> Network<'a> {
             if std::mem::take(&mut traversal.injection_freed) {
                 arrivals.refill(injector, &mut self.routers[r], r, now, recorder);
             }
-            if self.routers[r].has_occupied_buffers() {
+            if self.routers[r].has_requests() {
                 self.active_routers.keep(r);
             }
         }
@@ -798,8 +824,8 @@ impl<'a> Network<'a> {
             let (src, out) = self.ch_src[c];
             let (dst, input) = self.ch_dst[c];
             for v in 0..vcs {
-                let credits = usize::from(self.routers[src].credits[out as usize][v]);
-                let buffered = self.routers[dst].buffers[input as usize][v].len();
+                let credits = usize::from(self.routers[src].credits[out as usize * vcs + v]);
+                let buffered = self.routers[dst].buffer(input as usize, v).len();
                 assert_eq!(
                     credits + in_flight[c * vcs + v] + buffered,
                     usize::from(self.config.buffer_depth),
@@ -888,7 +914,7 @@ impl<'a> Network<'a> {
                 let routers = &mut self.routers;
                 let config = &self.config;
                 self.touched_routers.clear_with(|r| {
-                    for flit in routers[r].buffers.iter().flatten().flatten() {
+                    for flit in routers[r].buffers.iter().flatten() {
                         if flit.is_tail {
                             recorder.record_drop(flit.created);
                         }
@@ -911,20 +937,19 @@ impl<'a> Network<'a> {
                     let r = r as usize;
                     let router = &mut self.routers[r];
                     let net_ports = router.in_channels.len();
+                    let vcs = usize::from(self.config.num_vcs);
                     arrivals.flush(injector, r, now, recorder);
-                    for p in 0..router.buffers.len() {
-                        for v in 0..router.buffers[p].len() {
-                            for flit in &router.buffers[p][v] {
-                                if flit.is_tail {
-                                    recorder.record_drop(flit.created);
-                                }
-                                if p < net_ports {
-                                    // Filed before this cycle's Phase B,
-                                    // so a zero-latency credit is due now.
-                                    let c = router.in_channels[p].index();
-                                    let slot = self.calendar.slot(now + self.latency[c]);
-                                    self.calendar.credits[slot].push((c as u32, flit.vc));
-                                }
+                    for (p, port) in router.buffers.chunks(vcs).enumerate() {
+                        for flit in port.iter().flatten() {
+                            if flit.is_tail {
+                                recorder.record_drop(flit.created);
+                            }
+                            if p < net_ports {
+                                // Filed before this cycle's Phase B, so a
+                                // zero-latency credit is due now.
+                                let c = router.in_channels[p].index();
+                                let slot = self.calendar.slot(now + self.latency[c]);
+                                self.calendar.credits[slot].push((c as u32, flit.vc));
                             }
                         }
                     }
@@ -1227,6 +1252,71 @@ mod tests {
     }
 
     #[test]
+    fn a_router_out_of_credits_leaves_the_sweep_until_one_returns() {
+        // A 1×3 line with one-flit buffers and two-cycle channels: router
+        // 0 sends its packet's head and is left holding the tail with no
+        // credit, so it has nothing to do until router 1 forwards the
+        // head and the credit comes back, two cycles later.
+        let line = generators::mesh(Grid::new(1, 3));
+        let routes = routing::default_routes(&line).expect("routes");
+        let lats = unit_latencies(&line);
+        let config = SimConfig {
+            buffer_depth: 1,
+            warmup: 0,
+            measure: 64,
+            ..SimConfig::fast_test()
+        };
+        let mut net = Network::new(&line, &routes, &lats, config.clone());
+        let mut recorder = OutcomeRecorder::new(&config);
+        let arrivals = Arrivals {
+            pattern: TrafficPattern::UniformRandom,
+            grid: line.grid(),
+            packet_len: config.packet_len,
+            schedule: None,
+            measure_end: recorder.measure_end(),
+        };
+        let mut injector = Injector::new(config.seed, 3, 0.0, 1_000);
+        net.routers[0].fill_injection_buffer(TileId::new(2), 0, config.packet_len);
+        recorder.record_injection(0);
+        net.active_routers.insert(0);
+        net.touched_routers.insert(0);
+        let mut traversal = TraversalOutput::default();
+        let mut members = Vec::new();
+        for now in 0..6 {
+            net.deliver(now, None, &mut recorder);
+            let woken = net.active_routers.contains(0);
+            net.allocate(
+                now,
+                &routes,
+                &mut traversal,
+                &mut recorder,
+                (&mut injector, &arrivals),
+            );
+            let stalled = net.routers[0].has_occupied_buffers();
+            members.push((woken, stalled, net.active_routers.contains(0)));
+            for router in &net.routers {
+                router.assert_consistent(&net.config, &net.vc_classes);
+            }
+        }
+        // (in the sweep after Phase B, tail still buffered, kept after
+        // Phase C) per cycle: the head leaves at cycle 0, the credit it
+        // freed at router 1 on cycle 2 arrives at cycle 4 and the tail
+        // leaves in that cycle's sweep.
+        let stall = (false, true, false);
+        assert_eq!(
+            members,
+            [
+                (true, true, false),
+                stall,
+                stall,
+                stall,
+                (true, false, false),
+                (false, false, false),
+            ]
+        );
+    }
+
+    #[test]
     fn a_link_longer_than_the_run_delivers_nothing_from_a_bounded_calendar() {
         let mesh = generators::mesh(Grid::new(4, 4));
         let routes = routing::default_routes(&mesh).expect("routes");
@@ -1326,7 +1416,7 @@ mod tests {
                 }
                 assert!(!net.routers[5].has_occupied_buffers());
                 for router in &net.routers {
-                    router.assert_consistent(&net.config);
+                    router.assert_consistent(&net.config, &net.vc_classes);
                 }
             }
         }

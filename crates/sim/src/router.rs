@@ -14,6 +14,9 @@
 //!    credits back to the network layer, which owns the link pipelines
 //!    (one delivery calendar).
 //!
+//! Every per-VC array (`buffers`, `in_state`, `out_owner`, `credits`) is
+//! one flat `Vec` indexed `port * vcs + vc`.
+//!
 //! # Request-driven allocation
 //!
 //! The allocation stages never scan every input port × VC for a head
@@ -21,24 +24,44 @@
 //! output port × VC for a free output VC — that would cost
 //! `O(ports × VCs)` per router visit even with a single flit resident.
 //! The router keeps explicit sparse request state instead, updated
-//! incrementally on enqueue, dequeue and VC grant/release:
+//! incrementally on enqueue, dequeue, credit return and VC
+//! grant/release:
 //!
-//! * per-input-port bitmasks of VCs whose buffer front awaits VC
-//!   allocation ([`Router::va_mask`], summarized by
+//! * per-input-port bitmasks of VCs whose buffer front is a head that
+//!   may win VC allocation now ([`Router::va_mask`], summarized by
 //!   [`Router::va_ports`]),
-//! * per-input-port bitmasks of active VCs with buffered flits — the
-//!   switch-allocation requests ([`Router::sa_mask`], summarized by
+//! * per-input-port bitmasks of VCs that may win the switch now — active,
+//!   with buffered flits, and either ejecting or holding at least one
+//!   credit on their output VC ([`Router::sa_mask`], summarized by
 //!   [`Router::sa_ports`]) — gathered into per-output-port request
 //!   lists each cycle ([`Router::out_requests`]),
 //! * per-output-port bitmasks of occupied output VCs
 //!   ([`Router::out_vc_used`]).
 //!
-//! Both stages walk only these live requests, in the order an
-//! exhaustive scan would probe them: ascending `(port, VC)` for VC
-//! allocation, round-robin rotation from each arbiter's pointer for
-//! switch allocation and output-VC grants. Round-robin pointers move
-//! only on grants. [`Router::assert_consistent`] checks every cycle of
-//! a validated run that the request state mirrors the buffers exactly
+//! A request that cannot succeed leaves the masks until the one event
+//! that could let it succeed, which is exact because a failed probe
+//! changes no state (round-robin pointers move only on grants):
+//!
+//! * **Parked heads.** A routed head that finds no free output VC of its
+//!   class clears its VA bit and joins its output port's wait list
+//!   ([`Router::va_waiters`]). It keeps failing until a VC on that port
+//!   frees, so when a tail releases one, the port's waiters get their
+//!   bits back and are probed on the next cycle; [`Router::forget_routes`]
+//!   re-arms every waiter when a fault epoch swaps the table.
+//! * **Credit-gated switch requests.** A VC with zero credits would be
+//!   skipped by input arbitration until a credit arrives, so it has no SA
+//!   bit: the bit clears when a traversal spends the last credit and is
+//!   set again by [`Router::return_credit`] on a 0 → 1 arrival, for the
+//!   output VC's current owner. Input arbitration reads no credits.
+//!
+//! Both stages walk only the live requests, in the order an exhaustive
+//! scan would probe them: ascending `(port, VC)` for VC allocation,
+//! round-robin rotation from each arbiter's pointer for switch
+//! allocation and output-VC grants. A router without a live request
+//! does nothing in its visit, which is what lets the network skip it
+//! ([`Router::has_requests`]). [`Router::assert_consistent`] checks every
+//! cycle of a validated run that the request state and the wait lists
+//! mirror the buffers and credits exactly
 //! (`crates/sim/tests/alloc_equivalence.rs`); the pinned outcomes in
 //! `crates/sim/tests/golden_outcomes.txt` hold the arbitration order.
 //!
@@ -76,16 +99,16 @@ use crate::flit::Flit;
 
 /// State of one input virtual channel.
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct InVc {
+struct InVc {
     /// `true` while a packet holds this VC's output reservation.
-    pub(crate) active: bool,
+    active: bool,
     /// `true` while `out_port` and `class` cache the route of the head
     /// flit at the buffer front, which still awaits an output VC.
     routed: bool,
     /// Reserved (or, while `routed`, requested) output port.
-    pub(crate) out_port: u8,
+    out_port: u8,
     /// Reserved output VC.
-    pub(crate) out_vc: u8,
+    out_vc: u8,
     /// VC class the routed head demands (meaningful while `routed`).
     class: u8,
 }
@@ -123,36 +146,41 @@ pub(crate) struct Router {
     /// Outgoing channels, defining network output ports `0..m`; port `m`
     /// is the ejection port.
     pub(crate) out_channels: Vec<ChannelId>,
-    /// `buffers[in_port][vc]`.
-    pub(crate) buffers: Vec<Vec<VecDeque<Flit>>>,
-    /// `in_state[in_port][vc]`.
-    pub(crate) in_state: Vec<Vec<InVc>>,
-    /// `out_owner[out_port][vc]`: which (in_port, vc) holds the output VC.
-    pub(crate) out_owner: Vec<Vec<Option<(u8, u8)>>>,
-    /// `credits[out_port][vc]`: free downstream buffer slots.
-    pub(crate) credits: Vec<Vec<u16>>,
+    /// Virtual channels per port: the stride of every per-VC array.
+    vcs: usize,
+    /// `buffers[in_port * vcs + vc]`.
+    pub(crate) buffers: Vec<VecDeque<Flit>>,
+    /// `in_state[in_port * vcs + vc]`.
+    in_state: Vec<InVc>,
+    /// `out_owner[out_port * vcs + vc]`: which (in_port, vc) holds the
+    /// output VC.
+    out_owner: Vec<Option<(u8, u8)>>,
+    /// `credits[out_port * vcs + vc]`: free downstream buffer slots.
+    pub(crate) credits: Vec<u16>,
     /// Round-robin pointer per output port for VC allocation.
     va_rr: Vec<u8>,
     /// Round-robin pointer per input port for switch allocation.
     sa_in_rr: Vec<u8>,
     /// Round-robin pointer per output port for switch allocation.
     sa_out_rr: Vec<u8>,
-    /// Flits held across all ports/VCs. Maintained incrementally so the
-    /// active-set scheduler can test occupancy in O(1).
-    occupied: u32,
-    /// `va_mask[in_port]`: VCs whose buffer front awaits VC allocation.
+    /// `va_mask[in_port]`: VCs whose buffer front is a head that may win
+    /// VC allocation now — not parked on a wait list.
     /// One `u64` per port (the class table rejects more than 64 VCs).
     va_mask: Vec<u64>,
     /// One bit per input port, set while `va_mask[port] != 0`.
     va_ports: Vec<u64>,
-    /// `sa_mask[in_port]`: active VCs with buffered flits — the input
-    /// side's switch-allocation requests.
+    /// `sa_mask[in_port]`: active VCs with buffered flits that eject or
+    /// hold a credit — the input side's switch-allocation requests.
     sa_mask: Vec<u64>,
     /// One bit per input port, set while `sa_mask[port] != 0`.
     sa_ports: Vec<u64>,
     /// `out_vc_used[out_port]`: occupied output VCs — the bitmask twin
-    /// of `out_owner[out_port]`.
+    /// of `out_owner`.
     out_vc_used: Vec<u64>,
+    /// `va_waiters[out_port]`: parked heads `(in_port, vc)` routed to
+    /// this output that found no free VC of their class, re-armed when
+    /// a VC on the port frees.
+    va_waiters: Vec<Vec<(u8, u8)>>,
     /// `out_requests[out_port]`: input-arbitration winners requesting
     /// this output, `(in_port, vc)`. Per-cycle scratch, kept allocated.
     out_requests: Vec<Vec<(u8, u8)>>,
@@ -180,19 +208,20 @@ impl Router {
             tile,
             in_channels,
             out_channels,
-            buffers: vec![vec![VecDeque::new(); vcs]; in_ports],
-            in_state: vec![vec![InVc::default(); vcs]; in_ports],
-            out_owner: vec![vec![None; vcs]; out_ports],
-            credits: vec![vec![config.buffer_depth; vcs]; out_ports],
+            vcs,
+            buffers: vec![VecDeque::new(); in_ports * vcs],
+            in_state: vec![InVc::default(); in_ports * vcs],
+            out_owner: vec![None; out_ports * vcs],
+            credits: vec![config.buffer_depth; out_ports * vcs],
             va_rr: vec![0; out_ports],
             sa_in_rr: vec![0; in_ports],
             sa_out_rr: vec![0; out_ports],
-            occupied: 0,
             va_mask: vec![0; in_ports],
             va_ports: vec![0; in_ports.div_ceil(64)],
             sa_mask: vec![0; in_ports],
             sa_ports: vec![0; in_ports.div_ceil(64)],
             out_vc_used: vec![0; out_ports],
+            va_waiters: vec![Vec::new(); out_ports],
             out_requests: vec![Vec::new(); out_ports],
             touched_outputs: Vec::new(),
             sinking: vec![0; in_ports],
@@ -207,12 +236,25 @@ impl Router {
         self.out_channels.len()
     }
 
-    /// `true` while any buffer holds a flit — the active-set criterion:
-    /// a router with empty buffers cannot allocate or traverse, and any
-    /// event that fills a buffer re-activates it. (A tile's source is
-    /// parked only while its injection buffer is busy.)
+    /// The buffer of input VC `(port, vc)`.
+    #[inline]
+    pub(crate) fn buffer(&self, port: usize, vc: usize) -> &VecDeque<Flit> {
+        &self.buffers[port * self.vcs + vc]
+    }
+
+    /// `true` while any VA or SA request bit is set — the active-set
+    /// criterion: a router whose requests are all parked (or that has
+    /// none) does nothing in its visit, and every event that arms a
+    /// request re-activates it.
+    #[inline]
+    pub(crate) fn has_requests(&self) -> bool {
+        self.va_ports.iter().chain(&self.sa_ports).any(|&w| w != 0)
+    }
+
+    /// `true` while any buffer holds a flit.
+    #[cfg(test)]
     pub(crate) fn has_occupied_buffers(&self) -> bool {
-        self.occupied > 0
+        self.buffers.iter().any(|b| !b.is_empty())
     }
 
     /// `true` while input VC `(port, vc)` is discarding the remainder of
@@ -257,46 +299,93 @@ impl Router {
         }
     }
 
-    /// Enqueues a flit into `buffers[port][vc]`.
-    pub(crate) fn enqueue(&mut self, port: usize, vc: usize, flit: Flit) {
-        self.buffers[port][vc].push_back(flit);
-        self.occupied += 1;
-        // A new buffer front is a new request: a switch request if the
-        // VC already holds an output reservation, otherwise a head flit
-        // awaiting VC allocation.
-        if self.buffers[port][vc].len() == 1 {
-            if self.in_state[port][vc].active {
-                self.sa_set(port, vc);
-            } else {
-                self.va_set(port, vc);
-            }
+    /// `true` if an active VC in `state` may cross the switch as far as
+    /// flow control goes: it ejects, or its output VC holds a credit.
+    #[inline]
+    fn can_send(&self, state: InVc) -> bool {
+        let o = state.out_port as usize;
+        o == self.ejection_port() || self.credits[o * self.vcs + state.out_vc as usize] > 0
+    }
+
+    /// Gives every head parked on output `o`'s wait list its VA bit
+    /// back.
+    fn wake_waiters(&mut self, o: usize) {
+        let mut waiters = std::mem::take(&mut self.va_waiters[o]);
+        for (p, v) in waiters.drain(..) {
+            self.va_set(p as usize, v as usize);
         }
+        self.va_waiters[o] = waiters;
+    }
+
+    /// Enqueues a flit into input VC `(port, vc)`; `true` if it became a
+    /// new request (the buffer was empty).
+    pub(crate) fn enqueue(&mut self, port: usize, vc: usize, flit: Flit) -> bool {
+        let i = port * self.vcs + vc;
+        self.buffers[i].push_back(flit);
+        // A new buffer front is a new request: a switch request if the
+        // VC already holds an output reservation with a credit, otherwise
+        // a head flit awaiting VC allocation.
+        if self.buffers[i].len() != 1 {
+            return false;
+        }
+        let state = self.in_state[i];
+        if !state.active {
+            self.va_set(port, vc);
+        } else if self.can_send(state) {
+            self.sa_set(port, vc);
+        } else {
+            return false;
+        }
+        true
+    }
+
+    /// Returns one credit to output VC `(port, vc)`; `true` if it armed
+    /// a switch request — the credit count rose from zero and the VC's
+    /// owner has flits waiting.
+    pub(crate) fn return_credit(&mut self, port: usize, vc: usize) -> bool {
+        let j = port * self.vcs + vc;
+        self.credits[j] += 1;
+        if self.credits[j] != 1 {
+            return false;
+        }
+        let Some((p, v)) = self.out_owner[j] else {
+            return false;
+        };
+        let (p, v) = (p as usize, v as usize);
+        if self.buffers[p * self.vcs + v].is_empty() {
+            return false;
+        }
+        self.sa_set(p, v);
+        true
     }
 
     /// `true` while the injection buffer holds a packet: a packet this
     /// tile creates now must wait behind it.
     #[inline]
     pub(crate) fn injection_busy(&self) -> bool {
-        !self.buffers[self.injection_port()][0].is_empty()
+        !self.buffers[self.injection_port() * self.vcs].is_empty()
     }
 
     /// Puts one packet created at cycle `created` for `dst` into the
     /// empty injection buffer.
     pub(crate) fn fill_injection_buffer(&mut self, dst: TileId, created: u32, packet_len: u16) {
         debug_assert!(!self.injection_busy(), "injection buffer holds a packet");
-        self.occupied += u32::from(packet_len);
         let inj = self.injection_port();
         // The tail that emptied the buffer released the VC, so the new
         // front is a head awaiting VC allocation.
-        self.buffers[inj][0].extend(Flit::packet(self.tile, dst, packet_len, created));
+        self.buffers[inj * self.vcs].extend(Flit::packet(self.tile, dst, packet_len, created));
         self.va_set(inj, 0);
     }
 
-    /// Drops every cached head route, so each waiting head is routed
-    /// afresh — for a fault epoch that swaps the routing table.
+    /// Drops every cached head route and re-arms every parked head, so
+    /// each waiting head is routed afresh — for a fault epoch that swaps
+    /// the routing table.
     pub(crate) fn forget_routes(&mut self) {
-        for state in self.in_state.iter_mut().flatten() {
+        for state in &mut self.in_state {
             state.routed = false;
+        }
+        for o in 0..self.va_waiters.len() {
+            self.wake_waiters(o);
         }
     }
 
@@ -336,9 +425,9 @@ impl Router {
         }
     }
 
-    /// One (port, vc) step of VC allocation: checks whether the slot's
-    /// front is a head flit awaiting an output VC and tries to grant
-    /// one.
+    /// One (port, vc) step of VC allocation: routes the head flit at the
+    /// slot's front (or reuses its cached route) and tries to grant it
+    /// an output VC.
     fn consider_va(
         &mut self,
         p: usize,
@@ -347,24 +436,16 @@ impl Router {
         route: &impl Fn(&Router, &Flit) -> (u8, u8),
         out: &mut TraversalOutput,
     ) {
-        let state = self.in_state[p][v];
-        if state.active {
-            return;
-        }
+        let i = p * self.vcs + v;
+        let state = self.in_state[i];
         if state.routed {
-            // A head that found its output busy on an earlier cycle:
-            // retry from the cached route, flit and table untouched.
+            // A parked head woken by a freed VC on its output: retry
+            // from the cached route, flit and table untouched.
             self.grant_output_vc(p, v, state.out_port, state.class, classes);
             return;
         }
-        let Some(front) = self.buffers[p][v].front() else {
-            return;
-        };
-        if !front.is_head {
-            // A body flit at the front of an inactive VC can only
-            // happen transiently after a tail release; skip.
-            return;
-        }
+        let front = self.buffers[i].front().expect("VA request without a flit");
+        debug_assert!(front.is_head, "VA request at a body flit");
         let (out_port, class) = route(&*self, front);
         if out_port == NO_ROUTE {
             // No surviving route to the destination (drain fault
@@ -374,8 +455,7 @@ impl Router {
             // tail shows up.
             self.va_clear(p, v);
             let mut saw_tail = false;
-            while let Some(flit) = self.buffers[p][v].pop_front() {
-                self.occupied -= 1;
+            while let Some(flit) = self.buffers[i].pop_front() {
                 if p < self.in_channels.len() {
                     out.credits.push((self.in_channels[p], flit.vc));
                 }
@@ -387,7 +467,7 @@ impl Router {
             }
             if saw_tail {
                 out.injection_freed |= p == self.injection_port();
-                if !self.buffers[p][v].is_empty() {
+                if !self.buffers[i].is_empty() {
                     // The next packet's head is at the front now.
                     self.va_set(p, v);
                 }
@@ -397,7 +477,7 @@ impl Router {
             return;
         }
         if out_port as usize == self.ejection_port() {
-            self.in_state[p][v] = InVc {
+            self.in_state[i] = InVc {
                 active: true,
                 out_port,
                 ..InVc::default()
@@ -406,7 +486,7 @@ impl Router {
             self.sa_set(p, v);
             return;
         }
-        self.in_state[p][v] = InVc {
+        self.in_state[i] = InVc {
             routed: true,
             out_port,
             class,
@@ -418,7 +498,8 @@ impl Router {
     /// Tries to grant the routed head at the front of `(p, v)` a free
     /// output VC of `class` on `out_port`: the first free one in the
     /// class's range, rotating from the port's round-robin pointer. On
-    /// failure the head stays a VA request.
+    /// failure the head parks on the port's wait list until a VC there
+    /// frees.
     #[inline]
     fn grant_output_vc(
         &mut self,
@@ -430,6 +511,14 @@ impl Router {
     ) {
         let o = out_port as usize;
         let class = class as usize;
+        self.va_clear(p, v);
+        // The free VC with the smallest rotated distance, read off the
+        // occupied-output-VC bitmask.
+        let mut free = classes.mask[class] & !self.out_vc_used[o];
+        if free == 0 {
+            self.va_waiters[o].push((p as u8, v as u8));
+            return;
+        }
         let (first, len) = (classes.start[class], classes.len[class]);
         let rr = self.va_rr[o];
         let start = if len.is_power_of_two() {
@@ -437,10 +526,7 @@ impl Router {
         } else {
             rr % len
         };
-        // The free VC with the smallest rotated distance, read off the
-        // occupied-output-VC bitmask.
-        let mut free = classes.mask[class] & !self.out_vc_used[o];
-        let mut best: Option<(u8, u8)> = None;
+        let mut best = (u8::MAX, 0u8);
         while free != 0 {
             let ov = free.trailing_zeros() as u8;
             free &= free - 1;
@@ -451,39 +537,41 @@ impl Router {
             } else {
                 offset + len - start
             };
-            if best.is_none_or(|(d, _)| dist < d) {
-                best = Some((dist, ov));
+            if dist < best.0 {
+                best = (dist, ov);
             }
         }
-        if let Some((_, ov)) = best {
-            self.out_owner[o][ov as usize] = Some((p as u8, v as u8));
-            self.out_vc_used[o] |= 1 << ov;
-            self.va_rr[o] = rr.wrapping_add(1);
-            self.in_state[p][v] = InVc {
-                active: true,
-                out_port,
-                out_vc: ov,
-                ..InVc::default()
-            };
-            self.va_clear(p, v);
+        let ov = best.1;
+        self.out_owner[o * self.vcs + ov as usize] = Some((p as u8, v as u8));
+        self.out_vc_used[o] |= 1 << ov;
+        self.va_rr[o] = rr.wrapping_add(1);
+        let state = InVc {
+            active: true,
+            out_port,
+            out_vc: ov,
+            ..InVc::default()
+        };
+        self.in_state[p * self.vcs + v] = state;
+        if self.can_send(state) {
             self.sa_set(p, v);
         }
     }
 
     /// Switch allocation (separable, input-first) and traversal:
-    /// input arbitration rotates over each requesting port's live-VC
-    /// bitmask, winners are gathered into per-output request lists, and
-    /// each output picks the requester closest to its round-robin
-    /// pointer. Writes ejections, forwards and upstream credits into
-    /// `out`.
+    /// input arbitration takes, per requesting port, the live VC first
+    /// in round-robin order from the port's pointer; winners are gathered
+    /// into per-output request lists, and each output picks the
+    /// requester closest to its round-robin pointer. Writes ejections,
+    /// forwards and upstream credits into `out`.
     pub(crate) fn switch_allocate_and_traverse(
         &mut self,
         config: &SimConfig,
         out: &mut TraversalOutput,
     ) {
-        let in_ports = self.buffers.len();
+        let in_ports = self.sa_mask.len();
         debug_assert!(self.touched_outputs.is_empty(), "scratch leaked");
-        // Input arbitration over requesting ports only.
+        // Input arbitration over requesting ports only. Every requesting
+        // VC can send, so the first in rotation order wins.
         for w in 0..self.sa_ports.len() {
             let mut word = self.sa_ports[w];
             while word != 0 {
@@ -494,22 +582,13 @@ impl Router {
                 // bits like the round-robin probe sequence
                 // `(start + i) % vcs` (bits below `start` wrap to the
                 // top).
-                let mut rot = self.sa_mask[p].rotate_right(start);
-                while rot != 0 {
-                    let v = ((rot.trailing_zeros() + start) & 63) as usize;
-                    rot &= rot - 1;
-                    let state = self.in_state[p][v];
-                    let o = state.out_port as usize;
-                    let is_ejection = o == self.ejection_port();
-                    if !is_ejection && self.credits[o][state.out_vc as usize] == 0 {
-                        continue;
-                    }
-                    if self.out_requests[o].is_empty() {
-                        self.touched_outputs.push(o as u8);
-                    }
-                    self.out_requests[o].push((p as u8, v as u8));
-                    break;
+                let rot = self.sa_mask[p].rotate_right(start);
+                let v = ((rot.trailing_zeros() + start) & 63) as usize;
+                let o = self.in_state[p * self.vcs + v].out_port as usize;
+                if self.out_requests[o].is_empty() {
+                    self.touched_outputs.push(o as u8);
                 }
+                self.out_requests[o].push((p as u8, v as u8));
             }
         }
         // Output arbitration + traversal, in ascending output-port
@@ -556,10 +635,10 @@ impl Router {
         config: &SimConfig,
         out: &mut TraversalOutput,
     ) {
-        let in_ports = self.buffers.len();
-        let state = self.in_state[p][v];
-        let mut flit = self.buffers[p][v].pop_front().expect("nonempty");
-        self.occupied -= 1;
+        let in_ports = self.sa_mask.len();
+        let i = p * self.vcs + v;
+        let state = self.in_state[i];
+        let mut flit = self.buffers[i].pop_front().expect("nonempty");
         // Both pointers advance to the winner's successor, wrapping.
         self.sa_in_rr[p] = if v + 1 == config.num_vcs as usize {
             0
@@ -576,10 +655,10 @@ impl Router {
             // cycle.
             out.injection_freed = true;
         }
-        let now_empty = self.buffers[p][v].is_empty();
+        let now_empty = self.buffers[i].is_empty();
         if o == self.ejection_port() {
             if flit.is_tail {
-                self.in_state[p][v].active = false;
+                self.in_state[i].active = false;
                 self.sa_clear(p, v);
                 if !now_empty {
                     // The next packet's head is at the front now.
@@ -592,55 +671,52 @@ impl Router {
             return;
         }
         let out_channel = self.out_channels[o];
+        let j = o * self.vcs + state.out_vc as usize;
         flit.vc = state.out_vc;
         flit.hop += 1;
-        self.credits[o][state.out_vc as usize] -= 1;
+        self.credits[j] -= 1;
         if flit.is_tail {
-            self.out_owner[o][state.out_vc as usize] = None;
+            self.out_owner[j] = None;
             self.out_vc_used[o] &= !(1u64 << state.out_vc);
-            self.in_state[p][v].active = false;
+            self.wake_waiters(o);
+            self.in_state[i].active = false;
             self.sa_clear(p, v);
             if !now_empty {
                 self.va_set(p, v);
             }
-        } else if now_empty {
+        } else if now_empty || self.credits[j] == 0 {
+            // Out of flits, or out of credits until one returns.
             self.sa_clear(p, v);
         }
         out.forwards.push((out_channel, flit));
     }
 
     /// Returns the router to its just-constructed state: empty buffers,
-    /// no reservations, full credits, zeroed round-robin pointers and
-    /// cleared request bitmasks — without releasing any allocation, so
-    /// a [`crate::Network::reset`] between sweep cells reuses every
-    /// buffer's capacity instead of re-allocating it. The post-reset
-    /// state is indistinguishable from [`Router::new`]'s (capacity
-    /// aside), which is what makes reset-reuse bit-identical to fresh
-    /// construction.
+    /// no reservations, full credits, zeroed round-robin pointers,
+    /// cleared request bitmasks and empty wait lists — without releasing
+    /// any allocation, so a [`crate::Network::reset`] between sweep cells
+    /// reuses every buffer's capacity instead of re-allocating it. The
+    /// post-reset state is indistinguishable from [`Router::new`]'s
+    /// (capacity aside), which is what makes reset-reuse bit-identical to
+    /// fresh construction.
     pub(crate) fn reset(&mut self, config: &SimConfig) {
-        for port in &mut self.buffers {
-            for buffer in port {
-                buffer.clear();
-            }
+        for buffer in &mut self.buffers {
+            buffer.clear();
         }
-        for port in &mut self.in_state {
-            port.fill(InVc::default());
-        }
-        for port in &mut self.out_owner {
-            port.fill(None);
-        }
-        for port in &mut self.credits {
-            port.fill(config.buffer_depth);
-        }
+        self.in_state.fill(InVc::default());
+        self.out_owner.fill(None);
+        self.credits.fill(config.buffer_depth);
         self.va_rr.fill(0);
         self.sa_in_rr.fill(0);
         self.sa_out_rr.fill(0);
-        self.occupied = 0;
         self.va_mask.fill(0);
         self.va_ports.fill(0);
         self.sa_mask.fill(0);
         self.sa_ports.fill(0);
         self.out_vc_used.fill(0);
+        for waiters in &mut self.va_waiters {
+            waiters.clear();
+        }
         // Per-cycle scratch is already empty after any completed cycle;
         // clear defensively so reset never depends on that invariant.
         for requests in &mut self.out_requests {
@@ -655,14 +731,33 @@ impl Router {
     /// Called per cycle by [`Network::run_validated`]
     /// (`crate::Network::run_validated`); panics with a description on
     /// the first violation.
-    pub(crate) fn assert_consistent(&self, config: &SimConfig) {
-        let vcs = config.num_vcs as usize;
+    pub(crate) fn assert_consistent(&self, config: &SimConfig, classes: &VcClassTable) {
+        let vcs = self.vcs;
         let packet_len = config.packet_len as usize;
         let inj = self.injection_port();
-        let mut total = 0;
-        for (p, port) in self.buffers.iter().enumerate() {
-            for (v, buffer) in port.iter().enumerate() {
-                total += buffer.len();
+        // How often each input VC appears on a wait list.
+        let mut parked = vec![0usize; self.in_state.len()];
+        for (o, waiters) in self.va_waiters.iter().enumerate() {
+            for &(p, v) in waiters {
+                let (p, v) = (p as usize, v as usize);
+                parked[p * vcs + v] += 1;
+                let state = self.in_state[p * vcs + v];
+                assert!(
+                    state.routed && state.out_port as usize == o,
+                    "wait list of output {o} holds [{p}][{v}], routed elsewhere: {state:?}"
+                );
+                assert_eq!(
+                    classes.mask[state.class as usize] & !self.out_vc_used[o],
+                    0,
+                    "[{p}][{v}] parked on output {o}, which has a free VC of class {}",
+                    state.class
+                );
+            }
+        }
+        for p in 0..self.va_mask.len() {
+            for v in 0..vcs {
+                let i = p * vcs + v;
+                let buffer = &self.buffers[i];
                 // Network inputs are credit-limited to the buffer depth;
                 // the injection buffer holds at most one packet.
                 let limit = if p == inj {
@@ -675,7 +770,7 @@ impl Router {
                     "buffer [{p}][{v}] over its limit of {limit}: {}",
                     buffer.len()
                 );
-                let state = self.in_state[p][v];
+                let state = self.in_state[i];
                 assert!(
                     !state.routed
                         || (!state.active && buffer.front().is_some_and(|flit| flit.is_head)),
@@ -684,28 +779,37 @@ impl Router {
                 let sa_bit = self.sa_mask[p] & (1 << v) != 0;
                 assert_eq!(
                     sa_bit,
-                    state.active && !buffer.is_empty(),
-                    "sa_mask[{p}] bit {v} vs active {} / occupancy {}",
+                    state.active && !buffer.is_empty() && self.can_send(state),
+                    "sa_mask[{p}] bit {v} vs active {} / occupancy {} / credit",
                     state.active,
                     buffer.len()
                 );
                 let va_bit = self.va_mask[p] & (1 << v) != 0;
                 if va_bit {
                     assert!(
-                        !state.active && !buffer.is_empty(),
-                        "va_mask bit [{p}][{v}] without a waiting front"
+                        !state.active && !buffer.is_empty() && parked[i] == 0,
+                        "va_mask bit [{p}][{v}] without a waiting front, or parked too"
+                    );
+                } else if !state.active && !buffer.is_empty() {
+                    assert!(
+                        state.routed && parked[i] == 1,
+                        "lost VA request at [{p}][{v}]: parked {} times",
+                        parked[i]
                     );
                 } else {
-                    assert!(
-                        state.active || buffer.is_empty(),
-                        "lost VA request at [{p}][{v}]"
-                    );
+                    assert_eq!(parked[i], 0, "[{p}][{v}] parked without a waiting head");
                 }
                 if state.active && state.out_port as usize != self.ejection_port() {
                     assert_eq!(
-                        self.out_owner[state.out_port as usize][state.out_vc as usize],
+                        self.out_owner[state.out_port as usize * vcs + state.out_vc as usize],
                         Some((p as u8, v as u8)),
                         "in_state [{p}][{v}] reservation not reflected in out_owner"
+                    );
+                }
+                if self.sinking[p] & (1 << v) != 0 {
+                    assert!(
+                        buffer.is_empty() && !state.active,
+                        "sinking VC [{p}][{v}] must stay empty and inactive"
                     );
                 }
             }
@@ -713,32 +817,22 @@ impl Router {
             assert_eq!(port_bit, self.sa_mask[p] != 0, "sa_ports bit {p} stale");
             let port_bit = self.va_ports[p >> 6] & (1 << (p & 63)) != 0;
             assert_eq!(port_bit, self.va_mask[p] != 0, "va_ports bit {p} stale");
-            for (v, slot) in port.iter().enumerate().take(vcs) {
-                if self.sinking[p] & (1 << v) != 0 {
-                    assert!(
-                        slot.is_empty() && !self.in_state[p][v].active,
-                        "sinking VC [{p}][{v}] must stay empty and inactive"
-                    );
-                }
-            }
         }
-        assert_eq!(total as u32, self.occupied, "occupancy counter drifted");
-        for (o, owners) in self.out_owner.iter().enumerate() {
-            for (ov, owner) in owners.iter().enumerate() {
+        for (j, owner) in self.out_owner.iter().enumerate() {
+            let (o, ov) = (j / vcs, j % vcs);
+            assert!(
+                self.credits[j] <= config.buffer_depth,
+                "credits[{o}][{ov}] exceed buffer depth: {}",
+                self.credits[j]
+            );
+            let used_bit = self.out_vc_used[o] & (1 << ov) != 0;
+            assert_eq!(used_bit, owner.is_some(), "out_vc_used[{o}] bit {ov} stale");
+            if let Some((p, v)) = *owner {
+                let state = self.in_state[p as usize * vcs + v as usize];
                 assert!(
-                    self.credits[o][ov] <= config.buffer_depth,
-                    "credits[{o}][{ov}] exceed buffer depth: {}",
-                    self.credits[o][ov]
+                    state.active && state.out_port as usize == o && state.out_vc as usize == ov,
+                    "out_owner[{o}][{ov}] = ({p}, {v}) but in_state disagrees: {state:?}"
                 );
-                let used_bit = self.out_vc_used[o] & (1 << ov) != 0;
-                assert_eq!(used_bit, owner.is_some(), "out_vc_used[{o}] bit {ov} stale");
-                if let Some((p, v)) = *owner {
-                    let state = self.in_state[p as usize][v as usize];
-                    assert!(
-                        state.active && state.out_port as usize == o && state.out_vc as usize == ov,
-                        "out_owner[{o}][{ov}] = ({p}, {v}) but in_state disagrees: {state:?}"
-                    );
-                }
             }
         }
     }
@@ -764,6 +858,19 @@ mod tests {
         }
     }
 
+    fn buffered(router: &Router) -> usize {
+        router.buffers.iter().map(VecDeque::len).sum()
+    }
+
+    fn parked(router: &Router, port: usize, vc: usize) -> bool {
+        router.va_mask[port] & (1 << vc) == 0
+            && router
+                .va_waiters
+                .iter()
+                .flatten()
+                .any(|&w| w == (port as u8, vc as u8))
+    }
+
     /// One allocation + traversal visit with every head routed to
     /// `port`, returning each forward's credit at once. Refills a freed
     /// injection buffer from `source` the way the network does.
@@ -778,7 +885,7 @@ mod tests {
         router.vc_allocate_with(&classes, |_, _| (port, 0), &mut out);
         router.switch_allocate_and_traverse(config, &mut out);
         for (_, flit) in &out.forwards {
-            router.credits[port as usize][flit.vc as usize] += 1;
+            router.return_credit(port as usize, flit.vc as usize);
         }
         if out.injection_freed {
             assert!(!router.injection_busy());
@@ -786,7 +893,7 @@ mod tests {
                 router.fill_injection_buffer(TileId::new(dst), created, config.packet_len);
             }
         }
-        router.assert_consistent(config);
+        router.assert_consistent(config, &classes);
         let forwards = out.forwards.into_iter().map(|(_, flit)| flit).collect();
         (forwards, out.injection_freed)
     }
@@ -795,15 +902,16 @@ mod tests {
     fn injection_buffer_refills_as_the_tail_leaves() {
         for packet_len in [1u16, 4] {
             let config = config(packet_len);
+            let classes = VcClassTable::new(&config, 1);
             let mut router = router(&config);
             let inj = router.injection_port();
             let mut source: VecDeque<(u32, u32)> = (0..3u32).map(|k| (10 + k, 100 + k)).collect();
             let (dst, created) = source.pop_front().expect("three packets");
             router.fill_injection_buffer(TileId::new(dst), created, packet_len);
-            router.assert_consistent(&config);
+            router.assert_consistent(&config, &classes);
             assert!(router.injection_busy());
-            assert_eq!(router.buffers[inj][0].len(), packet_len as usize);
-            assert_eq!(router.occupied, u32::from(packet_len));
+            assert_eq!(router.buffer(inj, 0).len(), packet_len as usize);
+            assert_eq!(buffered(&router), packet_len as usize);
             // One flit leaves per visit; the buffer is back to a whole
             // packet the moment a tail has left, never in between.
             let mut sent = Vec::new();
@@ -822,10 +930,11 @@ mod tests {
                     0 => packet_len,
                     gone => packet_len - gone,
                 };
-                assert_eq!(router.buffers[inj][0].len(), expected as usize);
-                assert_eq!(router.occupied, u32::from(expected));
+                assert_eq!(router.buffer(inj, 0).len(), expected as usize);
+                assert_eq!(buffered(&router), expected as usize);
             }
             assert!(!router.has_occupied_buffers());
+            assert!(!router.has_requests());
             // Flits left in injection order, stamped per packet.
             let stamps: Vec<(usize, u32)> =
                 sent.iter().map(|f| (f.dst.index(), f.created)).collect();
@@ -840,7 +949,11 @@ mod tests {
 
     #[test]
     fn reset_with_a_queued_source_matches_fresh_construction() {
-        let config = config(4);
+        let config = SimConfig {
+            num_vcs: 1,
+            ..config(4)
+        };
+        let classes = VcClassTable::new(&config, 1);
         let mut used = router(&config);
         let mut source: VecDeque<(u32, u32)> = (0..5u32).map(|k| (3, k)).collect();
         used.fill_injection_buffer(TileId::new(3), 9, 4);
@@ -848,10 +961,17 @@ mod tests {
             let _ = step(&mut used, &config, 1, &mut source);
         }
         assert!(used.injection_busy(), "a packet must be mid-way out");
+        // A head parked behind the injected packet's output VC.
+        let mut blocked = Flit::packet(TileId::new(7), TileId::new(9), 4, 0);
+        used.enqueue(0, 0, blocked.next().expect("head"));
+        let mut out = TraversalOutput::default();
+        used.vc_allocate_with(&classes, |_, _| (1, 0), &mut out);
+        assert!(parked(&used, 0, 0));
         used.reset(&config);
-        used.assert_consistent(&config);
+        used.assert_consistent(&config, &classes);
         assert_eq!(format!("{used:?}"), format!("{:?}", router(&config)));
     }
+
     #[test]
     fn blocked_head_routes_once_until_the_table_changes() {
         // One VC: a packet from network port 0 owns output 0's only VC,
@@ -867,7 +987,7 @@ mod tests {
         let mut blocker = Flit::packet(TileId::new(7), TileId::new(9), 2, 0);
         router.enqueue(0, 0, blocker.next().expect("head"));
         router.vc_allocate_with(&classes, |_, _| (0, 0), &mut out);
-        assert_eq!(router.out_owner[0][0], Some((0, 0)));
+        assert_eq!(router.out_owner[0], Some((0, 0)));
 
         let queries = Cell::new(0);
         let table = Cell::new(0u8);
@@ -879,20 +999,107 @@ mod tests {
         router.fill_injection_buffer(TileId::new(5), 1, 2);
         for _ in 0..4 {
             router.vc_allocate_with(&classes, route, &mut out);
-            router.assert_consistent(&config);
-            assert!(!router.in_state[inj][0].active);
+            router.assert_consistent(&config, &classes);
+            assert!(!router.in_state[inj * router.vcs].active);
+            assert!(parked(&router, inj, 0));
         }
-        assert_eq!(queries.get(), 1, "a blocked head is retried from the cache");
-        // A fault epoch swaps the table: the head must take the new
-        // table's port, not the cached one.
+        assert_eq!(queries.get(), 1, "a blocked head is routed once");
+        // A fault epoch swaps the table: the parked head is re-armed and
+        // must take the new table's port, not the cached one.
         table.set(1);
         router.forget_routes();
+        assert!(router.va_mask[inj] & 1 != 0 && router.va_waiters.iter().all(Vec::is_empty));
+        router.assert_consistent(&config, &classes);
         router.vc_allocate_with(&classes, route, &mut out);
-        router.assert_consistent(&config);
+        router.assert_consistent(&config, &classes);
         assert_eq!(queries.get(), 2);
-        let state = router.in_state[inj][0];
+        let state = router.in_state[inj * router.vcs];
         assert!(state.active && state.out_port == 1, "{state:?}");
-        assert_eq!(router.out_owner[1][0], Some((inj as u8, 0)));
+        assert_eq!(router.out_owner[router.vcs], Some((inj as u8, 0)));
+    }
+
+    #[test]
+    fn parked_head_is_probed_again_the_cycle_after_its_output_frees() {
+        let config = SimConfig {
+            num_vcs: 1,
+            ..config(2)
+        };
+        let classes = VcClassTable::new(&config, 1);
+        let mut router = router(&config);
+        let inj = router.injection_port();
+        let mut out = TraversalOutput::default();
+        let probes = Cell::new(0);
+        let route = |_: &Router, _: &Flit| {
+            probes.set(probes.get() + 1);
+            (0, 0)
+        };
+        // A two-flit packet on network port 0 takes output 0's only VC;
+        // the injected head behind it parks.
+        let mut blocker = Flit::packet(TileId::new(7), TileId::new(9), 2, 0);
+        router.enqueue(0, 0, blocker.next().expect("head"));
+        router.fill_injection_buffer(TileId::new(5), 1, 2);
+        router.vc_allocate_with(&classes, route, &mut out);
+        assert_eq!(router.out_owner[0], Some((0, 0)));
+        assert!(parked(&router, inj, 0));
+        assert_eq!(probes.get(), 2);
+        // The blocker's head leaves; its tail is still upstream, so the
+        // VC stays taken and the parked head is not probed.
+        for visit in 0..3 {
+            router.vc_allocate_with(&classes, route, &mut out);
+            router.switch_allocate_and_traverse(&config, &mut out);
+            router.assert_consistent(&config, &classes);
+            assert!(parked(&router, inj, 0), "visit {visit}");
+        }
+        assert_eq!(out.forwards.len(), 1, "only the blocker's head moved");
+        assert_eq!(probes.get(), 2, "a parked head is not routed again");
+        // The tail frees the VC in traversal: the waiter is re-armed at
+        // once and wins the VC in the next VC allocation.
+        assert!(router.enqueue(0, 0, blocker.next().expect("tail")));
+        router.switch_allocate_and_traverse(&config, &mut out);
+        router.assert_consistent(&config, &classes);
+        assert_eq!(out.forwards.len(), 2);
+        assert!(router.va_mask[inj] & 1 != 0 && router.va_waiters[0].is_empty());
+        router.vc_allocate_with(&classes, route, &mut out);
+        router.assert_consistent(&config, &classes);
+        let state = router.in_state[inj * router.vcs];
+        assert!(state.active && state.out_port == 0 && state.out_vc == 0);
+        assert_eq!(router.out_owner[0], Some((inj as u8, 0)));
+        assert_eq!(probes.get(), 2, "the woken head reuses its cached route");
+    }
+
+    #[test]
+    fn a_vc_out_of_credits_requests_the_switch_again_on_the_first_credit() {
+        let config = SimConfig {
+            buffer_depth: 2,
+            ..config(4)
+        };
+        let classes = VcClassTable::new(&config, 1);
+        let mut router = router(&config);
+        let inj = router.injection_port();
+        let mut out = TraversalOutput::default();
+        router.fill_injection_buffer(TileId::new(5), 1, 4);
+        router.vc_allocate_with(&classes, |_, _| (1, 0), &mut out);
+        let ov = router.in_state[inj * router.vcs].out_vc as usize;
+        // Two flits spend both credits; the second takes the SA bit.
+        for credits_left in [1u16, 0] {
+            router.switch_allocate_and_traverse(&config, &mut out);
+            router.assert_consistent(&config, &classes);
+            assert_eq!(router.credits[router.vcs + ov], credits_left);
+        }
+        assert_eq!(router.buffer(inj, 0).len(), 2);
+        assert_eq!(router.sa_mask[inj], 0);
+        assert!(!router.has_requests(), "a credit-stalled VC is no request");
+        router.switch_allocate_and_traverse(&config, &mut out);
+        assert_eq!(out.forwards.len(), 2, "nothing moves without a credit");
+        // The first credit back re-arms the owner; a second is only a
+        // count.
+        assert!(router.return_credit(1, ov));
+        assert!(router.has_requests() && router.sa_mask[inj] == 1);
+        assert!(!router.return_credit(1, ov));
+        router.assert_consistent(&config, &classes);
+        router.switch_allocate_and_traverse(&config, &mut out);
+        router.assert_consistent(&config, &classes);
+        assert_eq!(out.forwards.len(), 3);
     }
 
     #[test]
@@ -904,7 +1111,7 @@ mod tests {
         for created in 50..53u32 {
             router.fill_injection_buffer(TileId::new(9), created, 4);
             router.vc_allocate_with(&classes, |_, _| (NO_ROUTE, 0), &mut out);
-            router.assert_consistent(&config);
+            router.assert_consistent(&config, &classes);
             assert!(std::mem::take(&mut out.injection_freed), "packet {created}");
             assert!(!router.has_occupied_buffers());
         }
