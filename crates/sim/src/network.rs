@@ -824,7 +824,7 @@ impl<'a> Network<'a> {
             let (src, out) = self.ch_src[c];
             let (dst, input) = self.ch_dst[c];
             for v in 0..vcs {
-                let credits = usize::from(self.routers[src].credits[out as usize * vcs + v]);
+                let credits = usize::from(self.routers[src].credit(out as usize, v));
                 let buffered = self.routers[dst].buffer(input as usize, v).len();
                 assert_eq!(
                     credits + in_flight[c * vcs + v] + buffered,
@@ -914,7 +914,7 @@ impl<'a> Network<'a> {
                 let routers = &mut self.routers;
                 let config = &self.config;
                 self.touched_routers.clear_with(|r| {
-                    for flit in routers[r].buffers.iter().flatten() {
+                    for (_, flit) in routers[r].buffered_flits() {
                         if flit.is_tail {
                             recorder.record_drop(flit.created);
                         }
@@ -937,20 +937,17 @@ impl<'a> Network<'a> {
                     let r = r as usize;
                     let router = &mut self.routers[r];
                     let net_ports = router.in_channels.len();
-                    let vcs = usize::from(self.config.num_vcs);
                     arrivals.flush(injector, r, now, recorder);
-                    for (p, port) in router.buffers.chunks(vcs).enumerate() {
-                        for flit in port.iter().flatten() {
-                            if flit.is_tail {
-                                recorder.record_drop(flit.created);
-                            }
-                            if p < net_ports {
-                                // Filed before this cycle's Phase B, so a
-                                // zero-latency credit is due now.
-                                let c = router.in_channels[p].index();
-                                let slot = self.calendar.slot(now + self.latency[c]);
-                                self.calendar.credits[slot].push((c as u32, flit.vc));
-                            }
+                    for (p, flit) in router.buffered_flits() {
+                        if flit.is_tail {
+                            recorder.record_drop(flit.created);
+                        }
+                        if p < net_ports {
+                            // Filed before this cycle's Phase B, so a
+                            // zero-latency credit is due now.
+                            let c = router.in_channels[p].index();
+                            let slot = self.calendar.slot(now + self.latency[c]);
+                            self.calendar.credits[slot].push((c as u32, flit.vc));
                         }
                     }
                     // The credit counters must survive the reset: credits
@@ -960,9 +957,7 @@ impl<'a> Network<'a> {
                     // Preserved, they climb back toward (never past) full
                     // as the outstanding returns arrive — the router is
                     // never allocated again, so they are otherwise inert.
-                    let saved = std::mem::take(&mut router.credits);
-                    router.reset(&self.config);
-                    self.routers[r].credits = saved;
+                    router.reset_keeping_credits(&self.config);
                 }
             }
         }

@@ -149,14 +149,14 @@ pub(crate) struct Router {
     /// Virtual channels per port: the stride of every per-VC array.
     vcs: usize,
     /// `buffers[in_port * vcs + vc]`.
-    pub(crate) buffers: Vec<VecDeque<Flit>>,
+    buffers: Vec<VecDeque<Flit>>,
     /// `in_state[in_port * vcs + vc]`.
     in_state: Vec<InVc>,
     /// `out_owner[out_port * vcs + vc]`: which (in_port, vc) holds the
     /// output VC.
     out_owner: Vec<Option<(u8, u8)>>,
     /// `credits[out_port * vcs + vc]`: free downstream buffer slots.
-    pub(crate) credits: Vec<u16>,
+    credits: Vec<u16>,
     /// Round-robin pointer per output port for VC allocation.
     va_rr: Vec<u8>,
     /// Round-robin pointer per input port for switch allocation.
@@ -240,6 +240,21 @@ impl Router {
     #[inline]
     pub(crate) fn buffer(&self, port: usize, vc: usize) -> &VecDeque<Flit> {
         &self.buffers[port * self.vcs + vc]
+    }
+
+    /// Every buffered flit with its input port, in `(port, VC)` order.
+    pub(crate) fn buffered_flits(&self) -> impl Iterator<Item = (usize, &Flit)> {
+        let vcs = self.vcs;
+        self.buffers
+            .iter()
+            .enumerate()
+            .flat_map(move |(i, buffer)| buffer.iter().map(move |flit| (i / vcs, flit)))
+    }
+
+    /// Free downstream slots of output VC `(port, vc)`.
+    #[inline]
+    pub(crate) fn credit(&self, port: usize, vc: usize) -> u16 {
+        self.credits[port * self.vcs + vc]
     }
 
     /// `true` while any VA or SA request bit is set — the active-set
@@ -726,6 +741,15 @@ impl Router {
         self.sinking.fill(0);
     }
 
+    /// [`Router::reset`], except that the credit counters keep their
+    /// values — for a router killed under the drain fault policy, whose
+    /// outstanding credit returns are still in flight back to it.
+    pub(crate) fn reset_keeping_credits(&mut self, config: &SimConfig) {
+        let credits = std::mem::take(&mut self.credits);
+        self.reset(config);
+        self.credits = credits;
+    }
+
     /// Asserts every cross-structure invariant of the router's state —
     /// the consistency contract the request-driven allocator relies on.
     /// Called per cycle by [`Network::run_validated`]
@@ -787,8 +811,10 @@ impl Router {
                 let va_bit = self.va_mask[p] & (1 << v) != 0;
                 if va_bit {
                     assert!(
-                        !state.active && !buffer.is_empty() && parked[i] == 0,
-                        "va_mask bit [{p}][{v}] without a waiting front, or parked too"
+                        !state.active
+                            && buffer.front().is_some_and(|flit| flit.is_head)
+                            && parked[i] == 0,
+                        "va_mask bit [{p}][{v}] without a waiting head, or parked too"
                     );
                 } else if !state.active && !buffer.is_empty() {
                     assert!(
@@ -949,27 +975,35 @@ mod tests {
 
     #[test]
     fn reset_with_a_queued_source_matches_fresh_construction() {
-        let config = SimConfig {
-            num_vcs: 1,
-            ..config(4)
-        };
-        let classes = VcClassTable::new(&config, 1);
-        let mut used = router(&config);
-        let mut source: VecDeque<(u32, u32)> = (0..5u32).map(|k| (3, k)).collect();
-        used.fill_injection_buffer(TileId::new(3), 9, 4);
-        for _ in 0..6 {
-            let _ = step(&mut used, &config, 1, &mut source);
+        // Eight VCs leave state across several VCs and a non-zero
+        // input round-robin pointer; one VC lets a head park behind the
+        // injected packet's output VC.
+        for num_vcs in [8u8, 1] {
+            let config = SimConfig {
+                num_vcs,
+                ..config(4)
+            };
+            let classes = VcClassTable::new(&config, 1);
+            let mut used = router(&config);
+            let mut source: VecDeque<(u32, u32)> = (0..5u32).map(|k| (3, k)).collect();
+            used.fill_injection_buffer(TileId::new(3), 9, 4);
+            for _ in 0..6 {
+                let _ = step(&mut used, &config, 1, &mut source);
+            }
+            assert!(used.injection_busy(), "a packet must be mid-way out");
+            if num_vcs == 1 {
+                let mut blocked = Flit::packet(TileId::new(7), TileId::new(9), 4, 0);
+                used.enqueue(0, 0, blocked.next().expect("head"));
+                let mut out = TraversalOutput::default();
+                used.vc_allocate_with(&classes, |_, _| (1, 0), &mut out);
+                assert!(parked(&used, 0, 0));
+            } else {
+                assert_ne!(used.sa_in_rr[used.injection_port()], 0);
+            }
+            used.reset(&config);
+            used.assert_consistent(&config, &classes);
+            assert_eq!(format!("{used:?}"), format!("{:?}", router(&config)));
         }
-        assert!(used.injection_busy(), "a packet must be mid-way out");
-        // A head parked behind the injected packet's output VC.
-        let mut blocked = Flit::packet(TileId::new(7), TileId::new(9), 4, 0);
-        used.enqueue(0, 0, blocked.next().expect("head"));
-        let mut out = TraversalOutput::default();
-        used.vc_allocate_with(&classes, |_, _| (1, 0), &mut out);
-        assert!(parked(&used, 0, 0));
-        used.reset(&config);
-        used.assert_consistent(&config, &classes);
-        assert_eq!(format!("{used:?}"), format!("{:?}", router(&config)));
     }
 
     #[test]
