@@ -6,17 +6,20 @@
 //! Run with:
 //! `cargo run --release -p shg-bench --bin fig6 -- [--scenario a|b|c|d|all]
 //!  [--fast] [--customize]
-//!  [--shard i/N] [--resume journal.jsonl] [--cache <dir>]
-//!  [--backend per-cell|reuse|batched|auto] [--lanes K] [--progress]`
+//!  [--shard i/N] [--cache <dir>] [--faults <plan>] [--routes dense|next-hop]`
 //!
-//! The pattern sweeps run through the standard shard-/journal-aware
-//! executor ([`shg_bench::sweep::run_experiment`]), which also reads
-//! the incremental flags: `--cache <dir>` re-simulates only cells no
-//! earlier run cached (re-running a scenario after a model or grid
-//! widening touches just the delta) and `--backend reuse` batches
-//! cells per topology onto one reset-reused `Network`; `sweep_worker`
-//! and `sweep_merge` are the purpose-built pair for cross-machine
-//! runs.
+//! The pattern-sweep table reads one bit of each cell — does it keep up
+//! with its offered load? — so the sweep asks each cell for only that
+//! verdict ([`shg_bench::sweep::saturation_table`]): a cell that has
+//! fallen behind by the end of its measurement window stops there
+//! instead of running on, every source backlogged, to the drain limit.
+//! The table is byte-identical to one built from completed outcomes.
+//! `--shard i/N` builds it from one strided shard of the cells;
+//! `--cache <dir>` answers cells from a cell cache that
+//! `sweep_worker --cache <dir>` warmed with full outcomes, and stores
+//! nothing. The journal, backend and progress flags of the
+//! full-outcome binaries are rejected: `sweep_worker` is the one that
+//! journals full outcomes, and `sweep_merge` the one that merges them.
 //!
 //! `--fast` replaces the cycle-accurate saturation search with the
 //! analytic channel-load bound, coarsens the detailed-routing grid and
@@ -33,21 +36,28 @@
 //! injection capacity — tightened from 20%/10% once request-driven
 //! allocation made Phase C cheap. Measured runtime (a shared 2-core
 //! host; the sweeps scale with cores via rayon): `--scenario a --fast`
-//! ≈ 20 s wall / ≈ 39 s CPU on both cores (33 s pinned to one), peak
-//! RSS ≈ 14 MB; `--scenario all --fast` ≈ 1.9 min wall / 3.8 min CPU,
-//! 14 MB — all of it the pattern sweep's simulator phases (the repo
-//! benchmark's ledger: 99.5 % of `--scenario a --fast`, most cells
-//! running past the knee to the drain limit; the floorplan model is
-//! milliseconds). Full fidelity `--scenario a` was last measured at
-//! ≈ 14 min on one core, before the kernel's saturated-cell rework.
+//! ≈ 8 s wall / ≈ 17 s CPU on both cores (the repo benchmark's median;
+//! ≈ 20 s pinned to one), peak RSS ≈ 7 MB; `--scenario all --fast`
+//! ≈ 55 s wall / 1.8 min CPU — nearly all of it the pattern sweep's
+//! simulator phases (the floorplan model is milliseconds).
+//! `--scenario a --fast` simulates 1,068,977 cycles: the 309 of its 518
+//! cells that fall behind stop at cycle 2,000, where completing every
+//! cell would take 2,721,677 (a drain to as late as cycle 8,000).
+//! Full fidelity `--scenario a` was last measured at ≈ 14 min on one
+//! core, before the kernel's saturated-cell rework; not re-measured
+//! since.
 
-use shg_bench::sweep::{pattern_saturation_table, scenario_sweep};
+use shg_bench::sweep::{
+    annotated_experiment, reject_full_outcome_flags, saturation_table, scenario_sweep_spec,
+    TopologyCache,
+};
 use shg_bench::{arg_value, evaluate_all, has_flag, named_topologies};
 use shg_core::{customize, report, DesignGoals, PerformanceMode, Scenario, Toolchain};
 use shg_floorplan::ModelOptions;
 use shg_sim::SimConfig;
 
 fn main() {
+    reject_full_outcome_flags();
     let which = arg_value("--scenario").unwrap_or_else(|| "all".to_owned());
     let fast = has_flag("--fast");
     let scenarios: Vec<Scenario> = if which == "all" {
@@ -148,19 +158,22 @@ fn main() {
         }
         scenario.sim.faults = shg_bench::fault_plan_from_args();
         let topologies = named_topologies(&scenario);
-        let result = scenario_sweep(
-            &scenario,
+        let mut experiment = annotated_experiment(
+            &scenario.params,
             &toolchain.model_options,
+            &mut TopologyCache::new(),
             &topologies,
-            rate_points,
+            scenario_sweep_spec(&scenario, rate_points),
             shg_bench::sweep::route_form_from_args(),
-        );
+        )
+        .unwrap_or_else(|e| shg_bench::cli_error(e));
+        let table = saturation_table(&mut experiment, 0.05);
         println!(
             "Seven-pattern simulated sweep ({} points, resolution {:.0}%, \
              hot-spot grid log-extended down to 1%):\n",
-            result.points.len(),
+            table.cells,
             100.0 / rate_points as f64
         );
-        println!("{}", pattern_saturation_table(&result, 0.05));
+        println!("{table}");
     }
 }

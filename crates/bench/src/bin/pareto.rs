@@ -10,18 +10,21 @@
 //! shared sweep engine.
 //!
 //! Run with: `cargo run --release -p shg-bench --bin pareto --
-//! [--rows 6] [--cols 6]
-//! [--shard i/N] [--resume journal.jsonl] [--cache <dir>]
-//!  [--backend per-cell|reuse|batched|auto] [--lanes K] [--progress]`
+//! [--rows 6] [--cols 6] [--shard i/N] [--cache <dir>] [--routes dense|next-hop]`
 //!
 //! The frontier validation sweeps at 10% rate resolution (tightened
-//! from 16.7% once request-driven allocation made Phase C cheap);
-//! measured runtime ≈ 17 s on one core for the default 6×6 grid.
+//! from 16.7% once request-driven allocation made Phase C cheap). Its
+//! table asks each cell only whether it keeps up
+//! ([`shg_bench::sweep::saturation_table`]), so `--cache` is read-only
+//! and the journal, backend and progress flags are rejected.
+//! Measured runtime ≈ 6.5 s on one core for the default 6×6 grid.
 
 use rayon::prelude::*;
 
 use shg_bench::arg_value;
-use shg_bench::sweep::{annotated_experiment, pattern_saturation_table, TopologyCache};
+use shg_bench::sweep::{
+    annotated_experiment, reject_full_outcome_flags, saturation_table, TopologyCache,
+};
 use shg_core::{Evaluation, PerformanceMode, Scenario, SparseHammingConfig, Toolchain};
 use shg_floorplan::ModelOptions;
 use shg_sim::{SimConfig, SweepSpec};
@@ -66,6 +69,7 @@ fn dominates(a: &Evaluation, b: &Evaluation) -> bool {
 }
 
 fn main() {
+    reject_full_outcome_flags();
     let rows: u16 = arg_value("--rows").map_or(6, |v| v.parse().expect("rows"));
     let cols: u16 = arg_value("--cols").map_or(6, |v| v.parse().expect("cols"));
     // Scenario (a)'s architecture, shrunk to the requested grid.
@@ -162,6 +166,5 @@ fn main() {
         shg_bench::sweep::route_form_from_args(),
     )
     .unwrap_or_else(|e| shg_bench::cli_error(e));
-    let result = shg_bench::sweep::run_experiment(&mut experiment);
-    println!("\n{}", pattern_saturation_table(&result, 0.05));
+    println!("\n{}", saturation_table(&mut experiment, 0.05));
 }

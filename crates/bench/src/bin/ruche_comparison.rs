@@ -8,22 +8,26 @@
 //! across all seven traffic patterns on the shared sweep engine.
 //!
 //! Run with: `cargo run --release -p shg-bench --bin ruche_comparison --
-//! [--scenario a]
-//! [--shard i/N] [--resume journal.jsonl] [--cache <dir>]
-//!  [--backend per-cell|reuse|batched|auto] [--lanes K] [--progress]`
+//! [--scenario a] [--shard i/N] [--cache <dir>] [--routes dense|next-hop]`
 //!
 //! The head-to-head sweep runs at 6.25% rate resolution (tightened
-//! from 12.5% once request-driven allocation made Phase C cheap);
-//! measured runtime ≈ 17 s on one core (scales with cores via rayon).
+//! from 12.5% once request-driven allocation made Phase C cheap). Its
+//! table asks each cell only whether it keeps up
+//! ([`shg_bench::sweep::saturation_table`]), so `--cache` is read-only
+//! and the journal, backend and progress flags are rejected.
+//! Measured runtime ≈ 9 s on one core (scales with cores via rayon).
 
 use shg_bench::arg_value;
-use shg_bench::sweep::{annotated_experiment, pattern_saturation_table, TopologyCache};
+use shg_bench::sweep::{
+    annotated_experiment, reject_full_outcome_flags, saturation_table, TopologyCache,
+};
 use shg_core::{customize, DesignGoals, PerformanceMode, Scenario, Toolchain};
 use shg_floorplan::ModelOptions;
 use shg_sim::{SimConfig, SweepSpec};
 use shg_topology::{generators, Topology};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    reject_full_outcome_flags();
     let which = arg_value("--scenario").unwrap_or_else(|| "a".to_owned());
     let scenario =
         Scenario::by_name(&which).ok_or_else(|| format!("unknown scenario '{which}'"))?;
@@ -125,10 +129,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         shg_bench::sweep::route_form_from_args(),
     )
     .unwrap_or_else(|e| shg_bench::cli_error(e));
-    let result = shg_bench::sweep::run_experiment(&mut experiment);
     println!(
         "\nSeven-pattern head-to-head (simulated, resolution 6.25%):\n\n{}",
-        pattern_saturation_table(&result, 0.05)
+        saturation_table(&mut experiment, 0.05)
     );
     Ok(())
 }

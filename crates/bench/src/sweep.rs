@@ -11,14 +11,19 @@
 //! stages (toolchain evaluation, load sweeps, frontier re-checks) pays
 //! for prediction exactly once per binary.
 //!
-//! [`run_experiment`] is the execution choke point: it reads the
-//! standard sharding flags (`--shard i/N`, `--resume <journal>`,
-//! `--progress`) plus the incremental-execution flags (`--cache <dir>`
-//! for the cross-run cell-result cache, `--backend
-//! per-cell|reuse|batched|auto` and `--lanes <K>` for the execution
-//! backend) so every simulating binary can run one shard
-//! of its grid to a resumable journal — re-simulating only cells no
-//! earlier run has cached — without per-binary plumbing.
+//! Two execution choke points read the standard flags, so no binary
+//! needs its own plumbing:
+//!
+//! * [`run_experiment`] runs cells to full outcomes. It reads the
+//!   sharding flags (`--shard i/N`, `--resume <journal>`, `--progress`)
+//!   plus the incremental-execution flags (`--cache <dir>` for the
+//!   cross-run cell-result cache, `--backend per-cell|reuse|batched|auto`
+//!   and `--lanes <K>` for the execution backend), so every simulating
+//!   binary can run one shard of its grid to a resumable journal —
+//!   re-simulating only cells no earlier run has cached.
+//! * [`saturation_table`] asks each cell only whether it keeps up,
+//!   for the reports that print nothing but saturation estimates. It
+//!   reads `--shard` and a read-only `--cache`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -26,7 +31,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use shg_core::Scenario;
 use shg_floorplan::{predict, ArchParams, ModelOptions};
 use shg_sim::sweep::run_journaled_durable;
-use shg_sim::{CellCache, ExecBackend, Experiment, ShardSpec, SweepCase, SweepResult, SweepSpec};
+use shg_sim::{
+    CellCache, ExecBackend, Experiment, ShardSpec, SweepCase, SweepResult, SweepSpec,
+    TrafficPattern,
+};
 use shg_topology::routing::{self, RouteForm, Routes};
 use shg_topology::Topology;
 use shg_units::Cycles;
@@ -450,31 +458,6 @@ pub fn route_form_from_args() -> RouteForm {
     }
 }
 
-/// The standard wide sweep of a scenario: every applicable topology ×
-/// all seven traffic patterns × a linear rate grid, floorplan-annotated
-/// and run through [`run_experiment`] (so the sharding flags apply).
-#[must_use]
-pub fn scenario_sweep(
-    scenario: &Scenario,
-    options: &ModelOptions,
-    topologies: &[(String, Topology)],
-    rate_points: usize,
-    form: RouteForm,
-) -> SweepResult {
-    let spec = scenario_sweep_spec(scenario, rate_points);
-    let mut cache = TopologyCache::new();
-    let mut experiment = annotated_experiment(
-        &scenario.params,
-        options,
-        &mut cache,
-        topologies,
-        spec,
-        form,
-    )
-    .unwrap_or_else(|e| cli_error(e));
-    run_experiment(&mut experiment)
-}
-
 /// How many sweeps this process has already journaled (each gets a
 /// distinct journal path suffix, so multi-sweep binaries like
 /// `fig6 --scenario all` don't clobber one journal).
@@ -524,11 +507,7 @@ pub fn backend_by_name(name: &str) -> Option<ExecBackend> {
 /// unusable cache directory are usage errors: reported via
 /// [`cli_error`] (exit code 2), never a panic.
 pub fn configure_experiment(experiment: &mut Experiment<'_>) {
-    if let Some(dir) = arg_value("--cache") {
-        let cache =
-            CellCache::open(&dir).unwrap_or_else(|e| cli_error(format!("--cache {dir}: {e}")));
-        experiment.set_cache(cache);
-    }
+    attach_cache_from_args(experiment);
     if let Some(name) = arg_value("--backend") {
         let backend = backend_by_name(&name).unwrap_or_else(|| {
             cli_error(format!(
@@ -543,6 +522,25 @@ pub fn configure_experiment(experiment: &mut Experiment<'_>) {
             .unwrap_or_else(|e| cli_error(format!("--lanes {lanes}: {e}")));
         experiment.set_lanes(lanes);
     }
+}
+
+/// Attaches the [`CellCache`] at `--cache <dir>` (created if missing),
+/// if the flag is given; an unusable directory is a usage error via
+/// [`cli_error`].
+fn attach_cache_from_args(experiment: &mut Experiment<'_>) {
+    if let Some(dir) = arg_value("--cache") {
+        let cache =
+            CellCache::open(&dir).unwrap_or_else(|e| cli_error(format!("--cache {dir}: {e}")));
+        experiment.set_cache(cache);
+    }
+}
+
+/// The `--shard i/N` flag (default: the whole plan); a malformed value
+/// is a usage error via [`cli_error`].
+fn shard_from_args() -> ShardSpec {
+    arg_value("--shard").map_or(ShardSpec::SOLO, |text| {
+        ShardSpec::parse(&text).unwrap_or_else(|e| cli_error(e))
+    })
 }
 
 /// One-line cache-effectiveness summary (`cache: cached=… simulated=…
@@ -580,7 +578,8 @@ pub fn cache_summary(experiment: &Experiment<'_>) -> Option<String> {
 }
 
 /// Runs an experiment under the standard sharding flags; the execution
-/// path every simulating harness binary shares.
+/// path every harness binary that keeps full outcomes shares (the
+/// saturation reports use [`saturation_table`] instead).
 ///
 /// * `--shard i/N` — run only the `i`-th of `N` strided shards
 ///   ([`ShardSpec::parse`], one-based `i`). Tables and saturation
@@ -612,9 +611,7 @@ pub fn cache_summary(experiment: &Experiment<'_>) -> Option<String> {
 pub fn run_experiment(experiment: &mut Experiment<'_>) -> SweepResult {
     configure_experiment(experiment);
     let experiment: &Experiment<'_> = experiment;
-    let shard = arg_value("--shard").map_or(ShardSpec::SOLO, |text| {
-        ShardSpec::parse(&text).unwrap_or_else(|e| cli_error(e))
-    });
+    let shard = shard_from_args();
     let journal = arg_value("--resume");
     let progress = has_flag("--progress");
     let total_cells = experiment.num_points();
@@ -672,22 +669,65 @@ pub fn run_experiment(experiment: &mut Experiment<'_>) -> SweepResult {
     result
 }
 
-/// Renders a per-pattern saturation summary of a sweep: one row per
-/// case, one column per traffic pattern *actually swept*, entries in
-/// percent of injection capacity (`-` where even the lowest swept rate
-/// saturates).
-#[must_use]
-pub fn pattern_saturation_table(result: &SweepResult, slack: f64) -> String {
-    let mut cases: Vec<String> = Vec::new();
-    // Columns come from the patterns present in the result (first-seen
-    // order = spec order), so unswept patterns never render as `-`.
-    let mut patterns: Vec<shg_sim::TrafficPattern> = Vec::new();
-    for p in &result.points {
-        if !cases.contains(&p.case) {
-            cases.push(p.case.clone());
+/// The [`run_experiment`] flags that only serve full outcomes: a
+/// journal (`--resume`, `--durable`), an execution backend (`--backend`,
+/// `--lanes`) and chunked progress (`--progress`).
+const FULL_OUTCOME_FLAGS: [&str; 5] = [
+    "--resume",
+    "--durable",
+    "--backend",
+    "--lanes",
+    "--progress",
+];
+
+/// Rejects `--resume`, `--durable`, `--backend`, `--lanes` and
+/// `--progress` through [`cli_error`] (exit code 2): a report built by
+/// [`saturation_table`] keeps no outcomes, so it would otherwise ignore
+/// them silently. Its binaries call this before any other work, so a
+/// rejected flag costs nothing.
+pub fn reject_full_outcome_flags() {
+    if let Some(flag) = FULL_OUTCOME_FLAGS.into_iter().find(|flag| has_flag(flag)) {
+        cli_error(format!(
+            "{flag} does not apply here: this report asks each cell only whether it keeps up \
+             and keeps no outcomes (sweep_worker journals full outcomes)"
+        ));
+    }
+}
+
+/// A per-pattern saturation table (see [`saturation_table`]).
+#[derive(Debug)]
+pub struct SaturationTable {
+    /// How many cells the table was built from (a `--shard` runs a
+    /// subset of the plan).
+    pub cells: usize,
+    /// The rendered table, one line per case.
+    pub text: String,
+}
+
+impl std::fmt::Display for SaturationTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.text)
+    }
+}
+
+/// Renders a per-pattern saturation table: one row per case, one column
+/// per traffic pattern *actually swept*, entries in percent of injection
+/// capacity (`-` where even the lowest swept rate saturates). Rows and
+/// columns follow the first appearance of each case name and pattern
+/// in `cells`; `estimate` gives the highest rate a case keeps up with
+/// under a pattern.
+fn render_saturation_table<'c>(
+    cells: impl IntoIterator<Item = (&'c str, TrafficPattern)>,
+    estimate: impl Fn(&str, TrafficPattern) -> Option<f64>,
+) -> String {
+    let mut cases: Vec<&str> = Vec::new();
+    let mut patterns: Vec<TrafficPattern> = Vec::new();
+    for (case, pattern) in cells {
+        if !cases.contains(&case) {
+            cases.push(case);
         }
-        if !patterns.contains(&p.pattern) {
-            patterns.push(p.pattern);
+        if !patterns.contains(&pattern) {
+            patterns.push(pattern);
         }
     }
     let mut out = String::new();
@@ -701,7 +741,7 @@ pub fn pattern_saturation_table(result: &SweepResult, slack: f64) -> String {
     for case in &cases {
         out.push_str(&format!("{case:<26}"));
         for &pattern in &patterns {
-            match result.saturation_estimate(case, pattern, slack) {
+            match estimate(case, pattern) {
                 Some(sat) => out.push_str(&format!(" {:>13.1}", sat * 100.0)),
                 None => out.push_str(&format!(" {:>13}", "-")),
             }
@@ -709,6 +749,69 @@ pub fn pattern_saturation_table(result: &SweepResult, slack: f64) -> String {
         out.push('\n');
     }
     out
+}
+
+/// Runs an experiment for its per-pattern saturation table — the report
+/// `fig6`, `pareto` and `ruche_comparison` print. A case's saturation
+/// under a pattern is the highest swept rate whose cell keeps up with
+/// its offered load within `slack` ([`shg_sim::SimOutcome::keeps_up`]),
+/// exactly [`SweepResult::saturation_estimate`] over the completed
+/// cells; but each cell is only asked for that verdict
+/// ([`Experiment::sustained`]), so a cell that falls behind stops at
+/// the end of its measurement window instead of running on to the drain
+/// limit.
+///
+/// Reads the standard flags that still apply:
+///
+/// * `--shard i/N` — build the table from just that shard's cells;
+/// * `--cache <dir>` — answer cells from a cache that a full-outcome
+///   run (e.g. `sweep_worker --cache <dir>`) warmed. Read-only: a
+///   verdict is not an outcome, so nothing is stored. The
+///   `cache: cached=… simulated=… total=…` line goes to stderr, with
+///   probed misses counted as simulated.
+///
+/// The flags that only serve full outcomes are rejected
+/// ([`reject_full_outcome_flags`]). A malformed `--shard` or an
+/// unusable `--cache` directory is a usage error via [`cli_error`].
+#[must_use]
+pub fn saturation_table(experiment: &mut Experiment<'_>, slack: f64) -> SaturationTable {
+    reject_full_outcome_flags();
+    attach_cache_from_args(experiment);
+    let experiment: &Experiment<'_> = experiment;
+    let shard = shard_from_args();
+    let cells = experiment.plan().shard_cells(shard);
+    let verdicts = experiment.sustained(&cells, slack);
+    if let Some(summary) = cache_summary(experiment) {
+        eprintln!("[sweep] {summary}");
+    }
+    let spec = experiment.spec();
+    let swept: Vec<(&str, TrafficPattern, f64, bool)> = cells
+        .iter()
+        .zip(verdicts)
+        .map(|(cell, keeps_up)| {
+            let pattern = spec.patterns[cell.pattern as usize];
+            (
+                experiment.cases()[cell.case as usize].name.as_str(),
+                pattern,
+                spec.rates_of(pattern)[cell.rate as usize],
+                keeps_up,
+            )
+        })
+        .collect();
+    let text = render_saturation_table(
+        swept.iter().map(|&(case, pattern, ..)| (case, pattern)),
+        |case, pattern| {
+            swept
+                .iter()
+                .filter(|&&(c, p, _, keeps_up)| c == case && p == pattern && keeps_up)
+                .map(|&(.., rate, _)| rate)
+                .reduce(f64::max)
+        },
+    );
+    SaturationTable {
+        cells: cells.len(),
+        text,
+    }
 }
 
 #[cfg(test)]
@@ -789,7 +892,7 @@ mod tests {
     }
 
     #[test]
-    fn scenario_sweep_covers_the_full_grid() {
+    fn verdict_table_equals_the_table_of_full_outcomes() {
         let mut scenario = Scenario::knc_a();
         // Shrink for test speed.
         scenario.params.grid = Grid::new(4, 4);
@@ -802,19 +905,41 @@ mod tests {
             ("mesh".to_owned(), generators::mesh(scenario.params.grid)),
             ("torus".to_owned(), generators::torus(scenario.params.grid)),
         ];
-        let result = scenario_sweep(&scenario, &options, &topologies, 2, RouteForm::NextHop);
-        // 6 patterns on the 2-point linear grid, plus the hot-spot
+        let mut experiment = annotated_experiment(
+            &scenario.params,
+            &options,
+            &mut TopologyCache::new(),
+            &topologies,
+            scenario_sweep_spec(&scenario, 3),
+            RouteForm::NextHop,
+        )
+        .expect("4x4 cases route");
+        // The test binary's argv carries no sweep flags: the whole plan.
+        let table = saturation_table(&mut experiment, 0.05);
+        // 6 patterns on the 3-point linear grid, plus the hot-spot
         // pattern's 4 extra log-spaced low-end rates, per case.
-        assert_eq!(result.points.len(), 2 * (7 * 2 + 4));
-        let table = pattern_saturation_table(&result, 0.05);
-        assert!(table.contains("mesh"));
-        assert!(table.contains("tornado"));
+        assert_eq!(table.cells, 2 * (7 * 3 + 4));
+        let cells: Vec<shg_sim::CellId> = experiment.plan().cells().collect();
+        let result = SweepResult {
+            points: experiment.run_cells(&cells),
+        };
+        let reference = render_saturation_table(
+            result.points.iter().map(|p| (p.case.as_str(), p.pattern)),
+            |case, pattern| result.saturation_estimate(case, pattern, 0.05),
+        );
+        assert_eq!(table.text, reference);
+        // The grid holds cells on both sides of the verdict.
+        let keeps_up = |p: &shg_sim::SweepPoint| p.outcome.keeps_up(0.05);
+        assert!(result.points.iter().any(keeps_up));
+        assert!(!result.points.iter().all(keeps_up));
+        assert!(table.text.contains("mesh"));
+        assert!(table.text.contains("tornado"));
         // The low end gives the hot-spot column a resolved (non `-`)
         // saturation estimate even when the linear grid saturates.
         for case in ["mesh", "torus"] {
             assert!(
                 result
-                    .saturation_estimate(case, shg_sim::TrafficPattern::Hotspot(20), 0.05)
+                    .saturation_estimate(case, TrafficPattern::Hotspot(20), 0.05)
                     .is_some(),
                 "{case}: hot-spot saturation unresolved"
             );

@@ -244,3 +244,31 @@ fn coordinator_rejects_a_malformed_kill_spec() {
     let output = shg_coord(&["--spawn-workers", "1", "--kill-worker", "0:oops"]);
     assert_usage_error(&output, "--kill-worker");
 }
+
+#[test]
+fn verdict_reports_reject_the_full_outcome_flags() {
+    // fig6, pareto and ruche_comparison keep no outcomes, so a journal,
+    // a backend choice or chunked progress would be silently ignored.
+    let reports = [
+        env!("CARGO_BIN_EXE_fig6"),
+        env!("CARGO_BIN_EXE_pareto"),
+        env!("CARGO_BIN_EXE_ruche_comparison"),
+    ];
+    let flags: [&[&str]; 5] = [
+        &["--resume", "journal.jsonl"],
+        &["--durable"],
+        &["--backend", "reuse"],
+        &["--lanes", "4"],
+        &["--progress"],
+    ];
+    for report in reports {
+        for flag in flags {
+            let output = Command::new(report)
+                .args(flag)
+                .output()
+                .expect("spawn report binary");
+            assert_usage_error(&output, flag[0]);
+            assert_usage_error(&output, "sweep_worker");
+        }
+    }
+}

@@ -335,6 +335,12 @@ impl<'a> Experiment<'a> {
         &self.spec
     }
 
+    /// The cases, indexed by [`CellId::case`].
+    #[must_use]
+    pub fn cases(&self) -> &[SweepCase<'a>] {
+        &self.cases
+    }
+
     /// The total number of grid cells.
     #[must_use]
     pub fn num_points(&self) -> usize {
@@ -385,6 +391,46 @@ impl<'a> Experiment<'a> {
             ExecBackend::Batched => self.run_cells_batched(cells, digests),
             ExecBackend::Auto => self.run_cells_auto(cells, digests),
         }
+    }
+
+    /// Whether each of `cells` keeps up with its offered load: entry
+    /// `i` is exactly `self.run_cells(cells)[i].outcome.keeps_up(slack)`
+    /// — the one bit a saturation table reads of a cell — computed
+    /// without completing the outcome. Each cache miss runs on a fresh
+    /// `Network` fanned out over the current thread pool and asks it
+    /// only whether it [sustains](Network::sustains) the rate, so a
+    /// cell that has fallen behind by the end of its measurement window
+    /// stops there instead of running on to the drain limit.
+    ///
+    /// A cell found in the attached [`CellCache`] is answered from its
+    /// stored outcome; a miss is counted as simulated but never stored,
+    /// since a probe stopped early has no full outcome to store. The
+    /// backend setting does not apply: every probe is its own network.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cell is out of the plan's range.
+    #[must_use]
+    pub fn sustained(&self, cells: &[CellId], slack: f64) -> Vec<bool> {
+        let digests = self.digests();
+        cells
+            .par_iter()
+            .map(|&cell| {
+                let inputs = self.cell_inputs(cell, digests);
+                if let Some(point) = self.load_cached(&inputs) {
+                    return point.outcome.keeps_up(slack);
+                }
+                self.counters.per_cell_cells.fetch_add(1, Relaxed);
+                let case = &self.cases[inputs.case];
+                Network::new(
+                    case.topology,
+                    &case.routes,
+                    &case.link_latencies,
+                    inputs.config,
+                )
+                .sustains(inputs.rate, inputs.pattern, slack, f64::INFINITY)
+            })
+            .collect()
     }
 
     /// One digest per case (memoized — digesting a routing table is

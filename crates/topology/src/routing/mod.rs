@@ -484,6 +484,10 @@ impl Routes {
     /// Builds the channel/VC-class dependency graph induced by all paths
     /// and checks it for cycles. Acyclicity implies the routing cannot
     /// deadlock under wormhole/VC flow control (Dally & Towles).
+    ///
+    /// Total on degraded tables: a pair with no surviving route (its
+    /// first hop is [`NO_ROUTE`] — tiles a fault separated, or a dead
+    /// router) carries no traffic and adds no dependency.
     #[must_use]
     pub fn is_deadlock_free(&self, topology: &Topology) -> bool {
         let classes = self.num_vc_classes as usize;
@@ -491,6 +495,11 @@ impl Routes {
         let key = |c: ChannelId, class: u8| c.index() * classes + class as usize;
         let mut edges: Vec<std::collections::BTreeSet<usize>> = vec![Default::default(); nodes];
         for (src, dst) in self.pairs() {
+            if !matches!(self.table, Table::Dense { .. })
+                && self.port_and_class(src, src, dst, 0).0 == NO_ROUTE
+            {
+                continue;
+            }
             let mut prev: Option<Hop> = None;
             self.for_each_hop(src, dst, |hop| {
                 if let Some(p) = prev {
@@ -978,6 +987,22 @@ mod tests {
                 assert_ne!(port, NO_ROUTE, "{src} → {dst}");
             }
         }
+    }
+
+    #[test]
+    fn deadlock_check_skips_the_pairs_of_a_dead_router() {
+        let grid = Grid::new(4, 4);
+        let mesh = generators::mesh(grid);
+        let (mut tiles, mut channels) = full_liveness(&mesh);
+        tiles[5] = false;
+        for &(n, _) in mesh.neighbors(TileId::new(5)) {
+            kill_link(&mesh, &mut channels, 5, n.index() as u32);
+        }
+        let routes = degraded_routes(&mesh, &tiles, &channels, 4)
+            .expect("the survivors of a 4x4 mesh minus one router stay connected");
+        // Every pair to or from router 5 has no route; the check walks
+        // only the others instead of panicking on the first of them.
+        assert!(routes.is_deadlock_free(&mesh));
     }
 
     #[test]
