@@ -8,12 +8,14 @@
 //!  [--fast] [--customize]
 //!  [--shard i/N] [--cache <dir>] [--faults <plan>] [--routes dense|next-hop]`
 //!
-//! The pattern-sweep table reads one bit of each cell — does it keep up
-//! with its offered load? — so the sweep asks each cell for only that
-//! verdict ([`shg_bench::sweep::saturation_table`]): a cell that has
-//! fallen behind by the end of its measurement window stops there
-//! instead of running on, every source backlogged, to the drain limit.
-//! The table is byte-identical to one built from completed outcomes.
+//! The pattern-sweep table reads one number of each (topology, pattern)
+//! row — the highest swept rate that keeps up with its offered load — so
+//! the sweep scans each row from its top rate down, ends it at the first
+//! cell that keeps up, and asks each cell it visits for only that
+//! verdict ([`shg_bench::sweep::saturation_table`]): a cell that can no
+//! longer catch up stops inside its measurement window instead of
+//! running on, every source backlogged, to the drain limit. The table
+//! is byte-identical to one built from completed outcomes.
 //! `--shard i/N` builds it from one strided shard of the cells;
 //! `--cache <dir>` answers cells from a cell cache that
 //! `sweep_worker --cache <dir>` warmed with full outcomes, and stores
@@ -36,13 +38,12 @@
 //! injection capacity — tightened from 20%/10% once request-driven
 //! allocation made Phase C cheap. Measured runtime (a shared 2-core
 //! host; the sweeps scale with cores via rayon): `--scenario a --fast`
-//! ≈ 8 s wall / ≈ 17 s CPU on both cores (the repo benchmark's median;
-//! ≈ 20 s pinned to one), peak RSS ≈ 7 MB; `--scenario all --fast`
-//! ≈ 55 s wall / 1.8 min CPU — nearly all of it the pattern sweep's
-//! simulator phases (the floorplan model is milliseconds).
-//! `--scenario a --fast` simulates 1,068,977 cycles: the 309 of its 518
-//! cells that fall behind stop at cycle 2,000, where completing every
-//! cell would take 2,721,677 (a drain to as late as cycle 8,000).
+//! ≈ 5.5 s wall / ≈ 11 s CPU on both cores (≈ 11.5 s pinned to one),
+//! peak RSS ≈ 7 MB; `--scenario all --fast` ≈ 37 s wall / 69 s CPU —
+//! nearly all of it the pattern sweep's simulator phases (the
+//! floorplan model is milliseconds). `--scenario a --fast` probes 357
+//! of its 518 cells and simulates 521,930 cycles, where completing
+//! every cell would take 2,721,677 (a drain to as late as cycle 8,000).
 //! Full fidelity `--scenario a` was last measured at ≈ 14 min on one
 //! core, before the kernel's saturated-cell rework; not re-measured
 //! since.

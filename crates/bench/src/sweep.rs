@@ -32,7 +32,7 @@ use shg_core::Scenario;
 use shg_floorplan::{predict, ArchParams, ModelOptions};
 use shg_sim::sweep::run_journaled_durable;
 use shg_sim::{
-    CellCache, ExecBackend, Experiment, ShardSpec, SweepCase, SweepResult, SweepSpec,
+    CellCache, ExecBackend, Experiment, ShardSpec, SustainedRow, SweepCase, SweepResult, SweepSpec,
     TrafficPattern,
 };
 use shg_topology::routing::{self, RouteForm, Routes};
@@ -697,8 +697,8 @@ pub fn reject_full_outcome_flags() {
 /// A per-pattern saturation table (see [`saturation_table`]).
 #[derive(Debug)]
 pub struct SaturationTable {
-    /// How many cells the table was built from (a `--shard` runs a
-    /// subset of the plan).
+    /// How many cells of the plan the table covers (a `--shard` covers
+    /// a subset of it), probed or not.
     pub cells: usize,
     /// The rendered table, one line per case.
     pub text: String,
@@ -756,10 +756,11 @@ fn render_saturation_table<'c>(
 /// under a pattern is the highest swept rate whose cell keeps up with
 /// its offered load within `slack` ([`shg_sim::SimOutcome::keeps_up`]),
 /// exactly [`SweepResult::saturation_estimate`] over the completed
-/// cells; but each cell is only asked for that verdict
-/// ([`Experiment::sustained`]), so a cell that falls behind stops at
-/// the end of its measurement window instead of running on to the drain
-/// limit.
+/// cells; but each row is scanned from its top rate down and ends at
+/// the first cell that keeps up ([`Experiment::highest_sustained`]), so
+/// the cells below a row's answer are never run, and a cell that cannot
+/// keep up stops inside its measurement window as soon as that is
+/// certain instead of running on to the drain limit.
 ///
 /// Reads the standard flags that still apply:
 ///
@@ -767,8 +768,9 @@ fn render_saturation_table<'c>(
 /// * `--cache <dir>` — answer cells from a cache that a full-outcome
 ///   run (e.g. `sweep_worker --cache <dir>`) warmed. Read-only: a
 ///   verdict is not an outcome, so nothing is stored. The
-///   `cache: cached=… simulated=… total=…` line goes to stderr, with
-///   probed misses counted as simulated.
+///   `cache: cached=… simulated=… total=…` line goes to stderr; it
+///   counts the cells the row scans visited, with probed misses
+///   counted as simulated.
 ///
 /// The flags that only serve full outcomes are rejected
 /// ([`reject_full_outcome_flags`]). A malformed `--shard` or an
@@ -780,34 +782,23 @@ pub fn saturation_table(experiment: &mut Experiment<'_>, slack: f64) -> Saturati
     let experiment: &Experiment<'_> = experiment;
     let shard = shard_from_args();
     let cells = experiment.plan().shard_cells(shard);
-    let verdicts = experiment.sustained(&cells, slack);
+    let rows = experiment.highest_sustained(&cells, slack);
     if let Some(summary) = cache_summary(experiment) {
         eprintln!("[sweep] {summary}");
     }
     let spec = experiment.spec();
-    let swept: Vec<(&str, TrafficPattern, f64, bool)> = cells
-        .iter()
-        .zip(verdicts)
-        .map(|(cell, keeps_up)| {
-            let pattern = spec.patterns[cell.pattern as usize];
-            (
-                experiment.cases()[cell.case as usize].name.as_str(),
-                pattern,
-                spec.rates_of(pattern)[cell.rate as usize],
-                keeps_up,
-            )
-        })
-        .collect();
-    let text = render_saturation_table(
-        swept.iter().map(|&(case, pattern, ..)| (case, pattern)),
-        |case, pattern| {
-            swept
-                .iter()
-                .filter(|&&(c, p, _, keeps_up)| c == case && p == pattern && keeps_up)
-                .map(|&(.., rate, _)| rate)
-                .reduce(f64::max)
-        },
-    );
+    let label = |row: &SustainedRow| {
+        (
+            experiment.cases()[row.case as usize].name.as_str(),
+            spec.patterns[row.pattern as usize],
+        )
+    };
+    let text = render_saturation_table(rows.iter().map(label), |case, pattern| {
+        rows.iter()
+            .filter(|row| label(row) == (case, pattern))
+            .filter_map(|row| row.rate)
+            .reduce(f64::max)
+    });
     SaturationTable {
         cells: cells.len(),
         text,

@@ -67,7 +67,9 @@
 //! descriptor for every packet it will never send. What a statistic
 //! needs of the packets still parked when the measurement window
 //! closes is counted by walking a copy of the stream, and a fault that
-//! discards a backlog walks the stream itself.
+//! discards a backlog walks the stream itself. Since the streams fix
+//! every arrival before the run starts, a saturation probe walks copies
+//! of all of them up front to know the window's final offered load.
 //!
 //! An earlier `SharedScan` policy drew every tile's arrivals from one
 //! stream shared by all tiles. A parked packet of such a stream cannot

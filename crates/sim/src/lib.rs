@@ -71,6 +71,7 @@ pub use runner::{
 pub use stats::{percentile, FaultStats, SimOutcome};
 pub use sweep::{
     CacheStats, CellCache, CellId, CoordOptions, CoordSummary, ExecBackend, ExecStats, Experiment,
-    ShardResult, ShardSpec, SweepCase, SweepPlan, SweepPoint, SweepResult, SweepSpec, WorkerLink,
+    ShardResult, ShardSpec, SustainedRow, SweepCase, SweepPlan, SweepPoint, SweepResult, SweepSpec,
+    WorkerLink,
 };
 pub use traffic::TrafficPattern;

@@ -292,6 +292,37 @@ impl Arrivals<'_> {
             });
         }
     }
+
+    /// The flits the measurement window offers in all, counted before
+    /// the run: [`Arrivals::catch_up`] on a fresh injector walks copies
+    /// of every tile's stream through all its packets of the window,
+    /// into a scratch recorder. Each window packet is counted exactly
+    /// once in the run too — as it fires, refills a buffer, is flushed
+    /// by a fault epoch or is caught up — always judged by its creation
+    /// cycle, so the run's final count is this one.
+    fn window_offer(&self, fresh: &Injector, tiles: usize, config: &SimConfig) -> u64 {
+        let mut scratch = OutcomeRecorder::new(config);
+        self.catch_up(fresh, tiles, &mut scratch);
+        scratch.window_offer()
+    }
+}
+
+/// How [`Network::run_inner`] ended.
+struct RunEnd {
+    /// The outcome at the last simulated cycle.
+    outcome: SimOutcome,
+    /// Verdict mode stopped the run because no continuation could make
+    /// the verdict hold; `outcome` is then a partial one.
+    ruled_out: bool,
+}
+
+impl RunEnd {
+    /// The verdict-mode answer: `false` outright for a run that was
+    /// ruled out, the predicate on the outcome of one that ran to
+    /// completion.
+    fn holds(&self, verdict: &Verdict) -> bool {
+        !self.ruled_out && verdict.holds(&self.outcome)
+    }
 }
 
 /// A cycle-accurate NoC simulation instance.
@@ -455,7 +486,7 @@ impl<'a> Network<'a> {
     /// active routers and the calendar bucket due each cycle.
     #[must_use]
     pub fn run(&mut self, rate: f64, pattern: TrafficPattern) -> SimOutcome {
-        self.run_inner(rate, pattern, false, None, None)
+        self.run_inner(rate, pattern, false, None, None).outcome
     }
 
     /// Like [`Network::run`], additionally asserting every router's
@@ -480,7 +511,7 @@ impl<'a> Network<'a> {
     /// Panics with a description of the first violated invariant.
     #[must_use]
     pub fn run_validated(&mut self, rate: f64, pattern: TrafficPattern) -> SimOutcome {
-        self.run_inner(rate, pattern, true, None, None)
+        self.run_inner(rate, pattern, true, None, None).outcome
     }
 
     /// Like [`Network::run`], additionally timing each simulation phase
@@ -494,8 +525,8 @@ impl<'a> Network<'a> {
         pattern: TrafficPattern,
     ) -> (SimOutcome, PhaseProfile) {
         let mut profile = PhaseProfile::default();
-        let outcome = self.run_inner(rate, pattern, false, Some(&mut profile), None);
-        (outcome, profile)
+        let end = self.run_inner(rate, pattern, false, Some(&mut profile), None);
+        (end.outcome, profile)
     }
 
     /// Whether the network sustains `rate` — the question a saturation
@@ -507,11 +538,16 @@ impl<'a> Network<'a> {
     /// ```
     ///
     /// but the simulation stops the cycle the answer is decided instead
-    /// of completing the outcome: once the measurement window has
-    /// closed, a run whose accepted throughput misses the slack, or
-    /// whose mean latency can no longer come in under the limit, is
-    /// not drained (an overloaded network would otherwise run, with
-    /// every source backlogged, up to the drain limit).
+    /// of completing the outcome. The window's offered load is fixed by
+    /// the per-tile streams, so it is counted before the run; from the
+    /// first measured cycle on, a run whose accepted throughput can no
+    /// longer reach the slack — even if every router ejected a flit in
+    /// each window cycle left — stops inside its window. Once the
+    /// window has closed, a run whose mean latency can no longer come
+    /// in under the limit is not drained either (an overloaded network
+    /// would otherwise run, with every source backlogged, up to the
+    /// drain limit). A stopped run answers `false` outright; its
+    /// partial outcome is never judged.
     ///
     /// # Examples
     ///
@@ -546,10 +582,8 @@ impl<'a> Network<'a> {
             slack,
             latency_limit,
         };
-        // A run stopped early reports the state at its stop cycle, which
-        // fails the predicate like every continuation of it would.
-        let outcome = self.run_inner(rate, pattern, false, None, Some(verdict));
-        verdict.holds(&outcome)
+        self.run_inner(rate, pattern, false, None, Some(verdict))
+            .holds(&verdict)
     }
 
     fn run_inner(
@@ -559,7 +593,7 @@ impl<'a> Network<'a> {
         validate: bool,
         mut profile: Option<&mut PhaseProfile>,
         verdict: Option<Verdict>,
-    ) -> SimOutcome {
+    ) -> RunEnd {
         let config = self.config.clone();
         let packet_prob = rate / f64::from(config.packet_len);
         let mut recorder = crate::stats::OutcomeRecorder::new(&config);
@@ -579,11 +613,15 @@ impl<'a> Network<'a> {
             schedule: schedule.as_ref(),
             measure_end,
         };
+        // Verdict mode judges throughput against the window's final
+        // offered load from the first measured cycle on.
+        let window_offer = verdict.map(|_| arrivals.window_offer(&injector, tiles, &config));
         let mut epoch_idx = 0usize;
         let mut routes: &Routes = self.routes;
         let mut dead_channels: Option<&[bool]> = None;
         let mut now = 0u64;
         let mut traversal = TraversalOutput::default();
+        let mut ruled_out = false;
         loop {
             // Fault epochs strike at the top of their cycle, before that
             // cycle's injection: kill state is applied, and routing
@@ -690,14 +728,17 @@ impl<'a> Network<'a> {
                 break;
             }
             // Verdict mode: stop once the answer cannot change any more.
-            if let Some(verdict) = &verdict {
-                if now >= measure_end && recorder.rules_out(verdict, now, nodes, schedule.is_none())
-                {
+            if let (Some(verdict), Some(offer)) = (&verdict, window_offer) {
+                if recorder.rules_out(verdict, offer, now, tiles, schedule.is_none()) {
+                    ruled_out = true;
                     break;
                 }
             }
         }
-        recorder.finalize(now, nodes)
+        RunEnd {
+            outcome: recorder.finalize(now, nodes),
+            ruled_out,
+        }
     }
 
     /// Phase B: delivers the flits, then the credits, that the calendar

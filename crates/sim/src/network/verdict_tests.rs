@@ -24,12 +24,20 @@ const LIMIT_FACTORS: [f64; 2] = [1.3, 4.0];
 /// How the probes of one grid ended.
 #[derive(Debug, Default)]
 struct Decided {
-    /// Stopped early, accepted throughput outside the slack (clause 1).
+    /// Stopped inside the measurement window: accepted throughput could
+    /// no longer catch up with the window's offered load (clause 1).
+    in_window: u32,
+    /// Stopped after the window, accepted throughput outside the slack
+    /// (clause 1).
     by_throughput: u32,
-    /// Stopped early with throughput within the slack (clause 2).
+    /// Stopped after the window with throughput within the slack
+    /// (clause 2).
     by_latency: u32,
-    /// Ran exactly as long as the full run.
+    /// Ran to completion: the full run.
     by_neither: u32,
+    /// Cycles simulated by all the grid's verdict-mode runs — the work
+    /// the early stops leave, pinned per grid so a weaker stop fails.
+    cycles: u64,
 }
 
 /// Windows for everything but the 4×4 mesh: debug-profile runs of
@@ -46,7 +54,8 @@ fn short_windows() -> SimConfig {
 
 /// Every pattern × rate × packet length × limit of one topology: the
 /// verdict-mode run agrees with the full run's predicate, is a prefix
-/// of it, and is the full run whenever it did not stop early. The
+/// of it, and is the full run whenever it did not stop early; the
+/// window's offered load counted before the run is the full run's. The
 /// verdict-mode runs share one network, `reset` between probes as a
 /// sweep backend would. The 60- and 64-tile parts run each
 /// pattern × rate at one of the two lengths, alternating
@@ -70,6 +79,14 @@ fn check_grid(topology: &Topology, base: &SimConfig, faults: &str, every_length:
                     continue;
                 }
                 let full = fresh().run(rate, pattern);
+                let offer = window_offer(topology, &routes, &config, rate, pattern);
+                let offered_rate =
+                    offer as f64 / (config.measure as f64 * topology.num_tiles() as f64);
+                assert_eq!(
+                    offered_rate.to_bits(),
+                    full.offered_rate.to_bits(),
+                    "{topology} {pattern} len {packet_len} rate {rate}: {offer} flits offered"
+                );
                 for factor in LIMIT_FACTORS {
                     let verdict = Verdict {
                         slack: SLACK,
@@ -78,15 +95,21 @@ fn check_grid(topology: &Topology, base: &SimConfig, faults: &str, every_length:
                     let cell =
                         format!("{topology} {pattern} len {packet_len} rate {rate} × {factor}");
                     reused.reset(config.seed);
-                    let stopped = reused.run_inner(rate, pattern, false, None, Some(verdict));
-                    assert_eq!(verdict.holds(&stopped), verdict.holds(&full), "{cell}");
+                    let end = reused.run_inner(rate, pattern, false, None, Some(verdict));
+                    assert_eq!(end.holds(&verdict), verdict.holds(&full), "{cell}");
+                    let stopped = end.outcome;
+                    decided.cycles += stopped.cycles;
                     assert!(stopped.cycles <= full.cycles, "{cell}");
-                    if stopped.cycles == full.cycles {
+                    if !end.ruled_out {
                         assert_eq!(stopped, full, "{cell}");
                         decided.by_neither += 1;
                         continue;
                     }
-                    assert!(stopped.cycles >= config.warmup + config.measure, "{cell}");
+                    assert!(stopped.cycles >= config.warmup, "{cell}");
+                    if stopped.cycles < config.warmup + config.measure {
+                        decided.in_window += 1;
+                        continue;
+                    }
                     let within_slack = SimOutcome {
                         stable: true,
                         ..stopped
@@ -104,28 +127,65 @@ fn check_grid(topology: &Topology, base: &SimConfig, faults: &str, every_length:
     decided
 }
 
-/// Fault-free grids must exercise all three endings.
-fn check_fault_free(topology: &Topology, base: &SimConfig) {
+/// The window's offered flit count as verdict mode counts it before the
+/// run: on a fresh injector's streams, under the run's fault schedule.
+fn window_offer(
+    topology: &Topology,
+    routes: &Routes,
+    config: &SimConfig,
+    rate: f64,
+    pattern: TrafficPattern,
+) -> u64 {
+    let tiles = topology.num_tiles();
+    let measure_end = config.warmup + config.measure;
+    let fresh = Injector::new(
+        config.seed,
+        tiles,
+        rate / f64::from(config.packet_len),
+        measure_end + config.drain_limit,
+    );
+    let schedule = FaultSchedule::build(&config.faults, topology, routes.num_vc_classes());
+    let arrivals = Arrivals {
+        pattern,
+        grid: topology.grid(),
+        packet_len: config.packet_len,
+        schedule: schedule.as_ref(),
+        measure_end,
+    };
+    arrivals.window_offer(&fresh, tiles, config)
+}
+
+/// Fault-free grids must stop inside the window, stop on latency and
+/// run to completion, and simulate exactly `cycles` in verdict mode. A
+/// run that falls behind mostly stops inside its window, so a stop on
+/// throughput after it (a miss by less than one cycle of every router
+/// ejecting) need not occur.
+fn check_fault_free(topology: &Topology, base: &SimConfig, cycles: u64) {
     let decided = check_grid(topology, base, "", topology.num_tiles() <= 16);
     assert!(
-        decided.by_throughput > 0 && decided.by_latency > 0 && decided.by_neither > 0,
+        decided.in_window > 0 && decided.by_latency > 0 && decided.by_neither > 0,
         "{topology}: {decided:?}"
     );
+    assert_eq!(decided.cycles, cycles, "{topology}: {decided:?}");
 }
 
 #[test]
 fn verdict_equals_full_run_on_mesh_4x4() {
-    check_fault_free(&generators::mesh(Grid::new(4, 4)), &SimConfig::fast_test());
+    check_fault_free(
+        &generators::mesh(Grid::new(4, 4)),
+        &SimConfig::fast_test(),
+        214_364,
+    );
 }
 
 #[test]
 fn verdict_equals_full_run_on_mesh_8x8() {
-    check_fault_free(&generators::mesh(Grid::new(8, 8)), &short_windows());
+    check_fault_free(&generators::mesh(Grid::new(8, 8)), &short_windows(), 41_256);
 }
 
 #[test]
 fn verdict_equals_full_run_on_ring() {
-    check_fault_free(&generators::ring(Grid::new(4, 4)), &short_windows());
+    check_fault_free(&generators::ring(Grid::new(4, 4)), &short_windows(), 84_245);
 }
 
 #[test]
@@ -133,6 +193,7 @@ fn verdict_equals_full_run_on_flattened_butterfly() {
     check_fault_free(
         &generators::flattened_butterfly(Grid::new(4, 4)),
         &short_windows(),
+        89_584,
     );
 }
 
@@ -141,7 +202,7 @@ fn verdict_equals_full_run_on_scenario_a_shg() {
     let sr = [4].into_iter().collect();
     let sc = [2, 5].into_iter().collect();
     let shg = generators::row_column_skip(Grid::new(8, 8), &sr, &sc).expect("scenario a");
-    check_fault_free(&shg, &short_windows());
+    check_fault_free(&shg, &short_windows(), 42_186);
 }
 
 #[test]
@@ -151,25 +212,27 @@ fn verdict_equals_full_run_on_two_die_part() {
             .expect("db parses")
             .instantiate()
             .expect("db instantiates");
-    check_fault_free(&two_die, &short_windows());
+    check_fault_free(&two_die, &short_windows(), 39_189);
 }
 
 #[test]
 fn faulty_runs_are_never_decided_by_the_latency_floor() {
     // A link and a router die inside the measurement window (200..800).
     // Dropped packets leave the mean's denominator, so only clause 1 may
-    // stop a run — the fault-free mesh above stops on clause 2 for the
-    // same limits — and the verdict still equals the full predicate.
+    // stop a run, inside the window or after it — the fault-free mesh
+    // above stops on clause 2 for the same limits — and the verdict
+    // still equals the full predicate.
     let mesh = generators::mesh(Grid::new(4, 4));
-    for plan in [
-        "300:link:5-6,500:router:10",
-        "drain,300:link:5-6,500:router:10",
+    for (plan, cycles) in [
+        ("300:link:5-6,500:router:10", 85_912),
+        ("drain,300:link:5-6,500:router:10", 93_452),
     ] {
         let decided = check_grid(&mesh, &short_windows(), plan, true);
         assert_eq!(decided.by_latency, 0, "{plan}: {decided:?}");
         assert!(
-            decided.by_throughput > 0 && decided.by_neither > 0,
+            decided.in_window > 0 && decided.by_throughput > 0 && decided.by_neither > 0,
             "{plan}: {decided:?}"
         );
+        assert_eq!(decided.cycles, cycles, "{plan}: {decided:?}");
     }
 }

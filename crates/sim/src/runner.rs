@@ -159,8 +159,9 @@ pub fn saturation_throughput(
 /// The binary search behind [`saturation_throughput`], given the
 /// zero-load latency `zll` its latency criterion scales. Each probe is a
 /// fresh network asked only whether it [sustains](Network::sustains) the
-/// rate, so an overloaded probe ends with its measurement window
-/// instead of draining.
+/// rate, so an overloaded probe stops inside its measurement window once
+/// its accepted throughput can no longer catch up, and a probe whose
+/// latency is already too high is not drained.
 fn saturation_search(
     topology: &Topology,
     routes: &Routes,

@@ -255,36 +255,60 @@ impl OutcomeRecorder {
     }
 
     /// `true` once no continuation of the run can make `verdict` hold
-    /// on the finalized outcome. Call from [`Self::measure_end`] on,
-    /// when both window counters and the set of measured packets are
-    /// final. Two exact clauses:
+    /// on the finalized outcome, `now` cycles into a run of `tiles`
+    /// routers whose measurement window offers `window_offer` flits in
+    /// all (known before the run: the offered load is fixed by the
+    /// per-tile streams). Never before the window opens. Two exact
+    /// clauses:
     ///
-    /// 1. accepted throughput already misses offered × (1 − slack) —
-    ///    the very comparison [`SimOutcome::keeps_up`] will make, on the
-    ///    very rates [`Self::finalize`] will report;
-    /// 2. the final mean latency cannot come in under the limit. Should
-    ///    the run drain (it fails `keeps_up` otherwise), every packet
-    ///    outstanding at cycle `now` will have taken at least
-    ///    `now − created` cycles, so the mean computed as if all of them
-    ///    ejected right now is a floor of the final one: the numerator
-    ///    only grows, the packet count is fixed, and `u64 → f64`
-    ///    conversion and `f64` division are monotone. Only when
-    ///    `fault_free`: a dropped packet leaves the count instead of
-    ///    adding its latency.
+    /// 1. accepted throughput cannot reach offered × (1 − slack) — the
+    ///    comparison [`SimOutcome::keeps_up`] will make, in the same
+    ///    `f64` arithmetic as the rates [`Self::finalize`] will report.
+    ///    Inside the window the accepted count is bounded: a router
+    ///    ejects at most one flit per cycle (its ejection port takes
+    ///    one switch winner), so the best case is every router ejecting
+    ///    in each window cycle left, and `u64 → f64` conversion and
+    ///    `f64` division are monotone. From [`Self::measure_end`] on
+    ///    the counts are final;
+    /// 2. from [`Self::measure_end`] on, when the set of measured
+    ///    packets is final, the final mean latency cannot come in under
+    ///    the limit. Should the run drain (it fails `keeps_up`
+    ///    otherwise), every packet outstanding at cycle `now` will have
+    ///    taken at least `now − created` cycles, so the mean computed as
+    ///    if all of them ejected right now is a floor of the final one:
+    ///    the numerator only grows, the packet count is fixed, and
+    ///    `u64 → f64` conversion and `f64` division are monotone. Only
+    ///    when `fault_free`: a dropped packet leaves the count instead
+    ///    of adding its latency.
+    ///
+    /// Clause 1 holds with and without faults: a fault drops packets
+    /// but never changes which ones were offered.
     pub(crate) fn rules_out(
         &self,
         verdict: &Verdict,
+        window_offer: u64,
         now: u64,
-        nodes: f64,
+        tiles: usize,
         fault_free: bool,
     ) -> bool {
-        debug_assert!(now >= self.measure_end);
-        let offered = self.window_rate(self.injected_in_window, nodes);
-        let accepted = self.window_rate(self.ejected_in_window, nodes);
-        if !tracks_offered(offered, accepted, verdict.slack) {
+        if now < self.measure_start {
+            return false;
+        }
+        let closed = now >= self.measure_end;
+        debug_assert!(!closed || window_offer == self.injected_in_window);
+        let nodes = tiles as f64;
+        let best = self.ejected_in_window + tiles as u64 * self.measure_end.saturating_sub(now);
+        let offered = self.window_rate(window_offer, nodes);
+        if !tracks_offered(offered, self.window_rate(best, nodes), verdict.slack) {
             return true;
         }
-        fault_free && self.latency_floor(now) > verdict.latency_limit
+        closed && fault_free && self.latency_floor(now) > verdict.latency_limit
+    }
+
+    /// Flits offered inside the measurement window so far (all of them
+    /// from [`Self::measure_end`] on).
+    pub(crate) fn window_offer(&self) -> u64 {
+        self.injected_in_window
     }
 
     /// The mean latency as if every outstanding measured packet ejected
@@ -519,28 +543,84 @@ mod tests {
         }
         let partial = recorder.finalize(end, 4.0);
         let floor = recorder.latency_floor(end);
+        let offer = recorder.window_offer();
         assert!(!recorder.drained() && floor > 0.0);
         let verdict = |slack: f64, latency_limit: f64| Verdict {
             slack,
             latency_limit,
+        };
+        let rules_out = |verdict: Verdict, fault_free: bool| {
+            recorder.rules_out(&verdict, offer, end, 4, fault_free)
         };
         // Clause 1 is `keeps_up`'s throughput comparison on the window's
         // final rates, with or without faults.
         let loss = 1.0 - partial.accepted_rate / partial.offered_rate;
         assert!(loss > 0.0 && loss < 1.0, "{partial:?}");
         for fault_free in [true, false] {
-            assert!(recorder.rules_out(&verdict(loss / 2.0, f64::INFINITY), end, 4.0, fault_free));
-            assert!(!recorder.rules_out(
-                &verdict((loss + 1.0) / 2.0, f64::INFINITY),
-                end,
-                4.0,
+            assert!(rules_out(verdict(loss / 2.0, f64::INFINITY), fault_free));
+            assert!(!rules_out(
+                verdict((loss + 1.0) / 2.0, f64::INFINITY),
                 fault_free
             ));
         }
         // Clause 2 compares the floor with the limit, fault-free only.
-        assert!(recorder.rules_out(&verdict(1.0, floor - 0.01), end, 4.0, true));
-        assert!(!recorder.rules_out(&verdict(1.0, floor), end, 4.0, true));
-        assert!(!recorder.rules_out(&verdict(1.0, floor - 0.01), end, 4.0, false));
+        assert!(rules_out(verdict(1.0, floor - 0.01), true));
+        assert!(!rules_out(verdict(1.0, floor), true));
+        assert!(!rules_out(verdict(1.0, floor - 0.01), false));
+    }
+
+    #[test]
+    fn inside_the_window_clause_1_bounds_what_can_still_eject() {
+        let (config, packets) = schedule();
+        let end = config.warmup + config.measure;
+        let tiles = 4usize;
+        let rate = |flits: u64| flits as f64 / (config.measure as f64 * tiles as f64);
+        let verdict = |slack: f64| Verdict {
+            slack,
+            latency_limit: f64::INFINITY,
+        };
+        let mut recorder = OutcomeRecorder::new(&config);
+        let mut fired = 0;
+        for now in 0..end + 20 {
+            // `now` cycles have run.
+            if now < config.warmup {
+                // Never before the window opens, whatever the offer.
+                for slack in [0.0, 0.5] {
+                    assert!(!recorder.rules_out(&verdict(slack), u64::MAX >> 12, now, tiles, true));
+                }
+            } else if now < end {
+                // Every router ejects in each window cycle left.
+                let best = recorder.ejected_in_window + tiles as u64 * (end - now);
+                for offer in [best / 2, best - 1, best, best + 1, best * 3 / 2, best * 3] {
+                    for slack in [0.0, 0.05, 0.25] {
+                        let misses = rate(best) < rate(offer) * (1.0 - slack);
+                        for fault_free in [true, false] {
+                            let out =
+                                recorder.rules_out(&verdict(slack), offer, now, tiles, fault_free);
+                            assert_eq!(out, misses, "cycle {now}, offer {offer}, slack {slack}");
+                            fired += usize::from(out);
+                        }
+                    }
+                }
+                // The equality boundary: exactly the best case keeps up.
+                assert!(!recorder.rules_out(&verdict(0.0), best, now, tiles, true));
+                assert!(recorder.rules_out(&verdict(0.0), best + 1, now, tiles, true));
+            } else {
+                // From the window's end on, the bound is gone: only the
+                // final counts decide.
+                let offer = recorder.window_offer();
+                for slack in [0.0, 0.05, 0.25, 0.5] {
+                    let misses = rate(recorder.ejected_in_window) < rate(offer) * (1.0 - slack);
+                    assert_eq!(
+                        recorder.rules_out(&verdict(slack), offer, now, tiles, false),
+                        misses,
+                        "cycle {now}, slack {slack}"
+                    );
+                }
+            }
+            replay_cycle(&mut recorder, &packets, now, |_| false);
+        }
+        assert!(fired > 0);
     }
 
     #[test]

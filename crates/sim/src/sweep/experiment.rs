@@ -3,6 +3,7 @@
 //! the grid — or any subset of its cells — out over threads, through a
 //! pluggable [`ExecBackend`] and an optional [`CellCache`].
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::Instant;
 
@@ -393,44 +394,76 @@ impl<'a> Experiment<'a> {
         }
     }
 
-    /// Whether each of `cells` keeps up with its offered load: entry
-    /// `i` is exactly `self.run_cells(cells)[i].outcome.keeps_up(slack)`
-    /// — the one bit a saturation table reads of a cell — computed
-    /// without completing the outcome. Each cache miss runs on a fresh
-    /// `Network` fanned out over the current thread pool and asks it
-    /// only whether it [sustains](Network::sustains) the rate, so a
-    /// cell that has fallen behind by the end of its measurement window
-    /// stops there instead of running on to the drain limit.
+    /// The highest rate of each (case, pattern) row of `cells` whose
+    /// cell keeps up with its offered load within `slack` — exactly the
+    /// maximum rate over `self.run_cells(cells)` whose
+    /// `outcome.keeps_up(slack)` holds, which is all a saturation table
+    /// reads of a row — computed without completing any outcome. Rows
+    /// come back in the order `cells` first names them.
     ///
-    /// A cell found in the attached [`CellCache`] is answered from its
-    /// stored outcome; a miss is counted as simulated but never stored,
-    /// since a probe stopped early has no full outcome to store. The
-    /// backend setting does not apply: every probe is its own network.
+    /// Rows fan out over the current thread pool. Within a row the
+    /// cells are visited from the highest rate down, and the first one
+    /// that keeps up ends the row: it is the maximum by definition, so
+    /// only the cells below a row's answer are skipped, whatever the
+    /// rest of the row would say. A cell found in the attached
+    /// [`CellCache`] is answered from its stored outcome. A miss runs
+    /// on a fresh `Network` that is asked only whether it
+    /// [sustains](Network::sustains) the rate, so a cell that cannot
+    /// keep up stops as soon as that is certain; it is counted as
+    /// simulated but never stored, since a probe stopped early has no
+    /// full outcome to store. The backend setting does not apply: every
+    /// probe is its own network.
     ///
     /// # Panics
     ///
     /// Panics if a cell is out of the plan's range.
     #[must_use]
-    pub fn sustained(&self, cells: &[CellId], slack: f64) -> Vec<bool> {
+    pub fn highest_sustained(&self, cells: &[CellId], slack: f64) -> Vec<SustainedRow> {
         let digests = self.digests();
-        cells
-            .par_iter()
-            .map(|&cell| {
-                let inputs = self.cell_inputs(cell, digests);
-                if let Some(point) = self.load_cached(&inputs) {
-                    return point.outcome.keeps_up(slack);
-                }
-                self.counters.per_cell_cells.fetch_add(1, Relaxed);
-                let case = &self.cases[inputs.case];
-                Network::new(
-                    case.topology,
-                    &case.routes,
-                    &case.link_latencies,
-                    inputs.config,
-                )
-                .sustains(inputs.rate, inputs.pattern, slack, f64::INFINITY)
+        let mut rows: Vec<(SustainedRow, Vec<CellId>)> = Vec::new();
+        let mut row_of: HashMap<(u32, u32), usize> = HashMap::new();
+        for &cell in cells {
+            let r = *row_of.entry((cell.case, cell.pattern)).or_insert_with(|| {
+                let row = SustainedRow {
+                    case: cell.case,
+                    pattern: cell.pattern,
+                    rate: None,
+                };
+                rows.push((row, Vec::new()));
+                rows.len() - 1
+            });
+            rows[r].1.push(cell);
+        }
+        rows.into_par_iter()
+            .map(|(row, mut row_cells)| {
+                let rates = self.spec.rates_of(self.spec.patterns[row.pattern as usize]);
+                // A stable sort: equal rates keep their plan order.
+                row_cells.sort_by(|a, b| rates[b.rate as usize].total_cmp(&rates[a.rate as usize]));
+                let rate = row_cells.into_iter().find_map(|cell| {
+                    let inputs = self.cell_inputs(cell, digests);
+                    let rate = inputs.rate;
+                    self.keeps_up(inputs, slack).then_some(rate)
+                });
+                SustainedRow { rate, ..row }
             })
             .collect()
+    }
+
+    /// Whether one cell keeps up within `slack`: from its cached
+    /// outcome, or else from a verdict-only probe.
+    fn keeps_up(&self, inputs: CellInputs, slack: f64) -> bool {
+        if let Some(point) = self.load_cached(&inputs) {
+            return point.outcome.keeps_up(slack);
+        }
+        self.counters.per_cell_cells.fetch_add(1, Relaxed);
+        let case = &self.cases[inputs.case];
+        Network::new(
+            case.topology,
+            &case.routes,
+            &case.link_latencies,
+            inputs.config,
+        )
+        .sustains(inputs.rate, inputs.pattern, slack, f64::INFINITY)
     }
 
     /// One digest per case (memoized — digesting a routing table is
@@ -912,6 +945,19 @@ impl<'a> Experiment<'a> {
         let outcome = simulate(case, inputs.config.clone(), inputs.rate, inputs.pattern);
         self.finish_point(&inputs, outcome)
     }
+}
+
+/// One (case, pattern) row of a grid and the highest of its rates that
+/// keeps up: an answer of [`Experiment::highest_sustained`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SustainedRow {
+    /// Index into the experiment's case list.
+    pub case: u32,
+    /// Index into the spec's pattern list.
+    pub pattern: u32,
+    /// The highest rate among the row's cells that keeps up; `None` if
+    /// none does.
+    pub rate: Option<f64>,
 }
 
 /// The derived execution inputs of one grid cell (see

@@ -101,7 +101,7 @@ pub use cache::{CacheStats, CellCache};
 pub use coord::{
     run_coordinated, CoordError, CoordOptions, CoordProgress, CoordSummary, WorkerLink,
 };
-pub use experiment::{ExecBackend, ExecStats, Experiment, SweepCase};
+pub use experiment::{ExecBackend, ExecStats, Experiment, SustainedRow, SweepCase};
 pub use journal::{
     read_journal, run_journaled, run_journaled_durable, JournalError, JournalWriter,
 };

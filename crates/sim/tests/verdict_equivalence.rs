@@ -1,12 +1,15 @@
-//! `Experiment::sustained` is exact: for every cell, its verdict equals
-//! `keeps_up` of the completed outcome `run_cells` computes for the same
-//! cell, with and without faults, and a cache warmed by full runs
-//! answers every verdict without simulating or writing anything.
+//! `Experiment::highest_sustained` is exact: for every (case, pattern)
+//! row, its answer equals `SweepResult::saturation_estimate` over the
+//! completed outcomes `run_cells` computes for the same cells, with and
+//! without faults, while probing fewer cells than the grid holds; and a
+//! cache warmed by full runs answers rows without simulating or writing
+//! anything.
 
 use std::path::{Path, PathBuf};
 
 use shg_sim::{
-    CellCache, CellId, Experiment, FaultPlan, FaultStats, SimConfig, SweepPoint, SweepSpec,
+    CellCache, CellId, Experiment, FaultPlan, FaultStats, SimConfig, SustainedRow, SweepPoint,
+    SweepResult, SweepSpec,
 };
 use shg_topology::{generators, Grid, Topology};
 
@@ -44,27 +47,57 @@ fn experiment<'a>(topologies: &'a [(&'static str, Topology)], faults: &str) -> E
         .expect("4x4 cases route")
 }
 
-/// Asserts `sustained` against `keeps_up` of the full outcomes, cell by
-/// cell, and that the grid has cells on both sides of the verdict;
-/// returns the full outcomes' points.
+/// Asserts each row's answer against the saturation estimate of the
+/// full outcomes `points`; returns how many rows sustain a rate below
+/// their highest one, i.e. how many rows the scan had to walk down.
+fn assert_rows(
+    experiment: &Experiment<'_>,
+    rows: &[SustainedRow],
+    points: &[SweepPoint],
+    slack: f64,
+    label: &str,
+) -> usize {
+    let result = SweepResult {
+        points: points.to_vec(),
+    };
+    let mut walked_down = 0;
+    for row in rows {
+        let case = &experiment.cases()[row.case as usize].name;
+        let pattern = experiment.spec().patterns[row.pattern as usize];
+        assert_eq!(
+            row.rate,
+            result.saturation_estimate(case, pattern, slack),
+            "{label}, slack {slack}: {case} {pattern}"
+        );
+        let top = points
+            .iter()
+            .filter(|p| &p.case == case && p.pattern == pattern)
+            .map(|p| p.rate)
+            .fold(f64::MIN, f64::max);
+        walked_down += usize::from(row.rate.is_some_and(|rate| rate < top));
+    }
+    walked_down
+}
+
+/// Asserts `highest_sustained` over the whole grid against the full
+/// outcomes, row by row: every row of the grid is answered, some rows
+/// sustain a rate only below their highest one, and fewer cells are
+/// probed than the grid holds. Returns the full outcomes' points.
 fn assert_exact(experiment: &Experiment<'_>, slack: f64, label: &str) -> Vec<SweepPoint> {
     let cells: Vec<CellId> = experiment.plan().cells().collect();
     let points = experiment.run_cells(&cells);
-    let verdicts = experiment.sustained(&cells, slack);
-    assert_eq!(verdicts.len(), cells.len());
-    for ((cell, point), verdict) in cells.iter().zip(&points).zip(&verdicts) {
-        assert_eq!(
-            *verdict,
-            point.outcome.keeps_up(slack),
-            "{label}, slack {slack}: cell {cell} ({} {} at {}): {:?}",
-            point.case,
-            point.pattern,
-            point.rate,
-            point.outcome
-        );
-    }
-    assert!(verdicts.iter().any(|&v| v), "{label}: no cell keeps up");
-    assert!(!verdicts.iter().all(|&v| v), "{label}: every cell keeps up");
+    let simulated = experiment.exec_stats().per_cell_cells;
+    let rows = experiment.highest_sustained(&cells, slack);
+    let probed = experiment.exec_stats().per_cell_cells - simulated;
+    let patterns = experiment.spec().patterns.len();
+    assert_eq!(rows.len(), experiment.cases().len() * patterns, "{label}");
+    let walked_down = assert_rows(experiment, &rows, &points, slack, label);
+    assert!(walked_down > 0, "{label}: every row sustains its top rate");
+    assert!(
+        probed < cells.len() as u64,
+        "{label}: {probed} of {} cells probed",
+        cells.len()
+    );
     points
 }
 
@@ -159,20 +192,21 @@ fn a_warm_cache_answers_every_verdict_and_a_miss_writes_nothing() {
     assert_eq!(warmed.len(), warm.len());
 
     let reader = experiment(&topologies, "").with_cache(open());
-    let verdicts = reader.sustained(warm, 0.05);
-    let expected: Vec<bool> = points.iter().map(|p| p.outcome.keeps_up(0.05)).collect();
-    assert_eq!(verdicts, expected);
+    let rows = reader.highest_sustained(warm, 0.05);
+    assert_rows(&reader, &rows, &points, 0.05, "warm");
     let stats = reader.cache().expect("cache attached").stats();
-    assert_eq!((stats.cached, stats.simulated), (warm.len() as u64, 0));
+    assert_eq!(stats.simulated, 0);
+    assert!(stats.cached > 0 && stats.cached <= warm.len() as u64);
+    assert_eq!(reader.exec_stats().per_cell_cells, 0);
 
     // Misses are probed and counted as simulated, never stored.
-    let verdicts = reader.sustained(cold, 0.05);
+    let rows = reader.highest_sustained(cold, 0.05);
     let stats = reader.cache().expect("cache attached").stats();
-    assert_eq!(stats.simulated, cold.len() as u64);
+    assert!(stats.simulated > 0);
     assert_eq!(snapshot(&dir.0), warmed, "a verdict probe wrote the cache");
     assert_eq!(
-        verdicts,
-        experiment(&topologies, "").sustained(cold, 0.05),
-        "the cache changed a probed verdict"
+        rows,
+        experiment(&topologies, "").highest_sustained(cold, 0.05),
+        "the cache changed a probed row"
     );
 }
