@@ -5,13 +5,16 @@
 //! The `analytic_evaluate_400t` group times what `customize` pays per
 //! candidate on a 20×20 grid, stage by stage: route build per table
 //! form, the all-pairs accumulation pass per form, `predict` and its
-//! step 5 alone (`detailed_route`, the A* over unit cells), and
-//! `Toolchain::evaluate` whole — next to the dense-table evaluation it
+//! step 5 alone (`detailed_route`, the A* over unit cells), the two
+//! stages of `Toolchain::evaluate` — `screen` (routes, channel loads,
+//! floorplan steps 1–4: what every candidate pays) and `finish` (step 5
+//! and the zero-load latency: what only a candidate that can still win
+//! pays) — and `evaluate` whole, next to the dense-table evaluation it
 //! replaced (`evaluate_with` over `default_routes`), which is also what
 //! the repo benchmark's traced pass keeps replaying under
 //! `topology.routing.build_s`. `customize_20x20` is the whole loop on
-//! the same inputs: 202 candidates, each step's neighbourhood fanned out
-//! over `available_parallelism()` threads.
+//! the same inputs: 202 candidates (41 of them finished), each step's
+//! neighbourhood fanned out over `available_parallelism()` threads.
 //!
 //! `hier_routes_2560` is the one route build of the `bigtopo_2560`
 //! workload: the hierarchical table of the 2 × 32×40 two-die part (112
@@ -83,6 +86,13 @@ fn bench_analytic_evaluate(c: &mut Criterion) {
         let options = &toolchain.model_options;
         let steps = predict(&params, &topology, options);
         b.iter(|| DetailedRoutes::route(&topology, &steps.unit_grid, &steps.global, options));
+    });
+    group.bench_function("screen", |b| {
+        b.iter(|| toolchain.screen(&params, &topology).expect("screens"));
+    });
+    group.bench_function("finish", |b| {
+        let screening = toolchain.screen(&params, &topology).expect("screens");
+        b.iter(|| toolchain.finish(&params, &topology, &screening));
     });
     group.bench_function("evaluate", |b| {
         b.iter(|| toolchain.evaluate(&params, &topology).expect("evaluates"));

@@ -5,7 +5,19 @@
 //! toolchain, compares them to the design goals, and grows the skip sets
 //! `SR`/`SC` to eliminate the identified insufficiency — until the area
 //! budget (40% in the paper) is exhausted.
+//!
+//! A step ranks its candidates by `(area ≤ budget, throughput, −zero-load
+//! latency)`. Only the last key needs floorplan step 5 (the detailed link
+//! routing, most of a candidate's cost), so every candidate is first
+//! [screened](Toolchain::screen) — routes, channel loads, floorplan steps
+//! 1–4 — and only the candidates that can still win are
+//! [finished](Toolchain::finish): those within the budget and, in
+//! [analytic mode](crate::PerformanceMode::Analytic), tied at the best
+//! throughput among them. The screen fixes both keys bit for bit, so the
+//! ranking, and the trace, are those of evaluating every candidate in
+//! full.
 
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
@@ -73,7 +85,8 @@ fn score(eval: &Evaluation, goals: &DesignGoals) -> (bool, f64, f64) {
 ///
 /// Workers drain a shared index, so which thread evaluates which
 /// candidate varies from run to run — but `evaluate` is a pure function
-/// of the candidate ([`Toolchain::evaluate`] is) and every result is
+/// of the candidate ([`Toolchain::screen`] and [`Toolchain::finish`]
+/// are) and every result is
 /// filed under its candidate's index, so the returned vector and, on
 /// failure, *which* error (the earliest failing candidate's) depend on
 /// neither `workers` nor scheduling.
@@ -128,18 +141,83 @@ fn evaluate_candidates<C: Sync, T: Send, E: Send>(
         .collect()
 }
 
+/// One step's ranking: the best candidate within the budget, if any,
+/// and how many candidates it [finished](Toolchain::finish).
+struct Ranking {
+    best: Option<(SparseHammingConfig, Evaluation)>,
+    finished: usize,
+}
+
+/// Screens every candidate on `workers` threads, finishes those that can
+/// still win, and ranks them in candidate order.
+///
+/// A candidate over the budget never wins, and one below the best
+/// throughput within the budget loses to the candidate that has it, so
+/// only the rest are finished. Throughputs are compared bit for bit; in
+/// [simulate mode](crate::PerformanceMode::Simulate) the screen has none,
+/// and every candidate within the budget is finished.
+fn rank(
+    toolchain: &Toolchain,
+    params: &ArchParams,
+    goals: &DesignGoals,
+    candidates: Vec<SparseHammingConfig>,
+    workers: usize,
+) -> Result<Ranking, EvaluateError> {
+    let screened = evaluate_candidates(&candidates, workers, |candidate| {
+        let topology = candidate.build();
+        let screening = toolchain.screen(params, &topology)?;
+        Ok::<_, EvaluateError>((topology, screening))
+    })?;
+    let within = |area_overhead: f64| area_overhead <= goals.area_budget;
+    let best_throughput = screened
+        .iter()
+        .filter(|(_, screening)| within(screening.area_overhead()))
+        .filter_map(|(_, screening)| screening.saturation_throughput())
+        .fold(f64::NEG_INFINITY, f64::max);
+    let contenders: Vec<_> = candidates
+        .into_iter()
+        .zip(screened)
+        .filter(|(_, (_, screening))| {
+            within(screening.area_overhead())
+                && screening
+                    .saturation_throughput()
+                    .is_none_or(|throughput| throughput.to_bits() == best_throughput.to_bits())
+        })
+        .collect();
+    let Ok(evaluations) =
+        evaluate_candidates(&contenders, workers, |(_, (topology, screening))| {
+            Ok::<_, Infallible>(toolchain.finish(params, topology, screening))
+        });
+    let finished = evaluations.len();
+    let mut best: Option<(SparseHammingConfig, Evaluation)> = None;
+    for ((candidate, _), eval) in contenders.into_iter().zip(evaluations) {
+        let better_than_best = best
+            .as_ref()
+            .is_none_or(|(_, b)| score(&eval, goals) > score(b, goals));
+        if better_than_best {
+            best = Some((candidate, eval));
+        }
+    }
+    Ok(Ranking { best, finished })
+}
+
 /// Runs the customization strategy.
 ///
 /// Greedy hill climbing over the `2^(R+C−4)` design space: each iteration
 /// evaluates every single-skip extension of the current configuration
 /// (step 4 of the paper's strategy) with the (typically fast/analytic)
 /// toolchain, and accepts the best one that stays within the area budget
-/// and improves the goal score.
+/// and improves the goal score. Every extension is
+/// [screened](Toolchain::screen); only those that can still be the best
+/// — within the budget and, in analytic mode, tied at the best
+/// throughput within it — are [finished](Toolchain::finish), so the
+/// trace is that of evaluating every extension in full, and a step-5
+/// panic surfaces only for a finished candidate.
 ///
-/// A step's candidates are independent, so they are evaluated
-/// concurrently on [`std::thread::available_parallelism`] threads and
-/// then ranked sequentially in candidate order; the trace is the same on
-/// any number of cores.
+/// A step's candidates are independent, so they are screened, and then
+/// finished, concurrently on [`std::thread::available_parallelism`]
+/// threads and ranked sequentially in candidate order; the trace is the
+/// same on any number of cores.
 ///
 /// # Errors
 ///
@@ -150,6 +228,18 @@ pub fn customize(
     params: &ArchParams,
     goals: DesignGoals,
 ) -> Result<CustomizationTrace, EvaluateError> {
+    let workers = std::thread::available_parallelism().map_or(1, usize::from);
+    customize_counted(toolchain, params, goals, workers).map(|(trace, _)| trace)
+}
+
+/// [`customize`] on `workers` threads, returning with the trace how many
+/// candidates each step's ranking finished.
+fn customize_counted(
+    toolchain: &Toolchain,
+    params: &ArchParams,
+    goals: DesignGoals,
+    workers: usize,
+) -> Result<(CustomizationTrace, Vec<usize>), EvaluateError> {
     let grid = params.grid;
     let mut current = SparseHammingConfig::mesh(grid.rows(), grid.cols());
     let mut current_eval = toolchain.evaluate(params, &current.build())?;
@@ -157,26 +247,11 @@ pub fn customize(
         config: current.clone(),
         evaluation: current_eval.clone(),
     }];
-    let workers = std::thread::available_parallelism().map_or(1, usize::from);
+    let mut finished = Vec::new();
     loop {
-        let candidates = current.grow_moves();
-        let evaluations = evaluate_candidates(&candidates, workers, |candidate| {
-            toolchain.evaluate(params, &candidate.build())
-        })?;
-        let mut best: Option<(SparseHammingConfig, Evaluation)> = None;
-        for (candidate, eval) in candidates.into_iter().zip(evaluations) {
-            if eval.area_overhead > goals.area_budget {
-                continue;
-            }
-            let better_than_best = best
-                .as_ref()
-                .map(|(_, b)| score(&eval, &goals) > score(b, &goals))
-                .unwrap_or(true);
-            if better_than_best {
-                best = Some((candidate, eval));
-            }
-        }
-        match best {
+        let ranking = rank(toolchain, params, &goals, current.grow_moves(), workers)?;
+        finished.push(ranking.finished);
+        match ranking.best {
             Some((config, eval)) if score(&eval, &goals) > score(&current_eval, &goals) => {
                 current = config;
                 current_eval = eval;
@@ -188,7 +263,7 @@ pub fn customize(
             _ => break,
         }
     }
-    Ok(CustomizationTrace { steps })
+    Ok((CustomizationTrace { steps }, finished))
 }
 
 #[cfg(test)]
@@ -196,8 +271,9 @@ mod tests {
     use super::*;
     use crate::scenario::Scenario;
     use crate::toolchain::PerformanceMode;
-    use shg_floorplan::ModelOptions;
+    use shg_floorplan::{predict, ModelOptions};
     use shg_sim::SimConfig;
+    use shg_topology::{routing, Grid};
 
     fn fast_toolchain() -> Toolchain {
         Toolchain {
@@ -209,6 +285,230 @@ mod tests {
             mode: PerformanceMode::Analytic,
             ..Toolchain::default()
         }
+    }
+
+    /// Scenario (a)'s architecture on another grid.
+    fn params_on(rows: u16, cols: u16) -> ArchParams {
+        let mut params = Scenario::knc_a().params;
+        params.grid = Grid::new(rows, cols);
+        params
+    }
+
+    /// The loop before screening, kept as the oracle: every candidate is
+    /// evaluated in full, then ranked.
+    fn customize_by_full_evaluation(
+        toolchain: &Toolchain,
+        params: &ArchParams,
+        goals: DesignGoals,
+    ) -> Result<CustomizationTrace, EvaluateError> {
+        let grid = params.grid;
+        let mut current = SparseHammingConfig::mesh(grid.rows(), grid.cols());
+        let mut current_eval = toolchain.evaluate(params, &current.build())?;
+        let mut steps = vec![CustomizationStep {
+            config: current.clone(),
+            evaluation: current_eval.clone(),
+        }];
+        let workers = std::thread::available_parallelism().map_or(1, usize::from);
+        loop {
+            let candidates = current.grow_moves();
+            let evaluations = evaluate_candidates(&candidates, workers, |candidate| {
+                toolchain.evaluate(params, &candidate.build())
+            })?;
+            let mut best: Option<(SparseHammingConfig, Evaluation)> = None;
+            for (candidate, eval) in candidates.into_iter().zip(evaluations) {
+                if eval.area_overhead > goals.area_budget {
+                    continue;
+                }
+                let better_than_best = best
+                    .as_ref()
+                    .map(|(_, b)| score(&eval, &goals) > score(b, &goals))
+                    .unwrap_or(true);
+                if better_than_best {
+                    best = Some((candidate, eval));
+                }
+            }
+            match best {
+                Some((config, eval)) if score(&eval, &goals) > score(&current_eval, &goals) => {
+                    current = config;
+                    current_eval = eval;
+                    steps.push(CustomizationStep {
+                        config: current.clone(),
+                        evaluation: current_eval.clone(),
+                    });
+                }
+                _ => break,
+            }
+        }
+        Ok(CustomizationTrace { steps })
+    }
+
+    /// `customize` and the oracle give the same trace, compared as
+    /// serialized bytes (every `f64` in shortest round-trip form, so
+    /// bit for bit). Returns the trace and how many candidates each
+    /// step finished.
+    fn assert_matches_the_oracle(
+        toolchain: &Toolchain,
+        params: &ArchParams,
+        goals: DesignGoals,
+    ) -> (CustomizationTrace, Vec<usize>) {
+        let workers = std::thread::available_parallelism().map_or(1, usize::from);
+        let (trace, finished) =
+            customize_counted(toolchain, params, goals, workers).expect("customization runs");
+        let oracle = customize_by_full_evaluation(toolchain, params, goals).expect("oracle runs");
+        assert_eq!(
+            serde_json::to_string(&trace).expect("trace serializes"),
+            serde_json::to_string(&oracle).expect("trace serializes"),
+            "{} at budget {}",
+            params.grid,
+            goals.area_budget
+        );
+        (trace, finished)
+    }
+
+    #[test]
+    fn screened_traces_equal_the_full_evaluation_oracle() {
+        let toolchain = fast_toolchain();
+        let scenario = Scenario::knc_a();
+        let scenario_goals = DesignGoals {
+            area_budget: scenario.area_budget,
+        };
+        assert!(
+            assert_matches_the_oracle(&toolchain, &scenario.params, scenario_goals)
+                .0
+                .steps
+                .len()
+                > 2
+        );
+        for (rows, cols) in [(12, 12), (6, 10)] {
+            let (trace, _) =
+                assert_matches_the_oracle(&toolchain, &params_on(rows, cols), scenario_goals);
+            assert!(trace.steps.len() > 1, "{rows}x{cols} grows");
+        }
+        let mesh_overhead = toolchain
+            .evaluate(&scenario.params, &SparseHammingConfig::mesh(8, 8).build())
+            .expect("mesh evaluates")
+            .area_overhead;
+        // Few skips fit 0.02 above the mesh; none fit below it, so the
+        // trace is the mesh alone.
+        assert_matches_the_oracle(
+            &toolchain,
+            &scenario.params,
+            DesignGoals {
+                area_budget: mesh_overhead + 0.02,
+            },
+        );
+        let (below, _) = assert_matches_the_oracle(
+            &toolchain,
+            &scenario.params,
+            DesignGoals {
+                area_budget: mesh_overhead - 0.01,
+            },
+        );
+        assert_eq!(below.steps.len(), 1);
+        assert!(below.steps[0].config.is_mesh());
+    }
+
+    #[test]
+    fn simulated_traces_equal_the_full_evaluation_oracle() {
+        // Simulate mode has no screened throughput: every candidate
+        // within the budget is finished (and simulated), no other.
+        let toolchain = Toolchain {
+            mode: PerformanceMode::Simulate,
+            ..fast_toolchain()
+        };
+        let params = params_on(4, 4);
+        let goals = DesignGoals { area_budget: 0.4 };
+        let (trace, finished) = assert_matches_the_oracle(&toolchain, &params, goals);
+        assert!(trace.steps.len() > 1, "the 4x4 mesh grows");
+        for (step, &count) in trace.steps.iter().zip(&finished) {
+            let within = step
+                .config
+                .grow_moves()
+                .iter()
+                .filter(|candidate| {
+                    let screening = toolchain
+                        .screen(&params, &candidate.build())
+                        .expect("screens");
+                    screening.area_overhead() <= goals.area_budget
+                })
+                .count();
+            assert_eq!(count, within, "after {}", step.config);
+        }
+    }
+
+    #[test]
+    fn finishing_a_screen_is_evaluating() {
+        // Every candidate of scenario (a)'s first step: the two stages
+        // give `evaluate`'s bits, the screen's keys are the finished
+        // ones, and both equal the dense-table evaluation of the whole
+        // prediction.
+        let scenario = Scenario::knc_a();
+        let toolchain = fast_toolchain();
+        let json = |eval: &Evaluation| serde_json::to_string(eval).expect("serializes");
+        for candidate in SparseHammingConfig::mesh(8, 8).grow_moves() {
+            let topology = candidate.build();
+            let screening = toolchain
+                .screen(&scenario.params, &topology)
+                .expect("screens");
+            let finished = toolchain.finish(&scenario.params, &topology, &screening);
+            let evaluated = toolchain
+                .evaluate(&scenario.params, &topology)
+                .expect("evaluates");
+            assert_eq!(json(&finished), json(&evaluated), "{candidate}");
+            let dense = routing::default_routes(&topology).expect("dense routes");
+            let prediction = predict(&scenario.params, &topology, &toolchain.model_options);
+            assert_eq!(
+                json(&finished),
+                json(&toolchain.evaluate_with(&scenario.params, &topology, &dense, &prediction)),
+                "{candidate}"
+            );
+            assert_eq!(
+                screening.area_overhead().to_bits(),
+                finished.area_overhead.to_bits()
+            );
+            assert_eq!(
+                screening.saturation_throughput().map(f64::to_bits),
+                Some(finished.saturation_throughput.to_bits())
+            );
+        }
+    }
+
+    #[test]
+    fn rankings_finish_only_the_candidates_that_can_win() {
+        // Counted on the full evaluations before screening: candidates
+        // within the budget and tied at the step's best throughput.
+        let scenario = Scenario::knc_a();
+        let goals = DesignGoals {
+            area_budget: scenario.area_budget,
+        };
+        let (trace, finished) =
+            customize_counted(&fast_toolchain(), &scenario.params, goals, 2).expect("runs");
+        assert_eq!(finished, [12, 2, 10, 7, 3, 1]);
+        let candidates: usize = trace
+            .steps
+            .iter()
+            .map(|s| s.config.grow_moves().len())
+            .sum();
+        assert_eq!((finished.iter().sum::<usize>(), candidates), (35, 57));
+        // The `customize_20x20` benchmark workload's inputs.
+        let toolchain = Toolchain {
+            model_options: ModelOptions {
+                cell_scale: 6.0,
+                ..ModelOptions::default()
+            },
+            mode: PerformanceMode::Analytic,
+            ..Toolchain::default()
+        };
+        let goals = DesignGoals { area_budget: 0.4 };
+        let (trace, finished) =
+            customize_counted(&toolchain, &params_on(20, 20), goals, 2).expect("runs");
+        assert_eq!(finished, [31, 3, 4, 1, 1, 1]);
+        let candidates: usize = trace
+            .steps
+            .iter()
+            .map(|s| s.config.grow_moves().len())
+            .sum();
+        assert_eq!(candidates, 201);
     }
 
     #[test]

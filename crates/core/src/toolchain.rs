@@ -5,13 +5,21 @@
 //! estimates plus per-link latencies; the annotated topology is fed to
 //! the cycle-accurate simulator, which produces zero-load latency and
 //! saturation throughput.
+//!
+//! [`Toolchain::evaluate`] runs in two stages. [`Toolchain::screen`]
+//! builds the routes and their channel loads and runs floorplan steps
+//! 1–4: that fixes the area overhead and, in
+//! [`PerformanceMode::Analytic`], the saturation throughput.
+//! [`Toolchain::finish`] runs floorplan step 5 and derives the zero-load
+//! latency (and, in [`PerformanceMode::Simulate`], the simulated
+//! throughput) from the screen's routes, loads and unit grid.
 
 use serde::{Deserialize, Serialize};
 
-use shg_floorplan::{predict, ArchParams, ModelOptions, Prediction};
+use shg_floorplan::{predict, ArchParams, ModelOptions, NocEstimates, Prediction, Screen};
 use shg_sim::{
-    measure_performance, zero_load_latency_from_loads, Experiment, Performance, SaturationSearch,
-    SimConfig, SweepCase, SweepResult, SweepSpec, TrafficPattern,
+    saturation_search, zero_load_latency_from_loads, Experiment, SaturationSearch, SimConfig,
+    SweepCase, SweepResult, SweepSpec, TrafficPattern,
 };
 use shg_topology::routing::{self, BuildRoutesError, RouteForm, Routes};
 use shg_topology::{Topology, TopologyKind};
@@ -86,6 +94,38 @@ pub struct Evaluation {
     pub collisions: u64,
 }
 
+/// One topology after [`Toolchain::screen`]: its routes, their channel
+/// loads and floorplan steps 1–4. That fixes the first two keys a
+/// customization step ranks candidates by — the area overhead and, in
+/// [`PerformanceMode::Analytic`], the saturation throughput — without the
+/// detailed link routing of step 5. [`Toolchain::finish`] completes it.
+#[derive(Debug, Clone)]
+pub struct Screening {
+    routes: Routes,
+    loads: Vec<u32>,
+    floorplan: Screen,
+    saturation_throughput: Option<f64>,
+}
+
+impl Screening {
+    /// NoC area overhead, bit-equal to the finished
+    /// [`Evaluation::area_overhead`].
+    #[must_use]
+    pub fn area_overhead(&self) -> f64 {
+        self.floorplan.area.area_overhead
+    }
+
+    /// Saturation throughput, bit-equal to the finished
+    /// [`Evaluation::saturation_throughput`], where the screen fixes it
+    /// ([`PerformanceMode::Analytic`]); `None` in
+    /// [`PerformanceMode::Simulate`], whose search needs step 5's link
+    /// latencies.
+    #[must_use]
+    pub fn saturation_throughput(&self) -> Option<f64> {
+        self.saturation_throughput
+    }
+}
+
 /// Error returned by [`Toolchain::evaluate`].
 #[derive(Debug)]
 pub enum EvaluateError {
@@ -124,17 +164,18 @@ impl Toolchain {
         }
     }
 
-    /// Runs the full prediction pipeline on one topology.
+    /// Runs the full prediction pipeline on one topology:
+    /// [`Toolchain::screen`], then [`Toolchain::finish`].
     ///
     /// Routes are built in the compact form the sweep engine uses, never
     /// as an all-pairs path table. In [`PerformanceMode::Analytic`] the
     /// performance half is then one accumulation pass over that table
-    /// ([`Routes::channel_loads`]): O(N·(R+C)) 1D list walks for the
-    /// row-column families (mesh, sparse Hamming, flattened butterfly,
-    /// Ruche) — a row walk is shared by the `R` destinations of a column,
-    /// a column walk by the `C` sources of a row — and one fused
-    /// pair-by-pair pass over the `N²` paths of every other family; the
-    /// five-step floorplan model is the rest of a candidate's cost.
+    /// ([`Routes::channel_loads`]): for the row-column families (mesh,
+    /// sparse Hamming, flattened butterfly, Ruche) one all-pairs walk of
+    /// each distinct row and column line bank, replayed onto every line
+    /// that shares it, and one fused pair-by-pair pass over the `N²`
+    /// paths of every other family; the five-step floorplan model is the
+    /// rest of a candidate's cost, most of it step 5.
     ///
     /// # Errors
     ///
@@ -145,9 +186,61 @@ impl Toolchain {
         params: &ArchParams,
         topology: &Topology,
     ) -> Result<Evaluation, EvaluateError> {
+        Ok(self.finish(params, topology, &self.screen(params, topology)?))
+    }
+
+    /// The first stage of [`Toolchain::evaluate`]: routes, channel loads
+    /// (and from them the analytic throughput) and floorplan steps 1–4
+    /// (and from them the area overhead).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`EvaluateError::Routing`] if no deadlock-free hop-minimal
+    /// routing applies to the topology.
+    pub fn screen(
+        &self,
+        params: &ArchParams,
+        topology: &Topology,
+    ) -> Result<Screening, EvaluateError> {
         let routes = routing::default_routes_with(topology, RouteForm::NextHop)?;
-        let prediction = predict(params, topology, &self.model_options);
-        Ok(self.evaluate_with(params, topology, &routes, &prediction))
+        let loads = routes.channel_loads(topology);
+        let floorplan = Screen::compute(params, topology, &self.model_options);
+        Ok(Screening {
+            saturation_throughput: self.screened_throughput(topology, &loads),
+            routes,
+            loads,
+            floorplan,
+        })
+    }
+
+    /// The second stage of [`Toolchain::evaluate`]: floorplan step 5 over
+    /// the screen's unit grid, then the zero-load latency from the
+    /// screen's channel loads (and, in [`PerformanceMode::Simulate`], the
+    /// saturation search over its routes). `screening` must come from
+    /// [`Toolchain::screen`] on the same toolchain, `params` and
+    /// `topology`.
+    ///
+    /// # Panics
+    ///
+    /// Panics where step 5 does ("no route between cells" on an
+    /// inconsistent floorplan).
+    #[must_use]
+    pub fn finish(
+        &self,
+        params: &ArchParams,
+        topology: &Topology,
+        screening: &Screening,
+    ) -> Evaluation {
+        let (_, estimates) = screening
+            .floorplan
+            .finish(params, topology, &self.model_options);
+        self.complete(
+            topology,
+            &screening.routes,
+            &screening.loads,
+            &estimates,
+            screening.saturation_throughput,
+        )
     }
 
     /// Like [`Toolchain::evaluate`] but reuses precomputed routes and
@@ -161,40 +254,63 @@ impl Toolchain {
         routes: &Routes,
         prediction: &Prediction,
     ) -> Evaluation {
-        let latencies = &prediction.estimates.link_latencies;
-        let performance = match self.mode {
-            PerformanceMode::Simulate => measure_performance(
+        let loads = routes.channel_loads(topology);
+        self.complete(
+            topology,
+            routes,
+            &loads,
+            &prediction.estimates,
+            self.screened_throughput(topology, &loads),
+        )
+    }
+
+    /// The saturation throughput the channel loads alone fix: the
+    /// channel-load bound in [`PerformanceMode::Analytic`], nothing in
+    /// [`PerformanceMode::Simulate`].
+    fn screened_throughput(&self, topology: &Topology, loads: &[u32]) -> Option<f64> {
+        match self.mode {
+            PerformanceMode::Analytic => Some(channel_load_bound(topology, loads)),
+            PerformanceMode::Simulate => None,
+        }
+    }
+
+    /// The evaluation of `topology` from its routes, their channel loads
+    /// and the finished floorplan estimates; `screened_throughput` is
+    /// [`Toolchain::screened_throughput`] of the same loads.
+    fn complete(
+        &self,
+        topology: &Topology,
+        routes: &Routes,
+        loads: &[u32],
+        estimates: &NocEstimates,
+        screened_throughput: Option<f64>,
+    ) -> Evaluation {
+        let latencies = &estimates.link_latencies;
+        let zero_load_latency = zero_load_latency_from_loads(topology, loads, latencies, &self.sim);
+        let saturation_throughput = screened_throughput.unwrap_or_else(|| {
+            saturation_search(
                 topology,
                 routes,
                 latencies,
                 &self.sim,
                 self.pattern,
                 self.search,
-            ),
-            // Both numbers are sums over the channel loads: one pass.
-            PerformanceMode::Analytic => {
-                let loads = routes.channel_loads(topology);
-                Performance {
-                    zero_load_latency: zero_load_latency_from_loads(
-                        topology, &loads, latencies, &self.sim,
-                    ),
-                    saturation_throughput: channel_load_bound(topology, &loads),
-                }
-            }
-        };
+                zero_load_latency,
+            )
+        });
         Evaluation {
             name: topology.kind().to_string(),
             kind: topology.kind(),
             router_radix: topology.max_degree(),
-            area_overhead: prediction.estimates.area_overhead,
-            total_area: prediction.estimates.total_area,
-            noc_power: prediction.estimates.noc_power,
-            total_power: prediction.estimates.total_power,
-            zero_load_latency: performance.zero_load_latency,
-            saturation_throughput: performance.saturation_throughput,
-            mean_link_latency: prediction.estimates.mean_link_latency(),
-            max_link_latency: prediction.estimates.max_link_latency().value(),
-            collisions: prediction.estimates.collisions,
+            area_overhead: estimates.area_overhead,
+            total_area: estimates.total_area,
+            noc_power: estimates.noc_power,
+            total_power: estimates.total_power,
+            zero_load_latency,
+            saturation_throughput,
+            mean_link_latency: estimates.mean_link_latency(),
+            max_link_latency: estimates.max_link_latency().value(),
+            collisions: estimates.collisions,
         }
     }
 }

@@ -228,3 +228,33 @@ fn scenario_a_customization_trace_is_pinned() {
         .collect();
     assert_eq!(got, pinned, "got {got:#?}");
 }
+
+/// The same trace as a golden file captured before candidates were
+/// screened: one line per accepted step, its evaluation as JSON (every
+/// `f64` in shortest round-trip form, so the comparison is bit for bit).
+#[test]
+fn scenario_a_customization_trace_matches_the_golden_file() {
+    let scenario = Scenario::knc_a();
+    let goals = DesignGoals {
+        area_budget: scenario.area_budget,
+    };
+    let trace = customize(&fast_toolchain(), &scenario.params, goals).expect("customization");
+    let list = |set: &std::collections::BTreeSet<u16>| {
+        let items: Vec<String> = set.iter().map(u16::to_string).collect();
+        items.join(",")
+    };
+    let got: String = trace
+        .steps
+        .iter()
+        .enumerate()
+        .map(|(i, step)| {
+            format!(
+                "step {i} sr={} sc={} eval={}\n",
+                list(step.config.sr()),
+                list(step.config.sc()),
+                serde_json::to_string(&step.evaluation).expect("evaluation serializes")
+            )
+        })
+        .collect();
+    assert_eq!(got, include_str!("golden/customize_scenario_a.txt"));
+}

@@ -11,6 +11,37 @@ use crate::params::ArchParams;
 use crate::placement::TilePlacement;
 use crate::unitcell::UnitGrid;
 
+/// The chip area with and without the NoC (Section IV-B.2.b). Step 4
+/// fixes it: it reads only the unit grid's total area, so it is known
+/// before step 5 routes a single link.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ChipArea {
+    /// Total chip area `A_tot = N_cell · A_C`.
+    pub total_area: Mm2,
+    /// Area of the chip without a NoC, `A_noNoC = f_GE→mm²(N_T · A_E)`.
+    pub area_no_noc: Mm2,
+    /// NoC area overhead `(A_tot − A_noNoC) / A_tot`, in `[0, 1)`.
+    pub area_overhead: f64,
+}
+
+impl ChipArea {
+    /// The area of `unit_grid`'s chip — the one area formula behind both
+    /// [`crate::Screen`] and [`NocEstimates::compute`].
+    #[must_use]
+    pub fn compute(params: &ArchParams, unit_grid: &UnitGrid) -> Self {
+        let total_area = unit_grid.total_area();
+        let area_no_noc = params
+            .technology
+            .ge_to_mm2(params.endpoint_area * params.grid.num_tiles() as f64);
+        let area_overhead = (total_area.value() - area_no_noc.value()) / total_area.value();
+        Self {
+            total_area,
+            area_no_noc,
+            area_overhead,
+        }
+    }
+}
+
 /// The cost and link-latency estimates of the floorplan model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct NocEstimates {
@@ -40,10 +71,11 @@ impl NocEstimates {
     pub fn compute(params: &ArchParams, unit_grid: &UnitGrid, detailed: &DetailedRoutes) -> Self {
         let tech = &params.technology;
         let cell_area = unit_grid.cell_area();
-        // Area (Section IV-B.2.b).
-        let total_area = unit_grid.total_area();
-        let area_no_noc = tech.ge_to_mm2(params.endpoint_area * params.grid.num_tiles() as f64);
-        let area_overhead = (total_area.value() - area_no_noc.value()) / total_area.value();
+        let ChipArea {
+            total_area,
+            area_no_noc,
+            area_overhead,
+        } = ChipArea::compute(params, unit_grid);
         // Power (Section IV-B.2.c).
         let logic_area = cell_area * unit_grid.logic_cells() as f64;
         let wire_cells = detailed.h_occupied_cells + detailed.v_occupied_cells;

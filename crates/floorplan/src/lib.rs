@@ -16,6 +16,14 @@
 //! consumption** and **per-link latencies** ([`NocEstimates`]); the
 //! latencies annotate the topology fed to the cycle-accurate simulator.
 //!
+//! [`predict`] runs the steps in two stages. [`Screen::compute`] runs
+//! steps 1–4, which already fix the chip area ([`ChipArea`]: the area
+//! reads only the unit grid). [`Screen::finish`] runs step 5, the A*
+//! link routing over unit cells and most of a prediction's cost, and
+//! assembles power and latencies from it. A caller that ranks many
+//! topologies by area first (the customization loop) can stop after the
+//! screen for the ones that cannot win.
+//!
 //! # Examples
 //!
 //! ```
@@ -51,7 +59,7 @@ mod spacing;
 mod unitcell;
 
 pub use detailed_route::{DetailedRoutes, LinkRoute};
-pub use estimate::NocEstimates;
+pub use estimate::{ChipArea, NocEstimates};
 pub use global_route::{ChannelLoads, GlobalRouting, Segment};
 pub use params::{ArchParams, DetailedRouting, ModelOptions, PortPlacement};
 pub use placement::TilePlacement;
@@ -80,37 +88,96 @@ pub struct Prediction {
     pub estimates: NocEstimates,
 }
 
-/// Runs the full five-step model on a topology.
+/// Steps 1–4 of the model and the chip area they fix: everything of a
+/// [`Prediction`] but the detailed routes and the estimates that depend
+/// on them (power, link lengths and latencies, collisions).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Screen {
+    /// Step 1 output.
+    pub placement: TilePlacement,
+    /// Step 2 output.
+    pub global: GlobalRouting,
+    /// Step 3 output.
+    pub spacings: Spacings,
+    /// Step 4 output.
+    pub unit_grid: UnitGrid,
+    /// The chip area of `unit_grid`, equal to the finished estimates'.
+    pub area: ChipArea,
+}
+
+impl Screen {
+    /// Runs steps 1–4 on a topology.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.grid` and the topology's grid differ.
+    #[must_use]
+    pub fn compute(params: &ArchParams, topology: &Topology, options: &ModelOptions) -> Self {
+        assert_eq!(
+            params.grid,
+            topology.grid(),
+            "parameter grid and topology grid must agree"
+        );
+        let placement = TilePlacement::compute(params, topology);
+        let global = GlobalRouting::route(topology, options.port_placement);
+        let spacings = Spacings::compute(params, &global.loads);
+        let unit_grid = UnitGrid::build(params, options, &placement, &spacings);
+        let area = ChipArea::compute(params, &unit_grid);
+        Self {
+            placement,
+            global,
+            spacings,
+            unit_grid,
+            area,
+        }
+    }
+
+    /// Runs step 5 over this screen's unit grid and global routes, and
+    /// assembles the final estimates. `params`, `topology` and `options`
+    /// must be the ones the screen was computed from.
+    #[must_use]
+    pub fn finish(
+        &self,
+        params: &ArchParams,
+        topology: &Topology,
+        options: &ModelOptions,
+    ) -> (DetailedRoutes, NocEstimates) {
+        let detailed = DetailedRoutes::route(topology, &self.unit_grid, &self.global, options);
+        let mut estimates = NocEstimates::compute(params, &self.unit_grid, &detailed);
+        // Expanded-grid instantiations annotate die-crossing links; the
+        // floorplan model charges them the database's boundary-crossing
+        // latency on top of the wire-length estimate. Flat topologies carry
+        // no metadata, so their latencies (and every downstream cell
+        // fingerprint) are untouched.
+        let boundary = topology.boundary_latency();
+        if boundary > 0 {
+            for (i, latency) in estimates.link_latencies.iter_mut().enumerate() {
+                if topology.link_crosses_die(shg_topology::LinkId::new(i as u32)) {
+                    *latency += shg_units::Cycles::new(u64::from(boundary));
+                }
+            }
+        }
+        (detailed, estimates)
+    }
+}
+
+/// Runs the full five-step model on a topology: [`Screen::compute`], then
+/// [`Screen::finish`].
 ///
 /// # Examples
 ///
 /// See the [crate-level documentation](crate).
 #[must_use]
 pub fn predict(params: &ArchParams, topology: &Topology, options: &ModelOptions) -> Prediction {
-    assert_eq!(
-        params.grid,
-        topology.grid(),
-        "parameter grid and topology grid must agree"
-    );
-    let placement = TilePlacement::compute(params, topology);
-    let global = GlobalRouting::route(topology, options.port_placement);
-    let spacings = Spacings::compute(params, &global.loads);
-    let unit_grid = UnitGrid::build(params, options, &placement, &spacings);
-    let detailed = DetailedRoutes::route(topology, &unit_grid, &global, options);
-    let mut estimates = NocEstimates::compute(params, &unit_grid, &detailed);
-    // Expanded-grid instantiations annotate die-crossing links; the
-    // floorplan model charges them the database's boundary-crossing
-    // latency on top of the wire-length estimate. Flat topologies carry
-    // no metadata, so their latencies (and every downstream cell
-    // fingerprint) are untouched.
-    let boundary = topology.boundary_latency();
-    if boundary > 0 {
-        for (i, latency) in estimates.link_latencies.iter_mut().enumerate() {
-            if topology.link_crosses_die(shg_topology::LinkId::new(i as u32)) {
-                *latency += shg_units::Cycles::new(u64::from(boundary));
-            }
-        }
-    }
+    let screen = Screen::compute(params, topology, options);
+    let (detailed, estimates) = screen.finish(params, topology, options);
+    let Screen {
+        placement,
+        global,
+        spacings,
+        unit_grid,
+        area: _,
+    } = screen;
     Prediction {
         placement,
         global,
@@ -187,6 +254,34 @@ mod tests {
         let a = predict(&p, &torus, &ModelOptions::default());
         let b = predict(&p, &torus, &ModelOptions::default());
         assert_eq!(a.estimates, b.estimates);
+    }
+
+    #[test]
+    fn the_screen_fixes_the_finished_area() {
+        let grid = Grid::new(8, 8);
+        let p = params(grid);
+        let options = ModelOptions::default();
+        for topology in [
+            generators::mesh(grid),
+            generators::torus(grid),
+            generators::flattened_butterfly(grid),
+        ] {
+            let screen = Screen::compute(&p, &topology, &options);
+            let prediction = predict(&p, &topology, &options);
+            let estimates = &prediction.estimates;
+            let area = screen.area;
+            assert_eq!(area.total_area, estimates.total_area, "{topology}");
+            assert_eq!(area.area_no_noc, estimates.area_no_noc, "{topology}");
+            assert_eq!(
+                area.area_overhead.to_bits(),
+                estimates.area_overhead.to_bits(),
+                "{topology}"
+            );
+            assert_eq!(
+                screen.finish(&p, &topology, &options).1,
+                prediction.estimates
+            );
+        }
     }
 
     #[test]

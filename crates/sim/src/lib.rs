@@ -65,8 +65,9 @@ pub use flit::Flit;
 pub use injection::{geometric_gap, tile_stream_seed, Injector};
 pub use network::{Network, PhaseProfile};
 pub use runner::{
-    load_sweep, measure_performance, measured_zero_load_latency, saturation_throughput,
-    zero_load_latency, zero_load_latency_from_loads, Performance, SaturationSearch,
+    load_sweep, measure_performance, measured_zero_load_latency, saturation_search,
+    saturation_throughput, zero_load_latency, zero_load_latency_from_loads, Performance,
+    SaturationSearch,
 };
 pub use stats::{percentile, FaultStats, SimOutcome};
 pub use sweep::{

@@ -162,7 +162,8 @@ pub fn saturation_throughput(
 /// rate, so an overloaded probe stops inside its measurement window once
 /// its accepted throughput can no longer catch up, and a probe whose
 /// latency is already too high is not drained.
-fn saturation_search(
+#[must_use]
+pub fn saturation_search(
     topology: &Topology,
     routes: &Routes,
     link_latencies: &[Cycles],

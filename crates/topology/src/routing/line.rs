@@ -138,11 +138,6 @@ impl LineBank {
         }
     }
 
-    /// Number of positions along the line.
-    pub(super) fn positions(&self) -> usize {
-        self.positions
-    }
-
     /// The move list from `from` to `to`, or `None` when the line cannot
     /// connect them (within the reversal bound).
     pub(super) fn list(&self, from: u16, to: u16) -> Option<&[Move1D]> {
@@ -153,6 +148,33 @@ impl LineBank {
         }
         let offset = self.offsets[slot] as usize;
         Some(&self.moves[offset..offset + len as usize])
+    }
+
+    /// How many of the bank's all-pairs move lists step along each
+    /// directed 1D edge, as `(from, to, count)` in ascending `(from, to)`
+    /// order, unused edges left out: one walk of every stored list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some pair is unreachable.
+    pub(super) fn edge_uses(&self) -> Vec<(u16, u16, u32)> {
+        let positions = self.positions;
+        let mut counts = vec![0u32; positions * positions];
+        for from in 0..positions as u16 {
+            for to in 0..positions as u16 {
+                let mut at = from as usize;
+                for mv in self.list(from, to).expect("line connected") {
+                    counts[at * positions + mv.to_pos as usize] += 1;
+                    at = mv.to_pos as usize;
+                }
+            }
+        }
+        counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &count)| count > 0)
+            .map(|(edge, &count)| ((edge / positions) as u16, (edge % positions) as u16, count))
+            .collect()
     }
 
     /// `true` when every ordered pair of positions is connected.
@@ -207,6 +229,19 @@ impl LineBanks {
     /// The bank of line `line`.
     pub(super) fn line(&self, line: usize) -> &LineBank {
         &self.banks[self.bank_of[line] as usize]
+    }
+
+    /// Visits `(line, from, to, count)` for every directed 1D edge of
+    /// every line, `count` being [`LineBank::edge_uses`] of the line's
+    /// bank: each distinct bank is walked once, and its counts are
+    /// replayed onto every line that shares it.
+    pub(super) fn for_each_edge_use(&self, mut f: impl FnMut(usize, u16, u16, u32)) {
+        let uses: Vec<_> = self.banks.iter().map(LineBank::edge_uses).collect();
+        for (line, &bank) in self.bank_of.iter().enumerate() {
+            for &(from, to, count) in &uses[bank as usize] {
+                f(line, from, to, count);
+            }
+        }
     }
 
     /// Maximum reversal count over every line's stored moves.
@@ -292,4 +327,58 @@ pub(super) fn row_col_adjacency(
         }
     }
     Ok((row_adj, col_adj))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The adjacency of a line of `positions` mesh links plus `skips`.
+    fn line(positions: u16, skips: &[(u16, u16)]) -> Vec<Vec<u16>> {
+        let mut adjacency = vec![Vec::new(); positions as usize];
+        let links = (1..positions)
+            .map(|p| (p - 1, p))
+            .chain(skips.iter().copied());
+        for (a, b) in links {
+            adjacency[a as usize].push(b);
+            adjacency[b as usize].push(a);
+        }
+        adjacency
+    }
+
+    #[test]
+    fn edge_uses_count_every_stored_move() {
+        let bank = LineBank::build(&line(7, &[(0, 3), (2, 6)]));
+        let mut counts = std::collections::BTreeMap::new();
+        for from in 0..7 {
+            for to in 0..7 {
+                let mut at = from;
+                for mv in bank.list(from, to).expect("connected") {
+                    *counts.entry((at, mv.to_pos)).or_insert(0u32) += 1;
+                    at = mv.to_pos;
+                }
+            }
+        }
+        let expected: Vec<_> = counts.into_iter().map(|((a, b), n)| (a, b, n)).collect();
+        assert_eq!(bank.edge_uses(), expected);
+    }
+
+    #[test]
+    fn lines_sharing_a_bank_replay_its_edge_uses() {
+        // Lines 0 and 2 share a bank, as do lines 1 and 4; line 3 has its own.
+        let (plain, skip, other) = (line(6, &[]), line(6, &[(0, 3)]), line(6, &[(1, 5)]));
+        let lines = vec![skip.clone(), plain.clone(), skip, other, plain];
+        let banks = LineBanks::build(&lines);
+        assert_eq!(banks.banks.len(), 3);
+        assert_eq!(banks.bank_of, [0, 1, 0, 2, 1]);
+        let mut visits = vec![Vec::new(); lines.len()];
+        banks.for_each_edge_use(|line, from, to, count| visits[line].push((from, to, count)));
+        for (line, adjacency) in lines.iter().enumerate() {
+            assert_eq!(
+                visits[line],
+                LineBank::build(adjacency).edge_uses(),
+                "line {line}"
+            );
+        }
+    }
 }

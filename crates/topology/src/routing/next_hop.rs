@@ -12,7 +12,7 @@ use crate::generators;
 use crate::grid::TileId;
 use crate::topology::{ChannelId, Topology, TopologyKind};
 
-use super::line::{row_column_banks, LineBank, LineBanks, CLASSES_PER_PHASE, MAX_REVERSALS};
+use super::line::{row_column_banks, LineBanks, CLASSES_PER_PHASE, MAX_REVERSALS};
 use super::{BuildRoutesError, Hop, Routes, RoutingAlgorithm, Table};
 
 /// Per-tile sorted adjacency in the topology's canonical neighbor order
@@ -261,8 +261,13 @@ impl NextHopTable {
     /// not separate. A row-column path is one row walk plus one column
     /// walk, so the walk `sc → dc` of a row serves the paths to every
     /// tile of column `dc` and the walk `sr → dr` of a column serves the
-    /// paths from every tile of row `sr`: O(n · (rows + cols) · hops)
-    /// visits in place of the O(n² · hops) of a pair-by-pair pass.
+    /// paths from every tile of row `sr`. Lines that share a bank share
+    /// its walks too, so each distinct bank is walked once into per-edge
+    /// use counts ([`LineBanks::for_each_edge_use`]) and every line then
+    /// visits each of its used channels once: O(banks · positions² ·
+    /// hops + links) in place of the O(n² · hops) of a pair-by-pair pass.
+    /// The visits differ from the pair walk's only in grouping, which no
+    /// sum over them can see.
     pub(super) fn for_each_line_use(&self, f: &mut impl FnMut(ChannelId, u32)) -> bool {
         let Kernel::RowColumn {
             rows,
@@ -271,29 +276,26 @@ impl NextHopTable {
         else {
             return false;
         };
-        let (row_count, col_count) = (self.rows as usize, self.cols as usize);
-        // One line's all-pairs walks; position `p` of the line is tile
-        // `base + p · stride`.
-        let mut walk = |bank: &LineBank, base: usize, stride: usize, uses: u32| {
-            let positions = bank.positions() as u16;
-            for from in 0..positions {
-                for to in 0..positions {
-                    let mut at = base + from as usize * stride;
-                    for mv in bank.list(from, to).expect("line connected") {
-                        let next = base + mv.to_pos as usize * stride;
-                        let port = self.csr.port_of(at, next as u32);
-                        f(ChannelId::new(self.csr.entry(at, port).1), uses);
-                        at = next;
-                    }
-                }
-            }
+        let col_count = self.cols as usize;
+        let mut visit = |at: usize, next: usize, uses: u32| {
+            let port = self.csr.port_of(at, next as u32);
+            f(ChannelId::new(self.csr.entry(at, port).1), uses);
         };
-        for row in 0..row_count {
-            walk(rows.line(row), row * col_count, 1, u32::from(self.rows));
-        }
-        for col in 0..col_count {
-            walk(col_banks.line(col), col, col_count, u32::from(self.cols));
-        }
+        rows.for_each_edge_use(|row, from, to, count| {
+            let base = row * col_count;
+            visit(
+                base + from as usize,
+                base + to as usize,
+                count * u32::from(self.rows),
+            );
+        });
+        col_banks.for_each_edge_use(|col, from, to, count| {
+            visit(
+                from as usize * col_count + col,
+                to as usize * col_count + col,
+                count * u32::from(self.cols),
+            );
+        });
         true
     }
 

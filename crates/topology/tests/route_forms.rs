@@ -18,7 +18,7 @@ use shg_topology::generators::{self, GeneratorSpec};
 use shg_topology::routing::{
     self, build_routes, build_routes_with, default_routes_with, RouteForm, Routes, RoutingAlgorithm,
 };
-use shg_topology::{Grid, TileClass, Topology};
+use shg_topology::{Grid, Link, TileClass, TileCoord, Topology, TopologyKind};
 
 /// Every routed pair of `compact` reconstructs the dense path exactly,
 /// and the port/class query matches the port the simulator derives from
@@ -173,6 +173,29 @@ fn next_hop_matches_dense_on_odd_and_flat_grids() {
         &generators::folded_torus(Grid::new(6, 4)),
         RoutingAlgorithm::TorusDateline,
     );
+}
+
+#[test]
+fn line_wise_accumulation_matches_on_rows_and_columns_with_different_banks() {
+    // No generator's rows differ from each other, so the row-column
+    // kernel's bank sharing is exercised on a hand-built link set: a
+    // 6×7 mesh plus skips that give each family three distinct line
+    // banks, one of them shared by non-adjacent lines (rows 0 and 3,
+    // columns 1 and 5).
+    let grid = Grid::new(6, 7);
+    let mut links = generators::mesh(grid).links().to_vec();
+    let tile = |row: u16, col: u16| grid.id(TileCoord::new(row, col));
+    for row in [0, 3] {
+        links.push(Link::new(tile(row, 0), tile(row, 3)));
+        links.push(Link::new(tile(row, 2), tile(row, 6)));
+    }
+    links.push(Link::new(tile(5, 1), tile(5, 4)));
+    for col in [1, 5] {
+        links.push(Link::new(tile(0, col), tile(3, col)));
+    }
+    links.push(Link::new(tile(1, 6), tile(5, 6)));
+    let topology = Topology::new(grid, TopologyKind::Custom, links);
+    check_generator(&topology, RoutingAlgorithm::RowColumn);
 }
 
 /// Structural checks every hierarchical table must satisfy.
