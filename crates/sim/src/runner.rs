@@ -391,6 +391,35 @@ mod tests {
         }
     }
 
+    /// The rates `bisect_rate` probes, in order, and its answer.
+    fn probed_rates(resolution: f64, accepts: impl Fn(f64) -> bool) -> (Vec<f64>, f64) {
+        let mut probed = Vec::new();
+        let rate = bisect_rate(resolution, |rate| {
+            probed.push(rate);
+            accepts(rate)
+        });
+        (probed, rate)
+    }
+
+    #[test]
+    fn bisect_rate_probes_a_pinned_sequence() {
+        let below_037: fn(f64) -> bool = |rate| rate <= 0.37;
+        let to_037 = [1.0, 0.5, 0.25, 0.375, 0.3125, 0.34375, 0.359375, 0.3671875];
+        let down = [1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625, 0.0078125];
+        for (resolution, halvings) in [(0.01, 7), (0.02, 6), (0.1, 4), (1.0 / 128.0, 7)] {
+            let probes = halvings + 1;
+            for (accepts, expected, answer) in [
+                (below_037, &to_037[..probes], to_037[probes - 1]),
+                (|_| true, &[1.0][..], 1.0),
+                (|_| false, &down[..probes], 0.0),
+            ] {
+                let (probed, rate) = probed_rates(resolution, accepts);
+                assert_eq!(probed, expected, "resolution {resolution}");
+                assert_eq!(rate.to_bits(), answer.to_bits(), "resolution {resolution}");
+            }
+        }
+    }
+
     #[test]
     fn load_sweep_latency_is_monotonic_until_saturation() {
         let mesh = generators::mesh(Grid::new(4, 4));
