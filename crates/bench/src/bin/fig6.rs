@@ -10,12 +10,17 @@
 //!
 //! The pattern-sweep table reads one number of each (topology, pattern)
 //! row — the highest swept rate that keeps up with its offered load — so
-//! the sweep scans each row from its top rate down, ends it at the first
-//! cell that keeps up, and asks each cell it visits for only that
-//! verdict ([`shg_bench::sweep::saturation_table`]): a cell that can no
-//! longer catch up stops inside its measurement window instead of
-//! running on, every source backlogged, to the drain limit. The table
-//! is byte-identical to one built from completed outcomes.
+//! the sweep bisects each row over its rates and asks each cell it
+//! probes for only that verdict ([`shg_bench::sweep::saturation_table`]):
+//! a cell that can no longer catch up stops inside its measurement
+//! window instead of running on, every source backlogged, to the drain
+//! limit. Where a row's cells that keep up are a prefix of its rates
+//! (all 49 rows of fault-free `--scenario a --fast`, checked on
+//! completed outcomes), the table is byte-identical to one built from
+//! completed outcomes. A fault plan can break that: under
+//! `--faults drain,600:router:9` the SHG's uniform-random row keeps up
+//! at 40 % but not at 30 %, and reads 20.0 where the completed outcomes
+//! read 40.0 (see [`shg_sim::Experiment::highest_sustained`]).
 //! `--shard i/N` builds it from one strided shard of the cells;
 //! `--cache <dir>` answers cells from a cell cache that
 //! `sweep_worker --cache <dir>` warmed with full outcomes, and stores
@@ -38,15 +43,14 @@
 //! injection capacity — tightened from 20%/10% once request-driven
 //! allocation made Phase C cheap. Measured runtime (a shared 2-core
 //! host; the sweeps scale with cores via rayon): `--scenario a --fast`
-//! ≈ 5.5 s wall / ≈ 11 s CPU on both cores (≈ 11.5 s pinned to one),
-//! peak RSS ≈ 7 MB; `--scenario all --fast` ≈ 37 s wall / 69 s CPU —
+//! ≈ 3.2 s wall / ≈ 6.1 s CPU on both cores (≈ 5.8 s pinned to one),
+//! peak RSS ≈ 7 MB; `--scenario all --fast` ≈ 23 s wall / 44 s CPU —
 //! nearly all of it the pattern sweep's simulator phases (the
-//! floorplan model is milliseconds). `--scenario a --fast` probes 357
-//! of its 518 cells and simulates 521,930 cycles, where completing
+//! floorplan model is milliseconds). `--scenario a --fast` probes 173
+//! of its 518 cells and simulates 345,468 cycles, where completing
 //! every cell would take 2,721,677 (a drain to as late as cycle 8,000).
-//! Full fidelity `--scenario a` was last measured at ≈ 14 min on one
-//! core, before the kernel's saturated-cell rework; not re-measured
-//! since.
+//! Full fidelity `--scenario a` probes 225 of its 1,008 sweep cells and
+//! takes ≈ 31 s wall / 60 s CPU on both cores.
 
 use shg_bench::sweep::{
     annotated_experiment, reject_full_outcome_flags, saturation_table, scenario_sweep_spec,

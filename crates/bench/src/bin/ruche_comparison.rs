@@ -12,12 +12,12 @@
 //!
 //! The head-to-head sweep runs at 6.25% rate resolution (tightened
 //! from 12.5% once request-driven allocation made Phase C cheap). Its
-//! table scans each (topology, pattern) row from the top rate down and
-//! asks each cell only whether it keeps up
+//! table bisects each (topology, pattern) row over its rates and asks
+//! each cell it probes only whether it keeps up
 //! ([`shg_bench::sweep::saturation_table`]), so `--cache` is read-only
 //! and the journal, backend and progress flags are rejected. It probes
-//! 111 of its 232 cells. Measured runtime ≈ 4 s on one core of a shared
-//! 2-core host (scales with cores via rayon).
+//! 56 of its 232 cells. Measured runtime ≈ 2.4 s on one core of a
+//! shared 2-core host (scales with cores via rayon).
 
 use shg_bench::arg_value;
 use shg_bench::sweep::{

@@ -754,13 +754,17 @@ fn render_saturation_table<'c>(
 /// Runs an experiment for its per-pattern saturation table — the report
 /// `fig6`, `pareto` and `ruche_comparison` print. A case's saturation
 /// under a pattern is the highest swept rate whose cell keeps up with
-/// its offered load within `slack` ([`shg_sim::SimOutcome::keeps_up`]),
+/// its offered load within `slack` ([`shg_sim::SimOutcome::keeps_up`]).
+/// Each row is bisected over its rates
+/// ([`Experiment::highest_sustained`]), so a row of n cells runs at
+/// most ⌈log₂(n + 1)⌉ of them, and a cell that cannot keep up stops
+/// inside its measurement window as soon as that is certain instead of
+/// running on to the drain limit. The bisection assumes a row's cells
+/// that keep up are a prefix of its rates; on such rows the table is
 /// exactly [`SweepResult::saturation_estimate`] over the completed
-/// cells; but each row is scanned from its top rate down and ends at
-/// the first cell that keeps up ([`Experiment::highest_sustained`]), so
-/// the cells below a row's answer are never run, and a cell that cannot
-/// keep up stops inside its measurement window as soon as that is
-/// certain instead of running on to the drain limit.
+/// cells. On a row that breaks it the entry is a probed rate that
+/// keeps up whose probed next-higher rate does not, not necessarily
+/// the highest.
 ///
 /// Reads the standard flags that still apply:
 ///
@@ -769,7 +773,7 @@ fn render_saturation_table<'c>(
 ///   run (e.g. `sweep_worker --cache <dir>`) warmed. Read-only: a
 ///   verdict is not an outcome, so nothing is stored. The
 ///   `cache: cached=… simulated=… total=…` line goes to stderr; it
-///   counts the cells the row scans visited, with probed misses
+///   counts the cells the row bisections probed, with probed misses
 ///   counted as simulated.
 ///
 /// The flags that only serve full outcomes are rejected

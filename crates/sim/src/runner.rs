@@ -118,7 +118,7 @@ pub struct SaturationSearch {
     /// A run also counts as saturated when its mean latency exceeds this
     /// multiple of the zero-load latency.
     pub latency_factor: f64,
-    /// Binary-search resolution in flits/node/cycle.
+    /// Binary-search resolution in flits/node/cycle, in `(0, 1]`.
     pub resolution: f64,
 }
 
@@ -135,6 +135,10 @@ impl Default for SaturationSearch {
 /// Finds the saturation throughput by binary search over the injection
 /// rate: the highest rate (as a fraction of injection capacity) at which
 /// the network still keeps up with the offered load.
+///
+/// # Panics
+///
+/// Panics unless `0 < search.resolution <= 1`.
 #[must_use]
 pub fn saturation_throughput(
     topology: &Topology,
@@ -162,6 +166,10 @@ pub fn saturation_throughput(
 /// rate, so an overloaded probe stops inside its measurement window once
 /// its accepted throughput can no longer catch up, and a probe whose
 /// latency is already too high is not drained.
+///
+/// # Panics
+///
+/// Panics unless `0 < search.resolution <= 1`.
 #[must_use]
 pub fn saturation_search(
     topology: &Topology,
@@ -182,19 +190,23 @@ pub fn saturation_search(
     })
 }
 
-/// The highest rate in `[0, 1]` that `stable_at` accepts, to within
-/// `resolution`, assuming it accepts a prefix of the interval.
-fn bisect_rate(resolution: f64, mut stable_at: impl FnMut(f64) -> bool) -> f64 {
-    let mut lo = 0.0f64;
-    let mut hi = 1.0f64;
-    // The capacity itself might be sustainable (e.g. neighbor traffic).
-    if stable_at(hi) {
-        return hi;
-    }
-    while hi - lo > resolution {
-        let mid = (lo + hi) / 2.0;
-        if stable_at(mid) {
-            lo = mid;
+/// The length of the prefix of `0..n` that `accepts` accepts, found by
+/// bisection: each probe asks `accepts` about the lower midpoint of the
+/// indices still undecided, so at most ⌈log₂(n + 1)⌉ indices are
+/// probed, each at most once.
+///
+/// The answer is exact when the accepted indices form a prefix (every
+/// index below an accepted one is accepted). When they do not, it is
+/// still the end of *some* accepted run that the probes saw: an
+/// accepted index `i − 1` (or `i = 0`) followed by a rejected index
+/// `i` (or `i = n`), though not necessarily the first or the last such.
+pub(crate) fn bisect_prefix(n: usize, mut accepts: impl FnMut(usize) -> bool) -> usize {
+    // Indices below `lo` are taken as accepted, `hi` and above as not.
+    let (mut lo, mut hi) = (0, n);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if accepts(mid) {
+            lo = mid + 1;
         } else {
             hi = mid;
         }
@@ -202,9 +214,45 @@ fn bisect_rate(resolution: f64, mut stable_at: impl FnMut(f64) -> bool) -> f64 {
     lo
 }
 
+/// The highest rate in `[0, 1]` that `stable_at` accepts, to within
+/// `resolution`, assuming it accepts a prefix of the interval.
+///
+/// The rate 1.0 is probed first. Otherwise the answer is bisected
+/// ([`bisect_prefix`]) on the dyadic grid `k / 2^m`, whose step `2^-m`
+/// is the coarsest power of two not above `resolution` (and not below
+/// `2^-52`): every grid rate is exact in an `f64`, and the probes are
+/// the midpoints a real-valued bisection of `[0, 1]` takes, in the
+/// same order.
+///
+/// # Panics
+///
+/// Panics unless `0 < resolution <= 1`.
+fn bisect_rate(resolution: f64, mut stable_at: impl FnMut(f64) -> bool) -> f64 {
+    assert!(
+        resolution > 0.0 && resolution <= 1.0,
+        "saturation search resolution {resolution} is not in (0, 1]"
+    );
+    let (mut steps, mut step) = (1usize, 1.0f64);
+    while step > resolution && steps < 1 << 52 {
+        steps *= 2;
+        step /= 2.0;
+    }
+    // The capacity itself might be sustainable (e.g. neighbor traffic).
+    if stable_at(1.0) {
+        return 1.0;
+    }
+    // Index `i` is the rate `(i + 1) / 2^m`, strictly between 0 and 1.
+    let sustained = bisect_prefix(steps - 1, |i| stable_at((i + 1) as f64 * step));
+    sustained as f64 * step
+}
+
 /// Convenience: full performance measurement (analytic zero-load latency
 /// plus saturation search, which reuses that latency instead of
 /// recomputing it).
+///
+/// # Panics
+///
+/// Panics unless `0 < search.resolution <= 1`.
 #[must_use]
 pub fn measure_performance(
     topology: &Topology,
@@ -416,6 +464,46 @@ mod tests {
                 let (probed, rate) = probed_rates(resolution, accepts);
                 assert_eq!(probed, expected, "resolution {resolution}");
                 assert_eq!(rate.to_bits(), answer.to_bits(), "resolution {resolution}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "resolution 0 is not in (0, 1]")]
+    fn a_zero_resolution_panics_instead_of_hanging() {
+        let _ = bisect_rate(0.0, |rate| rate <= 0.37);
+    }
+
+    #[test]
+    #[should_panic(expected = "resolution NaN is not in (0, 1]")]
+    fn a_nan_resolution_panics() {
+        let _ = bisect_rate(f64::NAN, |rate| rate <= 0.37);
+    }
+
+    #[test]
+    fn a_tiny_resolution_stops_at_the_finest_exact_grid() {
+        let mut probes = 0;
+        let rate = bisect_rate(f64::MIN_POSITIVE, |rate| {
+            probes += 1;
+            rate <= 0.37
+        });
+        assert_eq!(probes, 53);
+        assert!(rate <= 0.37 && 0.37 - rate < 0.5f64.powi(52), "{rate}");
+    }
+
+    #[test]
+    fn bisect_prefix_finds_every_prefix_within_the_probe_bound() {
+        for n in 0..40usize {
+            let bound = (usize::BITS - n.leading_zeros()) as usize; // ⌈log₂(n + 1)⌉
+            for len in 0..=n {
+                let mut probed = Vec::new();
+                let got = bisect_prefix(n, |i| {
+                    probed.push(i);
+                    i < len
+                });
+                assert_eq!(got, len, "n {n}");
+                assert!(probed.len() <= bound, "n {n} len {len}: {probed:?}");
+                assert!(probed.iter().all(|&i| i < n), "n {n}: {probed:?}");
             }
         }
     }

@@ -21,6 +21,7 @@ use super::spec::SweepSpec;
 use crate::config::SimConfig;
 use crate::core::{run_batch, LaneJob};
 use crate::network::Network;
+use crate::runner::bisect_prefix;
 use crate::stats::SimOutcome;
 use crate::traffic::TrafficPattern;
 
@@ -395,17 +396,23 @@ impl<'a> Experiment<'a> {
     }
 
     /// The highest rate of each (case, pattern) row of `cells` whose
-    /// cell keeps up with its offered load within `slack` — exactly the
-    /// maximum rate over `self.run_cells(cells)` whose
-    /// `outcome.keeps_up(slack)` holds, which is all a saturation table
-    /// reads of a row — computed without completing any outcome. Rows
-    /// come back in the order `cells` first names them.
+    /// cell keeps up with its offered load within `slack`, found by
+    /// bisection over the row's rates and computed without completing
+    /// any outcome. Rows come back in the order `cells` first names
+    /// them.
     ///
-    /// Rows fan out over the current thread pool. Within a row the
-    /// cells are visited from the highest rate down, and the first one
-    /// that keeps up ends the row: it is the maximum by definition, so
-    /// only the cells below a row's answer are skipped, whatever the
-    /// rest of the row would say. A cell found in the attached
+    /// Rows fan out over the current thread pool. A row's cells are
+    /// sorted by ascending rate and its answer is bisected over their
+    /// indices: at most ⌈log₂(n + 1)⌉ of its n cells are probed. This
+    /// assumes, as [`saturation_search`] does, that the cells that keep
+    /// up form a prefix of the sorted row. On such a row the answer is
+    /// exactly the maximum rate over `self.run_cells(cells)` whose
+    /// `outcome.keeps_up(slack)` holds, which is all a saturation table
+    /// reads of a row. On a row that breaks the assumption it is the
+    /// rate of *a* probed cell that keeps up whose next-higher cell was
+    /// probed and does not (or which tops the row), not necessarily the
+    /// highest; and `None` only if the lowest-rate cell was probed and
+    /// does not keep up. A cell found in the attached
     /// [`CellCache`] is answered from its stored outcome. A miss runs
     /// on a fresh `Network` that is asked only whether it
     /// [sustains](Network::sustains) the rate, so a cell that cannot
@@ -413,6 +420,8 @@ impl<'a> Experiment<'a> {
     /// simulated but never stored, since a probe stopped early has no
     /// full outcome to store. The backend setting does not apply: every
     /// probe is its own network.
+    ///
+    /// [`saturation_search`]: crate::saturation_search
     ///
     /// # Panics
     ///
@@ -438,12 +447,13 @@ impl<'a> Experiment<'a> {
             .map(|(row, mut row_cells)| {
                 let rates = self.spec.rates_of(self.spec.patterns[row.pattern as usize]);
                 // A stable sort: equal rates keep their plan order.
-                row_cells.sort_by(|a, b| rates[b.rate as usize].total_cmp(&rates[a.rate as usize]));
-                let rate = row_cells.into_iter().find_map(|cell| {
-                    let inputs = self.cell_inputs(cell, digests);
-                    let rate = inputs.rate;
-                    self.keeps_up(inputs, slack).then_some(rate)
+                row_cells.sort_by(|a, b| rates[a.rate as usize].total_cmp(&rates[b.rate as usize]));
+                let sustained = bisect_prefix(row_cells.len(), |i| {
+                    self.keeps_up(self.cell_inputs(row_cells[i], digests), slack)
                 });
+                let rate = sustained
+                    .checked_sub(1)
+                    .map(|top| rates[row_cells[top].rate as usize]);
                 SustainedRow { rate, ..row }
             })
             .collect()
@@ -956,7 +966,8 @@ pub struct SustainedRow {
     /// Index into the spec's pattern list.
     pub pattern: u32,
     /// The highest rate among the row's cells that keeps up; `None` if
-    /// none does.
+    /// none does. Exact when the cells that keep up are a prefix of the
+    /// row's rates (see [`Experiment::highest_sustained`]).
     pub rate: Option<f64>,
 }
 
