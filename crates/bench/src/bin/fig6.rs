@@ -50,7 +50,8 @@
 //! of its 518 cells and simulates 345,468 cycles, where completing
 //! every cell would take 2,721,677 (a drain to as late as cycle 8,000).
 //! Full fidelity `--scenario a` probes 225 of its 1,008 sweep cells and
-//! takes ≈ 31 s wall / 60 s CPU on both cores.
+//! takes ≈ 40–45 s wall / 75–85 s CPU on both cores, ≈ 8 s of it the
+//! simulated headline column's 56 saturation probes.
 
 use shg_bench::sweep::{
     annotated_experiment, reject_full_outcome_flags, saturation_table, scenario_sweep_spec,

@@ -458,7 +458,8 @@ impl AnnotatedTopology {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::Scenario;
+    use crate::scenario::{MempoolReference, Scenario};
+    use shg_sim::Network;
     use shg_topology::generators;
 
     fn fast_toolchain() -> Toolchain {
@@ -523,5 +524,62 @@ mod tests {
             annotated.link_latencies.len(),
             annotated.topology.num_links()
         );
+    }
+
+    /// Table III's saturation search over completed runs — each probe a
+    /// full `Network::run` judged on its outcome, bisected as the
+    /// real-valued search of `[0, 1]` that probes 1.0 first, then
+    /// midpoints until the interval is no wider than the resolution —
+    /// against `saturation_search`, whose probes stop the cycle their
+    /// verdict is decided.
+    #[test]
+    #[ignore = "publication-size windows: minutes in a debug build, run it with --release"]
+    fn mempool_search_equals_the_search_over_completed_runs() {
+        let reference = MempoolReference::new();
+        let toolchain = Toolchain {
+            sim: reference.sim.clone(),
+            ..Toolchain::default()
+        };
+        let (params, topology) = (&reference.params, reference.topology());
+        let screening = toolchain.screen(params, &topology).expect("MemPool routes");
+        let (_, estimates) =
+            screening
+                .floorplan
+                .finish(params, &topology, &toolchain.model_options);
+        let (routes, latencies) = (&screening.routes, &estimates.link_latencies);
+        let zll =
+            zero_load_latency_from_loads(&topology, &screening.loads, latencies, &toolchain.sim);
+        let search = toolchain.search;
+        let keeps_up = |rate: f64| {
+            let outcome = Network::new(&topology, routes, latencies, toolchain.sim.clone())
+                .run(rate, toolchain.pattern);
+            outcome.keeps_up(search.slack)
+                && outcome.avg_packet_latency <= zll * search.latency_factor
+        };
+        let mut completed = 1.0;
+        if !keeps_up(1.0) {
+            let (mut lo, mut hi) = (0.0f64, 1.0f64);
+            while hi - lo > search.resolution {
+                let mid = (lo + hi) / 2.0;
+                if keeps_up(mid) {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            completed = lo;
+        }
+        let searched = saturation_search(
+            &topology,
+            routes,
+            latencies,
+            &toolchain.sim,
+            toolchain.pattern,
+            search,
+            zll,
+        );
+        assert_eq!(searched.to_bits(), completed.to_bits());
+        // Table III's throughput row: 30.469 %.
+        assert_eq!(completed, 0.3046875);
     }
 }

@@ -61,7 +61,7 @@ use crate::fault::{FaultEpoch, FaultSchedule, InFlightPolicy};
 use crate::flit::Flit;
 use crate::injection::Injector;
 use crate::router::{Router, TraversalOutput};
-use crate::stats::{OutcomeRecorder, SimOutcome, Verdict};
+use crate::stats::{OutcomeRecorder, SimOutcome, Verdict, WindowCreations};
 use crate::traffic::TrafficPattern;
 
 /// Wall-clock decomposition of one run into its simulation phases —
@@ -294,15 +294,32 @@ impl Arrivals<'_> {
     }
 
     /// The flits the measurement window offers in all, counted before
-    /// the run: [`Arrivals::catch_up`] on a fresh injector walks copies
-    /// of every tile's stream through all its packets of the window,
-    /// into a scratch recorder. Each window packet is counted exactly
+    /// the run: copies of every tile's stream on a fresh injector are
+    /// walked through all its packets of the window, as
+    /// [`Arrivals::catch_up`] walks a parked backlog, into a scratch
+    /// recorder, and each window packet's creation cycle is tallied in
+    /// `creations` if given. Each window packet is counted exactly
     /// once in the run too — as it fires, refills a buffer, is flushed
     /// by a fault epoch or is caught up — always judged by its creation
     /// cycle, so the run's final count is this one.
-    fn window_offer(&self, fresh: &Injector, tiles: usize, config: &SimConfig) -> u64 {
+    fn window_offer(
+        &self,
+        fresh: &Injector,
+        tiles: usize,
+        config: &SimConfig,
+        mut creations: Option<&mut WindowCreations>,
+    ) -> u64 {
         let mut scratch = OutcomeRecorder::new(config);
-        self.catch_up(fresh, tiles, &mut scratch);
+        for t in 0..tiles {
+            fresh.walk_parked(t, self.measure_end, |created, stream| {
+                let drawn = self.draw(t, created, stream, &mut scratch, true);
+                if let (Some(_), Some(tally)) = (drawn, creations.as_deref_mut()) {
+                    if created >= config.warmup {
+                        tally.record(created);
+                    }
+                }
+            });
+        }
         scratch.window_offer()
     }
 }
@@ -538,16 +555,20 @@ impl<'a> Network<'a> {
     /// ```
     ///
     /// but the simulation stops the cycle the answer is decided instead
-    /// of completing the outcome. The window's offered load is fixed by
-    /// the per-tile streams, so it is counted before the run; from the
-    /// first measured cycle on, a run whose accepted throughput can no
-    /// longer reach the slack — even if every router ejected a flit in
-    /// each window cycle left — stops inside its window. Once the
-    /// window has closed, a run whose mean latency can no longer come
-    /// in under the limit is not drained either (an overloaded network
-    /// would otherwise run, with every source backlogged, up to the
-    /// drain limit). A stopped run answers `false` outright; its
-    /// partial outcome is never judged.
+    /// of completing the outcome. The window's packets are fixed by the
+    /// per-tile streams, so they are counted before the run: its offered
+    /// load and, for a fault-free run with a finite `latency_limit`,
+    /// each packet's creation cycle. From the first measured cycle on, a
+    /// run stops once its accepted throughput can no longer reach the
+    /// slack — even if every router ejected a flit in each window cycle
+    /// left — or once its mean latency can no longer come in under the
+    /// limit: every window packet created and not yet ejected, in the
+    /// network or still parked at its source, has waited since its
+    /// creation. An overloaded network is thus never drained (it would
+    /// otherwise run, with every source backlogged, up to the drain
+    /// limit). A stopped run answers `false` outright; its partial
+    /// outcome is never judged. With an infinite limit no creation cycle
+    /// is counted and the latency test costs nothing.
     ///
     /// # Examples
     ///
@@ -613,9 +634,19 @@ impl<'a> Network<'a> {
             schedule: schedule.as_ref(),
             measure_end,
         };
-        // Verdict mode judges throughput against the window's final
-        // offered load from the first measured cycle on.
-        let window_offer = verdict.map(|_| arrivals.window_offer(&injector, tiles, &config));
+        // Verdict mode judges from the first measured cycle on:
+        // throughput against the window's final offered load and, in a
+        // fault-free run with a finite latency limit, latency against
+        // the window's packets by creation cycle.
+        let window_offer = verdict.map(|verdict| {
+            let floor = schedule.is_none() && verdict.latency_limit < f64::INFINITY;
+            let mut creations = floor.then(|| WindowCreations::new(&config));
+            let offer = arrivals.window_offer(&injector, tiles, &config, creations.as_mut());
+            if let Some(creations) = creations {
+                recorder.expect_creations(creations);
+            }
+            offer
+        });
         let mut epoch_idx = 0usize;
         let mut routes: &Routes = self.routes;
         let mut dead_channels: Option<&[bool]> = None;
@@ -729,7 +760,7 @@ impl<'a> Network<'a> {
             }
             // Verdict mode: stop once the answer cannot change any more.
             if let (Some(verdict), Some(offer)) = (&verdict, window_offer) {
-                if recorder.rules_out(verdict, offer, now, tiles, schedule.is_none()) {
+                if recorder.rules_out(verdict, offer, now, tiles) {
                     ruled_out = true;
                     break;
                 }

@@ -113,10 +113,12 @@ pub fn measured_zero_load_latency(
 /// Options for the saturation-throughput search.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SaturationSearch {
-    /// Accepted/offered slack for stability (e.g. 0.05 = 95%).
+    /// Accepted/offered slack for stability (e.g. 0.05 = 95%), in
+    /// `[0, 1)`.
     pub slack: f64,
     /// A run also counts as saturated when its mean latency exceeds this
-    /// multiple of the zero-load latency.
+    /// multiple of the zero-load latency; positive, `+∞` for no latency
+    /// criterion.
     pub latency_factor: f64,
     /// Binary-search resolution in flits/node/cycle, in `(0, 1]`.
     pub resolution: f64,
@@ -138,7 +140,8 @@ impl Default for SaturationSearch {
 ///
 /// # Panics
 ///
-/// Panics unless `0 < search.resolution <= 1`.
+/// Panics unless `0 < search.resolution <= 1`, `0 <= search.slack < 1`
+/// and `search.latency_factor > 0` (`+∞` allowed, NaN refused).
 #[must_use]
 pub fn saturation_throughput(
     topology: &Topology,
@@ -163,13 +166,16 @@ pub fn saturation_throughput(
 /// The binary search behind [`saturation_throughput`], given the
 /// zero-load latency `zll` its latency criterion scales. Each probe is a
 /// fresh network asked only whether it [sustains](Network::sustains) the
-/// rate, so an overloaded probe stops inside its measurement window once
-/// its accepted throughput can no longer catch up, and a probe whose
-/// latency is already too high is not drained.
+/// rate, so from its first measured cycle on a probe stops once its
+/// accepted throughput can no longer catch up or its mean latency can
+/// no longer come in under `zll × search.latency_factor`; an overloaded
+/// probe is never drained. The answer is bit-identical to judging
+/// completed runs.
 ///
 /// # Panics
 ///
-/// Panics unless `0 < search.resolution <= 1`.
+/// Panics unless `0 < search.resolution <= 1`, `0 <= search.slack < 1`
+/// and `search.latency_factor > 0` (`+∞` allowed, NaN refused).
 #[must_use]
 pub fn saturation_search(
     topology: &Topology,
@@ -180,6 +186,16 @@ pub fn saturation_search(
     search: SaturationSearch,
     zll: f64,
 ) -> f64 {
+    assert!(
+        search.slack >= 0.0 && search.slack < 1.0,
+        "saturation search slack {} is not in [0, 1)",
+        search.slack
+    );
+    assert!(
+        search.latency_factor > 0.0,
+        "saturation search latency factor {} is not positive",
+        search.latency_factor
+    );
     bisect_rate(search.resolution, |rate| {
         Network::new(topology, routes, link_latencies, config.clone()).sustains(
             rate,
@@ -252,7 +268,8 @@ fn bisect_rate(resolution: f64, mut stable_at: impl FnMut(f64) -> bool) -> f64 {
 ///
 /// # Panics
 ///
-/// Panics unless `0 < search.resolution <= 1`.
+/// Panics unless `0 < search.resolution <= 1`, `0 <= search.slack < 1`
+/// and `search.latency_factor > 0` (`+∞` allowed, NaN refused).
 #[must_use]
 pub fn measure_performance(
     topology: &Topology,
@@ -407,6 +424,12 @@ mod tests {
                 resolution: 0.02,
                 ..SaturationSearch::default()
             },
+            // No latency limit: throughput alone decides.
+            SaturationSearch {
+                latency_factor: f64::INFINITY,
+                resolution: 0.125,
+                ..SaturationSearch::default()
+            },
         ];
         for topology in [
             generators::mesh(grid),
@@ -437,6 +460,62 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `saturation_search` on a 2×2 mesh with `search`; it panics before
+    /// any probe runs.
+    fn search_with(search: SaturationSearch) -> f64 {
+        let mesh = generators::mesh(Grid::new(2, 2));
+        let routes = routing::default_routes(&mesh).expect("routes");
+        let lats = unit_latencies(&mesh);
+        let config = SimConfig::fast_test();
+        let pattern = TrafficPattern::UniformRandom;
+        saturation_search(&mesh, &routes, &lats, &config, pattern, search, 10.0)
+    }
+
+    #[test]
+    #[should_panic(expected = "slack 1 is not in [0, 1)")]
+    fn a_slack_of_one_panics_instead_of_accepting_every_rate() {
+        let _ = search_with(SaturationSearch {
+            slack: 1.0,
+            ..SaturationSearch::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "slack -0.05 is not in [0, 1)")]
+    fn a_negative_slack_panics() {
+        let _ = search_with(SaturationSearch {
+            slack: -0.05,
+            ..SaturationSearch::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "slack NaN is not in [0, 1)")]
+    fn a_nan_slack_panics() {
+        let _ = search_with(SaturationSearch {
+            slack: f64::NAN,
+            ..SaturationSearch::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "latency factor NaN is not positive")]
+    fn a_nan_latency_factor_panics_instead_of_answering_zero() {
+        let _ = search_with(SaturationSearch {
+            latency_factor: f64::NAN,
+            ..SaturationSearch::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "latency factor 0 is not positive")]
+    fn a_zero_latency_factor_panics() {
+        let _ = search_with(SaturationSearch {
+            latency_factor: 0.0,
+            ..SaturationSearch::default()
+        });
     }
 
     /// The rates `bisect_rate` probes, in order, and its answer.

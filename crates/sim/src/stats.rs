@@ -143,6 +143,59 @@ fn mean_latency(latency_sum: u64, packets: u64) -> f64 {
     }
 }
 
+/// The measurement window's packets by creation cycle, counted before
+/// a verdict-mode run (the per-tile streams fix them), and folded in
+/// cycle by cycle: how many window packets exist by a given cycle —
+/// in the network or still parked at their source — and Σ their
+/// creation cycles. The created half of the latency floor of
+/// [`OutcomeRecorder::rules_out`].
+#[derive(Debug)]
+pub(crate) struct WindowCreations {
+    /// The window's first cycle.
+    start: u64,
+    /// Window packets created at each window cycle, from the first.
+    per_cycle: Vec<u32>,
+    /// Σ `per_cycle`: the window's final packet count.
+    packets: u64,
+    /// Leading cycles of `per_cycle` folded into the two sums below.
+    folded: usize,
+    /// Packets created in the folded cycles.
+    created: u64,
+    /// Σ creation cycle over those packets.
+    created_cycles: u64,
+}
+
+impl WindowCreations {
+    /// An empty tally for `config`'s measurement window.
+    pub(crate) fn new(config: &SimConfig) -> Self {
+        Self {
+            start: config.warmup,
+            per_cycle: vec![0; config.measure as usize],
+            packets: 0,
+            folded: 0,
+            created: 0,
+            created_cycles: 0,
+        }
+    }
+
+    /// Accounts one window packet created at cycle `created`.
+    pub(crate) fn record(&mut self, created: u64) {
+        self.per_cycle[(created - self.start) as usize] += 1;
+        self.packets += 1;
+    }
+
+    /// Folds every window cycle before `now` into the running sums.
+    fn fold_until(&mut self, now: u64) {
+        let until = (now.saturating_sub(self.start) as usize).min(self.per_cycle.len());
+        while self.folded < until {
+            let packets = u64::from(self.per_cycle[self.folded]);
+            self.created += packets;
+            self.created_cycles += packets * (self.start + self.folded as u64);
+            self.folded += 1;
+        }
+    }
+}
+
 /// The per-run statistics accumulator shared by every execution engine
 /// (`Network::run_inner` and the batched struct-of-arrays core): window
 /// accounting, outstanding-packet tracking and the final
@@ -156,15 +209,18 @@ pub(crate) struct OutcomeRecorder {
     measure: u64,
     packet_len: u16,
     outstanding_measured: u64,
-    /// Σ creation cycle over the outstanding measured packets.
-    outstanding_created: u64,
     latencies: Vec<f64>,
     /// Σ `latencies`, as the integer it is.
     latency_sum: u64,
+    /// Σ creation cycle over the ejected measured packets.
+    ejected_created: u64,
     ejected_in_window: u64,
     injected_in_window: u64,
     dropped_packets: u64,
     unroutable_packets: u64,
+    /// The window's packets by creation cycle, for the latency floor of
+    /// [`Self::rules_out`] (`None`: no floor).
+    creations: Option<WindowCreations>,
 }
 
 impl OutcomeRecorder {
@@ -175,14 +231,22 @@ impl OutcomeRecorder {
             measure: config.measure,
             packet_len: config.packet_len,
             outstanding_measured: 0,
-            outstanding_created: 0,
             latencies: Vec::new(),
             latency_sum: 0,
+            ejected_created: 0,
             ejected_in_window: 0,
             injected_in_window: 0,
             dropped_packets: 0,
             unroutable_packets: 0,
+            creations: None,
         }
+    }
+
+    /// Turns on the latency floor of [`Self::rules_out`], given the
+    /// window's packets by creation cycle, counted before a fault-free
+    /// run.
+    pub(crate) fn expect_creations(&mut self, creations: WindowCreations) {
+        self.creations = Some(creations);
     }
 
     /// Accounts one injected packet created at cycle `now`.
@@ -190,7 +254,6 @@ impl OutcomeRecorder {
     pub(crate) fn record_injection(&mut self, now: u64) {
         if now >= self.measure_start && now < self.measure_end {
             self.outstanding_measured += 1;
-            self.outstanding_created += now;
             self.injected_in_window += u64::from(self.packet_len);
         }
     }
@@ -204,8 +267,8 @@ impl OutcomeRecorder {
             if created >= self.measure_start && created < self.measure_end {
                 self.latencies.push((now - created) as f64);
                 self.latency_sum += now - created;
+                self.ejected_created += created;
                 self.outstanding_measured -= 1;
-                self.outstanding_created -= created;
             }
         }
         if now >= self.measure_start && now < self.measure_end {
@@ -219,10 +282,10 @@ impl OutcomeRecorder {
     /// window packets are counted.
     #[inline]
     pub(crate) fn record_drop(&mut self, created: u32) {
+        debug_assert!(self.creations.is_none(), "the latency floor is fault-free");
         let created = u64::from(created);
         if created >= self.measure_start && created < self.measure_end {
             self.outstanding_measured -= 1;
-            self.outstanding_created -= created;
             self.dropped_packets += 1;
         }
     }
@@ -231,6 +294,7 @@ impl OutcomeRecorder {
     /// route connects source and destination at cycle `now`.
     #[inline]
     pub(crate) fn record_unroutable(&mut self, now: u64) {
+        debug_assert!(self.creations.is_none(), "the latency floor is fault-free");
         if now >= self.measure_start && now < self.measure_end {
             self.unroutable_packets += 1;
         }
@@ -259,7 +323,7 @@ impl OutcomeRecorder {
     /// routers whose measurement window offers `window_offer` flits in
     /// all (known before the run: the offered load is fixed by the
     /// per-tile streams). Never before the window opens. Two exact
-    /// clauses:
+    /// clauses, both from the first measured cycle on:
     ///
     /// 1. accepted throughput cannot reach offered × (1 − slack) — the
     ///    comparison [`SimOutcome::keeps_up`] will make, in the same
@@ -269,27 +333,28 @@ impl OutcomeRecorder {
     ///    one switch winner), so the best case is every router ejecting
     ///    in each window cycle left, and `u64 → f64` conversion and
     ///    `f64` division are monotone. From [`Self::measure_end`] on
-    ///    the counts are final;
-    /// 2. from [`Self::measure_end`] on, when the set of measured
-    ///    packets is final, the final mean latency cannot come in under
-    ///    the limit. Should the run drain (it fails `keeps_up`
-    ///    otherwise), every packet outstanding at cycle `now` will have
-    ///    taken at least `now − created` cycles, so the mean computed as
-    ///    if all of them ejected right now is a floor of the final one:
-    ///    the numerator only grows, the packet count is fixed, and
+    ///    the counts are final. Holds with and without faults: a fault
+    ///    drops packets but never changes which ones were offered;
+    /// 2. the final mean latency cannot come in under the limit. The
+    ///    window's `N` packets and their creation cycles are known
+    ///    before the run ([`Self::expect_creations`]), and should the
+    ///    run drain (it fails `keeps_up` otherwise) each of them is
+    ///    ejected exactly once. Every window packet created before
+    ///    `now` and not yet ejected — in the network or still parked at
+    ///    its source — will take at least `now − created` cycles, and a
+    ///    later one at least none, so (Σ delivered latencies +
+    ///    unejected · now − Σ their creation cycles) ÷ `N` is a floor of
+    ///    the final mean: the numerator only grows, `N` is fixed, and
     ///    `u64 → f64` conversion and `f64` division are monotone. Only
-    ///    when `fault_free`: a dropped packet leaves the count instead
-    ///    of adding its latency.
-    ///
-    /// Clause 1 holds with and without faults: a fault drops packets
-    /// but never changes which ones were offered.
+    ///    once the creations are expected, which verdict mode does for
+    ///    fault-free runs with a finite limit: a dropped packet would
+    ///    leave the count instead of adding its latency.
     pub(crate) fn rules_out(
-        &self,
+        &mut self,
         verdict: &Verdict,
         window_offer: u64,
         now: u64,
         tiles: usize,
-        fault_free: bool,
     ) -> bool {
         if now < self.measure_start {
             return false;
@@ -302,23 +367,31 @@ impl OutcomeRecorder {
         if !tracks_offered(offered, self.window_rate(best, nodes), verdict.slack) {
             return true;
         }
-        closed && fault_free && self.latency_floor(now) > verdict.latency_limit
+        self.window_latency_floor(now)
+            .is_some_and(|floor| floor > verdict.latency_limit)
+    }
+
+    /// Clause 2 of [`Self::rules_out`]: the mean latency as if every
+    /// window packet created before cycle `now` and not yet ejected
+    /// ejected at `now`, over all the window's packets (`None` until
+    /// [`Self::expect_creations`]).
+    fn window_latency_floor(&mut self, now: u64) -> Option<f64> {
+        let window = self.creations.as_mut()?;
+        debug_assert!(
+            now < self.measure_end
+                || window.packets * u64::from(self.packet_len) == self.injected_in_window,
+            "the window's packets by creation cycle are the run's"
+        );
+        window.fold_until(now);
+        let unejected = window.created - self.latencies.len() as u64;
+        let waited = unejected * now - (window.created_cycles - self.ejected_created);
+        Some(mean_latency(self.latency_sum + waited, window.packets))
     }
 
     /// Flits offered inside the measurement window so far (all of them
     /// from [`Self::measure_end`] on).
     pub(crate) fn window_offer(&self) -> u64 {
         self.injected_in_window
-    }
-
-    /// The mean latency as if every outstanding measured packet ejected
-    /// at cycle `now` (clause 2 of [`Self::rules_out`]).
-    fn latency_floor(&self, now: u64) -> f64 {
-        let outstanding = self.outstanding_measured * now - self.outstanding_created;
-        mean_latency(
-            self.latency_sum + outstanding,
-            self.latencies.len() as u64 + self.outstanding_measured,
-        )
     }
 
     /// Folds the accumulated statistics into the final outcome.
@@ -456,24 +529,29 @@ mod tests {
             .expect("one flit")
     }
 
-    /// Cycle `now` of the schedule: its injections, then its ejections
-    /// (a drop instead for the packets `dropped` picks).
-    fn replay_cycle(
-        recorder: &mut OutcomeRecorder,
-        packets: &[(u64, u64)],
-        now: u64,
-        dropped: impl Fn(usize) -> bool,
-    ) {
-        for (i, &(created, ejected)) in packets.iter().enumerate() {
+    /// Cycle `now` of the schedule: its injections, then its ejections.
+    fn replay_cycle(recorder: &mut OutcomeRecorder, packets: &[(u64, u64)], now: u64) {
+        for &(created, ejected) in packets {
             if created == now {
                 recorder.record_injection(now);
             }
-            if ejected == now && dropped(i) {
-                recorder.record_drop(created as u32);
-            } else if ejected == now {
+            if ejected == now {
                 recorder.record_ejection(&tail(created), now);
             }
         }
+    }
+
+    /// The window's packets of `packets` by creation cycle, as verdict
+    /// mode counts them before the run.
+    fn creations(config: &SimConfig, packets: &[(u64, u64)]) -> WindowCreations {
+        let window = config.warmup..config.warmup + config.measure;
+        let mut tally = WindowCreations::new(config);
+        for &(created, _) in packets {
+            if window.contains(&created) {
+                tally.record(created);
+            }
+        }
+        tally
     }
 
     #[test]
@@ -487,86 +565,123 @@ mod tests {
             .collect();
         let final_sum: u64 = measured.iter().map(|(c, e)| e - c).sum();
         let final_mean = final_sum as f64 / measured.len() as f64;
-        // Every third measured packet is dropped by a "fault" instead of
-        // ejecting in the second pass: the sums must follow.
-        for with_drops in [false, true] {
-            let dropped = |i: usize| with_drops && i.is_multiple_of(3);
-            let mut recorder = OutcomeRecorder::new(&config);
-            let mut last_floor = 0.0f64;
-            for now in 0..160u64 {
-                replay_cycle(&mut recorder, &packets, now, dropped);
-                let after = now + 1;
-                if after < window.end {
-                    continue;
-                }
-                // Brute force over the packets still counted: delivered
-                // ones at their latency, outstanding ones as if ejected
-                // right now.
-                let counted: Vec<u64> = packets
-                    .iter()
-                    .enumerate()
-                    .filter(|&(i, (c, e))| window.contains(c) && !(dropped(i) && *e <= now))
-                    .map(|(_, &(c, e))| if e <= now { e - c } else { after - c })
-                    .collect();
-                let brute = counted.iter().sum::<u64>() as f64 / counted.len() as f64;
-                let floor = recorder.latency_floor(after);
-                assert_eq!(floor.to_bits(), brute.to_bits(), "cycle {after}");
-                if !with_drops {
-                    assert!(floor >= last_floor && floor <= final_mean, "cycle {after}");
-                    last_floor = floor;
-                }
+        let mut recorder = OutcomeRecorder::new(&config);
+        assert_eq!(recorder.window_latency_floor(window.start), None);
+        recorder.expect_creations(creations(&config, &packets));
+        let mut last_floor = 0.0f64;
+        for now in 0..160u64 {
+            replay_cycle(&mut recorder, &packets, now);
+            let after = now + 1;
+            if after < window.start {
+                continue;
             }
-            assert!(recorder.drained());
-            let outcome = recorder.finalize(160, 4.0);
-            assert_eq!(
-                outcome.avg_packet_latency.to_bits(),
-                recorder.latency_floor(160).to_bits()
-            );
-            if with_drops {
-                // Drops leave the mean's denominator: the fault-free
-                // floor is no bound any more.
-                assert!(outcome.faults.dropped_packets > 0);
-            } else {
-                assert_eq!(outcome.avg_packet_latency.to_bits(), final_mean.to_bits());
-                assert_eq!(outcome.measured_packets, measured.len() as u64);
-            }
+            // Brute force over the window's packets: delivered ones at
+            // their latency, created ones as if ejected right now, the
+            // ones not created yet at none.
+            let sum: u64 = measured
+                .iter()
+                .map(|&(c, e)| match (e <= now, c <= now) {
+                    (true, _) => e - c,
+                    (false, true) => after - c,
+                    (false, false) => 0,
+                })
+                .sum();
+            let brute = sum as f64 / measured.len() as f64;
+            let floor = recorder
+                .window_latency_floor(after)
+                .expect("creations are expected");
+            assert_eq!(floor.to_bits(), brute.to_bits(), "cycle {after}");
+            assert!(floor >= last_floor && floor <= final_mean, "cycle {after}");
+            last_floor = floor;
         }
+        assert!(recorder.drained());
+        let outcome = recorder.finalize(160, 4.0);
+        assert_eq!(outcome.avg_packet_latency.to_bits(), final_mean.to_bits());
+        assert_eq!(last_floor.to_bits(), final_mean.to_bits());
+        assert_eq!(outcome.measured_packets, measured.len() as u64);
     }
 
     #[test]
-    fn rules_out_follows_its_two_clauses() {
+    fn rules_out_follows_its_throughput_and_latency_clauses() {
         let (config, packets) = schedule();
         let end = config.warmup + config.measure;
-        let mut recorder = OutcomeRecorder::new(&config);
-        for now in 0..end {
-            replay_cycle(&mut recorder, &packets, now, |_| false);
-        }
-        let partial = recorder.finalize(end, 4.0);
-        let floor = recorder.latency_floor(end);
-        let offer = recorder.window_offer();
-        assert!(!recorder.drained() && floor > 0.0);
+        let replay = |until: u64, floor: bool| {
+            let mut recorder = OutcomeRecorder::new(&config);
+            if floor {
+                recorder.expect_creations(creations(&config, &packets));
+            }
+            for now in 0..until {
+                replay_cycle(&mut recorder, &packets, now);
+            }
+            recorder
+        };
         let verdict = |slack: f64, latency_limit: f64| Verdict {
             slack,
             latency_limit,
         };
-        let rules_out = |verdict: Verdict, fault_free: bool| {
-            recorder.rules_out(&verdict, offer, end, 4, fault_free)
+        let offer = replay(end, false).window_offer();
+        let rules_out = |until: u64, verdict: Verdict, floor: bool| {
+            replay(until, floor).rules_out(&verdict, offer, until, 4)
         };
         // Clause 1 is `keeps_up`'s throughput comparison on the window's
-        // final rates, with or without faults.
+        // final rates, with or without the latency floor.
+        let partial = replay(end, false).finalize(end, 4.0);
         let loss = 1.0 - partial.accepted_rate / partial.offered_rate;
         assert!(loss > 0.0 && loss < 1.0, "{partial:?}");
-        for fault_free in [true, false] {
-            assert!(rules_out(verdict(loss / 2.0, f64::INFINITY), fault_free));
+        for floor in [true, false] {
+            assert!(rules_out(end, verdict(loss / 2.0, f64::INFINITY), floor));
             assert!(!rules_out(
+                end,
                 verdict((loss + 1.0) / 2.0, f64::INFINITY),
-                fault_free
+                floor
             ));
         }
-        // Clause 2 compares the floor with the limit, fault-free only.
-        assert!(rules_out(verdict(1.0, floor - 0.01), true));
-        assert!(!rules_out(verdict(1.0, floor), true));
-        assert!(!rules_out(verdict(1.0, floor - 0.01), false));
+        // Clause 2 compares the floor with the limit from the first
+        // measured cycle on, once the creations are expected.
+        for now in [config.warmup, (config.warmup + end) / 2, end, end + 7] {
+            let floor = replay(now, true)
+                .window_latency_floor(now)
+                .expect("creations are expected");
+            assert!(floor > 0.0 || now == config.warmup, "cycle {now}");
+            assert!(
+                rules_out(now, verdict(1.0, floor - 0.01), true),
+                "cycle {now}"
+            );
+            assert!(!rules_out(now, verdict(1.0, floor), true), "cycle {now}");
+            assert!(
+                !rules_out(now, verdict(1.0, floor - 0.01), false),
+                "cycle {now}"
+            );
+        }
+    }
+
+    #[test]
+    fn parked_packets_alone_push_the_floor_over_the_limit_inside_the_window() {
+        let (config, _) = schedule();
+        let (start, end) = (config.warmup, config.warmup + config.measure);
+        // Four packets created in the window's first cycle wait at their
+        // sources, never drawn, so never outstanding; four more are
+        // created in its last cycle.
+        let packets: Vec<(u64, u64)> = [(start, end + 50); 4]
+            .into_iter()
+            .chain([(end - 1, end + 60); 4])
+            .collect();
+        let mut recorder = OutcomeRecorder::new(&config);
+        recorder.expect_creations(creations(&config, &packets));
+        let offer = 8 * u64::from(config.packet_len);
+        let now = start + 20;
+        let verdict = |latency_limit: f64| Verdict {
+            slack: 0.05,
+            latency_limit,
+        };
+        assert!(recorder.drained());
+        // (4 · 20 waited cycles + 4 · none) ÷ 8 packets.
+        assert_eq!(recorder.window_latency_floor(now), Some(10.0));
+        assert!(recorder.rules_out(&verdict(9.5), offer, now, 4));
+        assert!(!recorder.rules_out(&verdict(10.0), offer, now, 4));
+        // Without the creations, nothing in the network says so.
+        let mut blind = OutcomeRecorder::new(&config);
+        assert!(!blind.rules_out(&verdict(9.5), offer, now, 4));
     }
 
     #[test]
@@ -586,7 +701,7 @@ mod tests {
             if now < config.warmup {
                 // Never before the window opens, whatever the offer.
                 for slack in [0.0, 0.5] {
-                    assert!(!recorder.rules_out(&verdict(slack), u64::MAX >> 12, now, tiles, true));
+                    assert!(!recorder.rules_out(&verdict(slack), u64::MAX >> 12, now, tiles));
                 }
             } else if now < end {
                 // Every router ejects in each window cycle left.
@@ -594,17 +709,14 @@ mod tests {
                 for offer in [best / 2, best - 1, best, best + 1, best * 3 / 2, best * 3] {
                     for slack in [0.0, 0.05, 0.25] {
                         let misses = rate(best) < rate(offer) * (1.0 - slack);
-                        for fault_free in [true, false] {
-                            let out =
-                                recorder.rules_out(&verdict(slack), offer, now, tiles, fault_free);
-                            assert_eq!(out, misses, "cycle {now}, offer {offer}, slack {slack}");
-                            fired += usize::from(out);
-                        }
+                        let out = recorder.rules_out(&verdict(slack), offer, now, tiles);
+                        assert_eq!(out, misses, "cycle {now}, offer {offer}, slack {slack}");
+                        fired += usize::from(out);
                     }
                 }
                 // The equality boundary: exactly the best case keeps up.
-                assert!(!recorder.rules_out(&verdict(0.0), best, now, tiles, true));
-                assert!(recorder.rules_out(&verdict(0.0), best + 1, now, tiles, true));
+                assert!(!recorder.rules_out(&verdict(0.0), best, now, tiles));
+                assert!(recorder.rules_out(&verdict(0.0), best + 1, now, tiles));
             } else {
                 // From the window's end on, the bound is gone: only the
                 // final counts decide.
@@ -612,13 +724,13 @@ mod tests {
                 for slack in [0.0, 0.05, 0.25, 0.5] {
                     let misses = rate(recorder.ejected_in_window) < rate(offer) * (1.0 - slack);
                     assert_eq!(
-                        recorder.rules_out(&verdict(slack), offer, now, tiles, false),
+                        recorder.rules_out(&verdict(slack), offer, now, tiles),
                         misses,
                         "cycle {now}, slack {slack}"
                     );
                 }
             }
-            replay_cycle(&mut recorder, &packets, now, |_| false);
+            replay_cycle(&mut recorder, &packets, now);
         }
         assert!(fired > 0);
     }
