@@ -11,6 +11,7 @@ use shg_core::Scenario;
 use shg_floorplan::{predict, DetailedRouting, ModelOptions, PortPlacement};
 
 fn main() {
+    shg_bench::reject_retired_flags();
     let scenario = Scenario::knc_a();
     let shg = scenario.shg.build();
     println!(

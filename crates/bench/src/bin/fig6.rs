@@ -6,7 +6,7 @@
 //! Run with:
 //! `cargo run --release -p shg-bench --bin fig6 -- [--scenario a|b|c|d|all]
 //!  [--fast] [--customize]
-//!  [--shard i/N] [--cache <dir>] [--faults <plan>] [--routes dense|next-hop]`
+//!  [--shard i/N] [--cache <dir>] [--faults <plan>]`
 //!
 //! The pattern-sweep table reads one number of each (topology, pattern)
 //! row — the highest swept rate that keeps up with its offered load — so
@@ -24,8 +24,8 @@
 //! `--shard i/N` builds it from one strided shard of the cells;
 //! `--cache <dir>` answers cells from a cell cache that
 //! `sweep_worker --cache <dir>` warmed with full outcomes, and stores
-//! nothing. The journal, backend and progress flags of the
-//! full-outcome binaries are rejected: `sweep_worker` is the one that
+//! nothing. The journal and progress flags of the full-outcome
+//! binaries are rejected: `sweep_worker` is the one that
 //! journals full outcomes, and `sweep_merge` the one that merges them.
 //!
 //! `--fast` replaces the cycle-accurate saturation search with the
@@ -63,6 +63,7 @@ use shg_floorplan::ModelOptions;
 use shg_sim::SimConfig;
 
 fn main() {
+    shg_bench::reject_retired_flags();
     reject_full_outcome_flags();
     let which = arg_value("--scenario").unwrap_or_else(|| "all".to_owned());
     let fast = has_flag("--fast");
@@ -170,7 +171,7 @@ fn main() {
             &mut TopologyCache::new(),
             &topologies,
             scenario_sweep_spec(&scenario, rate_points),
-            shg_bench::sweep::route_form_from_args(),
+            shg_topology::routing::RouteForm::NextHop,
         )
         .unwrap_or_else(|e| shg_bench::cli_error(e));
         let table = saturation_table(&mut experiment, 0.05);

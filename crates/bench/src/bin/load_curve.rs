@@ -6,8 +6,7 @@
 //!  [--topology <spec>] [--case <name>]
 //!  [--pattern all|uniform|transpose|...]
 //!  [--faults <plan>] [--json]
-//!  [--shard i/N] [--resume journal.jsonl] [--cache <dir>]
-//!  [--backend per-cell|reuse|batched|auto] [--lanes K] [--progress]`
+//!  [--shard i/N] [--resume journal.jsonl] [--cache <dir>] [--progress]`
 //!
 //! `--topology` takes the shared spec grammar
 //! ([`shg_bench::topology_from_args`]): `shg` (default, the scenario's
@@ -43,6 +42,7 @@ fn pattern_by_name(name: &str) -> Option<TrafficPattern> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    shg_bench::reject_retired_flags();
     let which = arg_value("--scenario").unwrap_or_else(|| "a".to_owned());
     let scenario =
         Scenario::by_name(&which).ok_or_else(|| format!("unknown scenario '{which}'"))?;

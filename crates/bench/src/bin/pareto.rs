@@ -10,14 +10,14 @@
 //! shared sweep engine.
 //!
 //! Run with: `cargo run --release -p shg-bench --bin pareto --
-//! [--rows 6] [--cols 6] [--shard i/N] [--cache <dir>] [--routes dense|next-hop]`
+//! [--rows 6] [--cols 6] [--shard i/N] [--cache <dir>]`
 //!
 //! The frontier validation sweeps at 10% rate resolution (tightened
 //! from 16.7% once request-driven allocation made Phase C cheap). Its
 //! table bisects each (configuration, pattern) row over its rates and
 //! asks each cell it probes only whether it keeps up
 //! ([`shg_bench::sweep::saturation_table`]), so `--cache` is read-only
-//! and the journal, backend and progress flags are rejected. The
+//! and the journal and progress flags are rejected. The
 //! default 6×6 grid probes 146 of its 444 cells. Measured runtime
 //! ≈ 2.3 s on one core of a shared 2-core host for the default grid.
 
@@ -71,6 +71,7 @@ fn dominates(a: &Evaluation, b: &Evaluation) -> bool {
 }
 
 fn main() {
+    shg_bench::reject_retired_flags();
     reject_full_outcome_flags();
     let rows: u16 = arg_value("--rows").map_or(6, |v| v.parse().expect("rows"));
     let cols: u16 = arg_value("--cols").map_or(6, |v| v.parse().expect("cols"));
@@ -165,7 +166,7 @@ fn main() {
         &mut cache,
         &topologies,
         spec,
-        shg_bench::sweep::route_form_from_args(),
+        shg_topology::routing::RouteForm::NextHop,
     )
     .unwrap_or_else(|e| shg_bench::cli_error(e));
     println!("\n{}", saturation_table(&mut experiment, 0.05));

@@ -60,7 +60,7 @@ fn bench_config() -> SimConfig {
 }
 
 /// Median per-cell setup speedup of `Network::reset` over fresh
-/// construction (the batched-backend headline), measured on the
+/// construction (what a sweep's cell group saves per cell), measured on the
 /// high-radix 16×16 flattened butterfly — the shape where per-cell
 /// allocation hurts most — via the protocol shared with the
 /// `setup_phase` Criterion group ([`profile_setup_phase`]).
@@ -221,6 +221,7 @@ fn parse_section(text: &str, label: &str) -> Result<Vec<(String, f64)>, String> 
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    shg_bench::reject_retired_flags();
     let samples: usize = arg_value("--samples").map_or(5, |v| v.parse().expect("samples"));
     let out_path = arg_value("--out").unwrap_or_else(|| "BENCH_smoke.json".to_owned());
 

@@ -6,8 +6,7 @@
 //!  [--fractions 0,0.02,0.05,0.1] [--kill links|routers]
 //!  [--policy drop|drain] [--seed N] [--kill-cycle C]
 //!  [--rate-points N] [--full] [--shg <spec>] [--json]
-//!  [--backend per-cell|reuse|batched|auto]
-//!  [--lanes K] [--cache <dir>] [--progress]`
+//!  [--cache <dir>] [--progress]`
 //!
 //! Compares mesh, flattened butterfly and an SHG (default
 //! `shg:sr=4:sc=4`, override with `--shg`) on a 16x16 grid under
@@ -158,6 +157,7 @@ fn parse_fractions(spec: &str) -> Result<Vec<f64>, String> {
 }
 
 fn main() {
+    shg_bench::reject_retired_flags();
     let grid = Grid::new(16, 16);
     let fractions = arg_value("--fractions").map_or_else(
         || vec![0.0, 0.02, 0.05, 0.1],

@@ -8,14 +8,14 @@
 //! across all seven traffic patterns on the shared sweep engine.
 //!
 //! Run with: `cargo run --release -p shg-bench --bin ruche_comparison --
-//! [--scenario a] [--shard i/N] [--cache <dir>] [--routes dense|next-hop]`
+//! [--scenario a] [--shard i/N] [--cache <dir>]`
 //!
 //! The head-to-head sweep runs at 6.25% rate resolution (tightened
 //! from 12.5% once request-driven allocation made Phase C cheap). Its
 //! table bisects each (topology, pattern) row over its rates and asks
 //! each cell it probes only whether it keeps up
 //! ([`shg_bench::sweep::saturation_table`]), so `--cache` is read-only
-//! and the journal, backend and progress flags are rejected. It probes
+//! and the journal and progress flags are rejected. It probes
 //! 56 of its 232 cells. Measured runtime ≈ 2.4 s on one core of a
 //! shared 2-core host (scales with cores via rayon).
 
@@ -29,6 +29,7 @@ use shg_sim::{SimConfig, SweepSpec};
 use shg_topology::{generators, Topology};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    shg_bench::reject_retired_flags();
     reject_full_outcome_flags();
     let which = arg_value("--scenario").unwrap_or_else(|| "a".to_owned());
     let scenario =
@@ -128,7 +129,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &mut cache,
         &contenders,
         spec,
-        shg_bench::sweep::route_form_from_args(),
+        shg_topology::routing::RouteForm::NextHop,
     )
     .unwrap_or_else(|e| shg_bench::cli_error(e));
     println!(

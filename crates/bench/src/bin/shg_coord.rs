@@ -13,7 +13,6 @@
 //!  [--scenario a|b|c|d] [--fast] [--rate-points N] [--add-rates r,..]
 //!  [--db <wire spec>]
 //!  [--faults <plan>] [--cache <dir>]
-//!  [--backend per-cell|reuse|batched|auto] [--lanes K]
 //!  [--chunk-size N] [--durable] [--progress] [--kill-worker I:AFTER]`
 //!
 //! Requests are lines on stdin, each `key=value` tokens:
@@ -41,8 +40,8 @@
 //! cell is probed there before dispatch (a duplicate request reports
 //! `cache: cached=N simulated=0 total=N` without the fleet hearing
 //! about it), worker results are banked back, and cache-holding
-//! workers are pre-warmed. In spawn mode, `--cache`, `--backend` and
-//! `--lanes` are forwarded to the spawned workers.
+//! workers are pre-warmed. In spawn mode, `--cache` is forwarded to the
+//! spawned workers.
 //!
 //! `--kill-worker I:AFTER` (spawn mode; the chaos hook of the CI
 //! `coord-smoke` job) SIGKILLs the `I`-th spawned worker (1-based)
@@ -60,6 +59,7 @@ use shg_bench::{arg_value, cli_error, has_flag, named_topologies};
 use shg_core::Scenario;
 use shg_sim::sweep::{run_coordinated, CoordOptions, WorkerLink};
 use shg_sim::CellCache;
+use shg_topology::routing::RouteForm;
 use shg_topology::Topology;
 
 const USAGE: &str = "\
@@ -67,15 +67,12 @@ Usage: shg_coord (--spawn-workers N [--worker-bin path]
                   | --listen host:port --workers N)
                  [--scenario a|b|c|d] [--fast] [--rate-points N]
                  [--add-rates r1,r2,..]
-                 [--routes dense|next-hop]
-                 [--cache <dir>] [--backend name] [--lanes K]
-                 [--chunk-size N] [--durable] [--progress]
+                 [--cache <dir>] [--chunk-size N] [--durable] [--progress]
                  [--kill-worker I:AFTER]
 
   Reads requests from stdin, one per line, as key=value tokens:
     out=result.json [journal=j.jsonl] [scenario=..] [fast=1]
-    [rate-points=N] [add-rates=r1,r2] [routes=..]
-    [db=<wire spec>] [faults=<plan>]
+    [rate-points=N] [add-rates=r1,r2] [db=<wire spec>] [faults=<plan>]
   and answers each with the full sweep JSON at out= — byte-identical
   to `sweep_worker --single-shot` of the same flags. db= sweeps one
   expanded-grid topology instantiated from a topology database in its
@@ -90,13 +87,11 @@ Usage: shg_coord (--spawn-workers N [--worker-bin path]
                    binary)
   --listen         accept --workers N TCP worker connections instead
                    (workers dial in with `sweep_worker --connect`)
-  --scenario/--fast/--rate-points/--add-rates/--routes
-                   per-request plan defaults (overridable per line;
-                   routes picks the routing-table form, default
-                   next-hop — bit-identical to dense)
+  --scenario/--fast/--rate-points/--add-rates
+                   per-request plan defaults (overridable per line)
   --cache          shared cell-result cache: probed before dispatch,
-                   results banked, cache-holding workers pre-warmed
-  --backend/--lanes  forwarded to spawned workers
+                   results banked, cache-holding workers pre-warmed;
+                   forwarded to spawned workers
   --chunk-size     cells per dispatched chunk (default: ~4 per worker)
   --durable        fsync the streamed journal after header and chunks
   --progress       log chunk completions to stderr
@@ -123,7 +118,8 @@ fn parse_request(line: &str, base: &[(String, String)]) -> Result<Request, Strin
         match key {
             "out" => out = Some(value.to_owned()),
             "journal" => journal = Some(value.to_owned()),
-            "scenario" | "fast" | "rate-points" | "add-rates" | "routes" | "db" | "faults" => {
+            "routes" => return Err(shg_bench::retired_flag_message("request key 'routes'")),
+            "scenario" | "fast" | "rate-points" | "add-rates" | "db" | "faults" => {
                 match params.iter_mut().find(|(k, _)| k == key) {
                     Some(pair) => pair.1 = value.to_owned(),
                     None => params.push((key.to_owned(), value.to_owned())),
@@ -183,6 +179,7 @@ fn accept_fleet(addr: &str, count: usize) -> Vec<WorkerLink> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    shg_bench::reject_retired_flags();
     if has_flag("--help") {
         println!("{USAGE}");
         return Ok(());
@@ -225,12 +222,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let listen = arg_value("--listen");
     let (children, mut links) = match (spawn_count, listen) {
         (Some(n), None) if n > 0 => {
-            let mut forward = Vec::new();
-            for flag in ["--cache", "--backend", "--lanes"] {
-                if let Some(value) = arg_value(flag) {
-                    forward.extend([flag.to_owned(), value]);
-                }
-            }
+            let forward: Vec<String> = arg_value("--cache")
+                .map(|dir| vec!["--cache".to_owned(), dir])
+                .unwrap_or_default();
             spawn_fleet(n, &forward)
         }
         (None, Some(addr)) => {
@@ -281,7 +275,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &mut topo_cache,
             topologies,
             setup.spec,
-            setup.route_form,
+            RouteForm::NextHop,
         )
         .unwrap_or_else(|e| cli_error(e));
         // A fresh cache handle per request: its counters are this

@@ -9,8 +9,7 @@
 //!
 //! Run with: `cargo run --release -p shg-bench --bin sparsity_sweep --
 //! [--scenario a]
-//! [--shard i/N] [--resume journal.jsonl] [--cache <dir>]
-//!  [--backend per-cell|reuse|batched|auto] [--lanes K] [--progress]`
+//! [--shard i/N] [--resume journal.jsonl] [--cache <dir>] [--progress]`
 //!
 //! The seven-pattern validation runs at 6.25% rate resolution
 //! (tightened from 12.5% once request-driven allocation made Phase C
@@ -21,6 +20,7 @@ use shg_core::{customize, DesignGoals, Scenario, Toolchain};
 use shg_sim::SimConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    shg_bench::reject_retired_flags();
     let which = arg_value("--scenario").unwrap_or_else(|| "a".to_owned());
     let scenario =
         Scenario::by_name(&which).ok_or_else(|| format!("unknown scenario '{which}'"))?;

@@ -48,6 +48,7 @@ fn journal_paths() -> Vec<String> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    shg_bench::reject_retired_flags();
     if has_flag("--help") {
         println!("{USAGE}");
         return Ok(());

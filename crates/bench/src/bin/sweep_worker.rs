@@ -7,15 +7,8 @@
 //! Run with:
 //! `cargo run --release -p shg-bench --bin sweep_worker --
 //!  [--scenario a|b|c|d] [--fast] [--rate-points N] [--add-rates r,..]
-//!  [--backend per-cell|reuse|batched|auto] [--lanes K] [--cache <dir>]
-//!  --shard i/N (--out journal.jsonl | --resume journal.jsonl)
+//!  [--cache <dir>] --shard i/N (--out journal.jsonl | --resume journal.jsonl)
 //!  [--durable] [--progress]`
-//!
-//! The worker defaults to `--backend auto`: each cell group runs on
-//! whichever backend a timed first-cell probe picks (the lane-parallel
-//! batched core where setup dominates, network reuse where simulation
-//! dominates). All backends are bit-identical, so the choice never
-//! shows in the journal or the merged bytes.
 //!
 //! `--out` starts the shard from scratch (truncating any existing
 //! file); `--resume` continues an interrupted journal after validating
@@ -40,8 +33,8 @@
 //!
 //! In **service mode** the worker ignores the plan flags and instead
 //! rebuilds its experiment per request from the params `shg_coord`
-//! ships over the wire (the worker-local `--backend`, `--lanes` and
-//! `--cache` flags still apply): `--serve` speaks the framed protocol
+//! ships over the wire (the worker-local `--cache` flag still
+//! applies): `--serve` speaks the framed protocol
 //! on stdin/stdout (the coordinator spawns workers this way),
 //! `--connect host:port` dials a listening coordinator over TCP. A
 //! serving worker prints nothing to stdout — that is the protocol
@@ -53,22 +46,21 @@
 //! concatenating different sweeps.
 
 use shg_bench::sweep::{
-    annotated_experiment, cache_summary, configure_experiment, request_params_from_args,
+    annotated_experiment, attach_cache_from_args, cache_summary, request_params_from_args,
     request_setup, TopologyCache,
 };
 use shg_bench::{arg_value, cli_error, has_flag, named_topologies};
 use shg_core::Scenario;
 use shg_sim::sweep::{connect_with_backoff, run_journaled_durable, serve_worker};
 use shg_sim::{Experiment, ShardSpec};
+use shg_topology::routing::RouteForm;
 use shg_topology::Topology;
 
 const USAGE: &str = "\
 Usage: sweep_worker [--scenario a|b|c|d] [--fast] [--rate-points N]
                     [--add-rates r1,r2,..]
-                    [--routes dense|next-hop]
                     [--db <topology-db wire spec>]
-                    [--faults <plan>] [--backend per-cell|reuse|batched|auto]
-                    [--lanes K] [--cache <dir>]
+                    [--faults <plan>] [--cache <dir>]
                     [--shard i/N] (--out j.jsonl | --resume j.jsonl)
                     [--single-shot result.json] [--durable] [--progress]
                     [--serve | --connect host:port [--connect-patience SECS]]
@@ -91,15 +83,6 @@ Usage: sweep_worker [--scenario a|b|c|d] [--fast] [--rate-points N]
                  recomputed over the surviving graph at each fault
                  cycle, and link kills must name links present in every
                  swept topology (router kills apply everywhere)
-  --routes       routing-table form (default: next-hop — compact O(1)
-                 per-hop tables, bit-identical results to dense; db
-                 topologies auto-upgrade to hierarchical multi-die
-                 tables when the seam structure allows)
-  --backend      execution backend (default: auto — a timed probe picks
-                 batched or reuse per cell group; batched steps --lanes
-                 cells in lockstep through the struct-of-arrays core;
-                 all backends produce bit-identical results)
-  --lanes        batch width of the batched/auto backends (default: 8)
   --cache        cell-result cache directory (cross-run, content
                  addressed; prints cached/simulated counts at the end)
   --shard i/N    run only the i-th of N strided shards (one-based i)
@@ -108,8 +91,8 @@ Usage: sweep_worker [--scenario a|b|c|d] [--fast] [--rate-points N]
   --durable      fsync the journal after the header and every chunk
   --progress     log cells done (and the cached/simulated split)
   --serve        worker service mode: speak the shg_coord protocol on
-                 stdin/stdout (plan flags come per request; --backend,
-                 --lanes and --cache still configure this worker)
+                 stdin/stdout (plan flags come per request; --cache
+                 still configures this worker)
   --connect      like --serve, but dial a coordinator listening on TCP;
                  retried with capped jittered exponential backoff, so
                  the worker may be started before the coordinator
@@ -159,10 +142,9 @@ fn serve() -> Result<(), Box<dyn std::error::Error>> {
             &mut topo_cache,
             topologies,
             setup.spec,
-            setup.route_form,
+            RouteForm::NextHop,
         )?;
-        experiment.set_backend(shg_sim::ExecBackend::Auto);
-        configure_experiment(&mut experiment);
+        attach_cache_from_args(&mut experiment);
         eprintln!(
             "[sweep_worker] serving request: scenario ({}), {} cells (fingerprint {:#018x})",
             setup.scenario.name,
@@ -198,6 +180,7 @@ fn serve() -> Result<(), Box<dyn std::error::Error>> {
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    shg_bench::reject_retired_flags();
     if has_flag("--help") {
         println!("{USAGE}");
         return Ok(());
@@ -220,13 +203,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &mut cache,
         &topologies,
         setup.spec,
-        setup.route_form,
+        RouteForm::NextHop,
     )
     .unwrap_or_else(|e| cli_error(e));
-    // The worker's default backend is auto (bit-identical to per-cell,
-    // usually faster); an explicit --backend below overrides it.
-    experiment.set_backend(shg_sim::ExecBackend::Auto);
-    configure_experiment(&mut experiment);
+    attach_cache_from_args(&mut experiment);
     let experiment = experiment; // flags applied; execution is read-only
     let plan = experiment.plan();
 

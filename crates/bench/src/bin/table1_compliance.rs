@@ -7,6 +7,7 @@ use shg_core::{report, Scenario, SparseHammingConfig};
 use shg_topology::compliance;
 
 fn main() {
+    shg_bench::reject_retired_flags();
     for (grid_name, scenario) in [
         ("8x8 (64 tiles)", Scenario::knc_a()),
         ("16x8 (128 tiles)", Scenario::knc_c()),

@@ -6,6 +6,7 @@
 use shg_core::{report, MempoolReference, Toolchain};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
+    shg_bench::reject_retired_flags();
     let reference = MempoolReference::new();
     let toolchain = Toolchain {
         sim: reference.sim.clone(),

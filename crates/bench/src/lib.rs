@@ -32,7 +32,7 @@ pub struct SetupSample {
 
 impl SetupSample {
     /// The fresh-construction / reset-reuse speedup ratio of this
-    /// sample — what `ExecBackend::Reuse` saves per cell before the
+    /// sample — what a sweep's cell group saves per cell before the
     /// simulation itself starts.
     #[must_use]
     pub fn ratio(&self) -> f64 {
@@ -209,6 +209,26 @@ pub fn arg_value(flag: &str) -> Option<String> {
 #[must_use]
 pub fn has_flag(flag: &str) -> bool {
     std::env::args().any(|a| a == flag)
+}
+
+/// Flags that were removed: the execution backend, its batch width and
+/// the routing-table form are no longer choices.
+const RETIRED_FLAGS: [&str; 3] = ["--backend", "--lanes", "--routes"];
+
+/// The usage-error message for a removed flag or request param.
+#[must_use]
+pub fn retired_flag_message(what: &str) -> String {
+    format!("{what} was removed: every sweep runs one simulator engine on next-hop routing tables")
+}
+
+/// Rejects the removed flags `--backend`, `--lanes` and `--routes`
+/// through [`cli_error`] (exit code 2), so a script that still passes
+/// one learns so instead of having it silently ignored. Every harness
+/// binary calls this before any other work.
+pub fn reject_retired_flags() {
+    if let Some(flag) = RETIRED_FLAGS.into_iter().find(|flag| has_flag(flag)) {
+        cli_error(retired_flag_message(flag));
+    }
 }
 
 /// The fault-injection plan selected by `--faults <plan>` (default:

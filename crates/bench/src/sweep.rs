@@ -16,11 +16,9 @@
 //!
 //! * [`run_experiment`] runs cells to full outcomes. It reads the
 //!   sharding flags (`--shard i/N`, `--resume <journal>`, `--progress`)
-//!   plus the incremental-execution flags (`--cache <dir>` for the
-//!   cross-run cell-result cache, `--backend per-cell|reuse|batched|auto`
-//!   and `--lanes <K>` for the execution backend), so every simulating
-//!   binary can run one shard of its grid to a resumable journal —
-//!   re-simulating only cells no earlier run has cached.
+//!   plus `--cache <dir>` for the cross-run cell-result cache, so every
+//!   simulating binary can run one shard of its grid to a resumable
+//!   journal — re-simulating only cells no earlier run has cached.
 //! * [`saturation_table`] asks each cell only whether it keeps up,
 //!   for the reports that print nothing but saturation estimates. It
 //!   reads `--shard` and a read-only `--cache`.
@@ -32,7 +30,7 @@ use shg_core::Scenario;
 use shg_floorplan::{predict, ArchParams, ModelOptions};
 use shg_sim::sweep::run_journaled_durable;
 use shg_sim::{
-    CellCache, ExecBackend, Experiment, ShardSpec, SustainedRow, SweepCase, SweepResult, SweepSpec,
+    CellCache, Experiment, ShardSpec, SustainedRow, SweepCase, SweepResult, SweepSpec,
     TrafficPattern,
 };
 use shg_topology::routing::{self, RouteForm, Routes};
@@ -144,9 +142,8 @@ impl TopologyCache {
 
 /// Builds an [`Experiment`] whose cases are the given named topologies,
 /// each annotated with floorplan latencies through `cache`, with
-/// routing tables stored in `form` (the compact `next-hop` form and
-/// the dense reference simulate byte-identically; the form never
-/// shows in the plan fingerprint).
+/// routing tables in the compact [`RouteForm::NextHop`] form. `_form`
+/// is accepted and ignored; deleted by ROADMAP item 8.
 ///
 /// # Errors
 ///
@@ -161,7 +158,7 @@ pub fn annotated_experiment<'a>(
     cache: &mut TopologyCache,
     topologies: &'a [(String, Topology)],
     spec: SweepSpec,
-    form: RouteForm,
+    _form: RouteForm,
 ) -> Result<Experiment<'a>, String> {
     for (name, topology) in topologies {
         spec.config
@@ -172,7 +169,7 @@ pub fn annotated_experiment<'a>(
     let mut experiment = Experiment::new(spec);
     for (name, topology) in topologies {
         let prepared = cache
-            .prepare(params, options, topology, form)
+            .prepare(params, options, topology, RouteForm::NextHop)
             .map_err(|e| format!("case '{name}': {e}"))?;
         experiment.push_case(SweepCase::annotated(
             name.clone(),
@@ -200,8 +197,7 @@ pub fn scenario_sweep_spec(scenario: &Scenario, rate_points: usize) -> SweepSpec
 /// The plan-shaping parameters of one sweep request, as opaque
 /// key-value strings — the coordinator/worker wire format of "which
 /// sweep is this". The supported keys are `scenario`, `fast`,
-/// `rate-points`, `add-rates`, `routes` (the routing-table
-/// form, `dense` or `next-hop`), `db` (a topology database in
+/// `rate-points`, `add-rates`, `db` (a topology database in
 /// its one-token wire form, see [`shg_topology::db::TopologyDb::wire`])
 /// and `faults` (a fault plan in [`shg_sim::FaultPlan::parse`] wire
 /// form, e.g. `drain,2000:link:3-4,2500:router:9`);
@@ -214,14 +210,7 @@ pub fn scenario_sweep_spec(scenario: &Scenario, rate_points: usize) -> SweepSpec
 #[must_use]
 pub fn request_params_from_args() -> Vec<(String, String)> {
     let mut params = Vec::new();
-    for key in [
-        "scenario",
-        "rate-points",
-        "add-rates",
-        "routes",
-        "db",
-        "faults",
-    ] {
+    for key in ["scenario", "rate-points", "add-rates", "db", "faults"] {
         if let Some(value) = arg_value(&format!("--{key}")) {
             params.push((key.to_owned(), value));
         }
@@ -249,10 +238,9 @@ pub struct RequestSetup {
     /// scenario's built-in topology set. The scenario's `params.grid`
     /// has already been overridden to match it.
     pub db_topology: Option<(String, Topology)>,
-    /// The routing-table form to annotate cases with (default:
-    /// [`RouteForm::NextHop`]; `db` topologies may auto-upgrade it to
-    /// hierarchical). Dense and next-hop simulate byte-identically, so
-    /// the form is not part of the plan fingerprint.
+    /// Accepted and ignored; deleted by ROADMAP item 8. Always
+    /// [`RouteForm::NextHop`].
+    #[doc(hidden)]
     pub route_form: RouteForm,
 }
 
@@ -263,15 +251,14 @@ pub struct RequestSetup {
 ///
 /// # Errors
 ///
-/// Returns a usage-style message on an unknown key, an unknown
-/// scenario or route form, malformed numbers, or a `db` value
-/// that fails to parse or instantiate.
+/// Returns a usage-style message on an unknown or removed key, an
+/// unknown scenario, malformed numbers, or a `db` value that fails to
+/// parse or instantiate.
 pub fn request_setup(params: &[(String, String)]) -> Result<RequestSetup, String> {
     let mut which = "a".to_owned();
     let mut fast = false;
     let mut rate_points_raw: Option<String> = None;
     let mut add_rates: Option<String> = None;
-    let mut routes_raw: Option<String> = None;
     let mut db_raw: Option<String> = None;
     let mut faults_raw: Option<String> = None;
     for (key, value) in params {
@@ -280,17 +267,12 @@ pub fn request_setup(params: &[(String, String)]) -> Result<RequestSetup, String
             "fast" => fast = value == "1",
             "rate-points" => rate_points_raw = Some(value.clone()),
             "add-rates" => add_rates = Some(value.clone()),
-            "routes" => routes_raw = Some(value.clone()),
+            "routes" => return Err(crate::retired_flag_message("request param 'routes'")),
             "db" => db_raw = Some(value.clone()),
             "faults" => faults_raw = Some(value.clone()),
             other => return Err(format!("unknown request param '{other}'")),
         }
     }
-    let route_form = match routes_raw {
-        Some(name) => RouteForm::parse(&name)
-            .ok_or_else(|| format!("unknown route form '{name}' (use dense|next-hop)"))?,
-        None => RouteForm::NextHop,
-    };
     let mut scenario =
         Scenario::by_name(&which).ok_or_else(|| format!("unknown scenario '{which}'"))?;
     let model_options = ModelOptions {
@@ -350,7 +332,7 @@ pub fn request_setup(params: &[(String, String)]) -> Result<RequestSetup, String
         model_options,
         spec,
         db_topology,
-        route_form,
+        route_form: RouteForm::NextHop,
     })
 }
 
@@ -361,7 +343,7 @@ region/hbm/r0..32/c0..40/memory/sc=2;boundary/every=4/latency=5";
 
 /// One simulator cell past its saturation point, prepared exactly the
 /// way `fig6 --fast` / `sweep_worker --fast` prepare theirs (fast-test
-/// windows, floorplan-predicted latencies, default route form). Most
+/// windows, floorplan-predicted latencies, next-hop routes). Most
 /// cells of a load sweep pushed past the knee look like these: they
 /// run to the drain limit with every source backlogged.
 #[derive(Debug)]
@@ -412,7 +394,7 @@ pub fn saturated_cells() -> Vec<SaturatedCell> {
                 &setup.scenario.params,
                 &setup.model_options,
                 &topology,
-                setup.route_form,
+                RouteForm::NextHop,
             )
             .expect("reference topologies route");
         SaturatedCell {
@@ -445,19 +427,6 @@ pub fn saturated_cells() -> Vec<SaturatedCell> {
     ]
 }
 
-/// The `--routes dense|next-hop` flag (default: the compact next-hop
-/// form — bit-identical to dense, a fraction of the memory). An unknown
-/// name is a usage error via [`cli_error`].
-#[must_use]
-pub fn route_form_from_args() -> RouteForm {
-    match arg_value("--routes") {
-        Some(name) => RouteForm::parse(&name).unwrap_or_else(|| {
-            cli_error(format!("unknown --routes '{name}' (use dense|next-hop)"))
-        }),
-        None => RouteForm::NextHop,
-    }
-}
-
 /// How many sweeps this process has already journaled (each gets a
 /// distinct journal path suffix, so multi-sweep binaries like
 /// `fig6 --scenario all` don't clobber one journal).
@@ -473,61 +442,13 @@ fn nth_journal_path(path: &str, nth: usize) -> String {
     }
 }
 
-/// Parses an execution-backend name (the `--backend` values the
-/// harness binaries accept).
-#[must_use]
-pub fn backend_by_name(name: &str) -> Option<ExecBackend> {
-    match name {
-        "per-cell" => Some(ExecBackend::PerCell),
-        "reuse" => Some(ExecBackend::Reuse),
-        "batched" => Some(ExecBackend::Batched),
-        "auto" => Some(ExecBackend::Auto),
-        _ => None,
-    }
-}
-
-/// Applies the incremental-execution flags to an experiment:
-///
-/// * `--cache <dir>` — attach the cross-run [`CellCache`] at `dir`
-///   (created if missing): cells any earlier run stored are answered
-///   from disk, only new cells simulate.
-/// * `--backend per-cell|reuse|batched|auto` — select the
-///   [`ExecBackend`] (default: the per-cell reference; `reuse` groups
-///   a shard's cells per topology onto one reset-reused `Network`
-///   allocation; `batched` steps up to `--lanes` cells of one topology
-///   in lockstep through the struct-of-arrays core; `auto` picks per
-///   cell group from a timed probe).
-/// * `--lanes <K>` — the batch width of the batched/auto backends
-///   (default 8; results are identical at every width).
-///
-/// Shared by [`run_experiment`] and the binaries (e.g. `sweep_worker`)
-/// that drive journaled execution themselves.
-///
-/// An unknown `--backend` name, a non-numeric `--lanes` value and an
-/// unusable cache directory are usage errors: reported via
-/// [`cli_error`] (exit code 2), never a panic.
-pub fn configure_experiment(experiment: &mut Experiment<'_>) {
-    attach_cache_from_args(experiment);
-    if let Some(name) = arg_value("--backend") {
-        let backend = backend_by_name(&name).unwrap_or_else(|| {
-            cli_error(format!(
-                "unknown --backend '{name}' (use per-cell|reuse|batched|auto)"
-            ))
-        });
-        experiment.set_backend(backend);
-    }
-    if let Some(lanes) = arg_value("--lanes") {
-        let lanes: usize = lanes
-            .parse()
-            .unwrap_or_else(|e| cli_error(format!("--lanes {lanes}: {e}")));
-        experiment.set_lanes(lanes);
-    }
-}
-
 /// Attaches the [`CellCache`] at `--cache <dir>` (created if missing),
-/// if the flag is given; an unusable directory is a usage error via
-/// [`cli_error`].
-fn attach_cache_from_args(experiment: &mut Experiment<'_>) {
+/// if the flag is given: cells any earlier run stored are answered from
+/// disk, only new cells simulate. An unusable directory is a usage
+/// error via [`cli_error`] (exit code 2), never a panic. Shared by
+/// [`run_experiment`], [`saturation_table`] and the binaries (e.g.
+/// `sweep_worker`) that drive journaled execution themselves.
+pub fn attach_cache_from_args(experiment: &mut Experiment<'_>) {
     if let Some(dir) = arg_value("--cache") {
         let cache =
             CellCache::open(&dir).unwrap_or_else(|e| cli_error(format!("--cache {dir}: {e}")));
@@ -551,29 +472,16 @@ fn shard_from_args() -> ShardSpec {
 /// cache entirely, so the grid size would not add up. Binaries print
 /// it so long sweeps — and the CI cache-smoke job — can see exactly
 /// how many cells were re-simulated.
-///
-/// When a non-default backend simulated anything, the per-backend cell
-/// split is appended *after* the `total=` field (`backends:
-/// batched=… reuse=… per-cell=…`), so consumers matching the original
-/// three-field prefix keep working unchanged.
 #[must_use]
 pub fn cache_summary(experiment: &Experiment<'_>) -> Option<String> {
     experiment.cache().map(|cache| {
         let stats = cache.stats();
-        let mut line = format!(
+        format!(
             "cache: cached={} simulated={} total={}",
             stats.cached,
             stats.simulated,
             stats.cached + stats.simulated
-        );
-        let exec = experiment.exec_stats();
-        if exec.batched_cells > 0 || exec.reuse_cells > 0 {
-            line.push_str(&format!(
-                " backends: batched={} reuse={} per-cell={} peak-lanes={}",
-                exec.batched_cells, exec.reuse_cells, exec.per_cell_cells, exec.peak_lanes
-            ));
-        }
-        line
+        )
     })
 }
 
@@ -592,9 +500,8 @@ pub fn cache_summary(experiment: &Experiment<'_>) -> Option<String> {
 /// * `--durable` — `fsync` the journal after its header and after
 ///   every completed chunk, so a machine crash (not just a process
 ///   kill) loses at most the in-flight chunk.
-/// * `--cache <dir>` / `--backend per-cell|reuse|batched|auto` /
-///   `--lanes <K>` — incremental execution (see
-///   [`configure_experiment`]).
+/// * `--cache <dir>` — incremental execution (see
+///   [`attach_cache_from_args`]).
 /// * `--progress` — log `cells done / total` to stderr as chunks
 ///   complete; with a cache attached, the cached/simulated split is
 ///   reported alongside.
@@ -602,14 +509,13 @@ pub fn cache_summary(experiment: &Experiment<'_>) -> Option<String> {
 /// Without any of the flags this is exactly
 /// [`Experiment::run_parallel`].
 ///
-/// A malformed `--shard`, `--backend` or `--lanes`, an unusable
-/// `--cache` directory, and a journal that does not match the
+/// A malformed `--shard`, an unusable `--cache` directory, and a journal that does not match the
 /// experiment (fingerprint, shard or prefix mismatch — the message
 /// names the cause) are usage errors: reported via [`cli_error`] (exit
 /// code 2), never a panic.
 #[must_use]
 pub fn run_experiment(experiment: &mut Experiment<'_>) -> SweepResult {
-    configure_experiment(experiment);
+    attach_cache_from_args(experiment);
     let experiment: &Experiment<'_> = experiment;
     let shard = shard_from_args();
     let journal = arg_value("--resume");
@@ -621,14 +527,8 @@ pub fn run_experiment(experiment: &mut Experiment<'_>) -> SweepResult {
                 let stats = cache.stats();
                 format!(", {} cached / {} simulated", stats.cached, stats.simulated)
             });
-            let exec = experiment.exec_stats();
-            let lanes = if exec.batched_cells > 0 || exec.lanes_in_flight > 0 {
-                format!(", lanes={} peak={}", exec.lanes_in_flight, exec.peak_lanes)
-            } else {
-                String::new()
-            };
             eprintln!(
-                "[sweep] {done}/{total} cells done (shard {shard} of {total_cells} total{cache}{lanes})"
+                "[sweep] {done}/{total} cells done (shard {shard} of {total_cells} total{cache})"
             );
         }
     };
@@ -670,18 +570,12 @@ pub fn run_experiment(experiment: &mut Experiment<'_>) -> SweepResult {
 }
 
 /// The [`run_experiment`] flags that only serve full outcomes: a
-/// journal (`--resume`, `--durable`), an execution backend (`--backend`,
-/// `--lanes`) and chunked progress (`--progress`).
-const FULL_OUTCOME_FLAGS: [&str; 5] = [
-    "--resume",
-    "--durable",
-    "--backend",
-    "--lanes",
-    "--progress",
-];
+/// journal (`--resume`, `--durable`) and chunked progress
+/// (`--progress`).
+const FULL_OUTCOME_FLAGS: [&str; 3] = ["--resume", "--durable", "--progress"];
 
-/// Rejects `--resume`, `--durable`, `--backend`, `--lanes` and
-/// `--progress` through [`cli_error`] (exit code 2): a report built by
+/// Rejects `--resume`, `--durable` and `--progress` through
+/// [`cli_error`] (exit code 2): a report built by
 /// [`saturation_table`] keeps no outcomes, so it would otherwise ignore
 /// them silently. Its binaries call this before any other work, so a
 /// rejected flag costs nothing.
@@ -871,12 +765,15 @@ mod tests {
     }
 
     #[test]
-    fn backend_names_parse() {
-        assert_eq!(backend_by_name("per-cell"), Some(ExecBackend::PerCell));
-        assert_eq!(backend_by_name("reuse"), Some(ExecBackend::Reuse));
-        assert_eq!(backend_by_name("batched"), Some(ExecBackend::Batched));
-        assert_eq!(backend_by_name("auto"), Some(ExecBackend::Auto));
-        assert_eq!(backend_by_name("other"), None);
+    fn request_setup_rejects_the_removed_routes_param() {
+        let error = request_setup(&[("routes".to_owned(), "dense".to_owned())])
+            .expect_err("routes= was removed");
+        assert!(
+            error.contains("routes") && error.contains("removed"),
+            "{error}"
+        );
+        let setup = request_setup(&[]).expect("default request");
+        assert_eq!(setup.route_form, RouteForm::NextHop);
     }
 
     #[test]

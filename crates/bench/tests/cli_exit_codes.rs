@@ -4,7 +4,8 @@
 //! `--help` pointer on stderr — never a panic with a backtrace — while
 //! `--help` itself exits 0 with the usage text on stdout.
 
-use std::process::{Command, Output};
+use std::io::Write;
+use std::process::{Command, Output, Stdio};
 
 fn sweep_worker(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_sweep_worker"))
@@ -105,22 +106,41 @@ fn non_positive_add_rates_is_a_usage_error() {
     assert_usage_error(&output, "add-rates");
 }
 
+/// `--backend` was removed: any value, including a formerly valid one,
+/// is a usage error that names the flag, never silently ignored.
 #[test]
 fn unknown_backend_is_a_usage_error() {
-    let output = sweep_worker(&[
-        "--fast",
-        "--backend",
-        "quantum",
-        "--single-shot",
-        "/dev/null",
-    ]);
-    assert_usage_error(&output, "backend");
+    for backend in ["quantum", "auto"] {
+        let output = sweep_worker(&["--fast", "--backend", backend, "--single-shot", "/dev/null"]);
+        assert_usage_error(&output, "--backend was removed");
+    }
 }
 
+/// `--lanes` and `--routes` were removed too: every binary rejects them,
+/// and a coordinator request rejects `routes=`.
 #[test]
 fn malformed_lanes_is_a_usage_error() {
-    let output = sweep_worker(&["--fast", "--lanes", "many", "--single-shot", "/dev/null"]);
-    assert_usage_error(&output, "lanes");
+    let output = sweep_worker(&["--fast", "--lanes", "8", "--single-shot", "/dev/null"]);
+    assert_usage_error(&output, "--lanes was removed");
+    let output = load_curve(&["--routes", "dense"]);
+    assert_usage_error(&output, "--routes was removed");
+    let output = shg_coord(&["--spawn-workers", "1", "--lanes", "4"]);
+    assert_usage_error(&output, "--lanes was removed");
+    let mut coord = Command::new(env!("CARGO_BIN_EXE_shg_coord"))
+        .args(["--spawn-workers", "1", "--fast", "--rate-points", "2"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn shg_coord");
+    coord
+        .stdin
+        .take()
+        .expect("piped stdin")
+        .write_all(b"out=/dev/null routes=dense\n")
+        .expect("request written");
+    let output = coord.wait_with_output().expect("shg_coord exits");
+    assert_usage_error(&output, "'routes' was removed");
 }
 
 #[test]
@@ -247,28 +267,34 @@ fn coordinator_rejects_a_malformed_kill_spec() {
 
 #[test]
 fn verdict_reports_reject_the_full_outcome_flags() {
-    // fig6, pareto and ruche_comparison keep no outcomes, so a journal,
-    // a backend choice or chunked progress would be silently ignored.
+    // fig6, pareto and ruche_comparison keep no outcomes, so a journal
+    // or chunked progress would be silently ignored; the removed
+    // backend and lane-count flags are rejected like on every binary.
     let reports = [
         env!("CARGO_BIN_EXE_fig6"),
         env!("CARGO_BIN_EXE_pareto"),
         env!("CARGO_BIN_EXE_ruche_comparison"),
     ];
-    let flags: [&[&str]; 5] = [
+    let flags: [&[&str]; 3] = [
         &["--resume", "journal.jsonl"],
         &["--durable"],
-        &["--backend", "reuse"],
-        &["--lanes", "4"],
         &["--progress"],
     ];
+    let retired: [&[&str]; 2] = [&["--backend", "reuse"], &["--lanes", "4"]];
     for report in reports {
-        for flag in flags {
-            let output = Command::new(report)
+        let run = |flag: &[&str]| {
+            Command::new(report)
                 .args(flag)
                 .output()
-                .expect("spawn report binary");
+                .expect("spawn report binary")
+        };
+        for flag in flags {
+            let output = run(flag);
             assert_usage_error(&output, flag[0]);
             assert_usage_error(&output, "sweep_worker");
+        }
+        for flag in retired {
+            assert_usage_error(&run(flag), &format!("{} was removed", flag[0]));
         }
     }
 }

@@ -15,9 +15,7 @@
 //! surviving subgraph (via [`shg_topology::routing::degraded_routes_with_components`],
 //! with the base table's VC-class count so the virtual-channel
 //! partition never moves), and the surviving-component map that gates
-//! injection of unroutable packets. Both the object-model
-//! [`crate::Network`] and the lane-major batched core replay the same
-//! schedule, which keeps them bit-identical under faults.
+//! injection of unroutable packets, which [`crate::Network`] replays.
 
 use serde::Serialize;
 

@@ -48,7 +48,6 @@
 //! ```
 
 mod config;
-mod core;
 mod fault;
 mod flit;
 mod injection;

@@ -86,9 +86,7 @@ pub struct PhaseProfile {
 
 /// An index set over `0..len`: a bitmap, so insertion is one OR,
 /// duplicates cost nothing and members come out in ascending order
-/// without a sort. Shared with the batched struct-of-arrays core
-/// (`crate::core`), which keeps one union set per structure across all
-/// of its lanes.
+/// without a sort.
 #[derive(Debug)]
 pub(crate) struct ActiveSet {
     /// Bit `i & 63` of word `i >> 6` is set while `i` is a member.
@@ -480,9 +478,9 @@ impl<'a> Network<'a> {
     ///
     /// A `reset(seed)` followed by [`Network::run`] is bit-identical to
     /// a fresh [`Network::new`] with `config.seed = seed` followed by
-    /// the same run, which is what lets a sweep backend reuse one
-    /// `Network` across the cells of a topology (see
-    /// `ExecBackend::Reuse` in the sweep engine). The reset suite pins this under
+    /// the same run, which is what lets a sweep reuse one `Network`
+    /// across the cells of a topology (see `Experiment::run_cells`).
+    /// The reset suite pins this under
     /// [`Network::run_validated`], where any stale request or
     /// active-set state trips an invariant assertion.
     pub fn reset(&mut self, seed: u64) {

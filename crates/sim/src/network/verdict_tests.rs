@@ -60,7 +60,7 @@ fn short_windows() -> SimConfig {
 /// of it, and is the full run whenever it did not stop early; the
 /// window's offered load counted before the run is the full run's. The
 /// verdict-mode runs share one network, `reset` between probes as a
-/// sweep backend would. The 60- and 64-tile parts run each
+/// sweep's cell group does. The 60- and 64-tile parts run each
 /// pattern × rate at one of the two lengths, alternating
 /// (`every_length` off).
 fn check_grid(topology: &Topology, base: &SimConfig, faults: &str, every_length: bool) -> Decided {

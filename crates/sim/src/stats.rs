@@ -196,12 +196,10 @@ impl WindowCreations {
     }
 }
 
-/// The per-run statistics accumulator shared by every execution engine
-/// (`Network::run_inner` and the batched struct-of-arrays core): window
+/// The per-run statistics accumulator of `Network::run_inner`: window
 /// accounting, outstanding-packet tracking and the final
-/// [`SimOutcome`] arithmetic live here exactly once, so two engines
-/// cannot drift in how they *measure* even while they differ in how
-/// they *simulate*.
+/// [`SimOutcome`] arithmetic, kept apart from how the network
+/// *simulates*.
 #[derive(Debug)]
 pub(crate) struct OutcomeRecorder {
     measure_start: u64,

@@ -1,11 +1,11 @@
 //! The execution layer: cases (topology + routes + latencies, computed
 //! once and shared by all grid cells) and the [`Experiment`] that fans
-//! the grid — or any subset of its cells — out over threads, through a
-//! pluggable [`ExecBackend`] and an optional [`CellCache`].
+//! the grid — or any subset of its cells — out over threads, runs each
+//! same-case group of cells on one reset-reused [`Network`], and
+//! answers what it can from an optional [`CellCache`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::time::Instant;
 
 use rayon::prelude::*;
 
@@ -19,42 +19,21 @@ use super::result::{ShardResult, SweepPoint, SweepResult};
 use super::shard::ShardSpec;
 use super::spec::SweepSpec;
 use crate::config::SimConfig;
-use crate::core::{run_batch, LaneJob};
 use crate::network::Network;
 use crate::runner::bisect_prefix;
 use crate::stats::SimOutcome;
 use crate::traffic::TrafficPattern;
 
-/// How [`Experiment::run_cells`] turns a cell list into simulations.
-///
-/// Every backend produces bit-identical points for every cell — the
-/// reuse backend is built on [`Network::reset`], whose equivalence to
-/// fresh construction is pinned under `Network::run_validated`, and
-/// the batched
-/// backend's struct-of-arrays core is pinned lane-by-lane against the
-/// per-cell reference in `tests/batched_equivalence.rs` — so the
-/// choice is purely a performance lever.
+/// Accepted and ignored; deleted by ROADMAP item 8. Every cell runs the
+/// one grouped path of [`Experiment::run_cells`], whichever backend is
+/// named here.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecBackend {
-    /// One fresh [`Network`] per cell (the reference): maximal
-    /// parallelism, pays router/buffer allocation per cell.
     #[default]
     PerCell,
-    /// Groups consecutive cells of the same case and reuses one
-    /// `Network` allocation per group, [`Network::reset`]-ing between
-    /// cells in O(touched) — amortizing per-cell setup cost, which
-    /// dominates grids of many short cells.
     Reuse,
-    /// Groups consecutive cells of the same case and steps up to
-    /// [`Experiment::lanes`] of them in lockstep through one
-    /// struct-of-arrays core (see `crate::core`): one topology
-    /// construction and one hot working set serve K cells at once,
-    /// with completed lanes refilled from the group's remaining cells.
     Batched,
-    /// Picks a backend per cell group: tiny groups run per-cell; for
-    /// the rest, a timed first-cell probe compares setup cost against
-    /// simulation cost and picks [`ExecBackend::Batched`] when setup
-    /// is worth amortizing, [`ExecBackend::Reuse`] otherwise.
     Auto,
 }
 
@@ -69,23 +48,22 @@ impl std::fmt::Display for ExecBackend {
     }
 }
 
-/// A snapshot of [`Experiment::exec_stats`]: how many cells each
-/// backend actually simulated (cache hits excluded) and how many
-/// batch lanes are in flight. Progress reporters poll this; it never
-/// affects results.
+/// A snapshot of [`Experiment::exec_stats`]: how many cells were
+/// simulated on a freshly built network and how many on a network reset
+/// from an earlier cell (cache hits excluded). Progress reporters poll
+/// this; it never affects results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecStats {
-    /// Cells simulated on fresh per-cell networks (includes the auto
-    /// backend's probe cells and its small-group fallback).
+    /// Cells simulated on a freshly built `Network`: each group's first
+    /// cache miss, every cell of a group too short to share a network,
+    /// and every verdict probe of [`Experiment::highest_sustained`].
     pub per_cell_cells: u64,
-    /// Cells simulated on reused networks.
+    /// Cells simulated on a `Network` [`reset`](Network::reset) from an
+    /// earlier cell of its group.
     pub reuse_cells: u64,
-    /// Cells simulated as lanes of a batched core.
+    /// Accepted and ignored; deleted by ROADMAP item 8. Always 0.
+    #[doc(hidden)]
     pub batched_cells: u64,
-    /// Batch lanes currently stepping (0 outside batched execution).
-    pub lanes_in_flight: u64,
-    /// High-water mark of `lanes_in_flight` over the experiment.
-    pub peak_lanes: u64,
 }
 
 /// Interior counters behind [`ExecStats`] — relaxed atomics, bumped
@@ -94,9 +72,6 @@ pub struct ExecStats {
 struct ExecCounters {
     per_cell_cells: AtomicU64,
     reuse_cells: AtomicU64,
-    batched_cells: AtomicU64,
-    lanes_in_flight: AtomicU64,
-    peak_lanes: AtomicU64,
 }
 
 impl ExecCounters {
@@ -104,34 +79,22 @@ impl ExecCounters {
         ExecStats {
             per_cell_cells: self.per_cell_cells.load(Relaxed),
             reuse_cells: self.reuse_cells.load(Relaxed),
-            batched_cells: self.batched_cells.load(Relaxed),
-            lanes_in_flight: self.lanes_in_flight.load(Relaxed),
-            peak_lanes: self.peak_lanes.load(Relaxed),
+            batched_cells: 0,
         }
-    }
-
-    fn lanes_up(&self, k: u64) {
-        let now = self.lanes_in_flight.fetch_add(k, Relaxed) + k;
-        self.peak_lanes.fetch_max(now, Relaxed);
-    }
-
-    fn lanes_down(&self, k: u64) {
-        self.lanes_in_flight.fetch_sub(k, Relaxed);
     }
 }
 
-/// The smallest cell group [`ExecBackend::Reuse`] hands one `Network`
-/// (when a case has that many consecutive cells): each construction is
-/// amortized over at least this many cells even inside the short
-/// chunks journaled execution runs, at the cost of proportionally
-/// coarser parallelism on tiny cell lists.
+/// The shortest same-case group [`Experiment::run_cells`] hands one
+/// `Network`: each construction is amortized over at least this many
+/// cells, even inside the short chunks journaled execution runs. A
+/// shorter group runs one pool task per cell instead, so its cells run
+/// side by side.
 const MIN_REUSE_GROUP: usize = 4;
 
-/// Default lane count of [`ExecBackend::Batched`]: wide enough to
-/// amortize setup and share sweeps across typical per-case rate grids,
-/// narrow enough that lane-major arrays of a 256-tile case stay
-/// cache-resident.
-const DEFAULT_LANES: usize = 8;
+/// The length below which [`Experiment::run_cells`] never splits a
+/// long same-case run to spread it over the pool: a split costs one
+/// more network construction.
+const MIN_SPLIT: usize = 8;
 
 /// One topology under sweep: its routing table and per-link latencies
 /// are computed once and shared by all grid cells of the case.
@@ -212,8 +175,6 @@ impl<'a> SweepCase<'a> {
 pub struct Experiment<'a> {
     spec: SweepSpec,
     cases: Vec<SweepCase<'a>>,
-    backend: ExecBackend,
-    lanes: usize,
     cache: Option<CellCache>,
     counters: ExecCounters,
     /// Memoized per-case cache digests (routing tables make them
@@ -222,62 +183,30 @@ pub struct Experiment<'a> {
 }
 
 impl<'a> Experiment<'a> {
-    /// An experiment over the given grid, with no cases yet, the
-    /// per-cell reference backend and no cell cache.
+    /// An experiment over the given grid, with no cases yet and no cell
+    /// cache.
     #[must_use]
     pub fn new(spec: SweepSpec) -> Self {
         Self {
             spec,
             cases: Vec::new(),
-            backend: ExecBackend::default(),
-            lanes: DEFAULT_LANES,
             cache: None,
             counters: ExecCounters::default(),
             case_digests: std::sync::OnceLock::new(),
         }
     }
 
-    /// Selects the execution backend (builder style).
-    #[must_use]
-    pub fn with_backend(mut self, backend: ExecBackend) -> Self {
-        self.set_backend(backend);
-        self
-    }
+    /// Accepted and ignored; deleted by ROADMAP item 8.
+    #[doc(hidden)]
+    pub fn set_backend(&mut self, _backend: ExecBackend) {}
 
-    /// Selects the execution backend in place.
-    pub fn set_backend(&mut self, backend: ExecBackend) {
-        self.backend = backend;
-    }
+    /// Accepted and ignored; deleted by ROADMAP item 8.
+    #[doc(hidden)]
+    pub fn set_lanes(&mut self, _lanes: usize) {}
 
-    /// The selected execution backend.
-    #[must_use]
-    pub fn backend(&self) -> ExecBackend {
-        self.backend
-    }
-
-    /// Sets the maximum lane count of [`ExecBackend::Batched`] and
-    /// [`ExecBackend::Auto`] batches (builder style). Clamped to at
-    /// least 1; results are identical at every lane count.
-    #[must_use]
-    pub fn with_lanes(mut self, lanes: usize) -> Self {
-        self.set_lanes(lanes);
-        self
-    }
-
-    /// Sets the maximum batch lane count in place.
-    pub fn set_lanes(&mut self, lanes: usize) {
-        self.lanes = lanes.max(1);
-    }
-
-    /// The maximum lane count of a batched-core group.
-    #[must_use]
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// A snapshot of the per-backend execution counters (cells each
-    /// backend simulated, batch lanes in flight). Cheap; safe to poll
-    /// from a progress reporter while a run is in flight.
+    /// A snapshot of the execution counters (cells simulated on fresh
+    /// and on reset networks). Cheap; safe to poll from a progress
+    /// reporter while a run is in flight.
     #[must_use]
     pub fn exec_stats(&self) -> ExecStats {
         self.counters.snapshot()
@@ -372,11 +301,16 @@ impl<'a> Experiment<'a> {
     /// cell list — across threads, processes or machines — reproduces
     /// the exact points of a single-shot [`Experiment::run_parallel`].
     ///
-    /// Cells found in the attached [`CellCache`] are answered from disk
-    /// instead of simulated; the backend and the cache are both
-    /// transparent to the result, which stays bit-identical (and
-    /// byte-identical once serialized) to the cache-less per-cell
-    /// reference.
+    /// Consecutive cells of one case form a group, long runs split so
+    /// the pool stays busy. A group runs on one `Network`, built on its
+    /// first cache miss and [`reset`](Network::reset) between cells; a
+    /// group shorter than four cells runs one task per cell instead, so
+    /// its cells run side by side. The layout depends on the cell list
+    /// and the pool size alone. Cells found in the attached
+    /// [`CellCache`] are answered from disk instead of simulated.
+    /// Neither the grouping nor the cache shows in the result, which
+    /// stays bit-identical (and byte-identical once serialized) to
+    /// [`Experiment::run_cells_fresh`].
     ///
     /// # Panics
     ///
@@ -384,15 +318,37 @@ impl<'a> Experiment<'a> {
     #[must_use]
     pub fn run_cells(&self, cells: &[CellId]) -> Vec<SweepPoint> {
         let digests = self.digests();
-        match self.backend {
-            ExecBackend::PerCell => cells
-                .par_iter()
-                .map(|&cell| self.run_point(cell, digests))
-                .collect(),
-            ExecBackend::Reuse => self.run_cells_reuse(cells, digests),
-            ExecBackend::Batched => self.run_cells_batched(cells, digests),
-            ExecBackend::Auto => self.run_cells_auto(cells, digests),
-        }
+        let target = cells
+            .len()
+            .div_ceil(rayon::current_num_threads().max(1) * 2)
+            .max(MIN_SPLIT);
+        let tasks = Self::tasks(cells, target);
+        let done: Vec<Vec<SweepPoint>> = tasks
+            .par_iter()
+            .map(|&(_, group)| self.run_group(group, digests))
+            .collect();
+        let mut placed: Vec<(usize, Vec<SweepPoint>)> =
+            tasks.iter().map(|&(first, _)| first).zip(done).collect();
+        placed.sort_unstable_by_key(|&(first, _)| first);
+        placed.into_iter().flat_map(|(_, points)| points).collect()
+    }
+
+    /// The reference [`Experiment::run_cells`] is tested against: every
+    /// cell on its own fresh [`Network`], with no cache and no grouping.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a cell is out of the plan's range.
+    #[must_use]
+    pub fn run_cells_fresh(&self, cells: &[CellId]) -> Vec<SweepPoint> {
+        cells
+            .par_iter()
+            .map(|&cell| {
+                let inputs = self.cell_inputs(cell, None);
+                let outcome = self.fresh_network(&inputs).run(inputs.rate, inputs.pattern);
+                self.finish_point(&inputs, outcome)
+            })
+            .collect()
     }
 
     /// The highest rate of each (case, pattern) row of `cells` whose
@@ -418,8 +374,7 @@ impl<'a> Experiment<'a> {
     /// [sustains](Network::sustains) the rate, so a cell that cannot
     /// keep up stops as soon as that is certain; it is counted as
     /// simulated but never stored, since a probe stopped early has no
-    /// full outcome to store. The backend setting does not apply: every
-    /// probe is its own network.
+    /// full outcome to store. Every probe is its own network.
     ///
     /// [`saturation_search`]: crate::saturation_search
     ///
@@ -466,14 +421,8 @@ impl<'a> Experiment<'a> {
             return point.outcome.keeps_up(slack);
         }
         self.counters.per_cell_cells.fetch_add(1, Relaxed);
-        let case = &self.cases[inputs.case];
-        Network::new(
-            case.topology,
-            &case.routes,
-            &case.link_latencies,
-            inputs.config,
-        )
-        .sustains(inputs.rate, inputs.pattern, slack, f64::INFINITY)
+        self.fresh_network(&inputs)
+            .sustains(inputs.rate, inputs.pattern, slack, f64::INFINITY)
     }
 
     /// One digest per case (memoized — digesting a routing table is
@@ -555,9 +504,8 @@ impl<'a> Experiment<'a> {
     }
 
     /// Splits `cells` into runs of consecutive same-case cells, at most
-    /// `target` long — the shared grouping step of every grouping
-    /// backend. Long runs are split so the pool stays busy; since every
-    /// cell is independent, the split cannot affect any point.
+    /// `target` long. Long runs are split so the pool stays busy; since
+    /// every cell is independent, the split cannot affect any point.
     fn split_same_case_groups(cells: &[CellId], target: usize) -> Vec<&[CellId]> {
         let mut groups: Vec<&[CellId]> = Vec::new();
         let mut rest = cells;
@@ -574,72 +522,14 @@ impl<'a> Experiment<'a> {
         groups
     }
 
-    /// The reuse backend: consecutive same-case cells are grouped, each
-    /// group runs sequentially on one `Network` ([`Network::reset`]
-    /// between cells), and the groups fan out over the pool. Groups
-    /// never drop below [`MIN_REUSE_GROUP`] cells, so the small chunks
-    /// the journaled path feeds through here still amortize each
-    /// construction over several resets instead of degenerating to one
-    /// network per cell.
-    fn run_cells_reuse(&self, cells: &[CellId], digests: Option<&[u64]>) -> Vec<SweepPoint> {
-        let target = cells
-            .len()
-            .div_ceil(rayon::current_num_threads().max(1) * 2)
-            .max(MIN_REUSE_GROUP);
-        let grouped: Vec<Vec<SweepPoint>> = Self::split_same_case_groups(cells, target)
-            .par_iter()
-            .map(|group| self.run_group(group, digests))
-            .collect();
-        grouped.into_iter().flatten().collect()
-    }
-
-    /// The batched backend: consecutive same-case cells are grouped
-    /// (at least [`Experiment::lanes`] per group where the case allows,
-    /// so every batch can fill its lanes) and each group runs as one
-    /// lane-parallel batch on the struct-of-arrays core; the groups fan
-    /// out over the pool.
-    fn run_cells_batched(&self, cells: &[CellId], digests: Option<&[u64]>) -> Vec<SweepPoint> {
-        let target = cells
-            .len()
-            .div_ceil(rayon::current_num_threads().max(1) * 2)
-            .max(MIN_REUSE_GROUP)
-            .max(self.lanes);
-        let grouped: Vec<Vec<SweepPoint>> = Self::split_same_case_groups(cells, target)
-            .par_iter()
-            .map(|group| self.run_group_batched(group, digests))
-            .collect();
-        grouped.into_iter().flatten().collect()
-    }
-
-    /// The auto backend: same grouping as batched, backend chosen per
-    /// group (see [`Experiment::run_group_auto`]). A group too short to
-    /// share a network runs one task per cell, so its cells run side by
-    /// side (see [`Experiment::auto_tasks`]); the points are scattered
-    /// back into cell order.
-    fn run_cells_auto(&self, cells: &[CellId], digests: Option<&[u64]>) -> Vec<SweepPoint> {
-        let target = cells
-            .len()
-            .div_ceil(rayon::current_num_threads().max(1) * 2)
-            .max(MIN_REUSE_GROUP)
-            .max(self.lanes);
-        let tasks = Self::auto_tasks(cells, target);
-        let done: Vec<Vec<SweepPoint>> = tasks
-            .par_iter()
-            .map(|&(_, group)| self.run_group_auto(group, digests))
-            .collect();
-        let mut placed: Vec<(usize, Vec<SweepPoint>)> =
-            tasks.iter().map(|&(first, _)| first).zip(done).collect();
-        placed.sort_unstable_by_key(|&(first, _)| first);
-        placed.into_iter().flat_map(|(_, points)| points).collect()
-    }
-
-    /// The auto backend's pool tasks over `cells`, as `(index of the
-    /// task's first cell, its cells)`: every same-case group of at least
-    /// [`MIN_REUSE_GROUP`] cells in cell order, then each cell of the
-    /// shorter groups on its own. Long groups come first so none starts
-    /// later than it would in plain group order; the short groups' cells
-    /// fill the pool behind them.
-    fn auto_tasks(cells: &[CellId], target: usize) -> Vec<(usize, &[CellId])> {
+    /// The pool tasks of [`Experiment::run_cells`] over `cells`, as
+    /// `(index of the task's first cell, its cells)`: every same-case
+    /// group of at least [`MIN_REUSE_GROUP`] cells in cell order, then
+    /// each cell of the shorter groups on its own. Long groups come
+    /// first so none starts later than it would in plain group order;
+    /// the short groups' cells fill the pool behind them. The layout
+    /// depends on the cell list and `target` alone.
+    fn tasks(cells: &[CellId], target: usize) -> Vec<(usize, &[CellId])> {
         let (mut tasks, mut singles) = (Vec::new(), Vec::new());
         let mut first = 0;
         for group in Self::split_same_case_groups(cells, target) {
@@ -654,135 +544,33 @@ impl<'a> Experiment<'a> {
         tasks
     }
 
-    /// Runs one same-case cell group on a single reused `Network`. The
-    /// network is built lazily on the first cache miss, so a fully
+    /// Runs one same-case cell group on a single `Network`, built on
+    /// the group's first cache miss and reset between cells, so a fully
     /// cached group allocates nothing.
     fn run_group(&self, group: &[CellId], digests: Option<&[u64]>) -> Vec<SweepPoint> {
         let mut network: Option<Network<'_>> = None;
         group
             .iter()
             .map(|&cell| {
-                self.run_point_with(cell, digests, |case, config, rate, pattern| {
-                    self.counters.reuse_cells.fetch_add(1, Relaxed);
-                    match network {
-                        Some(ref mut net) => {
-                            net.reset(config.seed);
-                            net.run(rate, pattern)
-                        }
-                        None => {
-                            let net = network.insert(Network::new(
-                                case.topology,
-                                &case.routes,
-                                &case.link_latencies,
-                                config,
-                            ));
-                            net.run(rate, pattern)
-                        }
+                let inputs = self.cell_inputs(cell, digests);
+                if let Some(point) = self.load_cached(&inputs) {
+                    return point;
+                }
+                let net = match network {
+                    Some(ref mut net) => {
+                        self.counters.reuse_cells.fetch_add(1, Relaxed);
+                        net.reset(inputs.seed);
+                        net
                     }
-                })
+                    None => {
+                        self.counters.per_cell_cells.fetch_add(1, Relaxed);
+                        network.insert(self.fresh_network(&inputs))
+                    }
+                };
+                let outcome = net.run(inputs.rate, inputs.pattern);
+                self.finish_point(&inputs, outcome)
             })
             .collect()
-    }
-
-    /// Runs one same-case cell group as a lane-parallel batch: every
-    /// cell is probed against the cache first (a cached cell must not
-    /// occupy a lane), the misses run together through one
-    /// struct-of-arrays core with up to [`Experiment::lanes`] lanes in
-    /// flight, and the points come back in group order.
-    fn run_group_batched(&self, group: &[CellId], digests: Option<&[u64]>) -> Vec<SweepPoint> {
-        let inputs: Vec<CellInputs> = group
-            .iter()
-            .map(|&cell| self.cell_inputs(cell, digests))
-            .collect();
-        let mut points: Vec<Option<SweepPoint>> = inputs
-            .iter()
-            .map(|inputs| self.load_cached(inputs))
-            .collect();
-        let misses: Vec<usize> = points
-            .iter()
-            .enumerate()
-            .filter_map(|(i, p)| p.is_none().then_some(i))
-            .collect();
-        if !misses.is_empty() {
-            let case = &self.cases[inputs[misses[0]].case];
-            let jobs: Vec<LaneJob> = misses
-                .iter()
-                .map(|&i| LaneJob {
-                    seed: inputs[i].seed,
-                    rate: inputs[i].rate,
-                    pattern: inputs[i].pattern,
-                })
-                .collect();
-            let k = self.lanes.min(jobs.len()) as u64;
-            self.counters
-                .batched_cells
-                .fetch_add(jobs.len() as u64, Relaxed);
-            self.counters.lanes_up(k);
-            let outcomes = run_batch(
-                case.topology,
-                &case.routes,
-                &case.link_latencies,
-                &self.spec.config,
-                &jobs,
-                self.lanes,
-            );
-            self.counters.lanes_down(k);
-            for (&i, outcome) in misses.iter().zip(outcomes) {
-                points[i] = Some(self.finish_point(&inputs[i], outcome));
-            }
-        }
-        points
-            .into_iter()
-            .map(|p| p.expect("every group cell is cached or batched"))
-            .collect()
-    }
-
-    /// Runs one same-case cell group under the auto backend. Groups too
-    /// small to amortize anything run per-cell (as one-cell tasks, from
-    /// [`Experiment::run_cells_auto`]). Otherwise the first
-    /// cache-missing cell runs per-cell with its construction and
-    /// simulation separately timed, and the rest of the group goes to
-    /// the batched core when construction is the dominant cost
-    /// (simulation under twice construction) or to network reuse when
-    /// simulation dominates — long cells gain little from lockstep
-    /// lanes, and reuse keeps peak memory at one network.
-    fn run_group_auto(&self, group: &[CellId], digests: Option<&[u64]>) -> Vec<SweepPoint> {
-        if group.len() < MIN_REUSE_GROUP {
-            return group
-                .iter()
-                .map(|&cell| self.run_point(cell, digests))
-                .collect();
-        }
-        let mut points = Vec::with_capacity(group.len());
-        let mut probe: Option<(std::time::Duration, std::time::Duration)> = None;
-        let mut rest = group;
-        while probe.is_none() {
-            let Some((&cell, tail)) = rest.split_first() else {
-                break; // fully cached group: nothing left to decide
-            };
-            points.push(
-                self.run_point_with(cell, digests, |case, config, rate, pattern| {
-                    self.counters.per_cell_cells.fetch_add(1, Relaxed);
-                    let build_start = Instant::now();
-                    let mut network =
-                        Network::new(case.topology, &case.routes, &case.link_latencies, config);
-                    let build = build_start.elapsed();
-                    let run_start = Instant::now();
-                    let outcome = network.run(rate, pattern);
-                    probe = Some((build, run_start.elapsed()));
-                    outcome
-                }),
-            );
-            rest = tail;
-        }
-        match probe {
-            Some((build, run)) if run < build * 2 => {
-                points.extend(self.run_group_batched(rest, digests));
-            }
-            Some(_) => points.extend(self.run_group(rest, digests)),
-            None => {}
-        }
-        points
     }
 
     /// Runs `cells` in order as pool-sized chunks (a few per worker —
@@ -793,12 +581,10 @@ impl<'a> Experiment<'a> {
     /// progress is reported, so the two cannot drift; an error from
     /// `after_chunk` aborts the run.
     ///
-    /// Under the grouping backends the chunks are a few times larger:
-    /// each chunk is grouped per case onto reused `Network`s or batched
-    /// cores, so the chunk length bounds how much amortization one
-    /// construction gets — the price is a proportionally larger
-    /// recompute window after a kill. Batched chunks scale with the
-    /// lane count so every batch can fill its lanes.
+    /// The chunks are a few times larger than the pool: each chunk is
+    /// grouped per case onto reused `Network`s, so the chunk length
+    /// bounds how much amortization one construction gets — the price
+    /// is a proportionally larger recompute window after a kill.
     ///
     /// # Errors
     ///
@@ -808,14 +594,9 @@ impl<'a> Experiment<'a> {
         cells: &[CellId],
         mut after_chunk: impl FnMut(&[CellId], &[SweepPoint]) -> Result<(), E>,
     ) -> Result<Vec<SweepPoint>, E> {
-        let per_worker = match self.backend {
-            ExecBackend::PerCell => 2,
-            ExecBackend::Reuse | ExecBackend::Auto => 2 * MIN_REUSE_GROUP,
-            ExecBackend::Batched => 2 * self.lanes,
-        };
-        let chunk_size = rayon::current_num_threads().max(1) * per_worker;
+        let chunk_size = rayon::current_num_threads().max(1) * 2 * MIN_REUSE_GROUP;
         let mut points = Vec::with_capacity(cells.len());
-        for chunk in cells.chunks(chunk_size.max(1)) {
+        for chunk in cells.chunks(chunk_size) {
             let chunk_points = self.run_cells(chunk);
             after_chunk(chunk, &chunk_points)?;
             points.extend(chunk_points);
@@ -863,17 +644,6 @@ impl<'a> Experiment<'a> {
     #[must_use]
     pub fn run_in_pool(&self, pool: &rayon::ThreadPool) -> SweepResult {
         pool.install(|| self.run_parallel())
-    }
-
-    /// Runs one grid cell on a fresh `Network` (the per-cell reference
-    /// backend). The per-point seed depends only on the root seed and
-    /// the grid coordinates, never on scheduling.
-    fn run_point(&self, cell: CellId, digests: Option<&[u64]>) -> SweepPoint {
-        self.run_point_with(cell, digests, |case, config, rate, pattern| {
-            self.counters.per_cell_cells.fetch_add(1, Relaxed);
-            Network::new(case.topology, &case.routes, &case.link_latencies, config)
-                .run(rate, pattern)
-        })
     }
 
     /// Derives everything a cell's execution needs from its grid
@@ -936,24 +706,15 @@ impl<'a> Experiment<'a> {
         point
     }
 
-    /// The shared per-cell skeleton: derives the cell's inputs, probes
-    /// the cache, and only on a miss calls `simulate` (the backend's
-    /// way of producing the outcome), storing what it computed. The
-    /// case reference handed to `simulate` borrows from `self`, so a
-    /// reuse backend can keep a `Network` built on it across calls.
-    fn run_point_with<'s>(
-        &'s self,
-        cell: CellId,
-        digests: Option<&[u64]>,
-        simulate: impl FnOnce(&'s SweepCase<'a>, SimConfig, f64, TrafficPattern) -> SimOutcome,
-    ) -> SweepPoint {
-        let inputs = self.cell_inputs(cell, digests);
-        if let Some(point) = self.load_cached(&inputs) {
-            return point;
-        }
+    /// A fresh `Network` for one cell of this experiment.
+    fn fresh_network(&self, inputs: &CellInputs) -> Network<'_> {
         let case = &self.cases[inputs.case];
-        let outcome = simulate(case, inputs.config.clone(), inputs.rate, inputs.pattern);
-        self.finish_point(&inputs, outcome)
+        Network::new(
+            case.topology,
+            &case.routes,
+            &case.link_latencies,
+            inputs.config.clone(),
+        )
     }
 }
 
@@ -1096,23 +857,25 @@ mod tests {
         );
     }
 
+    /// A case run shorter than [`MIN_REUSE_GROUP`] runs one fresh
+    /// network per cell, at any thread count.
     #[test]
     fn auto_runs_short_groups_cell_by_cell_like_per_cell() {
         let mesh = generators::mesh(Grid::new(4, 4));
         for rates in [vec![0.02, 0.1], vec![0.02, 0.1, 0.3]] {
             let spec = SweepSpec::new(SimConfig::fast_test()).rates(rates.clone());
-            let experiment = |backend| {
+            let experiment = || {
                 Experiment::new(spec.clone())
                     .with_unit_latency_case("mesh", &mesh)
                     .expect("mesh routes")
-                    .with_backend(backend)
             };
-            let reference = experiment(ExecBackend::PerCell).run_parallel();
+            let cells: Vec<CellId> = experiment().plan().cells().collect();
+            let reference = experiment().run_cells_fresh(&cells);
             for threads in [1, 4] {
-                let auto = experiment(ExecBackend::Auto);
-                assert_eq!(auto.run_with_threads(threads), reference, "{rates:?}");
+                let grouped = experiment();
+                assert_eq!(grouped.run_with_threads(threads).points, reference);
                 assert_eq!(
-                    auto.exec_stats(),
+                    grouped.exec_stats(),
                     ExecStats {
                         per_cell_cells: rates.len() as u64,
                         ..ExecStats::default()
@@ -1123,6 +886,8 @@ mod tests {
         }
     }
 
+    /// Long case runs share a network and are scheduled first; the
+    /// points still come back in cell order.
     #[test]
     fn auto_schedules_long_groups_first_and_keeps_cell_order() {
         let grid = Grid::new(4, 4);
@@ -1134,15 +899,14 @@ mod tests {
         let spec = SweepSpec::new(SimConfig::fast_test())
             .rates([0.02, 0.05, 0.1])
             .patterns([TrafficPattern::UniformRandom, TrafficPattern::Transpose]);
-        let experiment = |backend| {
+        let experiment = || {
             Experiment::new(spec.clone())
                 .with_unit_latency_case("mesh", &mesh)
                 .and_then(|e| e.with_unit_latency_case("ring", &ring))
                 .and_then(|e| e.with_unit_latency_case("torus", &torus))
                 .expect("routes")
-                .with_backend(backend)
         };
-        let all: Vec<CellId> = experiment(ExecBackend::PerCell).plan().cells().collect();
+        let all: Vec<CellId> = experiment().plan().cells().collect();
         let of_case = |case: u32| all.iter().copied().filter(move |c| c.case == case);
         // Six mesh cells, two ring, one torus, then four mesh again.
         let cells: Vec<CellId> = of_case(0)
@@ -1150,20 +914,81 @@ mod tests {
             .chain(of_case(2).take(1))
             .chain(of_case(0).take(4))
             .collect();
-        let tasks: Vec<(usize, usize)> = Experiment::auto_tasks(&cells, 8)
+        let tasks: Vec<(usize, usize)> = Experiment::tasks(&cells, 8)
             .into_iter()
             .map(|(first, group)| (first, group.len()))
             .collect();
         assert_eq!(tasks, [(0, 6), (9, 4), (6, 1), (7, 1), (8, 1)]);
-        let reference = experiment(ExecBackend::PerCell).run_cells(&cells);
+        let reference = experiment().run_cells_fresh(&cells);
         for threads in [1, 3] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .expect("pool builds");
-            let auto = experiment(ExecBackend::Auto);
-            assert_eq!(pool.install(|| auto.run_cells(&cells)), reference);
+            let grouped = experiment();
+            assert_eq!(pool.install(|| grouped.run_cells(&cells)), reference);
+            // One construction per long group, one per short-group cell.
+            let stats = grouped.exec_stats();
+            assert_eq!((stats.per_cell_cells, stats.reuse_cells), (5, 8));
         }
+    }
+
+    /// The task layout is a function of the cell list and the split
+    /// target alone: mixed case runs, runs shorter than
+    /// [`MIN_REUSE_GROUP`] and runs longer than the target, with no
+    /// timing input. Concatenating the tasks in order of their first
+    /// index gives back the cell list, which is how
+    /// [`Experiment::run_cells`] returns points in cell order.
+    #[test]
+    fn task_layout_depends_on_the_cell_list_alone() {
+        let run = |case: u32, len: u32| {
+            (0..len).map(move |rate| CellId {
+                case,
+                pattern: 0,
+                rate,
+            })
+        };
+        let cells: Vec<CellId> = run(0, 20)
+            .chain(run(1, 3))
+            .chain(run(2, 5))
+            .chain(run(0, 2))
+            .chain(run(3, 9))
+            .collect();
+        let tasks = Experiment::tasks(&cells, 8);
+        let layout: Vec<(usize, usize)> = tasks
+            .iter()
+            .map(|&(first, group)| (first, group.len()))
+            .collect();
+        assert_eq!(
+            layout,
+            [
+                // Shared networks: case 0 split at the target, case 2,
+                // and case 3's first eight cells.
+                (0, 8),
+                (8, 8),
+                (16, 4),
+                (23, 5),
+                (30, 8),
+                // One fresh network each: case 1, the second case-0
+                // run and case 3's remainder.
+                (20, 1),
+                (21, 1),
+                (22, 1),
+                (28, 1),
+                (29, 1),
+                (38, 1),
+            ]
+        );
+        for &(first, group) in &tasks {
+            assert_eq!(group, &cells[first..first + group.len()]);
+        }
+        let mut ordered = tasks.clone();
+        ordered.sort_unstable_by_key(|&(first, _)| first);
+        let rejoined: Vec<CellId> = ordered
+            .into_iter()
+            .flat_map(|(_, group)| group.iter().copied())
+            .collect();
+        assert_eq!(rejoined, cells);
     }
 
     #[test]

@@ -26,10 +26,8 @@
 //! * [`experiment`] — [`Experiment`]: runs the whole grid
 //!   ([`Experiment::run_parallel`]), an arbitrary cell subset
 //!   ([`Experiment::run_cells`]) or one shard
-//!   ([`Experiment::run_shard`]), on a pluggable [`ExecBackend`]
-//!   (per-cell reference, `Network`-reusing execution, the
-//!   lane-parallel struct-of-arrays batched core, or an auto policy
-//!   that picks per cell group).
+//!   ([`Experiment::run_shard`]), each same-case group of cells on one
+//!   `Network` reset between cells.
 //! * [`cache`] — [`CellCache`]: a content-addressed on-disk store of
 //!   completed cells keyed per cell (not per plan), so re-runs and
 //!   widened grids simulate only what actually changed.

@@ -395,8 +395,8 @@ impl ToCoord {
 /// Malformed frames and chunks that stray outside the current plan
 /// also answer with [`ToCoord::Error`] instead of dying; simulation
 /// itself goes through [`super::Experiment::run_cells`], so the
-/// worker's backend and local cache apply exactly as they would in a
-/// single-process run.
+/// worker's local cache applies exactly as it would in a single-process
+/// run.
 ///
 /// # Errors
 ///

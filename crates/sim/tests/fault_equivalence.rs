@@ -1,7 +1,7 @@
 //! Equivalence and conservation suite for fault injection
-//! (`SimConfig::faults`): a faulted sweep must be byte-identical
-//! across execution backends and thread counts — faults are one more
-//! sweep axis, not a second simulator —
+//! (`SimConfig::faults`): a faulted sweep must be byte-identical to
+//! every cell run on a fresh network, at any thread count — faults are
+//! one more sweep axis, not a second simulator —
 //! while the empty plan stays bit-identical to a build that never
 //! heard of faults. The conservation law under faults: every packet
 //! injected in the measurement window is delivered, dropped by a fault,
@@ -9,7 +9,8 @@
 
 use proptest::prelude::*;
 use shg_sim::{
-    ExecBackend, Experiment, FaultPlan, Network, SimConfig, SimOutcome, SweepSpec, TrafficPattern,
+    CellId, Experiment, FaultPlan, Network, SimConfig, SimOutcome, SweepResult, SweepSpec,
+    TrafficPattern,
 };
 use shg_topology::db::TopologyDb;
 use shg_topology::{generators, routing, Grid, Topology};
@@ -31,15 +32,8 @@ fn faulted_config(plan: &str) -> SimConfig {
     }
 }
 
-fn experiment<'a>(
-    spec: SweepSpec,
-    cases: &[(&str, &'a Topology)],
-    backend: ExecBackend,
-    lanes: usize,
-) -> Experiment<'a> {
-    let mut experiment = Experiment::new(spec)
-        .with_backend(backend)
-        .with_lanes(lanes);
+fn experiment<'a>(spec: SweepSpec, cases: &[(&str, &'a Topology)]) -> Experiment<'a> {
+    let mut experiment = Experiment::new(spec);
     for &(name, topology) in cases {
         experiment = experiment
             .with_unit_latency_case(name, topology)
@@ -48,9 +42,17 @@ fn experiment<'a>(
     experiment
 }
 
+/// The whole grid, every cell on its own fresh network.
+fn fresh(experiment: &Experiment<'_>) -> SweepResult {
+    let cells: Vec<CellId> = experiment.plan().cells().collect();
+    SweepResult {
+        points: experiment.run_cells_fresh(&cells),
+    }
+}
+
 /// The headline matrix: under both in-flight policies, a faulted sweep
-/// serializes byte-identically across {per-cell, reuse, batched}
-/// backends and 1-vs-N threads.
+/// serializes byte-identically to fresh networks per cell, on 1 and on
+/// N threads.
 #[test]
 fn faulted_sweeps_match_across_backends_and_threads() {
     let grid = Grid::new(4, 4);
@@ -63,30 +65,22 @@ fn faulted_sweeps_match_across_backends_and_threads() {
                 .rates([0.05, 0.25])
                 .patterns([TrafficPattern::UniformRandom, TrafficPattern::Transpose])
         };
-        let reference = experiment(spec(), &cases, ExecBackend::PerCell, 1);
-        let reference_json = reference.run_parallel().to_json();
+        let grouped = experiment(spec(), &cases);
+        let reference_json = fresh(&grouped).to_json();
         assert_eq!(
             reference_json,
-            reference.run_with_threads(1).to_json(),
+            grouped.run_parallel().to_json(),
+            "{plan}: grouped cells changed the sweep bytes"
+        );
+        assert_eq!(
+            reference_json,
+            grouped.run_with_threads(1).to_json(),
             "{plan}: thread count changed the sweep bytes"
         );
-        for (backend, lanes) in [
-            (ExecBackend::Reuse, 1),
-            (ExecBackend::Batched, 1),
-            (ExecBackend::Batched, 4),
-        ] {
-            let other = experiment(spec(), &cases, backend, lanes)
-                .run_parallel()
-                .to_json();
-            assert_eq!(
-                reference_json, other,
-                "{plan}: {backend} K={lanes} changed the sweep bytes"
-            );
-        }
     }
 }
 
-/// Every faulted batched point must reproduce `Network::run_validated`
+/// Every faulted point must reproduce `Network::run_validated`
 /// — the reference engine with its cross-structure invariants (buffer
 /// accounting, credit conservation, the sinking-VC invariant) asserted
 /// every cycle.
@@ -98,7 +92,7 @@ fn faulted_points_match_validated_reference() {
         let spec = SweepSpec::new(config.clone())
             .rates([0.05, 0.3])
             .patterns([TrafficPattern::UniformRandom, TrafficPattern::Hotspot(20)]);
-        let result = experiment(spec, &[("mesh", &mesh)], ExecBackend::Batched, 4).run_parallel();
+        let result = experiment(spec, &[("mesh", &mesh)]).run_parallel();
         let routes = routing::default_routes(&mesh).expect("routes");
         let latencies = vec![Cycles::one(); mesh.num_links()];
         for point in &result.points {
@@ -110,7 +104,7 @@ fn faulted_points_match_validated_reference() {
                 .run_validated(point.rate, point.pattern);
             assert_eq!(
                 reference, point.outcome,
-                "{plan}: batched lane diverged from the validated reference at rate {} {:?}",
+                "{plan}: point diverged from the validated reference at rate {} {:?}",
                 point.rate, point.pattern
             );
         }
@@ -143,8 +137,8 @@ fn empty_plan_is_bit_identical_to_no_flag() {
         .rates([0.05, 0.3])
         .patterns([TrafficPattern::UniformRandom])
     };
-    let reference = experiment(no_flag(), &cases, ExecBackend::PerCell, 1);
-    let with_empty = experiment(empty(), &cases, ExecBackend::Batched, 4);
+    let reference = experiment(no_flag(), &cases);
+    let with_empty = experiment(empty(), &cases);
     assert_eq!(
         reference.plan().fingerprint(),
         with_empty.plan().fingerprint(),
@@ -174,8 +168,8 @@ fn faulted_plans_fingerprint_and_serialize_distinctly() {
             .rates([0.25])
             .patterns([TrafficPattern::UniformRandom])
     };
-    let clean = experiment(spec(""), &cases, ExecBackend::PerCell, 1);
-    let faulted = experiment(spec(DRAIN_PLAN), &cases, ExecBackend::PerCell, 1);
+    let clean = experiment(spec(""), &cases);
+    let faulted = experiment(spec(DRAIN_PLAN), &cases);
     assert_ne!(
         clean.plan().fingerprint(),
         faulted.plan().fingerprint(),
@@ -240,8 +234,8 @@ proptest! {
 
     /// Random kill sets on random 2-die databases: whatever dies —
     /// seam links, SHG skips, whole routers, possibly partitioning the
-    /// network — conservation holds, and the batched core agrees with
-    /// the reference engine bit for bit.
+    /// network — conservation holds, and the grouped sweep agrees with
+    /// fresh networks per cell bit for bit.
     #[test]
     fn random_kill_sets_on_two_die_dbs_conserve_packets(
         seed in 0u64..100_000,
@@ -292,12 +286,12 @@ proptest! {
             .rates([0.08])
             .patterns([TrafficPattern::UniformRandom]);
         let cases = [("db", &topology)];
-        let reference = experiment(spec.clone(), &cases, ExecBackend::PerCell, 1).run_parallel();
-        let batched = experiment(spec, &cases, ExecBackend::Batched, 2).run_parallel();
+        let grouped = experiment(spec, &cases);
+        let reference = fresh(&grouped);
         prop_assert_eq!(
             reference.to_json(),
-            batched.to_json(),
-            "batched diverged from per-cell on a random faulted 2-die db"
+            grouped.run_parallel().to_json(),
+            "grouped cells diverged from fresh networks on a random faulted 2-die db"
         );
         for point in &reference.points {
             let injected = injected_packets(&point.outcome, &config, topology.num_tiles() as f64);

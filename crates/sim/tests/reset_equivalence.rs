@@ -1,5 +1,5 @@
-//! Equivalence suite for `Network::reset` and the `ExecBackend::Reuse`
-//! execution backend: a reset-reused network must be bit-identical to
+//! Equivalence suite for `Network::reset` and the sweep engine's cell
+//! groups built on it: a reset-reused network must be bit-identical to
 //! fresh construction for every cell, with and without fault epochs of
 //! either in-flight policy — including after *unstable* cells that
 //! leave maximal residual state (occupied buffers, in-flight flits and
@@ -10,7 +10,10 @@
 //! request or active-set state surviving a reset trips an assertion
 //! long before it could skew a statistic.
 
-use shg_sim::{ExecBackend, Experiment, FaultPlan, Network, SimConfig, SweepSpec, TrafficPattern};
+use proptest::prelude::*;
+use shg_sim::{
+    CellId, Experiment, FaultPlan, Network, SimConfig, SweepResult, SweepSpec, TrafficPattern,
+};
 use shg_topology::{generators, routing, Grid, Topology};
 use shg_units::Cycles;
 
@@ -149,36 +152,84 @@ fn repeated_resets_with_the_same_seed_reproduce() {
     }
 }
 
-/// Experiment-level consequence: the reuse backend serializes the same
-/// bytes as the per-cell reference, regardless of thread count.
+/// Experiment-level consequence: grouped cells serialize the same bytes
+/// as every cell on its own fresh network, regardless of thread count.
 #[test]
 fn reuse_backend_serializes_identically_to_per_cell() {
     let grid = Grid::new(4, 4);
     let mesh = generators::mesh(grid);
     let fb = generators::flattened_butterfly(grid);
-    let spec = || {
-        SweepSpec::new(SimConfig::fast_test())
-            .rates([0.02, 0.1, 0.6])
-            .patterns([TrafficPattern::UniformRandom, TrafficPattern::Hotspot(20)])
-    };
-    let experiment = |backend: ExecBackend| {
-        Experiment::new(spec())
-            .with_backend(backend)
+    let spec = SweepSpec::new(SimConfig::fast_test())
+        .rates([0.02, 0.1, 0.6])
+        .patterns([TrafficPattern::UniformRandom, TrafficPattern::Hotspot(20)]);
+    let grouped = Experiment::new(spec)
+        .with_unit_latency_case("mesh", &mesh)
+        .expect("mesh routes")
+        .with_unit_latency_case("fb", &fb)
+        .expect("fb routes");
+    let cells: Vec<CellId> = grouped.plan().cells().collect();
+    let reference = SweepResult {
+        points: grouped.run_cells_fresh(&cells),
+    }
+    .to_json();
+    assert_eq!(
+        reference,
+        grouped.run_parallel().to_json(),
+        "grouped cells changed the sweep bytes"
+    );
+    assert_eq!(
+        reference,
+        grouped.run_with_threads(1).to_json(),
+        "grouped cells are thread-count-dependent"
+    );
+}
+
+/// SplitMix64 step for the deterministic shuffles below.
+fn mix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(10))]
+
+    /// Random groupings: an arbitrary ordering and truncation of the
+    /// cell list — fragmenting same-case runs into groups of every
+    /// size, interleaving cases — on an arbitrary pool size must match
+    /// fresh networks per cell, point for point.
+    #[test]
+    fn random_cell_orderings_match_per_cell(seed in 0u64..100_000, threads in 1usize..4) {
+        let grid = Grid::new(4, 4);
+        let mesh = generators::mesh(grid);
+        let torus = generators::torus(grid);
+        let spec = SweepSpec::new(SimConfig::fast_test())
+            .rates([0.05, 0.3])
+            .patterns([TrafficPattern::UniformRandom, TrafficPattern::Tornado]);
+        let experiment = Experiment::new(spec)
             .with_unit_latency_case("mesh", &mesh)
             .expect("mesh routes")
-            .with_unit_latency_case("fb", &fb)
-            .expect("fb routes")
-    };
-    let reference = experiment(ExecBackend::PerCell).run_parallel();
-    let reuse = experiment(ExecBackend::Reuse);
-    assert_eq!(
-        reference.to_json(),
-        reuse.run_parallel().to_json(),
-        "reuse backend changed the sweep bytes"
-    );
-    assert_eq!(
-        reference.to_json(),
-        reuse.run_with_threads(1).to_json(),
-        "reuse backend is thread-count-dependent"
-    );
+            .with_unit_latency_case("torus", &torus)
+            .expect("torus routes");
+        let mut cells: Vec<CellId> = experiment.plan().cells().collect();
+        // Fisher–Yates with a splitmix stream: deterministic per seed.
+        let mut state = seed;
+        for i in (1..cells.len()).rev() {
+            let j = (mix(&mut state) % (i as u64 + 1)) as usize;
+            cells.swap(i, j);
+        }
+        let keep = 1 + (mix(&mut state) % cells.len() as u64) as usize;
+        cells.truncate(keep);
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool builds");
+        prop_assert_eq!(
+            experiment.run_cells_fresh(&cells),
+            pool.install(|| experiment.run_cells(&cells)),
+            "{} shuffled cells on {} threads diverged", keep, threads
+        );
+    }
 }

@@ -3,11 +3,13 @@
 //! The compact next-hop routing table must be invisible to the
 //! simulator: every sweep over a case annotated with next-hop routes
 //! serializes **byte-identically** to the same sweep over dense routes,
-//! across topologies, fault epochs of both in-flight policies and every
-//! execution backend. This is what lets `--routes next-hop` default on
-//! without perturbing a single published number.
+//! across topologies and fault epochs of both in-flight policies, with
+//! the dense reference run on a fresh network per cell and the next-hop
+//! sweep through the engine's grouped cells. This is what lets every
+//! sweep use next-hop tables without perturbing a single published
+//! number.
 
-use shg_sim::{ExecBackend, Experiment, FaultPlan, SimConfig, SweepSpec, TrafficPattern};
+use shg_sim::{CellId, Experiment, FaultPlan, SimConfig, SweepResult, SweepSpec, TrafficPattern};
 use shg_topology::routing::{default_routes, default_routes_with, RouteForm};
 use shg_topology::{generators, Grid, Topology};
 use shg_units::Cycles;
@@ -18,21 +20,24 @@ fn spec(config: SimConfig) -> SweepSpec {
         .patterns([TrafficPattern::UniformRandom, TrafficPattern::Transpose])
 }
 
-/// Runs one sweep over `topology` with routes in `form` on `backend`.
-fn sweep_json(
-    topology: &Topology,
-    form: RouteForm,
-    config: SimConfig,
-    backend: ExecBackend,
-) -> String {
+/// The bytes of one sweep over `topology` with routes in `form`: every
+/// cell on its own fresh network when `fresh`, else through
+/// [`Experiment::run_parallel`].
+fn sweep_json(topology: &Topology, form: RouteForm, config: SimConfig, fresh: bool) -> String {
     let routes = default_routes_with(topology, form).expect("routes build");
     let latencies = vec![Cycles::one(); topology.num_links()];
-    let experiment = Experiment::new(spec(config))
-        .with_backend(backend)
-        .with_case(shg_sim::SweepCase::annotated(
-            "case", topology, routes, latencies,
-        ));
-    experiment.run_parallel().to_json()
+    let experiment = Experiment::new(spec(config)).with_case(shg_sim::SweepCase::annotated(
+        "case", topology, routes, latencies,
+    ));
+    if fresh {
+        let cells: Vec<CellId> = experiment.plan().cells().collect();
+        SweepResult {
+            points: experiment.run_cells_fresh(&cells),
+        }
+        .to_json()
+    } else {
+        experiment.run_parallel().to_json()
+    }
 }
 
 #[test]
@@ -51,29 +56,9 @@ fn next_hop_sweeps_serialize_identically_to_dense() {
         ]
     };
     for (name, topology) in &topologies {
-        let reference = sweep_json(
-            topology,
-            RouteForm::Dense,
-            SimConfig::fast_test(),
-            ExecBackend::PerCell,
-        );
-        for backend in [
-            ExecBackend::PerCell,
-            ExecBackend::Reuse,
-            ExecBackend::Batched,
-            ExecBackend::Auto,
-        ] {
-            let compact = sweep_json(
-                topology,
-                RouteForm::NextHop,
-                SimConfig::fast_test(),
-                backend,
-            );
-            assert_eq!(
-                compact, reference,
-                "{name} on {backend} diverged from dense"
-            );
-        }
+        let reference = sweep_json(topology, RouteForm::Dense, SimConfig::fast_test(), true);
+        let compact = sweep_json(topology, RouteForm::NextHop, SimConfig::fast_test(), false);
+        assert_eq!(compact, reference, "{name} diverged from dense");
     }
 }
 
@@ -90,13 +75,8 @@ fn next_hop_is_byte_identical_across_policies() {
             faults: FaultPlan::parse(plan).expect("plan parses"),
             ..SimConfig::fast_test()
         };
-        let dense = sweep_json(
-            &mesh,
-            RouteForm::Dense,
-            config.clone(),
-            ExecBackend::PerCell,
-        );
-        let compact = sweep_json(&mesh, RouteForm::NextHop, config, ExecBackend::PerCell);
+        let dense = sweep_json(&mesh, RouteForm::Dense, config.clone(), true);
+        let compact = sweep_json(&mesh, RouteForm::NextHop, config, false);
         assert_eq!(compact, dense, "'{plan}' diverged across route forms");
     }
 }

@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 use shg_sim::sweep::run_journaled;
 use shg_sim::{
-    CellCache, ExecBackend, Experiment, ShardSpec, SimConfig, SweepSpec, TrafficPattern,
+    CellCache, CellId, Experiment, ShardSpec, SimConfig, SweepResult, SweepSpec, TrafficPattern,
 };
 use shg_topology::{generators, Grid, Topology};
 
@@ -56,13 +56,20 @@ fn experiment<'a>(spec: SweepSpec, mesh: &'a Topology) -> Experiment<'a> {
         .expect("mesh routes")
 }
 
+/// The cache-less reference bytes: every cell on its own fresh network.
+fn fresh_json(experiment: &Experiment<'_>) -> String {
+    let cells: Vec<CellId> = experiment.plan().cells().collect();
+    SweepResult {
+        points: experiment.run_cells_fresh(&cells),
+    }
+    .to_json()
+}
+
 #[test]
 fn warm_rerun_is_byte_identical_and_simulates_nothing() {
     let mesh = generators::mesh(Grid::new(4, 4));
     let scratch = ScratchDir::new("warm_rerun");
-    let reference = experiment(base_spec(SimConfig::fast_test()), &mesh)
-        .run_parallel()
-        .to_json();
+    let reference = fresh_json(&experiment(base_spec(SimConfig::fast_test()), &mesh));
 
     let cold = experiment(base_spec(SimConfig::fast_test()), &mesh).with_cache(scratch.cache());
     assert_eq!(cold.run_parallel().to_json(), reference);
@@ -143,7 +150,7 @@ fn reindexed_cells_do_not_hit_the_cache() {
     let stats = shifted.cache().expect("cache").stats();
     assert_eq!(stats.cached, 0, "every coordinate shifted; nothing may hit");
     assert_eq!(stats.simulated, 6);
-    let reference = experiment(shifted_spec, &mesh).run_parallel().to_json();
+    let reference = fresh_json(&experiment(shifted_spec, &mesh));
     assert_eq!(shifted_json, reference);
 }
 
@@ -151,9 +158,7 @@ fn reindexed_cells_do_not_hit_the_cache() {
 fn corrupted_and_stale_entries_are_recomputed_never_merged() {
     let mesh = generators::mesh(Grid::new(4, 4));
     let scratch = ScratchDir::new("corrupt");
-    let reference = experiment(base_spec(SimConfig::fast_test()), &mesh)
-        .run_parallel()
-        .to_json();
+    let reference = fresh_json(&experiment(base_spec(SimConfig::fast_test()), &mesh));
     let cold = experiment(base_spec(SimConfig::fast_test()), &mesh).with_cache(scratch.cache());
     let _ = cold.run_parallel();
 
@@ -249,9 +254,7 @@ fn different_root_seed_never_hits() {
         seed: 7,
         ..SimConfig::fast_test()
     };
-    let reference = experiment(base_spec(other.clone()), &mesh)
-        .run_parallel()
-        .to_json();
+    let reference = fresh_json(&experiment(base_spec(other.clone()), &mesh));
     let reseeded = experiment(base_spec(other), &mesh).with_cache(scratch.cache());
     assert_eq!(reseeded.run_parallel().to_json(), reference);
     let stats = reseeded.cache().expect("cache").stats();
@@ -290,51 +293,42 @@ fn journal_resume_and_cache_compose() {
     );
 }
 
+/// Cell groups and the cache compose: a group whose cells are all
+/// cached builds no network, and the bytes stay the fresh networks'.
 #[test]
 fn reuse_backend_and_cache_compose() {
     let mesh = generators::mesh(Grid::new(4, 4));
     let scratch = ScratchDir::new("reuse_compose");
-    let reference = experiment(base_spec(SimConfig::fast_test()), &mesh)
-        .run_parallel()
-        .to_json();
-    let cold = experiment(base_spec(SimConfig::fast_test()), &mesh)
-        .with_backend(ExecBackend::Reuse)
-        .with_cache(scratch.cache());
+    let reference = fresh_json(&experiment(base_spec(SimConfig::fast_test()), &mesh));
+    let cold = experiment(base_spec(SimConfig::fast_test()), &mesh).with_cache(scratch.cache());
     assert_eq!(cold.run_parallel().to_json(), reference);
-    let warm = experiment(base_spec(SimConfig::fast_test()), &mesh)
-        .with_backend(ExecBackend::Reuse)
-        .with_cache(scratch.cache());
+    // One group of four cells: one construction, three resets.
+    let built = cold.exec_stats();
+    assert_eq!((built.per_cell_cells, built.reuse_cells), (1, 3));
+    let warm = experiment(base_spec(SimConfig::fast_test()), &mesh).with_cache(scratch.cache());
     assert_eq!(warm.run_parallel().to_json(), reference);
     let stats = warm.cache().expect("cache").stats();
     assert_eq!((stats.cached, stats.simulated), (4, 0));
+    assert_eq!(warm.exec_stats(), shg_sim::ExecStats::default());
 }
-
-const BACKENDS: [ExecBackend; 2] = [ExecBackend::PerCell, ExecBackend::Reuse];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// For any backend and seed: a cold cached run and a warm re-run
-    /// both serialize to exactly the cache-less bytes, and the warm run
-    /// simulates nothing.
+    /// For any seed: a cold cached run and a warm re-run both serialize
+    /// to exactly the cache-less bytes, and the warm run simulates
+    /// nothing.
     #[test]
-    fn cold_and_warm_cached_runs_match_the_uncached_bytes(
-        backend_idx in 0..BACKENDS.len(),
-        seed in 0u64..1_000,
-    ) {
+    fn cold_and_warm_cached_runs_match_the_uncached_bytes(seed in 0u64..1_000) {
         let mesh = generators::mesh(Grid::new(4, 4));
         let config = SimConfig {
             seed,
             ..SimConfig::fast_test()
         };
-        let scratch = ScratchDir::new(&format!("prop_{backend_idx}_{seed}"));
-        let reference = experiment(base_spec(config.clone()), &mesh)
-            .run_parallel()
-            .to_json();
+        let scratch = ScratchDir::new(&format!("prop_{seed}"));
+        let reference = fresh_json(&experiment(base_spec(config.clone()), &mesh));
         let build = || {
-            experiment(base_spec(config.clone()), &mesh)
-                .with_backend(BACKENDS[backend_idx])
-                .with_cache(scratch.cache())
+            experiment(base_spec(config.clone()), &mesh).with_cache(scratch.cache())
         };
         let cold = build();
         prop_assert_eq!(cold.run_parallel().to_json(), reference.clone());

@@ -12,9 +12,7 @@
 use proptest::prelude::*;
 use rayon::ThreadPool;
 use shg_sim::sweep::ALL_PATTERNS;
-use shg_sim::{
-    ExecBackend, Experiment, ShardSpec, SimConfig, SweepResult, SweepSpec, TrafficPattern,
-};
+use shg_sim::{CellId, Experiment, ShardSpec, SimConfig, SweepResult, SweepSpec, TrafficPattern};
 use shg_topology::{generators, Grid};
 
 /// One pool per thread count, built once — `run_with_threads` would
@@ -56,48 +54,34 @@ fn one_thread_and_many_threads_produce_identical_json() {
     assert_eq!(single.points.len(), 2 * ALL_PATTERNS.len() * 3);
 }
 
-/// The batched core under the same contract: a batched sweep run with
-/// 1 thread and with N threads — different group fan-out, different
-/// lane fill patterns — serializes to the same bytes, which are the
-/// per-cell reference's bytes.
+/// The cell groups under the same contract, against a reference that
+/// shares nothing: at 1 thread and at N threads — different group
+/// splits, different fan-out — a sweep serializes to the bytes of every
+/// cell run on its own fresh network.
 #[test]
-fn batched_sweeps_serialize_identically_at_one_and_many_threads() {
+fn grouped_sweeps_serialize_identically_at_one_and_many_threads() {
     let grid = Grid::new(4, 4);
     let mesh = generators::mesh(grid);
     let torus = generators::torus(grid);
-    let single_pool = pool(1);
-    let pools: Vec<ThreadPool> = [2, 8].into_iter().map(pool).collect();
-    let spec = || {
-        SweepSpec::new(SimConfig::fast_test())
-            .rates([0.02, 0.1, 0.3])
-            .patterns([TrafficPattern::UniformRandom, TrafficPattern::Hotspot(20)])
-    };
-    let experiment = |backend: ExecBackend, lanes: usize| {
-        Experiment::new(spec())
-            .with_backend(backend)
-            .with_lanes(lanes)
-            .with_unit_latency_case("mesh", &mesh)
-            .expect("mesh routes")
-            .with_unit_latency_case("torus", &torus)
-            .expect("torus routes")
-    };
-    let reference = experiment(ExecBackend::PerCell, 1)
-        .run_in_pool(&single_pool)
-        .to_json();
-    for lanes in [3, 8] {
-        let batched = experiment(ExecBackend::Batched, lanes);
+    let spec = SweepSpec::new(SimConfig::fast_test())
+        .rates([0.02, 0.1, 0.3])
+        .patterns([TrafficPattern::UniformRandom, TrafficPattern::Hotspot(20)]);
+    let experiment = Experiment::new(spec)
+        .with_unit_latency_case("mesh", &mesh)
+        .expect("mesh routes")
+        .with_unit_latency_case("torus", &torus)
+        .expect("torus routes");
+    let cells: Vec<CellId> = experiment.plan().cells().collect();
+    let reference = SweepResult {
+        points: experiment.run_cells_fresh(&cells),
+    }
+    .to_json();
+    for threads in [1, 2, 8] {
         assert_eq!(
             reference,
-            batched.run_in_pool(&single_pool).to_json(),
-            "K={lanes}: batched bytes differ from the reference at 1 thread"
+            experiment.run_in_pool(&pool(threads)).to_json(),
+            "grouped bytes differ from fresh networks at {threads} threads"
         );
-        for parallel_pool in &pools {
-            assert_eq!(
-                reference,
-                batched.run_in_pool(parallel_pool).to_json(),
-                "K={lanes}: batched bytes differ between 1 and N threads"
-            );
-        }
     }
 }
 

@@ -142,24 +142,13 @@ pub enum RouteForm {
     /// Compact per-algorithm kernels; O(1) hop queries, paths
     /// reconstructed on demand, bit-identical to [`RouteForm::Dense`].
     NextHop,
-    /// The compact multi-die form ([`RoutingAlgorithm::Hierarchical`]).
+    /// The compact multi-die form ([`RoutingAlgorithm::Hierarchical`]),
+    /// never requested directly: [`default_routes_with`] upgrades
+    /// `NextHop` to it on multi-die topologies.
     Hierarchical,
 }
 
 impl RouteForm {
-    /// Parses a CLI spelling (`"dense"` or `"next-hop"`). The
-    /// hierarchical form is not requested directly: it is what
-    /// [`default_routes_with`] upgrades `next-hop` to on multi-die
-    /// topologies.
-    #[must_use]
-    pub fn parse(name: &str) -> Option<Self> {
-        match name {
-            "dense" => Some(Self::Dense),
-            "next-hop" | "nexthop" => Some(Self::NextHop),
-            _ => None,
-        }
-    }
-
     /// The canonical spelling.
     #[must_use]
     pub fn name(self) -> &'static str {
