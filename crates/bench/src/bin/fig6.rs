@@ -57,7 +57,7 @@ use shg_bench::sweep::{
     annotated_experiment, reject_full_outcome_flags, saturation_table, scenario_sweep_spec,
     TopologyCache,
 };
-use shg_bench::{arg_value, evaluate_all, has_flag, named_topologies};
+use shg_bench::{arg_value, cli_error, evaluate_all, has_flag, named_topologies};
 use shg_core::{customize, report, DesignGoals, PerformanceMode, Scenario, Toolchain};
 use shg_floorplan::ModelOptions;
 use shg_sim::SimConfig;
@@ -71,7 +71,7 @@ fn main() {
         Scenario::all_knc()
     } else {
         vec![Scenario::by_name(&which)
-            .unwrap_or_else(|| panic!("unknown scenario '{which}' (use a|b|c|d|all)"))]
+            .unwrap_or_else(|| cli_error(format!("unknown scenario '{which}' (use a|b|c|d|all)")))]
     };
     let toolchain = if fast {
         Toolchain {

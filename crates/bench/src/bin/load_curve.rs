@@ -21,8 +21,8 @@
 //! sharding flags are the standard set
 //! ([`shg_bench::sweep::run_experiment`]).
 
-use shg_bench::{arg_value, has_flag};
-use shg_core::{AnnotatedTopology, Scenario};
+use shg_bench::{arg_value, cli_error, has_flag};
+use shg_core::AnnotatedTopology;
 use shg_floorplan::ModelOptions;
 use shg_sim::sweep::ALL_PATTERNS;
 use shg_sim::{Experiment, SimConfig, SweepCase, SweepSpec, TrafficPattern};
@@ -43,9 +43,7 @@ fn pattern_by_name(name: &str) -> Option<TrafficPattern> {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     shg_bench::reject_retired_flags();
-    let which = arg_value("--scenario").unwrap_or_else(|| "a".to_owned());
-    let scenario =
-        Scenario::by_name(&which).ok_or_else(|| format!("unknown scenario '{which}'"))?;
+    let scenario = shg_bench::scenario_from_args("a");
     let (topology_name, topology) = shg_bench::topology_from_args(&scenario);
     // An expanded-grid topology replaces the scenario grid; the
     // floorplan model asserts its parameter grid matches the topology.
@@ -54,7 +52,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let patterns: Vec<TrafficPattern> = match arg_value("--pattern").as_deref() {
         None | Some("all") => ALL_PATTERNS.to_vec(),
         Some(name) => {
-            vec![pattern_by_name(name).ok_or_else(|| format!("unknown pattern '{name}'"))?]
+            vec![pattern_by_name(name)
+                .unwrap_or_else(|| cli_error(format!("unknown pattern '{name}'")))]
         }
     };
     let annotated = AnnotatedTopology::annotate(

@@ -23,10 +23,10 @@
 
 use rayon::prelude::*;
 
-use shg_bench::arg_value;
 use shg_bench::sweep::{
     annotated_experiment, reject_full_outcome_flags, saturation_table, TopologyCache,
 };
+use shg_bench::{arg_value, cli_error};
 use shg_core::{Evaluation, PerformanceMode, Scenario, SparseHammingConfig, Toolchain};
 use shg_floorplan::ModelOptions;
 use shg_sim::{SimConfig, SweepSpec};
@@ -73,8 +73,13 @@ fn dominates(a: &Evaluation, b: &Evaluation) -> bool {
 fn main() {
     shg_bench::reject_retired_flags();
     reject_full_outcome_flags();
-    let rows: u16 = arg_value("--rows").map_or(6, |v| v.parse().expect("rows"));
-    let cols: u16 = arg_value("--cols").map_or(6, |v| v.parse().expect("cols"));
+    let dimension = |flag: &str| -> u16 {
+        arg_value(flag).map_or(6, |v| {
+            v.parse()
+                .unwrap_or_else(|e| cli_error(format!("{flag} {v}: {e}")))
+        })
+    };
+    let (rows, cols) = (dimension("--rows"), dimension("--cols"));
     // Scenario (a)'s architecture, shrunk to the requested grid.
     let mut scenario = Scenario::knc_a();
     scenario.params.grid = shg_topology::Grid::new(rows, cols);

@@ -19,11 +19,10 @@
 //! 56 of its 232 cells. Measured runtime ≈ 2.4 s on one core of a
 //! shared 2-core host (scales with cores via rayon).
 
-use shg_bench::arg_value;
 use shg_bench::sweep::{
     annotated_experiment, reject_full_outcome_flags, saturation_table, TopologyCache,
 };
-use shg_core::{customize, DesignGoals, PerformanceMode, Scenario, Toolchain};
+use shg_core::{customize, DesignGoals, PerformanceMode, Toolchain};
 use shg_floorplan::ModelOptions;
 use shg_sim::{SimConfig, SweepSpec};
 use shg_topology::{generators, Topology};
@@ -31,9 +30,7 @@ use shg_topology::{generators, Topology};
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     shg_bench::reject_retired_flags();
     reject_full_outcome_flags();
-    let which = arg_value("--scenario").unwrap_or_else(|| "a".to_owned());
-    let scenario =
-        Scenario::by_name(&which).ok_or_else(|| format!("unknown scenario '{which}'"))?;
+    let scenario = shg_bench::scenario_from_args("a");
     let toolchain = Toolchain {
         model_options: ModelOptions {
             cell_scale: 4.0,

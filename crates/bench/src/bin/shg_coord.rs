@@ -44,7 +44,7 @@
 //! spawned workers.
 //!
 //! `--kill-worker I:AFTER` (spawn mode; the chaos hook of the CI
-//! `coord-smoke` job) SIGKILLs the `I`-th spawned worker (1-based)
+//! `service-smoke` job) SIGKILLs the `I`-th spawned worker (1-based)
 //! after `AFTER` chunks have completed — work stealing and requeueing
 //! must still finish the grid with identical bytes.
 
@@ -57,8 +57,8 @@ use shg_bench::sweep::{
 };
 use shg_bench::{arg_value, cli_error, has_flag, named_topologies};
 use shg_core::Scenario;
-use shg_sim::sweep::{run_coordinated, CoordOptions, WorkerLink};
-use shg_sim::CellCache;
+use shg_sim::sweep::{run_sweep, Executors, Fleet, JournalSink, WorkerLink};
+use shg_sim::{CellCache, ShardSpec};
 use shg_topology::routing::RouteForm;
 use shg_topology::Topology;
 
@@ -198,13 +198,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             )),
         }
     });
-    let options = CoordOptions {
-        chunk_size: arg_value("--chunk-size").map(|n| {
-            n.parse::<usize>()
-                .unwrap_or_else(|e| cli_error(format!("--chunk-size {n}: {e}")))
-        }),
-        durable: has_flag("--durable"),
-    };
+    let chunk_size = arg_value("--chunk-size").map(|n| {
+        n.parse::<usize>()
+            .unwrap_or_else(|e| cli_error(format!("--chunk-size {n}: {e}")))
+    });
+    let durable = has_flag("--durable");
     let progress_flag = has_flag("--progress");
     let cache_dir = arg_value("--cache");
     // The coordinator's own plan flags are the per-request defaults;
@@ -297,7 +295,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         let kill_done = &mut kill_done;
         let children_ref = &children;
-        let progress = move |p: shg_sim::sweep::CoordProgress| {
+        let mut progress = move |p: shg_sim::sweep::CoordProgress| {
             if let Some((index, after)) = kill_spec {
                 if !*kill_done && p.chunks_done >= after {
                     *kill_done = true;
@@ -319,14 +317,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             }
         };
 
-        let (result, summary) = run_coordinated(
-            &experiment,
+        let fleet = Fleet {
             request_id,
-            &request.params,
-            &mut links,
-            request.journal.as_deref().map(std::path::Path::new),
-            &options,
-            progress,
+            params: &request.params,
+            workers: &mut links,
+            chunk_size,
+        };
+        let journal = request.journal.as_deref().map(|path| JournalSink {
+            path: std::path::Path::new(path),
+            resume: false,
+            durable,
+        });
+        let (result, summary) = run_sweep(
+            &experiment,
+            ShardSpec::SOLO,
+            Executors::Fleet(fleet),
+            journal,
+            Some(&mut progress),
         )?;
         std::fs::write(&request.out, result.to_json())?;
         println!(

@@ -15,15 +15,12 @@
 //! (tightened from 12.5% once request-driven allocation made Phase C
 //! cheap); measured runtime ≈ 7 s on one core.
 
-use shg_bench::arg_value;
-use shg_core::{customize, DesignGoals, Scenario, Toolchain};
+use shg_core::{customize, DesignGoals, Toolchain};
 use shg_sim::SimConfig;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     shg_bench::reject_retired_flags();
-    let which = arg_value("--scenario").unwrap_or_else(|| "a".to_owned());
-    let scenario =
-        Scenario::by_name(&which).ok_or_else(|| format!("unknown scenario '{which}'"))?;
+    let scenario = shg_bench::scenario_from_args("a");
     println!(
         "=== Sparsity sweep, scenario ({}) — mesh → flattened butterfly ===\n",
         scenario.name

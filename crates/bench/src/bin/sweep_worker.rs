@@ -19,9 +19,12 @@
 //! after its header and every completed chunk.
 //!
 //! `--single-shot result.json` ignores sharding and writes the full
-//! `run_parallel` sweep JSON — the reference the CI `shard-smoke`,
-//! `cache-smoke` and `coord-smoke` jobs diff incremental executions
-//! against.
+//! sweep JSON, byte-identical to `run_parallel`'s — the reference the
+//! CI `service-smoke` job diffs incremental executions against.
+//!
+//! Both modes make one [`run_sweep`] call on the local pool; a journal
+//! or `--progress` cuts the cells into chunks of a few per pool thread,
+//! otherwise they run as one batch.
 //!
 //! `--cache <dir>` attaches the cross-run cell-result cache: cells any
 //! earlier run stored (same case, pattern, rate, seed and simulator
@@ -47,11 +50,16 @@
 
 use shg_bench::sweep::{
     annotated_experiment, attach_cache_from_args, cache_summary, request_params_from_args,
-    request_setup, TopologyCache,
+    request_setup, shard_from_args, TopologyCache,
 };
 use shg_bench::{arg_value, cli_error, has_flag, named_topologies};
 use shg_core::Scenario;
-use shg_sim::sweep::{connect_with_backoff, run_journaled_durable, serve_worker};
+use std::path::Path;
+
+use shg_sim::sweep::{
+    connect_with_backoff, run_sweep, serve_worker, CoordProgress, Executors, JournalSink,
+    ProgressFn,
+};
 use shg_sim::{Experiment, ShardSpec};
 use shg_topology::routing::RouteForm;
 use shg_topology::Topology;
@@ -210,28 +218,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let experiment = experiment; // flags applied; execution is read-only
     let plan = experiment.plan();
 
-    if let Some(path) = arg_value("--single-shot") {
-        let result = experiment.run_parallel();
-        std::fs::write(&path, result.to_json())?;
-        println!(
-            "single shot: scenario ({}), {} cells (fingerprint {:#018x}) → {path}",
-            scenario.name,
-            plan.num_cells(),
-            plan.fingerprint()
-        );
-        if let Some(summary) = cache_summary(&experiment) {
-            println!("{summary}");
-        }
-        return Ok(());
-    }
-
-    let shard = arg_value("--shard").map_or(ShardSpec::SOLO, |s| {
-        ShardSpec::parse(&s).unwrap_or_else(|e| cli_error(e))
-    });
-    let (journal, resume) = match (arg_value("--out"), arg_value("--resume")) {
-        (Some(path), None) => (path, false),
-        (None, Some(path)) => (path, true),
-        (None, None) => (
+    // A single shot is the whole plan, unjournaled; a shard run writes
+    // its journal.
+    let single_shot = arg_value("--single-shot");
+    let shard = match single_shot {
+        Some(_) => ShardSpec::SOLO,
+        None => shard_from_args(),
+    };
+    let journal = match (&single_shot, arg_value("--out"), arg_value("--resume")) {
+        (Some(_), _, _) => None,
+        (None, Some(path), None) => Some((path, false)),
+        (None, None, Some(path)) => Some((path, true)),
+        (None, None, None) => Some((
             format!(
                 "sweep_{}_{}_of_{}.jsonl",
                 scenario.name,
@@ -239,36 +237,49 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 shard.count
             ),
             false,
-        ),
-        (Some(_), Some(_)) => cli_error("--out and --resume are mutually exclusive"),
+        )),
+        (None, Some(_), Some(_)) => cli_error("--out and --resume are mutually exclusive"),
     };
-    let progress = has_flag("--progress");
-    let shard_cells = plan.shard_cells(shard).len();
-    println!(
-        "scenario ({}): shard {shard} = {shard_cells} of {} cells \
-         (fingerprint {:#018x}) → {journal}{}",
-        scenario.name,
-        plan.num_cells(),
-        plan.fingerprint(),
-        if resume { " (resuming)" } else { "" }
-    );
-    let result = run_journaled_durable(
-        &experiment,
-        shard,
-        &journal,
-        resume,
-        has_flag("--durable"),
-        |done, total| {
-            if progress {
-                eprintln!("[sweep_worker] {done}/{total} cells done (shard {shard})");
-            }
-        },
-    )
-    .unwrap_or_else(|e| cli_error(format!("journal {journal}: {e}")));
-    println!(
-        "shard {shard} complete: {} cells journaled to {journal}",
-        result.points.len()
-    );
+    if let Some((path, resume)) = &journal {
+        println!(
+            "scenario ({}): shard {shard} = {} of {} cells \
+             (fingerprint {:#018x}) → {path}{}",
+            scenario.name,
+            plan.shard_cells(shard).len(),
+            plan.num_cells(),
+            plan.fingerprint(),
+            if *resume { " (resuming)" } else { "" }
+        );
+    }
+    let mut report = |p: CoordProgress| {
+        eprintln!(
+            "[sweep_worker] {}/{} cells done (shard {shard})",
+            p.cells_done, p.cells_total
+        );
+    };
+    let sink = journal.as_ref().map(|(path, resume)| JournalSink {
+        path: Path::new(path),
+        resume: *resume,
+        durable: has_flag("--durable"),
+    });
+    let progress = has_flag("--progress").then_some(&mut report as ProgressFn<'_>);
+    let path = journal.as_ref().map_or("", |(path, _)| path.as_str());
+    let (result, _) = run_sweep(&experiment, shard, Executors::Local, sink, progress)
+        .unwrap_or_else(|e| cli_error(format!("journal {path}: {e}")));
+    if let Some(path) = single_shot {
+        std::fs::write(&path, result.to_json())?;
+        println!(
+            "single shot: scenario ({}), {} cells (fingerprint {:#018x}) → {path}",
+            scenario.name,
+            plan.num_cells(),
+            plan.fingerprint()
+        );
+    } else if let Some((path, _)) = &journal {
+        println!(
+            "shard {shard} complete: {} cells journaled to {path}",
+            result.points.len()
+        );
+    }
     if let Some(summary) = cache_summary(&experiment) {
         println!("{summary}");
     }

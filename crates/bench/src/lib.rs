@@ -196,6 +196,15 @@ pub fn cli_error(message: impl std::fmt::Display) -> ! {
     std::process::exit(2);
 }
 
+/// The scenario named by `--scenario` (`default` without the flag); an
+/// unknown name is a usage error via [`cli_error`].
+#[must_use]
+pub fn scenario_from_args(default: &str) -> Scenario {
+    let which = arg_value("--scenario").unwrap_or_else(|| default.to_owned());
+    Scenario::by_name(&which)
+        .unwrap_or_else(|| cli_error(format!("unknown scenario '{which}' (use a|b|c|d)")))
+}
+
 /// Parses `--scenario <name>` style flags out of `std::env::args`.
 #[must_use]
 pub fn arg_value(flag: &str) -> Option<String> {

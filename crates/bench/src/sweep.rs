@@ -14,7 +14,8 @@
 //! Two execution choke points read the standard flags, so no binary
 //! needs its own plumbing:
 //!
-//! * [`run_experiment`] runs cells to full outcomes. It reads the
+//! * [`run_experiment`] runs cells to full outcomes through the one
+//!   full-outcome driver, [`run_sweep`]. It reads the
 //!   sharding flags (`--shard i/N`, `--resume <journal>`, `--progress`)
 //!   plus `--cache <dir>` for the cross-run cell-result cache, so every
 //!   simulating binary can run one shard of its grid to a resumable
@@ -24,11 +25,12 @@
 //!   reads `--shard` and a read-only `--cache`.
 
 use std::collections::HashMap;
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use shg_core::Scenario;
 use shg_floorplan::{predict, ArchParams, ModelOptions};
-use shg_sim::sweep::run_journaled_durable;
+use shg_sim::sweep::{run_sweep, CoordProgress, Executors, JournalSink, ProgressFn};
 use shg_sim::{
     CellCache, Experiment, ShardSpec, SustainedRow, SweepCase, SweepResult, SweepSpec,
     TrafficPattern,
@@ -458,7 +460,8 @@ pub fn attach_cache_from_args(experiment: &mut Experiment<'_>) {
 
 /// The `--shard i/N` flag (default: the whole plan); a malformed value
 /// is a usage error via [`cli_error`].
-fn shard_from_args() -> ShardSpec {
+#[must_use]
+pub fn shard_from_args() -> ShardSpec {
     arg_value("--shard").map_or(ShardSpec::SOLO, |text| {
         ShardSpec::parse(&text).unwrap_or_else(|e| cli_error(e))
     })
@@ -470,7 +473,7 @@ fn shard_from_args() -> ShardSpec {
 /// resolved (cached + simulated) — a shard runs a subset of the plan,
 /// and a journal resume skips already-journaled cells outside the
 /// cache entirely, so the grid size would not add up. Binaries print
-/// it so long sweeps — and the CI cache-smoke job — can see exactly
+/// it so long sweeps — and the CI service-smoke job — can see exactly
 /// how many cells were re-simulated.
 #[must_use]
 pub fn cache_summary(experiment: &Experiment<'_>) -> Option<String> {
@@ -485,9 +488,10 @@ pub fn cache_summary(experiment: &Experiment<'_>) -> Option<String> {
     })
 }
 
-/// Runs an experiment under the standard sharding flags; the execution
-/// path every harness binary that keeps full outcomes shares (the
-/// saturation reports use [`saturation_table`] instead).
+/// Runs an experiment under the standard sharding flags through the
+/// one full-outcome driver, [`run_sweep`] on the local pool; the
+/// execution path every harness binary that keeps full outcomes shares
+/// (the saturation reports use [`saturation_table`] instead).
 ///
 /// * `--shard i/N` — run only the `i`-th of `N` strided shards
 ///   ([`ShardSpec::parse`], one-based `i`). Tables and saturation
@@ -506,8 +510,9 @@ pub fn cache_summary(experiment: &Experiment<'_>) -> Option<String> {
 ///   complete; with a cache attached, the cached/simulated split is
 ///   reported alongside.
 ///
-/// Without any of the flags this is exactly
-/// [`Experiment::run_parallel`].
+/// Without `--resume` and `--progress` the cells run in one
+/// [`Experiment::run_cells`] call, exactly as
+/// [`Experiment::run_parallel`] runs them.
 ///
 /// A malformed `--shard`, an unusable `--cache` directory, and a journal that does not match the
 /// experiment (fingerprint, shard or prefix mismatch — the message
@@ -518,51 +523,27 @@ pub fn run_experiment(experiment: &mut Experiment<'_>) -> SweepResult {
     attach_cache_from_args(experiment);
     let experiment: &Experiment<'_> = experiment;
     let shard = shard_from_args();
-    let journal = arg_value("--resume");
-    let progress = has_flag("--progress");
+    let journal = arg_value("--resume")
+        .map(|path| nth_journal_path(&path, JOURNALED_SWEEPS.fetch_add(1, Ordering::Relaxed)));
     let total_cells = experiment.num_points();
-    let report = move |done: usize, total: usize| {
-        if progress {
-            let cache = experiment.cache().map_or(String::new(), |cache| {
-                let stats = cache.stats();
-                format!(", {} cached / {} simulated", stats.cached, stats.simulated)
-            });
-            eprintln!(
-                "[sweep] {done}/{total} cells done (shard {shard} of {total_cells} total{cache})"
-            );
-        }
+    let mut report = |p: CoordProgress| {
+        let cache = experiment.cache().map_or(String::new(), |cache| {
+            let stats = cache.stats();
+            format!(", {} cached / {} simulated", stats.cached, stats.simulated)
+        });
+        eprintln!(
+            "[sweep] {}/{} cells done (shard {shard} of {total_cells} total{cache})",
+            p.cells_done, p.cells_total
+        );
     };
-    let result = match journal {
-        Some(path) => {
-            let nth = JOURNALED_SWEEPS.fetch_add(1, Ordering::Relaxed);
-            let path = nth_journal_path(&path, nth);
-            run_journaled_durable(
-                experiment,
-                shard,
-                &path,
-                true,
-                has_flag("--durable"),
-                report,
-            )
-            .unwrap_or_else(|e| cli_error(format!("journal {path}: {e}")))
-        }
-        // `run_parallel` consults the cache through `run_cells`, so the
-        // plain path stays correct with `--cache` too.
-        None if shard == ShardSpec::SOLO && !progress => experiment.run_parallel(),
-        None => {
-            let cells = experiment.plan().shard_cells(shard);
-            report(0, cells.len());
-            let mut done = 0;
-            let points = experiment
-                .run_cells_chunked(&cells, |chunk, _| {
-                    done += chunk.len();
-                    report(done, cells.len());
-                    Ok::<(), std::convert::Infallible>(())
-                })
-                .unwrap_or_else(|never| match never {});
-            SweepResult { points }
-        }
-    };
+    let sink = journal.as_deref().map(|path| JournalSink {
+        path: Path::new(path),
+        resume: true,
+        durable: has_flag("--durable"),
+    });
+    let progress = has_flag("--progress").then_some(&mut report as ProgressFn<'_>);
+    let (result, _) = run_sweep(experiment, shard, Executors::Local, sink, progress)
+        .unwrap_or_else(|e| cli_error(format!("journal {}: {e}", journal.unwrap_or_default())));
     if let Some(summary) = cache_summary(experiment) {
         eprintln!("[sweep] {summary}");
     }

@@ -80,6 +80,20 @@ fn help_exits_zero_with_usage() {
 fn unknown_scenario_is_a_usage_error() {
     let output = sweep_worker(&["--fast", "--scenario", "z", "--single-shot", "/dev/null"]);
     assert_usage_error(&output, "scenario");
+    // Every binary that names a scenario, a grid dimension or a
+    // pattern rejects a bad one the same way, before any work.
+    for (binary, flag, value) in [
+        (env!("CARGO_BIN_EXE_fig6"), "--scenario", "z"),
+        (env!("CARGO_BIN_EXE_pareto"), "--rows", "x"),
+        (env!("CARGO_BIN_EXE_pareto"), "--cols", "x"),
+        (env!("CARGO_BIN_EXE_load_curve"), "--scenario", "z"),
+        (env!("CARGO_BIN_EXE_load_curve"), "--pattern", "nope"),
+        (env!("CARGO_BIN_EXE_ruche_comparison"), "--scenario", "z"),
+        (env!("CARGO_BIN_EXE_sparsity_sweep"), "--scenario", "z"),
+    ] {
+        let output = Command::new(binary).args([flag, value]).output();
+        assert_usage_error(&output.expect("spawn binary"), &flag[2..]);
+    }
 }
 
 #[test]

@@ -316,7 +316,8 @@ impl Toolchain {
 }
 
 /// Per-pattern performance extracted from a sweep — the wide-traffic
-/// extension of [`Performance`](shg_sim::Performance).
+/// extension of [`shg_sim::zero_load_latency`] and
+/// [`shg_sim::saturation_throughput`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PatternPerformance {
     /// The traffic pattern.

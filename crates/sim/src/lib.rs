@@ -28,23 +28,27 @@
 //! # Examples
 //!
 //! ```
-//! use shg_sim::{measure_performance, SaturationSearch, SimConfig, TrafficPattern};
+//! use shg_sim::{
+//!     saturation_throughput, zero_load_latency, SaturationSearch, SimConfig, TrafficPattern,
+//! };
 //! use shg_topology::{generators, routing, Grid};
 //! use shg_units::Cycles;
 //!
 //! let mesh = generators::mesh(Grid::new(4, 4));
 //! let routes = routing::default_routes(&mesh).expect("mesh routes");
 //! let latencies = vec![Cycles::one(); mesh.num_links()];
-//! let perf = measure_performance(
+//! let config = SimConfig::fast_test();
+//! let zll = zero_load_latency(&mesh, &routes, &latencies, &config);
+//! let saturation = saturation_throughput(
 //!     &mesh,
 //!     &routes,
 //!     &latencies,
-//!     &SimConfig::fast_test(),
+//!     &config,
 //!     TrafficPattern::UniformRandom,
 //!     SaturationSearch::default(),
 //! );
-//! assert!(perf.zero_load_latency > 0.0);
-//! assert!(perf.saturation_throughput > 0.05);
+//! assert!(zll > 0.0);
+//! assert!(saturation > 0.05);
 //! ```
 
 mod config;
@@ -64,14 +68,12 @@ pub use flit::Flit;
 pub use injection::{geometric_gap, tile_stream_seed, Injector};
 pub use network::{Network, PhaseProfile};
 pub use runner::{
-    load_sweep, measure_performance, measured_zero_load_latency, saturation_search,
-    saturation_throughput, zero_load_latency, zero_load_latency_from_loads, Performance,
+    saturation_search, saturation_throughput, zero_load_latency, zero_load_latency_from_loads,
     SaturationSearch,
 };
 pub use stats::{percentile, FaultStats, SimOutcome};
 pub use sweep::{
-    CacheStats, CellCache, CellId, CoordOptions, CoordSummary, ExecBackend, ExecStats, Experiment,
-    ShardResult, ShardSpec, SustainedRow, SweepCase, SweepPlan, SweepPoint, SweepResult, SweepSpec,
-    WorkerLink,
+    CacheStats, CellCache, CellId, CoordSummary, ExecBackend, ExecStats, Experiment, ShardResult,
+    ShardSpec, SustainedRow, SweepCase, SweepPlan, SweepPoint, SweepResult, SweepSpec, WorkerLink,
 };
 pub use traffic::TrafficPattern;

@@ -11,19 +11,7 @@ use shg_units::Cycles;
 
 use crate::config::SimConfig;
 use crate::network::Network;
-use crate::stats::SimOutcome;
 use crate::traffic::TrafficPattern;
-
-/// The performance estimate of a NoC: the two metrics of Fig. 6's
-/// performance panel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Performance {
-    /// Zero-load latency in cycles (average over all tile pairs).
-    pub zero_load_latency: f64,
-    /// Saturation throughput as a fraction of injection capacity
-    /// (flits per node per cycle; 1.0 = 100%).
-    pub saturation_throughput: f64,
-}
 
 /// Analytic zero-load latency: the average, over all ordered tile pairs,
 /// of the path's accumulated router and link delay plus the packet
@@ -94,20 +82,6 @@ pub fn zero_load_latency_from_loads(
     // Every pair's packet also pays its serialization delay.
     let total = hop_delay + pairs * u64::from(config.packet_len - 1);
     total as f64 / pairs as f64
-}
-
-/// Measures zero-load latency by simulating at a very low injection rate.
-/// Useful to cross-validate [`zero_load_latency`].
-#[must_use]
-pub fn measured_zero_load_latency(
-    topology: &Topology,
-    routes: &Routes,
-    link_latencies: &[Cycles],
-    config: &SimConfig,
-    pattern: TrafficPattern,
-) -> f64 {
-    let mut network = Network::new(topology, routes, link_latencies, config.clone());
-    network.run(0.005, pattern).avg_packet_latency
 }
 
 /// Options for the saturation-throughput search.
@@ -262,66 +236,6 @@ fn bisect_rate(resolution: f64, mut stable_at: impl FnMut(f64) -> bool) -> f64 {
     sustained as f64 * step
 }
 
-/// Convenience: full performance measurement (analytic zero-load latency
-/// plus saturation search, which reuses that latency instead of
-/// recomputing it).
-///
-/// # Panics
-///
-/// Panics unless `0 < search.resolution <= 1`, `0 <= search.slack < 1`
-/// and `search.latency_factor > 0` (`+∞` allowed, NaN refused).
-#[must_use]
-pub fn measure_performance(
-    topology: &Topology,
-    routes: &Routes,
-    link_latencies: &[Cycles],
-    config: &SimConfig,
-    pattern: TrafficPattern,
-    search: SaturationSearch,
-) -> Performance {
-    let zll = zero_load_latency(topology, routes, link_latencies, config);
-    Performance {
-        zero_load_latency: zll,
-        saturation_throughput: saturation_search(
-            topology,
-            routes,
-            link_latencies,
-            config,
-            pattern,
-            search,
-            zll,
-        ),
-    }
-}
-
-/// Sweeps the injection rate and reports one [`SimOutcome`] per point —
-/// the classic latency-vs-offered-load curve. A thin wrapper over the
-/// sweep engine ([`crate::sweep::load_curve`]), so the points run in
-/// parallel and carry the engine's per-point derived seeds.
-#[must_use]
-pub fn load_sweep(
-    topology: &Topology,
-    routes: &Routes,
-    link_latencies: &[Cycles],
-    config: &SimConfig,
-    pattern: TrafficPattern,
-    rates: &[f64],
-) -> Vec<SimOutcome> {
-    crate::sweep::load_curve(
-        "load-sweep",
-        topology,
-        routes.clone(),
-        link_latencies.to_vec(),
-        config,
-        pattern,
-        rates,
-    )
-    .points
-    .into_iter()
-    .map(|p| p.outcome)
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -354,13 +268,10 @@ mod tests {
         let lats = unit_latencies(&mesh);
         let config = SimConfig::fast_test();
         let analytic = zero_load_latency(&mesh, &routes, &lats, &config);
-        let measured = measured_zero_load_latency(
-            &mesh,
-            &routes,
-            &lats,
-            &config,
-            TrafficPattern::UniformRandom,
-        );
+        // Simulated at a very low injection rate.
+        let measured = Network::new(&mesh, &routes, &lats, config)
+            .run(0.005, TrafficPattern::UniformRandom)
+            .avg_packet_latency;
         // Low-rate simulation includes minor queueing; allow 25% slack.
         assert!(
             (measured - analytic).abs() / analytic < 0.25,
@@ -592,14 +503,19 @@ mod tests {
         let mesh = generators::mesh(Grid::new(4, 4));
         let routes = routing::default_routes(&mesh).expect("routes");
         let lats = unit_latencies(&mesh);
-        let outcomes = load_sweep(
+        let outcomes: Vec<_> = crate::sweep::load_curve(
+            "mesh",
             &mesh,
-            &routes,
-            &lats,
+            routes,
+            lats,
             &SimConfig::fast_test(),
             TrafficPattern::UniformRandom,
             &[0.02, 0.1, 0.2],
-        );
+        )
+        .points
+        .into_iter()
+        .map(|p| p.outcome)
+        .collect();
         assert!(outcomes[0].avg_packet_latency <= outcomes[1].avg_packet_latency + 1.0);
         assert!(outcomes[1].avg_packet_latency <= outcomes[2].avg_packet_latency + 1.0);
     }

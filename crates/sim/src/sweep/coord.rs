@@ -1,55 +1,49 @@
-//! The coordinator side of sweep-as-a-service: [`run_coordinated`]
-//! drives one sweep request across a fleet of workers speaking the
-//! [`super::proto`] protocol, and owns everything the workers must not
-//! have to agree on — the dispatch queue, the shared
-//! [`CellCache`][super::CellCache]
-//! probe, the single streamed journal, and the recovery story when a
-//! worker dies mid-chunk.
+//! The one full-outcome sweep driver, [`run_sweep`]: a shard of an
+//! experiment's cells run on the local pool or across a fleet of
+//! workers speaking the [`super::proto`] protocol.
 //!
-//! # Execution model
+//! # Pipeline
 //!
-//! One request runs in phases:
-//!
-//! 1. **Cache probe.** Every plan cell is probed against the
-//!    coordinator's attached cache first; hits never reach a worker. A
-//!    fully warm request is answered without touching the fleet at all
-//!    (`simulated = 0`).
-//! 2. **Handshake.** Each worker gets the request's opaque params and
-//!    must echo back the same plan fingerprint and cell count the
-//!    coordinator computed — any drift (mismatched binary, different
-//!    spec interpretation) aborts the request before a single cell is
-//!    misattributed. A worker that fails its handshake I/O is dropped,
-//!    not fatal.
-//! 3. **Pre-warm.** Workers that report a local cache receive the
-//!    probe's hit entries — cache entries travel to workers, cells
-//!    don't.
-//! 4. **Dispatch.** Remaining cells are cut into chunks (by default
-//!    ~4 per worker, so stragglers leave stealable tail work) and
-//!    served from a shared queue by one coordinator thread per worker.
-//!    An idle worker whose queue is empty *steals* a chunk that is
-//!    still in flight elsewhere and runs it redundantly — cell results
-//!    are deterministic, so the first completion wins and the copy is
-//!    discarded. A worker whose connection dies mid-chunk has its
-//!    chunk requeued; losing every worker with cells outstanding is
-//!    the only fatal outcome.
-//! 5. **Journal streaming.** Completed entries are flushed to one
-//!    [`JournalWriter`] in canonical plan order (a reorder buffer
-//!    holds out-of-order completions), so the coordinator's journal is
-//!    byte-identical to a solo [`super::run_journaled`] run no matter
-//!    how chunks interleaved, stole or died. With
-//!    [`CoordOptions::durable`] each flush is `fsync`ed.
+//! 1. **Shard cells**: `plan.shard_cells(shard)`.
+//! 2. **Resume**: a resumed [`JournalSink`]'s entries are validated
+//!    against the plan and loaded into the reorder buffer.
+//! 3. **Cache probe (fleet only)**: hits in the experiment's
+//!    [`CellCache`][super::CellCache] never reach a worker, and a fully
+//!    warm request never touches the fleet. Local chunks need no probe:
+//!    [`Experiment::run_cells`] probes each cell itself.
+//! 4. **Chunk queue**: a local run cuts chunks only where a journal or
+//!    a progress callback observes them, a few cells per pool thread;
+//!    unobserved, its cells are one [`Experiment::run_cells`] call. A
+//!    fleet gets about four chunks per worker, so stragglers leave
+//!    stealable tail work.
+//! 5. **Executors**: [`Executors::Local`] runs each chunk on the calling
+//!    thread's pool. [`Executors::Fleet`] first handshakes (each worker
+//!    must echo the plan fingerprint and cell count, or the request
+//!    aborts before a cell is misattributed; a worker whose handshake
+//!    I/O fails is dropped) and pre-warms workers that report a cache
+//!    with the probe's hits — entries travel, cells don't. Then one
+//!    coordinator thread per worker serves the queue. An idle worker
+//!    *steals* a chunk still in flight elsewhere (results are
+//!    deterministic, so the first completion wins); a dead worker's
+//!    chunk is requeued, and only losing every worker is fatal.
+//! 6. **Reorder buffer and sinks**: completed chunks land in one slot
+//!    per shard cell, the longest completed prefix is appended to the
+//!    [`JournalWriter`] in canonical order — byte-identical however
+//!    chunks interleaved, were stolen or died, `fsync`ed when
+//!    [`JournalSink::durable`] — and one progress callback hears of
+//!    every banked chunk.
 //!
 //! Every worker-returned entry passes
 //! [`Experiment::validate_point`][super::Experiment::validate_point]
-//! before it is trusted, journaled or cached; a worker that answers
-//! with mislabelled points is a protocol error, not silent data
-//! corruption.
+//! before it is trusted, journaled or cached: mislabelled points are
+//! a protocol error, not silent data corruption.
 
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::{Condvar, Mutex};
 
+use super::experiment::MIN_REUSE_GROUP;
 use super::journal::{JournalError, JournalWriter};
 use super::plan::CellId;
 use super::proto::{read_frame, write_frame, ToCoord, ToWorker};
@@ -126,26 +120,60 @@ impl WorkerLink {
     }
 }
 
-/// Tuning knobs of [`run_coordinated`].
-#[derive(Debug, Clone, Default)]
-pub struct CoordOptions {
+/// Where [`run_sweep`] runs the cells nothing else answers.
+#[derive(Debug)]
+pub enum Executors<'w> {
+    /// [`Experiment::run_cells`] on the calling thread, so a chunk runs
+    /// on the caller's pool (the one `pool.install(..)` set).
+    Local,
+    /// A fleet of workers speaking the [`super::proto`] protocol.
+    Fleet(Fleet<'w>),
+}
+
+/// A worker fleet serving one request of [`run_sweep`].
+#[derive(Debug)]
+pub struct Fleet<'w> {
+    /// Labels the request on the wire.
+    pub request_id: u64,
+    /// The opaque key-value pairs every worker rebuilds its experiment
+    /// from — ship the user's raw strings, never re-formatted values,
+    /// so both sides parse identically (the fingerprint handshake
+    /// catches any drift).
+    pub params: &'w [(String, String)],
+    /// The connected workers. Workers that die (handshake or
+    /// mid-chunk) are removed; survivors remain connected and ready
+    /// for the next request.
+    pub workers: &'w mut Vec<WorkerLink>,
     /// Cells per dispatched chunk; `None` sizes chunks so each worker
     /// sees about four, leaving stealable tail work.
     pub chunk_size: Option<usize>,
-    /// `fsync` the journal after its header and after every flushed
+}
+
+/// The journal [`run_sweep`] streams completed cells into.
+#[derive(Debug, Clone, Copy)]
+pub struct JournalSink<'p> {
+    /// The journal file.
+    pub path: &'p Path,
+    /// Continue the journal already at `path`, if any: its entries are
+    /// validated against the plan (fingerprint, shard, prefix order)
+    /// and skipped, a torn final line is discarded, and the finished
+    /// journal is byte-identical to an uninterrupted run's. Without
+    /// it, any existing file is truncated.
+    pub resume: bool,
+    /// `fsync` the journal after its header and after every appended
     /// batch (see [`JournalWriter`]).
     pub durable: bool,
 }
 
-/// What one coordinated request did — the numbers behind the service's
-/// summary line and the smoke tests' assertions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What one run did — the numbers behind the service's summary line
+/// and the smoke tests' assertions.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CoordSummary {
-    /// Total plan cells.
+    /// Shard cells.
     pub cells: usize,
-    /// Cells answered from the coordinator's cache probe.
+    /// Cells answered from the fleet's up-front cache probe.
     pub cached: usize,
-    /// Cells dispatched to (and simulated by) the fleet.
+    /// Cells handed to the executors.
     pub dispatched: usize,
     /// Chunks the dispatched cells were cut into.
     pub chunks: u64,
@@ -156,11 +184,11 @@ pub struct CoordSummary {
     pub requeued_chunks: u64,
     /// Workers lost over the request (handshake or mid-chunk).
     pub lost_workers: u64,
-    /// Journal `fsync` calls (0 unless [`CoordOptions::durable`]).
+    /// Journal `fsync` calls (0 unless [`JournalSink::durable`]).
     pub journal_syncs: u64,
 }
 
-/// Why a coordinated request failed.
+/// Why a run failed.
 #[derive(Debug)]
 pub enum CoordError {
     /// Cells needed simulating but no worker survived its handshake.
@@ -195,7 +223,7 @@ pub enum CoordError {
         /// Cells that never completed.
         remaining_cells: usize,
     },
-    /// The streamed journal could not be written.
+    /// The journal could not be resumed or written.
     Journal(JournalError),
 }
 
@@ -222,7 +250,7 @@ impl std::fmt::Display for CoordError {
                 f,
                 "all workers lost with {remaining_cells} cell(s) still outstanding"
             ),
-            Self::Journal(e) => write!(f, "journal write failed: {e}"),
+            Self::Journal(e) => write!(f, "{e}"),
         }
     }
 }
@@ -242,19 +270,179 @@ impl From<JournalError> for CoordError {
     }
 }
 
-/// A progress snapshot, reported after every newly completed chunk
-/// (and once after the cache probe). Drives service logging and the
-/// smoke tests' kill-a-worker-after-N-chunks hook.
+/// A progress snapshot, reported once before the executors start and
+/// after every banked chunk. Drives service logging and the smoke
+/// tests' kill-a-worker-after-N-chunks hook.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoordProgress {
-    /// Dispatched chunks completed so far.
+    /// Chunks completed so far.
     pub chunks_done: u64,
-    /// Total dispatched chunks.
+    /// Total chunks.
     pub chunks_total: u64,
-    /// Cells with results so far (cache hits included).
+    /// Cells with results so far (resumed cells and cache hits
+    /// included).
     pub cells_done: usize,
-    /// Total plan cells.
+    /// Shard cells.
     pub cells_total: usize,
+}
+
+/// A progress callback; a fleet calls it from whichever coordinator
+/// thread banked the chunk.
+pub type ProgressFn<'p> = &'p mut (dyn FnMut(CoordProgress) + Send);
+
+/// The canonical-order reorder buffer and its sinks: every executor
+/// banks its completed chunks here.
+struct Reorder<'p> {
+    /// The shard's cells, canonical order.
+    cells: Vec<CellId>,
+    /// One slot per shard cell.
+    points: Vec<Option<SweepPoint>>,
+    /// Cells `[0, flushed)` are in the journal.
+    flushed: usize,
+    writer: Option<JournalWriter>,
+    progress: Option<ProgressFn<'p>>,
+    cells_done: usize,
+    chunks_done: u64,
+    chunks_total: u64,
+}
+
+impl Reorder<'_> {
+    /// Places `entries` in their slots, appends the longest completed
+    /// prefix to the journal and, for a completed chunk, reports it.
+    fn bank(
+        &mut self,
+        entries: Vec<(CellId, SweepPoint)>,
+        chunk: bool,
+    ) -> Result<(), JournalError> {
+        for (cell, point) in entries {
+            let ordinal = self.cells.binary_search(&cell);
+            self.points[ordinal.expect("executors answer shard cells")] = Some(point);
+            self.cells_done += 1;
+        }
+        let ready = self.points[self.flushed..]
+            .iter()
+            .take_while(|p| p.is_some())
+            .count();
+        if let Some(writer) = self.writer.as_mut().filter(|_| ready > 0) {
+            let batch: Vec<(CellId, SweepPoint)> = (self.flushed..self.flushed + ready)
+                .map(|i| (self.cells[i], self.points[i].clone().expect("ready")))
+                .collect();
+            writer.append(&batch)?;
+            self.flushed += ready;
+        }
+        if chunk {
+            self.chunks_done += 1;
+            self.report();
+        }
+        Ok(())
+    }
+
+    fn report(&mut self) {
+        let snapshot = CoordProgress {
+            chunks_done: self.chunks_done,
+            chunks_total: self.chunks_total,
+            cells_done: self.cells_done,
+            cells_total: self.cells.len(),
+        };
+        if let Some(progress) = self.progress.as_mut() {
+            progress(snapshot);
+        }
+    }
+
+    /// The cells no executor has answered yet, canonical order.
+    fn missing(&self) -> Vec<CellId> {
+        self.cells
+            .iter()
+            .zip(&self.points)
+            .filter(|(_, p)| p.is_none())
+            .map(|(&c, _)| c)
+            .collect()
+    }
+}
+
+/// Runs `shard` of `experiment` to full outcomes, returning its points
+/// in canonical order — bit-identical to
+/// [`Experiment::run_parallel`]'s points of the same cells, whatever
+/// executed them — and what it took. See the [module docs](self) for
+/// the pipeline.
+///
+/// `journal`, when given, streams completed cells into a journal of
+/// `shard` at its path. `progress`, when given, is called once before
+/// the executors start and after every banked chunk. A local run with
+/// neither runs all its cells in one [`Experiment::run_cells`] call;
+/// with either, in chunks of a few cells per pool thread, the unit of
+/// work a kill loses.
+///
+/// # Errors
+///
+/// See [`CoordError`]: a journal that cannot be resumed (a different
+/// plan or shard, entries out of canonical order) or written, and the
+/// fleet's failures. Worker deaths are not errors unless the fleet is
+/// exhausted with cells outstanding ([`CoordError::AllWorkersLost`] —
+/// or [`CoordError::NoWorkers`] when nobody survives the handshake).
+///
+/// # Panics
+///
+/// Panics if a coordinator thread panics (which would itself be a
+/// bug, not an input condition).
+pub fn run_sweep(
+    experiment: &Experiment<'_>,
+    shard: ShardSpec,
+    executors: Executors<'_>,
+    journal: Option<JournalSink<'_>>,
+    progress: Option<ProgressFn<'_>>,
+) -> Result<(SweepResult, CoordSummary), CoordError> {
+    let plan = experiment.plan();
+    let cells = plan.shard_cells(shard);
+    let (writer, resumed) = match journal {
+        Some(sink) => JournalWriter::open(sink, &plan, shard, &cells).map(|(w, r)| (Some(w), r))?,
+        None => (None, Vec::new()),
+    };
+    let observed = writer.is_some() || progress.is_some();
+    let mut summary = CoordSummary {
+        cells: cells.len(),
+        ..CoordSummary::default()
+    };
+    let mut points: Vec<Option<SweepPoint>> = resumed.into_iter().map(Some).collect();
+    let flushed = points.len();
+    points.resize(cells.len(), None);
+    let mut buffer = Reorder {
+        cells,
+        points,
+        flushed,
+        writer,
+        progress,
+        cells_done: flushed,
+        chunks_done: 0,
+        chunks_total: 0,
+    };
+
+    match executors {
+        Executors::Local => {
+            let dispatch = buffer.missing();
+            let chunk_size = if observed {
+                rayon::current_num_threads().max(1) * 2 * MIN_REUSE_GROUP
+            } else {
+                dispatch.len().max(1)
+            };
+            buffer.chunks_total = dispatch.len().div_ceil(chunk_size) as u64;
+            (summary.dispatched, summary.chunks) = (dispatch.len(), buffer.chunks_total);
+            buffer.report();
+            for chunk in dispatch.chunks(chunk_size) {
+                let points = experiment.run_cells(chunk);
+                buffer.bank(chunk.iter().copied().zip(points).collect(), true)?;
+            }
+        }
+        Executors::Fleet(fleet) => run_fleet(experiment, &mut buffer, fleet, &mut summary)?,
+    }
+
+    summary.journal_syncs = buffer.writer.as_ref().map_or(0, JournalWriter::syncs);
+    let points = buffer
+        .points
+        .into_iter()
+        .map(|p| p.expect("every executor completed"))
+        .collect();
+    Ok((SweepResult { points }, summary))
 }
 
 /// One dispatched chunk and its queue state.
@@ -265,138 +453,64 @@ struct ChunkState {
 }
 
 /// Everything the per-worker threads share, behind one mutex.
-struct State {
+struct State<'b, 'p> {
+    buffer: &'b mut Reorder<'p>,
+    /// Its stolen, requeued and lost counts are kept live.
+    summary: &'b mut CoordSummary,
     chunks: Vec<ChunkState>,
     /// Chunk indices nobody is running.
     pending: VecDeque<usize>,
     /// Incomplete chunk count.
     remaining: usize,
-    /// One slot per plan cell, canonical order.
-    points: Vec<Option<SweepPoint>>,
-    /// Cells `[0, flushed)` are in the journal.
-    flushed: usize,
-    writer: Option<JournalWriter>,
-    chunks_done: u64,
-    cells_done: usize,
-    stolen: u64,
-    requeued: u64,
     live_workers: usize,
-    lost_workers: u64,
     /// First fatal error; every thread drains and exits once set.
     abort: Option<CoordError>,
 }
 
-/// Runs one sweep request across `workers`, returning the complete
-/// [`SweepResult`] (canonical order, bit-identical to
-/// [`Experiment::run_parallel`] on the same experiment) and what it
-/// took. See the [module docs](self) for the execution model.
-///
-/// `request_id` labels the request on the wire; `params` are the
-/// opaque key-value pairs every worker rebuilds its experiment from —
-/// ship the user's raw strings, never re-formatted values, so both
-/// sides parse identically (the fingerprint handshake catches any
-/// drift). `journal`, when given, streams completed entries into a
-/// solo-shard journal at that path as the request runs.
-///
-/// Workers that die (handshake or mid-chunk) are removed from
-/// `workers`; survivors remain connected and ready for the next
-/// request.
-///
-/// `progress` is called after the cache probe and after every newly
-/// completed chunk, from whichever coordinator thread completed it.
-///
-/// # Errors
-///
-/// See [`CoordError`]. Worker deaths are not errors unless the fleet
-/// is exhausted with cells outstanding ([`CoordError::AllWorkersLost`]
-/// — or [`CoordError::NoWorkers`] when nobody survives the
-/// handshake).
-///
-/// # Panics
-///
-/// Panics if a coordinator thread panics (which would itself be a
-/// bug, not an input condition).
-pub fn run_coordinated(
-    experiment: &Experiment<'_>,
-    request_id: u64,
-    params: &[(String, String)],
-    workers: &mut Vec<WorkerLink>,
-    journal: Option<&Path>,
-    options: &CoordOptions,
-    progress: impl FnMut(CoordProgress) + Send,
-) -> Result<(SweepResult, CoordSummary), CoordError> {
-    let plan = experiment.plan();
-    let cells: Vec<CellId> = plan.cells().collect();
-    let total = cells.len();
-
-    // Phase 1: answer whatever the coordinator's cache already holds.
-    let mut points: Vec<Option<SweepPoint>> = Vec::with_capacity(total);
-    let mut warm: Vec<(CellId, SweepPoint)> = Vec::new();
-    for &cell in &cells {
-        let hit = experiment.probe_cached(cell);
-        if let Some(point) = &hit {
-            warm.push((cell, point.clone()));
+impl State<'_, '_> {
+    /// Records the first fatal error; later ones lose the race and are
+    /// dropped.
+    fn set_abort(&mut self, error: CoordError) {
+        if self.abort.is_none() {
+            self.abort = Some(error);
         }
-        points.push(hit);
     }
-    let cached = warm.len();
-    let dispatch: Vec<CellId> = cells
-        .iter()
-        .zip(&points)
-        .filter(|(_, p)| p.is_none())
-        .map(|(&c, _)| c)
+}
+
+/// The fleet executor: probes the cache, and — unless that answers
+/// every cell — handshakes, pre-warms, and serves the chunk queue to
+/// one coordinator thread per worker, banking into `buffer`.
+fn run_fleet(
+    experiment: &Experiment<'_>,
+    buffer: &mut Reorder<'_>,
+    executor: Fleet<'_>,
+    summary: &mut CoordSummary,
+) -> Result<(), CoordError> {
+    let Fleet { request_id, .. } = executor;
+    let plan = experiment.plan();
+    let warm: Vec<(CellId, SweepPoint)> = buffer
+        .missing()
+        .into_iter()
+        .filter_map(|cell| Some((cell, experiment.probe_cached(cell)?)))
         .collect();
-
-    let mut writer = journal
-        .map(|path| JournalWriter::create(path, &plan, ShardSpec::SOLO, options.durable))
-        .transpose()?;
-
-    let mut progress = progress;
-
+    summary.cached = warm.len();
+    buffer.bank(warm.clone(), false)?;
+    let dispatch = buffer.missing();
     // Fully warm: no handshake, no dispatch — the fleet never hears
     // about this request.
     if dispatch.is_empty() {
-        let entries: Vec<(CellId, SweepPoint)> = cells
-            .iter()
-            .zip(&points)
-            .map(|(&c, p)| (c, p.clone().expect("all cached")))
-            .collect();
-        if let Some(writer) = writer.as_mut() {
-            writer.append(&entries)?;
-        }
-        progress(CoordProgress {
-            chunks_done: 0,
-            chunks_total: 0,
-            cells_done: total,
-            cells_total: total,
-        });
-        return Ok((
-            SweepResult {
-                points: entries.into_iter().map(|(_, p)| p).collect(),
-            },
-            CoordSummary {
-                cells: total,
-                cached,
-                dispatched: 0,
-                chunks: 0,
-                stolen_chunks: 0,
-                requeued_chunks: 0,
-                lost_workers: 0,
-                journal_syncs: writer.map_or(0, |w| w.syncs()),
-            },
-        ));
+        buffer.report();
+        return Ok(());
     }
 
-    // Phase 2: handshake. Fingerprint drift is fatal; a dead worker is
-    // not.
-    let mut lost_workers = 0u64;
+    // Handshake. Fingerprint drift is fatal; a dead worker is not.
     let mut fleet: Vec<(WorkerLink, bool)> = Vec::new();
     let request = ToWorker::Request {
         id: request_id,
         fingerprint: plan.fingerprint(),
-        params: params.to_vec(),
+        params: executor.params.to_vec(),
     };
-    for mut link in workers.drain(..) {
+    for mut link in executor.workers.drain(..) {
         let reply = link.send(&request).and_then(|()| link.receive());
         match reply {
             Ok(ToCoord::Ready {
@@ -411,7 +525,7 @@ pub fn run_coordinated(
                         message: format!("ready for request {r}, expected {request_id}"),
                     });
                 }
-                if fingerprint != plan.fingerprint() || n as usize != total {
+                if fingerprint != plan.fingerprint() || n as usize != plan.num_cells() {
                     return Err(CoordError::FingerprintMismatch {
                         worker: link.name,
                         ours: plan.fingerprint(),
@@ -432,43 +546,27 @@ pub fn run_coordinated(
                     message: "chunk-done before any chunk was dispatched".to_owned(),
                 });
             }
-            Err(_) => lost_workers += 1, // dropped; the fleet shrinks
+            Err(_) => summary.lost_workers += 1, // dropped; the fleet shrinks
         }
     }
+
+    // Pre-warm cache-holding workers with the probe's hits.
+    fleet.retain_mut(|(link, has_cache)| {
+        let alive = !*has_cache
+            || warm.chunks(PREWARM_BATCH).all(|batch| {
+                let entries = batch.to_vec();
+                link.send(&ToWorker::Prewarm { entries }).is_ok()
+            });
+        summary.lost_workers += u64::from(!alive);
+        alive
+    });
     if fleet.is_empty() {
         return Err(CoordError::NoWorkers);
     }
 
-    // Phase 3: pre-warm cache-holding workers with the probe's hits.
-    if !warm.is_empty() {
-        let mut kept: Vec<(WorkerLink, bool)> = Vec::new();
-        for (mut link, has_cache) in fleet {
-            let mut alive = true;
-            if has_cache {
-                for batch in warm.chunks(PREWARM_BATCH) {
-                    let message = ToWorker::Prewarm {
-                        entries: batch.to_vec(),
-                    };
-                    if link.send(&message).is_err() {
-                        alive = false;
-                        lost_workers += 1;
-                        break;
-                    }
-                }
-            }
-            if alive {
-                kept.push((link, has_cache));
-            }
-        }
-        fleet = kept;
-        if fleet.is_empty() {
-            return Err(CoordError::NoWorkers);
-        }
-    }
-
-    // Phase 4: cut chunks and dispatch. Default sizing leaves about
-    // four chunks per worker so a straggler's tail is stealable.
-    let chunk_size = options
+    // Cut chunks. Default sizing leaves about four chunks per worker
+    // so a straggler's tail is stealable.
+    let chunk_size = executor
         .chunk_size
         .unwrap_or_else(|| dispatch.len().div_ceil(fleet.len() * 4))
         .max(1);
@@ -480,50 +578,25 @@ pub fn run_coordinated(
             completed: false,
         })
         .collect();
-    let chunks_total = chunks.len() as u64;
-    let remaining = chunks.len();
-    let pending: VecDeque<usize> = (0..chunks.len()).collect();
-
-    progress(CoordProgress {
-        chunks_done: 0,
-        chunks_total,
-        cells_done: cached,
-        cells_total: total,
-    });
+    buffer.chunks_total = chunks.len() as u64;
+    (summary.dispatched, summary.chunks) = (dispatch.len(), buffer.chunks_total);
+    buffer.report();
 
     let state = Mutex::new(State {
+        buffer,
+        remaining: chunks.len(),
+        pending: (0..chunks.len()).collect(),
         chunks,
-        pending,
-        remaining,
-        points,
-        flushed: 0,
-        writer: writer.take(),
-        chunks_done: 0,
-        cells_done: cached,
-        stolen: 0,
-        requeued: 0,
+        summary,
         live_workers: fleet.len(),
-        lost_workers,
         abort: None,
     });
-    // Flush the warm prefix (if any) before dispatching.
-    {
-        let mut guard = state.lock().expect("coordinator state poisoned");
-        flush_prefix(&mut guard, &cells);
-        if let Some(abort) = guard.abort.take() {
-            return Err(abort);
-        }
-    }
-    let progress = Mutex::new(progress);
     let work_available = Condvar::new();
-
     let survivors: Vec<Option<WorkerLink>> = std::thread::scope(|scope| {
         let handles: Vec<_> = fleet
             .into_iter()
             .map(|(link, _)| {
-                scope.spawn(|| {
-                    worker_thread(experiment, &cells, &state, &work_available, &progress, link)
-                })
+                scope.spawn(|| worker_thread(experiment, &state, &work_available, link))
             })
             .collect();
         handles
@@ -531,67 +604,17 @@ pub fn run_coordinated(
             .map(|h| h.join().expect("coordinator worker thread panicked"))
             .collect()
     });
-    workers.extend(survivors.into_iter().flatten());
+    executor.workers.extend(survivors.into_iter().flatten());
 
     let mut state = state.into_inner().expect("coordinator state poisoned");
     if let Some(abort) = state.abort.take() {
         return Err(abort);
     }
     if state.remaining > 0 {
-        let remaining_cells = state.points.iter().filter(|p| p.is_none()).count();
+        let remaining_cells = state.buffer.missing().len();
         return Err(CoordError::AllWorkersLost { remaining_cells });
     }
-    debug_assert!(state.writer.is_none() || state.flushed == total);
-
-    let result = SweepResult {
-        points: state
-            .points
-            .into_iter()
-            .map(|p| p.expect("all chunks completed"))
-            .collect(),
-    };
-    Ok((
-        result,
-        CoordSummary {
-            cells: total,
-            cached,
-            dispatched: dispatch.len(),
-            chunks: chunks_total,
-            stolen_chunks: state.stolen,
-            requeued_chunks: state.requeued,
-            lost_workers: state.lost_workers,
-            journal_syncs: state.writer.as_ref().map_or(0, JournalWriter::syncs),
-        },
-    ))
-}
-
-/// Flushes the maximal canonical prefix of completed cells to the
-/// journal; a write error becomes the request's abort reason.
-fn flush_prefix(state: &mut State, cell_of: &[CellId]) {
-    let Some(writer) = state.writer.as_mut() else {
-        return;
-    };
-    let ready = state.points[state.flushed..]
-        .iter()
-        .take_while(|p| p.is_some())
-        .count();
-    if ready == 0 {
-        return;
-    }
-    let batch: Vec<(CellId, SweepPoint)> = (state.flushed..state.flushed + ready)
-        .map(|ordinal| {
-            let point = state.points[ordinal].clone().expect("counted as ready");
-            (cell_of[ordinal], point)
-        })
-        .collect();
-    match writer.append(&batch) {
-        Ok(()) => state.flushed += ready,
-        Err(e) => {
-            if state.abort.is_none() {
-                state.abort = Some(CoordError::Journal(e));
-            }
-        }
-    }
+    Ok(())
 }
 
 /// The per-worker coordinator loop: claim a pending chunk (or steal an
@@ -600,10 +623,8 @@ fn flush_prefix(state: &mut State, cell_of: &[CellId]) {
 /// still healthy when the request drains.
 fn worker_thread(
     experiment: &Experiment<'_>,
-    cells: &[CellId],
-    state: &Mutex<State>,
+    state: &Mutex<State<'_, '_>>,
     work_available: &Condvar,
-    progress: &Mutex<impl FnMut(CoordProgress) + Send>,
     mut link: WorkerLink,
 ) -> Option<WorkerLink> {
     loop {
@@ -625,7 +646,7 @@ fn worker_thread(
                     .filter(|&i| !guard.chunks[i].completed)
                     .min_by_key(|&i| (guard.chunks[i].in_flight, i));
                 if let Some(index) = steal {
-                    guard.stolen += 1;
+                    guard.summary.stolen_chunks += 1;
                     guard.chunks[index].in_flight += 1;
                     break (index, guard.chunks[index].cells.clone());
                 }
@@ -647,107 +668,68 @@ fn worker_thread(
 
         let mut guard = state.lock().expect("coordinator state poisoned");
         guard.chunks[index].in_flight -= 1;
-        match reply {
+        let error = match reply {
             Ok(ToCoord::ChunkDone { id, entries }) => {
-                if id != index as u64 {
-                    set_abort(
-                        &mut guard,
-                        CoordError::Protocol {
-                            worker: link.name.clone(),
-                            message: format!("chunk-done for chunk {id}, expected {index}"),
-                        },
-                    );
-                    work_available.notify_all();
-                    return Some(link);
-                }
-                if let Err(message) = check_entries(experiment, &chunk_cells, &entries) {
-                    set_abort(
-                        &mut guard,
-                        CoordError::Protocol {
-                            worker: link.name.clone(),
-                            message,
-                        },
-                    );
-                    work_available.notify_all();
-                    return Some(link);
-                }
-                if !guard.chunks[index].completed {
-                    // First completion wins; a stolen duplicate of an
-                    // already-banked chunk is discarded here.
-                    guard.chunks[index].completed = true;
-                    guard.remaining -= 1;
-                    guard.chunks_done += 1;
-                    guard.cells_done += entries.len();
-                    for (cell, point) in &entries {
-                        experiment.store_cached(*cell, point);
-                        let ordinal = cells
-                            .binary_search(cell)
-                            .expect("validated cells are plan cells");
-                        guard.points[ordinal] = Some(point.clone());
-                    }
-                    flush_prefix(&mut guard, cells);
-                    let snapshot = CoordProgress {
-                        chunks_done: guard.chunks_done,
-                        chunks_total: guard.chunks.len() as u64,
-                        cells_done: guard.cells_done,
-                        cells_total: guard.points.len(),
-                    };
-                    let finished = guard.remaining == 0 || guard.abort.is_some();
-                    drop(guard);
-                    work_available.notify_all();
-                    (progress.lock().expect("progress hook poisoned"))(snapshot);
-                    if finished {
-                        return Some(link);
-                    }
-                }
-            }
-            Ok(ToCoord::Error { message }) => {
-                set_abort(
-                    &mut guard,
-                    CoordError::Worker {
+                let checked = if id == index as u64 {
+                    check_entries(experiment, &chunk_cells, &entries)
+                } else {
+                    Err(format!("chunk-done for chunk {id}, expected {index}"))
+                };
+                match checked {
+                    Err(message) => CoordError::Protocol {
                         worker: link.name.clone(),
                         message,
                     },
-                );
-                work_available.notify_all();
-                return Some(link);
+                    // A stolen duplicate of a banked chunk is dropped:
+                    // the first completion wins.
+                    Ok(()) if guard.chunks[index].completed => continue,
+                    Ok(()) => {
+                        guard.chunks[index].completed = true;
+                        guard.remaining -= 1;
+                        for (cell, point) in &entries {
+                            experiment.store_cached(*cell, point);
+                        }
+                        if let Err(e) = guard.buffer.bank(entries, true) {
+                            guard.set_abort(CoordError::Journal(e));
+                        }
+                        let finished = guard.remaining == 0 || guard.abort.is_some();
+                        drop(guard);
+                        work_available.notify_all();
+                        if finished {
+                            return Some(link);
+                        }
+                        continue;
+                    }
+                }
             }
-            Ok(ToCoord::Ready { .. }) => {
-                set_abort(
-                    &mut guard,
-                    CoordError::Protocol {
-                        worker: link.name.clone(),
-                        message: "unexpected ready during dispatch".to_owned(),
-                    },
-                );
-                work_available.notify_all();
-                return Some(link);
-            }
+            Ok(ToCoord::Error { message }) => CoordError::Worker {
+                worker: link.name.clone(),
+                message,
+            },
+            Ok(ToCoord::Ready { .. }) => CoordError::Protocol {
+                worker: link.name.clone(),
+                message: "unexpected ready during dispatch".to_owned(),
+            },
             Err(_) => {
                 // The connection died. The chunk survives: requeue it
                 // unless someone else is (or was) already on it.
                 guard.live_workers -= 1;
-                guard.lost_workers += 1;
+                guard.summary.lost_workers += 1;
                 if !guard.chunks[index].completed && guard.chunks[index].in_flight == 0 {
                     guard.pending.push_front(index);
-                    guard.requeued += 1;
+                    guard.summary.requeued_chunks += 1;
                 }
                 if guard.live_workers == 0 && guard.remaining > 0 {
-                    let remaining_cells = guard.points.iter().filter(|p| p.is_none()).count();
-                    set_abort(&mut guard, CoordError::AllWorkersLost { remaining_cells });
+                    let remaining_cells = guard.buffer.missing().len();
+                    guard.set_abort(CoordError::AllWorkersLost { remaining_cells });
                 }
                 work_available.notify_all();
                 return None;
             }
-        }
-    }
-}
-
-/// Records the first fatal error; later ones lose the race and are
-/// dropped.
-fn set_abort(state: &mut State, error: CoordError) {
-    if state.abort.is_none() {
-        state.abort = Some(error);
+        };
+        guard.set_abort(error);
+        work_available.notify_all();
+        return Some(link);
     }
 }
 

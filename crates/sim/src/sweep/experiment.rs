@@ -86,10 +86,10 @@ impl ExecCounters {
 
 /// The shortest same-case group [`Experiment::run_cells`] hands one
 /// `Network`: each construction is amortized over at least this many
-/// cells, even inside the short chunks journaled execution runs. A
-/// shorter group runs one pool task per cell instead, so its cells run
-/// side by side.
-const MIN_REUSE_GROUP: usize = 4;
+/// cells, even inside the short chunks an observed
+/// [`run_sweep`](super::run_sweep) runs. A shorter group runs one pool
+/// task per cell instead, so its cells run side by side.
+pub(crate) const MIN_REUSE_GROUP: usize = 4;
 
 /// The length below which [`Experiment::run_cells`] never splits a
 /// long same-case run to spread it over the pool: a split costs one
@@ -573,37 +573,6 @@ impl<'a> Experiment<'a> {
             .collect()
     }
 
-    /// Runs `cells` in order as pool-sized chunks (a few per worker —
-    /// large enough to keep the pool busy, small enough to bound the
-    /// work lost to a kill), invoking `after_chunk(chunk, points)` as
-    /// each chunk completes, and returns all points in cell order. The
-    /// chunk boundary is the one place journaled execution flushes and
-    /// progress is reported, so the two cannot drift; an error from
-    /// `after_chunk` aborts the run.
-    ///
-    /// The chunks are a few times larger than the pool: each chunk is
-    /// grouped per case onto reused `Network`s, so the chunk length
-    /// bounds how much amortization one construction gets — the price
-    /// is a proportionally larger recompute window after a kill.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first error `after_chunk` returns.
-    pub fn run_cells_chunked<E>(
-        &self,
-        cells: &[CellId],
-        mut after_chunk: impl FnMut(&[CellId], &[SweepPoint]) -> Result<(), E>,
-    ) -> Result<Vec<SweepPoint>, E> {
-        let chunk_size = rayon::current_num_threads().max(1) * 2 * MIN_REUSE_GROUP;
-        let mut points = Vec::with_capacity(cells.len());
-        for chunk in cells.chunks(chunk_size) {
-            let chunk_points = self.run_cells(chunk);
-            after_chunk(chunk, &chunk_points)?;
-            points.extend(chunk_points);
-        }
-        Ok(points)
-    }
-
     /// Runs one shard of the sweep (see [`ShardSpec`]), returning its
     /// points tagged with everything [`SweepResult::merge`] validates.
     #[must_use]
@@ -617,33 +586,6 @@ impl<'a> Experiment<'a> {
             plan_cells: plan.num_cells() as u64,
             entries: cells.into_iter().zip(points).collect(),
         }
-    }
-
-    /// Runs the sweep on exactly `threads` workers. Produces the same
-    /// result as [`Experiment::run_parallel`] — the determinism
-    /// regression test pins 1 vs N and compares JSON bytes.
-    ///
-    /// Builds a fresh pool per call; callers running several sweeps at
-    /// one thread count should build the pool once and use
-    /// [`Experiment::run_in_pool`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the thread pool cannot be built (the vendored rayon
-    /// stand-in never fails).
-    #[must_use]
-    pub fn run_with_threads(&self, threads: usize) -> SweepResult {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("thread pool builds");
-        self.run_in_pool(&pool)
-    }
-
-    /// Runs the sweep on an existing thread pool.
-    #[must_use]
-    pub fn run_in_pool(&self, pool: &rayon::ThreadPool) -> SweepResult {
-        pool.install(|| self.run_parallel())
     }
 
     /// Derives everything a cell's execution needs from its grid
@@ -759,6 +701,13 @@ mod tests {
     use crate::traffic::TrafficPattern;
     use shg_topology::{generators, Grid};
 
+    fn pool(threads: usize) -> rayon::ThreadPool {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool builds")
+    }
+
     fn small_experiment(topology: &Topology) -> Experiment<'_> {
         let spec = SweepSpec::new(SimConfig::fast_test())
             .rates([0.02, 0.1])
@@ -793,8 +742,8 @@ mod tests {
     fn parallel_equals_single_threaded() {
         let mesh = generators::mesh(Grid::new(4, 4));
         let experiment = small_experiment(&mesh);
-        let serial = experiment.run_with_threads(1);
-        let parallel = experiment.run_with_threads(4);
+        let serial = pool(1).install(|| experiment.run_parallel());
+        let parallel = pool(4).install(|| experiment.run_parallel());
         assert_eq!(serial, parallel);
         assert_eq!(serial.to_json(), parallel.to_json());
     }
@@ -873,7 +822,8 @@ mod tests {
             let reference = experiment().run_cells_fresh(&cells);
             for threads in [1, 4] {
                 let grouped = experiment();
-                assert_eq!(grouped.run_with_threads(threads).points, reference);
+                let points = pool(threads).install(|| grouped.run_parallel().points);
+                assert_eq!(points, reference);
                 assert_eq!(
                     grouped.exec_stats(),
                     ExecStats {
@@ -921,12 +871,11 @@ mod tests {
         assert_eq!(tasks, [(0, 6), (9, 4), (6, 1), (7, 1), (8, 1)]);
         let reference = experiment().run_cells_fresh(&cells);
         for threads in [1, 3] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .expect("pool builds");
             let grouped = experiment();
-            assert_eq!(pool.install(|| grouped.run_cells(&cells)), reference);
+            assert_eq!(
+                pool(threads).install(|| grouped.run_cells(&cells)),
+                reference
+            );
             // One construction per long group, one per short-group cell.
             let stats = grouped.exec_stats();
             assert_eq!((stats.per_cell_cells, stats.reuse_cells), (5, 8));

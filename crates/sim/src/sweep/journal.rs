@@ -21,9 +21,9 @@ use std::path::Path;
 use serde::Serialize;
 use serde_json::Value;
 
-use super::experiment::Experiment;
+use super::coord::JournalSink;
 use super::plan::{CellId, SweepPlan};
-use super::result::{ShardResult, SweepPoint, SweepResult};
+use super::result::{ShardResult, SweepPoint};
 use super::shard::ShardSpec;
 use crate::stats::{FaultStats, SimOutcome};
 use crate::traffic::TrafficPattern;
@@ -410,12 +410,13 @@ fn validate_prefix(cells: &[CellId], entries: &[(CellId, SweepPoint)]) -> Result
 }
 
 /// Reads a completed (or partial) shard journal into a [`ShardResult`]
-/// for [`SweepResult::merge`].
+/// for [`SweepResult::merge`](super::SweepResult::merge).
 ///
 /// # Errors
 ///
 /// Fails on I/O errors, any malformed or torn line (the merge path is
-/// strict; repairing a torn journal is [`run_journaled`]'s job), or
+/// strict; repairing a torn journal is a resumed
+/// [`run_sweep`](super::run_sweep)'s job), or
 /// entries that are not the leading cells of the shard's canonical
 /// sequence under the header's recorded plan shape — so a corrupted
 /// cell id cannot slip into a merge as silently misplaced data.
@@ -433,8 +434,7 @@ pub fn read_journal(path: impl AsRef<Path>) -> Result<ShardResult, JournalError>
 }
 
 /// An open journal file being appended to in canonical cell order —
-/// the write half shared by [`run_journaled`] and the sweep
-/// coordinator's streamed journal.
+/// the sink of [`run_sweep`](super::run_sweep).
 ///
 /// With `durable` set, the header and every appended batch are
 /// [`File::sync_data`](std::fs::File::sync_data)-ed to disk before the
@@ -481,14 +481,61 @@ impl JournalWriter {
         Ok(writer)
     }
 
-    /// Wraps a file already positioned at the end of a valid journal
-    /// prefix (the resume path: header validated, torn tail truncated).
-    fn resume(file: std::fs::File, durable: bool) -> Self {
-        Self {
+    /// Opens the journal `sink` names for `shard` and returns it with
+    /// the points it already holds, in canonical order.
+    ///
+    /// With [`JournalSink::resume`] set and a journal at the path, its
+    /// entries are validated against `plan` (fingerprint, shard, and a
+    /// prefix of `cells`, the shard's cells) and kept; a torn final line
+    /// is cut off, and so is everything when the kill landed inside the
+    /// header. Otherwise the file is created afresh.
+    ///
+    /// # Errors
+    ///
+    /// Fails on I/O errors, or — when resuming — on a journal written
+    /// under a different plan or shard, or whose entries are not a
+    /// prefix of `cells`.
+    pub(crate) fn open(
+        sink: JournalSink<'_>,
+        plan: &SweepPlan,
+        shard: ShardSpec,
+        cells: &[CellId],
+    ) -> Result<(Self, Vec<SweepPoint>), JournalError> {
+        let (path, durable) = (sink.path, sink.durable);
+        // A file with no complete line means the kill landed during the
+        // header write itself: nothing is recoverable, so recreate
+        // rather than dead-ending every subsequent resume attempt.
+        let existing = (sink.resume && path.exists())
+            .then(|| std::fs::read_to_string(path))
+            .transpose()?
+            .filter(|text| text.contains('\n'));
+        let Some(text) = existing else {
+            return Ok((Self::create(path, plan, shard, durable)?, Vec::new()));
+        };
+        let parsed = parse_journal(&text, false)?;
+        if parsed.header.fingerprint != plan.fingerprint() {
+            return Err(JournalError::FingerprintMismatch {
+                expected: plan.fingerprint(),
+                found: parsed.header.fingerprint,
+            });
+        }
+        let journal_shard = parsed.header.shard();
+        if journal_shard != shard {
+            return Err(JournalError::ShardMismatch {
+                expected: shard,
+                found: journal_shard,
+            });
+        }
+        validate_prefix(cells, &parsed.entries)?;
+        let mut file = std::fs::OpenOptions::new().write(true).open(path)?;
+        file.set_len(parsed.valid_len)?; // drop any torn trailing line
+        std::io::Seek::seek(&mut file, std::io::SeekFrom::End(0))?;
+        let writer = Self {
             file,
             durable,
             syncs: 0,
-        }
+        };
+        Ok((writer, parsed.entries.into_iter().map(|(_, p)| p).collect()))
     }
 
     /// Appends one batch of completed cells as journal lines, flushed
@@ -524,104 +571,6 @@ impl JournalWriter {
         }
         Ok(())
     }
-}
-
-/// Runs one shard of `experiment` to an append-only journal at `path`,
-/// returning the shard's points (in canonical order) when every cell
-/// is done.
-///
-/// With `resume` set and `path` existing, previously journaled cells
-/// are validated against the current plan (fingerprint, shard, prefix
-/// order) and skipped; only the remainder is recomputed, and the
-/// finished journal is byte-identical to an uninterrupted run's.
-/// Without `resume`, any existing file is truncated.
-///
-/// `progress` is called after every flushed chunk with
-/// `(cells done, shard cells total)`.
-///
-/// # Errors
-///
-/// Fails on I/O errors, or — when resuming — on a journal that was
-/// written under a different plan or shard, or whose entries are not a
-/// prefix of the shard's canonical cell sequence.
-pub fn run_journaled(
-    experiment: &Experiment<'_>,
-    shard: ShardSpec,
-    path: impl AsRef<Path>,
-    resume: bool,
-    progress: impl FnMut(usize, usize),
-) -> Result<SweepResult, JournalError> {
-    run_journaled_durable(experiment, shard, path, resume, false, progress)
-}
-
-/// [`run_journaled`] with an explicit durability choice: when `durable`
-/// is set, the header and every flushed chunk are `sync_data`-ed so a
-/// machine crash (not just a process kill) leaves an on-disk prefix the
-/// resume path can repair — the mode coordinated execution runs in.
-/// The journal bytes are identical either way.
-///
-/// # Errors
-///
-/// As [`run_journaled`].
-pub fn run_journaled_durable(
-    experiment: &Experiment<'_>,
-    shard: ShardSpec,
-    path: impl AsRef<Path>,
-    resume: bool,
-    durable: bool,
-    mut progress: impl FnMut(usize, usize),
-) -> Result<SweepResult, JournalError> {
-    let path = path.as_ref();
-    let plan = experiment.plan();
-    let cells = plan.shard_cells(shard);
-
-    let mut done: Vec<SweepPoint> = Vec::new();
-    let existing = if resume && path.exists() {
-        // A file with no complete line means the kill landed during the
-        // header write itself: nothing is recoverable, so recreate
-        // rather than dead-ending every subsequent resume attempt.
-        Some(std::fs::read_to_string(path)?).filter(|text| text.contains('\n'))
-    } else {
-        None
-    };
-    let mut writer = if let Some(text) = existing {
-        let parsed = parse_journal(&text, false)?;
-        if parsed.header.fingerprint != plan.fingerprint() {
-            return Err(JournalError::FingerprintMismatch {
-                expected: plan.fingerprint(),
-                found: parsed.header.fingerprint,
-            });
-        }
-        let journal_shard = parsed.header.shard();
-        if journal_shard != shard {
-            return Err(JournalError::ShardMismatch {
-                expected: shard,
-                found: journal_shard,
-            });
-        }
-        validate_prefix(&cells, &parsed.entries)?;
-        done = parsed.entries.into_iter().map(|(_, p)| p).collect();
-        let mut file = std::fs::OpenOptions::new().write(true).open(path)?;
-        file.set_len(parsed.valid_len)?; // drop any torn trailing line
-        std::io::Seek::seek(&mut file, std::io::SeekFrom::End(0))?;
-        JournalWriter::resume(file, durable)
-    } else {
-        JournalWriter::create(path, &plan, shard, durable)?
-    };
-
-    progress(done.len(), cells.len());
-    let remaining = &cells[done.len()..];
-    let mut flushed = done.len();
-    let computed = experiment.run_cells_chunked(remaining, |chunk, points| {
-        let entries: Vec<(CellId, SweepPoint)> =
-            chunk.iter().copied().zip(points.iter().cloned()).collect();
-        writer.append(&entries)?;
-        flushed += chunk.len();
-        progress(flushed, cells.len());
-        Ok::<(), JournalError>(())
-    })?;
-    done.extend(computed);
-    Ok(SweepResult { points: done })
 }
 
 #[cfg(test)]

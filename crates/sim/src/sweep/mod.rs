@@ -32,19 +32,20 @@
 //!   completed cells keyed per cell (not per plan), so re-runs and
 //!   widened grids simulate only what actually changed.
 //! * [`journal`] — append-only JSONL of completed cells
-//!   ([`run_journaled`], [`JournalWriter`]) enabling kill-and-resume
-//!   workers, with opt-in `fsync` durability
-//!   ([`run_journaled_durable`]).
+//!   ([`JournalWriter`], [`read_journal`]) enabling kill-and-resume
+//!   workers, with opt-in `fsync` durability.
 //! * [`result`] — [`SweepResult`], its deterministic JSON, and
 //!   [`SweepResult::merge`] recombining shards into the single-shot
 //!   bytes.
 //! * [`proto`] — the framed wire protocol between a sweep-service
 //!   coordinator and its workers, plus the worker-side
 //!   [`serve_worker`] loop.
-//! * [`coord`] — [`run_coordinated`]: one coordinator driving a
-//!   worker fleet with chunk dispatch, work stealing, dead-worker
-//!   requeue, shared-cache pre-warming and canonical-order journal
-//!   streaming.
+//! * [`coord`] — [`run_sweep`], the one full-outcome driver: shard
+//!   cells, a resumed journal prefix, a chunk queue served to the local
+//!   pool or to a worker fleet ([`Executors`]; with work stealing,
+//!   dead-worker requeue and shared-cache pre-warming), and a
+//!   canonical-order reorder buffer feeding the journal and one
+//!   progress callback.
 //!
 //! The journal and the cache compose: the journal is the
 //! crash-consistency layer of **one** execution (plan-fingerprinted,
@@ -97,12 +98,11 @@ pub mod spec;
 
 pub use cache::{CacheStats, CellCache};
 pub use coord::{
-    run_coordinated, CoordError, CoordOptions, CoordProgress, CoordSummary, WorkerLink,
+    run_sweep, CoordError, CoordProgress, CoordSummary, Executors, Fleet, JournalSink, ProgressFn,
+    WorkerLink,
 };
 pub use experiment::{ExecBackend, ExecStats, Experiment, SustainedRow, SweepCase};
-pub use journal::{
-    read_journal, run_journaled, run_journaled_durable, JournalError, JournalWriter,
-};
+pub use journal::{read_journal, JournalError, JournalWriter};
 pub use plan::{CellId, SweepPlan};
 pub use proto::{connect_with_backoff, serve_worker};
 pub use result::{MergeError, ShardResult, SweepPoint, SweepResult};

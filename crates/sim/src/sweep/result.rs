@@ -35,8 +35,9 @@ pub struct SweepResult {
 /// One shard's worth of measured cells, tagged with what
 /// [`SweepResult::merge`] validates: the plan fingerprint, the shard
 /// assignment, and the plan's total cell count. Produced in-process by
-/// [`crate::Experiment::run_shard`] or loaded from a worker's journal
-/// by [`super::journal::read_journal`].
+/// [`crate::Experiment::run_shard`], or loaded by
+/// [`super::journal::read_journal`] from the journal a
+/// [`run_sweep`](super::run_sweep) of the shard wrote.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardResult {
     /// Fingerprint of the plan this shard was computed under.
@@ -121,12 +122,6 @@ impl SweepResult {
     #[must_use]
     pub fn to_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("sweep JSON serializes")
-    }
-
-    /// Serializes to compact JSON.
-    #[must_use]
-    pub fn to_json_compact(&self) -> String {
-        serde_json::to_string(self).expect("sweep JSON serializes")
     }
 
     /// Recombines shard results into the full sweep, re-ordered into

@@ -10,7 +10,7 @@
 
 use std::path::Path;
 
-use shg_sim::sweep::run_journaled;
+use shg_sim::sweep::{run_sweep, CoordProgress, Executors, JournalSink, ProgressFn};
 use shg_sim::{
     CellId, ExecStats, Experiment, ShardSpec, SimConfig, SweepPoint, SweepSpec, TrafficPattern,
 };
@@ -60,26 +60,15 @@ fn constructions(experiment: &Experiment<'_>) -> (u64, u64) {
 fn observed(threads: usize, shard: ShardSpec, journal: Option<(&Path, bool)>) -> Observed {
     with_experiment(|experiment| {
         let mut seen = Vec::new();
-        let mut progress = |done, total| seen.push((done, total));
-        let points = pool(threads).install(|| match journal {
-            Some((path, resume)) => {
-                run_journaled(experiment, shard, path, resume, progress)
-                    .expect("journaled run")
-                    .points
-            }
-            None => {
-                let cells = experiment.plan().shard_cells(shard);
-                progress(0, cells.len());
-                let mut done = 0;
-                experiment
-                    .run_cells_chunked(&cells, |chunk, _| {
-                        done += chunk.len();
-                        progress(done, cells.len());
-                        Ok::<(), std::convert::Infallible>(())
-                    })
-                    .unwrap_or_else(|never| match never {})
-            }
+        let mut report = |p: CoordProgress| seen.push((p.cells_done, p.cells_total));
+        let progress = Some(&mut report as ProgressFn<'_>);
+        let journal = journal.map(|(path, resume)| JournalSink {
+            path,
+            resume,
+            durable: false,
         });
+        let run = || run_sweep(experiment, shard, Executors::Local, journal, progress);
+        let points = pool(threads).install(run).expect("local run").0.points;
         (points, seen, constructions(experiment))
     })
 }

@@ -10,10 +10,12 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 
 use shg_sim::sweep::{
-    connect_with_backoff, run_coordinated, run_journaled, serve_worker, CoordError, CoordOptions,
-    WorkerLink,
+    connect_with_backoff, run_sweep, serve_worker, CoordError, CoordSummary, Executors, Fleet,
+    JournalSink, WorkerLink,
 };
-use shg_sim::{CellCache, Experiment, ShardSpec, SimConfig, SweepSpec, TrafficPattern};
+use shg_sim::{
+    CellCache, Experiment, ShardSpec, SimConfig, SweepResult, SweepSpec, TrafficPattern,
+};
 use shg_topology::{generators, Grid, Topology};
 
 /// A scratch directory unique to this test process and name; removed
@@ -75,6 +77,36 @@ fn build_experiment<'a>(
     Ok(experiment)
 }
 
+/// One request of `experiment` across `links`, in chunks of
+/// `chunk_size` cells, streaming a solo journal to `journal` when given.
+fn coordinated(
+    experiment: &Experiment<'_>,
+    request_id: u64,
+    params: &[(String, String)],
+    links: &mut Vec<WorkerLink>,
+    journal: Option<&Path>,
+    chunk_size: Option<usize>,
+) -> Result<(SweepResult, CoordSummary), CoordError> {
+    let fleet = Fleet {
+        request_id,
+        params,
+        workers: links,
+        chunk_size,
+    };
+    let journal = journal.map(|path| JournalSink {
+        path,
+        resume: false,
+        durable: false,
+    });
+    run_sweep(
+        experiment,
+        ShardSpec::SOLO,
+        Executors::Fleet(fleet),
+        journal,
+        None,
+    )
+}
+
 /// Spawns a protocol-speaking worker thread that connects to `addr`
 /// and serves until shutdown or EOF.
 fn spawn_worker(addr: SocketAddr, cache_dir: Option<PathBuf>) -> std::thread::JoinHandle<()> {
@@ -121,12 +153,17 @@ fn coordinated_fleet_matches_single_shot_bytes_and_journal() {
     let experiment = build_experiment(&params, &mesh, &torus, None).expect("builds");
     let reference = experiment.run_parallel().to_json();
     let reference_journal = scratch.0.join("reference.jsonl");
-    let _ = run_journaled(
+    let journal = JournalSink {
+        path: &reference_journal,
+        resume: false,
+        durable: false,
+    };
+    let _ = run_sweep(
         &experiment,
         ShardSpec::SOLO,
-        &reference_journal,
-        false,
-        |_, _| {},
+        Executors::Local,
+        Some(journal),
+        None,
     )
     .expect("reference journal run");
 
@@ -137,19 +174,15 @@ fn coordinated_fleet_matches_single_shot_bytes_and_journal() {
 
     // chunk_size 1 forces 12 chunks over 3 workers, so the tail is
     // stolen in practice; correctness must not depend on it.
-    let options = CoordOptions {
-        chunk_size: Some(1),
-        durable: false,
-    };
+    let chunk_size = Some(1);
     let coord_journal = scratch.0.join("coordinated.jsonl");
-    let (result, summary) = run_coordinated(
+    let (result, summary) = coordinated(
         &experiment,
         1,
         &params,
         &mut links,
         Some(&coord_journal),
-        &options,
-        |_| {},
+        chunk_size,
     )
     .expect("coordinated run");
 
@@ -168,8 +201,8 @@ fn coordinated_fleet_matches_single_shot_bytes_and_journal() {
     assert_eq!(links.len(), 3, "all workers survive");
 
     // The fleet stays attached: a second request over the same links.
-    let (again, _) = run_coordinated(&experiment, 2, &params, &mut links, None, &options, |_| {})
-        .expect("second request");
+    let (again, _) =
+        coordinated(&experiment, 2, &params, &mut links, None, chunk_size).expect("second request");
     assert_eq!(again.to_json(), reference);
     shutdown_fleet(links, handles);
 }
@@ -193,17 +226,13 @@ fn shared_cache_contention_and_warm_duplicate_requests() {
         .map(|_| spawn_worker(addr, Some(cache_dir.clone())))
         .collect();
     let mut links = accept_workers(&listener, 3);
-    let options = CoordOptions {
-        chunk_size: Some(1),
-        durable: false,
-    };
+    let chunk_size = Some(1);
 
     // Request 1: the narrow grid, fully cold.
     let narrow = vec![("rates".to_owned(), "0.02,0.05".to_owned())];
     let narrow_exp = build_experiment(&narrow, &mesh, &torus, Some(&cache_dir)).expect("builds");
     let (narrow_result, narrow_summary) =
-        run_coordinated(&narrow_exp, 1, &narrow, &mut links, None, &options, |_| {})
-            .expect("narrow request");
+        coordinated(&narrow_exp, 1, &narrow, &mut links, None, chunk_size).expect("narrow request");
     assert_eq!((narrow_summary.cached, narrow_summary.dispatched), (0, 8));
     assert_eq!(
         narrow_result.to_json(),
@@ -218,8 +247,7 @@ fn shared_cache_contention_and_warm_duplicate_requests() {
     let wide = vec![("rates".to_owned(), "0.02,0.05,0.08".to_owned())];
     let wide_exp = build_experiment(&wide, &mesh, &torus, Some(&cache_dir)).expect("builds");
     let (wide_result, wide_summary) =
-        run_coordinated(&wide_exp, 2, &wide, &mut links, None, &options, |_| {})
-            .expect("wide request");
+        coordinated(&wide_exp, 2, &wide, &mut links, None, chunk_size).expect("wide request");
     assert_eq!((wide_summary.cached, wide_summary.dispatched), (8, 4));
     let wide_reference = build_experiment(&wide, &mesh, &torus, None)
         .expect("builds")
@@ -231,8 +259,7 @@ fn shared_cache_contention_and_warm_duplicate_requests() {
     // hears about it.
     let warm_exp = build_experiment(&wide, &mesh, &torus, Some(&cache_dir)).expect("builds");
     let (warm_result, warm_summary) =
-        run_coordinated(&warm_exp, 3, &wide, &mut links, None, &options, |_| {})
-            .expect("warm request");
+        coordinated(&warm_exp, 3, &wide, &mut links, None, chunk_size).expect("warm request");
     assert_eq!(warm_result.to_json(), wide_reference);
     assert_eq!((warm_summary.cached, warm_summary.dispatched), (12, 0));
     let stats = warm_exp.cache().expect("cache").stats();
@@ -315,13 +342,9 @@ fn dead_workers_chunks_are_requeued_and_finish_elsewhere() {
     handles.extend((0..2).map(|_| spawn_worker(addr, None)));
     let mut links = accept_workers(&listener, 3);
 
-    let options = CoordOptions {
-        chunk_size: Some(1),
-        durable: false,
-    };
-    let (result, summary) =
-        run_coordinated(&experiment, 1, &params, &mut links, None, &options, |_| {})
-            .expect("run survives a dead worker");
+    let chunk_size = Some(1);
+    let (result, summary) = coordinated(&experiment, 1, &params, &mut links, None, chunk_size)
+        .expect("run survives a dead worker");
     assert_eq!(result.to_json(), reference, "requeued cells drifted");
     assert_eq!(summary.lost_workers, 1);
     assert_eq!(links.len(), 2, "the dead worker is culled from the fleet");
@@ -340,11 +363,8 @@ fn losing_every_worker_is_a_hard_error_not_a_hang() {
     let handle = spawn_flaky_worker(addr, 1);
     let mut links = accept_workers(&listener, 1);
 
-    let options = CoordOptions {
-        chunk_size: Some(1),
-        durable: false,
-    };
-    let error = run_coordinated(&experiment, 1, &params, &mut links, None, &options, |_| {})
+    let chunk_size = Some(1);
+    let error = coordinated(&experiment, 1, &params, &mut links, None, chunk_size)
         .expect_err("no fleet left");
     assert!(
         matches!(error, CoordError::AllWorkersLost { remaining_cells } if remaining_cells > 0),
@@ -393,13 +413,9 @@ fn workers_started_before_the_coordinator_retry_until_it_listens() {
     let listener = TcpListener::bind(addr).expect("late coordinator listener");
     let mut links = accept_workers(&listener, 3);
 
-    let options = CoordOptions {
-        chunk_size: Some(1),
-        durable: false,
-    };
-    let (result, summary) =
-        run_coordinated(&experiment, 1, &params, &mut links, None, &options, |_| {})
-            .expect("coordinated run");
+    let chunk_size = Some(1);
+    let (result, summary) = coordinated(&experiment, 1, &params, &mut links, None, chunk_size)
+        .expect("coordinated run");
     assert_eq!(result.to_json(), reference, "late-start fleet drifted");
     assert_eq!(summary.lost_workers, 0);
     shutdown_fleet(links, handles);
@@ -448,16 +464,8 @@ fn a_worker_building_a_different_plan_aborts_the_request() {
     });
     let mut links = accept_workers(&listener, 1);
 
-    let error = run_coordinated(
-        &experiment,
-        1,
-        &params,
-        &mut links,
-        None,
-        &CoordOptions::default(),
-        |_| {},
-    )
-    .expect_err("fingerprints disagree");
+    let error = coordinated(&experiment, 1, &params, &mut links, None, None)
+        .expect_err("fingerprints disagree");
     assert!(
         matches!(error, CoordError::FingerprintMismatch { .. }),
         "unexpected error: {error}"

@@ -74,7 +74,12 @@ fn faulted_sweeps_match_across_backends_and_threads() {
         );
         assert_eq!(
             reference_json,
-            grouped.run_with_threads(1).to_json(),
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(1)
+                .build()
+                .expect("pool builds")
+                .install(|| grouped.run_parallel())
+                .to_json(),
             "{plan}: thread count changed the sweep bytes"
         );
     }

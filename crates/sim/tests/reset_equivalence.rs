@@ -179,7 +179,12 @@ fn reuse_backend_serializes_identically_to_per_cell() {
     );
     assert_eq!(
         reference,
-        grouped.run_with_threads(1).to_json(),
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(1)
+            .build()
+            .expect("pool builds")
+            .install(|| grouped.run_parallel())
+            .to_json(),
         "grouped cells are thread-count-dependent"
     );
 }

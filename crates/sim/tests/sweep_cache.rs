@@ -6,7 +6,7 @@
 use std::path::PathBuf;
 
 use proptest::prelude::*;
-use shg_sim::sweep::run_journaled;
+use shg_sim::sweep::{run_sweep, Executors, JournalSink};
 use shg_sim::{
     CellCache, CellId, Experiment, ShardSpec, SimConfig, SweepResult, SweepSpec, TrafficPattern,
 };
@@ -274,15 +274,29 @@ fn journal_resume_and_cache_compose() {
 
     let cached = experiment(base_spec(SimConfig::fast_test()), &mesh)
         .with_cache(CellCache::open(scratch.0.join("cells")).expect("cache"));
-    let cold = run_journaled(&cached, ShardSpec::SOLO, &journal_cold, false, |_, _| {})
-        .expect("cold journaled run");
+    let journaled = |experiment: &Experiment<'_>, path: &std::path::Path| {
+        let journal = JournalSink {
+            path,
+            resume: false,
+            durable: false,
+        };
+        run_sweep(
+            experiment,
+            ShardSpec::SOLO,
+            Executors::Local,
+            Some(journal),
+            None,
+        )
+        .expect("journaled run")
+        .0
+    };
+    let cold = journaled(&cached, &journal_cold);
     let stats = cached.cache().expect("cache").stats();
     assert_eq!((stats.cached, stats.simulated), (0, 4));
 
     let warm_exp = experiment(base_spec(SimConfig::fast_test()), &mesh)
         .with_cache(CellCache::open(scratch.0.join("cells")).expect("cache"));
-    let warm = run_journaled(&warm_exp, ShardSpec::SOLO, &journal_warm, false, |_, _| {})
-        .expect("warm journaled run");
+    let warm = journaled(&warm_exp, &journal_warm);
     assert_eq!(warm.to_json(), cold.to_json());
     let stats = warm_exp.cache().expect("cache").stats();
     assert_eq!((stats.cached, stats.simulated), (4, 0));

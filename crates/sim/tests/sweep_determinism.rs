@@ -15,8 +15,7 @@ use shg_sim::sweep::ALL_PATTERNS;
 use shg_sim::{CellId, Experiment, ShardSpec, SimConfig, SweepResult, SweepSpec, TrafficPattern};
 use shg_topology::{generators, Grid};
 
-/// One pool per thread count, built once — `run_with_threads` would
-/// rebuild the pool on every invocation.
+/// A pool pinning the thread count of the sweeps installed on it.
 fn pool(threads: usize) -> ThreadPool {
     rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
@@ -39,9 +38,9 @@ fn one_thread_and_many_threads_produce_identical_json() {
         .expect("mesh routes")
         .with_unit_latency_case("torus", &torus)
         .expect("torus routes");
-    let single = experiment.run_in_pool(&single_pool);
+    let single = single_pool.install(|| experiment.run_parallel());
     for parallel_pool in &pools {
-        let parallel = experiment.run_in_pool(parallel_pool);
+        let parallel = parallel_pool.install(|| experiment.run_parallel());
         assert_eq!(single, parallel, "outcomes differ between 1 and N threads");
         assert_eq!(
             single.to_json(),
@@ -79,7 +78,9 @@ fn grouped_sweeps_serialize_identically_at_one_and_many_threads() {
     for threads in [1, 2, 8] {
         assert_eq!(
             reference,
-            experiment.run_in_pool(&pool(threads)).to_json(),
+            pool(threads)
+                .install(|| experiment.run_parallel())
+                .to_json(),
             "grouped bytes differ from fresh networks at {threads} threads"
         );
     }

@@ -4,11 +4,33 @@
 //! match the single-shot sweep; a journal written under a different
 //! plan (changed spec) must be rejected with a clear error.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use shg_sim::sweep::{read_journal, run_journaled, JournalError};
+use shg_sim::sweep::{
+    read_journal, run_sweep, CoordError, CoordProgress, Executors, JournalError, JournalSink,
+    ProgressFn,
+};
 use shg_sim::{Experiment, ShardSpec, SimConfig, SweepResult, SweepSpec, TrafficPattern};
 use shg_topology::{generators, Grid, Topology};
+
+/// One shard of `experiment` run locally into the journal at `path`,
+/// reporting `(cells done, shard cells)`.
+fn journaled(
+    experiment: &Experiment<'_>,
+    shard: ShardSpec,
+    path: &Path,
+    resume: bool,
+    mut progress: impl FnMut(usize, usize) + Send,
+) -> Result<SweepResult, CoordError> {
+    let mut report = |p: CoordProgress| progress(p.cells_done, p.cells_total);
+    let journal = JournalSink {
+        path,
+        resume,
+        durable: false,
+    };
+    let progress = Some(&mut report as ProgressFn<'_>);
+    run_sweep(experiment, shard, Executors::Local, Some(journal), progress).map(|(r, _)| r)
+}
 
 /// A scratch file path unique to this test process and name; removed by
 /// [`Scratch::drop`].
@@ -55,7 +77,7 @@ fn journaled_shard_matches_run_shard_and_merges_to_single_shot() {
         .collect();
     for (i, scratch) in scratches.iter().enumerate() {
         let shard = ShardSpec::new(i as u32, 3);
-        let result = run_journaled(&experiment, shard, &scratch.0, false, |_, _| {}).expect("runs");
+        let result = journaled(&experiment, shard, &scratch.0, false, |_, _| {}).expect("runs");
         let in_memory = experiment.run_shard(shard);
         assert_eq!(
             result.points,
@@ -80,7 +102,7 @@ fn resume_from_any_prefix_reproduces_the_journal_bytes() {
     let experiment = experiment(&mesh);
     let shard = ShardSpec::new(0, 2);
     let full = Scratch::new("resume_full");
-    let uninterrupted = run_journaled(&experiment, shard, &full.0, false, |_, _| {}).expect("runs");
+    let uninterrupted = journaled(&experiment, shard, &full.0, false, |_, _| {}).expect("runs");
     let full_bytes = std::fs::read(&full.0).expect("journal exists");
     let text = String::from_utf8(full_bytes.clone()).expect("utf8");
     let lines: Vec<&str> = text.lines().collect();
@@ -93,7 +115,7 @@ fn resume_from_any_prefix_reproduces_the_journal_bytes() {
         let partial = Scratch::new(&format!("resume_keep{keep}"));
         let prefix: String = lines[..=keep].iter().flat_map(|l| [l, "\n"]).collect();
         std::fs::write(&partial.0, &prefix).expect("write partial");
-        let resumed = run_journaled(&experiment, shard, &partial.0, true, |done, total| {
+        let resumed = journaled(&experiment, shard, &partial.0, true, |done, total| {
             progress_calls.push((done, total));
         })
         .expect("resume runs");
@@ -115,7 +137,7 @@ fn resume_from_any_prefix_reproduces_the_journal_bytes() {
     let mut prefix: String = lines[..=1].iter().flat_map(|l| [l, "\n"]).collect();
     prefix.push_str(&lines[2][..lines[2].len() / 2]);
     std::fs::write(&torn.0, &prefix).expect("write torn");
-    let resumed = run_journaled(&experiment, shard, &torn.0, true, |_, _| {}).expect("resumes");
+    let resumed = journaled(&experiment, shard, &torn.0, true, |_, _| {}).expect("resumes");
     assert_eq!(std::fs::read(&torn.0).expect("journal"), full_bytes);
     assert_eq!(resumed, uninterrupted);
 
@@ -124,7 +146,7 @@ fn resume_from_any_prefix_reproduces_the_journal_bytes() {
     let torn_header = Scratch::new("resume_torn_header");
     std::fs::write(&torn_header.0, &lines[0][..lines[0].len() / 2]).expect("write torn header");
     let resumed =
-        run_journaled(&experiment, shard, &torn_header.0, true, |_, _| {}).expect("recreates");
+        journaled(&experiment, shard, &torn_header.0, true, |_, _| {}).expect("recreates");
     assert_eq!(std::fs::read(&torn_header.0).expect("journal"), full_bytes);
     assert_eq!(resumed, uninterrupted);
 }
@@ -134,7 +156,7 @@ fn resume_rejects_a_changed_plan_with_a_clear_error() {
     let mesh = mesh();
     let scratch = Scratch::new("fingerprint");
     let original = experiment(&mesh);
-    run_journaled(&original, ShardSpec::SOLO, &scratch.0, false, |_, _| {}).expect("runs");
+    journaled(&original, ShardSpec::SOLO, &scratch.0, false, |_, _| {}).expect("runs");
 
     // Same case, different spec (one extra rate) — a different plan.
     let changed_spec = Experiment::new(
@@ -144,10 +166,13 @@ fn resume_rejects_a_changed_plan_with_a_clear_error() {
     )
     .with_unit_latency_case("mesh", &mesh)
     .expect("mesh routes");
-    let err = run_journaled(&changed_spec, ShardSpec::SOLO, &scratch.0, true, |_, _| {})
+    let err = journaled(&changed_spec, ShardSpec::SOLO, &scratch.0, true, |_, _| {})
         .expect_err("changed spec must not resume");
     assert!(
-        matches!(err, JournalError::FingerprintMismatch { .. }),
+        matches!(
+            err,
+            CoordError::Journal(JournalError::FingerprintMismatch { .. })
+        ),
         "{err}"
     );
     let message = err.to_string();
@@ -157,9 +182,12 @@ fn resume_rejects_a_changed_plan_with_a_clear_error() {
     );
 
     // Same plan, different shard assignment — also rejected.
-    let err = run_journaled(&original, ShardSpec::new(0, 2), &scratch.0, true, |_, _| {})
+    let err = journaled(&original, ShardSpec::new(0, 2), &scratch.0, true, |_, _| {})
         .expect_err("different shard must not resume");
-    assert!(matches!(err, JournalError::ShardMismatch { .. }), "{err}");
+    assert!(
+        matches!(err, CoordError::Journal(JournalError::ShardMismatch { .. })),
+        "{err}"
+    );
     assert!(err.to_string().contains("shard 1/2"), "{err}");
 }
 
@@ -171,7 +199,7 @@ fn read_journal_rejects_a_corrupted_cell_id() {
     let mesh = mesh();
     let experiment = experiment(&mesh);
     let scratch = Scratch::new("tampered");
-    run_journaled(
+    journaled(
         &experiment,
         ShardSpec::new(0, 2),
         &scratch.0,
@@ -193,7 +221,7 @@ fn merge_of_an_unfinished_journal_reports_missing_cells() {
     let mesh = mesh();
     let experiment = experiment(&mesh);
     let scratch = Scratch::new("unfinished");
-    run_journaled(&experiment, ShardSpec::SOLO, &scratch.0, false, |_, _| {}).expect("runs");
+    journaled(&experiment, ShardSpec::SOLO, &scratch.0, false, |_, _| {}).expect("runs");
     let text = std::fs::read_to_string(&scratch.0).expect("journal");
     let truncated: String = text.lines().take(3).flat_map(|l| [l, "\n"]).collect();
     std::fs::write(&scratch.0, truncated).expect("truncate");
