@@ -18,8 +18,9 @@
 //! uninterrupted run's. `--durable` additionally `fsync`s the journal
 //! after its header and every completed chunk.
 //!
-//! `--single-shot result.json` ignores sharding and writes the full
-//! sweep JSON, byte-identical to `run_parallel`'s — the reference the
+//! `--single-shot result.json` runs the whole plan and writes the full
+//! sweep JSON (`--shard`, `--out`, `--resume` and `--durable` beside
+//! it are usage errors), byte-identical to `run_parallel`'s — the reference the
 //! CI `service-smoke` job diffs incremental executions against.
 //!
 //! Both modes make one [`run_sweep`] call on the local pool; a journal
@@ -95,7 +96,8 @@ Usage: sweep_worker [--scenario a|b|c|d] [--fast] [--rate-points N]
                  addressed; prints cached/simulated counts at the end)
   --shard i/N    run only the i-th of N strided shards (one-based i)
   --out          fresh journal path    --resume  continue a journal
-  --single-shot  skip sharding, write the full run_parallel JSON
+  --single-shot  write the whole plan's run_parallel JSON instead of a
+                 shard journal (takes no --shard/--out/--resume/--durable)
   --durable      fsync the journal after the header and every chunk
   --progress     log cells done (and the cached/simulated split)
   --serve        worker service mode: speak the shg_coord protocol on
@@ -106,6 +108,9 @@ Usage: sweep_worker [--scenario a|b|c|d] [--fast] [--rate-points N]
                  the worker may be started before the coordinator
   --connect-patience  seconds to keep retrying --connect before giving
                  up with a usage error (default: 30)";
+
+/// The flags only a shard run reads.
+const SHARD_AND_JOURNAL_FLAGS: [&str; 4] = ["--shard", "--out", "--resume", "--durable"];
 
 /// Service mode: serve coordinator requests until shutdown or hangup.
 /// Topology sets for every scenario are built up front so one
@@ -195,6 +200,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     if has_flag("--serve") || arg_value("--connect").is_some() {
         return serve();
+    }
+    // A single shot is the whole plan, unjournaled: a shard or journal
+    // flag beside it would be ignored.
+    if has_flag("--single-shot") {
+        if let Some(flag) = SHARD_AND_JOURNAL_FLAGS
+            .into_iter()
+            .find(|flag| has_flag(flag))
+        {
+            cli_error(format!(
+                "{flag} does not apply to --single-shot, which runs the whole plan \
+                 without a journal"
+            ));
+        }
     }
     // Mirror fig6's pattern-sweep setup exactly, so a sharded worker
     // fleet reproduces the very grid the single-process binary prints.

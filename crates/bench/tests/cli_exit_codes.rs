@@ -170,6 +170,23 @@ fn out_and_resume_conflict_is_a_usage_error() {
 }
 
 #[test]
+fn single_shot_rejects_the_shard_and_journal_flags() {
+    for extra in [
+        &["--shard", "1/2"][..],
+        &["--shard", "0/3"],
+        &["--out", "a.jsonl"],
+        &["--resume", "a.jsonl"],
+        &["--durable"],
+    ] {
+        let mut args = vec!["--fast", "--single-shot", "/dev/null"];
+        args.extend_from_slice(extra);
+        let output = sweep_worker(&args);
+        assert_usage_error(&output, extra[0]);
+        assert_usage_error(&output, "--single-shot");
+    }
+}
+
+#[test]
 fn unknown_topology_spec_is_a_usage_error() {
     let output = load_curve(&["--topology", "moebius"]);
     assert_usage_error(&output, "moebius");

@@ -36,7 +36,7 @@
 //! Each channel is a FIFO of constant latency, so a flit or credit sent
 //! at cycle `t` on a channel of latency `L` is due at exactly `t + L`.
 //! There are no per-channel pipes: one calendar of `W` buckets, `W` the
-//! smallest power of two above the largest channel latency, files every
+//! smallest power of two above the largest channel latency and 1, files every
 //! entry under its due cycle mod `W`, and Phase B drains bucket
 //! `now mod W` — flits first, then credits — touching only what is due.
 //! Phase C files a send at `now + max(L, 1)`, so a zero-latency channel
@@ -46,8 +46,45 @@
 //! active and touched router sets are bitmaps, so deliveries within a
 //! cycle commute.
 //!
-//! The pinned outcomes in `tests/golden_outcomes.txt` and the per-cycle
-//! invariants of [`Network::run_validated`] hold the schedule there.
+//! # Sharded cycles
+//!
+//! A run splits the routers into `k` contiguous **shards** (one per
+//! thread of the pool for a network of 1,024 tiles or more, one
+//! otherwise; see [`shard_count`]). Each shard keeps its own active and
+//! touched sets, and the calendar has one **lane** of `W` buckets per
+//! (filing shard, receiving shard) pair. Fault epochs and Phase A run on
+//! the calling thread. Phases B and C run on every shard at once, shard
+//! 0 on the calling thread and the others on scoped helper threads
+//! spawned once per run, which step through the cycles behind a
+//! spin-then-yield barrier:
+//!
+//! * Phase B: a shard delivers the flits, then the credits, due at its
+//!   own routers from every lane into it;
+//! * Phase C: a shard visits its own active routers in ascending order,
+//!   files their forwards and credits into its own lanes (always at
+//!   least one cycle ahead, so never into a bucket Phase B is draining).
+//!
+//! The statistics and the traffic sources stay with the calling thread.
+//! Shard 0 records each visit's ejections, drops and freed injection
+//! buffer as it goes, as a single sweep does; the other shards log
+//! them, and once every shard is done the calling thread replays the
+//! logs in router order — `record_ejection`, `record_drop`, the
+//! injection buffer's refill, then the router's active-set membership.
+//! (Their Phase B discards are counted after shard 0's Phase C; counts
+//! commute.) The outcome does not depend on `k`: a
+//! channel has one source and one destination, so every input buffer
+//! still receives its flits in order, and delivering a flit or a credit
+//! only sets idempotent request and membership bits. With one shard
+//! there is one lane, no helper and no barrier.
+//!
+//! The pinned outcomes in `tests/golden_outcomes.txt` (run at one, two
+//! and three shards) and the per-cycle invariants of
+//! [`Network::run_validated`] hold the schedule there.
+
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Mutex;
+use std::time::Instant;
 
 use rand::rngs::SmallRng;
 use shg_topology::{
@@ -64,13 +101,36 @@ use crate::router::{Router, TraversalOutput};
 use crate::stats::{OutcomeRecorder, SimOutcome, Verdict, WindowCreations};
 use crate::traffic::TrafficPattern;
 
+/// The fewest routers a shard is given. Below twice this many tiles a
+/// network runs on one shard: a sweep runs such cells side by side, one
+/// per thread, which splitting one cell across the threads only matches
+/// from about a thousand tiles on.
+const ROUTERS_PER_SHARD: usize = 512;
+
+/// The most shards a run uses: a lane index, one per pair of shards,
+/// must fit a `u16`.
+const MAX_SHARDS: usize = 255;
+
+/// The number of shards a network of `tiles` routers runs on when
+/// started from this thread: one per thread of the current pool, each
+/// with at least [`ROUTERS_PER_SHARD`] routers.
+pub(crate) fn shard_count(tiles: usize) -> usize {
+    match tiles / ROUTERS_PER_SHARD {
+        // Spares a small network's run the pool-size query, which may
+        // read the CPU quota from the file system.
+        0 | 1 => 1,
+        most => rayon::current_num_threads().min(most).clamp(1, MAX_SHARDS),
+    }
+}
+
 /// Wall-clock decomposition of one run into its simulation phases —
 /// what [`Network::run_profiled`] returns alongside the outcome.
 ///
 /// The measured spans are the phase bodies only; loop control,
 /// statistics collection and the active-set sweep bookkeeping are
 /// excluded, so the three durations need not sum to the run's total
-/// wall time.
+/// wall time. A sharded run times the calling thread's shard; the wait
+/// for the other shards is not counted.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseProfile {
     /// Phase A: packet generation (the injection calendar).
@@ -84,12 +144,29 @@ pub struct PhaseProfile {
     pub allocation: std::time::Duration,
 }
 
-/// An index set over `0..len`: a bitmap, so insertion is one OR,
-/// duplicates cost nothing and members come out in ascending order
+/// Adds the time since `stamp` to the span of `profile` that `span`
+/// picks, and restarts the stamp (a no-op when not profiling).
+fn lap(
+    profile: &mut Option<&mut PhaseProfile>,
+    stamp: &mut Option<Instant>,
+    span: impl FnOnce(&mut PhaseProfile) -> &mut std::time::Duration,
+) {
+    if let (Some(p), Some(stamp)) = (profile.as_deref_mut(), stamp.as_mut()) {
+        let now = Instant::now();
+        *span(p) += now - *stamp;
+        *stamp = now;
+    }
+}
+
+/// An index set over a range of indices: a bitmap, so insertion is one
+/// OR, duplicates cost nothing and members come out in ascending order
 /// without a sort.
 #[derive(Debug)]
 pub(crate) struct ActiveSet {
-    /// Bit `i & 63` of word `i >> 6` is set while `i` is a member.
+    /// The range's first index: bit 0 of word 0.
+    base: usize,
+    /// Bit `j & 63` of word `j >> 6` is set while `base + j` is a
+    /// member.
     words: Vec<u64>,
     /// Last cycle's sweep buffer, recycled so the per-cycle sweep is
     /// allocation-free in steady state.
@@ -97,16 +174,18 @@ pub(crate) struct ActiveSet {
 }
 
 impl ActiveSet {
-    pub(crate) fn new(len: usize) -> Self {
+    pub(crate) fn new(range: Range<usize>) -> Self {
         Self {
-            words: vec![0; len.div_ceil(64)],
+            base: range.start,
+            words: vec![0; range.len().div_ceil(64)],
             scratch: Vec::new(),
         }
     }
 
     #[inline]
     pub(crate) fn insert(&mut self, index: usize) {
-        self.words[index >> 6] |= 1 << (index & 63);
+        let j = index - self.base;
+        self.words[j >> 6] |= 1 << (j & 63);
     }
 
     /// Moves the members out, in ascending order, leaving the set
@@ -120,7 +199,8 @@ impl ActiveSet {
 
     #[inline]
     pub(crate) fn contains(&self, index: usize) -> bool {
-        self.words[index >> 6] & (1 << (index & 63)) != 0
+        let j = index - self.base;
+        self.words[j >> 6] & (1 << (j & 63)) != 0
     }
 
     #[inline]
@@ -138,7 +218,7 @@ impl ActiveSet {
         for (w, word) in self.words.iter_mut().enumerate() {
             let mut bits = std::mem::take(word);
             while bits != 0 {
-                visit((w << 6) | bits.trailing_zeros() as usize);
+                visit(self.base + ((w << 6) | bits.trailing_zeros() as usize));
                 bits &= bits - 1;
             }
         }
@@ -146,8 +226,10 @@ impl ActiveSet {
 }
 
 /// Every link pipeline of the network as one timing wheel: bucket `b`
-/// holds the flits and credits due at the next cycle `t` with
-/// `t mod W = b` (see the module's "Delivery calendar").
+/// of a lane holds the flits and credits due at the next cycle `t` with
+/// `t mod W = b` (see the module's "Delivery calendar"). Lane `l` owns
+/// buckets `l·W..(l + 1)·W`; [`Lanes`] says which lane a channel's
+/// traffic takes.
 #[derive(Debug)]
 struct Calendar {
     /// `data[b]`: `(channel, flit)` due in bucket `b`.
@@ -155,31 +237,449 @@ struct Calendar {
     /// `credits[b]`: `(channel, vc)` due in bucket `b`, flowing
     /// source-ward.
     credits: Vec<Vec<(u32, u8)>>,
-    /// `W − 1`.
-    mask: u64,
 }
 
 impl Calendar {
-    /// A calendar with room for a delay of up to `max_latency` cycles.
-    fn new(max_latency: u64) -> Self {
-        let buckets = (max_latency + 1).next_power_of_two() as usize;
+    /// A calendar of `buckets` empty buckets.
+    fn new(buckets: usize) -> Self {
         Self {
             data: vec![Vec::new(); buckets],
             credits: vec![Vec::new(); buckets],
-            mask: buckets as u64 - 1,
         }
-    }
-
-    /// The bucket of entries due at cycle `due`.
-    #[inline]
-    fn slot(&self, due: u64) -> usize {
-        (due & self.mask) as usize
     }
 
     /// Empties every bucket, keeping its capacity.
     fn clear(&mut self) {
         self.data.iter_mut().for_each(Vec::clear);
         self.credits.iter_mut().for_each(Vec::clear);
+    }
+}
+
+/// The calendar's geometry under a run's split into shards: `W`
+/// buckets per lane and one lane per (filing shard, receiving shard)
+/// pair, so that each shard files only into lanes of its own and drains
+/// only lanes into it.
+#[derive(Debug)]
+struct Lanes {
+    /// The number of shards `k`.
+    shards: usize,
+    /// `log₂ W`.
+    width_log2: u32,
+    /// `of[c]`: the lane of channel `c`'s flits (source shard to
+    /// destination shard) and of its credits (the reverse). Empty with
+    /// one shard, whose only lane is lane 0.
+    of: Vec<[u16; 2]>,
+}
+
+impl Lanes {
+    /// The geometry of one shard, with room for a delay of up to
+    /// `max_latency` cycles. Phase C files at least one cycle ahead, so
+    /// with two buckets or more per lane it never files into the bucket
+    /// a shard may still be draining.
+    fn single(max_latency: u64) -> Self {
+        Self {
+            shards: 1,
+            width_log2: (max_latency.max(1) + 1)
+                .next_power_of_two()
+                .trailing_zeros(),
+            of: Vec::new(),
+        }
+    }
+
+    /// The number of calendar buckets: `k² · W`.
+    fn buckets(&self) -> usize {
+        (self.shards * self.shards) << self.width_log2
+    }
+
+    /// The bucket of lane `lane` holding the entries due at cycle `due`.
+    #[inline]
+    fn bucket(&self, lane: usize, due: u64) -> usize {
+        (lane << self.width_log2) | (due & ((1 << self.width_log2) - 1)) as usize
+    }
+
+    /// The lane shard `from` files into for shard `to`.
+    #[inline]
+    fn between(&self, from: usize, to: usize) -> usize {
+        from * self.shards + to
+    }
+
+    /// The bucket of a flit due on channel `c` at cycle `due`.
+    #[inline]
+    fn flit_bucket(&self, c: usize, due: u64) -> usize {
+        self.bucket(self.of.get(c).map_or(0, |l| usize::from(l[0])), due)
+    }
+
+    /// The bucket of a credit due back over channel `c` at cycle `due`.
+    #[inline]
+    fn credit_bucket(&self, c: usize, due: u64) -> usize {
+        self.bucket(self.of.get(c).map_or(0, |l| usize::from(l[1])), due)
+    }
+}
+
+/// One shard's share of a run: the active and touched sets of its
+/// routers, and the log of its Phase C that the calling thread replays.
+#[derive(Debug)]
+struct Shard {
+    /// The shard's routers.
+    routers: Range<usize>,
+    /// Its routers with a live allocation request.
+    active: ActiveSet,
+    /// Its routers that have held a flit since construction (or the
+    /// last [`Network::reset`]) — a monotone superset of `active`. All
+    /// per-router mutable state (buffers, credits, round-robin
+    /// pointers, request bitmasks) only ever changes on routers in this
+    /// set, so a reset cleans exactly these and leaves untouched
+    /// routers alone.
+    touched: ActiveSet,
+    /// Phase C's output: forwards and credits are filed after each
+    /// visit; ejected flits and dropped packets gather over the sweep.
+    out: TraversalOutput,
+    /// The visits that ejected, dropped or freed anything, in router
+    /// order.
+    visits: Vec<Visit>,
+    /// Creation cycles of the packets whose tails Phase B discarded.
+    discarded: Vec<u32>,
+}
+
+impl Shard {
+    fn new(routers: Range<usize>) -> Self {
+        Self {
+            active: ActiveSet::new(routers.clone()),
+            touched: ActiveSet::new(routers.clone()),
+            routers,
+            out: TraversalOutput::default(),
+            visits: Vec::new(),
+            discarded: Vec::new(),
+        }
+    }
+}
+
+/// One logged router visit of Phase C: its ejections and drops end at
+/// these lengths of the shard's `out.ejected` and `out.dropped`.
+#[derive(Debug, Clone, Copy)]
+struct Visit {
+    router: usize,
+    ejected: usize,
+    dropped: usize,
+    /// The visit freed the router's injection buffer.
+    freed: bool,
+}
+
+/// Everything a run mutates: routers, calendar and the shards' state.
+#[derive(Debug)]
+struct Fabric {
+    routers: Vec<Router>,
+    /// The flits and credits in flight on every channel, by due cycle.
+    calendar: Calendar,
+    /// Contiguous, in ascending router order.
+    shards: Vec<Shard>,
+}
+
+impl Fabric {
+    /// The shard holding router `r`.
+    fn shard_of(&self, r: usize) -> usize {
+        self.shards.partition_point(|shard| shard.routers.end <= r)
+    }
+
+    fn shard_mut(&mut self, r: usize) -> &mut Shard {
+        let s = self.shard_of(r);
+        &mut self.shards[s]
+    }
+
+    fn is_active(&self, r: usize) -> bool {
+        self.shards[self.shard_of(r)].active.contains(r)
+    }
+
+    /// Returns every touched router to its constructed state, empties
+    /// the calendar and the active sets.
+    fn reset(&mut self, config: &SimConfig) {
+        let routers = &mut self.routers;
+        for shard in &mut self.shards {
+            shard.touched.clear_with(|r| routers[r].reset(config));
+            // The active set is a subset of the touched set; its
+            // members' state is already clean, only the membership
+            // flags remain to drop.
+            shard.active.clear_with(|_| ());
+        }
+        self.calendar.clear();
+    }
+
+    /// Replays the logs of cycle `now` into `books` in router order:
+    /// Phase B's discarded packets, then per logged visit its
+    /// ejections, its drops and the refill of an injection buffer it
+    /// freed — which may arm a request, keeping the router active.
+    /// Shard 0 keeps no log: the calling thread recorded its visits as
+    /// it made them.
+    fn replay(&mut self, now: u64, books: &mut Books<'_, '_>) {
+        let logged = &mut self.shards[1..];
+        for shard in logged.iter_mut() {
+            for created in shard.discarded.drain(..) {
+                books.recorder.record_drop(created);
+            }
+        }
+        for shard in logged {
+            let (mut ejected, mut dropped) = (0, 0);
+            for visit in shard.visits.drain(..) {
+                let r = visit.router;
+                let router = &mut self.routers[r];
+                books.visit(
+                    r,
+                    router,
+                    &shard.out.ejected[ejected..visit.ejected],
+                    &shard.out.dropped[dropped..visit.dropped],
+                    visit.freed,
+                    now,
+                );
+                (ejected, dropped) = (visit.ejected, visit.dropped);
+                if visit.freed && router.has_requests() {
+                    shard.active.keep(r);
+                }
+            }
+            shard.out.ejected.clear();
+            shard.out.dropped.clear();
+        }
+    }
+}
+
+/// The run's statistics and traffic sources, which only the calling
+/// thread touches: its own shard's visits go straight into them, the
+/// other shards' through [`Fabric::replay`].
+struct Books<'b, 's> {
+    recorder: &'b mut OutcomeRecorder,
+    injector: &'b mut Injector,
+    arrivals: &'b Arrivals<'s>,
+}
+
+impl Books<'_, '_> {
+    /// Records router `r`'s visit of cycle `now`: the flits it ejected,
+    /// the packets it dropped and, if it freed its injection buffer,
+    /// the refill from the tile's parked backlog.
+    #[inline]
+    fn visit(
+        &mut self,
+        r: usize,
+        router: &mut Router,
+        ejected: &[Flit],
+        dropped: &[u32],
+        freed: bool,
+        now: u64,
+    ) {
+        for flit in ejected {
+            self.recorder.record_ejection(flit, now);
+        }
+        for &created in dropped {
+            self.recorder.record_drop(created);
+        }
+        if freed {
+            self.arrivals
+                .refill(self.injector, router, r, now, self.recorder);
+        }
+    }
+}
+
+/// Raw pointers into a [`Fabric`], taken afresh for each cycle's phases
+/// B and C, through which the shards work on their disjoint parts of it
+/// at once (see [`Crew`] for who may touch what, when).
+#[derive(Debug, Clone, Copy)]
+struct FabricPtr {
+    routers: *mut Router,
+    shards: *mut Shard,
+    data: *mut Vec<(u32, Flit)>,
+    credits: *mut Vec<(u32, u8)>,
+}
+
+// SAFETY: the pointers are dereferenced only between a crew's barriers,
+// where each shard's thread touches its own shard, its own routers and
+// buckets no other thread touches in that phase (see `Crew`); every
+// pointee is `Send`.
+unsafe impl Send for FabricPtr {}
+
+impl FabricPtr {
+    fn new(fabric: &mut Fabric) -> Self {
+        Self {
+            routers: fabric.routers.as_mut_ptr(),
+            shards: fabric.shards.as_mut_ptr(),
+            data: fabric.calendar.data.as_mut_ptr(),
+            credits: fabric.calendar.credits.as_mut_ptr(),
+        }
+    }
+
+    /// Shard `s` and its routers.
+    ///
+    /// # Safety
+    ///
+    /// The fabric the pointers were taken from is alive and has not
+    /// been laid out again since; `s` is one of its shards, and no other
+    /// reference to that shard or its routers is alive while the
+    /// returned ones are.
+    unsafe fn shard<'f>(self, s: usize) -> (&'f mut Shard, &'f mut [Router]) {
+        // SAFETY: in bounds and unaliased, by the caller's contract.
+        unsafe {
+            let shard = &mut *self.shards.add(s);
+            let routers = std::slice::from_raw_parts_mut(
+                self.routers.add(shard.routers.start),
+                shard.routers.len(),
+            );
+            (shard, routers)
+        }
+    }
+
+    /// Calendar bucket `b` of flits.
+    ///
+    /// # Safety
+    ///
+    /// The fabric the pointers were taken from is alive and has not
+    /// been laid out again since; `b` is one of its calendar's buckets,
+    /// and no other reference to that bucket is alive while the
+    /// returned one is.
+    unsafe fn flits<'f>(self, b: usize) -> &'f mut Vec<(u32, Flit)> {
+        // SAFETY: in bounds and unaliased, by the caller's contract.
+        unsafe { &mut *self.data.add(b) }
+    }
+
+    /// Calendar bucket `b` of credits.
+    ///
+    /// # Safety
+    ///
+    /// As for [`FabricPtr::flits`].
+    unsafe fn credits<'f>(self, b: usize) -> &'f mut Vec<(u32, u8)> {
+        // SAFETY: in bounds and unaliased, by the caller's contract.
+        unsafe { &mut *self.credits.add(b) }
+    }
+}
+
+/// One cycle's phases B and C, as every shard runs them.
+#[derive(Debug, Clone, Copy)]
+struct Job<'r> {
+    fabric: FabricPtr,
+    now: u64,
+    /// The routing table in force.
+    routes: &'r Routes,
+    /// Dead channels under an applied drain-policy fault epoch.
+    dead_channels: Option<&'r [bool]>,
+}
+
+/// Spins a waiting thread makes before it starts yielding its core.
+const BARRIER_SPINS: u32 = 1 << 8;
+
+/// The threads of one run — the calling thread, which runs shard 0 and
+/// everything serial, and a helper per further shard — and the
+/// spin-then-yield barrier they step through the cycles behind.
+///
+/// Each cycle the calling thread publishes the [`Job`] and releases the
+/// helpers (`start`); each thread then runs phases B and C on its own
+/// shard (`Network` docs, "Sharded cycles"), and all meet at the next
+/// barrier (`sync`) before the calling thread goes on alone. Between
+/// those two barriers a shard's thread touches only its own shard and
+/// routers, the buckets due now of the lanes into it, and the other
+/// buckets of its own lanes — except that a Phase B discard may file a
+/// credit due now into its own lane, which is why, under an applied
+/// drain-policy epoch, all shards meet again between the flit and the
+/// credit pass. A thread that panics poisons the barrier, so the others
+/// stop instead of waiting for it.
+struct Crew<'r> {
+    parties: usize,
+    arrived: AtomicUsize,
+    generation: AtomicUsize,
+    poisoned: AtomicBool,
+    /// The cycle the helpers run next; `None` dismisses them.
+    job: Mutex<Option<Job<'r>>>,
+}
+
+impl<'r> Crew<'r> {
+    fn new(parties: usize) -> Self {
+        Self {
+            parties,
+            arrived: AtomicUsize::new(0),
+            generation: AtomicUsize::new(0),
+            poisoned: AtomicBool::new(false),
+            job: Mutex::new(None),
+        }
+    }
+
+    /// Waits until every party has arrived: `false` once a party has
+    /// panicked.
+    fn wait(&self) -> bool {
+        if self.parties == 1 {
+            return true;
+        }
+        // Every arrival's `AcqRel` increment joins one release sequence,
+        // so the last arriver has seen everything each thread did before
+        // arriving; its `Release` store of the next generation passes
+        // all of it to the waiters' `Acquire` loads. `poisoned` publishes
+        // nothing else.
+        let generation = self.generation.load(Ordering::Acquire);
+        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.parties {
+            self.arrived.store(0, Ordering::Relaxed);
+            self.generation
+                .store(generation.wrapping_add(1), Ordering::Release);
+            return true;
+        }
+        let mut spins = 0;
+        while self.generation.load(Ordering::Acquire) == generation {
+            if self.poisoned.load(Ordering::Relaxed) {
+                return false;
+            }
+            if spins < BARRIER_SPINS {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+        }
+        true
+    }
+
+    /// The calling thread's barrier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a helper panicked.
+    fn sync(&self) {
+        assert!(self.wait(), "a shard's thread panicked");
+    }
+
+    /// Hands the helpers their next cycle (`None`: dismisses them) and
+    /// releases them.
+    fn start(&self, job: Option<Job<'r>>) {
+        if self.parties > 1 {
+            *self.job.lock().expect("no thread panics holding the job") = job;
+            self.sync();
+        }
+    }
+
+    /// Poisons the barrier if the thread holding the guard unwinds.
+    fn poison_on_panic(&self) -> PoisonOnPanic<'_, 'r> {
+        PoisonOnPanic(self)
+    }
+
+    /// A helper's run: phases B and C of each cycle on shard `s`, until
+    /// dismissed.
+    fn serve(&self, wiring: &Wiring<'_>, s: usize) {
+        let _poison = self.poison_on_panic();
+        while self.wait() {
+            let Some(job) = *self.job.lock().expect("no thread panics holding the job") else {
+                return;
+            };
+            // SAFETY: the crew's discipline — every thread runs this
+            // job's phases on its own shard between this barrier and
+            // the next.
+            let stepped = unsafe { wiring.step(&job, s, self, None, None) };
+            if !stepped || !self.wait() {
+                return;
+            }
+        }
+    }
+}
+
+/// See [`Crew::poison_on_panic`].
+struct PoisonOnPanic<'c, 'r>(&'c Crew<'r>);
+
+impl Drop for PoisonOnPanic<'_, '_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.poisoned.store(true, Ordering::Relaxed);
+        }
     }
 }
 
@@ -359,6 +859,17 @@ impl RunEnd {
 /// ```
 #[derive(Debug)]
 pub struct Network<'a> {
+    wiring: Wiring<'a>,
+    fabric: Fabric,
+    /// The shard count [`Network::with_shards`] fixed; `None`:
+    /// [`shard_count`]'s, at each run's start.
+    shards: Option<usize>,
+}
+
+/// What a run only reads: the topology, its routing and timing, and the
+/// calendar's split into lanes (changed between runs only).
+#[derive(Debug)]
+struct Wiring<'a> {
     topology: &'a Topology,
     routes: &'a Routes,
     config: SimConfig,
@@ -368,22 +879,11 @@ pub struct Network<'a> {
     /// Effective latency per channel: floorplan link latency plus router
     /// pipeline overhead, capped at the run's length.
     latency: Vec<u64>,
-    routers: Vec<Router>,
     /// Destination `(router, in_port)` of each channel.
     ch_dst: Vec<(usize, u8)>,
     /// Source `(router, out_port)` of each channel.
     ch_src: Vec<(usize, u8)>,
-    /// The flits and credits in flight on every channel, by due cycle.
-    calendar: Calendar,
-    /// Routers with a live allocation request.
-    active_routers: ActiveSet,
-    /// Routers that have held a flit since construction (or the last
-    /// [`Network::reset`]) — a monotone superset of `active_routers`.
-    /// All per-router mutable state (buffers, credits, round-robin
-    /// pointers, request bitmasks) only ever changes on routers in this
-    /// set, so a reset cleans exactly these and leaves untouched
-    /// routers alone.
-    touched_routers: ActiveSet,
+    lanes: Lanes,
 }
 
 impl<'a> Network<'a> {
@@ -454,20 +954,45 @@ impl<'a> Network<'a> {
                     .min(horizon)
             })
             .collect();
-        let calendar = Calendar::new(latency.iter().copied().max().unwrap_or(0));
-        Self {
-            topology,
-            routes,
-            config,
-            vc_classes,
-            latency,
+        let lanes = Lanes::single(latency.iter().copied().max().unwrap_or(0));
+        let fabric = Fabric {
+            calendar: Calendar::new(lanes.buckets()),
+            shards: vec![Shard::new(0..n)],
             routers,
-            ch_dst,
-            ch_src,
-            calendar,
-            active_routers: ActiveSet::new(n),
-            touched_routers: ActiveSet::new(n),
+        };
+        Self {
+            wiring: Wiring {
+                topology,
+                routes,
+                config,
+                vc_classes,
+                latency,
+                ch_dst,
+                ch_src,
+                lanes,
+            },
+            fabric,
+            shards: None,
         }
+    }
+
+    /// Splits every later run into `shards` shards on as many threads,
+    /// whatever the network's size and the pool's — the sharded
+    /// schedule's test entry. The outcomes are the same at every shard
+    /// count.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `1 <= shards <= 255`.
+    #[doc(hidden)]
+    #[must_use]
+    pub fn with_shards(mut self, shards: usize) -> Self {
+        assert!(
+            (1..=MAX_SHARDS).contains(&shards),
+            "between 1 and {MAX_SHARDS} shards"
+        );
+        self.shards = Some(shards);
+        self
     }
 
     /// Returns the instance to its just-constructed state under a new
@@ -484,16 +1009,8 @@ impl<'a> Network<'a> {
     /// [`Network::run_validated`], where any stale request or
     /// active-set state trips an invariant assertion.
     pub fn reset(&mut self, seed: u64) {
-        self.config.seed = seed;
-        let routers = &mut self.routers;
-        let config = &self.config;
-        self.touched_routers
-            .clear_with(|r| routers[r].reset(config));
-        self.calendar.clear();
-        // The active set is a subset of the touched set; its members'
-        // state is already clean, only the membership flags remain to
-        // drop.
-        self.active_routers.clear_with(|_| ());
+        self.wiring.config.seed = seed;
+        self.fabric.reset(&self.wiring.config);
     }
 
     /// Runs warm-up, measurement and drain phases at the given injection
@@ -610,12 +1127,85 @@ impl<'a> Network<'a> {
         rate: f64,
         pattern: TrafficPattern,
         validate: bool,
+        profile: Option<&mut PhaseProfile>,
+        verdict: Option<Verdict>,
+    ) -> RunEnd {
+        let shards = self
+            .shards
+            .unwrap_or_else(|| shard_count(self.wiring.topology.num_tiles()));
+        self.lay_out(shards);
+        self.wiring
+            .simulate(&mut self.fabric, rate, pattern, validate, profile, verdict)
+    }
+
+    /// Splits the routers into `k` contiguous shards of nearly equal
+    /// size and re-files the calendar under their lanes, carrying every
+    /// active and touched router and every entry in flight over. A no-op
+    /// if the network already runs on `k` shards.
+    fn lay_out(&mut self, k: usize) {
+        let Self { wiring, fabric, .. } = self;
+        if fabric.shards.len() == k {
+            return;
+        }
+        let n = fabric.routers.len();
+        let (mut active, mut touched) = (Vec::new(), Vec::new());
+        for shard in &mut fabric.shards {
+            shard.active.clear_with(|r| active.push(r));
+            shard.touched.clear_with(|r| touched.push(r));
+        }
+        fabric.shards = (0..k)
+            .map(|s| Shard::new(s * n / k..(s + 1) * n / k))
+            .collect();
+        for r in active {
+            fabric.shard_mut(r).active.insert(r);
+        }
+        for r in touched {
+            fabric.shard_mut(r).touched.insert(r);
+        }
+        let lanes = &mut wiring.lanes;
+        lanes.shards = k;
+        lanes.of = if k == 1 {
+            Vec::new()
+        } else {
+            let owner: Vec<usize> = (0..n).map(|r| fabric.shard_of(r)).collect();
+            (0..wiring.latency.len())
+                .map(|c| {
+                    let (src, dst) = (owner[wiring.ch_src[c].0], owner[wiring.ch_dst[c].0]);
+                    [src * k + dst, dst * k + src].map(|lane| lane as u16)
+                })
+                .collect()
+        };
+        let old = std::mem::replace(&mut fabric.calendar, Calendar::new(lanes.buckets()));
+        let calendar = &mut fabric.calendar;
+        for (b, bucket) in old.data.into_iter().enumerate() {
+            for (c, flit) in bucket {
+                calendar.data[lanes.flit_bucket(c as usize, b as u64)].push((c, flit));
+            }
+        }
+        for (b, bucket) in old.credits.into_iter().enumerate() {
+            for (c, vc) in bucket {
+                calendar.credits[lanes.credit_bucket(c as usize, b as u64)].push((c, vc));
+            }
+        }
+    }
+}
+
+impl Wiring<'_> {
+    /// One run on `fabric`, one thread per shard as
+    /// [`Network::lay_out`] left them: the cycle loop of
+    /// [`Network::run_inner`].
+    fn simulate(
+        &self,
+        fabric: &mut Fabric,
+        rate: f64,
+        pattern: TrafficPattern,
+        validate: bool,
         mut profile: Option<&mut PhaseProfile>,
         verdict: Option<Verdict>,
     ) -> RunEnd {
-        let config = self.config.clone();
+        let config = &self.config;
         let packet_prob = rate / f64::from(config.packet_len);
-        let mut recorder = crate::stats::OutcomeRecorder::new(&config);
+        let mut recorder = OutcomeRecorder::new(config);
         let measure_end = recorder.measure_end();
         let hard_stop = measure_end + config.drain_limit;
         let tiles = self.topology.num_tiles();
@@ -638,140 +1228,195 @@ impl<'a> Network<'a> {
         // the window's packets by creation cycle.
         let window_offer = verdict.map(|verdict| {
             let floor = schedule.is_none() && verdict.latency_limit < f64::INFINITY;
-            let mut creations = floor.then(|| WindowCreations::new(&config));
-            let offer = arrivals.window_offer(&injector, tiles, &config, creations.as_mut());
+            let mut creations = floor.then(|| WindowCreations::new(config));
+            let offer = arrivals.window_offer(&injector, tiles, config, creations.as_mut());
             if let Some(creations) = creations {
                 recorder.expect_creations(creations);
             }
             offer
         });
-        let mut epoch_idx = 0usize;
-        let mut routes: &Routes = self.routes;
-        let mut dead_channels: Option<&[bool]> = None;
-        let mut now = 0u64;
-        let mut traversal = TraversalOutput::default();
-        let mut ruled_out = false;
-        loop {
-            // Fault epochs strike at the top of their cycle, before that
-            // cycle's injection: kill state is applied, and routing
-            // switches to the surviving subgraph's table.
-            if let Some(sched) = schedule.as_ref() {
-                while epoch_idx < sched.epochs.len() && now >= sched.epochs[epoch_idx].at {
-                    let epoch = &sched.epochs[epoch_idx];
-                    self.apply_fault_epoch(
-                        epoch,
-                        sched.policy,
-                        now,
-                        &mut recorder,
-                        (&mut injector, &arrivals),
-                    );
-                    // The table changes under every waiting head, parked
-                    // ones included.
-                    for (r, router) in self.routers.iter_mut().enumerate() {
-                        router.forget_routes();
-                        if router.has_requests() {
-                            self.active_routers.insert(r);
+        let shards = fabric.shards.len();
+        let crew = Crew::new(shards);
+        std::thread::scope(|scope| {
+            for s in 1..shards {
+                let crew = &crew;
+                scope.spawn(move || crew.serve(self, s));
+            }
+            let _poison = crew.poison_on_panic();
+            let mut epoch_idx = 0usize;
+            let mut routes: &Routes = self.routes;
+            let mut dead_channels: Option<&[bool]> = None;
+            let mut now = 0u64;
+            let mut ruled_out = false;
+            loop {
+                // Fault epochs strike at the top of their cycle, before
+                // that cycle's injection: kill state is applied, and
+                // routing switches to the surviving subgraph's table.
+                if let Some(sched) = schedule.as_ref() {
+                    while epoch_idx < sched.epochs.len() && now >= sched.epochs[epoch_idx].at {
+                        let epoch = &sched.epochs[epoch_idx];
+                        self.apply_fault_epoch(
+                            fabric,
+                            epoch,
+                            sched.policy,
+                            now,
+                            &mut recorder,
+                            (&mut injector, &arrivals),
+                        );
+                        // The table changes under every waiting head,
+                        // parked ones included.
+                        for shard in &mut fabric.shards {
+                            for r in shard.routers.clone() {
+                                let router = &mut fabric.routers[r];
+                                router.forget_routes();
+                                if router.has_requests() {
+                                    shard.active.insert(r);
+                                }
+                            }
                         }
+                        routes = &epoch.routes;
+                        if sched.policy == InFlightPolicy::Drain {
+                            // Under `Drop` no traffic can ever reach a
+                            // dead channel (all transient state died
+                            // with the epoch), so delivery needs no dead
+                            // mask.
+                            dead_channels = Some(&epoch.dead_channel);
+                        }
+                        epoch_idx += 1;
                     }
-                    routes = &epoch.routes;
-                    if sched.policy == InFlightPolicy::Drain {
-                        // Under `Drop` no traffic can ever reach a dead
-                        // channel (all transient state died with the
-                        // epoch), so delivery needs no dead mask.
-                        dead_channels = Some(&epoch.dead_channel);
+                }
+                let stamp = profile.as_ref().map(|_| Instant::now());
+                // Phase A: packet generation (keeps injecting during
+                // drain to sustain back-pressure). The injector owns the
+                // RNG streams; per-tile streams make the arrivals
+                // schedule-independent, so the injection calendar visits
+                // only the tiles that fire. A tile whose injection
+                // buffer is still busy parks before its destination
+                // draw; fault gating comes after it, so the RNG streams
+                // advance identically with and without faults.
+                let count = arrivals.counting(now);
+                injector.fire_at(now, |t, stream| {
+                    let router = &mut fabric.routers[t];
+                    if router.injection_busy() {
+                        return false;
                     }
-                    epoch_idx += 1;
+                    if let Some(dst) = arrivals.draw(t, now, stream, &mut recorder, count) {
+                        // `now` stays below the hard stop, which fits
+                        // `u32`.
+                        router.fill_injection_buffer(dst, now as u32, config.packet_len);
+                        let shard = fabric.shard_mut(t);
+                        shard.active.insert(t);
+                        shard.touched.insert(t);
+                    }
+                    true
+                });
+                if let (Some(p), Some(stamp)) = (profile.as_deref_mut(), stamp) {
+                    p.injection += stamp.elapsed();
                 }
-            }
-            let mut stamp = profile.as_ref().map(|_| std::time::Instant::now());
-            // Phase A: packet generation (keeps injecting during drain to
-            // sustain back-pressure). The injector owns the RNG streams;
-            // per-tile streams make the arrivals schedule-independent, so
-            // the injection calendar visits only the tiles that fire. A
-            // tile whose injection buffer is still busy
-            // parks before its destination draw; fault gating comes
-            // after it, so the RNG streams advance identically with and
-            // without faults.
-            let count = arrivals.counting(now);
-            injector.fire_at(now, |t, stream| {
-                let router = &mut self.routers[t];
-                if router.injection_busy() {
-                    return false;
+                // Phases B and C on every shard, then the replay of
+                // their logs.
+                let job = Job {
+                    fabric: FabricPtr::new(fabric),
+                    now,
+                    routes,
+                    dead_channels,
+                };
+                crew.start(Some(job));
+                let mut books = Books {
+                    recorder: &mut recorder,
+                    injector: &mut injector,
+                    arrivals: &arrivals,
+                };
+                // SAFETY: the crew's discipline — every shard runs this
+                // job's phases on its own shard between `start` and
+                // `sync`, and `fabric` is not touched otherwise until
+                // `sync` returns.
+                unsafe { self.step(&job, 0, &crew, Some(&mut books), profile.as_deref_mut()) };
+                crew.sync();
+                fabric.replay(now, &mut books);
+                if validate {
+                    for (t, router) in fabric.routers.iter().enumerate() {
+                        router.assert_consistent(config, &self.vc_classes);
+                        assert!(
+                            !injector.is_parked(t, now + 1) || router.injection_busy(),
+                            "tile {t} parked behind an empty injection buffer at cycle {now}"
+                        );
+                        assert!(
+                            !router.has_requests() || fabric.is_active(t),
+                            "router {t} has a request but left the active set at cycle {now}"
+                        );
+                    }
+                    if schedule.is_none() {
+                        self.assert_flow_control(fabric, now);
+                    }
                 }
-                if let Some(dst) = arrivals.draw(t, now, stream, &mut recorder, count) {
-                    // `now` stays below the hard stop, which fits `u32`.
-                    router.fill_injection_buffer(dst, now as u32, config.packet_len);
-                    self.active_routers.insert(t);
-                    self.touched_routers.insert(t);
+                now += 1;
+                if now == measure_end {
+                    arrivals.catch_up(&injector, tiles, &mut recorder);
                 }
-                true
-            });
-            if let Some(p) = profile.as_deref_mut() {
-                let t = stamp.expect("profiling stamps");
-                p.injection += t.elapsed();
-                stamp = Some(std::time::Instant::now());
-            }
-            // Phase B: deliver the calendar's bucket for this cycle.
-            self.deliver(now, dead_channels, &mut recorder);
-            if let Some(p) = profile.as_deref_mut() {
-                let t = stamp.expect("profiling stamps");
-                p.delivery += t.elapsed();
-                stamp = Some(std::time::Instant::now());
-            }
-            // Phase C: per-router allocation and traversal, in ascending
-            // router order.
-            self.allocate(
-                now,
-                routes,
-                &mut traversal,
-                &mut recorder,
-                (&mut injector, &arrivals),
-            );
-            if let Some(p) = profile.as_deref_mut() {
-                p.allocation += stamp.expect("profiling stamps").elapsed();
-            }
-            if validate {
-                for (t, router) in self.routers.iter().enumerate() {
-                    router.assert_consistent(&self.config, &self.vc_classes);
-                    assert!(
-                        !injector.is_parked(t, now + 1) || router.injection_busy(),
-                        "tile {t} parked behind an empty injection buffer at cycle {now}"
-                    );
-                    assert!(
-                        !router.has_requests() || self.active_routers.contains(t),
-                        "router {t} has a request but left the active set at cycle {now}"
-                    );
-                }
-                if schedule.is_none() {
-                    self.assert_flow_control(now);
-                }
-            }
-            now += 1;
-            if now == measure_end {
-                arrivals.catch_up(&injector, tiles, &mut recorder);
-            }
-            if now >= measure_end && recorder.drained() {
-                break;
-            }
-            if now >= hard_stop {
-                break;
-            }
-            // Verdict mode: stop once the answer cannot change any more.
-            if let (Some(verdict), Some(offer)) = (&verdict, window_offer) {
-                if recorder.rules_out(verdict, offer, now, tiles) {
-                    ruled_out = true;
+                if now >= measure_end && recorder.drained() {
                     break;
                 }
+                if now >= hard_stop {
+                    break;
+                }
+                // Verdict mode: stop once the answer cannot change any
+                // more.
+                if let (Some(verdict), Some(offer)) = (&verdict, window_offer) {
+                    if recorder.rules_out(verdict, offer, now, tiles) {
+                        ruled_out = true;
+                        break;
+                    }
+                }
             }
-        }
-        RunEnd {
-            outcome: recorder.finalize(now, nodes),
-            ruled_out,
-        }
+            crew.start(None);
+            RunEnd {
+                outcome: recorder.finalize(now, nodes),
+                ruled_out,
+            }
+        })
     }
 
-    /// Phase B: delivers the flits, then the credits, that the calendar
-    /// holds due at cycle `now`.
+    /// Phases B and C of `job`'s cycle on shard `s`: false if another
+    /// shard's thread panicked meanwhile. With `books` (the calling
+    /// thread's shard), the visits are recorded as they are made;
+    /// without, they are logged for [`Fabric::replay`].
+    ///
+    /// # Safety
+    ///
+    /// Every shard runs the same `job` under the [`Crew`]'s discipline:
+    /// from the barrier that released it to the next one, no other
+    /// thread touches shard `s`'s state or routers, and the `job`'s
+    /// fabric is touched by no one but the shards.
+    unsafe fn step(
+        &self,
+        job: &Job<'_>,
+        s: usize,
+        crew: &Crew<'_>,
+        mut books: Option<&mut Books<'_, '_>>,
+        mut profile: Option<&mut PhaseProfile>,
+    ) -> bool {
+        let mut stamp = profile.as_ref().map(|_| Instant::now());
+        // SAFETY: shard `s` is this thread's alone in this phase.
+        let (shard, routers) = unsafe { job.fabric.shard(s) };
+        // SAFETY: as for this function.
+        unsafe { self.deliver_flits(job, s, shard, routers, books.as_deref_mut()) };
+        // A discard may have filed a credit due now into a lane another
+        // shard drains next.
+        if job.dead_channels.is_some() && !crew.wait() {
+            return false;
+        }
+        // SAFETY: as for this function.
+        unsafe { self.deliver_credits(job, s, shard, routers) };
+        lap(&mut profile, &mut stamp, |p| &mut p.delivery);
+        // SAFETY: as for this function.
+        unsafe { self.allocate(job, shard, routers, books) };
+        lap(&mut profile, &mut stamp, |p| &mut p.allocation);
+        true
+    }
+
+    /// Phase B's flit pass on shard `s`: delivers the flits due now on
+    /// every lane into it.
     ///
     /// `dead_channels` is `Some` only under an applied drain-policy
     /// fault epoch: flits due on a dead channel — and flits arriving at
@@ -779,109 +1424,172 @@ impl<'a> Network<'a> {
     /// upstream, so senders drain instead of wedging. Such a credit is
     /// due a full latency later — on a zero-latency channel, in this
     /// cycle's credit pass. Credits deliver on dead channels unchanged.
-    fn deliver(
-        &mut self,
-        now: u64,
-        dead_channels: Option<&[bool]>,
-        recorder: &mut OutcomeRecorder,
+    ///
+    /// # Safety
+    ///
+    /// As for [`Wiring::step`]; `shard` and `routers` are shard `s`'s.
+    unsafe fn deliver_flits(
+        &self,
+        job: &Job<'_>,
+        s: usize,
+        shard: &mut Shard,
+        routers: &mut [Router],
+        mut books: Option<&mut Books<'_, '_>>,
     ) {
-        let slot = self.calendar.slot(now);
-        let mut due = std::mem::take(&mut self.calendar.data[slot]);
-        for (c, flit) in due.drain(..) {
-            let c = c as usize;
-            let (r, p) = self.ch_dst[c];
-            if let Some(dead) = dead_channels {
-                let discard = dead[c] || self.routers[r].is_sinking(p as usize, flit.vc);
-                if discard {
-                    if flit.is_tail {
-                        if !dead[c] {
-                            self.routers[r].clear_sink(p as usize, flit.vc);
+        let base = shard.routers.start;
+        for from in 0..self.lanes.shards {
+            let b = self.lanes.bucket(self.lanes.between(from, s), job.now);
+            // SAFETY: only shard `s` drains the lanes into it.
+            let due = unsafe { job.fabric.flits(b) };
+            for (c, flit) in due.drain(..) {
+                let c = c as usize;
+                let (r, p) = self.ch_dst[c];
+                let router = &mut routers[r - base];
+                if let Some(dead) = job.dead_channels {
+                    let discard = dead[c] || router.is_sinking(p as usize, flit.vc);
+                    if discard {
+                        if flit.is_tail {
+                            if !dead[c] {
+                                router.clear_sink(p as usize, flit.vc);
+                            }
+                            match books.as_deref_mut() {
+                                Some(books) => books.recorder.record_drop(flit.created),
+                                None => shard.discarded.push(flit.created),
+                            }
                         }
-                        recorder.record_drop(flit.created);
+                        let back = self.lanes.credit_bucket(c, job.now + self.latency[c]);
+                        // SAFETY: a credit for channel `c` flows from its
+                        // destination, which is shard `s`: the bucket is
+                        // in one of shard `s`'s own lanes.
+                        unsafe { job.fabric.credits(back) }.push((c as u32, flit.vc));
+                        continue;
                     }
-                    let back = self.calendar.slot(now + self.latency[c]);
-                    self.calendar.credits[back].push((c as u32, flit.vc));
-                    continue;
                 }
-            }
-            let router = &mut self.routers[r];
-            debug_assert!(
-                router.buffer(p as usize, flit.vc as usize).len()
-                    < self.config.buffer_depth as usize,
-                "buffer overflow: credits out of sync"
-            );
-            if router.enqueue(p as usize, flit.vc as usize, flit) {
-                self.active_routers.insert(r);
-            }
-            self.touched_routers.insert(r);
-        }
-        self.calendar.data[slot] = due;
-        for (c, vc) in self.calendar.credits[slot].drain(..) {
-            let (r, p) = self.ch_src[c as usize];
-            // A credit re-activates its router only if it lifts an owned
-            // VC with waiting flits off zero.
-            if self.routers[r].return_credit(p as usize, vc as usize) {
-                self.active_routers.insert(r);
+                debug_assert!(
+                    router.buffer(p as usize, flit.vc as usize).len()
+                        < self.config.buffer_depth as usize,
+                    "buffer overflow: credits out of sync"
+                );
+                if router.enqueue(p as usize, flit.vc as usize, flit) {
+                    shard.active.insert(r);
+                }
+                shard.touched.insert(r);
             }
         }
     }
 
-    /// Phase C: VC allocation, switch allocation and traversal on every
-    /// active router in ascending order, filing each router's forwards
-    /// and credits into the calendar, recording its ejections and drops,
-    /// and refilling an injection buffer its packet left.
-    fn allocate(
-        &mut self,
-        now: u64,
-        routes: &Routes,
-        traversal: &mut TraversalOutput,
-        recorder: &mut OutcomeRecorder,
-        (injector, arrivals): (&mut Injector, &Arrivals<'_>),
+    /// Phase B's credit pass on shard `s`: delivers the credits due now
+    /// on every lane into it.
+    ///
+    /// # Safety
+    ///
+    /// As for [`Wiring::step`]; `shard` and `routers` are shard `s`'s.
+    unsafe fn deliver_credits(
+        &self,
+        job: &Job<'_>,
+        s: usize,
+        shard: &mut Shard,
+        routers: &mut [Router],
     ) {
-        let sweep = self.active_routers.start_sweep();
-        for &r in &sweep {
-            self.vc_allocate(r, routes, traversal);
-            self.routers[r].switch_allocate_and_traverse(&self.config, traversal);
-            for (channel, vc) in traversal.credits.drain(..) {
-                let c = channel.index();
-                let slot = self.calendar.slot(now + self.latency[c].max(1));
-                self.calendar.credits[slot].push((c as u32, vc));
-            }
-            for (channel, flit) in traversal.forwards.drain(..) {
-                let c = channel.index();
-                let slot = self.calendar.slot(now + self.latency[c].max(1));
-                self.calendar.data[slot].push((c as u32, flit));
-            }
-            for flit in traversal.ejected.drain(..) {
-                recorder.record_ejection(&flit, now);
-            }
-            for created in traversal.dropped.drain(..) {
-                recorder.record_drop(created);
-            }
-            if std::mem::take(&mut traversal.injection_freed) {
-                arrivals.refill(injector, &mut self.routers[r], r, now, recorder);
-            }
-            if self.routers[r].has_requests() {
-                self.active_routers.keep(r);
+        let base = shard.routers.start;
+        for from in 0..self.lanes.shards {
+            let b = self.lanes.bucket(self.lanes.between(from, s), job.now);
+            // SAFETY: only shard `s` drains the lanes into it.
+            let due = unsafe { job.fabric.credits(b) };
+            for (c, vc) in due.drain(..) {
+                let (r, p) = self.ch_src[c as usize];
+                // A credit re-activates its router only if it lifts an
+                // owned VC with waiting flits off zero.
+                if routers[r - base].return_credit(p as usize, vc as usize) {
+                    shard.active.insert(r);
+                }
             }
         }
-        self.active_routers.finish_sweep(sweep);
+    }
+
+    /// Phase C on `shard`: VC allocation, switch allocation and
+    /// traversal on each of its active routers in ascending order,
+    /// filing the router's forwards and credits into the shard's lanes,
+    /// and recording its ejections, drops and freed injection buffer in
+    /// `books` — or, without, logging them for [`Fabric::replay`].
+    ///
+    /// # Safety
+    ///
+    /// As for [`Wiring::step`]; `routers` are `shard`'s.
+    unsafe fn allocate(
+        &self,
+        job: &Job<'_>,
+        shard: &mut Shard,
+        routers: &mut [Router],
+        mut books: Option<&mut Books<'_, '_>>,
+    ) {
+        let base = shard.routers.start;
+        let sweep = shard.active.start_sweep();
+        let out = &mut shard.out;
+        for &r in &sweep {
+            let router = &mut routers[r - base];
+            let route = |router: &Router, flit: &Flit| {
+                Self::route_head(self.topology, job.routes, router, r, flit)
+            };
+            router.vc_allocate_with(&self.vc_classes, route, out);
+            router.switch_allocate_and_traverse(&self.config, out);
+            for (channel, vc) in out.credits.drain(..) {
+                let c = channel.index();
+                let b = self
+                    .lanes
+                    .credit_bucket(c, job.now + self.latency[c].max(1));
+                // SAFETY: this shard files into its own lanes only (a
+                // credit for `c` flows from its destination, router
+                // `r`), at least one cycle ahead: no other thread
+                // touches the bucket this phase.
+                unsafe { job.fabric.credits(b) }.push((c as u32, vc));
+            }
+            for (channel, flit) in out.forwards.drain(..) {
+                let c = channel.index();
+                let b = self.lanes.flit_bucket(c, job.now + self.latency[c].max(1));
+                // SAFETY: as for the credits: `c` leaves router `r`.
+                unsafe { job.fabric.flits(b) }.push((c as u32, flit));
+            }
+            let freed = std::mem::take(&mut out.injection_freed);
+            if let Some(books) = books.as_deref_mut() {
+                books.visit(r, router, &out.ejected, &out.dropped, freed, job.now);
+                out.ejected.clear();
+                out.dropped.clear();
+            } else {
+                let logged = shard
+                    .visits
+                    .last()
+                    .map_or((0, 0), |v| (v.ejected, v.dropped));
+                if freed || (out.ejected.len(), out.dropped.len()) != logged {
+                    shard.visits.push(Visit {
+                        router: r,
+                        ejected: out.ejected.len(),
+                        dropped: out.dropped.len(),
+                        freed,
+                    });
+                }
+            }
+            if router.has_requests() {
+                shard.active.keep(r);
+            }
+        }
+        shard.active.finish_sweep(sweep);
     }
 
     /// Asserts credit flow control on every channel at the end of cycle
     /// `now` of a fault-free run: at most `max(latency, 1)` flits in
     /// flight, and per VC, upstream credits + flits in flight + flits
     /// buffered downstream + credits in flight = `buffer_depth`.
-    fn assert_flow_control(&self, now: u64) {
+    fn assert_flow_control(&self, fabric: &Fabric, now: u64) {
         let vcs = usize::from(self.config.num_vcs);
         let channels = self.latency.len();
         let mut in_flight = vec![0usize; channels * vcs];
         let mut flits = vec![0u64; channels];
-        for &(c, flit) in self.calendar.data.iter().flatten() {
+        for &(c, flit) in fabric.calendar.data.iter().flatten() {
             in_flight[c as usize * vcs + usize::from(flit.vc)] += 1;
             flits[c as usize] += 1;
         }
-        for &(c, vc) in self.calendar.credits.iter().flatten() {
+        for &(c, vc) in fabric.calendar.credits.iter().flatten() {
             in_flight[c as usize * vcs + usize::from(vc)] += 1;
         }
         for c in 0..channels {
@@ -894,8 +1602,8 @@ impl<'a> Network<'a> {
             let (src, out) = self.ch_src[c];
             let (dst, input) = self.ch_dst[c];
             for v in 0..vcs {
-                let credits = usize::from(self.routers[src].credit(out as usize, v));
-                let buffered = self.routers[dst].buffer(input as usize, v).len();
+                let credits = usize::from(fabric.routers[src].credit(out as usize, v));
+                let buffered = fabric.routers[dst].buffer(input as usize, v).len();
                 assert_eq!(
                     credits + in_flight[c * vcs + v] + buffered,
                     usize::from(self.config.buffer_depth),
@@ -944,18 +1652,6 @@ impl<'a> Network<'a> {
         (port, hop.vc_class)
     }
 
-    /// VC allocation for router `r` (routing closure plumbed in here).
-    /// `routes` is the *current* table — the base one until a fault
-    /// epoch swaps in a degraded table over the surviving subgraph.
-    fn vc_allocate(&mut self, r: usize, routes: &Routes, out: &mut TraversalOutput) {
-        let topology = self.topology;
-        let router = &mut self.routers[r];
-        // Split borrow: the routing closure reads topology/routes only.
-        let route =
-            |router: &Router, flit: &Flit| Self::route_head(topology, routes, router, r, flit);
-        router.vc_allocate_with(&self.vc_classes, route, out);
-    }
-
     /// Applies one fault epoch's state change at cycle `now`.
     ///
     /// Under [`InFlightPolicy::Drop`] the entire transient state of the
@@ -970,42 +1666,51 @@ impl<'a> Network<'a> {
     /// buffered on a network input port returns its credit upstream so
     /// senders drain. Everything else keeps flowing: dead-channel
     /// arrivals and unroutable packets are sunk cycle-by-cycle in
-    /// [`Network::deliver`] and VC allocation.
+    /// [`Wiring::deliver_flits`] and VC allocation.
     fn apply_fault_epoch(
-        &mut self,
+        &self,
+        fabric: &mut Fabric,
         epoch: &FaultEpoch,
         policy: InFlightPolicy,
         now: u64,
         recorder: &mut OutcomeRecorder,
         (injector, arrivals): (&mut Injector, &Arrivals<'_>),
     ) {
+        let config = &self.config;
+        let Fabric {
+            routers,
+            calendar,
+            shards,
+        } = fabric;
         match policy {
             InFlightPolicy::Drop => {
-                let routers = &mut self.routers;
-                let config = &self.config;
-                self.touched_routers.clear_with(|r| {
-                    for (_, flit) in routers[r].buffered_flits() {
-                        if flit.is_tail {
-                            recorder.record_drop(flit.created);
+                for shard in shards.iter_mut() {
+                    shard.touched.clear_with(|r| {
+                        for (_, flit) in routers[r].buffered_flits() {
+                            if flit.is_tail {
+                                recorder.record_drop(flit.created);
+                            }
                         }
-                    }
-                    routers[r].reset(config);
-                });
+                        routers[r].reset(config);
+                    });
+                }
                 for t in 0..routers.len() {
                     arrivals.flush(injector, t, now, recorder);
                 }
-                for (_, flit) in self.calendar.data.iter().flatten() {
+                for (_, flit) in calendar.data.iter().flatten() {
                     if flit.is_tail {
                         recorder.record_drop(flit.created);
                     }
                 }
-                self.calendar.clear();
-                self.active_routers.clear_with(|_| ());
+                calendar.clear();
+                for shard in shards.iter_mut() {
+                    shard.active.clear_with(|_| ());
+                }
             }
             InFlightPolicy::Drain => {
                 for &r in &epoch.newly_dead_routers {
                     let r = r as usize;
-                    let router = &mut self.routers[r];
+                    let router = &mut routers[r];
                     let net_ports = router.in_channels.len();
                     arrivals.flush(injector, r, now, recorder);
                     for (p, flit) in router.buffered_flits() {
@@ -1016,8 +1721,8 @@ impl<'a> Network<'a> {
                             // Filed before this cycle's Phase B, so a
                             // zero-latency credit is due now.
                             let c = router.in_channels[p].index();
-                            let slot = self.calendar.slot(now + self.latency[c]);
-                            self.calendar.credits[slot].push((c as u32, flit.vc));
+                            let b = self.lanes.credit_bucket(c, now + self.latency[c]);
+                            calendar.credits[b].push((c as u32, flit.vc));
                         }
                     }
                     // The credit counters must survive the reset: credits
@@ -1027,7 +1732,7 @@ impl<'a> Network<'a> {
                     // Preserved, they climb back toward (never past) full
                     // as the outstanding returns arrive — the router is
                     // never allocated again, so they are otherwise inert.
-                    router.reset_keeping_credits(&self.config);
+                    router.reset_keeping_credits(config);
                 }
             }
         }
@@ -1044,6 +1749,55 @@ mod tests {
 
     fn unit_latencies(t: &Topology) -> Vec<Cycles> {
         vec![Cycles::one(); t.num_links()]
+    }
+
+    /// Phase B of cycle `now` on a one-shard network.
+    fn deliver(net: &mut Network<'_>, now: u64) {
+        let job = Job {
+            fabric: FabricPtr::new(&mut net.fabric),
+            now,
+            routes: net.wiring.routes,
+            dead_channels: None,
+        };
+        // SAFETY: one shard and no other thread.
+        unsafe {
+            let (shard, routers) = job.fabric.shard(0);
+            net.wiring.deliver_flits(&job, 0, shard, routers, None);
+            net.wiring.deliver_credits(&job, 0, shard, routers);
+        }
+    }
+
+    /// Phase C of cycle `now`, on a one-shard network.
+    fn allocate(
+        net: &mut Network<'_>,
+        now: u64,
+        routes: &Routes,
+        recorder: &mut OutcomeRecorder,
+        (injector, arrivals): (&mut Injector, &Arrivals<'_>),
+    ) {
+        let job = Job {
+            fabric: FabricPtr::new(&mut net.fabric),
+            now,
+            routes,
+            dead_channels: None,
+        };
+        // SAFETY: one shard and no other thread.
+        unsafe {
+            let (shard, routers) = job.fabric.shard(0);
+            let mut books = Books {
+                recorder,
+                injector,
+                arrivals,
+            };
+            net.wiring.allocate(&job, shard, routers, Some(&mut books));
+        }
+    }
+
+    /// Puts router `r` in its shard's active and touched sets.
+    fn activate(net: &mut Network<'_>, r: usize) {
+        let shard = net.fabric.shard_mut(r);
+        shard.active.insert(r);
+        shard.touched.insert(r);
     }
 
     #[test]
@@ -1193,7 +1947,7 @@ mod tests {
     #[test]
     fn active_set_sweeps_ascending_whatever_the_insertion_order() {
         for len in [1usize, 64, 65, 2_560] {
-            let mut set = ActiveSet::new(len);
+            let mut set = ActiveSet::new(0..len);
             assert!(set.start_sweep().is_empty(), "len {len}");
             // Every third index plus both ends, inserted descending
             // and twice over.
@@ -1251,23 +2005,21 @@ mod tests {
             measure_end: recorder.measure_end(),
         };
         let mut injector = Injector::new(config.seed, topology.num_tiles(), 0.0, 1_000);
-        net.routers[src].fill_injection_buffer(
+        net.fabric.routers[src].fill_injection_buffer(
             TileId::new(dst as u32),
             created as u32,
             config.packet_len,
         );
         recorder.record_injection(created);
-        net.active_routers.insert(src);
-        net.touched_routers.insert(src);
-        let mut traversal = TraversalOutput::default();
+        activate(&mut net, src);
         let mut now = created;
         while !recorder.drained() {
             assert!(now < created + 1_000, "the packet never arrived");
-            net.deliver(now, None, &mut recorder);
-            net.allocate(
+            deliver(&mut net, now);
+            allocate(
+                &mut net,
                 now,
                 routes,
-                &mut traversal,
                 &mut recorder,
                 (&mut injector, &arrivals),
             );
@@ -1298,6 +2050,7 @@ mod tests {
         let ones = unit_latencies(&line);
         assert_eq!(
             Network::new(&line, &routes, &mixed, SimConfig::fast_test())
+                .fabric
                 .calendar
                 .data
                 .len(),
@@ -1341,26 +2094,24 @@ mod tests {
             measure_end: recorder.measure_end(),
         };
         let mut injector = Injector::new(config.seed, 3, 0.0, 1_000);
-        net.routers[0].fill_injection_buffer(TileId::new(2), 0, config.packet_len);
+        net.fabric.routers[0].fill_injection_buffer(TileId::new(2), 0, config.packet_len);
         recorder.record_injection(0);
-        net.active_routers.insert(0);
-        net.touched_routers.insert(0);
-        let mut traversal = TraversalOutput::default();
+        activate(&mut net, 0);
         let mut members = Vec::new();
         for now in 0..6 {
-            net.deliver(now, None, &mut recorder);
-            let woken = net.active_routers.contains(0);
-            net.allocate(
+            deliver(&mut net, now);
+            let woken = net.fabric.is_active(0);
+            allocate(
+                &mut net,
                 now,
                 &routes,
-                &mut traversal,
                 &mut recorder,
                 (&mut injector, &arrivals),
             );
-            let stalled = net.routers[0].has_occupied_buffers();
-            members.push((woken, stalled, net.active_routers.contains(0)));
-            for router in &net.routers {
-                router.assert_consistent(&net.config, &net.vc_classes);
+            let stalled = net.fabric.routers[0].has_occupied_buffers();
+            members.push((woken, stalled, net.fabric.is_active(0)));
+            for router in &net.fabric.routers {
+                router.assert_consistent(&net.wiring.config, &net.wiring.vc_classes);
             }
         }
         // (in the sweep after Phase B, tail still buffered, kept after
@@ -1390,7 +2141,7 @@ mod tests {
         let mut net = Network::new(&mesh, &routes, &lats, config.clone());
         let horizon = config.warmup + config.measure + config.drain_limit;
         assert_eq!(
-            net.calendar.data.len() as u64,
+            net.fabric.calendar.data.len() as u64,
             (horizon + 1).next_power_of_two()
         );
         let out = net.run(0.05, TrafficPattern::UniformRandom);
@@ -1428,13 +2179,13 @@ mod tests {
                 let mut net = Network::new(&mesh, &routes, &lats, config);
                 for now in 0..10 {
                     injector.fire_at(now, |t, stream| {
-                        if net.routers[t].injection_busy() {
+                        if net.fabric.routers[t].injection_busy() {
                             return false;
                         }
                         let dst = arrivals.draw(t, now, stream, &mut recorder, true);
                         let dst = dst.expect("uniform traffic before any fault");
-                        net.routers[t].fill_injection_buffer(dst, now as u32, 1);
-                        net.touched_routers.insert(t);
+                        net.fabric.routers[t].fill_injection_buffer(dst, now as u32, 1);
+                        net.fabric.shard_mut(t).touched.insert(t);
                         true
                     });
                 }
@@ -1442,7 +2193,8 @@ mod tests {
                 if measure == 10 {
                     arrivals.catch_up(&injector, 16, &mut recorder);
                 }
-                net.apply_fault_epoch(
+                net.wiring.apply_fault_epoch(
+                    &mut net.fabric,
                     &schedule.epochs[0],
                     schedule.policy,
                     10,
@@ -1459,7 +2211,7 @@ mod tests {
                     InFlightPolicy::Drop => {
                         assert_eq!((injected, dropped), (160, 160), "{label}");
                         assert!(recorder.drained(), "{label}");
-                        assert!(net.routers.iter().all(|r| !r.has_occupied_buffers()));
+                        assert!(net.fabric.routers.iter().all(|r| !r.has_occupied_buffers()));
                         let mut fired = Vec::new();
                         injector.fire_at(10, |t, _| {
                             fired.push(t);
@@ -1476,12 +2228,13 @@ mod tests {
                         assert!(!injector.is_parked(5, 10), "{label}");
                         assert!((0..16)
                             .filter(|&t| t != 5)
-                            .all(|t| injector.is_parked(t, 10) && net.routers[t].injection_busy()));
+                            .all(|t| injector.is_parked(t, 10)
+                                && net.fabric.routers[t].injection_busy()));
                     }
                 }
-                assert!(!net.routers[5].has_occupied_buffers());
-                for router in &net.routers {
-                    router.assert_consistent(&net.config, &net.vc_classes);
+                assert!(!net.fabric.routers[5].has_occupied_buffers());
+                for router in &net.fabric.routers {
+                    router.assert_consistent(&net.wiring.config, &net.wiring.vc_classes);
                 }
             }
         }

@@ -19,7 +19,7 @@ use super::result::{ShardResult, SweepPoint, SweepResult};
 use super::shard::ShardSpec;
 use super::spec::SweepSpec;
 use crate::config::SimConfig;
-use crate::network::Network;
+use crate::network::{shard_count, Network};
 use crate::runner::bisect_prefix;
 use crate::stats::SimOutcome;
 use crate::traffic::TrafficPattern;
@@ -305,8 +305,11 @@ impl<'a> Experiment<'a> {
     /// the pool stays busy. A group runs on one `Network`, built on its
     /// first cache miss and [`reset`](Network::reset) between cells; a
     /// group shorter than four cells runs one task per cell instead, so
-    /// its cells run side by side. The layout depends on the cell list
-    /// and the pool size alone. Cells found in the attached
+    /// its cells run side by side. A task on a network large enough to
+    /// split its routers across the pool (thousands of tiles) runs alone,
+    /// on every thread, before the others; so only one such network is
+    /// alive at a time. The layout depends on the cell list and the pool
+    /// size alone. Cells found in the attached
     /// [`CellCache`] are answered from disk instead of simulated.
     /// Neither the grouping nor the cache shows in the result, which
     /// stays bit-identical (and byte-identical once serialized) to
@@ -322,13 +325,23 @@ impl<'a> Experiment<'a> {
             .len()
             .div_ceil(rayon::current_num_threads().max(1) * 2)
             .max(MIN_SPLIT);
-        let tasks = Self::tasks(cells, target);
-        let done: Vec<Vec<SweepPoint>> = tasks
+        // A task whose network splits across the pool runs on its own,
+        // one after another on this thread; the others share the pool.
+        let (sharded, pooled): (Vec<_>, Vec<_>) =
+            Self::tasks(cells, target)
+                .into_iter()
+                .partition(|&(_, group)| {
+                    shard_count(self.cases[group[0].case as usize].topology.num_tiles()) > 1
+                });
+        let mut placed: Vec<(usize, Vec<SweepPoint>)> = sharded
+            .iter()
+            .map(|&(first, group)| (first, self.run_group(group, digests)))
+            .collect();
+        let done: Vec<Vec<SweepPoint>> = pooled
             .par_iter()
             .map(|&(_, group)| self.run_group(group, digests))
             .collect();
-        let mut placed: Vec<(usize, Vec<SweepPoint>)> =
-            tasks.iter().map(|&(first, _)| first).zip(done).collect();
+        placed.extend(pooled.iter().map(|&(first, _)| first).zip(done));
         placed.sort_unstable_by_key(|&(first, _)| first);
         placed.into_iter().flat_map(|(_, points)| points).collect()
     }

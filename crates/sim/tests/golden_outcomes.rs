@@ -28,7 +28,7 @@ use std::fmt::Write as _;
 
 use shg_sim::{FaultPlan, Network, SimConfig, SimOutcome, TrafficPattern};
 use shg_topology::db::TopologyDb;
-use shg_topology::routing::{default_routes_with, RouteForm};
+use shg_topology::routing::{default_routes_with, RouteForm, Routes};
 use shg_topology::{generators, Grid, Topology};
 use shg_units::Cycles;
 
@@ -88,6 +88,22 @@ fn topologies() -> Vec<(&'static str, Topology, f64, &'static [RouteForm])> {
     ]
 }
 
+/// A network split into `shards` shards, one thread each (`None`: the
+/// default, one shard at these sizes).
+fn new_network<'a>(
+    topology: &'a Topology,
+    routes: &'a Routes,
+    latencies: &[Cycles],
+    config: SimConfig,
+    shards: Option<usize>,
+) -> Network<'a> {
+    let network = Network::new(topology, routes, latencies, config);
+    match shards {
+        Some(shards) => network.with_shards(shards),
+        None => network,
+    }
+}
+
 fn latencies(topology: &Topology, cycles: u64) -> Vec<Cycles> {
     vec![Cycles::new(cycles); topology.num_links()]
 }
@@ -111,7 +127,7 @@ fn line(label: &str, o: &SimOutcome) -> String {
 }
 
 /// Runs the whole cell list and renders it in the golden file's form.
-fn render() -> String {
+fn render(shards: Option<usize>) -> String {
     let mut text = String::new();
     for (t, (name, topology, knee, forms)) in topologies().into_iter().enumerate() {
         let routes: Vec<_> = forms
@@ -134,11 +150,12 @@ fn render() -> String {
                     seed: 1000 + (t * 9 + p * 3 + r) as u64,
                     ..base_config()
                 };
-                let outcome = Network::new(
+                let outcome = new_network(
                     &topology,
                     routes,
                     &latencies(&topology, link_cycles),
                     config,
+                    shards,
                 )
                 .run(rate, pattern);
                 let label = format!(
@@ -152,7 +169,7 @@ fn render() -> String {
         // full-rate one that leaves every structure dirty.
         let routes = routes.last().expect("at least one form");
         let lats = latencies(&topology, 1);
-        let mut network = Network::new(&topology, routes, &lats, base_config());
+        let mut network = new_network(&topology, routes, &lats, base_config(), shards);
         let _ = network.run(1.0, TrafficPattern::UniformRandom);
         network.reset(77);
         let second = network.run(knee, TrafficPattern::Transpose);
@@ -172,8 +189,9 @@ fn render() -> String {
                     faults: FaultPlan::parse(plan).expect("plan parses"),
                     ..base_config()
                 };
-                let outcome = Network::new(&topology, routes, &latencies(&topology, 3), config)
-                    .run(knee, TrafficPattern::UniformRandom);
+                let outcome =
+                    new_network(&topology, routes, &latencies(&topology, 3), config, shards)
+                        .run(knee, TrafficPattern::UniformRandom);
                 assert!(
                     outcome.faults.dropped_packets > 0,
                     "{policy}: the kills must cost packets"
@@ -185,10 +203,10 @@ fn render() -> String {
             }
         }
     }
-    render_backlogged(&mut text);
-    render_widened(&mut text);
-    render_mixed_latencies(&mut text);
-    render_blocked(&mut text);
+    render_backlogged(&mut text, shards);
+    render_widened(&mut text, shards);
+    render_mixed_latencies(&mut text, shards);
+    render_blocked(&mut text, shards);
     text
 }
 
@@ -198,7 +216,7 @@ fn render() -> String {
 /// class, so heads wait at VC allocation nearly every cycle; the two-die
 /// hierarchical part at full load; and drain-policy router kills in
 /// saturation, while heads wait on outputs toward the dead router.
-fn render_blocked(text: &mut String) {
+fn render_blocked(text: &mut String, shards: Option<usize>) {
     let tables = topologies();
     let find = |wanted: &str| {
         let (_, topology, knee, _) = tables
@@ -220,8 +238,14 @@ fn render_blocked(text: &mut String) {
             ..config
         };
         seed += 1;
-        let outcome = Network::new(topology, &routes, &latencies(topology, 1), config.clone())
-            .run(rate, pattern);
+        let outcome = new_network(
+            topology,
+            &routes,
+            &latencies(topology, 1),
+            config.clone(),
+            shards,
+        )
+        .run(rate, pattern);
         text.push_str(&line(
             &format!(
                 "blocked/{label}/vcs{}/depth{}/len{}",
@@ -332,7 +356,7 @@ fn mixed_latencies(topology: &Topology) -> Vec<Cycles> {
 /// zero-latency channels, delivered the cycle after they are sent, with
 /// and without a drain-policy kill whose sunk flits return their credits
 /// within the cycle they arrive.
-fn render_mixed_latencies(text: &mut String) {
+fn render_mixed_latencies(text: &mut String, shards: Option<usize>) {
     let mesh = generators::mesh(Grid::new(8, 8));
     let sr = [4].into_iter().collect();
     let sc = [2, 5].into_iter().collect();
@@ -342,8 +366,8 @@ fn render_mixed_latencies(text: &mut String) {
         let routes = default_routes_with(topology, RouteForm::NextHop).expect("routes build");
         let config = SimConfig { seed, ..config };
         seed += 1;
-        let outcome =
-            Network::new(topology, &routes, lats, config).run(rate, TrafficPattern::UniformRandom);
+        let outcome = new_network(topology, &routes, lats, config, shards)
+            .run(rate, TrafficPattern::UniformRandom);
         text.push_str(&line(label, &outcome));
         outcome
     };
@@ -413,7 +437,7 @@ fn render_mixed_latencies(text: &mut String) {
 /// sweep, on a high-radix and a wrap-around topology, 8-flit packets on high-radix routers, the
 /// degenerate injection rates (no packet at all, a packet every cycle)
 /// and VC counts whose class ranges are not powers of two.
-fn render_widened(text: &mut String) {
+fn render_widened(text: &mut String, shards: Option<usize>) {
     let tables = topologies();
     let find = |wanted: &str| {
         let (_, topology, knee, _) = tables
@@ -428,9 +452,14 @@ fn render_widened(text: &mut String) {
             let routes = default_routes_with(topology, form).expect("routes build");
             let config = SimConfig { seed, ..config };
             seed += 1;
-            let outcome =
-                Network::new(topology, &routes, &latencies(topology, link_cycles), config)
-                    .run(rate, pattern);
+            let outcome = new_network(
+                topology,
+                &routes,
+                &latencies(topology, link_cycles),
+                config,
+                shards,
+            )
+            .run(rate, pattern);
             text.push_str(&line(
                 &format!("{label}/lat{link_cycles}/{form:?}"),
                 &outcome,
@@ -552,7 +581,7 @@ fn render_widened(text: &mut String) {
 /// network and a hotspot source whose draws often name itself. (The
 /// `scan*` cells were pinned under a per-cycle injection scan the
 /// calendar reproduces exactly.)
-fn render_backlogged(text: &mut String) {
+fn render_backlogged(text: &mut String, shards: Option<usize>) {
     let mesh = generators::mesh(Grid::new(4, 4));
     let sr = [4].into_iter().collect();
     let sc = [2, 5].into_iter().collect();
@@ -631,15 +660,15 @@ fn render_backlogged(text: &mut String) {
             faults: FaultPlan::parse(plan).expect("plan parses"),
             ..base_config()
         };
-        let outcome =
-            Network::new(topology, &routes, &latencies(topology, 1), config).run(1.0, pattern);
+        let outcome = new_network(topology, &routes, &latencies(topology, 1), config, shards)
+            .run(1.0, pattern);
         text.push_str(&line(&format!("backlog/{label}/full"), &outcome));
     }
     // Two saturated cells back to back on one network: the second
     // starts from a reset taken mid-backlog.
     let routes = default_routes_with(&mesh, RouteForm::NextHop).expect("routes build");
     let lats = latencies(&mesh, 3);
-    let mut network = Network::new(&mesh, &routes, &lats, base_config());
+    let mut network = new_network(&mesh, &routes, &lats, base_config(), shards);
     let _ = network.run(1.0, TrafficPattern::Hotspot(30));
     network.reset(78);
     let second = network.run(1.0, TrafficPattern::UniformRandom);
@@ -648,7 +677,57 @@ fn render_backlogged(text: &mut String) {
 
 #[test]
 fn outcomes_match_the_committed_golden_file() {
-    let actual = render();
+    assert_matches_golden(&render(None), "");
+}
+
+/// The same cells with each network's routers split into two and into
+/// three shards, each on its own thread — down to a handful of routers
+/// per shard, so every cell moves flits and credits between shards.
+#[test]
+fn sharded_outcomes_match_the_committed_golden_file() {
+    for shards in [2, 3] {
+        assert_matches_golden(&render(Some(shards)), &format!(" at {shards} shards"));
+    }
+}
+
+/// The zero-latency cells of `render_mixed_latencies` at three shards
+/// under `run_validated`, which checks every router, the active sets and
+/// (fault-free) every channel's flow control after each cycle. Sends on
+/// a zero-latency channel are due the very next cycle, and a discard
+/// under the drain policy returns its credit within the cycle it
+/// arrives, across shards.
+#[test]
+fn sharded_zero_latency_cells_keep_every_invariant() {
+    let mesh = generators::mesh(Grid::new(4, 4));
+    let routes = default_routes_with(&mesh, RouteForm::NextHop).expect("routes build");
+    let zero = latencies(&mesh, 0);
+    // The cells' seeds follow the eight mixed-latency cells before them.
+    for (label, plan, rate, seed) in [
+        ("mesh4x4/zero-lat/knee", "", 0.35, 8008),
+        (
+            "mesh4x4/zero-lat/faults-drain/full",
+            "drain,500:router:5",
+            1.0,
+            8009,
+        ),
+    ] {
+        let config = SimConfig {
+            router_overhead: 0,
+            seed,
+            faults: FaultPlan::parse(plan).expect("plan parses"),
+            ..base_config()
+        };
+        let outcome = new_network(&mesh, &routes, &zero, config, Some(3))
+            .run_validated(rate, TrafficPattern::UniformRandom);
+        let actual = line(label, &outcome);
+        assert!(
+            GOLDEN.lines().any(|golden| golden == actual.trim_end()),
+            "{label} at 3 shards: {actual}"
+        );
+    }
+}
+
+fn assert_matches_golden(actual: &str, what: &str) {
     if actual == GOLDEN {
         return;
     }
@@ -668,7 +747,7 @@ fn outcomes_match_the_committed_golden_file() {
             }
         }
     }
-    panic!("simulation outcomes drifted from golden_outcomes.txt:\n{report}");
+    panic!("simulation outcomes{what} drifted from golden_outcomes.txt:\n{report}");
 }
 
 /// Writer for the golden file — ignored so a plain `cargo test` can
@@ -677,5 +756,5 @@ fn outcomes_match_the_committed_golden_file() {
 #[ignore = "regenerates tests/golden_outcomes.txt"]
 fn regenerate_golden_outcomes() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden_outcomes.txt");
-    std::fs::write(path, render()).expect("golden file is writable");
+    std::fs::write(path, render(None)).expect("golden file is writable");
 }

@@ -12,7 +12,10 @@
 use proptest::prelude::*;
 use rayon::ThreadPool;
 use shg_sim::sweep::ALL_PATTERNS;
-use shg_sim::{CellId, Experiment, ShardSpec, SimConfig, SweepResult, SweepSpec, TrafficPattern};
+use shg_sim::{
+    CellId, ExecStats, Experiment, ShardSpec, SimConfig, SweepResult, SweepSpec, TrafficPattern,
+};
+use shg_topology::db::TopologyDb;
 use shg_topology::{generators, Grid};
 
 /// A pool pinning the thread count of the sweeps installed on it.
@@ -84,6 +87,54 @@ fn grouped_sweeps_serialize_identically_at_one_and_many_threads() {
             "grouped bytes differ from fresh networks at {threads} threads"
         );
     }
+}
+
+/// A network large enough to split its routers across the pool (1,024
+/// tiles: a shard per thread from two threads on) sweeps to the same
+/// bytes, on the same number of networks, whatever the pool's size —
+/// one thread per network or every thread on each in turn.
+#[test]
+fn a_sharded_network_sweeps_identically_on_every_pool() {
+    let two_die = TopologyDb::parse(
+        "die left 16x32 mesh; die right 16x32 shg:sc=2,5; boundary every=4 latency=3",
+    )
+    .expect("db parses")
+    .instantiate()
+    .expect("db instantiates");
+    assert_eq!(two_die.num_tiles(), 1_024);
+    let config = SimConfig {
+        warmup: 50,
+        measure: 100,
+        drain_limit: 300,
+        ..SimConfig::fast_test()
+    };
+    let spec = SweepSpec::new(config)
+        .rates([0.05, 0.9])
+        .patterns([TrafficPattern::UniformRandom, TrafficPattern::Reverse]);
+    let runs: Vec<(String, ExecStats)> = [1, 2, 3]
+        .into_iter()
+        .map(|threads| {
+            let experiment = Experiment::new(spec.clone())
+                .with_unit_latency_case("two-die", &two_die)
+                .expect("hierarchical routes");
+            let json = pool(threads)
+                .install(|| experiment.run_parallel())
+                .to_json();
+            (json, experiment.exec_stats())
+        })
+        .collect();
+    for (threads, run) in [2, 3].into_iter().zip(&runs[1..]) {
+        assert_eq!(&runs[0], run, "1 thread and {threads} threads differ");
+    }
+    // One network, reset between the four cells.
+    assert_eq!(
+        runs[0].1,
+        ExecStats {
+            per_cell_cells: 1,
+            reuse_cells: 3,
+            ..ExecStats::default()
+        }
+    );
 }
 
 #[test]
