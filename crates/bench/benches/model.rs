@@ -9,9 +9,10 @@
 //! stages of `Toolchain::evaluate` — `screen` (routes, channel loads,
 //! floorplan steps 1–4: what every candidate pays) and `finish` (step 5
 //! and the zero-load latency: what only a candidate that can still win
-//! pays) — and `evaluate` whole, next to the dense-table evaluation it
-//! replaced (`evaluate_with` over `default_routes`), which is also what
-//! the repo benchmark's traced pass keeps replaying under
+//! pays) — and `evaluate` whole, next to the evaluation over the dense
+//! test oracle it replaced (`evaluate_with` over a
+//! `default_routes_with(.., RouteForm::Dense)` table), which is also
+//! what the repo benchmark's traced pass keeps replaying under
 //! `topology.routing.build_s`. `customize_20x20` is the whole loop on
 //! the same inputs: 202 candidates (41 of them finished), each step's
 //! neighbourhood fanned out over `available_parallelism()` threads.
@@ -99,7 +100,7 @@ fn bench_analytic_evaluate(c: &mut Criterion) {
     });
     group.bench_function("evaluate_dense_reference", |b| {
         b.iter(|| {
-            let routes = routing::default_routes(&topology).expect("routes");
+            let routes = routing::default_routes_with(&topology, RouteForm::Dense).expect("routes");
             let prediction = predict(&params, &topology, &toolchain.model_options);
             toolchain.evaluate_with(&params, &topology, &routes, &prediction)
         });
@@ -123,7 +124,7 @@ fn bench_hier_routes(c: &mut Criterion) {
     let mut group = c.benchmark_group("hier_routes_2560");
     group.sample_size(10);
     group.bench_function("route_build", |b| {
-        b.iter(|| routing::default_routes_with(&topology, RouteForm::NextHop).expect("routes"));
+        b.iter(|| routing::default_routes(&topology).expect("routes"));
     });
     group.finish();
 }

@@ -1,6 +1,7 @@
 //! Criterion bench: routing-table construction per algorithm family,
 //! plus the `route_tables` group comparing the dense all-pairs path
-//! store against the compact next-hop / hierarchical forms at the
+//! store (the test oracle) against the production next-hop /
+//! hierarchical forms at the
 //! sizes where the difference decides feasibility (1k, 4k and 10k
 //! tiles). Table sizes are printed to stderr alongside the timings —
 //! the dense 4k-tile table is multiple gigabytes, which is why only
@@ -58,7 +59,7 @@ fn readme_two_die() -> shg_topology::Topology {
 fn bench_route_tables(c: &mut Criterion) {
     let mut group = c.benchmark_group("route_tables");
     group.sample_size(10);
-    // 1k tiles: both forms build; the compact one is the default.
+    // 1k tiles: the oracle and the production table both build.
     let mesh_1k = generators::mesh(Grid::new(32, 32));
     for form in [RouteForm::Dense, RouteForm::NextHop] {
         let routes = routing::default_routes_with(&mesh_1k, form).expect("routes");
@@ -72,21 +73,22 @@ fn bench_route_tables(c: &mut Criterion) {
     }
     // 4k tiles: compact only — the dense table would be gigabytes.
     let mesh_4k = generators::mesh(Grid::new(64, 64));
-    let routes = routing::default_routes_with(&mesh_4k, RouteForm::NextHop).expect("routes");
+    let routes = routing::default_routes(&mesh_4k).expect("routes");
     eprintln!(
-        "[route_tables] mesh 4k next-hop: {} table bytes",
+        "[route_tables] mesh 4k {}: {} table bytes",
+        routes.form(),
         routes.table_bytes()
     );
     group.bench_with_input(
-        BenchmarkId::new("build_mesh_4k", RouteForm::NextHop),
+        BenchmarkId::new("build_mesh_4k", routes.form()),
         &mesh_4k,
-        |b, t| b.iter(|| routing::default_routes_with(t, RouteForm::NextHop).expect("routes")),
+        |b, t| b.iter(|| routing::default_routes(t).expect("routes")),
     );
-    // 10k tiles: the hierarchical multi-die auto-upgrade on the README
-    // database — build time, then per-hop lookup throughput over a
-    // strided all-pairs sample.
+    // 10k tiles: the hierarchical table `default_routes` picks for the
+    // README's multi-die database — build time, then per-hop lookup
+    // throughput over a strided all-pairs sample.
     let big = readme_two_die();
-    let routes = routing::default_routes_with(&big, RouteForm::NextHop).expect("routes");
+    let routes = routing::default_routes(&big).expect("routes");
     eprintln!(
         "[route_tables] readme 10k {}: {} table bytes",
         routes.form(),
@@ -95,7 +97,7 @@ fn bench_route_tables(c: &mut Criterion) {
     group.bench_with_input(
         BenchmarkId::new("build_readme_10k", routes.form()),
         &big,
-        |b, t| b.iter(|| routing::default_routes_with(t, RouteForm::NextHop).expect("routes")),
+        |b, t| b.iter(|| routing::default_routes(t).expect("routes")),
     );
     let n = big.num_tiles();
     group.bench_function("lookup_walk_readme_10k", |b| {

@@ -64,8 +64,7 @@ fn bench_saturated(c: &mut Criterion) {
 fn bench_saturation_search(c: &mut Criterion) {
     let reference = MempoolReference::new();
     let topology = reference.topology();
-    let routes =
-        routing::default_routes_with(&topology, routing::RouteForm::NextHop).expect("routes");
+    let routes = routing::default_routes(&topology).expect("routes");
     let prediction = predict(&reference.params, &topology, &ModelOptions::default());
     let latencies = &prediction.estimates.link_latencies;
     let mut group = c.benchmark_group("saturation_search");

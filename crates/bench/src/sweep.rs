@@ -69,14 +69,16 @@ pub fn topology_fingerprint(topology: &Topology) -> u64 {
 /// model's per-link latency estimates.
 #[derive(Debug, Clone)]
 pub struct PreparedCase {
-    /// Routing table.
+    /// The production routing table ([`routing::default_routes`]).
     pub routes: Routes,
     /// Floorplan-predicted per-link latencies.
     pub link_latencies: Vec<Cycles>,
 }
 
-/// The cache. Keyed by [`topology_fingerprint`]; hit/miss counters are
-/// exposed so binaries can report how much work sharing saved.
+/// The cache. Keyed by [`topology_fingerprint`] and the prediction
+/// inputs (the routing table follows from the topology alone); hit/miss
+/// counters are exposed so binaries can report how much work sharing
+/// saved.
 #[derive(Debug, Default)]
 pub struct TopologyCache {
     entries: HashMap<u64, PreparedCase>,
@@ -91,10 +93,11 @@ impl TopologyCache {
         Self::default()
     }
 
-    /// Routes and floorplan latencies for `topology`, computed at most
-    /// once per distinct (topology, architecture, model options, route
-    /// form) combination — the prediction inputs are part of the key,
-    /// so one cache can serve several scenarios without stale hits.
+    /// Routes ([`routing::default_routes`]) and floorplan latencies for
+    /// `topology`, computed at most once per distinct (topology,
+    /// architecture, model options) combination — the prediction inputs
+    /// are part of the key, so one cache can serve several scenarios
+    /// without stale hits.
     ///
     /// # Errors
     ///
@@ -106,13 +109,11 @@ impl TopologyCache {
         params: &ArchParams,
         options: &ModelOptions,
         topology: &Topology,
-        form: RouteForm,
     ) -> Result<PreparedCase, String> {
         let mut key = topology_fingerprint(topology);
         for input in [
             serde_json::to_string(params).expect("params serialize"),
             serde_json::to_string(options).expect("options serialize"),
-            form.name().to_owned(),
         ] {
             for byte in input.bytes() {
                 key ^= u64::from(byte);
@@ -124,8 +125,8 @@ impl TopologyCache {
             return Ok(prepared.clone());
         }
         self.misses += 1;
-        let routes = routing::default_routes_with(topology, form)
-            .map_err(|e| format!("routing {topology}: {e}"))?;
+        let routes =
+            routing::default_routes(topology).map_err(|e| format!("routing {topology}: {e}"))?;
         let prediction = predict(params, topology, options);
         let prepared = PreparedCase {
             routes,
@@ -143,9 +144,8 @@ impl TopologyCache {
 }
 
 /// Builds an [`Experiment`] whose cases are the given named topologies,
-/// each annotated with floorplan latencies through `cache`, with
-/// routing tables in the compact [`RouteForm::NextHop`] form. `_form`
-/// is accepted and ignored; deleted by ROADMAP item 8.
+/// each annotated with routes and floorplan latencies through `cache`.
+/// `_form` is accepted and ignored; deleted by ROADMAP item 8.
 ///
 /// # Errors
 ///
@@ -171,7 +171,7 @@ pub fn annotated_experiment<'a>(
     let mut experiment = Experiment::new(spec);
     for (name, topology) in topologies {
         let prepared = cache
-            .prepare(params, options, topology, RouteForm::NextHop)
+            .prepare(params, options, topology)
             .map_err(|e| format!("case '{name}': {e}"))?;
         experiment.push_case(SweepCase::annotated(
             name.clone(),
@@ -392,12 +392,7 @@ pub fn saturated_cells() -> Vec<SaturatedCell> {
         let setup = request_setup(&params).expect("constant request params");
         let topology = pick(&setup);
         let prepared = TopologyCache::new()
-            .prepare(
-                &setup.scenario.params,
-                &setup.model_options,
-                &topology,
-                RouteForm::NextHop,
-            )
+            .prepare(&setup.scenario.params, &setup.model_options, &topology)
             .expect("reference topologies route");
         SaturatedCell {
             name,
@@ -710,21 +705,27 @@ mod tests {
         let mesh = generators::mesh(scenario.params.grid);
         let mut cache = TopologyCache::new();
         let a = cache
-            .prepare(&scenario.params, &options, &mesh, RouteForm::NextHop)
+            .prepare(&scenario.params, &options, &mesh)
             .expect("mesh routes");
         let b = cache
-            .prepare(&scenario.params, &options, &mesh, RouteForm::NextHop)
+            .prepare(&scenario.params, &options, &mesh)
             .expect("mesh routes");
         assert_eq!(cache.stats(), (1, 1));
         assert_eq!(a.link_latencies, b.link_latencies);
         assert_eq!(a.link_latencies.len(), mesh.num_links());
-        assert_eq!(a.routes.form(), RouteForm::NextHop);
-        // A different form is a different artifact: its own cache slot.
-        let dense = cache
-            .prepare(&scenario.params, &options, &mesh, RouteForm::Dense)
+        assert_eq!(
+            a.routes,
+            routing::default_routes(&mesh).expect("mesh routes")
+        );
+        // Other model options are another prediction: their own slot.
+        let coarser = ModelOptions {
+            cell_scale: 8.0,
+            ..options
+        };
+        cache
+            .prepare(&scenario.params, &coarser, &mesh)
             .expect("mesh routes");
         assert_eq!(cache.stats(), (1, 2));
-        assert_eq!(dense.routes.form(), RouteForm::Dense);
     }
 
     #[test]

@@ -455,7 +455,9 @@ mod tests {
                 .evaluate(&scenario.params, &topology)
                 .expect("evaluates");
             assert_eq!(json(&finished), json(&evaluated), "{candidate}");
-            let dense = routing::default_routes(&topology).expect("dense routes");
+            let dense = routing::default_routes_with(&topology, routing::RouteForm::Dense)
+                .expect("dense routes");
+            assert_eq!(dense.form(), routing::RouteForm::Dense);
             let prediction = predict(&scenario.params, &topology, &toolchain.model_options);
             assert_eq!(
                 json(&finished),

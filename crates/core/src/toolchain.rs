@@ -21,7 +21,7 @@ use shg_sim::{
     saturation_search, zero_load_latency_from_loads, Experiment, SaturationSearch, SimConfig,
     SweepCase, SweepResult, SweepSpec, TrafficPattern,
 };
-use shg_topology::routing::{self, BuildRoutesError, RouteForm, Routes};
+use shg_topology::routing::{self, BuildRoutesError, Routes};
 use shg_topology::{Topology, TopologyKind};
 use shg_units::{Cycles, Mm2, Watts};
 
@@ -202,7 +202,7 @@ impl Toolchain {
         params: &ArchParams,
         topology: &Topology,
     ) -> Result<Screening, EvaluateError> {
-        let routes = routing::default_routes_with(topology, RouteForm::NextHop)?;
+        let routes = routing::default_routes(topology)?;
         let loads = routes.channel_loads(topology);
         let floorplan = Screen::compute(params, topology, &self.model_options);
         Ok(Screening {
@@ -371,7 +371,7 @@ impl Toolchain {
         topology: &'a Topology,
         rate_points: usize,
     ) -> Result<Experiment<'a>, EvaluateError> {
-        let routes = routing::default_routes_with(topology, RouteForm::NextHop)?;
+        let routes = routing::default_routes(topology)?;
         let prediction = predict(params, topology, &self.model_options);
         let spec = SweepSpec::new(self.sim.clone())
             .linear_rates(rate_points.max(1), 1.0)

@@ -7,7 +7,7 @@ use shg_core::{
 };
 use shg_floorplan::{predict, ModelOptions};
 use shg_sim::SimConfig;
-use shg_topology::routing;
+use shg_topology::routing::{self, RouteForm};
 
 fn fast_toolchain() -> Toolchain {
     Toolchain {
@@ -148,7 +148,9 @@ fn evaluate_equals_the_dense_reference_field_for_field() {
     };
     for scenario in Scenario::all_knc() {
         let topology = scenario.shg.build();
-        let dense = routing::default_routes(&topology).expect("dense routes");
+        let dense =
+            routing::default_routes_with(&topology, RouteForm::Dense).expect("dense routes");
+        assert_eq!(dense.form(), RouteForm::Dense);
         let toolchains = [fast_toolchain(), simulated.clone()];
         // One simulated scenario covers the mode; the rest stay analytic.
         let modes = if scenario.name == "a" { 2 } else { 1 };

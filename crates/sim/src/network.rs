@@ -88,7 +88,7 @@ use std::time::Instant;
 
 use rand::rngs::SmallRng;
 use shg_topology::{
-    routing::{RouteForm, Routes, NO_COMPONENT},
+    routing::{Routes, NO_COMPONENT},
     ChannelId, Grid, TileId, Topology,
 };
 use shg_units::Cycles;
@@ -1528,9 +1528,8 @@ impl Wiring<'_> {
         let out = &mut shard.out;
         for &r in &sweep {
             let router = &mut routers[r - base];
-            let route = |router: &Router, flit: &Flit| {
-                Self::route_head(self.topology, job.routes, router, r, flit)
-            };
+            let route =
+                |router: &Router, flit: &Flit| Self::route_head(job.routes, router, r, flit);
             router.vc_allocate_with(&self.vc_classes, route, out);
             router.switch_allocate_and_traverse(&self.config, out);
             for (channel, vc) in out.credits.drain(..) {
@@ -1615,41 +1614,19 @@ impl Wiring<'_> {
         }
     }
 
-    /// The output port and VC class the head flit needs at router `tile`.
-    fn route_head(
-        topology: &Topology,
-        routes: &Routes,
-        router: &Router,
-        tile: usize,
-        flit: &Flit,
-    ) -> (u8, u8) {
+    /// The output port and VC class the head flit needs at router `tile`:
+    /// the table's port numbering is the position in the sorted neighbor
+    /// list, the same order `Network::new` created the ports in.
+    fn route_head(routes: &Routes, router: &Router, tile: usize, flit: &Flit) -> (u8, u8) {
         if flit.dst.index() == tile {
             return (router.ejection_port() as u8, 0);
         }
-        if routes.form() != RouteForm::Dense {
-            // Compact forms answer (out port, class) directly: their port
-            // numbering is the position in the sorted neighbor list, the
-            // same order `Network::new` created the ports in.
-            return routes.port_and_class(
-                TileId::new(tile as u32),
-                flit.src,
-                flit.dst,
-                flit.hop as usize,
-            );
-        }
-        let path = routes.path(flit.src, flit.dst);
-        let hop = &path[flit.hop as usize];
-        debug_assert_eq!(
-            topology.channel(hop.channel).from.index(),
-            tile,
-            "flit at wrong router for its path"
-        );
-        let port = router
-            .out_channels
-            .iter()
-            .position(|&c| c == hop.channel)
-            .expect("path channel leaves this tile") as u8;
-        (port, hop.vc_class)
+        routes.port_and_class(
+            TileId::new(tile as u32),
+            flit.src,
+            flit.dst,
+            flit.hop as usize,
+        )
     }
 
     /// Applies one fault epoch's state change at cycle `now`.

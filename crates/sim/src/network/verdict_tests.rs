@@ -2,7 +2,7 @@
 //! early stop may never change the answer, only how soon it is known.
 
 use shg_topology::db::TopologyDb;
-use shg_topology::routing::{default_routes_with, RouteForm};
+use shg_topology::routing::default_routes;
 use shg_topology::{generators, Grid};
 
 use super::*;
@@ -64,7 +64,7 @@ fn short_windows() -> SimConfig {
 /// pattern × rate at one of the two lengths, alternating
 /// (`every_length` off).
 fn check_grid(topology: &Topology, base: &SimConfig, faults: &str, every_length: bool) -> Decided {
-    let routes = default_routes_with(topology, RouteForm::NextHop).expect("routes");
+    let routes = default_routes(topology).expect("routes");
     let latencies = vec![Cycles::one(); topology.num_links()];
     let mut decided = Decided::default();
     for (l, packet_len) in [1, 4].into_iter().enumerate() {

@@ -137,10 +137,8 @@ impl<'a> SweepCase<'a> {
         }
     }
 
-    /// A case with default routes in the compact next-hop form and unit
-    /// link latencies (the floorplan-free path used by tests and
-    /// microbenchmarks). Next-hop routes simulate bit-identically to the
-    /// dense reference, without the O(n² · hops) table.
+    /// A case with default routes and unit link latencies (the
+    /// floorplan-free path used by tests and microbenchmarks).
     ///
     /// # Errors
     ///
@@ -150,7 +148,7 @@ impl<'a> SweepCase<'a> {
         name: impl Into<String>,
         topology: &'a Topology,
     ) -> Result<Self, BuildRoutesError> {
-        let routes = routing::default_routes_with(topology, routing::RouteForm::NextHop)?;
+        let routes = routing::default_routes(topology)?;
         let link_latencies = vec![Cycles::one(); topology.num_links()];
         Ok(Self::annotated(name, topology, routes, link_latencies))
     }

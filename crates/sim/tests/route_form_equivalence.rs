@@ -2,15 +2,16 @@
 //!
 //! The compact next-hop routing table must be invisible to the
 //! simulator: every sweep over a case annotated with next-hop routes
-//! serializes **byte-identically** to the same sweep over dense routes,
-//! across topologies and fault epochs of both in-flight policies, with
-//! the dense reference run on a fresh network per cell and the next-hop
-//! sweep through the engine's grouped cells. This is what lets every
-//! sweep use next-hop tables without perturbing a single published
-//! number.
+//! serializes **byte-identically** to the same sweep over the dense
+//! test oracle, across topologies and fault epochs of both in-flight
+//! policies, with the oracle run on a fresh network per cell and the
+//! next-hop sweep through the engine's grouped cells. This is what lets
+//! every consumer route on next-hop tables without perturbing a single
+//! published number.
 
 use shg_sim::{CellId, Experiment, FaultPlan, SimConfig, SweepResult, SweepSpec, TrafficPattern};
-use shg_topology::routing::{default_routes, default_routes_with, RouteForm};
+use shg_topology::db::TopologyDb;
+use shg_topology::routing::{default_routes, default_routes_with, RouteForm, RoutingAlgorithm};
 use shg_topology::{generators, Grid, Topology};
 use shg_units::Cycles;
 
@@ -25,6 +26,7 @@ fn spec(config: SimConfig) -> SweepSpec {
 /// [`Experiment::run_parallel`].
 fn sweep_json(topology: &Topology, form: RouteForm, config: SimConfig, fresh: bool) -> String {
     let routes = default_routes_with(topology, form).expect("routes build");
+    assert_eq!(routes.form(), form);
     let latencies = vec![Cycles::one(); topology.num_links()];
     let experiment = Experiment::new(spec(config)).with_case(shg_sim::SweepCase::annotated(
         "case", topology, routes, latencies,
@@ -82,12 +84,26 @@ fn next_hop_is_byte_identical_across_policies() {
 }
 
 #[test]
-fn default_routes_form_is_unchanged_for_dense_consumers() {
-    // `default_routes` stays the dense reference; sweep cases opt into
-    // the compact form explicitly (or via `unit_latency`'s default).
+fn default_routes_form_is_compact_for_every_consumer() {
+    // `default_routes` is the one production table: next-hop on a
+    // generator, hierarchical on a stitched multi-die part. Only a
+    // request by name builds the dense oracle.
     let mesh = generators::mesh(Grid::new(4, 4));
     assert_eq!(
         default_routes(&mesh).expect("routes").form(),
+        RouteForm::NextHop
+    );
+    assert_eq!(
+        default_routes_with(&mesh, RouteForm::Dense)
+            .expect("routes")
+            .form(),
         RouteForm::Dense
     );
+    let two_die = TopologyDb::parse("die/l/4x3/mesh;die/r/4x3/shg:sc=2;boundary/every=1/latency=3")
+        .expect("parses")
+        .instantiate()
+        .expect("instantiates");
+    let routes = default_routes(&two_die).expect("routes");
+    assert_eq!(routes.form(), RouteForm::Hierarchical);
+    assert_eq!(routes.algorithm(), RoutingAlgorithm::Hierarchical);
 }

@@ -215,16 +215,18 @@ fn different_routing_table_never_hits() {
     // digest must separate them — a stale hit here would silently
     // report the other routing's results.
     use shg_sim::SweepCase;
-    use shg_topology::routing::{build_routes, RoutingAlgorithm};
+    use shg_topology::routing::{build_routes_with, RouteForm, RoutingAlgorithm};
     use shg_units::Cycles;
 
     let mesh = generators::mesh(Grid::new(4, 4));
     let latencies = vec![Cycles::one(); mesh.num_links()];
     let routed = |algorithm: RoutingAlgorithm| {
+        let routes = build_routes_with(&mesh, algorithm, RouteForm::Dense).expect("mesh routes");
+        assert_eq!(routes.form(), RouteForm::Dense);
         Experiment::new(base_spec(SimConfig::fast_test())).with_case(SweepCase::annotated(
             "mesh",
             &mesh,
-            build_routes(&mesh, algorithm).expect("mesh routes"),
+            routes,
             latencies.clone(),
         ))
     };
@@ -366,6 +368,7 @@ fn cache_is_route_form_agnostic_but_algorithm_sensitive() {
     let mesh = generators::mesh(Grid::new(4, 4));
     let with_routes = |algorithm, form| {
         let routes = build_routes_with(&mesh, algorithm, form).expect("routes build");
+        assert_eq!(routes.form(), form);
         let latencies = vec![Cycles::one(); mesh.num_links()];
         Experiment::new(base_spec(SimConfig::fast_test()))
             .with_case(SweepCase::annotated("mesh", &mesh, routes, latencies))

@@ -1,26 +1,99 @@
-//! The dense reference form: every path materialized as `Vec<Hop>`.
+//! The dense test oracle: every path materialized as `Vec<Hop>`.
 //!
 //! These builders are the semantic ground truth — the compact forms in
-//! [`super::next_hop`] must reconstruct bit-identical paths, which the
-//! equivalence suite enforces (row-column paths are materialized from the
-//! very line banks the compact form queries, so there the two cannot
+//! [`super::next_hop`] must reconstruct bit-identical paths and answer
+//! the same per-hop `(out port, VC class)` queries, which the
+//! equivalence suite enforces (row-column paths are materialized from
+//! the very line banks the compact form queries, so there the two cannot
 //! differ in their 1D moves). Dense tables cost O(n² · hops) memory
-//! (multi-GB at 10k tiles), so they are kept as the cross-checkable
-//! reference, not the default.
+//! (multi-GB at 10k tiles), so only tests and timing comparisons build
+//! them; no production consumer does.
 
 use crate::generators;
 use crate::grid::{TileCoord, TileId};
 use crate::topology::{Topology, TopologyKind};
 
 use super::line::{row_column_banks, CLASSES_PER_PHASE, MAX_REVERSALS};
-use super::next_hop::hop_escalation_table;
-use super::{BuildRoutesError, Hop, Routes, RoutingAlgorithm, Table};
+use super::next_hop::{hop_escalation_table, Csr};
+use super::{BuildRoutesError, Hop, HopTable, Routes, RoutingAlgorithm, Table};
+
+/// Every `src → dst` path, stored at `paths[src · n + dst]`.
+#[derive(Debug, Clone, PartialEq)]
+pub(super) struct DenseTable {
+    n: usize,
+    paths: Vec<Vec<Hop>>,
+}
+
+impl DenseTable {
+    fn path(&self, src: usize, dst: usize) -> &[Hop] {
+        &self.paths[src * self.n + dst]
+    }
+}
+
+impl HopTable for DenseTable {
+    fn port_and_class(
+        &self,
+        ports: &Csr,
+        at: usize,
+        src: usize,
+        dst: usize,
+        hop: usize,
+    ) -> (u32, u8) {
+        let hop = self.path(src, dst)[hop];
+        (ports.port_of(at, hop.to.index() as u32), hop.vc_class)
+    }
+
+    /// The stored hop itself, so a walk of the oracle returns exactly
+    /// what its builder materialized.
+    fn hop_at(&self, _ports: &Csr, _at: usize, src: usize, dst: usize, hop: usize) -> Hop {
+        self.path(src, dst)[hop]
+    }
+
+    fn hop_count(&self, src: usize, dst: usize) -> Option<usize> {
+        Some(self.path(src, dst).len())
+    }
+
+    fn bytes(&self) -> usize {
+        self.paths.len() * std::mem::size_of::<Vec<Hop>>()
+            + self
+                .paths
+                .iter()
+                .map(|p| p.capacity() * std::mem::size_of::<Hop>())
+                .sum::<usize>()
+    }
+}
+
+/// Builds the dense table of `algorithm` (never
+/// [`RoutingAlgorithm::Hierarchical`], which has no dense form).
+pub(super) fn build(
+    topology: &Topology,
+    algorithm: RoutingAlgorithm,
+) -> Result<Routes, BuildRoutesError> {
+    let (paths, num_vc_classes) = match algorithm {
+        RoutingAlgorithm::RowColumn => row_column(topology)?,
+        RoutingAlgorithm::RingDateline => ring_dateline(topology)?,
+        RoutingAlgorithm::TorusDateline => torus_dateline(topology)?,
+        RoutingAlgorithm::ECube => ecube(topology)?,
+        RoutingAlgorithm::HopEscalation => hop_escalation(topology)?,
+        RoutingAlgorithm::Hierarchical => unreachable!("the hierarchical table has no dense form"),
+    };
+    let n = topology.num_tiles();
+    Ok(Routes::new(
+        topology,
+        algorithm,
+        num_vc_classes,
+        Table::Dense(DenseTable { n, paths }),
+    ))
+}
+
+/// One algorithm's paths (`paths[src · n + dst]`) and VC class count.
+type Paths = (Vec<Vec<Hop>>, u8);
 
 // ---------------------------------------------------------------------------
 // Row-column routing (mesh, sparse Hamming, flattened butterfly, Ruche).
 // ---------------------------------------------------------------------------
 
-pub(super) fn build_row_column(topology: &Topology) -> Result<Routes, BuildRoutesError> {
+fn row_column(topology: &Topology) -> Result<Paths, BuildRoutesError> {
     let grid = topology.grid();
     let (row_banks, col_banks) = row_column_banks(topology)?;
     let n = topology.num_tiles();
@@ -65,15 +138,10 @@ pub(super) fn build_row_column(topology: &Topology) -> Result<Routes, BuildRoute
             }
         }
     }
-    Ok(Routes {
-        n,
-        algorithm: RoutingAlgorithm::RowColumn,
-        num_vc_classes: CLASSES_PER_PHASE * 2,
-        table: Table::Dense { paths },
-    })
+    Ok((paths, CLASSES_PER_PHASE * 2))
 }
 
-pub(super) fn make_hop(topology: &Topology, from: TileId, to: TileId, vc_class: u8) -> Hop {
+fn make_hop(topology: &Topology, from: TileId, to: TileId, vc_class: u8) -> Hop {
     let (_, link) = topology
         .neighbors(from)
         .iter()
@@ -92,7 +160,7 @@ pub(super) fn make_hop(topology: &Topology, from: TileId, to: TileId, vc_class: 
 // Ring routing with a dateline.
 // ---------------------------------------------------------------------------
 
-pub(super) fn build_ring_dateline(topology: &Topology) -> Result<Routes, BuildRoutesError> {
+fn ring_dateline(topology: &Topology) -> Result<Paths, BuildRoutesError> {
     let grid = topology.grid();
     let order =
         generators::cycle_order_of(topology).ok_or_else(|| BuildRoutesError::NotApplicable {
@@ -134,19 +202,14 @@ pub(super) fn build_ring_dateline(topology: &Topology) -> Result<Routes, BuildRo
             paths[src.index() * n + dst.index()] = hops;
         }
     }
-    Ok(Routes {
-        n,
-        algorithm: RoutingAlgorithm::RingDateline,
-        num_vc_classes: 2,
-        table: Table::Dense { paths },
-    })
+    Ok((paths, 2))
 }
 
 // ---------------------------------------------------------------------------
 // Torus routing: dimension order over row/column cycles with datelines.
 // ---------------------------------------------------------------------------
 
-pub(super) fn build_torus_dateline(topology: &Topology) -> Result<Routes, BuildRoutesError> {
+fn torus_dateline(topology: &Topology) -> Result<Paths, BuildRoutesError> {
     let grid = topology.grid();
     let (rows, cols) = (grid.rows() as usize, grid.cols() as usize);
     // The cycle order of each row/column in *physical positions*: natural
@@ -231,19 +294,14 @@ pub(super) fn build_torus_dateline(topology: &Topology) -> Result<Routes, BuildR
             paths[src.index() * n + dst.index()] = hops;
         }
     }
-    Ok(Routes {
-        n,
-        algorithm: RoutingAlgorithm::TorusDateline,
-        num_vc_classes: 4,
-        table: Table::Dense { paths },
-    })
+    Ok((paths, 4))
 }
 
 // ---------------------------------------------------------------------------
 // Hypercube e-cube routing.
 // ---------------------------------------------------------------------------
 
-pub(super) fn build_ecube(topology: &Topology) -> Result<Routes, BuildRoutesError> {
+fn ecube(topology: &Topology) -> Result<Paths, BuildRoutesError> {
     let grid = topology.grid();
     if !grid.rows().is_power_of_two() || !grid.cols().is_power_of_two() {
         return Err(BuildRoutesError::NotApplicable {
@@ -283,12 +341,7 @@ pub(super) fn build_ecube(topology: &Topology) -> Result<Routes, BuildRoutesErro
             paths[src.index() * n + dst.index()] = hops;
         }
     }
-    Ok(Routes {
-        n,
-        algorithm: RoutingAlgorithm::ECube,
-        num_vc_classes: 1,
-        table: Table::Dense { paths },
-    })
+    Ok((paths, 1))
 }
 
 // ---------------------------------------------------------------------------
@@ -299,7 +352,7 @@ pub(super) fn build_ecube(topology: &Topology) -> Result<Routes, BuildRoutesErro
 /// [`hop_escalation_table`]) into dense paths, so the dense reference and
 /// the compact form share one deterministic tie-break and reconstruct
 /// identical paths.
-pub(super) fn build_hop_escalation(topology: &Topology) -> Result<Routes, BuildRoutesError> {
+fn hop_escalation(topology: &Topology) -> Result<Paths, BuildRoutesError> {
     let n = topology.num_tiles();
     let (next_port, num_vc_classes) = hop_escalation_table(topology)?;
     let mut paths = vec![Vec::new(); n * n];
@@ -321,10 +374,5 @@ pub(super) fn build_hop_escalation(topology: &Topology) -> Result<Routes, BuildR
             paths[src.index() * n + dst.index()] = hops;
         }
     }
-    Ok(Routes {
-        n,
-        algorithm: RoutingAlgorithm::HopEscalation,
-        num_vc_classes,
-        table: Table::Dense { paths },
-    })
+    Ok((paths, num_vc_classes))
 }

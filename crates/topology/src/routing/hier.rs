@@ -31,14 +31,11 @@ use crate::topology::Topology;
 
 use super::line::{row_col_adjacency, LineBanks};
 use super::next_hop::Csr;
-use super::{BuildRoutesError, Hop, Routes, RoutingAlgorithm, Table};
-use crate::grid::TileId;
-use crate::topology::ChannelId;
+use super::{BuildRoutesError, HopTable, Routes, RoutingAlgorithm, Table};
 
 /// A hierarchical three-phase routing table (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub(super) struct HierTable {
-    csr: Csr,
     cols: u16,
     /// One bank per *distinct* row (column) adjacency: a multi-die part
     /// repeats a handful of lines across its rows and columns.
@@ -52,32 +49,26 @@ pub(super) struct HierTable {
     p3_base: u8,
 }
 
-impl HierTable {
-    /// `(out port, VC class)` at tile `at` for a `src → dst` flit on its
-    /// `hop`-th hop. O(1) apart from the CSR port lookup.
-    pub(super) fn port_and_class(&self, at: usize, src: usize, dst: usize, hop: usize) -> (u8, u8) {
+impl HopTable for HierTable {
+    /// O(1) apart from the port map lookup.
+    fn port_and_class(
+        &self,
+        ports: &Csr,
+        at: usize,
+        src: usize,
+        dst: usize,
+        hop: usize,
+    ) -> (u32, u8) {
         let (next, class) = self.step(src, dst, hop);
-        let port = self.csr.port_of(at, next as u32);
-        (u8::try_from(port).expect("radix fits u8"), class)
+        (ports.port_of(at, next as u32), class)
     }
 
-    /// The full [`Hop`] of the same query.
-    pub(super) fn hop_at(&self, at: usize, src: usize, dst: usize, hop: usize) -> Hop {
-        let (port, vc_class) = self.port_and_class(at, src, dst, hop);
-        let (to, channel) = self.csr.entry(at, u32::from(port));
-        Hop {
-            channel: ChannelId::new(channel),
-            to: TileId::new(to),
-            vc_class,
-        }
-    }
-
-    /// Path length of `src → dst` in O(1) (sums 2–3 list lengths).
-    pub(super) fn hop_count(&self, src: usize, dst: usize) -> usize {
+    /// O(1): sums 2–3 list lengths.
+    fn hop_count(&self, src: usize, dst: usize) -> Option<usize> {
         let cols = self.cols as usize;
         let (sr, sc) = (src / cols, src % cols);
         let (dr, dc) = (dst / cols, dst % cols);
-        match self.row_banks.line(sr).list(sc as u16, dc as u16) {
+        Some(match self.row_banks.line(sr).list(sc as u16, dc as u16) {
             Some(row) => row.len() + self.col_list_len(dc, sr, dr),
             None => {
                 let g = self.through[sr];
@@ -90,9 +81,15 @@ impl HierTable {
                         .len()
                     + self.col_list_len(dc, g as usize, dr)
             }
-        }
+        })
     }
 
+    fn bytes(&self) -> usize {
+        self.row_banks.bytes() + self.col_banks.bytes() + self.through.len() * 2
+    }
+}
+
+impl HierTable {
     fn col_list_len(&self, col: usize, from_row: usize, to_row: usize) -> usize {
         self.col_banks
             .line(col)
@@ -148,11 +145,6 @@ impl HierTable {
             .expect("columns are fully connected");
         let mv = down[k - row.len()];
         (mv.to_pos as usize * cols + dc, self.p3_base + mv.reversals)
-    }
-
-    /// Approximate resident heap bytes.
-    pub(super) fn bytes(&self) -> usize {
-        self.csr.bytes() + self.row_banks.bytes() + self.col_banks.bytes() + self.through.len() * 2
     }
 }
 
@@ -217,12 +209,11 @@ pub(super) fn build_hierarchical(topology: &Topology) -> Result<Routes, BuildRou
     let p2_classes = 1 + row_banks.max_reversals();
     let p3_classes = 1 + col_banks.max_reversals();
     let num_vc_classes = p1_classes + p2_classes + p3_classes;
-    Ok(Routes {
-        n: topology.num_tiles(),
-        algorithm: RoutingAlgorithm::Hierarchical,
+    Ok(Routes::new(
+        topology,
+        RoutingAlgorithm::Hierarchical,
         num_vc_classes,
-        table: Table::Hier(HierTable {
-            csr: Csr::build(topology),
+        Table::Hier(HierTable {
             cols: grid.cols(),
             row_banks,
             col_banks,
@@ -230,7 +221,7 @@ pub(super) fn build_hierarchical(topology: &Topology) -> Result<Routes, BuildRou
             p2_base: p1_classes,
             p3_base: p1_classes + p2_classes,
         }),
-    })
+    ))
 }
 
 #[cfg(test)]

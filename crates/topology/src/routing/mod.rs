@@ -23,15 +23,19 @@
 //!   whose class count follows die-internal connectivity instead of
 //!   network diameter.
 //!
-//! A [`Routes`] table comes in one of three storage forms
-//! ([`RouteForm`]): the **dense** reference materializes every path as a
-//! `Vec<Hop>` (O(n² · hops) memory — multi-GB at 10k tiles); the
-//! **next-hop** form answers `(router, src, dst) → (out port, VC class)`
-//! in O(1) from per-algorithm closed-form kernels and reconstructs paths
-//! bit-identical to dense (enforced by the equivalence suite); the
-//! **hierarchical** form is the next-hop analog for stitched multi-die
-//! networks. Consumers that only step flits use [`Routes::port_and_class`];
-//! per-path metrics stream over reconstructed paths via
+//! Production code builds one table per topology with
+//! [`default_routes`] (or [`build_routes`] for a named algorithm): the
+//! compact **next-hop** form, which answers `(router, src, dst, hop) →
+//! (out port, VC class)` in O(1) from per-algorithm closed-form kernels,
+//! or on a stitched multi-die part the **hierarchical** form, its
+//! multi-die analog. The **dense** form ([`RouteForm::Dense`], built only
+//! by [`build_routes_with`] and [`default_routes_with`]) is the test
+//! oracle: it materializes every path as a `Vec<Hop>` (O(n² · hops)
+//! memory — multi-GB at 10k tiles) from separate per-algorithm code, and
+//! the equivalence suite checks that the compact forms reconstruct its
+//! paths and answer its per-hop queries bit for bit. Every form answers
+//! the same interface: consumers that only step flits use
+//! [`Routes::port_and_class`]; per-path metrics stream over hops via
 //! [`Routes::for_each_hop`], and all-pairs sums (channel loads, mean hops,
 //! zero-load delay) go through [`Routes::for_each_channel_use`], which
 //! walks line banks instead of pairs where the kernel is line-separable.
@@ -50,8 +54,9 @@ use serde::{Deserialize, Serialize};
 use crate::grid::TileId;
 use crate::topology::{ChannelId, Topology, TopologyKind};
 
+use dense::DenseTable;
 use hier::HierTable;
-use next_hop::NextHopTable;
+use next_hop::{Csr, NextHopTable};
 
 /// One hop of a routed path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -133,18 +138,20 @@ impl std::fmt::Display for BuildRoutesError {
 
 impl std::error::Error for BuildRoutesError {}
 
-/// The storage form of a [`Routes`] table.
+/// The storage form of a [`Routes`] table. Production tables are
+/// compact ([`default_routes`] picks the form); [`RouteForm::Dense`] is
+/// requested by name only as the test oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RouteForm {
-    /// Every path materialized as a `Vec<Hop>`; the cross-checkable
-    /// reference, O(n² · hops) memory.
+    /// Every path materialized as a `Vec<Hop>`; the test oracle,
+    /// O(n² · hops) memory.
     Dense,
     /// Compact per-algorithm kernels; O(1) hop queries, paths
     /// reconstructed on demand, bit-identical to [`RouteForm::Dense`].
     NextHop,
     /// The compact multi-die form ([`RoutingAlgorithm::Hierarchical`]),
-    /// never requested directly: [`default_routes_with`] upgrades
-    /// `NextHop` to it on multi-die topologies.
+    /// never requested directly: [`default_routes`] picks it on
+    /// multi-die topologies.
     Hierarchical,
 }
 
@@ -169,9 +176,49 @@ impl std::fmt::Display for RouteForm {
 /// The storage behind a [`Routes`] table (see [`RouteForm`]).
 #[derive(Debug, Clone, PartialEq)]
 enum Table {
-    Dense { paths: Vec<Vec<Hop>> },
+    Dense(DenseTable),
     NextHop(NextHopTable),
     Hier(HierTable),
+}
+
+/// The per-hop interface every storage form answers. Ports index
+/// [`Routes`]' shared port map: a port is the channel's position in the
+/// tile's sorted neighbor list, which is how the simulator numbers
+/// router ports.
+trait HopTable {
+    /// `(out port, VC class)` at `at` for the `hop`-th hop of
+    /// `src → dst`; on a degraded table the port is [`NO_ROUTE`] when
+    /// `dst` has no surviving route from `at`.
+    fn port_and_class(
+        &self,
+        ports: &Csr,
+        at: usize,
+        src: usize,
+        dst: usize,
+        hop: usize,
+    ) -> (u32, u8);
+
+    /// The full [`Hop`] of the same query.
+    fn hop_at(&self, ports: &Csr, at: usize, src: usize, dst: usize, hop: usize) -> Hop {
+        let (port, vc_class) = self.port_and_class(ports, at, src, dst, hop);
+        assert!(
+            (port as usize) < ports.degree(at),
+            "no surviving route from tile {at} to tile {dst}"
+        );
+        let (to, channel) = ports.entry(at, port);
+        Hop {
+            channel: ChannelId::new(channel),
+            to: TileId::new(to),
+            vc_class,
+        }
+    }
+
+    /// The hop count of `src → dst` (distinct tiles) where the table
+    /// knows it without a walk.
+    fn hop_count(&self, src: usize, dst: usize) -> Option<usize>;
+
+    /// Approximate resident heap bytes, the port map excluded.
+    fn bytes(&self) -> usize;
 }
 
 /// A complete deterministic routing table: one path per ordered tile pair.
@@ -182,21 +229,18 @@ enum Table {
 /// use shg_topology::{generators, routing, Grid, TileId};
 ///
 /// let mesh = generators::mesh(Grid::new(4, 4));
-/// let routes = routing::build_routes(&mesh, routing::RoutingAlgorithm::RowColumn)
-///     .expect("mesh routes");
-/// assert_eq!(routes.path(TileId::new(0), TileId::new(15)).len(), 6);
+/// let routes = routing::default_routes(&mesh).expect("mesh routes");
+/// assert_eq!(routes.path_vec(TileId::new(0), TileId::new(15)).len(), 6);
+/// assert_eq!(routes.hop_count(TileId::new(0), TileId::new(15)), 6);
 /// assert!(routes.is_deadlock_free(&mesh));
 ///
-/// // The compact form answers the same queries without materialized paths.
-/// let compact = routing::build_routes_with(
-///     &mesh,
-///     routing::RoutingAlgorithm::RowColumn,
-///     routing::RouteForm::NextHop,
-/// )
-/// .expect("mesh routes");
+/// // The dense test oracle materializes every path and routes the same.
+/// let oracle = routing::default_routes_with(&mesh, routing::RouteForm::Dense)
+///     .expect("mesh routes");
+/// assert_eq!(oracle.form(), routing::RouteForm::Dense);
 /// assert_eq!(
-///     compact.path_vec(TileId::new(0), TileId::new(15)),
-///     routes.path(TileId::new(0), TileId::new(15)),
+///     oracle.path_vec(TileId::new(0), TileId::new(15)),
+///     routes.path_vec(TileId::new(0), TileId::new(15)),
 /// );
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -204,27 +248,32 @@ pub struct Routes {
     n: usize,
     algorithm: RoutingAlgorithm,
     num_vc_classes: u8,
+    ports: Csr,
     table: Table,
 }
 
 impl Routes {
-    /// The path from `src` to `dst` (empty when `src == dst`).
-    ///
-    /// Only the dense form holds materialized paths; compact-form
-    /// consumers use [`Routes::port_and_class`], [`Routes::for_each_hop`]
-    /// or [`Routes::path_vec`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is out of range, or on a non-dense form.
-    #[must_use]
-    pub fn path(&self, src: TileId, dst: TileId) -> &[Hop] {
+    fn new(
+        topology: &Topology,
+        algorithm: RoutingAlgorithm,
+        num_vc_classes: u8,
+        table: Table,
+    ) -> Self {
+        Self {
+            n: topology.num_tiles(),
+            algorithm,
+            num_vc_classes,
+            ports: Csr::build(topology),
+            table,
+        }
+    }
+
+    /// The per-hop dispatch over the storage forms.
+    fn hop_table(&self) -> &dyn HopTable {
         match &self.table {
-            Table::Dense { paths } => &paths[src.index() * self.n + dst.index()],
-            _ => panic!(
-                "path() requires the dense route form (this is {})",
-                self.form()
-            ),
+            Table::Dense(t) => t,
+            Table::NextHop(t) => t,
+            Table::Hier(t) => t,
         }
     }
 
@@ -232,7 +281,7 @@ impl Routes {
     #[must_use]
     pub fn form(&self) -> RouteForm {
         match &self.table {
-            Table::Dense { .. } => RouteForm::Dense,
+            Table::Dense(_) => RouteForm::Dense,
             Table::NextHop(_) => RouteForm::NextHop,
             Table::Hier(_) => RouteForm::Hierarchical,
         }
@@ -252,60 +301,40 @@ impl Routes {
     }
 
     /// `(out port, VC class)` at router `at` for a `src → dst` flit whose
-    /// next hop is the `hop`-th of its path — the O(1) query the
-    /// simulator's routing stage makes on compact forms. The out port is
-    /// the channel's position in `at`'s sorted neighbor list, which is
-    /// exactly how the simulator numbers router ports.
+    /// next hop is the `hop`-th of its path — the per-hop query the
+    /// simulator's routing stage makes. The out port is the channel's
+    /// position in `at`'s sorted neighbor list, which is exactly how the
+    /// simulator numbers router ports.
     ///
     /// # Panics
     ///
-    /// Panics on the dense form (whose consumers read [`Routes::path`]
-    /// and resolve ports from materialized channels), or if `at == dst`
-    /// (ejection is not a routed hop).
+    /// Panics if `at == dst` (ejection is not a routed hop).
     #[must_use]
     pub fn port_and_class(&self, at: TileId, src: TileId, dst: TileId, hop: usize) -> (u8, u8) {
         assert_ne!(at, dst, "ejection is not a routed hop");
-        match &self.table {
-            Table::Dense { .. } => {
-                panic!("port_and_class() requires a compact route form (this is dense)")
-            }
-            Table::NextHop(t) => t.port_and_class(at.index(), src.index(), dst.index(), hop),
-            Table::Hier(t) => t.port_and_class(at.index(), src.index(), dst.index(), hop),
-        }
+        let (port, class) =
+            self.hop_table()
+                .port_and_class(&self.ports, at.index(), src.index(), dst.index(), hop);
+        (u8::try_from(port).expect("radix fits u8"), class)
     }
 
     /// Streams the hops of `src → dst` in order without materializing the
-    /// path. On compact forms this walks the table from `src`; the walk
-    /// panics rather than livelocks if the table were ever inconsistent.
+    /// path: a walk of the table from `src`, which panics rather than
+    /// livelocks if the table were ever inconsistent.
     pub fn for_each_hop(&self, src: TileId, dst: TileId, mut f: impl FnMut(Hop)) {
-        match &self.table {
-            Table::Dense { paths } => {
-                for &hop in &paths[src.index() * self.n + dst.index()] {
-                    f(hop);
-                }
-            }
-            _ => {
-                if src == dst {
-                    return;
-                }
-                let (mut at, mut hop) = (src.index(), 0usize);
-                while at != dst.index() {
-                    assert!(hop < self.n, "routing walk exceeded {} hops", self.n);
-                    let h = match &self.table {
-                        Table::NextHop(t) => t.hop_at(at, src.index(), dst.index(), hop),
-                        Table::Hier(t) => t.hop_at(at, src.index(), dst.index(), hop),
-                        Table::Dense { .. } => unreachable!(),
-                    };
-                    f(h);
-                    at = h.to.index();
-                    hop += 1;
-                }
-            }
+        let table = self.hop_table();
+        let (mut at, mut hop) = (src.index(), 0usize);
+        while at != dst.index() {
+            assert!(hop < self.n, "routing walk exceeded {} hops", self.n);
+            let h = table.hop_at(&self.ports, at, src.index(), dst.index(), hop);
+            f(h);
+            at = h.to.index();
+            hop += 1;
         }
     }
 
-    /// The path from `src` to `dst`, materialized. Works on every form;
-    /// on the dense form this clones the stored path.
+    /// The path from `src` to `dst`, materialized (empty when
+    /// `src == dst`).
     #[must_use]
     pub fn path_vec(&self, src: TileId, dst: TileId) -> Vec<Hop> {
         let mut hops = Vec::new();
@@ -318,29 +347,25 @@ impl Routes {
     /// on the other next-hop kernels.
     #[must_use]
     pub fn hop_count(&self, src: TileId, dst: TileId) -> usize {
-        match &self.table {
-            Table::Dense { paths } => paths[src.index() * self.n + dst.index()].len(),
-            Table::Hier(t) if src != dst => t.hop_count(src.index(), dst.index()),
-            Table::Hier(_) => 0,
-            Table::NextHop(t) => t.hop_count(src.index(), dst.index()).unwrap_or_else(|| {
+        if src == dst {
+            return 0;
+        }
+        self.hop_table()
+            .hop_count(src.index(), dst.index())
+            .unwrap_or_else(|| {
                 let mut hops = 0;
                 self.for_each_hop(src, dst, |_| hops += 1);
                 hops
-            }),
-        }
+            })
     }
 
     /// Maximum hop count over all pairs (the routed diameter).
     #[must_use]
     pub fn max_hops(&self) -> usize {
-        match &self.table {
-            Table::Dense { paths } => paths.iter().map(Vec::len).max().unwrap_or(0),
-            _ => self
-                .pairs()
-                .map(|(src, dst)| self.hop_count(src, dst))
-                .max()
-                .unwrap_or(0),
-        }
+        self.pairs()
+            .map(|(src, dst)| self.hop_count(src, dst))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Mean hop count over all ordered pairs of distinct tiles.
@@ -407,13 +432,8 @@ impl Routes {
     /// makes one pair-by-pair pass over its O(n² · hops) hops.
     pub fn for_each_channel_use(&self, mut f: impl FnMut(ChannelId, u32)) {
         match &self.table {
-            Table::Dense { paths } => {
-                for hop in paths.iter().flatten() {
-                    f(hop.channel, 1);
-                }
-            }
             // The guard does the line-wise pass where the kernel allows one.
-            Table::NextHop(t) if t.for_each_line_use(&mut f) => {}
+            Table::NextHop(t) if t.for_each_line_use(&self.ports, &mut f) => {}
             _ => {
                 for (src, dst) in self.pairs() {
                     self.for_each_hop(src, dst, |hop| f(hop.channel, 1));
@@ -440,31 +460,19 @@ impl Routes {
     /// ends at `dst`, and VC classes stay below `num_vc_classes`.
     #[must_use]
     pub fn validate(&self, topology: &Topology) -> bool {
-        for src in topology.grid().tiles() {
-            for dst in topology.grid().tiles() {
-                if src == dst {
-                    if let Table::Dense { paths } = &self.table {
-                        if !paths[src.index() * self.n + dst.index()].is_empty() {
-                            return false;
-                        }
-                    }
-                    continue;
+        for (src, dst) in self.pairs() {
+            let mut at = src;
+            let mut ok = true;
+            self.for_each_hop(src, dst, |hop| {
+                let channel = topology.channel(hop.channel);
+                if channel.from != at || channel.to != hop.to || hop.vc_class >= self.num_vc_classes
+                {
+                    ok = false;
                 }
-                let mut at = src;
-                let mut ok = true;
-                self.for_each_hop(src, dst, |hop| {
-                    let channel = topology.channel(hop.channel);
-                    if channel.from != at
-                        || channel.to != hop.to
-                        || hop.vc_class >= self.num_vc_classes
-                    {
-                        ok = false;
-                    }
-                    at = hop.to;
-                });
-                if !ok || at != dst {
-                    return false;
-                }
+                at = hop.to;
+            });
+            if !ok || at != dst {
+                return false;
             }
         }
         true
@@ -484,9 +492,7 @@ impl Routes {
         let key = |c: ChannelId, class: u8| c.index() * classes + class as usize;
         let mut edges: Vec<std::collections::BTreeSet<usize>> = vec![Default::default(); nodes];
         for (src, dst) in self.pairs() {
-            if !matches!(self.table, Table::Dense { .. })
-                && self.port_and_class(src, src, dst, 0).0 == NO_ROUTE
-            {
+            if self.port_and_class(src, src, dst, 0).0 == NO_ROUTE {
                 continue;
             }
             let mut prev: Option<Hop> = None;
@@ -548,17 +554,7 @@ impl Routes {
     /// Approximate resident heap bytes of the table storage.
     #[must_use]
     pub fn table_bytes(&self) -> usize {
-        match &self.table {
-            Table::Dense { paths } => {
-                paths.len() * std::mem::size_of::<Vec<Hop>>()
-                    + paths
-                        .iter()
-                        .map(|p| p.capacity() * std::mem::size_of::<Hop>())
-                        .sum::<usize>()
-            }
-            Table::NextHop(t) => t.bytes(),
-            Table::Hier(t) => t.bytes(),
-        }
+        self.ports.bytes() + self.hop_table().bytes()
     }
 
     /// All ordered pairs of distinct tiles.
@@ -571,9 +567,9 @@ impl Routes {
     }
 }
 
-/// Builds a deterministic dense (reference-form) routing table for
-/// `topology` with `algorithm`. [`RoutingAlgorithm::Hierarchical`] has no
-/// dense form and always builds its compact table.
+/// Builds the routing table for `topology` with `algorithm`, in its
+/// compact form (the hierarchical table for
+/// [`RoutingAlgorithm::Hierarchical`], the next-hop table otherwise).
 ///
 /// # Errors
 ///
@@ -583,11 +579,14 @@ pub fn build_routes(
     topology: &Topology,
     algorithm: RoutingAlgorithm,
 ) -> Result<Routes, BuildRoutesError> {
-    build_routes_with(topology, algorithm, RouteForm::Dense)
+    build_routes_with(topology, algorithm, RouteForm::NextHop)
 }
 
 /// Builds a routing table for `topology` with `algorithm`, stored in
-/// `form`. [`RouteForm::Hierarchical`] and
+/// `form`. [`RouteForm::Dense`] is the test oracle: every path
+/// materialized, O(n² · hops) memory, built by separate per-algorithm
+/// code that the compact forms must match hop for hop. Production code
+/// calls [`build_routes`]. [`RouteForm::Hierarchical`] and
 /// [`RoutingAlgorithm::Hierarchical`] each force the hierarchical table
 /// regardless of the other parameter.
 ///
@@ -604,36 +603,37 @@ pub fn build_routes_with(
         return hier::build_hierarchical(topology);
     }
     match form {
-        RouteForm::Dense => match algorithm {
-            RoutingAlgorithm::RowColumn => dense::build_row_column(topology),
-            RoutingAlgorithm::RingDateline => dense::build_ring_dateline(topology),
-            RoutingAlgorithm::TorusDateline => dense::build_torus_dateline(topology),
-            RoutingAlgorithm::ECube => dense::build_ecube(topology),
-            RoutingAlgorithm::HopEscalation => dense::build_hop_escalation(topology),
-            RoutingAlgorithm::Hierarchical => unreachable!("handled above"),
-        },
-        RouteForm::NextHop => next_hop::build_next_hop(topology, algorithm),
-        RouteForm::Hierarchical => unreachable!("handled above"),
+        RouteForm::Dense => dense::build(topology, algorithm),
+        _ => next_hop::build_next_hop(topology, algorithm),
     }
 }
 
-/// Builds the default dense routing for the topology's kind.
+/// Builds the routing table every production consumer uses: the
+/// compact next-hop table of the kind's [`default_algorithm`] — or, on
+/// a custom (typically stitched multi-die) topology, the
+/// [`RoutingAlgorithm::Hierarchical`] table, whose VC class count
+/// follows die-internal connectivity instead of growing with network
+/// diameter, falling back to hop escalation when the structure does not
+/// support it.
 ///
 /// # Errors
 ///
-/// Returns [`BuildRoutesError`] if the default algorithm fails, which only
-/// happens for custom topologies with exotic structure.
+/// Returns [`BuildRoutesError`] if no applicable algorithm remains,
+/// which only happens for custom topologies with exotic structure.
 pub fn default_routes(topology: &Topology) -> Result<Routes, BuildRoutesError> {
-    build_routes(topology, default_algorithm(topology.kind()))
+    let algorithm = default_algorithm(topology.kind());
+    if algorithm == RoutingAlgorithm::HopEscalation && topology.kind() == TopologyKind::Custom {
+        if let Ok(routes) = hier::build_hierarchical(topology) {
+            return Ok(routes);
+        }
+    }
+    build_routes(topology, algorithm)
 }
 
-/// Builds the default routing for the topology's kind, stored in `form`.
-///
-/// Requesting [`RouteForm::NextHop`] on a custom (typically stitched
-/// multi-die) topology first tries the [`RoutingAlgorithm::Hierarchical`]
-/// table — whose VC class count follows die-internal connectivity instead
-/// of growing with network diameter — and falls back to the compact
-/// hop-escalation table when the structure does not support it.
+/// [`default_routes`], or with [`RouteForm::Dense`] the test oracle: the
+/// dense table of the kind's [`default_algorithm`] (never the
+/// hierarchical table, which has no dense form). Every other form
+/// simply means [`default_routes`].
 ///
 /// # Errors
 ///
@@ -643,27 +643,12 @@ pub fn default_routes_with(
     form: RouteForm,
 ) -> Result<Routes, BuildRoutesError> {
     match form {
-        RouteForm::Dense => default_routes(topology),
-        RouteForm::Hierarchical => build_routes_with(
+        RouteForm::Dense => build_routes_with(
             topology,
-            RoutingAlgorithm::Hierarchical,
-            RouteForm::Hierarchical,
+            default_algorithm(topology.kind()),
+            RouteForm::Dense,
         ),
-        RouteForm::NextHop => {
-            let algorithm = default_algorithm(topology.kind());
-            if algorithm == RoutingAlgorithm::HopEscalation
-                && topology.kind() == TopologyKind::Custom
-            {
-                if let Ok(routes) = build_routes_with(
-                    topology,
-                    RoutingAlgorithm::Hierarchical,
-                    RouteForm::Hierarchical,
-                ) {
-                    return Ok(routes);
-                }
-            }
-            build_routes_with(topology, algorithm, RouteForm::NextHop)
-        }
+        _ => default_routes(topology),
     }
 }
 
@@ -759,13 +744,25 @@ mod tests {
         );
     }
 
+    /// `algorithm`'s dense oracle and its production table, each checked.
+    fn checked_forms(topology: &Topology, algorithm: RoutingAlgorithm) -> [Routes; 2] {
+        let dense = build_routes_with(topology, algorithm, RouteForm::Dense).expect("dense");
+        assert_eq!(dense.form(), RouteForm::Dense);
+        let compact = build_routes(topology, algorithm).expect("compact");
+        assert_ne!(compact.form(), RouteForm::Dense);
+        for routes in [&dense, &compact] {
+            all_checks(topology, routes);
+        }
+        [dense, compact]
+    }
+
     #[test]
     fn mesh_row_column_is_xy() {
         let grid = Grid::new(4, 4);
         let mesh = generators::mesh(grid);
-        let routes = build_routes(&mesh, RoutingAlgorithm::RowColumn).expect("mesh");
-        all_checks(&mesh, &routes);
-        assert!(routes.minimal_paths_used(&mesh), "XY on mesh is minimal");
+        for routes in checked_forms(&mesh, RoutingAlgorithm::RowColumn) {
+            assert!(routes.minimal_paths_used(&mesh), "XY on mesh is minimal");
+        }
     }
 
     #[test]
@@ -774,69 +771,68 @@ mod tests {
         let sr = [4].into_iter().collect();
         let sc = [2, 5].into_iter().collect();
         let shg = generators::row_column_skip(grid, &sr, &sc).expect("valid");
-        let routes = build_routes(&shg, RoutingAlgorithm::RowColumn).expect("shg");
-        all_checks(&shg, &routes);
+        let _ = checked_forms(&shg, RoutingAlgorithm::RowColumn);
     }
 
     #[test]
     fn flattened_butterfly_routes_use_minimal_paths() {
         let grid = Grid::new(8, 8);
         let fb = generators::flattened_butterfly(grid);
-        let routes = build_routes(&fb, RoutingAlgorithm::RowColumn).expect("fb");
-        all_checks(&fb, &routes);
-        // Table I: minimal paths used ✓ for the flattened butterfly.
-        assert!(routes.minimal_paths_used(&fb));
-        assert_eq!(routes.max_hops(), 2);
+        for routes in checked_forms(&fb, RoutingAlgorithm::RowColumn) {
+            // Table I: minimal paths used ✓ for the flattened butterfly.
+            assert!(routes.minimal_paths_used(&fb));
+            assert_eq!(routes.max_hops(), 2);
+        }
     }
 
     #[test]
     fn ring_routes() {
         let grid = Grid::new(4, 4);
         let ring = generators::ring(grid);
-        let routes = build_routes(&ring, RoutingAlgorithm::RingDateline).expect("ring");
-        all_checks(&ring, &routes);
-        assert_eq!(routes.max_hops(), 8); // R·C/2
-        assert!(!routes.minimal_paths_used(&ring));
+        for routes in checked_forms(&ring, RoutingAlgorithm::RingDateline) {
+            assert_eq!(routes.max_hops(), 8); // R·C/2
+            assert!(!routes.minimal_paths_used(&ring));
+        }
     }
 
     #[test]
     fn torus_routes() {
         let grid = Grid::new(4, 4);
         let torus = generators::torus(grid);
-        let routes = build_routes(&torus, RoutingAlgorithm::TorusDateline).expect("torus");
-        all_checks(&torus, &routes);
-        assert_eq!(routes.max_hops(), 4); // R/2 + C/2
-                                          // Table I: torus min-hop routing does not use physically minimal
-                                          // paths (wrap links are physically long).
-        assert!(!routes.minimal_paths_used(&torus));
+        for routes in checked_forms(&torus, RoutingAlgorithm::TorusDateline) {
+            assert_eq!(routes.max_hops(), 4); // R/2 + C/2
+                                              // Table I: torus min-hop routing does not use physically
+                                              // minimal paths (wrap links are physically long).
+            assert!(!routes.minimal_paths_used(&torus));
+        }
     }
 
     #[test]
     fn folded_torus_routes() {
         let grid = Grid::new(8, 8);
         let ft = generators::folded_torus(grid);
-        let routes = build_routes(&ft, RoutingAlgorithm::TorusDateline).expect("folded");
-        all_checks(&ft, &routes);
-        assert_eq!(routes.max_hops(), 8);
+        for routes in checked_forms(&ft, RoutingAlgorithm::TorusDateline) {
+            assert_eq!(routes.max_hops(), 8);
+        }
     }
 
     #[test]
     fn hypercube_routes() {
         let grid = Grid::new(8, 8);
         let hc = generators::hypercube(grid).expect("8x8");
-        let routes = build_routes(&hc, RoutingAlgorithm::ECube).expect("ecube");
-        all_checks(&hc, &routes);
-        assert_eq!(routes.max_hops(), 6); // log2(64)
+        for routes in checked_forms(&hc, RoutingAlgorithm::ECube) {
+            assert_eq!(routes.max_hops(), 6); // log2(64)
+        }
     }
 
     #[test]
     fn slimnoc_routes() {
         let grid = Grid::new(16, 8);
         let slim = generators::slim_noc(grid).expect("128 tiles");
-        let routes = build_routes(&slim, RoutingAlgorithm::HopEscalation).expect("slim");
-        all_checks(&slim, &routes);
-        assert_eq!(routes.max_hops(), 2);
-        assert_eq!(routes.num_vc_classes(), 2);
+        for routes in checked_forms(&slim, RoutingAlgorithm::HopEscalation) {
+            assert_eq!(routes.max_hops(), 2);
+            assert_eq!(routes.num_vc_classes(), 2);
+        }
     }
 
     #[test]
@@ -850,8 +846,10 @@ mod tests {
             generators::hypercube(grid).expect("8x8"),
             generators::flattened_butterfly(grid),
         ] {
-            let routes = default_routes(&topology).expect("default routing");
-            all_checks(&topology, &routes);
+            for form in [RouteForm::Dense, RouteForm::NextHop] {
+                let routes = default_routes_with(&topology, form).expect("default routing");
+                all_checks(&topology, &routes);
+            }
         }
     }
 
@@ -901,9 +899,7 @@ mod tests {
     fn degraded_full_mask_matches_hop_escalation_paths() {
         let grid = Grid::new(4, 4);
         let mesh = generators::mesh(grid);
-        let reference =
-            build_routes_with(&mesh, RoutingAlgorithm::HopEscalation, RouteForm::NextHop)
-                .expect("mesh");
+        let reference = build_routes(&mesh, RoutingAlgorithm::HopEscalation).expect("mesh");
         let (tiles, channels) = full_liveness(&mesh);
         let degraded = degraded_routes(&mesh, &tiles, &channels, reference.num_vc_classes())
             .expect("fully-alive mask is connected");
@@ -1019,11 +1015,12 @@ mod tests {
     fn next_hop_form_reports_itself() {
         let grid = Grid::new(4, 4);
         let mesh = generators::mesh(grid);
-        let dense = build_routes(&mesh, RoutingAlgorithm::RowColumn).expect("mesh");
-        let compact = build_routes_with(&mesh, RoutingAlgorithm::RowColumn, RouteForm::NextHop)
-            .expect("mesh");
+        let dense =
+            build_routes_with(&mesh, RoutingAlgorithm::RowColumn, RouteForm::Dense).expect("mesh");
+        let compact = build_routes(&mesh, RoutingAlgorithm::RowColumn).expect("mesh");
         assert_eq!(dense.form(), RouteForm::Dense);
         assert_eq!(compact.form(), RouteForm::NextHop);
+        assert_eq!(default_routes(&mesh).expect("mesh"), compact);
         assert_eq!(dense.semantic_digest(), compact.semantic_digest());
         assert!(compact.table_bytes() < dense.table_bytes());
         all_checks(&mesh, &compact);

@@ -4,7 +4,7 @@
 //!
 //! Each kernel answers the query from closed-form state (cycle
 //! positions, Gray codes, 1D line banks, per-destination port tables)
-//! sized O(n)–O(n^1.5) instead of the dense form's O(n² · hops), and
+//! sized O(n)–O(n^1.5) instead of the dense oracle's O(n² · hops), and
 //! reconstructs paths bit-identical to the dense builders — the
 //! equivalence suite in `tests/` enforces this for every generator.
 
@@ -13,12 +13,13 @@ use crate::grid::TileId;
 use crate::topology::{ChannelId, Topology, TopologyKind};
 
 use super::line::{row_column_banks, LineBanks, CLASSES_PER_PHASE, MAX_REVERSALS};
-use super::{BuildRoutesError, Hop, Routes, RoutingAlgorithm, Table};
+use super::{BuildRoutesError, HopTable, Routes, RoutingAlgorithm, Table};
 
 /// Per-tile sorted adjacency in the topology's canonical neighbor order
 /// — the same order [`Topology::neighbors`] iterates, which is also the
-/// order the simulator numbers router ports in. A kernel's next tile
-/// therefore maps to an out port by position in this list.
+/// order the simulator numbers router ports in. Every [`Routes`] form
+/// shares this port map: a next tile maps to an out port by position
+/// in this list.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(super) struct Csr {
     offsets: Vec<u32>,
@@ -104,39 +105,21 @@ pub(super) enum Kernel {
 /// A compact next-hop routing table (see [`Kernel`]).
 #[derive(Debug, Clone, PartialEq)]
 pub(super) struct NextHopTable {
-    pub(super) csr: Csr,
     rows: u16,
     cols: u16,
     kernel: Kernel,
 }
 
-impl NextHopTable {
-    /// `(out port, VC class)` at tile `at` for a `src → dst` flit whose
-    /// next hop is the `hop`-th of its path. O(1).
-    pub(super) fn port_and_class(&self, at: usize, src: usize, dst: usize, hop: usize) -> (u8, u8) {
-        let (port, class) = self.step(at, src, dst, hop);
-        (u8::try_from(port).expect("radix fits u8"), class)
-    }
-
-    /// The full [`Hop`] (channel, next tile, class) of the same query.
-    pub(super) fn hop_at(&self, at: usize, src: usize, dst: usize, hop: usize) -> Hop {
-        let (port, vc_class) = self.step(at, src, dst, hop);
-        if matches!(self.kernel, Kernel::Degraded { .. }) {
-            assert_ne!(
-                port,
-                u32::from(super::NO_ROUTE),
-                "no surviving route from tile {at} to tile {dst}"
-            );
-        }
-        let (to, channel) = self.csr.entry(at, port);
-        Hop {
-            channel: ChannelId::new(channel),
-            to: TileId::new(to),
-            vc_class,
-        }
-    }
-
-    fn step(&self, at: usize, src: usize, dst: usize, hop: usize) -> (u32, u8) {
+impl HopTable for NextHopTable {
+    /// O(1) apart from the port map lookup.
+    fn port_and_class(
+        &self,
+        ports: &Csr,
+        at: usize,
+        src: usize,
+        dst: usize,
+        hop: usize,
+    ) -> (u32, u8) {
         let cols = self.cols as usize;
         match &self.kernel {
             Kernel::RowColumn {
@@ -166,7 +149,7 @@ impl NextHopTable {
                         CLASSES_PER_PHASE + mv.reversals.min(MAX_REVERSALS),
                     )
                 };
-                (self.csr.port_of(at, next as u32), class)
+                (ports.port_of(at, next as u32), class)
             }
             Kernel::RingDateline { pos, order } => {
                 let n = order.len();
@@ -179,7 +162,7 @@ impl NextHopTable {
                 } else {
                     ((pa + n - 1) % n, pa == 0 || pa > ps)
                 };
-                (self.csr.port_of(at, order[np]), u8::from(crossed))
+                (ports.port_of(at, order[np]), u8::from(crossed))
             }
             Kernel::TorusDateline {
                 row_cycle,
@@ -207,13 +190,13 @@ impl NextHopTable {
                     let (np, crossed) = cycle_step(a, b, pa, len);
                     (col_cycle[np] as usize * cols + ac, 2 + u8::from(crossed))
                 };
-                (self.csr.port_of(at, next as u32), class)
+                (ports.port_of(at, next as u32), class)
             }
             Kernel::ECube { hid, by_hid } => {
                 let (h, target) = (hid[at], hid[dst]);
                 let bit = (h ^ target).trailing_zeros();
                 let next = by_hid[(h ^ (1 << bit)) as usize];
-                (self.csr.port_of(at, next), 0)
+                (ports.port_of(at, next), 0)
             }
             Kernel::HopEscalation { next_port } => {
                 let n = self.rows as usize * cols;
@@ -235,9 +218,9 @@ impl NextHopTable {
         }
     }
 
-    /// Path length of `src → dst` where the kernel knows it without a
-    /// walk: the row-column kernel sums its two move-list lengths.
-    pub(super) fn hop_count(&self, src: usize, dst: usize) -> Option<usize> {
+    /// The row-column kernel sums its two move-list lengths; the others
+    /// walk.
+    fn hop_count(&self, src: usize, dst: usize) -> Option<usize> {
         let Kernel::RowColumn {
             rows,
             cols: col_banks,
@@ -256,6 +239,24 @@ impl NextHopTable {
         Some(row.len() + col.len())
     }
 
+    fn bytes(&self) -> usize {
+        match &self.kernel {
+            Kernel::RowColumn { rows, cols } => rows.bytes() + cols.bytes(),
+            Kernel::RingDateline { pos, order } => (pos.len() + order.len()) * 4,
+            Kernel::TorusDateline {
+                row_cycle,
+                col_cycle,
+                row_logical,
+                col_logical,
+            } => (row_cycle.len() + col_cycle.len() + row_logical.len() + col_logical.len()) * 2,
+            Kernel::ECube { hid, by_hid } => (hid.len() + by_hid.len()) * 4,
+            Kernel::HopEscalation { next_port } => next_port.len(),
+            Kernel::Degraded { next_port, .. } => next_port.len() + 1,
+        }
+    }
+}
+
+impl NextHopTable {
     /// The all-pairs channel uses of a line-separable kernel, visited
     /// line by line; `false` (and no visit) on kernels whose paths do
     /// not separate. A row-column path is one row walk plus one column
@@ -268,7 +269,11 @@ impl NextHopTable {
     /// hops + links) in place of the O(n² · hops) of a pair-by-pair pass.
     /// The visits differ from the pair walk's only in grouping, which no
     /// sum over them can see.
-    pub(super) fn for_each_line_use(&self, f: &mut impl FnMut(ChannelId, u32)) -> bool {
+    pub(super) fn for_each_line_use(
+        &self,
+        ports: &Csr,
+        f: &mut impl FnMut(ChannelId, u32),
+    ) -> bool {
         let Kernel::RowColumn {
             rows,
             cols: col_banks,
@@ -278,8 +283,8 @@ impl NextHopTable {
         };
         let col_count = self.cols as usize;
         let mut visit = |at: usize, next: usize, uses: u32| {
-            let port = self.csr.port_of(at, next as u32);
-            f(ChannelId::new(self.csr.entry(at, port).1), uses);
+            let port = ports.port_of(at, next as u32);
+            f(ChannelId::new(ports.entry(at, port).1), uses);
         };
         rows.for_each_edge_use(|row, from, to, count| {
             let base = row * col_count;
@@ -297,24 +302,6 @@ impl NextHopTable {
             );
         });
         true
-    }
-
-    /// Approximate resident heap bytes.
-    pub(super) fn bytes(&self) -> usize {
-        let kernel = match &self.kernel {
-            Kernel::RowColumn { rows, cols } => rows.bytes() + cols.bytes(),
-            Kernel::RingDateline { pos, order } => (pos.len() + order.len()) * 4,
-            Kernel::TorusDateline {
-                row_cycle,
-                col_cycle,
-                row_logical,
-                col_logical,
-            } => (row_cycle.len() + col_cycle.len() + row_logical.len() + col_logical.len()) * 2,
-            Kernel::ECube { hid, by_hid } => (hid.len() + by_hid.len()) * 4,
-            Kernel::HopEscalation { next_port } => next_port.len(),
-            Kernel::Degraded { next_port, .. } => next_port.len() + 1,
-        };
-        self.csr.bytes() + kernel
     }
 }
 
@@ -490,8 +477,8 @@ pub(super) fn build_degraded(
         n,
         algorithm: RoutingAlgorithm::HopEscalation,
         num_vc_classes,
+        ports: csr,
         table: Table::NextHop(NextHopTable {
-            csr,
             rows: grid.rows(),
             cols: grid.cols(),
             kernel: Kernel::Degraded {
@@ -585,15 +572,14 @@ pub(super) fn build_next_hop(
         }
         RoutingAlgorithm::Hierarchical => return super::hier::build_hierarchical(topology),
     };
-    Ok(Routes {
-        n,
+    Ok(Routes::new(
+        topology,
         algorithm,
         num_vc_classes,
-        table: Table::NextHop(NextHopTable {
-            csr: Csr::build(topology),
+        Table::NextHop(NextHopTable {
             rows: grid.rows(),
             cols: grid.cols(),
             kernel,
         }),
-    })
+    ))
 }

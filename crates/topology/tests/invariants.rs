@@ -138,7 +138,7 @@ fn routed_path_endpoints_are_correct_for_all_generators() {
         // Spot-check a diagonal pair.
         let a = TileId::new(0);
         let b = TileId::new(15);
-        let path = routes.path(a, b);
+        let path = routes.path_vec(a, b);
         assert!(!path.is_empty());
         assert_eq!(path.last().expect("nonempty").to, b);
     }

@@ -1,9 +1,10 @@
 //! Route-form equivalence suite.
 //!
-//! The dense table is the semantic reference; the compact next-hop form
-//! must reconstruct **bit-identical** paths for every legacy generator,
-//! and its `(out port, VC class)` answers must match what the simulator
-//! would derive from the dense hops. The hierarchical multi-die form is
+//! The dense table is the test oracle; the compact next-hop form that
+//! production code routes on must reconstruct **bit-identical** paths
+//! for every legacy generator, and at every hop its `(out port, VC
+//! class)` answer must equal both the dense table's own answer and the
+//! port derived from the dense hop's link. The hierarchical multi-die form is
 //! checked against the structural invariants it promises instead:
 //! valid paths, deadlock freedom, bounded VC classes, and O(1) hop
 //! counts that agree with the walked paths. On every form, the all-pairs
@@ -16,13 +17,15 @@ use proptest::prelude::*;
 use shg_topology::db::{BoundaryRule, DieSpec, RegionRule, TopologyDb};
 use shg_topology::generators::{self, GeneratorSpec};
 use shg_topology::routing::{
-    self, build_routes, build_routes_with, default_routes_with, RouteForm, Routes, RoutingAlgorithm,
+    build_routes, build_routes_with, default_routes, default_routes_with, RouteForm, Routes,
+    RoutingAlgorithm,
 };
 use shg_topology::{Grid, Link, TileClass, TileCoord, Topology, TopologyKind};
 
 /// Every routed pair of `compact` reconstructs the dense path exactly,
-/// and the port/class query matches the port the simulator derives from
-/// each dense hop (the channel's position in the sorted neighbor list).
+/// and at every hop the port/class query answers what the dense table
+/// answers and what the simulator derives from the dense hop (the
+/// channel's position in the sorted neighbor list).
 fn assert_forms_identical(topology: &Topology, dense: &Routes, compact: &Routes) {
     assert_eq!(dense.form(), RouteForm::Dense);
     assert_eq!(compact.form(), RouteForm::NextHop);
@@ -31,13 +34,14 @@ fn assert_forms_identical(topology: &Topology, dense: &Routes, compact: &Routes)
     assert_eq!(dense.semantic_digest(), compact.semantic_digest());
     for src in topology.grid().tiles() {
         for dst in topology.grid().tiles() {
-            let reference = dense.path(src, dst);
+            let reference = dense.path_vec(src, dst);
             assert_eq!(
-                compact.path_vec(src, dst).as_slice(),
+                compact.path_vec(src, dst),
                 reference,
                 "{topology}: path {src} → {dst} differs"
             );
             assert_eq!(compact.hop_count(src, dst), reference.len());
+            assert_eq!(dense.hop_count(src, dst), reference.len());
             let mut at = src;
             for (i, hop) in reference.iter().enumerate() {
                 let port = topology
@@ -45,9 +49,15 @@ fn assert_forms_identical(topology: &Topology, dense: &Routes, compact: &Routes)
                     .iter()
                     .position(|&(n, _)| n == hop.to)
                     .expect("dense hop follows a real link");
+                let expected = (u8::try_from(port).expect("radix fits u8"), hop.vc_class);
+                assert_eq!(
+                    dense.port_and_class(at, src, dst, i),
+                    expected,
+                    "{topology}: dense port/class at {at} on {src} → {dst} hop {i}"
+                );
                 assert_eq!(
                     compact.port_and_class(at, src, dst, i),
-                    (u8::try_from(port).expect("radix fits u8"), hop.vc_class),
+                    expected,
                     "{topology}: port/class at {at} on {src} → {dst} hop {i}"
                 );
                 at = hop.to;
@@ -116,9 +126,8 @@ fn assert_accumulation_matches_pair_walk(
 }
 
 fn check_generator(topology: &Topology, algorithm: RoutingAlgorithm) {
-    let dense = build_routes(topology, algorithm).expect("dense builds");
-    let compact =
-        build_routes_with(topology, algorithm, RouteForm::NextHop).expect("compact builds");
+    let dense = build_routes_with(topology, algorithm, RouteForm::Dense).expect("dense builds");
+    let compact = build_routes(topology, algorithm).expect("compact builds");
     assert_forms_identical(topology, &dense, &compact);
     assert_accumulation_matches_pair_walk(topology, &dense, &compact, 0x5eed);
     assert_accumulation_matches_pair_walk(topology, &dense, &dense, 0x5eed);
@@ -257,7 +266,7 @@ fn hierarchical_routes_a_stitched_mesh_pair_minimally() {
     // (one per phase, no reversals on mesh lines).
     let db = two_die_db(4, (4, 5), ("mesh", "mesh"), 1);
     let topology = db.instantiate().expect("instantiates");
-    let routes = default_routes_with(&topology, RouteForm::NextHop).expect("routes");
+    let routes = default_routes(&topology).expect("routes");
     assert_hier_invariants(&topology, &routes, 8);
     assert_eq!(routes.num_vc_classes(), 2);
     assert!(routes.is_hop_minimal(&topology));
@@ -270,7 +279,7 @@ fn hierarchical_detours_through_seam_rows() {
     // row; within-die pairs stay minimal.
     let db = two_die_db(4, (3, 3), ("mesh", "mesh"), 2);
     let topology = db.instantiate().expect("instantiates");
-    let routes = default_routes_with(&topology, RouteForm::NextHop).expect("routes");
+    let routes = default_routes(&topology).expect("routes");
     assert_hier_invariants(&topology, &routes, 8);
     assert!(!routes.is_hop_minimal(&topology), "detours must cost hops");
 }
@@ -282,7 +291,7 @@ fn hierarchical_handles_the_ci_smoke_database() {
     )
     .expect("parses");
     let topology = db.instantiate().expect("instantiates");
-    let routes = default_routes_with(&topology, RouteForm::NextHop).expect("routes");
+    let routes = default_routes(&topology).expect("routes");
     assert_hier_invariants(&topology, &routes, 8);
 }
 
@@ -297,7 +306,7 @@ fn hierarchical_scales_to_the_readme_two_die_database() {
     )
     .expect("parses");
     let topology = db.instantiate().expect("instantiates");
-    let routes = default_routes_with(&topology, RouteForm::NextHop).expect("routes");
+    let routes = default_routes(&topology).expect("routes");
     assert_eq!(routes.form(), RouteForm::Hierarchical);
     assert!(
         routes.num_vc_classes() <= 8,
@@ -347,7 +356,7 @@ fn hierarchical_benchmark_part_shares_its_line_banks() {
     )
     .expect("parses");
     let topology = db.instantiate().expect("instantiates");
-    let routes = default_routes_with(&topology, RouteForm::NextHop).expect("routes");
+    let routes = default_routes(&topology).expect("routes");
     assert_eq!(routes.form(), RouteForm::Hierarchical);
     assert!(
         routes.table_bytes() < 1 << 20,
@@ -358,13 +367,13 @@ fn hierarchical_benchmark_part_shares_its_line_banks() {
 
 #[test]
 fn next_hop_default_falls_back_when_hierarchy_does_not_apply() {
-    // SlimNoC links are not row/column aligned, so the next-hop default
-    // stays on compact hop escalation rather than the hierarchical form.
+    // SlimNoC links are not row/column aligned, so the default stays on
+    // compact hop escalation rather than the hierarchical form.
     let slim = generators::slim_noc(Grid::new(16, 8)).expect("128 tiles");
-    let routes = default_routes_with(&slim, RouteForm::NextHop).expect("routes");
+    let routes = default_routes(&slim).expect("routes");
     assert_eq!(routes.form(), RouteForm::NextHop);
     assert_eq!(routes.algorithm(), RoutingAlgorithm::HopEscalation);
-    let dense = routing::default_routes(&slim).expect("dense routes");
+    let dense = default_routes_with(&slim, RouteForm::Dense).expect("dense routes");
     assert_forms_identical(&slim, &dense, &routes);
 }
 
@@ -390,8 +399,8 @@ proptest! {
             &skips(sc_mask, rows),
         )
         .expect("skips are in range");
-        let dense = routing::default_routes(&topology).expect("dense builds");
-        let compact = default_routes_with(&topology, RouteForm::NextHop).expect("compact builds");
+        let dense = default_routes_with(&topology, RouteForm::Dense).expect("dense builds");
+        let compact = default_routes(&topology).expect("compact builds");
         prop_assert_eq!(compact.algorithm(), RoutingAlgorithm::RowColumn);
         assert_forms_identical(&topology, &dense, &compact);
         assert_accumulation_matches_pair_walk(&topology, &dense, &compact, seed);
@@ -423,7 +432,7 @@ proptest! {
         let class = if class_memory == 1 { TileClass::Memory } else { TileClass::Io };
         db.dies[1].regions.push(RegionRule::class(r0..r1, 0..right_cols, class));
         let topology = db.instantiate().expect("multi-die products stay connected");
-        let routes = default_routes_with(&topology, RouteForm::NextHop).expect("routes");
+        let routes = default_routes(&topology).expect("routes");
         prop_assert_eq!(routes.form(), RouteForm::Hierarchical);
         assert_hier_invariants(&topology, &routes, 8);
     }

@@ -92,7 +92,7 @@ proptest! {
         let grid = topology.grid();
         for src in grid.tiles() {
             for dst in grid.tiles() {
-                let path = routes.path(src, dst);
+                let path = routes.path_vec(src, dst);
                 let mut seen = std::collections::HashSet::new();
                 seen.insert(src);
                 for hop in path {
