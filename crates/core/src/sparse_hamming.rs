@@ -16,7 +16,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 
 use shg_topology::generators::{self, SkipLinkError};
-use shg_topology::{Grid, Topology, TopologyKind};
+use shg_topology::{Grid, Topology};
 
 /// A validated sparse Hamming graph configuration.
 ///
@@ -139,22 +139,17 @@ impl SparseHammingConfig {
         row_links + col_links
     }
 
-    /// Builds the topology.
+    /// Builds the topology: of kind [`Mesh`] for the mesh,
+    /// [`SparseHamming`] for every other configuration —
+    /// the densest included, so routing and reporting treat the whole
+    /// family uniformly.
+    ///
+    /// [`Mesh`]: shg_topology::TopologyKind::Mesh
+    /// [`SparseHamming`]: shg_topology::TopologyKind::SparseHamming
     #[must_use]
     pub fn build(&self) -> Topology {
-        let topology = generators::row_column_skip(self.grid, &self.sr, &self.sc)
-            .expect("configuration was validated at construction");
-        if self.is_mesh() {
-            topology
-        } else {
-            // Keep the SparseHamming kind even for the densest instance so
-            // routing and reporting treat the whole family uniformly.
-            Topology::new(
-                self.grid,
-                TopologyKind::SparseHamming,
-                topology.links().iter().copied(),
-            )
-        }
+        generators::row_column_skip(self.grid, &self.sr, &self.sc)
+            .expect("configuration was validated at construction")
     }
 
     /// All configurations reachable by adding one skip distance — the
@@ -226,7 +221,7 @@ impl fmt::Display for SparseHammingConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shg_topology::metrics;
+    use shg_topology::{metrics, TopologyKind};
 
     #[test]
     fn scenario_configs_are_valid() {
@@ -300,6 +295,41 @@ mod tests {
     fn display_is_readable() {
         let config = SparseHammingConfig::new(8, 8, [4], [2, 5]).expect("valid");
         assert_eq!(config.to_string(), "SHG 8x8 SR={4} SC={2, 5}");
+    }
+
+    #[test]
+    fn build_equals_the_skip_construction() {
+        // Mesh, sparse Hamming graphs and the flattened butterfly: the
+        // topology has the construction's links and neighbours, and every
+        // configuration but the mesh is of the SparseHamming kind.
+        let grid = Grid::new(6, 5);
+        let configs = [
+            SparseHammingConfig::mesh(6, 5),
+            SparseHammingConfig::new(6, 5, [3], []).expect("valid"),
+            SparseHammingConfig::new(6, 5, [2, 4], [2, 5]).expect("valid"),
+            SparseHammingConfig::flattened_butterfly(6, 5),
+        ];
+        for config in &configs {
+            let built = config.build();
+            let reference =
+                generators::row_column_skip(grid, config.sr(), config.sc()).expect("valid skips");
+            assert_eq!(built.links(), reference.links(), "{config}");
+            for tile in grid.tiles() {
+                assert_eq!(built.neighbors(tile), reference.neighbors(tile), "{config}");
+            }
+            let kind = if config.is_mesh() {
+                TopologyKind::Mesh
+            } else {
+                TopologyKind::SparseHamming
+            };
+            assert_eq!(built.kind(), kind, "{config}");
+            assert_eq!(
+                built,
+                Topology::new(grid, kind, reference.links().iter().copied())
+            );
+        }
+        let fb = generators::flattened_butterfly(grid);
+        assert_eq!(configs[3].build().links(), fb.links());
     }
 
     #[test]

@@ -99,9 +99,9 @@ fn screening_a_candidate_keeps_its_allocator_calls() {
     };
     // (configuration, pinned allocator calls)
     let cases = [
-        (SparseHammingConfig::mesh(20, 20), 4_695),
-        (config(&[2], &[]), 6_814),
-        (config(&[2, 5, 19], &[4, 18]), 9_501),
+        (SparseHammingConfig::mesh(20, 20), 589),
+        (config(&[2], &[]), 591),
+        (config(&[2, 5, 19], &[4, 18]), 596),
     ];
     // One pass first, so one-time initialisation is not counted.
     let _ = screen_calls(&toolchain, &params, &cases[0].0);

@@ -221,7 +221,7 @@ impl PortAssignment {
         let mut faces: Vec<Option<(Face, usize, Face, usize)>> =
             Vec::with_capacity(topology.num_links());
         for (i, link) in topology.links().iter().enumerate() {
-            let plan = &global.plans[i];
+            let plan = global.plan(LinkId::new(i as u32));
             if plan.len() == 1 && plan[0] == Segment::Direct {
                 faces.push(None);
                 continue;

@@ -151,8 +151,10 @@ impl ChannelLoads {
 /// The global routing of every link plus the resulting channel loads.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct GlobalRouting {
-    /// `plans[link] = ` channel segments of that link.
-    pub plans: Vec<Vec<Segment>>,
+    /// `segments[offsets[l]..offsets[l + 1]]` = channel segments of link
+    /// `l` (see [`GlobalRouting::plan`]).
+    offsets: Vec<u32>,
+    segments: Vec<Segment>,
     /// Channel congestion after routing all links.
     pub loads: ChannelLoads,
 }
@@ -175,19 +177,42 @@ impl GlobalRouting {
     pub fn route(topology: &Topology, placement: PortPlacement) -> Self {
         let grid = topology.grid();
         let mut loads = ChannelLoads::new(grid.rows(), grid.cols());
-        let mut plans: Vec<Vec<Segment>> = vec![Vec::new(); topology.num_links()];
+        // Every candidate plan of a link has the same number of
+        // segments, so the plans' slots are fixed before any is chosen.
+        let mut offsets = Vec::with_capacity(topology.num_links() + 1);
+        offsets.push(0u32);
+        for i in 0..topology.num_links() as u32 {
+            let len = Candidates::of(topology, LinkId::new(i), placement).len;
+            offsets.push(offsets[i as usize] + len as u32);
+        }
+        let mut segments = vec![Segment::Direct; offsets[topology.num_links()] as usize];
         for id in longest_first(topology) {
-            let candidates = candidate_plans(topology, id, placement);
+            let candidates = Candidates::of(topology, id, placement);
             let best = candidates
-                .into_iter()
+                .plans()
                 .min_by_key(|plan| loads.cost(plan))
                 .expect("at least one candidate plan");
-            for &segment in &best {
+            for &segment in best {
                 loads.apply(segment, 1);
             }
-            plans[id.index()] = best;
+            let slot = offsets[id.index()] as usize..offsets[id.index() + 1] as usize;
+            segments[slot].copy_from_slice(best);
         }
-        Self { plans, loads }
+        Self {
+            offsets,
+            segments,
+            loads,
+        }
+    }
+
+    /// The channel segments of `link`'s chosen plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is out of range.
+    #[must_use]
+    pub fn plan(&self, link: LinkId) -> &[Segment] {
+        &self.segments[self.offsets[link.index()] as usize..self.offsets[link.index() + 1] as usize]
     }
 
     /// Estimated wire length of a link's plan in *tile pitches*: channel
@@ -195,7 +220,7 @@ impl GlobalRouting {
     /// as one gap crossing. The detailed router (step 5) refines this.
     #[must_use]
     pub fn plan_span(&self, link: LinkId) -> u32 {
-        self.plans[link.index()]
+        self.plan(link)
             .iter()
             .map(|segment| match *segment {
                 Segment::Direct => 1,
@@ -210,116 +235,140 @@ impl GlobalRouting {
 /// fewest routing choices), ties by link id.
 pub(crate) fn longest_first(topology: &Topology) -> Vec<LinkId> {
     let mut order: Vec<LinkId> = (0..topology.num_links() as u32).map(LinkId::new).collect();
-    order.sort_by_cached_key(|&id| std::cmp::Reverse(topology.link_length(id)));
+    order.sort_by_key(|&id| std::cmp::Reverse(topology.link_length(id)));
     order
 }
 
-/// Enumerates the candidate channel assignments for one link.
-fn candidate_plans(topology: &Topology, id: LinkId, placement: PortPlacement) -> Vec<Vec<Segment>> {
-    let grid = topology.grid();
-    let link = topology.link(id);
-    let (a, b) = (grid.coord(link.a), grid.coord(link.b));
-    match placement {
-        PortPlacement::Optimized => {
-            if a.manhattan(b) == 1 {
-                return vec![vec![Segment::Direct]];
-            }
-            if a.row == b.row {
-                // Row skip link: above (gap = row) or below (gap = row+1),
-                // passing over the strictly-interior tile columns.
-                let (c1, c2) = (a.col.min(b.col), a.col.max(b.col));
-                return vec![
-                    vec![Segment::Horizontal {
-                        gap: a.row,
-                        c_start: c1 + 1,
-                        c_end: c2 - 1,
-                    }],
-                    vec![Segment::Horizontal {
-                        gap: a.row + 1,
-                        c_start: c1 + 1,
-                        c_end: c2 - 1,
-                    }],
-                ];
-            }
-            if a.col == b.col {
-                let (r1, r2) = (a.row.min(b.row), a.row.max(b.row));
-                return vec![
-                    vec![Segment::Vertical {
-                        gap: a.col,
-                        r_start: r1 + 1,
-                        r_end: r2 - 1,
-                    }],
-                    vec![Segment::Vertical {
-                        gap: a.col + 1,
-                        r_start: r1 + 1,
-                        r_end: r2 - 1,
-                    }],
-                ];
-            }
-            // Diagonal link: L-shapes. Horizontal-first from a's row to b's
-            // column, then vertical to b's row — and the transposed order.
-            let mut plans = Vec::with_capacity(8);
-            let (c1, c2) = (a.col.min(b.col), a.col.max(b.col));
-            let (r1, r2) = (a.row.min(b.row), a.row.max(b.row));
-            for h_gap in [a.row, a.row + 1] {
-                for v_gap in [b.col, b.col + 1] {
-                    plans.push(vec![
-                        Segment::Horizontal {
-                            gap: h_gap,
-                            c_start: c1,
-                            c_end: c2,
-                        },
-                        Segment::Vertical {
-                            gap: v_gap,
-                            r_start: r1,
-                            r_end: r2,
-                        },
-                    ]);
-                }
-            }
-            for v_gap in [a.col, a.col + 1] {
-                for h_gap in [b.row, b.row + 1] {
-                    plans.push(vec![
-                        Segment::Vertical {
-                            gap: v_gap,
-                            r_start: r1,
-                            r_end: r2,
-                        },
-                        Segment::Horizontal {
-                            gap: h_gap,
-                            c_start: c1,
-                            c_end: c2,
-                        },
-                    ]);
-                }
-            }
-            plans
+/// Most segments one plan has (the north-only detour).
+const MAX_SEGMENTS: usize = 3;
+/// Most candidate plans one link has (a diagonal link's L-shapes).
+const MAX_CANDIDATES: usize = 8;
+
+/// The candidate channel assignments of one link, held inline: `count`
+/// plans of `len` segments each.
+struct Candidates {
+    plans: [[Segment; MAX_SEGMENTS]; MAX_CANDIDATES],
+    count: usize,
+    len: usize,
+}
+
+impl Candidates {
+    /// The candidates of a link whose plans have `len` segments.
+    fn new(len: usize) -> Self {
+        Self {
+            plans: [[Segment::Direct; MAX_SEGMENTS]; MAX_CANDIDATES],
+            count: 0,
+            len,
         }
-        PortPlacement::NorthOnly => {
-            // Every wire leaves through the north face: route via the
-            // channel above the source row, then (if needed) the left
-            // vertical channel, then the channel above the target row.
-            let (c1, c2) = (a.col.min(b.col), a.col.max(b.col));
-            let (r1, r2) = (a.row.min(b.row), a.row.max(b.row));
-            let mut plan = Vec::new();
-            plan.push(Segment::Horizontal {
-                gap: r1,
-                c_start: c1,
-                c_end: c2,
-            });
-            if r1 != r2 {
-                plan.push(Segment::Vertical {
-                    gap: c2,
-                    r_start: r1,
-                    r_end: r2 - 1,
+    }
+
+    fn push(&mut self, plan: &[Segment]) {
+        debug_assert_eq!(plan.len(), self.len);
+        self.plans[self.count][..plan.len()].copy_from_slice(plan);
+        self.count += 1;
+    }
+
+    /// The plans, in enumeration order.
+    fn plans(&self) -> impl Iterator<Item = &[Segment]> {
+        self.plans[..self.count]
+            .iter()
+            .map(|plan| &plan[..self.len])
+    }
+
+    /// Enumerates the candidate channel assignments for one link.
+    fn of(topology: &Topology, id: LinkId, placement: PortPlacement) -> Self {
+        let grid = topology.grid();
+        let link = topology.link(id);
+        let (a, b) = (grid.coord(link.a), grid.coord(link.b));
+        let (c1, c2) = (a.col.min(b.col), a.col.max(b.col));
+        let (r1, r2) = (a.row.min(b.row), a.row.max(b.row));
+        match placement {
+            PortPlacement::Optimized => {
+                if a.manhattan(b) == 1 {
+                    let mut direct = Self::new(1);
+                    direct.push(&[Segment::Direct]);
+                    return direct;
+                }
+                let mut candidates = Self::new(if a.row == b.row || a.col == b.col {
+                    1
+                } else {
+                    2
                 });
-                plan.push(Segment::Horizontal {
-                    gap: r2,
-                    c_start: c2,
-                    c_end: c2,
-                });
+                if a.row == b.row {
+                    // Row skip link: above (gap = row) or below (gap = row+1),
+                    // passing over the strictly-interior tile columns.
+                    for gap in [a.row, a.row + 1] {
+                        candidates.push(&[Segment::Horizontal {
+                            gap,
+                            c_start: c1 + 1,
+                            c_end: c2 - 1,
+                        }]);
+                    }
+                } else if a.col == b.col {
+                    for gap in [a.col, a.col + 1] {
+                        candidates.push(&[Segment::Vertical {
+                            gap,
+                            r_start: r1 + 1,
+                            r_end: r2 - 1,
+                        }]);
+                    }
+                } else {
+                    // Diagonal link: L-shapes. Horizontal-first from a's row
+                    // to b's column, then vertical to b's row — and the
+                    // transposed order.
+                    let horizontal = |gap| Segment::Horizontal {
+                        gap,
+                        c_start: c1,
+                        c_end: c2,
+                    };
+                    let vertical = |gap| Segment::Vertical {
+                        gap,
+                        r_start: r1,
+                        r_end: r2,
+                    };
+                    for h_gap in [a.row, a.row + 1] {
+                        for v_gap in [b.col, b.col + 1] {
+                            candidates.push(&[horizontal(h_gap), vertical(v_gap)]);
+                        }
+                    }
+                    for v_gap in [a.col, a.col + 1] {
+                        for h_gap in [b.row, b.row + 1] {
+                            candidates.push(&[vertical(v_gap), horizontal(h_gap)]);
+                        }
+                    }
+                }
+                candidates
             }
-            vec![plan]
+            PortPlacement::NorthOnly => {
+                // Every wire leaves through the north face: route via the
+                // channel above the source row, then (if needed) the left
+                // vertical channel, then the channel above the target row.
+                let first = Segment::Horizontal {
+                    gap: r1,
+                    c_start: c1,
+                    c_end: c2,
+                };
+                if r1 == r2 {
+                    let mut candidates = Self::new(1);
+                    candidates.push(&[first]);
+                    return candidates;
+                }
+                let mut candidates = Self::new(3);
+                candidates.push(&[
+                    first,
+                    Segment::Vertical {
+                        gap: c2,
+                        r_start: r1,
+                        r_end: r2 - 1,
+                    },
+                    Segment::Horizontal {
+                        gap: r2,
+                        c_start: c2,
+                        c_end: c2,
+                    },
+                ]);
+                candidates
+            }
         }
     }
 }
@@ -333,8 +382,8 @@ mod tests {
     fn mesh_routes_entirely_direct() {
         let mesh = generators::mesh(Grid::new(4, 4));
         let routing = GlobalRouting::route(&mesh, PortPlacement::Optimized);
-        for plan in &routing.plans {
-            assert_eq!(plan, &vec![Segment::Direct]);
+        for i in 0..mesh.num_links() as u32 {
+            assert_eq!(routing.plan(LinkId::new(i)), [Segment::Direct]);
         }
         for g in 0..=4 {
             assert_eq!(routing.loads.max_horizontal(g), 0);
@@ -392,7 +441,7 @@ mod tests {
     fn diagonal_links_get_l_routes() {
         let slim = generators::slim_noc(Grid::new(16, 8)).expect("128 tiles");
         let routing = GlobalRouting::route(&slim, PortPlacement::Optimized);
-        let has_l = routing.plans.iter().any(|plan| plan.len() == 2);
+        let has_l = (0..slim.num_links() as u32).any(|i| routing.plan(LinkId::new(i)).len() == 2);
         assert!(has_l, "SlimNoC cross links should take L-shaped routes");
     }
 

@@ -101,14 +101,15 @@ pub fn row_column_skip(
 
 /// The link set of the construction (mesh base plus skip links).
 fn skip_links(grid: Grid, sr: &BTreeSet<u16>, sc: &BTreeSet<u16>) -> Vec<Link> {
-    let mut links = Vec::new();
     // Mesh base: distance-1 links. Skip links: distances from SR / SC.
-    let mut row_dists: Vec<u16> = vec![1];
-    row_dists.extend(sr.iter().copied());
-    let mut col_dists: Vec<u16> = vec![1];
-    col_dists.extend(sc.iter().copied());
+    let row_dists = || std::iter::once(1).chain(sr.iter().copied());
+    let col_dists = || std::iter::once(1).chain(sc.iter().copied());
+    let span = |len: u16, x: u16| usize::from(len.saturating_sub(x));
+    let count = usize::from(grid.rows()) * row_dists().map(|x| span(grid.cols(), x)).sum::<usize>()
+        + usize::from(grid.cols()) * col_dists().map(|x| span(grid.rows(), x)).sum::<usize>();
+    let mut links = Vec::with_capacity(count);
     for r in 0..grid.rows() {
-        for &x in &row_dists {
+        for x in row_dists() {
             for i in 0..grid.cols().saturating_sub(x) {
                 links.push(Link::new(
                     grid.id(TileCoord::new(r, i)),
@@ -118,7 +119,7 @@ fn skip_links(grid: Grid, sr: &BTreeSet<u16>, sc: &BTreeSet<u16>) -> Vec<Link> {
         }
     }
     for c in 0..grid.cols() {
-        for &x in &col_dists {
+        for x in col_dists() {
             for i in 0..grid.rows().saturating_sub(x) {
                 links.push(Link::new(
                     grid.id(TileCoord::new(i, c)),
@@ -127,6 +128,7 @@ fn skip_links(grid: Grid, sr: &BTreeSet<u16>, sc: &BTreeSet<u16>) -> Vec<Link> {
             }
         }
     }
+    debug_assert_eq!(links.len(), count);
     links
 }
 

@@ -2,6 +2,10 @@
 //! move lists with bounded direction reversals, and the all-pairs "line
 //! bank" the compact table forms store instead of materialized paths.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
+use crate::grid::TileCoord;
 use crate::topology::Topology;
 
 use super::{BuildRoutesError, RoutingAlgorithm};
@@ -20,79 +24,173 @@ pub(super) struct Move1D {
     pub(super) reversals: u8,
 }
 
-/// Hop-minimal 1D paths with at most [`MAX_REVERSALS`] direction changes,
-/// computed by Dijkstra over `(position, direction)` states with
-/// lexicographic `(hops, reversals)` cost.
-fn min_1d_paths(adjacency: &[Vec<u16>], from: u16) -> Vec<Option<Vec<Move1D>>> {
-    let n = adjacency.len();
-    // State: (pos, dir) with dir: 0 = none yet, 1 = increasing, 2 = decreasing.
-    let state = |pos: u16, dir: u8| pos as usize * 3 + dir as usize;
-    let mut best = vec![(u32::MAX, u8::MAX); n * 3];
-    let mut parent: Vec<Option<(u16, u8)>> = vec![None; n * 3];
-    let mut heap = std::collections::BinaryHeap::new();
-    best[state(from, 0)] = (0, 0);
-    heap.push(std::cmp::Reverse((0u32, 0u8, from, 0u8)));
-    while let Some(std::cmp::Reverse((hops, revs, pos, dir))) = heap.pop() {
-        if (hops, revs) > best[state(pos, dir)] {
-            continue;
-        }
-        for &next in &adjacency[pos as usize] {
-            let ndir = if next > pos { 1 } else { 2 };
-            let nrevs = if dir != 0 && ndir != dir {
-                revs + 1
+/// One line's 1D adjacency in compressed-row form: per position, the
+/// positions it links to, in ascending order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(super) struct LineAdjacency {
+    /// `targets[offsets[p]..offsets[p + 1]]` are position `p`'s links.
+    offsets: Vec<u32>,
+    targets: Vec<u16>,
+}
+
+impl LineAdjacency {
+    /// The adjacency of row `line` (`along_row`) or of column `line`
+    /// from the topology's neighbour lists. A tile's neighbours are
+    /// sorted by id and ids are row-major, so the ones on its line come
+    /// out in ascending position.
+    fn of_line(topology: &Topology, line: u16, along_row: bool) -> Self {
+        let grid = topology.grid();
+        let positions = if along_row { grid.cols() } else { grid.rows() };
+        let tile = |pos: u16| {
+            grid.id(if along_row {
+                TileCoord::new(line, pos)
             } else {
-                revs
-            };
-            if nrevs > MAX_REVERSALS {
+                TileCoord::new(pos, line)
+            })
+        };
+        let position_on_line = |neighbor: TileCoord| {
+            if along_row {
+                (neighbor.row == line).then_some(neighbor.col)
+            } else {
+                (neighbor.col == line).then_some(neighbor.row)
+            }
+        };
+        let mut offsets = Vec::with_capacity(positions as usize + 1);
+        let mut targets =
+            Vec::with_capacity((0..positions).map(|pos| topology.degree(tile(pos))).sum());
+        offsets.push(0);
+        for pos in 0..positions {
+            targets.extend(
+                topology
+                    .neighbors(tile(pos))
+                    .iter()
+                    .filter_map(|&(neighbor, _)| position_on_line(grid.coord(neighbor))),
+            );
+            offsets.push(u32::try_from(targets.len()).expect("line adjacency fits u32"));
+        }
+        Self { offsets, targets }
+    }
+
+    /// Number of positions on the line.
+    fn positions(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// The positions `pos` links to, ascending.
+    fn neighbors(&self, pos: u16) -> &[u16] {
+        let pos = pos as usize;
+        &self.targets[self.offsets[pos] as usize..self.offsets[pos + 1] as usize]
+    }
+}
+
+/// Dijkstra over one line's `(position, direction)` states with
+/// lexicographic `(hops, reversals)` cost, finding hop-minimal 1D paths
+/// with at most [`MAX_REVERSALS`] direction changes. Its heap and
+/// per-state arrays are reused from one source position to the next.
+struct PathSearch {
+    /// Best `(hops, reversals)` per state.
+    best: Vec<(u32, u8)>,
+    /// The state each state was reached from.
+    parent: Vec<Option<(u16, u8)>>,
+    heap: BinaryHeap<Reverse<(u32, u8, u16, u8)>>,
+    from: u16,
+}
+
+/// State index of `(pos, dir)`, dir 0 = none yet, 1 = increasing,
+/// 2 = decreasing.
+fn state(pos: u16, dir: u8) -> usize {
+    pos as usize * 3 + dir as usize
+}
+
+impl PathSearch {
+    fn new(positions: usize) -> Self {
+        Self {
+            best: vec![(u32::MAX, u8::MAX); positions * 3],
+            parent: vec![None; positions * 3],
+            heap: BinaryHeap::new(),
+            from: 0,
+        }
+    }
+
+    /// Runs the search from `from` over `adjacency`.
+    fn run(&mut self, adjacency: &LineAdjacency, from: u16) {
+        let Self {
+            best, parent, heap, ..
+        } = self;
+        self.from = from;
+        best.fill((u32::MAX, u8::MAX));
+        parent.fill(None);
+        heap.clear();
+        best[state(from, 0)] = (0, 0);
+        heap.push(Reverse((0u32, 0u8, from, 0u8)));
+        while let Some(Reverse((hops, revs, pos, dir))) = heap.pop() {
+            if (hops, revs) > best[state(pos, dir)] {
                 continue;
             }
-            let cost = (hops + 1, nrevs);
-            if cost < best[state(next, ndir)] {
-                best[state(next, ndir)] = cost;
-                parent[state(next, ndir)] = Some((pos, dir));
-                heap.push(std::cmp::Reverse((hops + 1, nrevs, next, ndir)));
+            for &next in adjacency.neighbors(pos) {
+                let ndir = if next > pos { 1 } else { 2 };
+                let nrevs = if dir != 0 && ndir != dir {
+                    revs + 1
+                } else {
+                    revs
+                };
+                if nrevs > MAX_REVERSALS {
+                    continue;
+                }
+                let cost = (hops + 1, nrevs);
+                if cost < best[state(next, ndir)] {
+                    best[state(next, ndir)] = cost;
+                    parent[state(next, ndir)] = Some((pos, dir));
+                    heap.push(Reverse((hops + 1, nrevs, next, ndir)));
+                }
             }
         }
     }
-    (0..n as u16)
-        .map(|target| {
-            if target == from {
-                return Some(Vec::new());
-            }
-            // Best terminal state for this target.
-            let (dir, &(hops, _)) = [1u8, 2u8]
-                .iter()
-                .map(|&d| (d, &best[state(target, d)]))
-                .min_by_key(|&(_, cost)| *cost)?;
-            if hops == u32::MAX {
-                return None;
-            }
-            // Walk parents back to the source.
-            let mut moves = Vec::new();
-            let (mut pos, mut d) = (target, dir);
-            while pos != from || d != 0 {
-                let (ppos, pdir) = parent[state(pos, d)]?;
-                // Reversal count at this state, relative to the parent.
-                let revs_here = best[state(pos, d)].1;
-                moves.push(Move1D {
-                    to_pos: pos,
-                    reversals: revs_here,
-                });
-                pos = ppos;
-                d = pdir;
-            }
-            moves.reverse();
-            Some(moves)
-        })
-        .collect()
+
+    /// Appends the last search's path to `target` to `moves` and returns
+    /// `true`, or leaves `moves` as it was and returns `false` when the
+    /// search did not reach `target`. The path from the source to itself
+    /// is empty.
+    fn append_path(&self, target: u16, moves: &mut Vec<Move1D>) -> bool {
+        if target == self.from {
+            return true;
+        }
+        // Best terminal state for this target (increasing on a tie).
+        let dir = if self.best[state(target, 2)] < self.best[state(target, 1)] {
+            2
+        } else {
+            1
+        };
+        if self.best[state(target, dir)].0 == u32::MAX {
+            return false;
+        }
+        // Walk parents back to the source, then reverse the appended run.
+        let start = moves.len();
+        let (mut pos, mut d) = (target, dir);
+        while pos != self.from || d != 0 {
+            let Some((ppos, pdir)) = self.parent[state(pos, d)] else {
+                moves.truncate(start);
+                return false;
+            };
+            // Reversal count at this state, relative to the parent.
+            moves.push(Move1D {
+                to_pos: pos,
+                reversals: self.best[state(pos, d)].1,
+            });
+            pos = ppos;
+            d = pdir;
+        }
+        moves[start..].reverse();
+        true
+    }
 }
 
 /// All-pairs 1D move lists of one line (one row or one column),
 /// flattened into a single arena: `positions²` `(offset, len)` slots
 /// over one `Vec<Move1D>`. The compact table forms index these banks at
 /// query time instead of materializing per-pair paths; the moves are
-/// exactly what [`min_1d_paths`] produces, so a path reassembled from a
-/// bank is identical to the dense builder's.
+/// exactly what [`PathSearch`] finds, so a path reassembled from a bank
+/// is identical to the dense builder's.
 #[derive(Debug, Clone, PartialEq)]
 pub(super) struct LineBank {
     positions: usize,
@@ -107,28 +205,27 @@ pub(super) struct LineBank {
 const UNREACHABLE: u16 = u16::MAX;
 
 impl LineBank {
-    /// Builds the bank from the line's 1D adjacency (one [`min_1d_paths`]
-    /// sweep per source position).
-    pub(super) fn build(adjacency: &[Vec<u16>]) -> Self {
-        let positions = adjacency.len();
+    /// Builds the bank from the line's 1D adjacency (one [`PathSearch`]
+    /// per source position), each path written straight into the arena.
+    pub(super) fn build(adjacency: &LineAdjacency) -> Self {
+        let positions = adjacency.positions();
         let mut offsets = vec![0u32; positions * positions];
         let mut lens = vec![UNREACHABLE; positions * positions];
-        let mut moves = Vec::new();
-        let mut max_reversals = 0u8;
+        // Every pair of distinct positions is at least one move apart.
+        let mut moves = Vec::with_capacity(positions * positions.saturating_sub(1));
+        let mut search = PathSearch::new(positions);
         for from in 0..positions as u16 {
-            let paths = min_1d_paths(adjacency, from);
-            for (to, path) in paths.iter().enumerate() {
-                let slot = from as usize * positions + to;
-                if let Some(path) = path {
-                    offsets[slot] = u32::try_from(moves.len()).expect("bank arena fits u32");
-                    lens[slot] = u16::try_from(path.len()).expect("1D path fits u16");
-                    for mv in path {
-                        max_reversals = max_reversals.max(mv.reversals);
-                        moves.push(*mv);
-                    }
+            search.run(adjacency, from);
+            for to in 0..positions as u16 {
+                let slot = from as usize * positions + to as usize;
+                let start = moves.len();
+                if search.append_path(to, &mut moves) {
+                    offsets[slot] = u32::try_from(start).expect("bank arena fits u32");
+                    lens[slot] = u16::try_from(moves.len() - start).expect("1D path fits u16");
                 }
             }
         }
+        let max_reversals = moves.iter().map(|mv| mv.reversals).max().unwrap_or(0);
         Self {
             positions,
             offsets,
@@ -205,8 +302,8 @@ pub(super) struct LineBanks {
 
 impl LineBanks {
     /// Builds the banks of `lines` (one adjacency per line).
-    pub(super) fn build(lines: &[Vec<Vec<u16>>]) -> Self {
-        let mut distinct: Vec<&Vec<Vec<u16>>> = Vec::new();
+    pub(super) fn build(lines: &[LineAdjacency]) -> Self {
+        let mut distinct: Vec<&LineAdjacency> = Vec::new();
         let bank_of = lines
             .iter()
             .map(|adjacency| {
@@ -297,36 +394,32 @@ pub(super) fn row_column_banks(
     Ok((rows, cols))
 }
 
-/// One line's adjacency: per position, the positions it links to.
-pub(super) type LineAdjacency = Vec<Vec<Vec<u16>>>;
-
-/// Per-row and per-column 1D adjacency lists (positions are columns for
-/// rows, rows for columns), extracted from the topology's link set.
+/// Per-row and per-column 1D adjacency (positions are columns for rows,
+/// rows for columns), extracted from the topology's neighbour lists.
 ///
 /// # Errors
 ///
-/// Returns the offending link rendered as a string when any link is not
-/// row/column aligned (the row/column decompositions only apply then).
+/// Returns the first offending link (in link order) rendered as a string
+/// when any link is not row/column aligned (the row/column
+/// decompositions only apply then).
 pub(super) fn row_col_adjacency(
     topology: &Topology,
-) -> Result<(LineAdjacency, LineAdjacency), String> {
+) -> Result<(Vec<LineAdjacency>, Vec<LineAdjacency>), String> {
     let grid = topology.grid();
-    let (rows, cols) = (grid.rows(), grid.cols());
-    let mut row_adj: Vec<Vec<Vec<u16>>> = vec![vec![Vec::new(); cols as usize]; rows as usize];
-    let mut col_adj: Vec<Vec<Vec<u16>>> = vec![vec![Vec::new(); rows as usize]; cols as usize];
-    for link in topology.links() {
+    if let Some(link) = topology.links().iter().find(|link| {
         let (ca, cb) = (grid.coord(link.a), grid.coord(link.b));
-        if ca.same_row(cb) {
-            row_adj[ca.row as usize][ca.col as usize].push(cb.col);
-            row_adj[ca.row as usize][cb.col as usize].push(ca.col);
-        } else if ca.same_col(cb) {
-            col_adj[ca.col as usize][ca.row as usize].push(cb.row);
-            col_adj[ca.col as usize][cb.row as usize].push(ca.row);
-        } else {
-            return Err(format!("link {ca} ↔ {cb} is not row/column aligned"));
-        }
+        !ca.same_row(cb) && !ca.same_col(cb)
+    }) {
+        let (ca, cb) = (grid.coord(link.a), grid.coord(link.b));
+        return Err(format!("link {ca} ↔ {cb} is not row/column aligned"));
     }
-    Ok((row_adj, col_adj))
+    let rows = (0..grid.rows())
+        .map(|r| LineAdjacency::of_line(topology, r, true))
+        .collect();
+    let cols = (0..grid.cols())
+        .map(|c| LineAdjacency::of_line(topology, c, false))
+        .collect();
+    Ok((rows, cols))
 }
 
 #[cfg(test)]
@@ -334,16 +427,23 @@ mod tests {
     use super::*;
 
     /// The adjacency of a line of `positions` mesh links plus `skips`.
-    fn line(positions: u16, skips: &[(u16, u16)]) -> Vec<Vec<u16>> {
-        let mut adjacency = vec![Vec::new(); positions as usize];
+    fn line(positions: u16, skips: &[(u16, u16)]) -> LineAdjacency {
+        let mut lists = vec![Vec::new(); positions as usize];
         let links = (1..positions)
             .map(|p| (p - 1, p))
             .chain(skips.iter().copied());
         for (a, b) in links {
-            adjacency[a as usize].push(b);
-            adjacency[b as usize].push(a);
+            lists[a as usize].push(b);
+            lists[b as usize].push(a);
         }
-        adjacency
+        let mut offsets = vec![0];
+        let mut targets = Vec::new();
+        for mut list in lists {
+            list.sort_unstable();
+            targets.extend(list);
+            offsets.push(targets.len() as u32);
+        }
+        LineAdjacency { offsets, targets }
     }
 
     #[test]

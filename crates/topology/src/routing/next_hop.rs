@@ -31,8 +31,8 @@ impl Csr {
     pub(super) fn build(topology: &Topology) -> Self {
         let n = topology.num_tiles();
         let mut offsets = Vec::with_capacity(n + 1);
-        let mut tiles = Vec::new();
-        let mut channels = Vec::new();
+        let mut tiles = Vec::with_capacity(topology.num_channels());
+        let mut channels = Vec::with_capacity(topology.num_channels());
         offsets.push(0);
         for tile in topology.grid().tiles() {
             for &(neighbor, link) in topology.neighbors(tile) {

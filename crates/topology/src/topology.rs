@@ -4,7 +4,6 @@
 //! Each bidirectional link corresponds to two directed [`Channel`]s, which
 //! is the granularity at which the simulator and the routing tables operate.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -415,11 +414,13 @@ impl Topology {
 
     /// Builds a topology from a set of links.
     ///
-    /// Duplicate links are merged; endpoints may be given in either order.
+    /// Duplicate links are merged; endpoints may be given in either order
+    /// (also in a `Link` written field by field).
     ///
     /// # Errors
     ///
-    /// Returns [`TopologyError::LinkOutOfGrid`] if a link references a
+    /// Returns [`TopologyError::SelfLoop`] if a link's endpoints are the
+    /// same tile, [`TopologyError::LinkOutOfGrid`] if a link references a
     /// tile outside the grid, or [`TopologyError::Disconnected`] if the
     /// resulting graph is not connected (a NoC must provide connectivity
     /// between all tiles).
@@ -428,22 +429,33 @@ impl Topology {
         kind: TopologyKind,
         links: impl IntoIterator<Item = Link>,
     ) -> Result<Self, TopologyError> {
-        let canonical: BTreeSet<Link> = links.into_iter().collect();
-        let links: Vec<Link> = canonical.into_iter().collect();
+        let mut links: Vec<Link> = links.into_iter().collect();
+        for link in &mut links {
+            *link = Link::try_new(link.a, link.b)?;
+        }
+        links.sort_unstable();
+        links.dedup();
+        let mut degree = vec![0u32; grid.num_tiles()];
         for &link in &links {
             if link.b.index() >= grid.num_tiles() {
                 return Err(TopologyError::LinkOutOfGrid { link, grid });
             }
+            degree[link.a.index()] += 1;
+            degree[link.b.index()] += 1;
         }
-        let mut adjacency = vec![Vec::new(); grid.num_tiles()];
+        // Links are sorted by `(a, b)`, so a tile receives its lower
+        // neighbours (as `b`, in ascending `a`) before its higher ones (as
+        // `a`, in ascending `b`): every list fills already sorted.
+        let mut adjacency: Vec<Vec<(TileId, LinkId)>> = degree
+            .iter()
+            .map(|&d| Vec::with_capacity(d as usize))
+            .collect();
         for (i, link) in links.iter().enumerate() {
             let id = LinkId::new(i as u32);
             adjacency[link.a.index()].push((link.b, id));
             adjacency[link.b.index()].push((link.a, id));
         }
-        for list in &mut adjacency {
-            list.sort_unstable();
-        }
+        debug_assert!(adjacency.iter().all(|list| list.is_sorted()));
         let topology = Self {
             grid,
             kind,

@@ -1,8 +1,11 @@
 //! Property-based invariants of the topology crate.
 
+use std::collections::BTreeSet;
+
+use proptest::collection;
 use proptest::prelude::*;
 
-use shg_topology::{generators, metrics, routing, Grid, TileId};
+use shg_topology::{generators, metrics, routing, Grid, Link, TileId, Topology};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
@@ -33,6 +36,36 @@ proptest! {
             prop_assert!(routes.is_hop_minimal(topology), "{}", topology);
             prop_assert!(routes.is_deadlock_free(topology), "{}", topology);
         }
+    }
+
+    /// `Topology::try_new` canonicalizes its link list: shuffled links,
+    /// links with swapped endpoints and duplicated links give the
+    /// topology built from the canonical list.
+    #[test]
+    fn try_new_canonicalizes_its_links(
+        (r, c) in (2u16..=7, 2u16..=7),
+        skips in 0u32..8192,
+        keys in collection::vec(0u32..u32::MAX, 64),
+    ) {
+        let grid = Grid::new(r, c);
+        let sr: BTreeSet<u16> = (2..c).filter(|&x| skips >> x & 1 == 1).collect();
+        let sc: BTreeSet<u16> = (2..r).filter(|&x| skips >> (x + 6) & 1 == 1).collect();
+        let canonical = generators::row_column_skip(grid, &sr, &sc).expect("valid skips");
+        // Odd keys swap the endpoints, keys divisible by 3 repeat the link;
+        // sorting by key shuffles the list.
+        let mut scrambled = Vec::new();
+        for (i, &link) in canonical.links().iter().enumerate() {
+            let key = keys[i % keys.len()] ^ i as u32;
+            let given = if key & 1 == 1 { Link { a: link.b, b: link.a } } else { link };
+            scrambled.push((key, given));
+            if key.is_multiple_of(3) {
+                scrambled.push((key.rotate_left(7), link));
+            }
+        }
+        scrambled.sort_by_key(|&(key, _)| key);
+        let rebuilt = Topology::try_new(grid, canonical.kind(), scrambled.into_iter().map(|(_, l)| l))
+            .expect("the canonical list builds");
+        prop_assert_eq!(rebuilt, canonical);
     }
 
     /// Diameters match the closed forms of Table I.
