@@ -235,7 +235,7 @@ impl GlobalRouting {
 /// fewest routing choices), ties by link id.
 pub(crate) fn longest_first(topology: &Topology) -> Vec<LinkId> {
     let mut order: Vec<LinkId> = (0..topology.num_links() as u32).map(LinkId::new).collect();
-    order.sort_by_key(|&id| std::cmp::Reverse(topology.link_length(id)));
+    order.sort_by_cached_key(|&id| std::cmp::Reverse(topology.link_length(id)));
     order
 }
 
@@ -245,7 +245,7 @@ const MAX_SEGMENTS: usize = 3;
 const MAX_CANDIDATES: usize = 8;
 
 /// The candidate channel assignments of one link, held inline: `count`
-/// plans of `len` segments each.
+/// plans of `len` segments each (a link's plans all have one length).
 struct Candidates {
     plans: [[Segment; MAX_SEGMENTS]; MAX_CANDIDATES],
     count: usize,
@@ -253,18 +253,10 @@ struct Candidates {
 }
 
 impl Candidates {
-    /// The candidates of a link whose plans have `len` segments.
-    fn new(len: usize) -> Self {
-        Self {
-            plans: [[Segment::Direct; MAX_SEGMENTS]; MAX_CANDIDATES],
-            count: 0,
-            len,
-        }
-    }
-
     fn push(&mut self, plan: &[Segment]) {
-        debug_assert_eq!(plan.len(), self.len);
+        debug_assert!(self.count == 0 || plan.len() == self.len);
         self.plans[self.count][..plan.len()].copy_from_slice(plan);
+        self.len = plan.len();
         self.count += 1;
     }
 
@@ -282,94 +274,67 @@ impl Candidates {
         let (a, b) = (grid.coord(link.a), grid.coord(link.b));
         let (c1, c2) = (a.col.min(b.col), a.col.max(b.col));
         let (r1, r2) = (a.row.min(b.row), a.row.max(b.row));
+        let horizontal = |gap, c_start, c_end| Segment::Horizontal {
+            gap,
+            c_start,
+            c_end,
+        };
+        let vertical = |gap, r_start, r_end| Segment::Vertical {
+            gap,
+            r_start,
+            r_end,
+        };
+        let mut candidates = Self {
+            plans: [[Segment::Direct; MAX_SEGMENTS]; MAX_CANDIDATES],
+            count: 0,
+            len: 0,
+        };
         match placement {
+            PortPlacement::Optimized if a.manhattan(b) == 1 => {
+                candidates.push(&[Segment::Direct]);
+            }
+            PortPlacement::Optimized if a.row == b.row => {
+                // Row skip link: above (gap = row) or below (gap = row+1),
+                // passing over the strictly-interior tile columns.
+                for gap in [a.row, a.row + 1] {
+                    candidates.push(&[horizontal(gap, c1 + 1, c2 - 1)]);
+                }
+            }
+            PortPlacement::Optimized if a.col == b.col => {
+                for gap in [a.col, a.col + 1] {
+                    candidates.push(&[vertical(gap, r1 + 1, r2 - 1)]);
+                }
+            }
             PortPlacement::Optimized => {
-                if a.manhattan(b) == 1 {
-                    let mut direct = Self::new(1);
-                    direct.push(&[Segment::Direct]);
-                    return direct;
-                }
-                let mut candidates = Self::new(if a.row == b.row || a.col == b.col {
-                    1
-                } else {
-                    2
-                });
-                if a.row == b.row {
-                    // Row skip link: above (gap = row) or below (gap = row+1),
-                    // passing over the strictly-interior tile columns.
-                    for gap in [a.row, a.row + 1] {
-                        candidates.push(&[Segment::Horizontal {
-                            gap,
-                            c_start: c1 + 1,
-                            c_end: c2 - 1,
-                        }]);
-                    }
-                } else if a.col == b.col {
-                    for gap in [a.col, a.col + 1] {
-                        candidates.push(&[Segment::Vertical {
-                            gap,
-                            r_start: r1 + 1,
-                            r_end: r2 - 1,
-                        }]);
-                    }
-                } else {
-                    // Diagonal link: L-shapes. Horizontal-first from a's row
-                    // to b's column, then vertical to b's row — and the
-                    // transposed order.
-                    let horizontal = |gap| Segment::Horizontal {
-                        gap,
-                        c_start: c1,
-                        c_end: c2,
-                    };
-                    let vertical = |gap| Segment::Vertical {
-                        gap,
-                        r_start: r1,
-                        r_end: r2,
-                    };
-                    for h_gap in [a.row, a.row + 1] {
-                        for v_gap in [b.col, b.col + 1] {
-                            candidates.push(&[horizontal(h_gap), vertical(v_gap)]);
-                        }
-                    }
-                    for v_gap in [a.col, a.col + 1] {
-                        for h_gap in [b.row, b.row + 1] {
-                            candidates.push(&[vertical(v_gap), horizontal(h_gap)]);
-                        }
+                // Diagonal link: L-shapes. Horizontal-first from a's row to
+                // b's column, then vertical to b's row — and the transposed
+                // order.
+                for h_gap in [a.row, a.row + 1] {
+                    for v_gap in [b.col, b.col + 1] {
+                        candidates.push(&[horizontal(h_gap, c1, c2), vertical(v_gap, r1, r2)]);
                     }
                 }
-                candidates
+                for v_gap in [a.col, a.col + 1] {
+                    for h_gap in [b.row, b.row + 1] {
+                        candidates.push(&[vertical(v_gap, r1, r2), horizontal(h_gap, c1, c2)]);
+                    }
+                }
+            }
+            // Every wire leaves through the north face: route via the
+            // channel above the source row, then (if needed) the left
+            // vertical channel, then the channel above the target row.
+            PortPlacement::NorthOnly if r1 == r2 => {
+                candidates.push(&[horizontal(r1, c1, c2)]);
             }
             PortPlacement::NorthOnly => {
-                // Every wire leaves through the north face: route via the
-                // channel above the source row, then (if needed) the left
-                // vertical channel, then the channel above the target row.
-                let first = Segment::Horizontal {
-                    gap: r1,
-                    c_start: c1,
-                    c_end: c2,
-                };
-                if r1 == r2 {
-                    let mut candidates = Self::new(1);
-                    candidates.push(&[first]);
-                    return candidates;
-                }
-                let mut candidates = Self::new(3);
                 candidates.push(&[
-                    first,
-                    Segment::Vertical {
-                        gap: c2,
-                        r_start: r1,
-                        r_end: r2 - 1,
-                    },
-                    Segment::Horizontal {
-                        gap: r2,
-                        c_start: c2,
-                        c_end: c2,
-                    },
+                    horizontal(r1, c1, c2),
+                    vertical(c2, r1, r2 - 1),
+                    horizontal(r2, c2, c2),
                 ]);
-                candidates
             }
         }
+        candidates
     }
 }
 
