@@ -10,13 +10,21 @@
 //! and holds each count within a factor of two of its pin: a change that
 //! doubles a count fails, and so does one that halves it without
 //! lowering the pin.
+//!
+//! The same counter pins the two set-up costs a sweep pays per cell: a
+//! [`Network::reset`] allocates nothing, where [`Network::new`] builds
+//! every router, and the compact routing table of a 32×32 mesh keeps its
+//! allocator calls and its exact size (a table that stored per-pair
+//! paths would grow it by orders of magnitude).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use shg_core::{PerformanceMode, Scenario, SparseHammingConfig, Toolchain};
 use shg_floorplan::{ArchParams, ModelOptions};
-use shg_topology::Grid;
+use shg_sim::{Network, SimConfig, TrafficPattern};
+use shg_topology::{generators, routing, Grid};
+use shg_units::Cycles;
 
 /// The system allocator, counting the calls of the current thread.
 struct Counting;
@@ -78,16 +86,33 @@ fn inputs() -> (Toolchain, ArchParams) {
     (toolchain, params)
 }
 
+/// Runs `f` and returns its value with the allocator calls it made on
+/// this thread.
+fn counted<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = CALLS.with(Cell::get);
+    let value = f();
+    (value, CALLS.with(Cell::get) - before)
+}
+
+/// Asserts that `count` is within a factor of two of `pin`.
+fn assert_near_pin(what: &str, count: u64, pin: u64) {
+    assert!(
+        count < 2 * pin && 2 * count > pin,
+        "{what}: {count} allocator calls against a pin of {pin}; \
+         re-pin only for an understood change"
+    );
+}
+
 /// Allocator calls of building `config` and screening it, on this thread.
 fn screen_calls(toolchain: &Toolchain, params: &ArchParams, config: &SparseHammingConfig) -> u64 {
-    let before = CALLS.with(Cell::get);
-    let topology = config.build();
-    let screening = toolchain
-        .screen(params, &topology)
-        .expect("candidate routes");
-    let calls = CALLS.with(Cell::get) - before;
-    drop((topology, screening));
-    calls
+    counted(|| {
+        let topology = config.build();
+        let screening = toolchain
+            .screen(params, &topology)
+            .expect("candidate routes");
+        (topology, screening)
+    })
+    .1
 }
 
 #[test]
@@ -110,10 +135,39 @@ fn screening_a_candidate_keeps_its_allocator_calls() {
         .map(|(config, _)| screen_calls(&toolchain, &params, config))
         .collect();
     for ((config, pin), count) in cases.iter().zip(&counts) {
-        assert!(
-            *count < 2 * pin && 2 * count > *pin,
-            "{config}: {count} allocator calls against a pin of {pin} \
-             (all counts: {counts:?}); re-pin only for an understood change"
-        );
+        assert_near_pin(&format!("{config} (all counts: {counts:?})"), *count, *pin);
     }
+}
+
+#[test]
+fn resetting_a_network_allocates_nothing() {
+    let fb = generators::flattened_butterfly(Grid::new(16, 16));
+    let routes = routing::default_routes(&fb).expect("FB routes");
+    let latencies = vec![Cycles::one(); fb.num_links()];
+    let config = SimConfig {
+        warmup: 500,
+        measure: 2_000,
+        drain_limit: 6_000,
+        ..SimConfig::default()
+    };
+    let (mut network, new_calls) = counted(|| Network::new(&fb, &routes, &latencies, config));
+    let _ = network.run(0.01, TrafficPattern::UniformRandom);
+    let ((), reset_calls) = counted(|| network.reset(1));
+    assert_eq!(
+        reset_calls, 0,
+        "Network::reset of a run 16×16 flattened butterfly must reuse its storage"
+    );
+    assert_near_pin("Network::new, 16×16 flattened butterfly", new_calls, 5_901);
+}
+
+#[test]
+fn compact_routes_of_a_32x32_mesh_keep_their_size() {
+    let mesh = generators::mesh(Grid::new(32, 32));
+    let (routes, calls) = counted(|| routing::default_routes(&mesh).expect("mesh routes"));
+    assert_eq!(
+        routes.table_bytes(),
+        135_684,
+        "the 32×32 mesh's compact table changed size"
+    );
+    assert_near_pin("default_routes, 32×32 mesh", calls, 161);
 }
