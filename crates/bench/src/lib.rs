@@ -1,106 +1,18 @@
-//! Shared helpers for the experiment harness binaries and benches.
+//! Shared helpers for the experiment binaries.
 //!
 //! The binaries in `src/bin/` regenerate the paper's tables and figures
-//! (see `DESIGN.md` §3 for the experiment index); the Criterion benches
-//! in `benches/` measure the speed claims (the toolchain must run "at the
-//! speed of high-level models"). All simulation-grid work goes through
-//! the shared sweep engine ([`shg_sim::sweep`] plus the scenario layer
-//! in [`sweep`]) instead of per-binary measurement loops.
+//! (README, "Experiments", lists them). All simulation-grid work goes
+//! through the shared sweep engine ([`shg_sim::sweep`] plus the scenario
+//! layer in [`sweep`]) instead of per-binary measurement loops.
 
 pub mod sweep;
 
 use rayon::prelude::*;
 
 use shg_core::{Evaluation, Scenario, Toolchain};
-use shg_sim::{Network, SimConfig, TrafficPattern};
 use shg_topology::db::TopologyDb;
 use shg_topology::generators::GeneratorSpec;
-use shg_topology::{routing, Topology};
-use shg_units::Cycles;
-
-/// One alternating measurement of per-cell setup cost: fresh
-/// [`Network`] construction vs. [`Network::reset`] of a dirtied reused
-/// instance (see [`profile_setup_phase`]).
-#[derive(Debug, Clone, Copy)]
-pub struct SetupSample {
-    /// Wall seconds to build a fresh `Network` for one cell.
-    pub fresh: f64,
-    /// Wall seconds to `reset` a reused (previously run, therefore
-    /// dirty) `Network` for the same cell.
-    pub reset: f64,
-}
-
-impl SetupSample {
-    /// The fresh-construction / reset-reuse speedup ratio of this
-    /// sample — what a sweep's cell group saves per cell before the
-    /// simulation itself starts.
-    #[must_use]
-    pub fn ratio(&self) -> f64 {
-        self.fresh / self.reset
-    }
-}
-
-/// Runs `samples` alternating per-cell setups: each round constructs a
-/// fresh `Network` and runs one short cell on it, then `reset`s a
-/// persistent network (left dirty by the previous round's run) and
-/// runs the same cell — asserting bit-identical outcomes — timing only
-/// the construction and the reset. The one measurement protocol shared
-/// by the `setup_phase` Criterion headline and the CI perf-smoke
-/// `network_reset_vs_rebuild` gate.
-///
-/// # Panics
-///
-/// Panics if the topology has no default routes or a reused run ever
-/// disagrees with its fresh-construction twin.
-#[must_use]
-pub fn profile_setup_phase(
-    topology: &Topology,
-    config: &SimConfig,
-    rate: f64,
-    samples: usize,
-) -> Vec<SetupSample> {
-    let routes = routing::default_routes(topology).expect("routes");
-    let latencies = vec![Cycles::one(); topology.num_links()];
-    let cell_config = |seed: u64| SimConfig {
-        seed,
-        ..config.clone()
-    };
-    // Dirty the reused instance before the first sample so every reset
-    // measured cleans a realistically touched network.
-    let mut reused = Network::new(topology, &routes, &latencies, cell_config(0));
-    let _ = reused.run(rate, TrafficPattern::UniformRandom);
-    (0..samples as u64)
-        .map(|i| {
-            let seed = config.seed.wrapping_add(i + 1);
-            let start = std::time::Instant::now();
-            let mut fresh_net = Network::new(topology, &routes, &latencies, cell_config(seed));
-            let fresh = start.elapsed().as_secs_f64();
-            let fresh_outcome = fresh_net.run(rate, TrafficPattern::UniformRandom);
-            let start = std::time::Instant::now();
-            reused.reset(seed);
-            let reset = start.elapsed().as_secs_f64();
-            let reused_outcome = reused.run(rate, TrafficPattern::UniformRandom);
-            assert_eq!(
-                fresh_outcome, reused_outcome,
-                "reset-reuse must match fresh construction"
-            );
-            SetupSample { fresh, reset }
-        })
-        .collect()
-}
-
-/// The median of a sample set (odd-length sets return the true
-/// median). Used by the bench headlines and the perf-smoke gate.
-///
-/// # Panics
-///
-/// Panics on an empty set.
-#[must_use]
-pub fn median(mut samples: Vec<f64>) -> f64 {
-    assert!(!samples.is_empty(), "median of an empty sample set");
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
-}
+use shg_topology::Topology;
 
 /// All topologies applicable to a scenario's grid, in Fig. 6's order:
 /// ring, mesh, torus, folded torus, hypercube (power-of-two grids),

@@ -1238,10 +1238,12 @@ impl Wiring<'_> {
         let shards = fabric.shards.len();
         let crew = Crew::new(shards);
         std::thread::scope(|scope| {
-            for s in 1..shards {
-                let crew = &crew;
-                scope.spawn(move || crew.serve(self, s));
-            }
+            let helpers: Vec<_> = (1..shards)
+                .map(|s| {
+                    let crew = &crew;
+                    scope.spawn(move || crew.serve(self, s))
+                })
+                .collect();
             let _poison = crew.poison_on_panic();
             let mut epoch_idx = 0usize;
             let mut routes: &Routes = self.routes;
@@ -1370,6 +1372,14 @@ impl Wiring<'_> {
                 }
             }
             crew.start(None);
+            // Joined here rather than by the scope, whose join a thread
+            // sanitizer cannot see: each helper's last accesses then
+            // happen before whatever the caller does next.
+            for helper in helpers {
+                if let Err(panic) = helper.join() {
+                    std::panic::resume_unwind(panic);
+                }
+            }
             RunEnd {
                 outcome: recorder.finalize(now, nodes),
                 ruled_out,

@@ -15,8 +15,7 @@ use shg_units::Cycles;
 
 use super::cache::{self, CellCache};
 use super::plan::{CellId, SweepPlan};
-use super::result::{ShardResult, SweepPoint, SweepResult};
-use super::shard::ShardSpec;
+use super::result::{SweepPoint, SweepResult};
 use super::spec::SweepSpec;
 use crate::config::SimConfig;
 use crate::network::{shard_count, Network};
@@ -584,21 +583,6 @@ impl<'a> Experiment<'a> {
             .collect()
     }
 
-    /// Runs one shard of the sweep (see [`ShardSpec`]), returning its
-    /// points tagged with everything [`SweepResult::merge`] validates.
-    #[must_use]
-    pub fn run_shard(&self, shard: ShardSpec) -> ShardResult {
-        let plan = self.plan();
-        let cells = plan.shard_cells(shard);
-        let points = self.run_cells(&cells);
-        ShardResult {
-            fingerprint: plan.fingerprint(),
-            shard,
-            plan_cells: plan.num_cells() as u64,
-            entries: cells.into_iter().zip(points).collect(),
-        }
-    }
-
     /// Derives everything a cell's execution needs from its grid
     /// coordinates: pattern, rate, a scheduling-independent seed, the
     /// seeded config and (when a cache is attached) the cell's
@@ -708,6 +692,8 @@ fn derive_seed(root: u64, case: u64, pattern: u64, rate: u64) -> u64 {
 
 #[cfg(test)]
 mod tests {
+    use super::super::journal::journaled_shard;
+    use super::super::shard::ShardSpec;
     use super::*;
     use crate::traffic::TrafficPattern;
     use shg_topology::{generators, Grid};
@@ -952,11 +938,11 @@ mod tests {
     }
 
     #[test]
-    fn run_shard_computes_exactly_the_strided_cells() {
+    fn a_journaled_shard_holds_exactly_the_strided_cells() {
         let mesh = generators::mesh(Grid::new(4, 4));
         let experiment = small_experiment(&mesh);
         let full = experiment.run_parallel();
-        let shard = experiment.run_shard(ShardSpec::new(1, 3));
+        let shard = journaled_shard(&experiment, ShardSpec::new(1, 3));
         assert_eq!(shard.plan_cells, 4);
         assert_eq!(shard.entries.len(), 1, "cells 0..4, stride 3, offset 1");
         let (cell, point) = &shard.entries[0];

@@ -10,9 +10,8 @@
 //! chunk that was killed mid-flight is recomputed on resume.
 //!
 //! Lines are read back through the vendored `serde_json` [`Value`]
-//! parser — the same code path the perf-smoke baseline gate uses —
-//! and numbers survive the round trip byte-exactly (shortest-float
-//! formatting and raw-text integers), which is what makes
+//! parser, and numbers survive the round trip byte-exactly
+//! (shortest-float formatting and raw-text integers), which is what makes
 //! `merge(journals).to_json()` reproduce a single-shot run's bytes.
 
 use std::io::Write as _;
@@ -431,6 +430,30 @@ pub fn read_journal(path: impl AsRef<Path>) -> Result<ShardResult, JournalError>
         plan_cells: parsed.header.plan_cells,
         entries: parsed.entries,
     })
+}
+
+/// Runs `shard` of `experiment` into a scratch journal and reads it
+/// back: a shard as production produces one, through
+/// [`run_sweep`](super::run_sweep) and [`read_journal`].
+#[cfg(test)]
+pub(crate) fn journaled_shard(experiment: &super::Experiment<'_>, shard: ShardSpec) -> ShardResult {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "shg_journaled_shard_{}_{}.jsonl",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let sink = JournalSink {
+        path: &path,
+        resume: false,
+        durable: false,
+    };
+    super::run_sweep(experiment, shard, super::Executors::Local, Some(sink), None)
+        .expect("shard runs");
+    let result = read_journal(&path).expect("journal reads back");
+    let _ = std::fs::remove_file(&path);
+    result
 }
 
 /// An open journal file being appended to in canonical cell order —

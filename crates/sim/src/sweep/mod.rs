@@ -24,9 +24,8 @@
 //! * [`shard`] — [`ShardSpec`]: strided division of the cell sequence
 //!   between independent workers.
 //! * [`experiment`] — [`Experiment`]: runs the whole grid
-//!   ([`Experiment::run_parallel`]), an arbitrary cell subset
-//!   ([`Experiment::run_cells`]) or one shard
-//!   ([`Experiment::run_shard`]), each same-case group of cells on one
+//!   ([`Experiment::run_parallel`]) or an arbitrary cell subset
+//!   ([`Experiment::run_cells`]), each same-case group of cells on one
 //!   `Network` reset between cells.
 //! * [`cache`] — [`CellCache`]: a content-addressed on-disk store of
 //!   completed cells keyed per cell (not per plan), so re-runs and
@@ -72,18 +71,29 @@
 //! assert_eq!(result.points.len(), 2 * sweep::ALL_PATTERNS.len());
 //! ```
 //!
-//! Sharded: run each shard anywhere, merge to the identical bytes.
+//! Sharded: run each shard anywhere into its journal, then merge the
+//! journals to the identical bytes.
 //!
 //! ```
-//! # use shg_sim::{sweep::ShardSpec, Experiment, SimConfig, SweepResult, SweepSpec};
+//! # use shg_sim::sweep::{read_journal, run_sweep, Executors, JournalSink, ShardSpec};
+//! # use shg_sim::{Experiment, SimConfig, SweepResult, SweepSpec};
 //! # use shg_topology::{generators, Grid};
 //! # let mesh = generators::mesh(Grid::new(4, 4));
 //! # let spec = SweepSpec::new(SimConfig::fast_test()).rates([0.02, 0.1]);
 //! # let experiment = Experiment::new(spec).with_unit_latency_case("mesh", &mesh)?;
-//! let shards = (0..3).map(|i| experiment.run_shard(ShardSpec::new(i, 3))).collect();
+//! # let dir = std::env::temp_dir().join(format!("shg_sweep_doc_{}", std::process::id()));
+//! # std::fs::create_dir_all(&dir)?;
+//! let mut shards = Vec::new();
+//! for i in 0..3 {
+//!     let path = dir.join(format!("shard{i}.jsonl"));
+//!     let journal = JournalSink { path: &path, resume: false, durable: false };
+//!     run_sweep(&experiment, ShardSpec::new(i, 3), Executors::Local, Some(journal), None)?;
+//!     shards.push(read_journal(&path)?);
+//! }
 //! let merged = SweepResult::merge(shards).expect("disjoint and complete");
 //! assert_eq!(merged.to_json(), experiment.run_parallel().to_json());
-//! # Ok::<(), shg_topology::routing::BuildRoutesError>(())
+//! # std::fs::remove_dir_all(&dir)?;
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 pub mod cache;

@@ -34,8 +34,7 @@ pub struct SweepResult {
 
 /// One shard's worth of measured cells, tagged with what
 /// [`SweepResult::merge`] validates: the plan fingerprint, the shard
-/// assignment, and the plan's total cell count. Produced in-process by
-/// [`crate::Experiment::run_shard`], or loaded by
+/// assignment, and the plan's total cell count. Loaded by
 /// [`super::journal::read_journal`] from the journal a
 /// [`run_sweep`](super::run_sweep) of the shard wrote.
 #[derive(Debug, Clone, PartialEq)]
@@ -224,6 +223,7 @@ impl SweepResult {
 #[cfg(test)]
 mod tests {
     use super::super::experiment::Experiment;
+    use super::super::journal::journaled_shard;
     use super::super::spec::SweepSpec;
     use super::*;
     use crate::config::SimConfig;
@@ -244,7 +244,7 @@ mod tests {
         let experiment = experiment(&mesh);
         let single = experiment.run_parallel().to_json();
         let shards: Vec<ShardResult> = (0..3)
-            .map(|i| experiment.run_shard(ShardSpec::new(i, 3)))
+            .map(|i| journaled_shard(&experiment, ShardSpec::new(i, 3)))
             .collect();
         let merged = SweepResult::merge(shards).expect("shards merge");
         assert_eq!(merged.to_json(), single);
@@ -254,8 +254,8 @@ mod tests {
     fn merge_rejects_fingerprint_mismatch() {
         let mesh = generators::mesh(Grid::new(4, 4));
         let torus = generators::torus(Grid::new(4, 4));
-        let a = experiment(&mesh).run_shard(ShardSpec::new(0, 2));
-        let b = experiment(&torus).run_shard(ShardSpec::new(1, 2));
+        let a = journaled_shard(&experiment(&mesh), ShardSpec::new(0, 2));
+        let b = journaled_shard(&experiment(&torus), ShardSpec::new(1, 2));
         let err = SweepResult::merge(vec![a, b]).expect_err("different plans");
         assert!(
             matches!(err, MergeError::FingerprintMismatch { .. }),
@@ -268,8 +268,8 @@ mod tests {
     fn merge_rejects_overlap_missing_shards_and_empty_input() {
         let mesh = generators::mesh(Grid::new(4, 4));
         let experiment = experiment(&mesh);
-        let a = experiment.run_shard(ShardSpec::new(0, 2));
-        let b = experiment.run_shard(ShardSpec::new(1, 2));
+        let a = journaled_shard(&experiment, ShardSpec::new(0, 2));
+        let b = journaled_shard(&experiment, ShardSpec::new(1, 2));
         let err =
             SweepResult::merge(vec![a.clone(), b.clone(), b.clone()]).expect_err("duplicate shard");
         assert!(matches!(err, MergeError::DuplicateCell(_)), "{err}");

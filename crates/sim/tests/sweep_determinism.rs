@@ -6,17 +6,40 @@
 //! per-point seed, which derives from grid coordinates alone.
 //!
 //! The sharding consequence is pinned here too: any N-way shard split
-//! of a sweep, merged, serializes to the single-shot bytes — across
-//! shard counts and root seeds (proptest).
+//! of a sweep, each shard journaled and read back, merged, serializes
+//! to the single-shot bytes — across shard counts and root seeds
+//! (proptest).
+
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use proptest::prelude::*;
 use rayon::ThreadPool;
-use shg_sim::sweep::ALL_PATTERNS;
+use shg_sim::sweep::{read_journal, run_sweep, Executors, JournalSink, ShardResult, ALL_PATTERNS};
 use shg_sim::{
     CellId, ExecStats, Experiment, ShardSpec, SimConfig, SweepResult, SweepSpec, TrafficPattern,
 };
 use shg_topology::db::TopologyDb;
 use shg_topology::{generators, Grid};
+
+/// `shard` of `experiment` as production produces it: run by
+/// `run_sweep` into a journal, then read back.
+fn journaled_shard(experiment: &Experiment<'_>, shard: ShardSpec) -> ShardResult {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "shg_sweep_determinism_{}_{}.jsonl",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    let journal = JournalSink {
+        path: &path,
+        resume: false,
+        durable: false,
+    };
+    run_sweep(experiment, shard, Executors::Local, Some(journal), None).expect("shard runs");
+    let result = read_journal(&path).expect("journal reads back");
+    let _ = std::fs::remove_file(&path);
+    result
+}
 
 /// A pool pinning the thread count of the sweeps installed on it.
 fn pool(threads: usize) -> ThreadPool {
@@ -193,7 +216,7 @@ proptest! {
         let single = experiment.run_parallel().to_json();
         // Merge in a scrambled order: canonical re-ordering is merge's job.
         let mut shards: Vec<_> = (0..count)
-            .map(|i| experiment.run_shard(ShardSpec::new(i, count)))
+            .map(|i| journaled_shard(&experiment, ShardSpec::new(i, count)))
             .collect();
         shards.rotate_left(count as usize / 2);
         let merged = SweepResult::merge(shards).expect("disjoint, complete shards merge");

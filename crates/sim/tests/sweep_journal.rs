@@ -8,7 +8,7 @@ use std::path::{Path, PathBuf};
 
 use shg_sim::sweep::{
     read_journal, run_sweep, CoordError, CoordProgress, Executors, JournalError, JournalSink,
-    ProgressFn,
+    ProgressFn, ShardResult,
 };
 use shg_sim::{Experiment, ShardSpec, SimConfig, SweepResult, SweepSpec, TrafficPattern};
 use shg_topology::{generators, Grid, Topology};
@@ -67,10 +67,12 @@ fn experiment(topology: &Topology) -> Experiment<'_> {
 }
 
 #[test]
-fn journaled_shard_matches_run_shard_and_merges_to_single_shot() {
+fn journaled_shards_match_the_single_shot_and_merge_to_its_bytes() {
     let mesh = mesh();
     let experiment = experiment(&mesh);
-    let single = experiment.run_parallel().to_json();
+    let full = experiment.run_parallel();
+    let single = full.to_json();
+    let plan = experiment.plan();
     let mut journals = Vec::new();
     let scratches: Vec<Scratch> = (0..3)
         .map(|i| Scratch::new(&format!("merge_shard{i}")))
@@ -78,10 +80,22 @@ fn journaled_shard_matches_run_shard_and_merges_to_single_shot() {
     for (i, scratch) in scratches.iter().enumerate() {
         let shard = ShardSpec::new(i as u32, 3);
         let result = journaled(&experiment, shard, &scratch.0, false, |_, _| {}).expect("runs");
-        let in_memory = experiment.run_shard(shard);
+        // The shard's cells with their single-shot points.
+        let expected = ShardResult {
+            fingerprint: plan.fingerprint(),
+            shard,
+            plan_cells: plan.num_cells() as u64,
+            entries: plan
+                .cells()
+                .zip(&full.points)
+                .enumerate()
+                .filter(|&(ordinal, _)| shard.owns(ordinal))
+                .map(|(_, (cell, point))| (cell, point.clone()))
+                .collect(),
+        };
         assert_eq!(
             result.points,
-            in_memory
+            expected
                 .entries
                 .iter()
                 .map(|(_, p)| p.clone())
@@ -89,7 +103,7 @@ fn journaled_shard_matches_run_shard_and_merges_to_single_shot() {
             "journaled execution computes the same points"
         );
         let journal = read_journal(&scratch.0).expect("journal reads back");
-        assert_eq!(journal, in_memory, "journal round trip is lossless");
+        assert_eq!(journal, expected, "journal round trip is lossless");
         journals.push(journal);
     }
     let merged = SweepResult::merge(journals).expect("journals merge");
